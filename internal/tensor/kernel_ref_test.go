@@ -1,0 +1,460 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+)
+
+// Bit-pattern pins for the fp32 kernels.
+//
+// Every kernel below promises one thing about its arithmetic: each output
+// element accumulates over the reduction index in a fixed order, one rounded
+// multiply and one rounded add per step. The reference copies in this file
+// spell that order out as naive per-element loops; the table and sweep tests
+// compare math.Float32bits of the production kernels against them, so a
+// kernel rewrite that reassociates a sum, fuses a multiply-add, or reads a
+// destination it should have overwritten fails here before it can move a
+// model output.
+//
+// The comparison is exact except for NaN payloads: x86 ADDSS/MULSS return the
+// payload of whichever NaN operand the register allocator put first, so two
+// correct compilations of the same Go expression may disagree on the sign
+// and payload of a NaN (never on whether the result is one).
+//
+// Go may fuse x*y+z into one rounding on arm64, ppc64 and s390x, where the
+// reference and the kernel are free to be fused differently; the bit pins
+// therefore run on amd64 (the CI and benchmark target) and the tolerance
+// tests in strided_test.go keep covering the other ports.
+
+func requireBitExactArch(t testing.TB) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bit-identity is asserted on amd64 only: the compiler may fuse x*y+z on %s", runtime.GOARCH)
+	}
+}
+
+// canonBits is Float32bits with every NaN collapsed to one pattern.
+func canonBits(v float32) uint32 {
+	if v != v {
+		return 0x7fc00000
+	}
+	return math.Float32bits(v)
+}
+
+func requireSameBits(t *testing.T, name string, got, want *Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, w := range want.Data {
+		if canonBits(got.Data[i]) != canonBits(w) {
+			t.Fatalf("%s: element [%d][%d] = %08x (%v), want %08x (%v)", name,
+				i/want.Cols, i%want.Cols, math.Float32bits(got.Data[i]), got.Data[i], math.Float32bits(w), w)
+		}
+	}
+}
+
+// ---- reference kernels: today's seven fp32 matmuls, one element at a time ----
+
+// refMatMul is the reference for MatMul and MatMulBlocked (the panel schedule
+// never reorders one element's sum): Σ_c a[i][c]·b[c][j], c ascending, from +0.
+func refMatMul(a, b *Matrix) *Matrix {
+	dst := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			for c := 0; c < a.Cols; c++ {
+				s += a.At(i, c) * b.At(c, j)
+			}
+			dst.Set(i, j, s)
+		}
+	}
+	return dst
+}
+
+// refTMatMul is aᵀ×b: Σ_r a[r][i]·b[r][j], r ascending, from +0.
+func refTMatMul(a, b *Matrix) *Matrix {
+	dst := New(a.Cols, b.Cols)
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float32
+			for r := 0; r < a.Rows; r++ {
+				s += a.At(r, i) * b.At(r, j)
+			}
+			dst.Set(i, j, s)
+		}
+	}
+	return dst
+}
+
+// refDot is the dot-form kernels' inner product: four interleaved partial
+// sums, the remainder folded into the first, combined as (s0+s1)+(s2+s3).
+func refDot(a []float32, ao int, b []float32, bo, w int) float32 {
+	var s [4]float32
+	full := w &^ 3
+	for c := 0; c < full; c++ {
+		s[c&3] += a[ao+c] * b[bo+c]
+	}
+	for c := full; c < w; c++ {
+		s[0] += a[ao+c] * b[bo+c]
+	}
+	return (s[0] + s[1]) + (s[2] + s[3])
+}
+
+// refMatMulT is a×bᵀ.
+func refMatMulT(a, b *Matrix) *Matrix {
+	dst := New(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			dst.Set(i, j, refDot(a.Data, i*a.Cols, b.Data, j*b.Cols, a.Cols))
+		}
+	}
+	return dst
+}
+
+// refMatMulTStrided writes only dst columns [doff, doff+b.Rows).
+func refMatMulTStrided(dst *Matrix, doff int, a *Matrix, aoff int, b *Matrix, boff, w int) {
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			dst.Set(i, doff+j, refDot(a.Data, i*a.Cols+aoff, b.Data, j*b.Cols+boff, w))
+		}
+	}
+}
+
+// refMatMulStrided writes only dst columns [doff, doff+w); acc starts each
+// sum from the destination's current value instead of +0.
+func refMatMulStrided(dst *Matrix, doff int, a *Matrix, aoff, aw int, b *Matrix, boff, w int, acc bool) {
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < w; j++ {
+			var s float32
+			if acc {
+				s = dst.At(i, doff+j)
+			}
+			for c := 0; c < aw; c++ {
+				s += a.At(i, aoff+c) * b.At(c, boff+j)
+			}
+			dst.Set(i, doff+j, s)
+		}
+	}
+}
+
+// refTMatMulStrided writes only dst columns [doff, doff+w).
+func refTMatMulStrided(dst *Matrix, doff int, a, b *Matrix, boff, w int) {
+	for i := 0; i < a.Cols; i++ {
+		for j := 0; j < w; j++ {
+			var s float32
+			for r := 0; r < a.Rows; r++ {
+				s += a.At(r, i) * b.At(r, boff+j)
+			}
+			dst.Set(i, doff+j, s)
+		}
+	}
+}
+
+// ---- inputs ----
+
+// saltValues are the IEEE corner cases mixed into otherwise Gaussian inputs:
+// signed zeros (+0 + -0 is where a skipped zero-init would show), infinities
+// and NaN (Inf·0 and Inf−Inf must appear at the same step), and denormals.
+var saltValues = []float32{
+	0, float32(math.Copysign(0, -1)),
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.Float32frombits(1), math.Float32frombits(0x80000001), math.Float32frombits(0x007fffff),
+	math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32,
+}
+
+func pinMatrix(rows, cols int, rng *RNG, salted bool) *Matrix {
+	m := New(rows, cols)
+	Gaussian(m, 1, rng)
+	if salted {
+		for i := range m.Data {
+			if rng.Intn(5) == 0 {
+				m.Data[i] = saltValues[rng.Intn(len(saltValues))]
+			}
+		}
+	}
+	return m
+}
+
+// dirty returns a rows×cols matrix holding NaN everywhere: an assigning
+// kernel that reads its destination, or misses an element, cannot match a
+// finite reference, and a write outside the window shows as a changed NaN
+// turning into a number.
+func dirty(rows, cols int) *Matrix {
+	m := New(rows, cols)
+	m.Fill(float32(math.NaN()))
+	return m
+}
+
+// ---- one shape through all seven kernels ----
+
+// pinShape runs every fp32 matmul kernel at (rows, k, w) against its
+// reference: rows is the output height, k the reduction length, w the output
+// width. The strided kernels see windows at non-zero offsets inside wider
+// matrices.
+func pinShape(t *testing.T, rows, k, w int, seed uint64, salted bool) {
+	t.Helper()
+	rng := NewRNG(seed)
+	name := func(kernel string) string {
+		return fmt.Sprintf("%s rows=%d k=%d w=%d salted=%v procs=%d", kernel, rows, k, w, salted, runtime.GOMAXPROCS(0))
+	}
+
+	// Dense axpy-form: [rows,k]×[k,w], nil and dirty destinations.
+	a, b := pinMatrix(rows, k, rng, salted), pinMatrix(k, w, rng, salted)
+	want := refMatMul(a, b)
+	requireSameBits(t, name("MatMul(nil)"), MatMul(nil, a, b), want)
+	requireSameBits(t, name("MatMul(dirty)"), MatMul(dirty(rows, w), a, b), want)
+	requireSameBits(t, name("MatMulBlocked(nil)"), MatMulBlocked(nil, a, b), want)
+	requireSameBits(t, name("MatMulBlocked(dirty)"), MatMulBlocked(dirty(rows, w), a, b), want)
+
+	// TMatMul: a is [k,rows] so the output is again rows×w.
+	at := pinMatrix(k, rows, rng, salted)
+	want = refTMatMul(at, b)
+	requireSameBits(t, name("TMatMul(nil)"), TMatMul(nil, at, b), want)
+	requireSameBits(t, name("TMatMul(dirty)"), TMatMul(dirty(rows, w), at, b), want)
+
+	// Dense dot-form: [rows,k]×([w,k])ᵀ.
+	bt := pinMatrix(w, k, rng, salted)
+	want = refMatMulT(a, bt)
+	requireSameBits(t, name("MatMulT(nil)"), MatMulT(nil, a, bt), want)
+	requireSameBits(t, name("MatMulT(dirty)"), MatMulT(dirty(rows, w), a, bt), want)
+
+	// Strided twins on windows inside wider, offset matrices.
+	aoff, boff, doff := 1+rng.Intn(5), 1+rng.Intn(5), 1+rng.Intn(5)
+	pad := 1 + rng.Intn(4)
+
+	// Scores: q window [rows,k] · key window [w,k]ᵀ into dst[:, doff:doff+w].
+	qa := pinMatrix(rows, aoff+k+pad, rng, salted)
+	kb := pinMatrix(w, boff+k+pad, rng, salted)
+	got, wantD := dirty(rows, doff+w+pad), dirty(rows, doff+w+pad)
+	MatMulTStrided(got, doff, qa, aoff, kb, boff, k)
+	refMatMulTStrided(wantD, doff, qa, aoff, kb, boff, k)
+	requireSameBits(t, name("MatMulTStrided"), got, wantD)
+
+	// Values: prob window [rows,k] · value window [k,w]; b may have spare rows.
+	pa := pinMatrix(rows, aoff+k+pad, rng, salted)
+	vb := pinMatrix(k+pad, boff+w+pad, rng, salted)
+	got, wantD = dirty(rows, doff+w+pad), dirty(rows, doff+w+pad)
+	MatMulStrided(got, doff, pa, aoff, k, vb, boff, w)
+	refMatMulStrided(wantD, doff, pa, aoff, k, vb, boff, w, false)
+	requireSameBits(t, name("MatMulStrided"), got, wantD)
+
+	// Accumulate on top of a finite (salted) destination.
+	base := pinMatrix(rows, doff+w+pad, rng, salted)
+	got, wantD = base.Clone(), base.Clone()
+	MatMulStridedAcc(got, doff, pa, aoff, k, vb, boff, w)
+	refMatMulStrided(wantD, doff, pa, aoff, k, vb, boff, w, true)
+	requireSameBits(t, name("MatMulStridedAcc"), got, wantD)
+
+	// Backward: dense [k,rows]ᵀ · window [k,w].
+	db := pinMatrix(k, boff+w+pad, rng, salted)
+	got, wantD = dirty(rows, doff+w+pad), dirty(rows, doff+w+pad)
+	TMatMulStrided(got, doff, at, db, boff, w)
+	refTMatMulStrided(wantD, doff, at, db, boff, w)
+	requireSameBits(t, name("TMatMulStrided"), got, wantD)
+}
+
+// withProcs runs fn under GOMAXPROCS(procs): 1 pins the serial branch of
+// every kernel whatever the shape, 3 takes the parallel branch with uneven
+// row chunks wherever the shape is worth fanning out.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+func TestKernelsMatchReferenceBits(t *testing.T) {
+	requireBitExactArch(t)
+	ks := []int{1, 3, 4, 5, 47, 48, 96, 129, 192}
+	ws := []int{1, 12, 24, 47, 48, 96}
+	rowss := []int{1, 2, 7, 64, 257}
+	table := func() {
+		seed := uint64(1)
+		for _, rows := range rowss {
+			for _, k := range ks {
+				for _, w := range ws {
+					pinShape(t, rows, k, w, seed, false)
+					pinShape(t, rows, k, w, seed+1, true)
+					seed += 2
+				}
+			}
+		}
+	}
+	if !testing.Short() && !raceEnabled {
+		withProcs(3, table)
+	}
+	// The reduced table still crosses every unroll remainder (k mod 4), the
+	// 128-step panel edge, an odd width and the parallel threshold.
+	ks, ws, rowss = []int{1, 3, 5, 48, 129}, []int{1, 12, 47}, []int{1, 7, 257}
+	withProcs(1, table)
+	withProcs(3, table)
+}
+
+func TestKernelsMatchReferenceBitsRandomShapes(t *testing.T) {
+	requireBitExactArch(t)
+	cases := 500
+	if testing.Short() || raceEnabled {
+		cases = 60
+	}
+	rng := NewRNG(20260925)
+	for c := 0; c < cases; c++ {
+		rows, k, w := 1+rng.Intn(40), 1+rng.Intn(200), 1+rng.Intn(100)
+		if rng.Intn(8) == 0 {
+			rows = 130 + rng.Intn(130) // tall enough for the parallel branch at most k·w
+		}
+		withProcs(1+2*(c%2), func() {
+			pinShape(t, rows, k, w, rng.Uint64(), rng.Intn(3) == 0)
+		})
+	}
+}
+
+// ---- exp / tanh / fused softmax ----
+
+// refExpFast32 is ExpFast32 as it stood before the polynomial core was split
+// out for inlining: same operations, same order.
+func refExpFast32(x float32) float32 {
+	if x != x {
+		return x
+	}
+	if x <= -87.33655 {
+		return 0
+	}
+	if x >= 88.72283 {
+		return float32(math.Inf(1))
+	}
+	t := x * expLog2E
+	var n int32
+	if t >= 0 {
+		n = int32(t + 0.5)
+	} else {
+		n = int32(t - 0.5)
+	}
+	fn := float32(n)
+	f := (x - fn*expLn2Hi) - fn*expLn2Lo
+	p := float32(1.0 / 720)
+	p = p*f + 1.0/120
+	p = p*f + 1.0/24
+	p = p*f + 1.0/6
+	p = p*f + 0.5
+	p = p*f + 1
+	p = p*f + 1
+	if n >= 128 {
+		return p * math.Float32frombits(254<<23) * 2
+	}
+	return p * math.Float32frombits(uint32(n+127)<<23)
+}
+
+func refTanhFast32(x float32) float32 {
+	if x != x {
+		return x
+	}
+	if x >= 10 {
+		return 1
+	}
+	if x <= -10 {
+		return -1
+	}
+	e := refExpFast32(2 * x)
+	return (e - 1) / (e + 1)
+}
+
+func refScaledMaskedRowSoftmax(m *Matrix, scale float32, past int, causal bool) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Row(i)
+		lim := m.Cols
+		if causal && past+i+1 < lim {
+			lim = past + i + 1
+		}
+		valid := row[:lim]
+		maxv := scale * valid[0]
+		for _, v := range valid[1:] {
+			if sv := scale * v; sv > maxv {
+				maxv = sv
+			}
+		}
+		var sum float32
+		for j, v := range valid {
+			e := refExpFast32(scale*v - maxv)
+			valid[j] = e
+			sum += e
+		}
+		inv := 1 / sum
+		for j := range valid {
+			valid[j] *= inv
+		}
+		for j := lim; j < m.Cols; j++ {
+			row[j] = 0
+		}
+	}
+}
+
+// TestExpTanhFast32MatchReferenceBits walks every 257th float32 bit pattern
+// (≈16.7 M values: every exponent, both signs, NaNs, infinities, denormals)
+// through ExpFast32 and TanhFast32 and their reference copies.
+func TestExpTanhFast32MatchReferenceBits(t *testing.T) {
+	requireBitExactArch(t)
+	if testing.Short() || raceEnabled {
+		t.Skip("16.7M-value sweep; skipped under -short and -race")
+	}
+	for bits := uint64(0); bits < 1<<32; bits += 257 {
+		x := math.Float32frombits(uint32(bits))
+		if got, want := ExpFast32(x), refExpFast32(x); canonBits(got) != canonBits(want) {
+			t.Fatalf("ExpFast32(%08x = %v) = %08x, want %08x", uint32(bits), x, math.Float32bits(got), math.Float32bits(want))
+		}
+		if got, want := TanhFast32(x), refTanhFast32(x); canonBits(got) != canonBits(want) {
+			t.Fatalf("TanhFast32(%08x = %v) = %08x, want %08x", uint32(bits), x, math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+}
+
+// TestExpTanhFast32MatchReferenceBitsEdges is the part of the sweep cheap
+// enough for -short and -race: the range-check boundaries and their
+// neighbours, where a split of range handling from the polynomial could slip.
+func TestExpTanhFast32MatchReferenceBitsEdges(t *testing.T) {
+	requireBitExactArch(t)
+	edges := []float32{0, float32(math.Copysign(0, -1)), -87.33655, 88.72283, 88.0297, 88.3763, 10, -10, 5, -5, 20, -20,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32}
+	for _, e := range edges {
+		b := math.Float32bits(e)
+		for d := -64; d <= 64; d++ {
+			x := math.Float32frombits(b + uint32(d))
+			if got, want := ExpFast32(x), refExpFast32(x); canonBits(got) != canonBits(want) {
+				t.Fatalf("ExpFast32(%v) = %08x, want %08x", x, math.Float32bits(got), math.Float32bits(want))
+			}
+			if got, want := TanhFast32(x), refTanhFast32(x); canonBits(got) != canonBits(want) {
+				t.Fatalf("TanhFast32(%v) = %08x, want %08x", x, math.Float32bits(got), math.Float32bits(want))
+			}
+		}
+	}
+}
+
+func TestScaledMaskedRowSoftmaxMatchesReferenceBits(t *testing.T) {
+	requireBitExactArch(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		rng := NewRNG(77)
+		for _, shape := range [][2]int{{1, 1}, {1, 27}, {7, 7}, {27, 27}, {32, 352}, {300, 96}} {
+			for _, causal := range []bool{false, true} {
+				rows, cols := shape[0], shape[1]
+				past := 0
+				if causal && cols > rows {
+					past = cols - rows
+				}
+				for _, scale := range []float32{1, 0.2886751, 0.2041241, 40} {
+					got := pinMatrix(rows, cols, rng, false)
+					// A few scores far below the row maximum reach the
+					// underflow-to-zero branch.
+					for i := 0; i < len(got.Data); i += 11 {
+						got.Data[i] -= 200
+					}
+					want := got.Clone()
+					ScaledMaskedRowSoftmax(got, scale, past, causal)
+					refScaledMaskedRowSoftmax(want, scale, past, causal)
+					requireSameBits(t, fmt.Sprintf("softmax %dx%d causal=%v scale=%v", rows, cols, causal, scale), got, want)
+				}
+			}
+		}
+	}
+}
