@@ -46,9 +46,9 @@ CHAOS_OUT := BENCH_7.json
 # the seconds-scale CI subset.
 GATEWAY_OUT := BENCH_10.json
 
-.PHONY: check fmt vet build test lint fuzz-smoke bench bench-all bench-scenarios loadlab-smoke cascade-smoke bench-chaos chaos-smoke bench-gateway gateway-smoke
+.PHONY: check fmt vet build test lint bench-check fuzz-smoke bench bench-all bench-scenarios loadlab-smoke cascade-smoke bench-chaos chaos-smoke bench-gateway gateway-smoke
 
-check: fmt vet build test lint
+check: fmt vet build test lint bench-check
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -73,6 +73,15 @@ lint:
 	@mkdir -p bin
 	@$(GO) build -o bin/reprolint ./cmd/reprolint
 	bin/reprolint ./...
+
+# bench-check vets and tests the benchmark module. bench/ is its own module
+# (`replace repro => ../`), so `go vet ./...` and `go test ./...` at the root
+# never compile it: without this target a change to an exported tensor or
+# serving symbol it uses would only surface when someone next ran the
+# benchmark.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 # fuzz-smoke gives each native fuzz target a short budget — enough to catch
 # parser regressions on the corpus frontier without CI-scale fuzzing time.

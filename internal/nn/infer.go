@@ -38,9 +38,7 @@ func Infer(l Layer, x *tensor.Matrix, ws *tensor.Workspace) *tensor.Matrix {
 	return l.Forward(x, false)
 }
 
-// Infer computes xW + b without caching x. The blocked matmul kernel is used:
-// batched inference feeds tall packed [ΣT, d] inputs where the k-panel
-// schedule keeps the weight matrix hot in cache.
+// Infer computes xW + b without caching x, into workspace scratch.
 func (l *Linear) Infer(x *tensor.Matrix, ws *tensor.Workspace) *tensor.Matrix {
 	y := tensor.MatMulBlocked(ws.Get(x.Rows, l.Out()), x, l.Weight.W)
 	if l.Bias != nil {

@@ -449,6 +449,13 @@ func TestScaledMaskedRowSoftmaxMatchesReferenceBits(t *testing.T) {
 					for i := 0; i < len(got.Data); i += 11 {
 						got.Data[i] -= 200
 					}
+					if scale == 40 && rows > 1 {
+						// Non-finite scores: −Inf is the conventional mask
+						// value, NaN and +Inf must poison their row.
+						got.Data[0] = float32(math.Inf(-1))
+						got.Data[cols] = float32(math.NaN())
+						got.Data[len(got.Data)-1] = float32(math.Inf(1))
+					}
 					want := got.Clone()
 					ScaledMaskedRowSoftmax(got, scale, past, causal)
 					refScaledMaskedRowSoftmax(want, scale, past, causal)
@@ -457,4 +464,41 @@ func TestScaledMaskedRowSoftmaxMatchesReferenceBits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelsPanicOnAliasedDst: every kernel overwrites dst while it still
+// reads its inputs, so a destination that is one of them must be refused
+// rather than silently computed from half-overwritten rows.
+func TestKernelsPanicOnAliasedDst(t *testing.T) {
+	a, b := randMatrix(4, 4, 1), randMatrix(4, 4, 2)
+	for name, fn := range map[string]func(){
+		"MatMul dst=a":           func() { MatMul(a, a, b) },
+		"MatMul dst=b":           func() { MatMul(b, a, b) },
+		"MatMulBlocked dst=a":    func() { MatMulBlocked(a, a, b) },
+		"MatMulBlocked dst=b":    func() { MatMulBlocked(b, a, b) },
+		"MatMulT dst=a":          func() { MatMulT(a, a, b) },
+		"MatMulT dst=b":          func() { MatMulT(b, a, b) },
+		"TMatMul dst=a":          func() { TMatMul(a, a, b) },
+		"TMatMul dst=b":          func() { TMatMul(b, a, b) },
+		"MatMulTStrided dst=a":   func() { MatMulTStrided(a, 0, a, 0, b, 0, 4) },
+		"MatMulTStrided dst=b":   func() { MatMulTStrided(b, 0, a, 0, b, 0, 4) },
+		"MatMulStrided dst=a":    func() { MatMulStrided(a, 0, a, 0, 4, b, 0, 4) },
+		"MatMulStrided dst=b":    func() { MatMulStrided(b, 0, a, 0, 4, b, 0, 4) },
+		"MatMulStridedAcc dst=a": func() { MatMulStridedAcc(a, 0, a, 0, 4, b, 0, 4) },
+		"MatMulStridedAcc dst=b": func() { MatMulStridedAcc(b, 0, a, 0, 4, b, 0, 4) },
+		"TMatMulStrided dst=a":   func() { TMatMulStrided(a, 0, a, b, 0, 4) },
+		"TMatMulStrided dst=b":   func() { TMatMulStrided(b, 0, a, b, 0, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	// The same operand on both input sides is fine: nothing is written to it.
+	MatMulT(nil, a, a)
+	MatMulTStrided(New(4, 4), 0, a, 0, a, 0, 4)
 }

@@ -34,48 +34,18 @@ func MatMulTStrided(dst *Matrix, doff int, a *Matrix, aoff int, b *Matrix, boff,
 	if dst.Rows != a.Rows || doff < 0 || doff+b.Rows > dst.Cols {
 		panic(fmt.Sprintf("tensor: matmulT strided dst %dx%d cannot hold %dx%d at col %d", dst.Rows, dst.Cols, a.Rows, b.Rows, doff))
 	}
-	n, p := a.Rows, b.Rows
-	if !parallelWorth(n, w*p) {
-		matMulTStridedRows(dst, doff, a, aoff, b, boff, w, 0, n)
-		return
-	}
-	parallelRows(n, w*p, func(lo, hi int) {
-		matMulTStridedRows(dst, doff, a, aoff, b, boff, w, lo, hi)
-	})
+	stridedNoAlias("matmulT", dst, a, b)
+	dotMatMul(dst, doff, a, aoff, b, boff, a.Rows, w)
 }
 
-func matMulTStridedRows(dst *Matrix, doff int, a *Matrix, aoff int, b *Matrix, boff, w, lo, hi int) {
-	p := b.Rows
-	ac, bc, dc := a.Cols, b.Cols, dst.Cols
-	for i := lo; i < hi; i++ {
-		ar := a.Data[i*ac+aoff : i*ac+aoff+w]
-		dr := dst.Data[i*dc+doff : i*dc+doff+p]
-		for j := 0; j < p; j++ {
-			br := b.Data[j*bc+boff : j*bc+boff+w]
-			dr[j] = dotUnrolled4(ar, br)
-		}
+// stridedNoAlias panics when a strided kernel's destination is also one of
+// its inputs: the kernels overwrite the dst window while still reading a and
+// b, so even disjoint column windows of one matrix are refused rather than
+// reasoned about.
+func stridedNoAlias(op string, dst, a, b *Matrix) {
+	if dst == a || dst == b {
+		panic(fmt.Sprintf("tensor: %s strided dst must not alias an input", op))
 	}
-}
-
-// dotUnrolled4 is the shared inner product of the dot-form kernels (MatMulT
-// and its strided twin), split into four independent partial sums so the
-// floating-point adds pipeline instead of serializing on a single 4-cycle
-// dependency chain — ~2× on the attention-score kernel, whose reduction
-// width (one head) is only a few dozen elements. Both kernels calling this
-// one function is what keeps their results bitwise identical to each other.
-func dotUnrolled4(ar, br []float32) float32 {
-	var s0, s1, s2, s3 float32
-	c := 0
-	for ; c+4 <= len(ar); c += 4 {
-		s0 += ar[c] * br[c]
-		s1 += ar[c+1] * br[c+1]
-		s2 += ar[c+2] * br[c+2]
-		s3 += ar[c+3] * br[c+3]
-	}
-	for ; c < len(ar); c++ {
-		s0 += ar[c] * br[c]
-	}
-	return (s0 + s1) + (s2 + s3)
 }
 
 // MatMulStrided multiplies a column window of a against a column window of b,
@@ -104,54 +74,8 @@ func matMulStrided(dst *Matrix, doff int, a *Matrix, aoff, aw int, b *Matrix, bo
 	if dst.Rows != a.Rows || doff < 0 || doff+w > dst.Cols {
 		panic(fmt.Sprintf("tensor: matmul strided dst %dx%d cannot hold %dx%d at col %d", dst.Rows, dst.Cols, a.Rows, w, doff))
 	}
-	n := a.Rows
-	if !parallelWorth(n, aw*w) {
-		matMulStridedRows(dst, doff, a, aoff, aw, b, boff, w, acc, 0, n)
-		return
-	}
-	parallelRows(n, aw*w, func(lo, hi int) {
-		matMulStridedRows(dst, doff, a, aoff, aw, b, boff, w, acc, lo, hi)
-	})
-}
-
-func matMulStridedRows(dst *Matrix, doff int, a *Matrix, aoff, aw int, b *Matrix, boff, w int, acc bool, lo, hi int) {
-	ac, bc, dc := a.Cols, b.Cols, dst.Cols
-	for i := lo; i < hi; i++ {
-		ar := a.Data[i*ac+aoff : i*ac+aoff+aw]
-		dr := dst.Data[i*dc+doff : i*dc+doff+w]
-		if !acc {
-			for j := range dr {
-				dr[j] = 0
-			}
-		}
-		// Four a-elements per pass over dr: the destination load/store per
-		// output element is amortized over four multiply-adds. Go's
-		// left-to-right evaluation keeps the accumulation order of the
-		// single-element loop, so results stay bitwise identical.
-		c := 0
-		for ; c+4 <= aw; c += 4 {
-			a0, a1, a2, a3 := ar[c], ar[c+1], ar[c+2], ar[c+3]
-			b0 := b.Data[c*bc+boff : c*bc+boff+w]
-			b1 := b.Data[(c+1)*bc+boff : (c+1)*bc+boff+w]
-			b2 := b.Data[(c+2)*bc+boff : (c+2)*bc+boff+w]
-			b3 := b.Data[(c+3)*bc+boff : (c+3)*bc+boff+w]
-			for j, bv := range b0 {
-				v := dr[j]
-				v += a0 * bv
-				v += a1 * b1[j]
-				v += a2 * b2[j]
-				v += a3 * b3[j]
-				dr[j] = v
-			}
-		}
-		for ; c < aw; c++ {
-			av := ar[c]
-			br := b.Data[c*bc+boff : c*bc+boff+w]
-			for j, bv := range br {
-				dr[j] += av * bv
-			}
-		}
-	}
+	stridedNoAlias("matmul", dst, a, b)
+	axpyMatMul(dst, doff, a, aoff, false, b, boff, a.Rows, aw, w, acc)
 }
 
 // TMatMulStrided computes aᵀ times a column window of b, assigning into a
@@ -169,36 +93,8 @@ func TMatMulStrided(dst *Matrix, doff int, a *Matrix, b *Matrix, boff, w int) {
 	if dst.Rows != a.Cols || doff < 0 || doff+w > dst.Cols {
 		panic(fmt.Sprintf("tensor: tmatmul strided dst %dx%d cannot hold %dx%d at col %d", dst.Rows, dst.Cols, a.Cols, w, doff))
 	}
-	k, n := a.Rows, a.Cols
-	if !parallelWorth(n, k*w) {
-		tMatMulStridedRows(dst, doff, a, b, boff, w, 0, n)
-		return
-	}
-	parallelRows(n, k*w, func(lo, hi int) {
-		tMatMulStridedRows(dst, doff, a, b, boff, w, lo, hi)
-	})
-}
-
-func tMatMulStridedRows(dst *Matrix, doff int, a *Matrix, b *Matrix, boff, w, lo, hi int) {
-	k, n := a.Rows, a.Cols
-	bc, dc := b.Cols, dst.Cols
-	for i := lo; i < hi; i++ {
-		dr := dst.Data[i*dc+doff : i*dc+doff+w]
-		for j := range dr {
-			dr[j] = 0
-		}
-	}
-	for r := 0; r < k; r++ {
-		ar := a.Data[r*n : (r+1)*n]
-		br := b.Data[r*bc+boff : r*bc+boff+w]
-		for i := lo; i < hi; i++ {
-			av := ar[i]
-			dr := dst.Data[i*dc+doff : i*dc+doff+w]
-			for j, bv := range br {
-				dr[j] += av * bv
-			}
-		}
-	}
+	stridedNoAlias("tmatmul", dst, a, b)
+	axpyMatMul(dst, doff, a, 0, true, b, boff, a.Cols, a.Rows, w, false)
 }
 
 // ScaledMaskedRowSoftmax fuses the three per-row passes of attention-score
@@ -236,7 +132,16 @@ func scaledMaskedRowSoftmaxRows(m *Matrix, scale float32, past int, causal bool,
 		}
 		var sum float32
 		for j, v := range valid {
-			e := ExpFast32(scale*v - maxv)
+			// scale·v − max is never positive: of ExpFast32's range checks
+			// only the underflow one can trigger, the rounding offset is
+			// always −0.5, and the rest inlines. The test is written so
+			// that a NaN score falls through and poisons its row, as it
+			// does through ExpFast32.
+			var e float32
+			if x := scale*v - maxv; !(x <= expUnderflow) {
+				p, n := expReduce(x, -0.5)
+				e = p * pow2(n)
+			}
 			valid[j] = e
 			sum += e
 		}
@@ -269,35 +174,51 @@ func ExpFast32(x float32) float32 {
 	if x != x { // NaN propagates
 		return x
 	}
-	if x <= -87.33655 {
+	if x <= expUnderflow {
 		return 0
 	}
 	if x >= 88.72283 {
 		return float32(math.Inf(1))
 	}
-	t := x * expLog2E
-	var n int32
-	if t >= 0 {
-		n = int32(t + 0.5)
-	} else {
-		n = int32(t - 0.5)
-	}
-	fn := float32(n)
-	f := (x - fn*expLn2Hi) - fn*expLn2Lo
-	p := float32(1.0 / 720)
-	p = p*f + 1.0/120
-	p = p*f + 1.0/24
-	p = p*f + 1.0/6
-	p = p*f + 0.5
-	p = p*f + 1
-	p = p*f + 1
+	p, n := expReduce(x, signedHalf(x))
 	if n >= 128 {
 		// 2^n is not encodable as a float32 exponent, but p·2^n may still be
 		// finite (x up to ln(MaxFloat32) ≈ 88.72): scale by 2^127, then by 2.
 		return p * math.Float32frombits(254<<23) * 2
 	}
-	return p * math.Float32frombits(uint32(n+127)<<23)
+	return p * pow2(n)
 }
+
+// expUnderflow is the largest input whose exponential is flushed to exactly 0.
+const expUnderflow = -87.33655
+
+// expReduce is ExpFast32's range reduction and polynomial: e^x = p·2^n for a
+// finite x in (expUnderflow, 88.72283), with n < 128 below x ≈ 88.37. It
+// holds no range handling so that it inlines into callers that have already
+// bounded x (the fused softmax, TanhFast32) — same operations in the same
+// order as ExpFast32, so the same bits.
+//
+// half is 0.5 with x's sign, so that n = trunc(x·log₂e + half) rounds half
+// away from zero: signedHalf(x) in general, the constant where the caller
+// knows the sign. Selecting it from the sign bit instead of branching on it
+// matters to GELU, whose mixed-sign inputs mispredicted the branch.
+func expReduce(x, half float32) (p float32, n int32) {
+	n = int32(x*expLog2E + half)
+	fn := float32(n)
+	f := (x - fn*expLn2Hi) - fn*expLn2Lo
+	// Degree-6 Taylor polynomial in Horner form, one rounded multiply and one
+	// rounded add per step (a single expression keeps the function within
+	// the inliner's budget).
+	return (((((1.0/720*f+1.0/120)*f+1.0/24)*f+1.0/6)*f+0.5)*f+1)*f + 1, n
+}
+
+// signedHalf returns 0.5 with x's sign bit.
+func signedHalf(x float32) float32 {
+	return math.Float32frombits(0x3f000000 | math.Float32bits(x)&0x80000000)
+}
+
+// pow2 returns 2^n for n in [-126, 127].
+func pow2(n int32) float32 { return math.Float32frombits(uint32(n+127) << 23) }
 
 // TanhFast32 approximates tanh(x) in pure float32 arithmetic via the fast
 // exponential: tanh(x) = (e^{2x} − 1)/(e^{2x} + 1). Relative error tracks
@@ -315,7 +236,9 @@ func TanhFast32(x float32) float32 {
 	if x <= -10 {
 		return -1
 	}
-	e := ExpFast32(2 * x)
+	// |2x| < 20 needs none of ExpFast32's range handling.
+	p, n := expReduce(2*x, signedHalf(x))
+	e := p * pow2(n)
 	return (e - 1) / (e + 1)
 }
 
