@@ -106,17 +106,18 @@ func axpyMatMul(dst *Matrix, doff int, a *Matrix, aoff int, aT bool, b *Matrix, 
 // remainder into the first, and combines them as (s0+s1)+(s2+s3). Two rows of
 // b are scored per pass over the row of a, so each loaded a-element feeds two
 // multiply-adds; the two dots share nothing else, which keeps each one's
-// arithmetic identical to computing it alone.
+// arithmetic identical to computing it alone. An odd last row is paired with
+// itself (the same value stored twice) rather than given a second loop.
 func dotRows(dst *Matrix, doff int, a *Matrix, aoff int, b *Matrix, boff, w, lo, hi int) {
 	p := b.Rows
 	ac, bc, dc := a.Cols, b.Cols, dst.Cols
 	for i := lo; i < hi; i++ {
 		ar := a.Data[i*ac+aoff : i*ac+aoff+w]
 		dr := dst.Data[i*dc+doff : i*dc+doff+p]
-		j := 0
-		for ; j+2 <= p; j += 2 {
+		for j := 0; j < p; j += 2 {
+			j1 := min(j+1, p-1)
 			b0 := b.Data[j*bc+boff:][:len(ar)]
-			b1 := b.Data[(j+1)*bc+boff:][:len(ar)]
+			b1 := b.Data[j1*bc+boff:][:len(ar)]
 			var s0, s1, s2, s3, t0, t1, t2, t3 float32
 			// c indexes the last element of each group of four: the form
 			// the compiler can prove in bounds for all twelve loads.
@@ -137,22 +138,7 @@ func dotRows(dst *Matrix, doff int, a *Matrix, aoff int, b *Matrix, boff, w, lo,
 				t0 += ar[c] * b1[c]
 			}
 			dr[j] = (s0 + s1) + (s2 + s3)
-			dr[j+1] = (t0 + t1) + (t2 + t3)
-		}
-		if j < p {
-			br := b.Data[j*bc+boff:][:len(ar)]
-			var s0, s1, s2, s3 float32
-			c := 3
-			for ; c < len(ar); c += 4 {
-				s0 += ar[c-3] * br[c-3]
-				s1 += ar[c-2] * br[c-2]
-				s2 += ar[c-1] * br[c-1]
-				s3 += ar[c] * br[c]
-			}
-			for c -= 3; c < len(ar); c++ {
-				s0 += ar[c] * br[c]
-			}
-			dr[j] = (s0 + s1) + (s2 + s3)
+			dr[j1] = (t0 + t1) + (t2 + t3)
 		}
 	}
 }

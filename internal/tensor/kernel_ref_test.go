@@ -431,36 +431,41 @@ func TestExpTanhFast32MatchReferenceBitsEdges(t *testing.T) {
 
 func TestScaledMaskedRowSoftmaxMatchesReferenceBits(t *testing.T) {
 	requireBitExactArch(t)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 3} {
-		runtime.GOMAXPROCS(procs)
-		rng := NewRNG(77)
-		for _, shape := range [][2]int{{1, 1}, {1, 27}, {7, 7}, {27, 27}, {32, 352}, {300, 96}} {
-			for _, causal := range []bool{false, true} {
-				rows, cols := shape[0], shape[1]
-				past := 0
-				if causal && cols > rows {
-					past = cols - rows
+		withProcs(procs, func() { pinSoftmax(t) })
+	}
+}
+
+// pinSoftmax compares the fused softmax against its reference over the
+// served score shapes, causal and not, at the current GOMAXPROCS.
+func pinSoftmax(t *testing.T) {
+	t.Helper()
+	rng := NewRNG(77)
+	for _, shape := range [][2]int{{1, 1}, {1, 27}, {7, 7}, {27, 27}, {32, 352}, {300, 96}} {
+		for _, causal := range []bool{false, true} {
+			rows, cols := shape[0], shape[1]
+			past := 0
+			if causal && cols > rows {
+				past = cols - rows
+			}
+			for _, scale := range []float32{1, 0.2886751, 0.2041241, 40} {
+				got := pinMatrix(rows, cols, rng, false)
+				// A few scores far below the row maximum reach the
+				// underflow-to-zero branch.
+				for i := 0; i < len(got.Data); i += 11 {
+					got.Data[i] -= 200
 				}
-				for _, scale := range []float32{1, 0.2886751, 0.2041241, 40} {
-					got := pinMatrix(rows, cols, rng, false)
-					// A few scores far below the row maximum reach the
-					// underflow-to-zero branch.
-					for i := 0; i < len(got.Data); i += 11 {
-						got.Data[i] -= 200
-					}
-					if scale == 40 && rows > 1 {
-						// Non-finite scores: −Inf is the conventional mask
-						// value, NaN and +Inf must poison their row.
-						got.Data[0] = float32(math.Inf(-1))
-						got.Data[cols] = float32(math.NaN())
-						got.Data[len(got.Data)-1] = float32(math.Inf(1))
-					}
-					want := got.Clone()
-					ScaledMaskedRowSoftmax(got, scale, past, causal)
-					refScaledMaskedRowSoftmax(want, scale, past, causal)
-					requireSameBits(t, fmt.Sprintf("softmax %dx%d causal=%v scale=%v", rows, cols, causal, scale), got, want)
+				if scale == 40 && rows > 1 {
+					// Non-finite scores: −Inf is the conventional mask
+					// value, NaN and +Inf must poison their row.
+					got.Data[0] = float32(math.Inf(-1))
+					got.Data[cols] = float32(math.NaN())
+					got.Data[len(got.Data)-1] = float32(math.Inf(1))
 				}
+				want := got.Clone()
+				ScaledMaskedRowSoftmax(got, scale, past, causal)
+				refScaledMaskedRowSoftmax(want, scale, past, causal)
+				requireSameBits(t, fmt.Sprintf("softmax %dx%d causal=%v scale=%v", rows, cols, causal, scale), got, want)
 			}
 		}
 	}

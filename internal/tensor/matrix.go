@@ -218,8 +218,7 @@ func TMatMul(dst, a, b *Matrix) *Matrix {
 
 // matMulDst returns the rows×cols destination of a dense product: a fresh
 // matrix when dst is nil, otherwise dst after checking its shape and that it
-// is not one of the inputs (the kernels overwrite dst while still reading a
-// and b).
+// is not one of the inputs.
 func matMulDst(op string, dst, a, b *Matrix, rows, cols int) *Matrix {
 	if dst == nil {
 		return New(rows, cols)
@@ -227,10 +226,18 @@ func matMulDst(op string, dst, a, b *Matrix, rows, cols int) *Matrix {
 	if dst.Rows != rows || dst.Cols != cols {
 		panic(fmt.Sprintf("tensor: %s dst shape %dx%d, want %dx%d", op, dst.Rows, dst.Cols, rows, cols))
 	}
+	mustNotAlias(op, dst, a, b)
+	return dst
+}
+
+// mustNotAlias panics when a matmul destination is also one of its inputs:
+// every kernel overwrites dst while still reading a and b. The strided
+// kernels refuse even disjoint column windows of one matrix rather than
+// reason about them.
+func mustNotAlias(op string, dst, a, b *Matrix) {
 	if dst == a || dst == b {
 		panic(fmt.Sprintf("tensor: %s dst must not alias an input", op))
 	}
-	return dst
 }
 
 // Add computes a+b element-wise into dst (allocated if nil).

@@ -47,33 +47,23 @@ func BenchmarkServeShapes(b *testing.B) {
 	// Training runs one sequence at a time through the allocating kernels:
 	// forward x·W, weight gradient xᵀ·dy, input gradient dy·Wᵀ.
 	const T = 27
-	b.Run("train/MatMul_27x48x96", func(b *testing.B) {
-		x, w := randMatrix(T, 48, 1), randMatrix(48, 96, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			serveSinkM = MatMul(nil, x, w)
-		}
-		reportGFlops(b, T*48*96)
-	})
-	b.Run("train/TMatMul_27x48x96", func(b *testing.B) {
-		x, dy := randMatrix(T, 48, 1), randMatrix(T, 96, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			serveSinkM = TMatMul(nil, x, dy)
-		}
-		reportGFlops(b, T*48*96)
-	})
-	b.Run("train/MatMulT_27x96x48", func(b *testing.B) {
-		dy, w := randMatrix(T, 96, 1), randMatrix(48, 96, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			serveSinkM = MatMulT(nil, dy, w)
-		}
-		reportGFlops(b, T*48*96)
-	})
+	x, dy, w := randMatrix(T, 48, 1), randMatrix(T, 96, 2), randMatrix(48, 96, 3)
+	for _, tr := range []struct {
+		name string
+		run  func() *Matrix
+	}{
+		{"MatMul_27x48x96", func() *Matrix { return MatMul(nil, x, w) }},
+		{"TMatMul_27x48x96", func() *Matrix { return TMatMul(nil, x, dy) }},
+		{"MatMulT_27x96x48", func() *Matrix { return MatMulT(nil, dy, w) }},
+	} {
+		b.Run("train/"+tr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				serveSinkM = tr.run()
+			}
+			reportGFlops(b, T*48*96)
+		})
+	}
 
 	// Attention over one sequence, all heads: the per-head strided calls of
 	// transformer.inferBatch against a [prefix | current] score matrix.
@@ -134,28 +124,21 @@ func BenchmarkServeShapes(b *testing.B) {
 		})
 	}
 
-	b.Run("ExpFast32", func(b *testing.B) {
-		xs := randMatrix(1, 4096, 10).Data
-		var s float32
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, x := range xs {
-				s += ExpFast32(x)
+	for _, fn := range []struct {
+		name string
+		f    func(float32) float32
+	}{{"ExpFast32", ExpFast32}, {"TanhFast32", TanhFast32}} {
+		b.Run(fn.name, func(b *testing.B) {
+			xs := randMatrix(1, 4096, 10).Data // mixed signs, as GELU sees them
+			var s float32
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, x := range xs {
+					s += fn.f(x)
+				}
 			}
-		}
-		serveSinkF = s
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/elem")
-	})
-	b.Run("TanhFast32", func(b *testing.B) {
-		xs := randMatrix(1, 4096, 11).Data
-		var s float32
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, x := range xs {
-				s += TanhFast32(x)
-			}
-		}
-		serveSinkF = s
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/elem")
-	})
+			serveSinkF = s
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/elem")
+		})
+	}
 }

@@ -34,18 +34,8 @@ func MatMulTStrided(dst *Matrix, doff int, a *Matrix, aoff int, b *Matrix, boff,
 	if dst.Rows != a.Rows || doff < 0 || doff+b.Rows > dst.Cols {
 		panic(fmt.Sprintf("tensor: matmulT strided dst %dx%d cannot hold %dx%d at col %d", dst.Rows, dst.Cols, a.Rows, b.Rows, doff))
 	}
-	stridedNoAlias("matmulT", dst, a, b)
+	mustNotAlias("matmulT strided", dst, a, b)
 	dotMatMul(dst, doff, a, aoff, b, boff, a.Rows, w)
-}
-
-// stridedNoAlias panics when a strided kernel's destination is also one of
-// its inputs: the kernels overwrite the dst window while still reading a and
-// b, so even disjoint column windows of one matrix are refused rather than
-// reasoned about.
-func stridedNoAlias(op string, dst, a, b *Matrix) {
-	if dst == a || dst == b {
-		panic(fmt.Sprintf("tensor: %s strided dst must not alias an input", op))
-	}
 }
 
 // MatMulStrided multiplies a column window of a against a column window of b,
@@ -74,7 +64,7 @@ func matMulStrided(dst *Matrix, doff int, a *Matrix, aoff, aw int, b *Matrix, bo
 	if dst.Rows != a.Rows || doff < 0 || doff+w > dst.Cols {
 		panic(fmt.Sprintf("tensor: matmul strided dst %dx%d cannot hold %dx%d at col %d", dst.Rows, dst.Cols, a.Rows, w, doff))
 	}
-	stridedNoAlias("matmul", dst, a, b)
+	mustNotAlias("matmul strided", dst, a, b)
 	axpyMatMul(dst, doff, a, aoff, false, b, boff, a.Rows, aw, w, acc)
 }
 
@@ -93,7 +83,7 @@ func TMatMulStrided(dst *Matrix, doff int, a *Matrix, b *Matrix, boff, w int) {
 	if dst.Rows != a.Cols || doff < 0 || doff+w > dst.Cols {
 		panic(fmt.Sprintf("tensor: tmatmul strided dst %dx%d cannot hold %dx%d at col %d", dst.Rows, dst.Cols, a.Cols, w, doff))
 	}
-	stridedNoAlias("tmatmul", dst, a, b)
+	mustNotAlias("tmatmul strided", dst, a, b)
 	axpyMatMul(dst, doff, a, 0, true, b, boff, a.Cols, a.Rows, w, false)
 }
 
