@@ -10,6 +10,10 @@ package tensor
 // naive per-element loop would produce them, which kernel_ref_test.go pins
 // on amd64 (other ports may fuse x*y+z and are covered by tolerance tests).
 
+// useAVX selects the implementation under both microkernels. Nothing sets it
+// yet: the tests that flip it are in place before the code they will guard.
+var useAVX bool
+
 // axpyRowBlock is how many output rows the axpy-form kernel carries through
 // the whole reduction together: 32 rows of a 192-wide float32 destination are
 // 24 KiB, so the block stays in L1 while each group of b rows is applied.

@@ -167,6 +167,13 @@ var saltValues = []float32{
 
 func pinMatrix(rows, cols int, rng *RNG, salted bool) *Matrix {
 	m := New(rows, cols)
+	fillPin(m, rng, salted)
+	return m
+}
+
+// fillPin overwrites m with Gaussian values, a fifth of them replaced by
+// saltValues when salted.
+func fillPin(m *Matrix, rng *RNG, salted bool) {
 	Gaussian(m, 1, rng)
 	if salted {
 		for i := range m.Data {
@@ -175,7 +182,6 @@ func pinMatrix(rows, cols int, rng *RNG, salted bool) *Matrix {
 			}
 		}
 	}
-	return m
 }
 
 // dirty returns a rows×cols matrix holding NaN everywhere: an assigning
@@ -266,6 +272,10 @@ func withProcs(procs int, fn func()) {
 
 func TestKernelsMatchReferenceBits(t *testing.T) {
 	requireBitExactArch(t)
+	eachKernelPath(t, pinTable)
+}
+
+func pinTable(t *testing.T) {
 	ks := []int{1, 3, 4, 5, 47, 48, 96, 129, 192}
 	ws := []int{1, 12, 24, 47, 48, 96}
 	rowss := []int{1, 2, 7, 64, 257}
@@ -293,6 +303,10 @@ func TestKernelsMatchReferenceBits(t *testing.T) {
 
 func TestKernelsMatchReferenceBitsRandomShapes(t *testing.T) {
 	requireBitExactArch(t)
+	eachKernelPath(t, pinRandomShapes)
+}
+
+func pinRandomShapes(t *testing.T) {
 	cases := 500
 	if testing.Short() || raceEnabled {
 		cases = 60
