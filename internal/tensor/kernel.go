@@ -1,22 +1,34 @@
 package tensor
 
-// The two fp32 microkernels every matmul in this package runs on.
+// The two fp32 microkernels every matmul in this package runs on, written as
+// the arithmetic contract any implementation of them must obey.
 //
-// The gc compiler does not vectorize, so these loops execute as scalar SSE
-// and their speed is set by loads and stores per multiply-add, not by
-// arithmetic. Both kernels are register-blocked along the reduction index
-// only: that is the one blocking that leaves each output element's
-// floating-point operations — and therefore every result bit — exactly as a
-// naive per-element loop would produce them, which kernel_ref_test.go pins
-// on amd64 (other ports may fuse x*y+z and are covered by tolerance tests).
-
-// useAVX selects the implementation under both microkernels. Nothing sets it
-// yet: the tests that flip it are in place before the code they will guard.
-var useAVX bool
+// Each output element is produced by a fixed sequence of IEEE-754 binary32
+// operations: every product is rounded on its own and every sum is rounded on
+// its own (never a fused multiply-add, which rounds once), and the adds of one
+// element happen in the order spelled out below — reduction index ascending
+// from +0 or from the destination's current value in the axpy form; four
+// interleaved partial sums combined as (s0+s1)+(s2+s3) in the dot form. Which
+// elements are computed side by side, and in what order across elements, is
+// free. That freedom is all that register blocking along the reduction index
+// (the Go loops here) and SIMD lanes across independent elements
+// (kernel_amd64.s, used when useAVX) take, so both produce the bits a naive
+// per-element loop produces; kernel_ref_test.go and kernel_edge_test.go pin
+// that on amd64 for both, with one caveat: when several operands are NaN,
+// which one's sign and payload survives depends on operand order inside an
+// instruction, so NaN results agree in being NaN, not in payload. Other ports
+// may fuse x*y+z in the Go loops and are covered by tolerance tests.
+//
+// The Go loops are scalar code (the gc compiler does not vectorize) and their
+// speed is set by loads and stores per multiply-add; they are the only
+// implementation off amd64 and on CPUs without AVX, and the reference the
+// assembly is tested against.
 
 // axpyRowBlock is how many output rows the axpy-form kernel carries through
 // the whole reduction together: 32 rows of a 192-wide float32 destination are
-// 24 KiB, so the block stays in L1 while each group of b rows is applied.
+// 24 KiB, so the block stays in L1 while each group of b rows is applied. It
+// also bounds the time spent in one assembly call, which has no preemption
+// point: one reduction group over one block is microseconds at most.
 const axpyRowBlock = 32
 
 // axpyRows is the axpy-form ("i-k-j") microkernel behind MatMul,
@@ -37,12 +49,21 @@ const axpyRowBlock = 32
 // so the four b-row slices of a step group are set up once per block instead
 // of once per row; on a 12-wide head window that set-up was a third of the
 // instructions.
+//
+// With useAVX a step group over a block is one call of axpy4Block, which runs
+// the same four adds per element on eight columns at a time. Memory safety
+// stays here: each operand is cut to end on the last element the routine
+// touches before its address is taken, so a shape error is an index panic in
+// Go, not a stray write.
 func axpyRows(dst *Matrix, doff int, a *Matrix, aoff int, aT bool, b *Matrix, boff, k, w int, acc bool, lo, hi int) {
 	ars, acs := a.Cols, 1
 	if aT {
 		ars, acs = 1, a.Cols
 	}
 	bc, dc := b.Cols, dst.Cols
+	if w == 0 {
+		return
+	}
 	for i0 := lo; i0 < hi; i0 += axpyRowBlock {
 		i1 := min(i0+axpyRowBlock, hi)
 		if !acc {
@@ -54,6 +75,13 @@ func axpyRows(dst *Matrix, doff int, a *Matrix, aoff int, aT bool, b *Matrix, bo
 			}
 		}
 		c := 0
+		for ; useAVX && c+4 <= k; c += 4 {
+			ao := i0*ars + aoff + c*acs
+			ab := a.Data[ao : ao+(i1-1-i0)*ars+3*acs+1]
+			bb := b.Data[c*bc+boff : (c+3)*bc+boff+w]
+			db := dst.Data[i0*dc+doff : (i1-1)*dc+doff+w]
+			axpy4Block(&db[0], dc, &ab[0], ars, acs, &bb[0], bc, w, i1-i0)
+		}
 		for ; c+4 <= k; c += 4 {
 			b0 := b.Data[c*bc+boff : c*bc+boff+w]
 			// Equal lengths let the compiler drop the bounds checks below.
@@ -112,13 +140,27 @@ func axpyMatMul(dst *Matrix, doff int, a *Matrix, aoff int, aT bool, b *Matrix, 
 // multiply-adds; the two dots share nothing else, which keeps each one's
 // arithmetic identical to computing it alone. An odd last row is paired with
 // itself (the same value stored twice) rather than given a second loop.
+//
+// With useAVX the first p − p mod 4 rows of b go through dotRow4, four rows
+// per pass with each dot's four partial sums in the four lanes of one
+// register; the Go loop finishes the last p mod 4. As in axpyRows, operands
+// are cut to their last touched element before their address is taken.
 func dotRows(dst *Matrix, doff int, a *Matrix, aoff int, b *Matrix, boff, w, lo, hi int) {
 	p := b.Rows
 	ac, bc, dc := a.Cols, b.Cols, dst.Cols
+	groups := 0
+	var bb []float32
+	if useAVX && w > 0 && p >= 4 {
+		groups = p / 4
+		bb = b.Data[boff : (4*groups-1)*bc+boff+w]
+	}
 	for i := lo; i < hi; i++ {
 		ar := a.Data[i*ac+aoff : i*ac+aoff+w]
 		dr := dst.Data[i*dc+doff : i*dc+doff+p]
-		for j := 0; j < p; j += 2 {
+		if groups > 0 {
+			dotRow4(&dr[0], &ar[0], w, &bb[0], bc, groups)
+		}
+		for j := 4 * groups; j < p; j += 2 {
 			j1 := min(j+1, p-1)
 			b0 := b.Data[j*bc+boff:][:len(ar)]
 			b1 := b.Data[j1*bc+boff:][:len(ar)]

@@ -14,19 +14,19 @@ import (
 // every operand lives inside a larger array filled with a sentinel NaN so
 // that a write one element outside the destination window is visible.
 
-// cpuHasAVX is what package init detected; the tests flip useAVX around it.
-var cpuHasAVX = useAVX
+// avxDetected is what package init detected; the tests flip useAVX around it.
+var avxDetected = useAVX
 
 // eachKernelPath runs fn once on the Go loops and once on the AVX routines
 // (skipped where the CPU or OS lacks AVX), restoring the dispatch afterwards.
 func eachKernelPath(t *testing.T, fn func(t *testing.T)) {
-	defer func() { useAVX = cpuHasAVX }()
+	defer func() { useAVX = avxDetected }()
 	t.Run("go", func(t *testing.T) {
 		useAVX = false
 		fn(t)
 	})
 	t.Run("avx", func(t *testing.T) {
-		if !cpuHasAVX {
+		if !avxDetected {
 			t.Skip("no AVX on this CPU/OS: the Go loops are the only path")
 		}
 		useAVX = true
@@ -137,7 +137,7 @@ func (c kernelCase) check(t testing.TB) {
 	t.Helper()
 	defer func(was bool) { useAVX = was }(useAVX)
 	paths := []bool{false}
-	if cpuHasAVX {
+	if avxDetected {
 		paths = append(paths, true)
 	}
 	rng := NewRNG(c.seed)
