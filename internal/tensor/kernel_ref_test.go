@@ -294,9 +294,9 @@ func pinTable(t *testing.T) {
 	if !testing.Short() && !raceEnabled {
 		withProcs(3, table)
 	}
-	// The reduced table still crosses every unroll remainder (k mod 4), the
-	// 128-step panel edge, an odd width and the parallel threshold.
-	ks, ws, rowss = []int{1, 3, 5, 48, 129}, []int{1, 12, 47}, []int{1, 7, 257}
+	// The reduced table still crosses every unroll remainder (k mod 4), an
+	// odd width and, at 513 rows by 48 or 129 by 47, the parallel threshold.
+	ks, ws, rowss = []int{1, 3, 5, 48, 129}, []int{1, 12, 47}, []int{1, 7, 513}
 	withProcs(1, table)
 	withProcs(3, table)
 }
@@ -314,8 +314,9 @@ func pinRandomShapes(t *testing.T) {
 	rng := NewRNG(20260925)
 	for c := 0; c < cases; c++ {
 		rows, k, w := 1+rng.Intn(40), 1+rng.Intn(200), 1+rng.Intn(100)
-		if rng.Intn(8) == 0 {
-			rows = 130 + rng.Intn(130) // tall enough for the parallel branch at most k·w
+		if rng.Intn(12) == 0 {
+			// Large enough for the parallel branch: at least 260·64·64 > 1<<20.
+			rows, k, w = 260+rng.Intn(130), 64+rng.Intn(136), 64+rng.Intn(36)
 		}
 		withProcs(1+2*(c%2), func() {
 			pinShape(t, rows, k, w, rng.Uint64(), rng.Intn(3) == 0)
@@ -455,7 +456,7 @@ func TestScaledMaskedRowSoftmaxMatchesReferenceBits(t *testing.T) {
 func pinSoftmax(t *testing.T) {
 	t.Helper()
 	rng := NewRNG(77)
-	for _, shape := range [][2]int{{1, 1}, {1, 27}, {7, 7}, {27, 27}, {32, 352}, {300, 96}} {
+	for _, shape := range [][2]int{{1, 1}, {1, 27}, {7, 7}, {27, 27}, {32, 352}, {300, 96}, {1400, 200}} {
 		for _, causal := range []bool{false, true} {
 			rows, cols := shape[0], shape[1]
 			past := 0

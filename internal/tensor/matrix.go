@@ -131,10 +131,15 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// parallelThreshold is the minimum amount of scalar work below which kernels
-// stay single-threaded; goroutine fan-out costs more than it saves on tiny
-// matrices.
-const parallelThreshold = 16 * 1024
+// parallelThreshold is the number of multiply-adds (or units of comparable
+// cost) below which kernels stay single-threaded: goroutine fan-out costs a
+// few microseconds whatever the work under it, and the vector kernels get
+// through 1<<20 multiply-adds in about twenty. Measured with
+// BenchmarkServeShapes -cpu 1,2 (docs/PERFORMANCE.md, PR 14): every served
+// shape up to 32 rows × 96×192 or 32 queries × 352 keys was slower fanned out
+// over two cores than on one; the 1728-row packed-batch projections, from
+// 4·10⁶ multiply-adds up, are the shapes that gain.
+const parallelThreshold = 1 << 20
 
 // parallelWorth reports whether rows×workPerRow scalar operations are enough
 // work to amortize goroutine fan-out. Hot-path kernels consult it before

@@ -138,7 +138,7 @@ func TestTMatMulMatchesExplicitTranspose(t *testing.T) {
 // matrices) agrees with small-matrix results composed blockwise.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
 	rng := NewRNG(3)
-	const n = 97 // odd size to exercise ragged chunking
+	const n = 129 // odd, for ragged chunking; n³ is above parallelThreshold
 	a := New(n, n)
 	b := New(n, n)
 	Gaussian(a, 1, rng)
