@@ -103,7 +103,22 @@ func TestGatewayChaosEndToEnd(t *testing.T) {
 	// Phase 2 — the same stream with one replica killed mid-replay. The kill
 	// lands a third of the way in, so the run records a pre window, the
 	// outage + ejection, and a post window on the surviving fleet.
-	victim := 2
+	//
+	// The victim is the replica that owns the most of the stream: the ring
+	// hashes replica URLs, httptest picks their ports, and with a fixed victim
+	// about one run in sixty killed a replica owning none of the stream's
+	// handful of traces, leaving phase 4 nothing to re-route.
+	rg := ring.New(urls, 0)
+	owned := map[string]int{}
+	for _, ev := range s.Events {
+		owned[rg.Owner(ring.TraceKey(ev.Job.TraceID))]++
+	}
+	victim := 0
+	for i, u := range urls {
+		if owned[u] > owned[urls[victim]] {
+			victim = i
+		}
+	}
 	wall := time.Duration(float64(s.Duration()) / speed)
 	killT := time.AfterFunc(wall/3, func() {
 		https[victim].CloseClientConnections()
@@ -221,7 +236,6 @@ func TestGatewayChaosEndToEnd(t *testing.T) {
 	// no evictions at this scale, distinct traces across survivors must sum
 	// to the stream's distinct traces — double-counting (a split trace) or
 	// undercounting (a lost trace) both break the equality.
-	rg := ring.New(urls, 0)
 	survivorTraces := 0
 	for i := 0; i < n; i++ {
 		infos := regs[i].Info()
