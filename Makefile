@@ -46,9 +46,9 @@ CHAOS_OUT := BENCH_7.json
 # the seconds-scale CI subset.
 GATEWAY_OUT := BENCH_10.json
 
-.PHONY: check fmt vet build cross test lint bench-check fuzz-smoke bench bench-all bench-scenarios loadlab-smoke cascade-smoke bench-chaos chaos-smoke bench-gateway gateway-smoke
+.PHONY: check fmt vet build test lint bench-check fuzz-smoke bench bench-all bench-scenarios loadlab-smoke cascade-smoke bench-chaos chaos-smoke bench-gateway gateway-smoke
 
-check: fmt vet build cross test lint bench-check
+check: fmt vet build test lint bench-check
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -58,18 +58,17 @@ fmt:
 
 # vet's asmdecl pass is what checks internal/tensor/kernel_amd64.s against
 # the Go declarations in kernel_amd64.go: frame size, argument names, offsets
-# and widths. Nothing else reads the assembly (reprolint sees only Go).
+# and widths. Nothing else reads the assembly (reprolint sees only Go). The
+# arm64 lines here and under build compile and vet the port without assembly
+# kernels (kernel_noasm.go, the Go loops as the only path), which nothing
+# else builds.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 build:
 	$(GO) build ./...
-
-# cross compiles the tree for a port without the assembly kernels, which
-# nothing else here builds: kernel_noasm.go and the Go loops as the only path.
-cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/tensor
 
 test:
 	$(GO) test ./...

@@ -34,6 +34,15 @@ func eachKernelPath(t *testing.T, fn func(t *testing.T)) {
 	})
 }
 
+// kernelPaths lists the useAVX settings this machine can run: the Go loops
+// always, the AVX routines where detected.
+func kernelPaths() []bool {
+	if avxDetected {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
 // guardBits is the NaN payload that fills the slack around every operand and
 // every assigning kernel's destination. No arithmetic produces it, so an
 // element still holding it was not written and an element that lost it was.
@@ -136,16 +145,25 @@ func (c kernelCase) String() string {
 func (c kernelCase) check(t testing.TB) {
 	t.Helper()
 	defer func(was bool) { useAVX = was }(useAVX)
-	paths := []bool{false}
-	if avxDetected {
-		paths = append(paths, true)
-	}
 	rng := NewRNG(c.seed)
 	pad, lead := rng.Intn(3), 1+rng.Intn(8)
 	input := func(rows, cols int) carved {
 		m := carve(rows, cols, lead+rng.Intn(4), c.atEnd)
 		fillPin(m.m, rng, c.salted)
 		return m
+	}
+	// eachPath runs kernel on fresh copies of the operands once per
+	// implementation and holds the result to want.
+	eachPath := func(name string, dst, a, b, want carved, kernel func(dst, a, b *Matrix)) {
+		for _, avx := range kernelPaths() {
+			useAVX = avx
+			got, ain, bin := dst.clone(), a.clone(), b.clone()
+			kernel(got.m, ain.m, bin.m)
+			name := fmt.Sprintf("%s avx=%v %v", name, avx, c)
+			requireSameBacking(t, name, got.backing, want.backing)
+			requireSameBacking(t, name+" (input a)", ain.backing, a.backing)
+			requireSameBacking(t, name+" (input b)", bin.backing, b.backing)
+		}
 	}
 
 	// Axpy form.
@@ -162,15 +180,9 @@ func (c kernelCase) check(t testing.TB) {
 	}
 	want := dst.clone()
 	refAxpyRows(want.m, c.doff, a.m, c.aoff, c.aT, b.m, c.boff, c.k, c.w, c.acc, c.lo, c.hi)
-	for _, avx := range paths {
-		useAVX = avx
-		got, ain, bin := dst.clone(), a.clone(), b.clone()
-		axpyRows(got.m, c.doff, ain.m, c.aoff, c.aT, bin.m, c.boff, c.k, c.w, c.acc, c.lo, c.hi)
-		name := fmt.Sprintf("axpyRows avx=%v %v", avx, c)
-		requireSameBacking(t, name, got.backing, want.backing)
-		requireSameBacking(t, name+" (input a)", ain.backing, a.backing)
-		requireSameBacking(t, name+" (input b)", bin.backing, b.backing)
-	}
+	eachPath("axpyRows", dst, a, b, want, func(dst, a, b *Matrix) {
+		axpyRows(dst, c.doff, a, c.aoff, c.aT, b, c.boff, c.k, c.w, c.acc, c.lo, c.hi)
+	})
 
 	// Dot form: always assigns, so the destination starts as all guard.
 	a = input(c.rows, c.aoff+c.k+pad)
@@ -178,15 +190,9 @@ func (c kernelCase) check(t testing.TB) {
 	dst = carve(c.rows, c.doff+c.w+pad, lead, c.atEnd)
 	want = dst.clone()
 	refDotRows(want.m, c.doff, a.m, c.aoff, b.m, c.boff, c.k, c.lo, c.hi)
-	for _, avx := range paths {
-		useAVX = avx
-		got, ain, bin := dst.clone(), a.clone(), b.clone()
-		dotRows(got.m, c.doff, ain.m, c.aoff, bin.m, c.boff, c.k, c.lo, c.hi)
-		name := fmt.Sprintf("dotRows avx=%v %v", avx, c)
-		requireSameBacking(t, name, got.backing, want.backing)
-		requireSameBacking(t, name+" (input a)", ain.backing, a.backing)
-		requireSameBacking(t, name+" (input b)", bin.backing, b.backing)
-	}
+	eachPath("dotRows", dst, a, b, want, func(dst, a, b *Matrix) {
+		dotRows(dst, c.doff, a, c.aoff, b, c.boff, c.k, c.lo, c.hi)
+	})
 }
 
 // edgeWidths cross every vector tail: 8-wide, then 4-wide, then scalar.

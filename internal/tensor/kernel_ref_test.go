@@ -114,43 +114,20 @@ func refMatMulT(a, b *Matrix) *Matrix {
 	return dst
 }
 
-// refMatMulTStrided writes only dst columns [doff, doff+b.Rows).
+// The strided kernels' references are the microkernel references of
+// kernel_edge_test.go over every row: refMatMulTStrided writes only dst
+// columns [doff, doff+b.Rows), the other two only [doff, doff+w), and acc
+// starts each sum from the destination's current value instead of +0.
 func refMatMulTStrided(dst *Matrix, doff int, a *Matrix, aoff int, b *Matrix, boff, w int) {
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Rows; j++ {
-			dst.Set(i, doff+j, refDot(a.Data, i*a.Cols+aoff, b.Data, j*b.Cols+boff, w))
-		}
-	}
+	refDotRows(dst, doff, a, aoff, b, boff, w, 0, a.Rows)
 }
 
-// refMatMulStrided writes only dst columns [doff, doff+w); acc starts each
-// sum from the destination's current value instead of +0.
 func refMatMulStrided(dst *Matrix, doff int, a *Matrix, aoff, aw int, b *Matrix, boff, w int, acc bool) {
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < w; j++ {
-			var s float32
-			if acc {
-				s = dst.At(i, doff+j)
-			}
-			for c := 0; c < aw; c++ {
-				s += a.At(i, aoff+c) * b.At(c, boff+j)
-			}
-			dst.Set(i, doff+j, s)
-		}
-	}
+	refAxpyRows(dst, doff, a, aoff, false, b, boff, aw, w, acc, 0, a.Rows)
 }
 
-// refTMatMulStrided writes only dst columns [doff, doff+w).
 func refTMatMulStrided(dst *Matrix, doff int, a, b *Matrix, boff, w int) {
-	for i := 0; i < a.Cols; i++ {
-		for j := 0; j < w; j++ {
-			var s float32
-			for r := 0; r < a.Rows; r++ {
-				s += a.At(r, i) * b.At(r, boff+j)
-			}
-			dst.Set(i, doff+j, s)
-		}
-	}
+	refAxpyRows(dst, doff, a, 0, true, b, boff, a.Rows, w, false, 0, a.Cols)
 }
 
 // ---- inputs ----

@@ -141,7 +141,7 @@ func (m *Matrix) T() *Matrix {
 // 4·10⁶ multiply-adds up, are the shapes that gain.
 const parallelThreshold = 1 << 20
 
-// parallelWorth reports whether rows×workPerRow scalar operations are enough
+// parallelWorth reports whether rows×workPerRow multiply-adds are enough
 // work to amortize goroutine fan-out. Hot-path kernels consult it before
 // constructing their parallel closure: a func literal referenced by a `go`
 // statement is forced onto the heap, so allocation-free serial fast paths
