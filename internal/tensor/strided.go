@@ -107,6 +107,9 @@ func ScaledMaskedRowSoftmax(m *Matrix, scale float32, past int, causal bool) {
 }
 
 func scaledMaskedRowSoftmaxRows(m *Matrix, scale float32, past int, causal bool, lo, hi int) {
+	if m.Cols == 0 {
+		return // an r×0 matrix has no scores: nothing to read a row maximum from
+	}
 	for i := lo; i < hi; i++ {
 		row := m.Row(i)
 		lim := m.Cols

@@ -171,6 +171,22 @@ func TestScaledMaskedRowSoftmaxMatchesUnfused(t *testing.T) {
 	}
 }
 
+// TestScaledMaskedRowSoftmaxZeroWidth: tensor.New(r, 0) is a legal matrix and
+// has no scores to normalize, so the fused softmax must leave it alone on
+// either branch instead of reading a row maximum from valid[0].
+func TestScaledMaskedRowSoftmaxZeroWidth(t *testing.T) {
+	for _, rows := range []int{0, 1, 3} {
+		for _, causal := range []bool{false, true} {
+			m := New(rows, 0)
+			ScaledMaskedRowSoftmax(m, 0.25, 0, causal)
+			scaledMaskedRowSoftmaxRows(m, 0.25, 2, causal, 0, rows)
+			if m.Rows != rows || m.Cols != 0 || len(m.Data) != 0 {
+				t.Fatalf("%dx0 causal=%v: shape changed to %dx%d", rows, causal, m.Rows, m.Cols)
+			}
+		}
+	}
+}
+
 // TestExpFast32Tolerance pins the fast exponential's error budget: over the
 // softmax-relevant domain (arguments ≤ 0 after max subtraction) and a wide
 // general range, the relative error against float64 math.Exp stays under
