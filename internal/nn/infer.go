@@ -87,9 +87,7 @@ func (ln *LayerNorm) Infer(x *tensor.Matrix, ws *tensor.Workspace) *tensor.Matri
 // Infer applies GELU element-wise without caching the input.
 func (g *GELU) Infer(x *tensor.Matrix, ws *tensor.Workspace) *tensor.Matrix {
 	out := ws.Get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = geluScalar(v)
-	}
+	tensor.GELU(out.Data, x.Data)
 	return out
 }
 

@@ -113,16 +113,16 @@ const geluC = 0.7978845608028654 // sqrt(2/pi)
 func (g *GELU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	g.x = x
 	out := tensor.New(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = geluScalar(v)
-	}
+	tensor.GELU(out.Data, x.Data)
 	return out
 }
 
-// geluScalar computes the tanh-approximation GELU in pure float32 using the
-// fast tanh (float64 math.Tanh plus the conversion round trip was ~15% of a
-// whole encoder forward). Training and inference share this one function, so
-// the batched, sequential, and backward paths stay mutually consistent.
+// geluScalar is the activation one element at a time: the tanh approximation
+// in pure float32 on the fast tanh (float64 math.Tanh plus the conversion
+// round trip was ~15% of a whole encoder forward). Forward and Infer compute
+// it through tensor.GELU, whole matrices at a time; this copy is the function
+// geluGradScalar differentiates, and the reference TestGELUMatchesScalarBits
+// holds tensor.GELU to.
 func geluScalar(v float32) float32 {
 	t := tensor.TanhFast32(float32(geluC) * (v + 0.044715*v*v*v))
 	return 0.5 * v * (1 + t)

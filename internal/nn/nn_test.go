@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -397,5 +398,37 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGELUMatchesScalarBits holds both GELU entry points — and through them
+// tensor.GELU on whichever implementation this machine runs — to geluScalar,
+// element by element and bit for bit, at widths that end inside, on and just
+// past an eight-lane group and on inputs across the saturation, NaN and
+// infinity branches.
+func TestGELUMatchesScalarBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bit-identity is asserted on amd64 only: the compiler may fuse x*y+z on %s", runtime.GOARCH)
+	}
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32, 5.5, -5.5, 40, -40}
+	g := NewGELU()
+	ws := tensor.NewWorkspace()
+	for _, shape := range [][2]int{{1, 1}, {1, 7}, {3, 8}, {5, 9}, {27, 96}, {64, 193}} {
+		x := randomInput(shape[0], shape[1], 7)
+		for i := range x.Data {
+			x.Data[i] *= 6 // past ±10 inside the tanh on the tails
+			if i%5 == 0 {
+				x.Data[i] = special[(i/5)%len(special)]
+			}
+		}
+		for name, got := range map[string]*tensor.Matrix{"Forward": g.Forward(x, false), "Infer": g.Infer(x, ws)} {
+			for i, v := range x.Data {
+				want, have := geluScalar(v), got.Data[i]
+				if math.Float32bits(have) != math.Float32bits(want) && !(have != have && want != want) {
+					t.Fatalf("%s %dx%d: gelu(%v) = %08x, want %08x", name, shape[0], shape[1], v, math.Float32bits(have), math.Float32bits(want))
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package tensor
 
-import "testing"
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
 
 // FuzzKernelsMatchReference lets the fuzzer pick the shape, the window
 // offsets, assign versus accumulate, aT, the row range and the input seed of
@@ -24,6 +28,31 @@ func FuzzKernelsMatchReference(f *testing.F) {
 			aT: flags&1 != 0, acc: flags&2 != 0, atEnd: flags&4 != 0, salted: flags&8 != 0, seed: seed}
 		c.lo = int(lo) % (c.rows + 1)
 		c.hi = c.lo + int(hi)%(c.rows-c.lo+1)
+		c.check(t)
+	})
+}
+
+// FuzzElementwiseMatchReference is the same for the elementwise kernels: the
+// fuzzer picks the row count and width, the softmax scale as raw bits, the
+// causal mask and its cached-key count, and raw uint32 inputs (four bytes
+// each, the remainder seeded), and GELU, the softmax passes and the whole
+// fused softmax must match their references on both paths, guard bands
+// included.
+func FuzzElementwiseMatchReference(f *testing.F) {
+	requireBitExactArch(f)
+	// rows, cols, past, scale bits, flags (causal|atEnd<<1|special<<2), seed, raw inputs
+	f.Add(uint8(1), uint16(27), uint16(0), uint32(0x3f800000), uint8(0), uint64(1), []byte{})
+	f.Add(uint8(27), uint16(27), uint16(0), uint32(0x3e93cd3a), uint8(1), uint64(2), []byte{0, 0, 0x80, 0x7f})
+	f.Add(uint8(32), uint16(352), uint16(320), uint32(0x3e5105ec), uint8(7), uint64(3), []byte{0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff})
+	f.Add(uint8(5), uint16(9), uint16(2), uint32(0xbf800000), uint8(5), uint64(4), []byte{0x52, 0xac, 0xae, 0xc2, 1, 0, 0, 0})
+	f.Add(uint8(3), uint16(0), uint16(0), uint32(0x7fc00000), uint8(2), uint64(5), []byte{})
+	f.Add(uint8(0), uint16(8), uint16(1), uint32(0x7f800000), uint8(3), uint64(6), []byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, rows uint8, cols, past uint16, scale uint32, flags uint8, seed uint64, raw []byte) {
+		c := elementwiseCase{rows: int(rows % 40), cols: int(cols % 400), past: int(past % 400), scale: math.Float32frombits(scale),
+			causal: flags&1 != 0, atEnd: flags&2 != 0, special: flags&4 != 0, seed: seed}
+		for ; len(raw) >= 4 && len(c.raw) < 64; raw = raw[4:] {
+			c.raw = append(c.raw, binary.LittleEndian.Uint32(raw))
+		}
 		c.check(t)
 	})
 }

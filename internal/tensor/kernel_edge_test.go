@@ -252,3 +252,161 @@ func TestKernelGuardBandsServedShapes(t *testing.T) {
 		}
 	}
 }
+
+// ---- elementwise kernels: GELU and the fused softmax's two lane passes ----
+
+// elementwiseEdgeValues are the inputs the exp lanes' range handling turns
+// on: the underflow cut and the tanh saturation point with their neighbours
+// on either side (as softmax arguments, and as the GELU inputs whose tanh
+// argument lands there), on top of the IEEE corner cases.
+func elementwiseEdgeValues() []float32 {
+	vs := append([]float32(nil), saltValues...)
+	for _, e := range []float32{expUnderflow, 10, -10, geluSaturation(), -geluSaturation(), -0.5, -20, 3} {
+		vs = append(vs, e, math.Nextafter32(e, float32(math.Inf(1))), math.Nextafter32(e, float32(math.Inf(-1))))
+	}
+	return vs
+}
+
+// elementwiseCase is one rows×cols matrix through every elementwise kernel:
+// GELU out of place and in place, the softmax's exponential and scaling
+// passes over the flattened data, and the whole fused softmax. raw bit
+// patterns fill the first elements; the rest come from seed — Gaussians
+// scaled past the saturation point, edge values and arbitrary bit patterns.
+// Even rows take all three, odd rows stay finite. With special and at least
+// five rows, row 1 is all one value, row 2 all −Inf (a NaN row: −Inf − −Inf),
+// row 3 finite but for one NaN, and row 4 a 0 followed by the non-positive
+// edge values.
+type elementwiseCase struct {
+	rows, cols, past       int
+	scale                  float32
+	causal, atEnd, special bool
+	raw                    []uint32
+	seed                   uint64
+}
+
+func (c elementwiseCase) String() string {
+	return fmt.Sprintf("rows=%d cols=%d scale=%v past=%d causal=%v atEnd=%v special=%v raw=%d seed=%d",
+		c.rows, c.cols, c.scale, c.past, c.causal, c.atEnd, c.special, len(c.raw), c.seed)
+}
+
+func (c elementwiseCase) check(t testing.TB) {
+	t.Helper()
+	defer func(was bool) { useAVX = was }(useAVX)
+	rng := NewRNG(c.seed)
+	edges := elementwiseEdgeValues()
+	in := carve(c.rows, c.cols, 1+rng.Intn(8), c.atEnd)
+	for i := range in.m.Data {
+		v := 4 * float32(rng.NormFloat64())
+		switch pick, wild := rng.Intn(8), (i/max(c.cols, 1))%2 == 0; {
+		case i < len(c.raw):
+			v = math.Float32frombits(c.raw[i])
+		case pick == 0 && wild:
+			v = edges[rng.Intn(len(edges))]
+		case pick == 1 && wild:
+			v = math.Float32frombits(uint32(rng.Uint64()))
+		case pick == 0:
+			// Odd rows stay finite so that their softmax is not one NaN.
+			if e := edges[rng.Intn(len(edges))]; e-e == 0 && e < 100 {
+				v = e
+			}
+		}
+		in.m.Data[i] = v
+	}
+	if c.special && c.rows >= 5 && c.cols > 0 {
+		for j := 0; j < c.cols; j++ {
+			in.m.Set(1, j, 1.5)
+			in.m.Set(2, j, float32(math.Inf(-1)))
+			in.m.Set(3, j, float32(j%7)-3)
+			// Row 4's maximum is its leading 0, so at scale 1 every edge
+			// value below it reaches the exponential as itself.
+			if e := edges[j%len(edges)]; j > 0 && e <= 0 {
+				in.m.Set(4, j, e)
+			} else {
+				in.m.Set(4, j, 0)
+			}
+		}
+		in.m.Set(3, c.cols/2, float32(math.NaN()))
+	}
+	// eachPath runs kernel on a fresh copy of the input (and a guard-filled
+	// destination) once per implementation; ref did the same to want.
+	eachPath := func(name string, want carved, inPlace bool, kernel func(dst, src *Matrix)) {
+		for _, avx := range kernelPaths() {
+			useAVX = avx
+			src := in.clone()
+			got := src
+			if !inPlace {
+				got = carve(c.rows, c.cols, in.lead, c.atEnd)
+			}
+			kernel(got.m, src.m)
+			name := fmt.Sprintf("%s avx=%v %v", name, avx, c)
+			requireSameBacking(t, name, got.backing, want.backing)
+			if !inPlace {
+				requireSameBacking(t, name+" (input)", src.backing, in.backing)
+			}
+		}
+	}
+
+	want := carve(c.rows, c.cols, in.lead, c.atEnd)
+	for i, v := range in.m.Data {
+		want.m.Data[i] = refGELU(v)
+	}
+	eachPath("GELU", want, false, func(dst, src *Matrix) { GELU(dst.Data, src.Data) })
+	eachPath("GELU in place", want, true, func(dst, _ *Matrix) { GELU(dst.Data, dst.Data) })
+
+	// The exponential pass over the data as one row, against the row maximum
+	// the fused softmax would have found.
+	if len(in.m.Data) > 0 {
+		maxv := c.scale * in.m.Data[0]
+		for _, v := range in.m.Data[1:] {
+			if sv := c.scale * v; sv > maxv {
+				maxv = sv
+			}
+		}
+		for i, v := range in.m.Data {
+			want.m.Data[i] = refExpFast32(c.scale*v - maxv)
+		}
+		eachPath("softmaxExp", want, true, func(dst, _ *Matrix) { softmaxExp(dst.Data, c.scale, maxv) })
+	}
+	for i, v := range in.m.Data {
+		want.m.Data[i] = v * c.scale
+	}
+	eachPath("scaleRow", want, true, func(dst, _ *Matrix) { scaleRow(dst.Data, c.scale) })
+
+	want = in.clone()
+	if c.cols > 0 {
+		refScaledMaskedRowSoftmax(want.m, c.scale, c.past, c.causal)
+	}
+	eachPath("softmax", want, true, func(dst, _ *Matrix) {
+		scaledMaskedRowSoftmaxRows(dst, c.scale, c.past, c.causal, 0, c.rows)
+	})
+}
+
+// TestElementwiseEdgeShapes walks the elementwise kernels over every row
+// width up to two lane groups and around three, the served 27 and 352 (three
+// full groups and a masked one; a whole number of groups) and 353, unmasked
+// and under causal masks with no cached keys and with 320, with the special
+// rows and edge values of elementwiseCase, carved from the middle and from
+// the very end of a guard-filled array.
+func TestElementwiseEdgeShapes(t *testing.T) {
+	requireBitExactArch(t)
+	seed := uint64(1)
+	for _, cols := range append(append([]int(nil), edgeWidths...), 27, 352, 353) {
+		for _, rows := range []int{1, 2, 5, 34} {
+			for flags := 0; flags < 8; flags++ {
+				c := elementwiseCase{rows: rows, cols: cols, scale: 1, causal: flags&3 != 0, atEnd: flags&4 != 0, special: true, seed: seed}
+				if flags&3 == 2 {
+					c.past = 320
+				}
+				if flags&3 == 3 {
+					c.scale = 0.2886751
+					c.past = max(cols-rows, 0)
+				}
+				c.check(t)
+				seed++
+			}
+		}
+	}
+	// No rows at all, and rows of no columns.
+	elementwiseCase{rows: 0, cols: 8, scale: 1, seed: seed}.check(t)
+	elementwiseCase{rows: 3, cols: 0, scale: 1, causal: true, atEnd: true, seed: seed + 1}.check(t)
+}

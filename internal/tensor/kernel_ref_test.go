@@ -351,6 +351,12 @@ func refTanhFast32(x float32) float32 {
 	return (e - 1) / (e + 1)
 }
 
+// refGELU is nn's geluScalar on the reference tanh.
+func refGELU(v float32) float32 {
+	t := refTanhFast32(float32(0.7978845608028654) * (v + 0.044715*v*v*v))
+	return 0.5 * v * (1 + t)
+}
+
 func refScaledMaskedRowSoftmax(m *Matrix, scale float32, past int, causal bool) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
@@ -381,51 +387,137 @@ func refScaledMaskedRowSoftmax(m *Matrix, scale float32, past int, causal bool) 
 	}
 }
 
+// checkExpTanhBits holds the four consumers of the exp polynomial to their
+// references on one buffer of inputs: ExpFast32 and TanhFast32 one value at
+// a time, GELU over the whole buffer, and the fused softmax's exponential
+// pass over the buffer's non-positive mirror (−|x|, NaN kept; scale 1 and
+// row maximum 0 leave the argument as it is), which is the domain that pass
+// is defined on.
+func checkExpTanhBits(t *testing.T, xs []float32) {
+	t.Helper()
+	for _, x := range xs {
+		if got, want := ExpFast32(x), refExpFast32(x); canonBits(got) != canonBits(want) {
+			t.Fatalf("ExpFast32(%08x = %v) = %08x, want %08x", math.Float32bits(x), x, math.Float32bits(got), math.Float32bits(want))
+		}
+		if got, want := TanhFast32(x), refTanhFast32(x); canonBits(got) != canonBits(want) {
+			t.Fatalf("TanhFast32(%08x = %v) = %08x, want %08x", math.Float32bits(x), x, math.Float32bits(got), math.Float32bits(want))
+		}
+	}
+	out := make([]float32, len(xs))
+	GELU(out, xs)
+	for i, x := range xs {
+		if want := refGELU(x); canonBits(out[i]) != canonBits(want) {
+			t.Fatalf("GELU(%08x = %v) = %08x, want %08x (element %d of %d, useAVX=%v)", math.Float32bits(x), x, math.Float32bits(out[i]), math.Float32bits(want), i, len(xs), useAVX)
+		}
+	}
+	for i, x := range xs {
+		out[i] = x
+		if x > 0 {
+			out[i] = -x
+		}
+	}
+	neg := append([]float32(nil), out...)
+	softmaxExp(out, 1, 0)
+	for i, x := range neg {
+		if want := refExpFast32(x); canonBits(out[i]) != canonBits(want) {
+			t.Fatalf("softmaxExp(%08x = %v) = %08x, want %08x (element %d of %d, useAVX=%v)", math.Float32bits(x), x, math.Float32bits(out[i]), math.Float32bits(want), i, len(xs), useAVX)
+		}
+	}
+}
+
 // TestExpTanhFast32MatchReferenceBits walks every 257th float32 bit pattern
 // (≈16.7 M values: every exponent, both signs, NaNs, infinities, denormals)
-// through ExpFast32 and TanhFast32 and their reference copies.
+// through ExpFast32, TanhFast32, GELU and the softmax's exponential pass and
+// their reference copies, on both kernel paths. The buffer length is odd so
+// that the lanes' masked tail sees the sweep too.
 func TestExpTanhFast32MatchReferenceBits(t *testing.T) {
 	requireBitExactArch(t)
 	if testing.Short() || raceEnabled {
 		t.Skip("16.7M-value sweep; skipped under -short and -race")
 	}
-	for bits := uint64(0); bits < 1<<32; bits += 257 {
-		x := math.Float32frombits(uint32(bits))
-		if got, want := ExpFast32(x), refExpFast32(x); canonBits(got) != canonBits(want) {
-			t.Fatalf("ExpFast32(%08x = %v) = %08x, want %08x", uint32(bits), x, math.Float32bits(got), math.Float32bits(want))
+	eachKernelPath(t, func(t *testing.T) {
+		xs := make([]float32, 0, 4099)
+		for bits := uint64(0); bits < 1<<32; bits += 257 {
+			xs = append(xs, math.Float32frombits(uint32(bits)))
+			if len(xs) == cap(xs) || bits+257 >= 1<<32 {
+				checkExpTanhBits(t, xs)
+				xs = xs[:0]
+			}
 		}
-		if got, want := TanhFast32(x), refTanhFast32(x); canonBits(got) != canonBits(want) {
-			t.Fatalf("TanhFast32(%08x = %v) = %08x, want %08x", uint32(bits), x, math.Float32bits(got), math.Float32bits(want))
-		}
-	}
+	})
 }
 
 // TestExpTanhFast32MatchReferenceBitsEdges is the part of the sweep cheap
 // enough for -short and -race: the range-check boundaries and their
 // neighbours, where a split of range handling from the polynomial could slip.
+// ±5.0105 and ±5.4 are where GELU's tanh argument crosses ±10 and ±12.
 func TestExpTanhFast32MatchReferenceBitsEdges(t *testing.T) {
 	requireBitExactArch(t)
 	edges := []float32{0, float32(math.Copysign(0, -1)), -87.33655, 88.72283, 88.0297, 88.3763, 10, -10, 5, -5, 20, -20,
+		geluSaturation(), -geluSaturation(), 5.4, -5.4,
 		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32}
-	for _, e := range edges {
-		b := math.Float32bits(e)
-		for d := -64; d <= 64; d++ {
-			x := math.Float32frombits(b + uint32(d))
-			if got, want := ExpFast32(x), refExpFast32(x); canonBits(got) != canonBits(want) {
-				t.Fatalf("ExpFast32(%v) = %08x, want %08x", x, math.Float32bits(got), math.Float32bits(want))
+	eachKernelPath(t, func(t *testing.T) {
+		for _, e := range edges {
+			b := math.Float32bits(e)
+			xs := make([]float32, 0, 129)
+			for d := -64; d <= 64; d++ {
+				xs = append(xs, math.Float32frombits(b+uint32(d)))
 			}
-			if got, want := TanhFast32(x), refTanhFast32(x); canonBits(got) != canonBits(want) {
-				t.Fatalf("TanhFast32(%v) = %08x, want %08x", x, math.Float32bits(got), math.Float32bits(want))
-			}
+			checkExpTanhBits(t, xs)
+		}
+	})
+}
+
+// geluSaturation returns the smallest positive input whose tanh argument
+// √(2/π)·(v + 0.044715·v³) reaches 10, where TanhFast32 starts returning
+// exactly 1: the input-side position of GELU's saturation branch.
+func geluSaturation() float32 {
+	lo, hi := math.Float32bits(1), math.Float32bits(10) // positive floats order as their bits
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if v := math.Float32frombits(mid); float32(0.7978845608028654)*(v+0.044715*v*v*v) >= 10 {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
+	return math.Float32frombits(lo)
 }
 
 func TestScaledMaskedRowSoftmaxMatchesReferenceBits(t *testing.T) {
 	requireBitExactArch(t)
-	for _, procs := range []int{1, 3} {
-		withProcs(procs, func() { pinSoftmax(t) })
-	}
+	eachKernelPath(t, func(t *testing.T) {
+		for _, procs := range []int{1, 3} {
+			withProcs(procs, func() { pinSoftmax(t) })
+		}
+	})
+}
+
+// TestGELUMatchesReferenceBits runs GELU at the served activation shapes (a
+// packed bert batch, a mistral chunk), at lengths around one lane group and
+// one laneChunk, out of place and in place, on Gaussian inputs scaled past
+// the saturation point with IEEE corner cases salted in.
+func TestGELUMatchesReferenceBits(t *testing.T) {
+	requireBitExactArch(t)
+	eachKernelPath(t, func(t *testing.T) {
+		rng := NewRNG(2020)
+		for _, n := range []int{0, 1, 7, 8, 9, 27 * 96, 4095, 4096, 4097, 2*4096 + 5, 1024 * 192, 1728 * 96} {
+			src := pinMatrix(1, n, rng, true)
+			for i := range src.Data {
+				src.Data[i] *= 4
+			}
+			want := make([]float32, n)
+			for i, v := range src.Data {
+				want[i] = refGELU(v)
+			}
+			wantM := &Matrix{Rows: 1, Cols: n, Data: want}
+			got := dirty(1, n)
+			GELU(got.Data, src.Data)
+			requireSameBits(t, fmt.Sprintf("GELU n=%d", n), got, wantM)
+			GELU(src.Data, src.Data)
+			requireSameBits(t, fmt.Sprintf("GELU in place n=%d", n), src, wantM)
+		}
+	})
 }
 
 // pinSoftmax compares the fused softmax against its reference over the

@@ -124,6 +124,22 @@ func BenchmarkServeShapes(b *testing.B) {
 		})
 	}
 
+	// The FFN activation: a packed 64-line bert batch, and a 32-line mistral
+	// chunk at the 32-token cap.
+	for _, shape := range [][2]int{{1728, 96}, {1024, 192}} {
+		rows, cols := shape[0], shape[1]
+		b.Run(fmt.Sprintf("gelu/%dx%d", rows, cols), func(b *testing.B) {
+			src, dst := randMatrix(rows, cols, 11), New(rows, cols)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				GELU(dst.Data, src.Data)
+			}
+			serveSinkM = dst
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*cols), "ns/elem")
+		})
+	}
+
 	for _, fn := range []struct {
 		name string
 		f    func(float32) float32

@@ -123,28 +123,41 @@ func scaledMaskedRowSoftmaxRows(m *Matrix, scale float32, past int, causal bool,
 				maxv = sv
 			}
 		}
+		softmaxExp(valid, scale, maxv)
+		// The row maximum above and this sum are reductions, and stay scalar
+		// and left to right whichever way the elementwise passes around them
+		// run: lanes would fold them in a different order.
 		var sum float32
-		for j, v := range valid {
-			// scale·v − max is never positive: of ExpFast32's range checks
-			// only the underflow one can trigger, the rounding offset is
-			// always −0.5, and the rest inlines. The test is written so
-			// that a NaN score falls through and poisons its row, as it
-			// does through ExpFast32.
-			var e float32
-			if x := scale*v - maxv; !(x <= expUnderflow) {
-				p, n := expReduce(x, -0.5)
-				e = p * pow2(n)
-			}
-			valid[j] = e
+		for _, e := range valid {
 			sum += e
 		}
-		inv := 1 / sum
-		for j := range valid {
-			valid[j] *= inv
+		scaleRow(valid, 1/sum)
+		clear(row[lim:])
+	}
+}
+
+// softmaxExp is the fused softmax's exponential pass over one row's valid
+// window: row[j] = e^(scale·row[j] − maxv), exactly 0 at and below
+// expUnderflow.
+func softmaxExp(row []float32, scale, maxv float32) {
+	for j, v := range row {
+		// scale·v − max is never positive: of ExpFast32's range checks only
+		// the underflow one can trigger, the rounding offset is always −0.5,
+		// and the rest inlines. The test is written so that a NaN score falls
+		// through and poisons its row, as it does through ExpFast32.
+		var e float32
+		if x := scale*v - maxv; !(x <= expUnderflow) {
+			p, n := expReduce(x, -0.5)
+			e = p * pow2(n)
 		}
-		for j := lim; j < m.Cols; j++ {
-			row[j] = 0
-		}
+		row[j] = e
+	}
+}
+
+// scaleRow multiplies row by s in place: the fused softmax's final pass.
+func scaleRow(row []float32, s float32) {
+	for j := range row {
+		row[j] *= s
 	}
 }
 
@@ -233,6 +246,35 @@ func TanhFast32(x float32) float32 {
 	p, n := expReduce(2*x, signedHalf(x))
 	e := p * pow2(n)
 	return (e - 1) / (e + 1)
+}
+
+// √(2/π) and the cubic coefficient of the tanh approximation of GELU.
+const (
+	geluC     float32 = 0.7978845608028654
+	geluCubic float32 = 0.044715
+)
+
+// GELU writes the tanh-approximation GELU of every element of src to dst, in
+// pure float32 on the fast tanh:
+//
+//	dst[i] = 0.5·v·(1 + TanhFast32(√(2/π)·(v + 0.044715·v³))),  v = src[i]
+//
+// with v³ taken as ((0.044715·v)·v)·v. dst and src must have the same length
+// and may be the same slice. Training's forward and inference both run this
+// one function, so the batched, sequential and backward paths stay mutually
+// consistent.
+func GELU(dst, src []float32) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: gelu dst has %d elements, src %d", len(dst), len(src)))
+	}
+	for i, v := range src {
+		dst[i] = geluScalar(v)
+	}
+}
+
+func geluScalar(v float32) float32 {
+	t := TanhFast32(geluC * (v + geluCubic*v*v*v))
+	return 0.5 * v * (1 + t)
 }
 
 // MatMulOneHotRows computes a×b for an `a` whose rows are mostly zero — the
