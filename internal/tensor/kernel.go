@@ -24,6 +24,10 @@ package tensor
 // implementation off amd64 and on CPUs without AVX, and the reference the
 // assembly is tested against.
 
+// useLanes routes GELU and the fused softmax's elementwise passes to the
+// eight-lane routines in exp_amd64.s.
+func useLanes() bool { return useAVX && hasAVX2 }
+
 // axpyRowBlock is how many output rows the axpy-form kernel carries through
 // the whole reduction together: 32 rows of a 192-wide float32 destination are
 // 24 KiB, so the block stays in L1 while each group of b rows is applied. It

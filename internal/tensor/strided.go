@@ -136,10 +136,23 @@ func scaledMaskedRowSoftmaxRows(m *Matrix, scale float32, past int, causal bool,
 	}
 }
 
+// laneChunk bounds what one call of an elementwise assembly routine is
+// handed: the routines have no preemption point, and 4096 elements are
+// microseconds.
+const laneChunk = 4096
+
 // softmaxExp is the fused softmax's exponential pass over one row's valid
 // window: row[j] = e^(scale·row[j] − maxv), exactly 0 at and below
-// expUnderflow.
+// expUnderflow. With useLanes it is softmaxExpLanes, eight columns at a time.
 func softmaxExp(row []float32, scale, maxv float32) {
+	if useLanes() {
+		for len(row) > 0 {
+			c := row[:min(len(row), laneChunk)]
+			softmaxExpLanes(&c[0], len(c), scale, maxv)
+			row = row[len(c):]
+		}
+		return
+	}
 	for j, v := range row {
 		// scale·v − max is never positive: of ExpFast32's range checks only
 		// the underflow one can trigger, the rounding offset is always −0.5,
@@ -154,8 +167,17 @@ func softmaxExp(row []float32, scale, maxv float32) {
 	}
 }
 
-// scaleRow multiplies row by s in place: the fused softmax's final pass.
+// scaleRow multiplies row by s in place: the fused softmax's final pass, and
+// scaleLanes with useLanes.
 func scaleRow(row []float32, s float32) {
+	if useLanes() {
+		for len(row) > 0 {
+			c := row[:min(len(row), laneChunk)]
+			scaleLanes(&c[0], len(c), s)
+			row = row[len(c):]
+		}
+		return
+	}
 	for j := range row {
 		row[j] *= s
 	}
@@ -262,10 +284,20 @@ const (
 // with v³ taken as ((0.044715·v)·v)·v. dst and src must have the same length
 // and may be the same slice. Training's forward and inference both run this
 // one function, so the batched, sequential and backward paths stay mutually
-// consistent.
+// consistent; with useLanes it is geluLanes, eight elements at a time, and
+// the same bits.
 func GELU(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: gelu dst has %d elements, src %d", len(dst), len(src)))
+	}
+	if useLanes() {
+		for len(src) > 0 {
+			n := min(len(src), laneChunk)
+			d, c := dst[:n], src[:n]
+			geluLanes(&d[0], &c[0], n)
+			dst, src = dst[n:], src[n:]
+		}
+		return
 	}
 	for i, v := range src {
 		dst[i] = geluScalar(v)
