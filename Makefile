@@ -61,10 +61,15 @@ fmt:
 # and widths. Nothing else reads the assembly (reprolint sees only Go). The
 # arm64 lines here and under build compile and vet the port without assembly
 # kernels (kernel_noasm.go, the Go loops as the only path), which nothing
-# else builds.
+# else builds. The grep is the kernel contract's no-FMA rule as a gate: the
+# bit pins would catch a fused multiply-add only on the shapes and CPUs they
+# run on.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/tensor
+	@if grep -n -E 'VFN?M(ADD|SUB)' internal/tensor/*.s; then \
+		echo "fused multiply-add (VFMADD, VFNMADD, VFMSUB, VFNMSUB) in internal/tensor assembly: it rounds once where the kernel contract (kernel.go) rounds twice, and would move every golden"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
