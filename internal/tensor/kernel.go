@@ -1,7 +1,8 @@
 package tensor
 
 // The two fp32 microkernels every matmul in this package runs on, written as
-// the arithmetic contract any implementation of them must obey.
+// the arithmetic contract any implementation of them must obey; the
+// elementwise kernels' contract closes the header.
 //
 // Each output element is produced by a fixed sequence of IEEE-754 binary32
 // operations: every product is rounded on its own and every sum is rounded on
@@ -23,9 +24,23 @@ package tensor
 // speed is set by loads and stores per multiply-add; they are the only
 // implementation off amd64 and on CPUs without AVX, and the reference the
 // assembly is tested against.
+//
+// The elementwise kernels in strided.go — GELU, and the fused softmax's
+// exponential and scaling passes — are under the same contract with nothing
+// to reorder: an output element is one fixed expression of its own input
+// (geluScalar; expReduce, then p·pow2(n), or 0 at and below expUnderflow;
+// v·s), each multiply, add, subtract and divide rounded on its own in the
+// order Go evaluates the expression, the float-to-int conversion truncating.
+// The Go loops branch per element on the range checks (|u| ≥ 10, x ≤
+// expUnderflow, NaN); the lanes of exp_amd64.s compute every element through
+// the polynomial and then select, which is the same value element by element.
+// What is not elementwise in that softmax — the row maximum and the
+// left-to-right row sum — is a reduction, which lanes would fold in another
+// order, and stays one scalar Go loop on every path.
 
 // useLanes routes GELU and the fused softmax's elementwise passes to the
-// eight-lane routines in exp_amd64.s.
+// eight-lane routines in exp_amd64.s: useAVX, and AVX2 for the 256-bit
+// integer add and shift that build 2^n. The Go loops are the only other path.
 func useLanes() bool { return useAVX && hasAVX2 }
 
 // axpyRowBlock is how many output rows the axpy-form kernel carries through

@@ -495,8 +495,8 @@ func TestScaledMaskedRowSoftmaxMatchesReferenceBits(t *testing.T) {
 
 // TestGELUMatchesReferenceBits runs GELU at the served activation shapes (a
 // packed bert batch, a mistral chunk), at lengths around one lane group and
-// one laneChunk, out of place and in place, on Gaussian inputs scaled past
-// the saturation point with IEEE corner cases salted in.
+// one 4096-element assembly call, out of place and in place, on Gaussian
+// inputs scaled past the saturation point with IEEE corner cases salted in.
 func TestGELUMatchesReferenceBits(t *testing.T) {
 	requireBitExactArch(t)
 	eachKernelPath(t, func(t *testing.T) {

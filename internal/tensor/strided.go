@@ -136,21 +136,14 @@ func scaledMaskedRowSoftmaxRows(m *Matrix, scale float32, past int, causal bool,
 	}
 }
 
-// laneChunk bounds what one call of an elementwise assembly routine is
-// handed: the routines have no preemption point, and 4096 elements are
-// microseconds.
-const laneChunk = 4096
-
 // softmaxExp is the fused softmax's exponential pass over one row's valid
 // window: row[j] = e^(scale·row[j] − maxv), exactly 0 at and below
 // expUnderflow. With useLanes it is softmaxExpLanes, eight columns at a time.
+// A row of scores goes down in one call: the widest served row, 352 keys, is
+// a fifth of a microsecond there.
 func softmaxExp(row []float32, scale, maxv float32) {
-	if useLanes() {
-		for len(row) > 0 {
-			c := row[:min(len(row), laneChunk)]
-			softmaxExpLanes(&c[0], len(c), scale, maxv)
-			row = row[len(c):]
-		}
+	if useLanes() && len(row) > 0 {
+		softmaxExpLanes(&row[0], len(row), scale, maxv)
 		return
 	}
 	for j, v := range row {
@@ -170,12 +163,8 @@ func softmaxExp(row []float32, scale, maxv float32) {
 // scaleRow multiplies row by s in place: the fused softmax's final pass, and
 // scaleLanes with useLanes.
 func scaleRow(row []float32, s float32) {
-	if useLanes() {
-		for len(row) > 0 {
-			c := row[:min(len(row), laneChunk)]
-			scaleLanes(&c[0], len(c), s)
-			row = row[len(c):]
-		}
+	if useLanes() && len(row) > 0 {
+		scaleLanes(&row[0], len(row), s)
 		return
 	}
 	for j := range row {
@@ -291,8 +280,10 @@ func GELU(dst, src []float32) {
 		panic(fmt.Sprintf("tensor: gelu dst has %d elements, src %d", len(dst), len(src)))
 	}
 	if useLanes() {
+		// A whole activation matrix arrives in one slice, and the assembly
+		// has no preemption point: 4096 elements a call are microseconds.
 		for len(src) > 0 {
-			n := min(len(src), laneChunk)
+			n := min(len(src), 4096)
 			d, c := dst[:n], src[:n]
 			geluLanes(&d[0], &c[0], n)
 			dst, src = dst[n:], src[n:]
