@@ -56,9 +56,9 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# vet's asmdecl pass is what checks internal/tensor/kernel_amd64.s against
-# the Go declarations in kernel_amd64.go: frame size, argument names, offsets
-# and widths. Nothing else reads the assembly (reprolint sees only Go). The
+# vet's asmdecl pass is what checks internal/tensor/kernel_amd64.s and
+# exp_amd64.s against the Go declarations in kernel_amd64.go: frame size,
+# argument names, offsets and widths. Nothing else reads the assembly (reprolint sees only Go). The
 # arm64 lines here and under build compile and vet the port without assembly
 # kernels (kernel_noasm.go, the Go loops as the only path), which nothing
 # else builds. The grep is the kernel contract's no-FMA rule as a gate: the

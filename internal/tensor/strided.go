@@ -96,6 +96,11 @@ func TMatMulStrided(dst *Matrix, doff int, a *Matrix, b *Matrix, boff, w int) {
 // 0..i) and lim = m.Cols otherwise. The window receives softmax(scale·row);
 // columns at and beyond lim are set to exactly 0, so masked positions never
 // materialize a -Inf score and downstream A·V products see clean zeros.
+//
+// A score counts as four units of parallelThreshold, so rows fan out from
+// 262 144 scores: set on the scalar exponential and kept after re-measuring
+// with the lane kernels at 1400×200 and its halves (docs/PERFORMANCE.md,
+// PR 20). No served score matrix comes near it.
 func ScaledMaskedRowSoftmax(m *Matrix, scale float32, past int, causal bool) {
 	if !parallelWorth(m.Rows, m.Cols*4) {
 		scaledMaskedRowSoftmaxRows(m, scale, past, causal, 0, m.Rows)
