@@ -255,17 +255,17 @@ func TestKernelGuardBandsServedShapes(t *testing.T) {
 
 // ---- elementwise kernels: GELU and the fused softmax's two lane passes ----
 
-// elementwiseEdgeValues are the inputs the exp lanes' range handling turns
-// on: the underflow cut and the tanh saturation point with their neighbours
-// on either side (as softmax arguments, and as the GELU inputs whose tanh
-// argument lands there), on top of the IEEE corner cases.
-func elementwiseEdgeValues() []float32 {
+// elementwiseEdges are the inputs the exp lanes' range handling turns on: the
+// underflow cut and the tanh saturation point with their neighbours on either
+// side (as softmax arguments, and as the GELU inputs whose tanh argument lands
+// there), on top of the IEEE corner cases.
+var elementwiseEdges = func() []float32 {
 	vs := append([]float32(nil), saltValues...)
 	for _, e := range []float32{expUnderflow, 10, -10, geluSaturation(), -geluSaturation(), -0.5, -20, 3} {
 		vs = append(vs, e, math.Nextafter32(e, float32(math.Inf(1))), math.Nextafter32(e, float32(math.Inf(-1))))
 	}
 	return vs
-}
+}()
 
 // elementwiseCase is one rows×cols matrix through every elementwise kernel:
 // GELU out of place and in place, the softmax's exponential and scaling
@@ -293,7 +293,7 @@ func (c elementwiseCase) check(t testing.TB) {
 	t.Helper()
 	defer func(was bool) { useAVX = was }(useAVX)
 	rng := NewRNG(c.seed)
-	edges := elementwiseEdgeValues()
+	edges := elementwiseEdges
 	in := carve(c.rows, c.cols, 1+rng.Intn(8), c.atEnd)
 	for i := range in.m.Data {
 		v := 4 * float32(rng.NormFloat64())

@@ -353,8 +353,12 @@ func refTanhFast32(x float32) float32 {
 
 // refGELU is nn's geluScalar on the reference tanh.
 func refGELU(v float32) float32 {
-	t := refTanhFast32(float32(0.7978845608028654) * (v + 0.044715*v*v*v))
-	return 0.5 * v * (1 + t)
+	return 0.5 * v * (1 + refTanhFast32(refGELUArg(v)))
+}
+
+// refGELUArg is the tanh argument of refGELU: √(2/π)·(v + 0.044715·v³).
+func refGELUArg(v float32) float32 {
+	return float32(0.7978845608028654) * (v + 0.044715*v*v*v)
 }
 
 func refScaledMaskedRowSoftmax(m *Matrix, scale float32, past int, causal bool) {
@@ -469,13 +473,13 @@ func TestExpTanhFast32MatchReferenceBitsEdges(t *testing.T) {
 }
 
 // geluSaturation returns the smallest positive input whose tanh argument
-// √(2/π)·(v + 0.044715·v³) reaches 10, where TanhFast32 starts returning
-// exactly 1: the input-side position of GELU's saturation branch.
+// reaches 10, where TanhFast32 starts returning exactly 1: the input-side
+// position of GELU's saturation branch.
 func geluSaturation() float32 {
 	lo, hi := math.Float32bits(1), math.Float32bits(10) // positive floats order as their bits
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if v := math.Float32frombits(mid); float32(0.7978845608028654)*(v+0.044715*v*v*v) >= 10 {
+		if refGELUArg(math.Float32frombits(mid)) >= 10 {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -22,6 +22,10 @@ func reportGFlops(b *testing.B, madds int) {
 	b.ReportMetric(2*float64(madds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
+func reportNsPerElem(b *testing.B, elems int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
+}
+
 func BenchmarkServeShapes(b *testing.B) {
 	dense := []struct {
 		model string
@@ -120,7 +124,7 @@ func BenchmarkServeShapes(b *testing.B) {
 				ScaledMaskedRowSoftmax(m, 0.2886751, cols-rows, true)
 			}
 			serveSinkM = m
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*cols), "ns/elem")
+			reportNsPerElem(b, rows*cols)
 		})
 	}
 
@@ -136,7 +140,7 @@ func BenchmarkServeShapes(b *testing.B) {
 				GELU(dst.Data, src.Data)
 			}
 			serveSinkM = dst
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*cols), "ns/elem")
+			reportNsPerElem(b, rows*cols)
 		})
 	}
 
@@ -154,7 +158,7 @@ func BenchmarkServeShapes(b *testing.B) {
 				}
 			}
 			serveSinkF = s
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(xs)), "ns/elem")
+			reportNsPerElem(b, len(xs))
 		})
 	}
 }
