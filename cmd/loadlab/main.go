@@ -1,7 +1,6 @@
 // Command loadlab replays labeled, deterministic traffic scenarios against a
 // serving anomalyd and reports throughput, stage latency, queue saturation,
-// and detection quality per scenario — the serving-grade benchmark suite
-// behind `make bench-scenarios`.
+// and detection quality per scenario.
 //
 //	loadlab -list                             # show the scenario taxonomy
 //	loadlab                                   # train a small detector, replay all scenarios
@@ -14,7 +13,8 @@
 //
 // Each scenario (see docs/SCENARIOS.md) is generated from a name + seed and
 // is byte-identical across runs, so reports diff meaningfully across commits
-// (scripts/benchdiff). The replay is open-loop over real HTTP: requests fire
+// (TestRunSmoke pins the deterministic columns of four seconds-scale
+// configurations). The replay is open-loop over real HTTP: requests fire
 // at their scheduled instants whether or not the server keeps up, so
 // queueing appears in the measurements instead of being absorbed by client
 // backpressure. The dark baselines (PCA, isolation forest, MLP autoencoder)
@@ -369,7 +369,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 
 		// Paired cascade replay: the same stream again with the stage-1 gate
-		// armed, so BENCH rows diff off vs on directly. Chaos variants stay
+		// armed, so report rows diff off vs on directly. Chaos variants stay
 		// unpaired — their injector state is consumed by the first replay.
 		if cascadeArm != nil && inj == nil {
 			if err := cascadeArm(true); err != nil {
@@ -421,7 +421,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 
 		// Paired gateway replay: the same stream against the replicated fleet,
-		// so BENCH rows diff single-node vs gateway directly (throughput and
+		// so report rows diff single-node vs gateway directly (throughput and
 		// tail latency at the same error budget). Chaos variants stay
 		// unpaired — their injector state is consumed by the first replay.
 		if gwURL != "" && inj == nil {

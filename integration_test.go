@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -140,5 +142,66 @@ func TestCommandsBuild(t *testing.T) {
 	out, err := exec.Command("go", "build", "./cmd/...", "./examples/...").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build failed: %v\n%s", err, out)
+	}
+}
+
+// TestDocsNameOnlyExistingMakeTargets reads the documents that tell a reader
+// what to run and fails on a `make <target>` — in backticks, in a fenced
+// block, or on a workflow step line — that the Makefile's .PHONY list does
+// not declare. CHANGES.md and ROADMAP.md are history and exempt.
+func TestDocsNameOnlyExistingMakeTargets(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, line := range strings.Split(string(makefile), "\n") {
+		if rest, ok := strings.CutPrefix(line, ".PHONY:"); ok {
+			for _, name := range strings.Fields(rest) {
+				targets[name] = true
+			}
+		}
+	}
+	if len(targets) == 0 {
+		t.Fatal("Makefile declares no .PHONY targets")
+	}
+
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md")
+	invocation := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
+	for _, path := range docs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workflow := strings.HasSuffix(path, ".yml")
+		fenced := false
+		for n, line := range strings.Split(string(data), "\n") {
+			trimmed := strings.TrimSpace(line)
+			if strings.HasPrefix(trimmed, "```") {
+				fenced = !fenced
+				continue
+			}
+			code := []string{line}
+			if prose := !fenced && (!workflow || strings.HasPrefix(trimmed, "#")); prose {
+				// Only the backticked spans are commands.
+				code = nil
+				for i, span := range strings.Split(line, "`") {
+					if i%2 == 1 {
+						code = append(code, span)
+					}
+				}
+			}
+			for _, c := range code {
+				for _, m := range invocation.FindAllStringSubmatch(c, -1) {
+					if !targets[m[1]] {
+						t.Errorf("%s:%d names `make %s`, which the Makefile does not declare", path, n+1, m[1])
+					}
+				}
+			}
+		}
 	}
 }

@@ -401,6 +401,15 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 	}
 }
 
+func BenchmarkQuantize4Bit(b *testing.B) {
+	m := randomInput(256, 256, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Quantize4Bit(m, DefaultQuantBlock)
+	}
+}
+
 // TestGELUMatchesScalarBits holds both GELU entry points — and through them
 // tensor.GELU on whichever implementation this machine runs — to geluScalar,
 // element by element and bit for bit, at widths that end inside, on and just

@@ -142,7 +142,7 @@ func TestReplayFailureTaxonomy(t *testing.T) {
 }
 
 // TestReplayCleanRowKeepsShape checks a clean replay emits no overload
-// columns, so historical BENCH diffs stay aligned.
+// columns: they appear only on runs that exercised them.
 func TestReplayCleanRowKeepsShape(t *testing.T) {
 	res := &Result{Scenario: "steady", Events: 10, Requests: 10}
 	extra := res.Entry("sft").Extra

@@ -113,8 +113,8 @@ func (f Failures) Total() int { return f.Timeout + f.Shed + f.Server + f.Transpo
 // PostP99Ms alone can lie about recovery: the replay is open-loop, so a
 // backlog built during the fault window keeps inflating post-window
 // latencies until it drains, and when the drain outlasts the schedule the
-// post p99 sits at backlog height with zero post-window faults (BENCH_7's
-// chaos/near-dup row: post 2087ms ≈ during 2085ms). RecoveryMs is the
+// post p99 sits at backlog height with zero post-window faults (the PR 7
+// chaos suite's near-dup row: post 2087ms ≈ during 2085ms). RecoveryMs is the
 // drain-aware complement, derived from completion instants (scheduled
 // offset + measured latency): the last over-bound completion marks the
 // moment the server was back to answering under the pre-fault bound

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -179,6 +182,8 @@ func TestEvaluateScoresMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBenchReportWrite decodes a written report through the keys readers of
+// `loadlab -out` parse.
 func TestBenchReportWrite(t *testing.T) {
 	r := &BenchReport{
 		Recorded: "2026-01-01T00:00:00Z",
@@ -189,27 +194,30 @@ func TestBenchReportWrite(t *testing.T) {
 			{Name: "LoadLab/steady/pca", NsPerOp: 10},
 		},
 	}
-	var sb benchBuffer
-	if err := r.Write(&sb); err != nil {
+	var buf bytes.Buffer
+	if err := r.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got := sb.String()
-	want := `{
-  "recorded": "2026-01-01T00:00:00Z",
-  "cpu": "test",
-  "command": "loadlab",
-  "benchmarks": [
-    {"name": "LoadLab/steady/sft", "ns_per_op": 1234, "b_per_op": 0, "allocs_per_op": 0, "extra": {"events": 400, "roc_auc": 0.9876}},
-    {"name": "LoadLab/steady/pca", "ns_per_op": 10, "b_per_op": 0, "allocs_per_op": 0}
-  ]
-}
-`
-	if got != want {
-		t.Errorf("report layout drifted:\ngot:\n%s\nwant:\n%s", got, want)
+	var got struct {
+		Recorded   string `json:"recorded"`
+		CPU        string `json:"cpu"`
+		Command    string `json:"command"`
+		Benchmarks []struct {
+			Name    string             `json:"name"`
+			NsPerOp float64            `json:"ns_per_op"`
+			Extra   map[string]float64 `json:"extra"`
+		} `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("report does not decode: %v", err)
+	}
+	if got.Recorded != r.Recorded || got.CPU != r.CPU || got.Command != r.Command || len(got.Benchmarks) != len(r.Entries) {
+		t.Fatalf("header or row count lost: %+v", got)
+	}
+	for i, e := range r.Entries {
+		b := got.Benchmarks[i]
+		if b.Name != e.Name || b.NsPerOp != e.NsPerOp || !reflect.DeepEqual(b.Extra, e.Extra) {
+			t.Errorf("row %d: got %+v, want %+v", i, b, e)
+		}
 	}
 }
-
-type benchBuffer struct{ b []byte }
-
-func (s *benchBuffer) Write(p []byte) (int, error) { s.b = append(s.b, p...); return len(p), nil }
-func (s *benchBuffer) String() string              { return string(s.b) }

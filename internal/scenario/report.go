@@ -1,79 +1,33 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 )
 
-// BenchEntry is one row of a BENCH_N.json report — the shape
-// scripts/benchjson.awk produces from `go test -bench` output, which
-// scripts/benchdiff consumes. The load lab emits one entry per
-// scenario × detector, with ns_per_op carrying nanoseconds per line (so
-// throughput deltas diff like kernel benchmarks) and the quality and
-// saturation measurements under "extra".
+// BenchEntry is one row of a load-lab report. The load lab emits one entry
+// per scenario × detector, with ns_per_op carrying nanoseconds per line and
+// the quality and saturation measurements under "extra".
 type BenchEntry struct {
-	Name        string
-	NsPerOp     float64
-	BPerOp      int64
-	AllocsPerOp int64
-	Extra       map[string]float64
+	Name    string             `json:"name"`
+	NsPerOp float64            `json:"ns_per_op"`
+	Extra   map[string]float64 `json:"extra,omitempty"`
 }
 
-// BenchReport is a BENCH_N.json document.
+// BenchReport is the document `loadlab -out` writes.
 type BenchReport struct {
-	Recorded string // RFC3339 UTC timestamp
-	CPU      string
-	Command  string
-	Entries  []BenchEntry
+	Recorded string       `json:"recorded"` // RFC3339 UTC timestamp
+	CPU      string       `json:"cpu"`
+	Command  string       `json:"command"`
+	Entries  []BenchEntry `json:"benchmarks"`
 }
 
-// Write renders the report in the exact layout of the repo's recorded
-// BENCH files: one benchmark per line, extra keys sorted.
+// Write renders the report as indented JSON.
 func (r *BenchReport) Write(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString("{\n")
-	fmt.Fprintf(&sb, "  %q: %q,\n", "recorded", r.Recorded)
-	fmt.Fprintf(&sb, "  %q: %q,\n", "cpu", r.CPU)
-	fmt.Fprintf(&sb, "  %q: %q,\n", "command", r.Command)
-	sb.WriteString("  \"benchmarks\": [\n")
-	for i, e := range r.Entries {
-		fmt.Fprintf(&sb, "    {\"name\": %q, \"ns_per_op\": %.0f, \"b_per_op\": %d, \"allocs_per_op\": %d",
-			e.Name, e.NsPerOp, e.BPerOp, e.AllocsPerOp)
-		if len(e.Extra) > 0 {
-			keys := make([]string, 0, len(e.Extra))
-			for k := range e.Extra {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			sb.WriteString(", \"extra\": {")
-			for j, k := range keys {
-				if j > 0 {
-					sb.WriteString(", ")
-				}
-				fmt.Fprintf(&sb, "%q: %s", k, formatExtra(e.Extra[k]))
-			}
-			sb.WriteString("}")
-		}
-		sb.WriteString("}")
-		if i < len(r.Entries)-1 {
-			sb.WriteString(",")
-		}
-		sb.WriteString("\n")
-	}
-	sb.WriteString("  ]\n}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// formatExtra renders a value compactly: integers without decimals, metrics
-// with four.
-func formatExtra(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%.4f", v)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
 }
 
 // Entry converts a batch-replay result into its report row.
@@ -105,9 +59,7 @@ func (r *Result) Entry(detector string) BenchEntry {
 			"trace_f1":          r.Quality.TraceF1,
 		},
 	}
-	// Overload and chaos columns appear only on runs that exercised them, so
-	// clean rows keep their historical shape and diff cleanly against old
-	// BENCH files.
+	// Overload and chaos columns appear only on runs that exercised them.
 	if r.Errors > 0 || r.DegradedReqs > 0 || r.Server.Shed+r.Server.Expired+r.Server.Degraded > 0 {
 		e.Extra["err_timeout"] = float64(r.Failures.Timeout)
 		e.Extra["err_shed"] = float64(r.Failures.Shed)
@@ -124,8 +76,7 @@ func (r *Result) Entry(detector string) BenchEntry {
 		e.Extra["post_p99_ms"] = r.Phases.PostP99Ms
 		e.Extra["recovery_ms"] = r.Phases.RecoveryMs
 	}
-	// Cascade columns appear only when the stage-1 gate actually evaluated
-	// traffic, so cascade-off rows keep their historical shape.
+	// Cascade columns appear only when the stage-1 gate evaluated traffic.
 	if r.Server.CascadeEvaluated > 0 {
 		e.Extra["cascade_evaluated"] = float64(r.Server.CascadeEvaluated)
 		e.Extra["cascade_short_circuited"] = float64(r.Server.CascadeShort)

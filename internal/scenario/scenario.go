@@ -9,8 +9,8 @@
 // absorbed by client backpressure.
 //
 // Determinism is a hard contract: the same scenario name, seed, and config
-// produce byte-identical events (pinned by golden-file tests), so recorded
-// BENCH reports are comparable across commits and a replay is exactly
+// produce byte-identical events (pinned by golden-file tests), so loadlab
+// reports are comparable across commits and a replay is exactly
 // repeatable. Everything stochastic draws from tensor.RNG, schedules use
 // integer arithmetic on durations, and no wall clock or map iteration leaks
 // into generation.

@@ -55,6 +55,15 @@ func TestQuantizeInt8BatchForwardParity(t *testing.T) {
 	gotCls := enc.ForwardClsBatch(seqs)
 	quantCloseEnough(t, "ForwardClsBatch", gotCls, wantCls, 0.15)
 
+	// At serving scale (the default ICL decoder over a 2000-word vocabulary)
+	// the projections serialize 3.7× smaller: one byte per weight plus the
+	// per-block scales.
+	big := New(mistralConfig(2000), tensor.NewRNG(202)).QuantizeInt8(0)
+	if ratio := float64(big.FP32Bytes) / float64(big.CodesBytes); ratio < 3.7 {
+		t.Fatalf("serving-scale int8 weights are %dB against fp32 %dB: ratio %.2f, want >= 3.7",
+			big.CodesBytes, big.FP32Bytes, ratio)
+	}
+
 	// Decoder cached-prefix path (the ICL serving loop).
 	dec := batchTestModel(true)
 	prefix := batchTestSeqs(1, dec.Config.VocabSize, dec.Config.MaxSeqLen/2, 43)[0]
