@@ -48,8 +48,8 @@
 // (written by -train-out, sfttrain -save, or iclrun -save) is loaded into the
 // model registry under its name (`name=path`, or the file's base name) and
 // the first is the default route. Concurrent requests are micro-batched
-// through a per-model coalescing worker pool; -max-batch, -flush, and
-// -workers tune it (see docs/API.md). With -tail the daemon also follows a
+// through a per-model coalescing worker pool; -max-batch and -workers tune
+// it (see docs/API.md). With -tail the daemon also follows a
 // growing log file (the paper's Section IV-C loop) through the default model.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener stops, open SSE
@@ -92,7 +92,6 @@ func main() {
 		load         = flag.String("load", "", "comma-separated detector artifacts to serve ([name=]path, first is default); skips training entirely")
 		quantize     = flag.Bool("quantize", false, "serve/save int8-quantized weights: with -load, quantize fp32 artifacts at load; with -train-out (or train-and-serve), quantize the trained detector")
 		maxBatch     = flag.Int("max-batch", 32, "max sentences per batched model invocation")
-		flush        = flag.Duration("flush", 2*time.Millisecond, "coalescing flush deadline for partial batches (0 = flush when idle)")
 		workers      = flag.Int("workers", 0, "inference workers per model (0 = GOMAXPROCS)")
 		maxReq       = flag.Int("max-request", 0, "per-request sentence cap on /v1/detect/batch (0 = default 2048)")
 		tail         = flag.String("tail", "", "log file to follow and classify through the default model (empty = serve only)")
@@ -114,7 +113,7 @@ func main() {
 	}
 
 	cfg := core.BatchConfig{
-		MaxBatch: *maxBatch, FlushDelay: *flush, Workers: *workers, MaxRequest: *maxReq,
+		MaxBatch: *maxBatch, Workers: *workers, MaxRequest: *maxReq,
 		ShedQueueDepth: *shedDepth, MaxQueueWait: *maxQueueWait,
 		DefaultDeadline: *deadline, BrownoutDepth: *brownout, BrownoutHold: *brownHold,
 	}
@@ -283,7 +282,7 @@ func main() {
 		}()
 	}
 
-	log.Printf("listening on %s, models %v (max batch %d, flush %s)", *addr, reg.Names(), *maxBatch, *flush)
+	log.Printf("listening on %s, models %v (max batch %d)", *addr, reg.Names(), *maxBatch)
 	srv := &http.Server{Addr: *addr, Handler: root}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

@@ -79,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		out       = fs.String("out", "-", "report path (- = stdout)")
 		detName   = fs.String("detector", "", "detector label in report rows (default: sft, int8, or the artifact name)")
 		maxBatch  = fs.Int("max-batch", 64, "max sentences per batched model invocation (in-process)")
-		flush     = fs.Duration("flush", 2*time.Millisecond, "coalescing flush deadline (in-process)")
 		workers   = fs.Int("workers", 0, "inference workers (0 = GOMAXPROCS, in-process)")
 		chaos     = fs.Bool("chaos", false, "replay every scenario as its chaos variant: deterministic faults during the middle third of the schedule (in-process only)")
 		shedDepth = fs.Int("shed-depth", 0, "admission-control queue depth; enqueues beyond it are shed with 429 (0 = off, in-process)")
@@ -174,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			label = defLabel
 		}
 		bcfg := core.BatchConfig{
-			MaxBatch: *maxBatch, FlushDelay: *flush, Workers: *workers,
+			MaxBatch: *maxBatch, Workers: *workers,
 			ShedQueueDepth:  *shedDepth,
 			DefaultDeadline: time.Duration(*deadline) * time.Millisecond,
 			BrownoutDepth:   *brownout,

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -145,10 +146,55 @@ func TestCommandsBuild(t *testing.T) {
 	}
 }
 
-// TestDocsNameOnlyExistingMakeTargets reads the documents that tell a reader
-// what to run and fails on a `make <target>` — in backticks, in a fenced
-// block, or on a workflow step line — that the Makefile's .PHONY list does
-// not declare. CHANGES.md and ROADMAP.md are history and exempt.
+// docSpan is one piece of a run document a reader would type: a backticked
+// span of prose, or a whole line of a fenced block or workflow step.
+type docSpan struct {
+	path  string
+	n     int // index of the span's line
+	code  string
+	prose bool // a backticked span, not a command line
+}
+
+func (s docSpan) String() string { return s.path + ":" + strconv.Itoa(s.n+1) }
+
+// eachDocSpan visits the documents that tell a reader what to run. CHANGES.md
+// and ROADMAP.md are history and exempt.
+func eachDocSpan(t *testing.T, visit func(docSpan)) {
+	t.Helper()
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md")
+	for _, path := range docs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workflow := strings.HasSuffix(path, ".yml")
+		fenced := false
+		for n, line := range strings.Split(string(data), "\n") {
+			trimmed := strings.TrimSpace(line)
+			if strings.HasPrefix(trimmed, "```") {
+				fenced = !fenced
+				continue
+			}
+			if prose := !fenced && (!workflow || strings.HasPrefix(trimmed, "#")); !prose {
+				visit(docSpan{path, n, line, false})
+				continue
+			}
+			for i, span := range strings.Split(line, "`") {
+				if i%2 == 1 {
+					visit(docSpan{path, n, span, true})
+				}
+			}
+		}
+	}
+}
+
+// TestDocsNameOnlyExistingMakeTargets fails on a `make <target>` — in
+// backticks, in a fenced block, or on a workflow step line — that the
+// Makefile's .PHONY list does not declare.
 func TestDocsNameOnlyExistingMakeTargets(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -165,43 +211,73 @@ func TestDocsNameOnlyExistingMakeTargets(t *testing.T) {
 	if len(targets) == 0 {
 		t.Fatal("Makefile declares no .PHONY targets")
 	}
-
-	docs, err := filepath.Glob("docs/*.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs = append(docs, "README.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md")
 	invocation := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
-	for _, path := range docs {
-		data, err := os.ReadFile(path)
+	eachDocSpan(t, func(s docSpan) {
+		for _, m := range invocation.FindAllStringSubmatch(s.code, -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s names `make %s`, which the Makefile does not declare", s, m[1])
+			}
+		}
+	})
+}
+
+// TestDocsNameOnlyExistingFlags fails on a flag the documents hand to one of
+// the repo's binaries that the binary's main.go does not declare: on a command
+// line (fenced, workflow step, or backticked) every -flag after the binary's
+// name, up to the next pipe or && and across backslash continuations. A
+// backticked `-flag` standing alone in prose cannot be attributed to one
+// binary reliably, so it only has to be declared by some binary — which is
+// what catches a deleted flag — or be one of the go test / bench/run.sh flags
+// the prose discusses.
+func TestDocsNameOnlyExistingFlags(t *testing.T) {
+	declaration := regexp.MustCompile(`\b(?:flag|fs)\.(?:String|Int|Uint64|Bool|Duration|Float64|Var)\(\s*"([^"]+)"`)
+	declared := map[string]map[string]bool{}
+	anywhere := map[string]bool{"cpu": true, "benchtime": true, "race": true, "update": true, "seconds": true, "trace": true}
+	for _, bin := range []string{"anomalyd", "anomalygw", "loadlab", "expbench", "flowgen", "sfttrain", "iclrun"} {
+		src, err := os.ReadFile(filepath.Join("cmd", bin, "main.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		workflow := strings.HasSuffix(path, ".yml")
-		fenced := false
-		for n, line := range strings.Split(string(data), "\n") {
-			trimmed := strings.TrimSpace(line)
-			if strings.HasPrefix(trimmed, "```") {
-				fenced = !fenced
-				continue
+		declared[bin] = map[string]bool{}
+		for _, m := range declaration.FindAllSubmatch(src, -1) {
+			declared[bin][string(m[1])] = true
+			anywhere[string(m[1])] = true
+		}
+		if len(declared[bin]) == 0 {
+			t.Fatalf("found no flag declarations in cmd/%s/main.go", bin)
+		}
+	}
+	flagWord := regexp.MustCompile("^--?([a-z][a-z0-9-]*)")
+
+	var contAt, contBin string // a command line continued by a backslash, and its binary
+	eachDocSpan(t, func(s docSpan) {
+		if m := flagWord.FindStringSubmatch(s.code); m != nil && s.prose {
+			if !anywhere[m[1]] {
+				t.Errorf("%s names `-%s`, which no binary declares", s, m[1])
 			}
-			code := []string{line}
-			if prose := !fenced && (!workflow || strings.HasPrefix(trimmed, "#")); prose {
-				// Only the backticked spans are commands.
-				code = nil
-				for i, span := range strings.Split(line, "`") {
-					if i%2 == 1 {
-						code = append(code, span)
-					}
-				}
-			}
-			for _, c := range code {
-				for _, m := range invocation.FindAllStringSubmatch(c, -1) {
-					if !targets[m[1]] {
-						t.Errorf("%s:%d names `make %s`, which the Makefile does not declare", path, n+1, m[1])
-					}
+			return
+		}
+		bin := ""
+		if contAt == s.String() {
+			bin = contBin
+		}
+		for _, tok := range strings.Fields(s.code) {
+			// anomalyd, ./cmd/anomalyd and /tmp/anomalyd all run anomalyd.
+			base := tok[strings.LastIndexByte(tok, '/')+1:]
+			switch {
+			case tok == "|" || tok == "&&" || tok == "||" || tok == ";":
+				bin = ""
+			case declared[base] != nil:
+				bin = base
+			case bin != "":
+				if m := flagWord.FindStringSubmatch(tok); m != nil && !declared[bin][m[1]] {
+					t.Errorf("%s passes -%s to %s, which cmd/%s/main.go does not declare", s, m[1], bin, bin)
 				}
 			}
 		}
-	}
+		contAt, contBin = "", ""
+		if !s.prose && strings.HasSuffix(strings.TrimSpace(s.code), "\\") {
+			contAt, contBin = docSpan{path: s.path, n: s.n + 1}.String(), bin
+		}
+	})
 }

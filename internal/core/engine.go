@@ -27,11 +27,10 @@ type detectJob struct {
 	done      chan struct{}
 }
 
-// engine is the inference machinery behind one served detector: a coalescing
-// job queue, a single batch-forming dispatcher, and a pool of workers that
-// own tensor workspaces. PR 1–3 baked this into Server; it is now a
-// free-standing unit so a Registry can run one engine per model and swap
-// engines atomically without touching the HTTP layer.
+// engine is the inference machinery behind one served detector: a job queue
+// and a pool of workers that form their own batches from it and own tensor
+// workspaces. It is a free-standing unit so a Registry can run one engine per
+// model and swap engines atomically without touching the HTTP layer.
 //
 // Lifecycle: newEngine starts the goroutines; Close drains queued jobs, waits
 // for in-flight batches to finish, and releases the workers. After Close,
@@ -39,21 +38,20 @@ type detectJob struct {
 // (one swapped out of a registry) re-fetch and retry, so a hot-swap drops no
 // requests.
 type engine struct {
-	det     Detector
-	cfg     BatchConfig
-	stats   *statsRecorder // owned by the registry slot; survives swaps
-	fb      *fallbackSlot  // owned by the registry slot; may hold no detector
-	gate    *cascadeSlot   // owned by the registry slot; may hold no gate
-	brown   brownout
-	jobs    chan *detectJob
-	batches chan []*detectJob
+	det   Detector
+	cfg   BatchConfig
+	stats *statsRecorder // owned by the registry slot; survives swaps
+	fb    *fallbackSlot  // owned by the registry slot; may hold no detector
+	gate  *cascadeSlot   // owned by the registry slot; may hold no gate
+	brown brownout
+	jobs  chan *detectJob // the whole backlog: nothing waits anywhere else
 
 	mu     sync.RWMutex // guards closed vs. enqueue
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// newEngine starts the dispatcher and worker pool for det. cfg must already
+// newEngine starts the worker pool for det. cfg must already
 // be filled. stats may be nil (engines outside a registry slot run
 // uninstrumented); fb may be nil (no brownout tier); gate may be nil (no
 // cascade first stage).
@@ -75,11 +73,8 @@ func newEngine(det Detector, cfg BatchConfig, stats *statsRecorder, fb *fallback
 			low:  cfg.BrownoutRecover,
 			hold: cfg.BrownoutHold,
 		},
-		jobs:    make(chan *detectJob, cfg.QueueDepth),
-		batches: make(chan []*detectJob, cfg.Workers),
+		jobs: make(chan *detectJob, cfg.QueueDepth),
 	}
-	e.wg.Add(1)
-	go e.dispatch()
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -174,8 +169,9 @@ func (e *engine) DetectContext(ctx context.Context, sentences []string) (results
 // retryAfter estimates how long a shed client should wait before retrying:
 // the expected time for the backlog ahead of it to drain, assuming each
 // queued job becomes roughly one batch served by Workers parallel workers at
-// the recent median compute time. Clamped to [50ms, 5s] so a cold stats
-// window or a pathological p50 still yields a sane hint.
+// the recent median compute time. depth is len(e.jobs), which is exact: work
+// a worker has not yet started waits nowhere else. Clamped to [50ms, 5s] so a
+// cold stats window or a pathological p50 still yields a sane hint.
 func (e *engine) retryAfter(depth int) time.Duration {
 	per := 25 * time.Millisecond
 	if e.stats != nil {
@@ -202,65 +198,44 @@ func (e *engine) retryAfter(depth int) time.Duration {
 // view of the state machine.
 func (e *engine) brownoutActive() bool { return e.brown.active() }
 
-// dispatch is the single batch-forming goroutine: it takes one queued job,
-// coalesces more until the batch is full, the flush deadline passes, or the
-// queue goes idle, then hands the batch to the worker pool. Centralizing
-// batch formation here (rather than in each worker) means two concurrent
-// requests coalesce even when many workers sit idle.
-func (e *engine) dispatch() {
-	defer e.wg.Done()
-	defer close(e.batches)
-	for job := range e.jobs {
-		batch := []*detectJob{job}
-		n := len(job.sentences)
-		if e.cfg.FlushDelay > 0 {
-			timer := time.NewTimer(e.cfg.FlushDelay)
-		fill:
-			for n < e.cfg.MaxBatch {
-				select {
-				case nj, ok := <-e.jobs:
-					if !ok {
-						break fill
-					}
-					batch = append(batch, nj)
-					n += len(nj.sentences)
-				case <-timer.C:
-					break fill
-				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for n < e.cfg.MaxBatch {
-				select {
-				case nj, ok := <-e.jobs:
-					if !ok {
-						break drain
-					}
-					batch = append(batch, nj)
-					n += len(nj.sentences)
-				default:
-					break drain
-				}
-			}
-		}
-		e.batches <- batch
-	}
-}
-
-// worker executes dispatched batches through the detector. Each worker owns
-// one tensor.Workspace for its lifetime: when the detector supports
-// workspace-threaded batches (BatchWSDetector), every model invocation
-// reuses the worker's arena instead of allocating its temporaries, so
-// steady-state serving is allocation-free outside request plumbing.
+// worker is one inference goroutine. It blocks on the queue for one job,
+// forms a batch around it from whatever else is already waiting, and runs it —
+// so an idle pool answers a lone request at once, and only while every worker
+// is busy does the queue accumulate, to be taken whole by the next one free.
+// Each worker owns one tensor.Workspace for its lifetime: when the detector
+// supports workspace-threaded batches (BatchWSDetector), every model
+// invocation reuses the worker's arena instead of allocating its temporaries,
+// so steady-state serving is allocation-free outside request plumbing.
 func (e *engine) worker() {
 	defer e.wg.Done()
 	w := &batchWorker{e: e, ws: tensor.GetWorkspace()}
 	defer tensor.PutWorkspace(w.ws)
 	wsDet, _ := e.det.(BatchWSDetector)
-	for batch := range e.batches {
-		w.runBatch(batch, wsDet)
+	for job := range e.jobs {
+		w.runBatch(e.fill(job), wsDet)
 	}
+}
+
+// fill returns job plus the jobs queued behind it, in FIFO order, taken
+// without blocking until the batch holds MaxBatch sentences. The job that
+// crosses the cap is kept; runBatch chunks it. It never waits: with a worker
+// free to run them, queued jobs gain nothing from company that has not
+// arrived yet.
+func (e *engine) fill(job *detectJob) []*detectJob {
+	batch := []*detectJob{job}
+	for n := len(job.sentences); n < e.cfg.MaxBatch; {
+		select {
+		case next, ok := <-e.jobs:
+			if !ok {
+				return batch
+			}
+			batch = append(batch, next)
+			n += len(next.sentences)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 // batchWorker is one worker goroutine's state: the engine it serves and the

@@ -41,63 +41,31 @@ func (d *stallDetector) DetectBatchWS(ss []string, _ *tensor.Workspace) []Result
 	return d.DetectBatch(ss)
 }
 
-// TestAdmissionControlSheds floods a single-worker engine past its shed
-// budget and checks that the excess is refused with an OverloadedError
-// carrying a sane Retry-After, before any of it reaches the model.
+// TestAdmissionControlSheds pins that the shed budget is exact: the queue is
+// the whole backlog, so a held one-worker engine with ShedQueueDepth 4 admits
+// one running job plus four queued ones and refuses the sixth — before it
+// reaches the model — with a Retry-After computed from depth 4.
 func TestAdmissionControlSheds(t *testing.T) {
-	det := &stallDetector{release: make(chan struct{})}
-	reg := NewRegistry()
-	cfg := BatchConfig{MaxBatch: 1, Workers: 1, QueueDepth: 64, ShedQueueDepth: 4}
-	if err := reg.Add("m", det, cfg); err != nil {
-		t.Fatal(err)
+	g := newGatedEngine(t, BatchConfig{MaxBatch: 1, Workers: 1, QueueDepth: 64, ShedQueueDepth: 4})
+	admitted := append([]pendingDetect{g.hold("s0")}, g.singles("s1", "s2", "s3", "s4")...)
+	if st := g.stats(); st.QueueLen != 4 || st.Shed != 0 {
+		t.Fatalf("after 1 running + 4 queued: %+v", st)
 	}
-	defer reg.Close()
-	eng, _ := reg.route("m")
 
-	// First request occupies the worker; the queue then fills to the budget.
-	var wg sync.WaitGroup
-	var shed, ok atomic.Int64
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, err := eng.DetectContext(context.Background(), []string{fmt.Sprintf("s%d", i)})
-			switch {
-			case err == nil:
-				ok.Add(1)
-			case errors.Is(err, ErrOverloaded):
-				var oe *OverloadedError
-				if !errors.As(err, &oe) {
-					t.Errorf("shed error is not *OverloadedError: %v", err)
-					return
-				}
-				if oe.RetryAfter < 50*time.Millisecond || oe.RetryAfter > 5*time.Second {
-					t.Errorf("retry-after %s outside [50ms, 5s]", oe.RetryAfter)
-				}
-				shed.Add(1)
-			default:
-				t.Errorf("unexpected error: %v", err)
-			}
-		}(i)
+	_, _, err := g.eng.DetectContext(context.Background(), []string{"s5"})
+	var oe *OverloadedError
+	if !errors.Is(err, ErrOverloaded) || !errors.As(err, &oe) {
+		t.Fatalf("sixth request err = %v, want *OverloadedError", err)
 	}
-	// Let the flood settle against the blocked worker, then release it.
-	time.Sleep(100 * time.Millisecond)
-	close(det.release)
-	wg.Wait()
-
-	if shed.Load() == 0 {
-		t.Fatal("nothing shed with queue past its budget")
+	// No batch has finished, so the estimate is the cold 25ms per job over
+	// the 4 queued plus this one.
+	if want := 125 * time.Millisecond; oe.RetryAfter != want {
+		t.Fatalf("retry-after = %s, want %s (depth 4, one worker)", oe.RetryAfter, want)
 	}
-	if ok.Load() == 0 {
-		t.Fatal("everything shed; admitted requests should still complete")
+	if st := g.stats(); st.Shed != 1 || st.Requests != 5 {
+		t.Fatalf("stats after shed: %+v", st)
 	}
-	st, err := reg.Stats("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Shed != shed.Load() {
-		t.Fatalf("stats shed = %d, want %d", st.Shed, shed.Load())
-	}
+	g.finish(admitted...)
 }
 
 // TestShedOverHTTP pins the 429 wire contract: status, Retry-After in whole

@@ -5,14 +5,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestMetricsEndpoint drives traffic through the server and checks the
 // Prometheus exposition: content type, per-model labels, counter values
 // matching /v1/models, and the instance label when set.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := NewServerWith(hashDetector{}, BatchConfig{MaxBatch: 8, FlushDelay: time.Millisecond})
+	srv := NewServerWith(hashDetector{}, BatchConfig{MaxBatch: 8})
 	defer srv.Close()
 	srv.SetInstance("r7")
 	hs := httptest.NewServer(srv)

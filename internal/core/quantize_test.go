@@ -10,7 +10,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/flowbench"
 )
@@ -213,7 +212,7 @@ func TestRegistryServesMixedPrecision(t *testing.T) {
 	det, ds := detector(t)
 	fp32, q := quantizedPair(t, det)
 	reg := NewRegistry()
-	cfg := BatchConfig{MaxBatch: 8, FlushDelay: time.Millisecond, Workers: 1}
+	cfg := BatchConfig{MaxBatch: 8, Workers: 1}
 	if err := reg.Add("genome", fp32, cfg); err != nil {
 		t.Fatal(err)
 	}

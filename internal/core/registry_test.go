@@ -174,7 +174,7 @@ func TestServerModelsEndpoint(t *testing.T) {
 func TestRegistrySwapZeroDrops(t *testing.T) {
 	reg := NewRegistry()
 	if err := reg.Add("live", labelDetector{label: 0, delay: 200 * time.Microsecond}, BatchConfig{
-		MaxBatch: 4, FlushDelay: 100 * time.Microsecond, Workers: 2,
+		MaxBatch: 4, Workers: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestRegistrySwapZeroDrops(t *testing.T) {
 func TestRegistrySwapDrainsInFlight(t *testing.T) {
 	reg := NewRegistry()
 	slow := labelDetector{label: 0, delay: 100 * time.Millisecond}
-	if err := reg.Add("m", slow, BatchConfig{MaxBatch: 2, FlushDelay: -1, Workers: 1}); err != nil {
+	if err := reg.Add("m", slow, BatchConfig{MaxBatch: 2, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s := NewServerRegistry(reg)

@@ -117,9 +117,10 @@ type BatchConfig struct {
 	// MaxBatch caps the number of sentences per model invocation
 	// (default 32).
 	MaxBatch int
-	// FlushDelay is how long a worker holding a partial batch waits for
-	// more requests before running it. Zero or negative flushes as soon as
-	// the queue is empty (DefaultBatchConfig uses 2ms).
+	// FlushDelay is ignored: a free worker runs whatever is queued at once,
+	// so there is no partial batch left to wait on.
+	//
+	// Deprecated: ignored. Kept only so existing callers compile.
 	FlushDelay time.Duration
 	// Workers is the number of concurrent inference workers (default
 	// GOMAXPROCS). The batched detection path is read-only on the model,
@@ -140,8 +141,10 @@ type BatchConfig struct {
 	// ShedQueueDepth is the admission-control budget: a request arriving
 	// while the queue already holds this many jobs is shed with 429
 	// Retry-After instead of deepening a backlog the workers cannot drain.
-	// Zero disables shedding (requests block on the queue as before);
-	// values above QueueDepth are clamped to it.
+	// The count is exact — every job no worker has started is in the queue —
+	// so a saturated model holds at most Workers running batches plus
+	// ShedQueueDepth waiting jobs. Zero disables shedding (requests block on
+	// the queue as before); values above QueueDepth are clamped to it.
 	ShedQueueDepth int
 	// MaxQueueWait is the per-job queue-time budget: a job that sat queued
 	// longer than this is shed at dequeue (same 429 contract) instead of
@@ -167,9 +170,9 @@ type BatchConfig struct {
 }
 
 // DefaultBatchConfig is the serving recipe used by NewServer: batches of up
-// to 32 coalesced within a 2ms window across GOMAXPROCS workers.
+// to 32 sentences across GOMAXPROCS workers.
 func DefaultBatchConfig() BatchConfig {
-	return BatchConfig{MaxBatch: 32, FlushDelay: 2 * time.Millisecond}
+	return BatchConfig{MaxBatch: 32}
 }
 
 func (c *BatchConfig) fill() {
@@ -221,11 +224,11 @@ const maxJSONBody = 32 << 20
 // artifacts (Registry.Swap) without restarting or dropping requests.
 //
 // Requests are micro-batched per model: handlers enqueue their sentences on
-// the model's queue; a dispatcher goroutine coalesces concurrent requests
-// into batches of up to MaxBatch sentences (waiting up to FlushDelay to fill
-// a partial batch) and hands each batch to the model's pool of inference
-// workers. Under concurrent load many single-sentence forward passes become
-// a few batched ones while preserving per-request result order.
+// the model's queue, and each of the model's inference workers, when free,
+// takes everything queued up to MaxBatch sentences and runs it as one batch.
+// An idle pool therefore answers a lone request at once, and under concurrent
+// load many single-sentence forward passes become a few batched ones while
+// preserving per-request result order.
 type Server struct {
 	reg *Registry
 	mux *http.ServeMux

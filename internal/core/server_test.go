@@ -48,7 +48,7 @@ func TestDetectBatchMatchesSequential(t *testing.T) {
 // of each sentence.
 func TestServerBatchOrdering(t *testing.T) {
 	det, ds := detector(t)
-	s := NewServerWith(det, BatchConfig{MaxBatch: 4, FlushDelay: time.Millisecond, Workers: 2})
+	s := NewServerWith(det, BatchConfig{MaxBatch: 4, Workers: 2})
 	defer s.Close()
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -85,7 +85,7 @@ func TestServerBatchOrdering(t *testing.T) {
 // micro-batched together.
 func TestServerCoalescedConcurrency(t *testing.T) {
 	det, ds := detector(t)
-	s := NewServerWith(det, BatchConfig{MaxBatch: 8, FlushDelay: 2 * time.Millisecond, Workers: 2})
+	s := NewServerWith(det, BatchConfig{MaxBatch: 8, Workers: 2})
 	defer s.Close()
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -269,7 +269,7 @@ func (d *wsProbeDetector) DetectBatchWS(sentences []string, ws *tensor.Workspace
 // every model invocation must see a workspace exclusively its own.
 func TestServerWorkersOwnWorkspaces(t *testing.T) {
 	det := &wsProbeDetector{}
-	s := NewServerWith(det, BatchConfig{MaxBatch: 2, FlushDelay: 0, Workers: 4})
+	s := NewServerWith(det, BatchConfig{MaxBatch: 2, Workers: 4})
 	defer s.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -332,42 +332,23 @@ func (d *countingDetector) sentences() []string {
 	return append([]string(nil), d.seen...)
 }
 
-// TestDetectContextCancelledJobSkipped checks a job whose caller gave up is
-// never classified: its sentences must not reach the model.
+// TestDetectContextCancelledJobSkipped checks a job whose caller gave up
+// while it sat queued is never classified: its waiter is unblocked with the
+// context's error and its sentences do not reach the model.
 func TestDetectContextCancelledJobSkipped(t *testing.T) {
-	det := &countingDetector{delay: 50 * time.Millisecond}
-	s := NewServerWith(det, BatchConfig{MaxBatch: 8, FlushDelay: 0, Workers: 1})
-	defer s.Close()
+	g := newGatedEngine(t, BatchConfig{MaxBatch: 8, Workers: 1})
+	blocker := g.hold("blocker")
 
-	// Occupy the single worker.
-	blockerDone := make(chan struct{})
-	go func() {
-		defer close(blockerDone)
-		if _, err := s.Detect([]string{"blocker"}); err != nil {
-			t.Error(err)
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-
-	// Enqueue a job, then cancel its caller before the worker frees up.
 	ctx, cancel := context.WithCancel(context.Background())
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := s.DetectContext(ctx, []string{"cancelled-job"})
-		errCh <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	cancelled := g.submit(ctx, "cancelled-job")
+	behind := g.submit(context.Background(), "behind-it")
 	cancel()
-	if err := <-errCh; err != context.Canceled {
-		t.Fatalf("DetectContext err = %v, want context.Canceled", err)
+	if out := <-cancelled.out; out.err != context.Canceled {
+		t.Fatalf("DetectContext err = %v, want context.Canceled", out.err)
 	}
-	<-blockerDone
-	s.Close() // drain so every enqueued batch has run
-	for _, seen := range det.sentences() {
-		if seen == "cancelled-job" {
-			t.Fatal("cancelled job's sentences were classified anyway")
-		}
-	}
+	g.free()
+	g.wantNext("behind-it") // the batch held both jobs; only the live one ran
+	g.finish(blocker, behind)
 }
 
 // TestDetectContextPreCancelled checks an already-dead context never
@@ -389,7 +370,7 @@ func TestDetectContextPreCancelled(t *testing.T) {
 // panic.
 func TestServerCloseWithInflightDetectContext(t *testing.T) {
 	det := &countingDetector{delay: time.Millisecond}
-	s := NewServerWith(det, BatchConfig{MaxBatch: 4, FlushDelay: time.Millisecond, Workers: 2, QueueDepth: 8})
+	s := NewServerWith(det, BatchConfig{MaxBatch: 4, Workers: 2, QueueDepth: 8})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -424,45 +405,23 @@ func TestServerCloseWithInflightDetectContext(t *testing.T) {
 }
 
 // TestRunBatchResultsNotAliased pins the fix for jobs sharing one results
-// backing array: mutating one caller's results must not corrupt another's,
-// even when the dispatcher coalesced them into a single batch.
+// backing array: mutating one caller's results must not corrupt another's
+// when both were answered from a single batch.
 func TestRunBatchResultsNotAliased(t *testing.T) {
-	det := &countingDetector{delay: 50 * time.Millisecond}
-	s := NewServerWith(det, BatchConfig{MaxBatch: 8, FlushDelay: 5 * time.Millisecond, Workers: 1})
-	defer s.Close()
-
-	// Hold the single worker so the next two requests coalesce.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); s.Detect([]string{"blocker"}) }()
-	time.Sleep(10 * time.Millisecond)
-
-	type out struct {
-		res []Result
-		err error
+	g := newGatedEngine(t, BatchConfig{MaxBatch: 8, Workers: 1})
+	g.hold("blocker")
+	ps := g.singles("aa", "bbbb")
+	g.free()
+	g.wantNext("aa", "bbbb")
+	g.freeAll()
+	first, second := <-ps[0].out, <-ps[1].out
+	if first.err != nil || second.err != nil || len(first.res) != 1 || len(second.res) != 1 {
+		t.Fatalf("outcomes %+v, %+v", first, second)
 	}
-	ch := make(chan out, 2)
-	for _, sentence := range []string{"aa", "bbbb"} {
-		go func(sentence string) {
-			res, err := s.Detect([]string{sentence})
-			ch <- out{res, err}
-		}(sentence)
-	}
-	var got [2]out
-	for i := range got {
-		got[i] = <-ch
-		if got[i].err != nil {
-			t.Fatal(got[i].err)
-		}
-		if len(got[i].res) != 1 {
-			t.Fatalf("request %d: %d results", i, len(got[i].res))
-		}
-	}
-	wg.Wait()
-	want1 := got[1].res[0]
-	got[0].res[0] = Result{Label: -99, Score: -99}
-	if got[1].res[0] != want1 {
-		t.Fatalf("mutating request 0's results changed request 1's: %+v", got[1].res[0])
+	want := second.res[0]
+	first.res[0] = Result{Label: -99, Score: -99}
+	if second.res[0] != want {
+		t.Fatalf("mutating request 0's results changed request 1's: %+v", second.res[0])
 	}
 }
 

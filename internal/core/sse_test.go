@@ -223,8 +223,8 @@ func TestMonitorIngestPersistsTraceState(t *testing.T) {
 }
 
 // TestServerGoroutineDrain is the leak probe behind anomalyd's graceful
-// shutdown: after CloseStreams + Close, every server goroutine (dispatcher,
-// workers, SSE handlers) must exit.
+// shutdown: after CloseStreams + Close, every server goroutine (workers,
+// SSE handlers) must exit.
 func TestServerGoroutineDrain(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 

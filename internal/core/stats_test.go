@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestEngineStatsCounters drives requests through a registry and checks the
@@ -16,7 +15,7 @@ import (
 // savings, and non-negative stage latencies.
 func TestEngineStatsCounters(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Add("m", hashDetector{}, BatchConfig{MaxBatch: 8, FlushDelay: time.Millisecond}); err != nil {
+	if err := reg.Add("m", hashDetector{}, BatchConfig{MaxBatch: 8}); err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()

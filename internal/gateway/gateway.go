@@ -470,14 +470,18 @@ func (g *Gateway) forwardOnce(ctx context.Context, rep *replica, method, uri, co
 	}
 	start := time.Now()
 	resp, err := g.cfg.Client.Do(req)
-	if err != nil {
-		rep.breaker.Record(false)
-		rep.failures.Add(1)
-		return nil, err
+	var respBody []byte
+	if err == nil {
+		respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxBody))
+		resp.Body.Close()
 	}
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
-	resp.Body.Close()
 	if err != nil {
+		if ctx.Err() != nil {
+			// The caller gave up — a hedge race's winner cancels the loser —
+			// which says nothing about the replica: neither success nor failure.
+			rep.breaker.Abandon()
+			return nil, err
+		}
 		rep.breaker.Record(false)
 		rep.failures.Add(1)
 		return nil, err

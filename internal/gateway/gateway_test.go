@@ -622,3 +622,73 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	}
 	t.Fatalf("condition not met within %v", timeout)
 }
+
+// scriptedTransport answers each forward as its script says: "ok" is a 200,
+// "error" a transport failure, "cancelled" cancels the caller's context (as a
+// hedge race's winner does to the loser) and fails the way net/http then does.
+type scriptedTransport struct {
+	outcome string
+	cancel  context.CancelFunc
+}
+
+func (s *scriptedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	switch s.outcome {
+	case "ok":
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Body: io.NopCloser(strings.NewReader(`{}`))}, nil
+	case "cancelled":
+		s.cancel()
+		return nil, req.Context().Err()
+	}
+	return nil, fmt.Errorf("connection refused")
+}
+
+// TestForwardCancelledIsNotAReplicaFailure pins that an attempt which failed
+// because its caller's context was cancelled counts neither way on the
+// replica's breaker and failure counter, while a transport error still does.
+func TestForwardCancelledIsNotAReplicaFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		script   []string
+		state    string
+		failures int64
+	}{
+		{"cancelled attempts leave the circuit closed", []string{"cancelled", "cancelled", "cancelled", "cancelled"}, "closed", 0},
+		{"transport errors still open it", []string{"error", "error"}, "open", 2},
+		{"a cancelled attempt does not reset the streak", []string{"error", "cancelled", "error"}, "open", 2},
+		// The 1ns cooldown has always passed by the next attempt, so each
+		// attempt after the circuit opens is a half-open probe.
+		{"a cancelled probe lets the next request probe", []string{"error", "error", "cancelled", "ok"}, "closed", 2},
+		{"a failed probe re-opens", []string{"error", "error", "cancelled", "error"}, "open", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := &scriptedTransport{}
+			g, err := New(context.Background(), Config{
+				Replicas:         []string{"http://replica.invalid"},
+				Client:           &http.Client{Transport: rt},
+				HealthInterval:   time.Hour, // no probe runs during the test
+				BreakerThreshold: 2,
+				BreakerCooldown:  time.Nanosecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			rep := g.replicas["http://replica.invalid"]
+			for i, outcome := range tc.script {
+				ctx, cancel := context.WithCancel(context.Background())
+				rt.outcome, rt.cancel = outcome, cancel
+				_, err := g.forwardOnce(ctx, rep, http.MethodPost, "/v1/detect", "application/json", []byte(`{}`))
+				cancel()
+				if (err == nil) != (outcome == "ok") {
+					t.Fatalf("attempt %d (%s): err = %v", i, outcome, err)
+				}
+			}
+			if got := rep.breaker.State().String(); got != tc.state {
+				t.Errorf("breaker %s, want %s", got, tc.state)
+			}
+			if got := rep.failures.Load(); got != tc.failures {
+				t.Errorf("failures = %d, want %d", got, tc.failures)
+			}
+		})
+	}
+}

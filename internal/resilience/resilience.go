@@ -258,6 +258,16 @@ func (b *Breaker) Record(success bool) {
 	}
 }
 
+// Abandon reports that an allowed request ended with no outcome to judge the
+// replica by — its caller gave up first. Nothing is counted and the state
+// stays put; a half-open probe slot is handed back so the next request can
+// probe instead of the circuit waiting forever on a probe that never reports.
+func (b *Breaker) Abandon() {
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
+}
+
 // State returns the breaker's current position (telemetry; the answer may be
 // stale by the time it is read).
 func (b *Breaker) State() BreakerState {

@@ -284,3 +284,46 @@ func TestClientBreakerRefusesFast(t *testing.T) {
 		t.Fatalf("breaker-open counter = %d, want 1", c.BreakerOpen.Load())
 	}
 }
+
+// TestBreakerAbandon pins the third outcome: an attempt whose caller gave up
+// is neither success nor failure — it leaves the streak and the state alone —
+// and an abandoned half-open probe hands its slot to the next request.
+func TestBreakerAbandon(t *testing.T) {
+	now := time.Unix(0, 0)
+	br := NewBreaker(2, time.Second)
+	br.now = func() time.Time { return now }
+
+	br.Allow()
+	br.Record(false)
+	for i := 0; i < 5; i++ {
+		br.Allow()
+		br.Abandon()
+	}
+	if br.State() != Closed {
+		t.Fatalf("state = %s after abandoned attempts, want closed", br.State())
+	}
+	br.Allow()
+	br.Record(false) // the streak of one was neither extended nor reset
+	if br.State() != Open {
+		t.Fatalf("state = %s after second failure, want open", br.State())
+	}
+
+	now = now.Add(2 * time.Second)
+	if !br.Allow() {
+		t.Fatal("cooldown passed but probe refused")
+	}
+	br.Abandon()
+	if br.State() != HalfOpen {
+		t.Fatalf("state = %s after abandoned probe, want half-open", br.State())
+	}
+	if !br.Allow() {
+		t.Fatal("abandoned probe kept its slot: next request refused")
+	}
+	if br.Allow() {
+		t.Fatal("second concurrent probe allowed")
+	}
+	br.Record(true)
+	if br.State() != Closed {
+		t.Fatalf("state = %s after successful probe, want closed", br.State())
+	}
+}
