@@ -249,7 +249,10 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 	}
 	flagWord := regexp.MustCompile("^--?([a-z][a-z0-9-]*)")
 
-	var contAt, contBin string // a command line continued by a backslash, and its binary
+	// A command line ending in a backslash continues on the next line of the
+	// same file, still addressed to contBin.
+	var contPath, contBin string
+	var contLine int
 	eachDocSpan(t, func(s docSpan) {
 		if m := flagWord.FindStringSubmatch(s.code); m != nil && s.prose {
 			if !anywhere[m[1]] {
@@ -258,7 +261,7 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 			return
 		}
 		bin := ""
-		if contAt == s.String() {
+		if s.path == contPath && s.n == contLine {
 			bin = contBin
 		}
 		for _, tok := range strings.Fields(s.code) {
@@ -275,9 +278,9 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 				}
 			}
 		}
-		contAt, contBin = "", ""
+		contPath = ""
 		if !s.prose && strings.HasSuffix(strings.TrimSpace(s.code), "\\") {
-			contAt, contBin = docSpan{path: s.path, n: s.n + 1}.String(), bin
+			contPath, contLine, contBin = s.path, s.n+1, bin
 		}
 	})
 }

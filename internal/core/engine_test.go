@@ -90,6 +90,12 @@ type gateDetector struct {
 	release chan struct{} // one send lets one invocation finish; close frees all
 }
 
+// newGateDetector sizes entered so that no worker blocks reporting a batch
+// the test has not asked about yet.
+func newGateDetector() *gateDetector {
+	return &gateDetector{entered: make(chan []string, 64), release: make(chan struct{})}
+}
+
 func (d *gateDetector) DetectBatch(ss []string) []Result {
 	d.entered <- append([]string(nil), ss...)
 	<-d.release
@@ -127,9 +133,7 @@ type gatedEngine struct {
 func newGatedEngine(t *testing.T, cfg BatchConfig) *gatedEngine {
 	t.Helper()
 	cfg.fill()
-	// entered is sized so no worker ever blocks reporting a batch the test
-	// has not asked about yet.
-	det := &gateDetector{entered: make(chan []string, 64), release: make(chan struct{})}
+	det := newGateDetector()
 	g := &gatedEngine{t: t, det: det, rec: &statsRecorder{}}
 	g.freeAll = sync.OnceFunc(func() { close(det.release) })
 	g.eng = newEngine(det, cfg, g.rec, nil, nil)

@@ -15,31 +15,7 @@ import (
 
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
-	"repro/internal/tensor"
 )
-
-// stallDetector blocks each batch until released (or for a fixed delay),
-// letting tests pile up a queue deterministically.
-type stallDetector struct {
-	hashDetector
-	delay   time.Duration
-	release chan struct{} // when non-nil, batches block here instead of sleeping
-	batches atomic.Int64
-}
-
-func (d *stallDetector) DetectBatch(ss []string) []Result {
-	d.batches.Add(1)
-	if d.release != nil {
-		<-d.release
-	} else if d.delay > 0 {
-		time.Sleep(d.delay)
-	}
-	return d.hashDetector.DetectBatch(ss)
-}
-
-func (d *stallDetector) DetectBatchWS(ss []string, _ *tensor.Workspace) []Result {
-	return d.DetectBatch(ss)
-}
 
 // TestAdmissionControlSheds pins that the shed budget is exact: the queue is
 // the whole backlog, so a held one-worker engine with ShedQueueDepth 4 admits
@@ -71,7 +47,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 // TestShedOverHTTP pins the 429 wire contract: status, Retry-After in whole
 // seconds, and Retry-After-Ms agreeing with it.
 func TestShedOverHTTP(t *testing.T) {
-	det := &stallDetector{release: make(chan struct{})}
+	det := newGateDetector()
 	srv := NewServerWith(det, BatchConfig{MaxBatch: 1, Workers: 1, QueueDepth: 64, ShedQueueDepth: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -127,7 +103,7 @@ func TestShedOverHTTP(t *testing.T) {
 // contract: the HTTP 504 on expiry, and the expired counter proving the job
 // was dropped at dequeue rather than computed.
 func TestDeadlineExpiresQueuedRequest(t *testing.T) {
-	det := &stallDetector{release: make(chan struct{})}
+	det := newGateDetector()
 	srv := NewServerWith(det, BatchConfig{MaxBatch: 1, Workers: 1, QueueDepth: 64})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -141,9 +117,7 @@ func TestDeadlineExpiresQueuedRequest(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	for det.batches.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-det.entered
 
 	resp, err := ts.Client().Post(ts.URL+"/v1/detect/batch?deadline_ms=30", "application/json",
 		strings.NewReader(`{"sentences": ["x is 1.0"]}`))
@@ -187,7 +161,7 @@ func TestDeadlineExpiresQueuedRequest(t *testing.T) {
 // TestMaxQueueWaitSheds checks the queue-time budget: jobs that outstay
 // MaxQueueWait are shed at dequeue with the 429 contract, not computed.
 func TestMaxQueueWaitSheds(t *testing.T) {
-	det := &stallDetector{release: make(chan struct{})}
+	det := newGateDetector()
 	reg := NewRegistry()
 	cfg := BatchConfig{MaxBatch: 1, Workers: 1, QueueDepth: 64, MaxQueueWait: 20 * time.Millisecond}
 	if err := reg.Add("m", det, cfg); err != nil {
@@ -261,7 +235,7 @@ func TestBrownoutStateMachine(t *testing.T) {
 // installed and checks that traffic flips to the degraded tier (marked
 // degraded, counted in stats) and recovers after the queue drains.
 func TestBrownoutServesDegraded(t *testing.T) {
-	det := &stallDetector{release: make(chan struct{})}
+	det := newGateDetector()
 	reg := NewRegistry()
 	cfg := BatchConfig{
 		MaxBatch: 1, Workers: 1, QueueDepth: 64,
