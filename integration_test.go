@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -281,6 +282,48 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 		contPath = ""
 		if !s.prose && strings.HasSuffix(strings.TrimSpace(s.code), "\\") {
 			contPath, contLine, contBin = s.path, s.n+1, bin
+		}
+	})
+}
+
+// TestDocsNameOnlyExistingTests fails on a backticked `Test…`, `Benchmark…`
+// or `Fuzz…` name that no _test.go in the repository declares; a trailing `*`
+// makes the name a prefix. docs/PERFORMANCE.md is measurement history, like
+// CHANGES.md, and exempt: it names the benchmarks that produced old numbers.
+func TestDocsNameOnlyExistingTests(t *testing.T) {
+	declaration := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
+	var declared []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, and the benchmark's build cache
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range declaration.FindAllSubmatch(src, -1) {
+			declared = append(declared, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(declared) == 0 {
+		t.Fatal("found no test declarations")
+	}
+	mention := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*\*?`)
+	eachDocSpan(t, func(s docSpan) {
+		if !s.prose || s.path == filepath.Join("docs", "PERFORMANCE.md") {
+			return
+		}
+		for _, name := range mention.FindAllString(s.code, -1) {
+			prefix, isPrefix := strings.CutSuffix(name, "*")
+			if !slices.ContainsFunc(declared, func(d string) bool {
+				return d == prefix || isPrefix && strings.HasPrefix(d, prefix)
+			}) {
+				t.Errorf("%s names `%s`, which no _test.go declares", s, name)
+			}
 		}
 	})
 }

@@ -7,9 +7,9 @@ package core
 // same PCA/iForest family the brownout uses — as an always-on *first stage*
 // in front of the transformer. The calibrated gate
 // (internal/cascade) short-circuits confidently-normal lines to a verdict
-// inside runBatch and the monitor chunk path, so only the uncertain band
-// pays full encoder cost, pinned to ≥99% verdict agreement with
-// transformer-only serving.
+// inside runBatch — the one place, which monitor chunks pass through like
+// every detect request — so only the uncertain band pays full encoder cost,
+// pinned to ≥99% verdict agreement with transformer-only serving.
 
 import (
 	"sync"

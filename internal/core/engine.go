@@ -15,16 +15,32 @@ import (
 var ErrServerClosed = errors.New("core: server closed")
 
 // detectJob is one coalescable unit of work: the sentences of a single HTTP
-// request (or programmatic Detect call) and the slot their results land in.
-// ctx is the caller's context: a job whose caller has gone away by the time
-// its batch runs is skipped instead of computed for nobody.
+// request, programmatic Detect call or monitor chunk, and the slot their
+// results land in. ctx is the caller's context: a job whose caller has gone
+// away by the time its batch runs is skipped instead of computed for nobody.
 type detectJob struct {
 	ctx       context.Context
 	sentences []string
 	enqueued  time.Time // when the job entered the queue (stage-latency stats)
 	results   []Result
+	degraded  bool  // the brownout fallback answered, not the primary model
 	err       error // set before done closes when the job was skipped
 	done      chan struct{}
+}
+
+// wait blocks until the job's results are ready (in input order) and returns
+// them, or returns ctx.Err() as soon as the submitter's context is done,
+// whether the job is still queued or in flight.
+func (j *detectJob) wait() (results []Result, degraded bool, err error) {
+	select {
+	case <-j.done:
+		// A skipped job closes done with err set; returning it (rather than
+		// assuming results exist) matters because this select can win the
+		// race against ctx.Done after a cancellation.
+		return j.results, j.degraded, j.err
+	case <-j.ctx.Done():
+		return nil, false, j.ctx.Err()
+	}
 }
 
 // engine is the inference machinery behind one served detector: a job queue
@@ -34,13 +50,13 @@ type detectJob struct {
 //
 // Lifecycle: newEngine starts the goroutines; Close drains queued jobs, waits
 // for in-flight batches to finish, and releases the workers. After Close,
-// DetectContext fails with ErrServerClosed — callers holding a stale engine
-// (one swapped out of a registry) re-fetch and retry, so a hot-swap drops no
+// submit fails with ErrServerClosed — callers holding a stale engine (one
+// swapped out of a registry) re-fetch and retry, so a hot-swap drops no
 // requests.
 type engine struct {
 	det   Detector
 	cfg   BatchConfig
-	stats *statsRecorder // owned by the registry slot; survives swaps
+	stats *statsRecorder // owned by the registry slot (or the monitor run); survives swaps
 	fb    *fallbackSlot  // owned by the registry slot; may hold no detector
 	gate  *cascadeSlot   // owned by the registry slot; may hold no gate
 	brown brownout
@@ -51,10 +67,8 @@ type engine struct {
 	wg     sync.WaitGroup
 }
 
-// newEngine starts the worker pool for det. cfg must already
-// be filled. stats may be nil (engines outside a registry slot run
-// uninstrumented); fb may be nil (no brownout tier); gate may be nil (no
-// cascade first stage).
+// newEngine starts the worker pool for det. cfg must already be filled. fb
+// may be nil (no brownout tier); gate may be nil (no cascade first stage).
 func newEngine(det Detector, cfg BatchConfig, stats *statsRecorder, fb *fallbackSlot, gate *cascadeSlot) *engine {
 	if fb == nil {
 		fb = &fallbackSlot{}
@@ -83,7 +97,7 @@ func newEngine(det Detector, cfg BatchConfig, stats *statsRecorder, fb *fallback
 }
 
 // Close drains queued requests, stops the inference workers, and fails
-// subsequent DetectContext calls with ErrServerClosed. It blocks until every
+// subsequent submit calls with ErrServerClosed. It blocks until every
 // in-flight batch has completed — the drain guarantee Registry.Swap relies on
 // — and is idempotent.
 func (e *engine) Close() {
@@ -98,45 +112,43 @@ func (e *engine) Close() {
 	e.wg.Wait()
 }
 
-// DetectContext classifies sentences through the coalescing layer, blocking
-// until their results are ready (in input order). It returns ctx.Err() as
-// soon as ctx is done, whether the job is still queued or in flight, and the
-// batch runner skips enqueued jobs whose context has already been cancelled
-// instead of computing results nobody will read.
+// submit hands sentences to the coalescing layer and returns the job to wait
+// on. Every front end — detect requests and monitor chunks alike — enters
+// here, and the batch runner skips enqueued jobs whose context has already
+// been cancelled instead of computing results nobody will read.
 //
 // Overload handling happens here, before any work is queued. When the slot
 // holds a brownout fallback and sustained saturation has engaged it, the
-// request is answered by the cheap tier immediately (degraded=true) without
-// touching the queue. Otherwise, if the queue already holds ShedQueueDepth
-// jobs, the request is shed with an OverloadedError carrying a Retry-After
-// estimate — the 429 path — rather than deepening a backlog the workers
-// cannot drain.
-func (e *engine) DetectContext(ctx context.Context, sentences []string) (results []Result, degraded bool, err error) {
+// request is answered by the cheap tier immediately (an already-done job
+// marked degraded) without touching the queue. Otherwise, if the queue already
+// holds ShedQueueDepth jobs, the request is shed with an OverloadedError
+// carrying a Retry-After estimate — the 429 path — rather than deepening a
+// backlog the workers cannot drain.
+func (e *engine) submit(ctx context.Context, sentences []string) (*detectJob, error) {
+	j := &detectJob{ctx: ctx, sentences: sentences, done: make(chan struct{})}
 	if len(sentences) == 0 {
-		return nil, false, nil
+		close(j.done)
+		return j, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	depth := len(e.jobs)
 	if fb := e.fb.load(); fb != nil && e.brown.observe(depth, time.Now()) {
-		res := fb.DetectBatch(sentences)
-		if e.stats != nil {
-			e.stats.degradedServed(len(sentences))
-		}
-		return res, true, nil
+		j.results, j.degraded = fb.DetectBatch(sentences), true
+		e.stats.degradedServed(len(sentences))
+		close(j.done)
+		return j, nil
 	}
 	if shed := e.cfg.ShedQueueDepth; shed > 0 && depth >= shed {
-		if e.stats != nil {
-			e.stats.shedRequest()
-		}
-		return nil, false, &OverloadedError{RetryAfter: e.retryAfter(depth)}
+		e.stats.shedRequest()
+		return nil, &OverloadedError{RetryAfter: e.retryAfter(depth)}
 	}
-	j := &detectJob{ctx: ctx, sentences: sentences, enqueued: time.Now(), done: make(chan struct{})}
+	j.enqueued = time.Now()
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	if e.closed {
-		e.mu.RUnlock()
-		return nil, false, ErrServerClosed
+		return nil, ErrServerClosed
 	}
 	// The send below blocks while e.mu is read-held on purpose: holding the
 	// RLock across the send is the shutdown handshake — Close takes the
@@ -145,24 +157,12 @@ func (e *engine) DetectContext(ctx context.Context, sentences []string) (results
 	//lint:ignore locksafe send under RLock is the close-safe handoff; Close's write lock waits for senders, ctx bounds the wait
 	select {
 	case e.jobs <- j:
-		if e.stats != nil {
-			// len(e.jobs) right after our send is the queue depth this
-			// request observed — the saturation signal /v1/models reports.
-			e.stats.enqueued(len(sentences), len(e.jobs))
-		}
-		e.mu.RUnlock()
+		// len(e.jobs) right after our send is the queue depth this request
+		// observed — the saturation signal /v1/models reports.
+		e.stats.enqueued(len(sentences), len(e.jobs))
+		return j, nil
 	case <-ctx.Done():
-		e.mu.RUnlock()
-		return nil, false, ctx.Err()
-	}
-	select {
-	case <-j.done:
-		// A skipped job closes done with err set; returning it (rather than
-		// assuming results exist) matters because this select can win the
-		// race against ctx.Done after a cancellation.
-		return j.results, false, j.err
-	case <-ctx.Done():
-		return nil, false, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
@@ -174,10 +174,8 @@ func (e *engine) DetectContext(ctx context.Context, sentences []string) (results
 // cold stats window or a pathological p50 still yields a sane hint.
 func (e *engine) retryAfter(depth int) time.Duration {
 	per := 25 * time.Millisecond
-	if e.stats != nil {
-		if p50 := e.stats.computeP50(); p50 > 0 {
-			per = p50
-		}
+	if p50 := e.stats.computeP50(); p50 > 0 {
+		per = p50
 	}
 	workers := e.cfg.Workers
 	if workers < 1 {
@@ -268,12 +266,12 @@ func (w *batchWorker) runBatch(batch []*detectJob, wsDet BatchWSDetector) {
 	live := make([]*detectJob, 0, len(batch))
 	total := 0
 	for _, j := range batch {
-		if j.ctx != nil && j.ctx.Err() != nil {
+		if j.ctx.Err() != nil {
 			// Deadline enforcement at dequeue: a request whose deadline (or
 			// caller) died while it sat queued is dropped before compute —
 			// the model never runs for a client that has already given up.
 			j.err = j.ctx.Err()
-			if e.stats != nil && errors.Is(j.err, context.DeadlineExceeded) {
+			if errors.Is(j.err, context.DeadlineExceeded) {
 				e.stats.expiredRequest()
 			}
 			close(j.done) // waiter already gone; unblock any racing reader
@@ -284,9 +282,7 @@ func (w *batchWorker) runBatch(batch []*detectJob, wsDet BatchWSDetector) {
 			// answer would arrive too stale to be worth the compute. Shed it
 			// with the same 429 contract as admission control.
 			j.err = &OverloadedError{RetryAfter: e.retryAfter(len(e.jobs))}
-			if e.stats != nil {
-				e.stats.shedRequest()
-			}
+			e.stats.shedRequest()
 			close(j.done)
 			continue
 		}
@@ -345,9 +341,7 @@ func (w *batchWorker) runBatch(batch []*detectJob, wsDet BatchWSDetector) {
 			run = append(run, s)
 			runIdx = append(runIdx, i)
 		}
-		if e.stats != nil {
-			e.stats.cascadeGated(len(uniq), len(uniq)-len(run))
-		}
+		e.stats.cascadeGated(len(uniq), len(uniq)-len(run))
 	}
 	results := make([]Result, 0, len(run))
 	for lo := 0; lo < len(run); lo += e.cfg.MaxBatch {
@@ -365,7 +359,7 @@ func (w *batchWorker) runBatch(batch []*detectJob, wsDet BatchWSDetector) {
 		}
 		results = gated
 	}
-	if e.stats != nil && len(live) > 0 {
+	if len(live) > 0 {
 		waits := make([]time.Duration, len(live))
 		for i, j := range live {
 			waits[i] = started.Sub(j.enqueued)

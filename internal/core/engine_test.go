@@ -106,6 +106,16 @@ func (d *gateDetector) DetectBatchWS(ss []string, _ *tensor.Workspace) []Result 
 	return d.DetectBatch(ss)
 }
 
+// DetectContext is submit then wait — what Server.DetectModelDegraded does
+// once it has routed — for tests that drive an engine directly.
+func (e *engine) DetectContext(ctx context.Context, sentences []string) (results []Result, degraded bool, err error) {
+	j, err := e.submit(ctx, sentences)
+	if err != nil {
+		return nil, false, err
+	}
+	return j.wait()
+}
+
 // pendingDetect is one DetectContext call in flight: what it asked and where
 // its outcome will arrive.
 type pendingDetect struct {
@@ -155,14 +165,19 @@ func (g *gatedEngine) submit(ctx context.Context, sentences ...string) pendingDe
 		ch <- detectOutcome{res, err}
 	}()
 	g.sent++
-	deadline := time.Now().Add(10 * time.Second)
-	for g.stats().Requests < g.sent {
-		if time.Now().After(deadline) {
-			g.t.Fatalf("job %d never reached the engine", g.sent)
-		}
-		runtime.Gosched()
-	}
+	waitFor(g.t, "the job to reach the engine", func() bool { return g.stats().Requests >= g.sent })
 	return pendingDetect{sentences, ch}
+}
+
+// waitFor yields until cond holds — an event another goroutine is about to
+// produce, so no sleep — and fails the test if it has not after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 // singles submits one single-sentence job per sentence, in order.

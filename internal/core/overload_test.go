@@ -99,6 +99,49 @@ func TestShedOverHTTP(t *testing.T) {
 	}
 }
 
+// TestMonitorShedOverHTTP pins that /v1/monitor speaks the same overload
+// contract as the detect endpoints: a chunk shed by admission control answers
+// 429 with both retry headers — not 400, which a retrying client reads as its
+// own mistake — and the partial report is still the body. The worker is held
+// and the queue put at its budget first, so the ingest's one chunk is the shed
+// request.
+func TestMonitorShedOverHTTP(t *testing.T) {
+	det := newGateDetector()
+	srv := NewServerWith(det, BatchConfig{MaxBatch: 2, Workers: 1, ShedQueueDepth: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer close(det.release) // LIFO: the worker unblocks before the closes wait on it
+
+	go srv.Detect([]string{"held"})
+	<-det.entered
+	go srv.Detect([]string{"queued"})
+	waitFor(t, "the second request to queue behind the held worker", func() bool {
+		st, _ := srv.Registry().Stats("")
+		return st.QueueLen == 1
+	})
+
+	resp, err := ts.Client().Post(ts.URL+"/v1/monitor", "text/plain",
+		strings.NewReader(logOf([]flowbench.Job{streamJob(1, 0, true), streamJob(1, 1, false)})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("shed ingest status = %d, want 429", resp.StatusCode)
+	}
+	if ra, raMs := resp.Header.Get("Retry-After"), resp.Header.Get("Retry-After-Ms"); ra == "" || raMs == "" {
+		t.Fatalf("429 missing retry headers: Retry-After %q, Retry-After-Ms %q", ra, raMs)
+	}
+	var body MonitorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("429 body is not a MonitorResponse: %v", err)
+	}
+	if body.Processed != 0 || !strings.Contains(body.Error, "overloaded") {
+		t.Fatalf("body = %+v, want nothing processed and the overload named", body)
+	}
+}
+
 // TestDeadlineExpiresQueuedRequest checks both halves of the deadline
 // contract: the HTTP 504 on expiry, and the expired counter proving the job
 // was dropped at dequeue rather than computed.

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/flowbench"
 	"repro/internal/logparse"
 )
 
@@ -337,12 +336,22 @@ func (s *Server) DetectModelContext(ctx context.Context, model string, sentences
 // admission control or the queue-wait budget fail with an *OverloadedError
 // (errors.Is ErrOverloaded) carrying a Retry-After estimate.
 func (s *Server) DetectModelDegraded(ctx context.Context, model string, sentences []string) ([]Result, bool, error) {
+	j, err := s.submit(ctx, model, sentences)
+	if err != nil {
+		return nil, false, err
+	}
+	return j.wait()
+}
+
+// submit routes sentences to the named model's engine ("" = default) and
+// returns the queued job, re-routing when a hot-swap closed that engine first.
+func (s *Server) submit(ctx context.Context, model string, sentences []string) (*detectJob, error) {
 	for {
 		eng, err := s.reg.route(model)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		res, degraded, err := eng.DetectContext(ctx, sentences)
+		j, err := eng.submit(ctx, sentences)
 		if errors.Is(err, ErrServerClosed) {
 			// The engine was swapped out (or the registry closed) between
 			// route and enqueue. Re-route: a swap installs a replacement the
@@ -350,7 +359,7 @@ func (s *Server) DetectModelDegraded(ctx context.Context, model string, sentence
 			// route and terminates the loop.
 			continue
 		}
-		return res, degraded, err
+		return j, err
 	}
 }
 
@@ -367,87 +376,27 @@ func (s *Server) MonitorIngest(ctx context.Context, r io.Reader, strict bool, ex
 // /v1/monitor and anomalyd's -tail mode.
 //
 // Inference goes through the same per-model coalescing queue as /v1/detect:
-// each chunk is enqueued as one job, so concurrent ingests share the worker
-// pool's backpressure (QueueDepth) instead of spawning their own unbounded
-// inference — /v1/monitor cannot starve detect traffic of workers. The model
-// name is resolved once at the start, so a stream keeps feeding the same
-// logical model even while its detector is hot-swapped mid-ingest.
+// each chunk is submitted as one job, so concurrent ingests share the worker
+// pool's backpressure and admission control — /v1/monitor cannot starve detect
+// traffic of workers, and a shed chunk ends the ingest with its
+// *OverloadedError. The model name is resolved once at the start, so a stream
+// keeps feeding the same logical model even while it is hot-swapped mid-ingest.
 func (s *Server) MonitorIngestModel(ctx context.Context, model string, r io.Reader, strict bool, extra ...AlertSink) (MonitorReport, error) {
 	name, tracker, cfg, err := s.reg.monitorState(model)
 	if err != nil {
 		return MonitorReport{}, err
 	}
-	det, err := s.reg.Detector(name)
-	if err != nil {
-		return MonitorReport{}, err
+	submit := func(ctx context.Context, sentences []string) (*detectJob, error) {
+		return s.submit(ctx, name, sentences)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	qd := &queueDetector{inner: det, s: s, model: name, ctx: ctx, cancel: cancel}
-	mcfg := MonitorConfig{
+	return monitor(ctx, submit, r, MonitorConfig{
 		ChunkSize: cfg.MaxBatch,
 		Workers:   cfg.Workers,
 		Strict:    strict,
 		Tracker:   tracker,
 		Sinks:     append([]AlertSink{busSink{bus: s.bus, model: name}}, extra...),
-	}
-	report, err := MonitorWith(ctx, qd, r, mcfg)
-	if qerr := qd.firstErr(); qerr != nil && (err == nil || errors.Is(err, context.Canceled)) {
-		err = qerr
-	}
-	return report, err
+	})
 }
-
-// queueDetector adapts the server's coalescing per-model detect path to the
-// monitor's Detector interface: monitor chunks become queue jobs executed by
-// the model's pooled inference workers (which own the workspaces), rather
-// than direct model calls. On a queue error it cancels the ingest and records
-// the cause.
-type queueDetector struct {
-	inner  Detector
-	s      *Server
-	model  string
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu  sync.Mutex
-	err error
-}
-
-func (d *queueDetector) DetectBatch(sentences []string) []Result {
-	res, err := d.s.DetectModelContext(d.ctx, d.model, sentences)
-	if err != nil {
-		d.mu.Lock()
-		if d.err == nil && !errors.Is(err, context.Canceled) {
-			d.err = err
-		}
-		d.mu.Unlock()
-		d.cancel()
-		// Nil, not zeroed: the collector folds only returned results into
-		// the report, so a failed chunk is dropped rather than counted as
-		// len(sentences) confident "normal" classifications.
-		return nil
-	}
-	return res
-}
-
-func (d *queueDetector) firstErr() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
-}
-
-func (d *queueDetector) DetectSentence(sentence string) Result {
-	res := d.DetectBatch([]string{sentence})
-	if len(res) == 0 {
-		return Result{}
-	}
-	return res[0]
-}
-func (d *queueDetector) DetectJob(j flowbench.Job) Result {
-	return d.DetectSentence(logparse.Sentence(j))
-}
-func (d *queueDetector) Approach() Approach { return d.inner.Approach() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -554,37 +503,70 @@ func requestDeadline(r *http.Request, cfg BatchConfig) (time.Duration, error) {
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// deadlineContext applies d (when positive) to ctx.
-func deadlineContext(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, d)
-}
-
 // writeDetectError maps routing/queue errors to HTTP statuses: unknown model
 // names are the client's mistake (404); shed requests are 429 with the
-// server's drain estimate in Retry-After (integer seconds, per RFC 9110) and
-// Retry-After-Ms (exact milliseconds, for clients that can back off finer
-// than a second); an expired deadline is 504; everything else is 503.
+// server's drain estimate in the retry headers; an expired deadline is 504;
+// everything else is 503.
 func writeDetectError(w http.ResponseWriter, err error) {
 	var oe *OverloadedError
 	switch {
 	case errors.Is(err, ErrUnknownModel):
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.As(err, &oe):
-		secs := int64((oe.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		w.Header().Set("Retry-After-Ms", strconv.FormatInt(oe.RetryAfter.Milliseconds(), 10))
+		setRetryAfter(w.Header(), oe.RetryAfter)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, "deadline exceeded before results were ready", http.StatusGatewayTimeout)
 	default:
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	}
+}
+
+// setRetryAfter writes a 429's two retry headers: Retry-After (integer
+// seconds, per RFC 9110) and Retry-After-Ms (exact milliseconds, for clients
+// that can back off finer than a second).
+func setRetryAfter(h http.Header, d time.Duration) {
+	secs := int64((d + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	h.Set("Retry-After", strconv.FormatInt(secs, 10))
+	h.Set("Retry-After-Ms", strconv.FormatInt(d.Milliseconds(), 10))
+}
+
+// detect is what both detect handlers do once they hold the request's
+// sentences: look up the model's configuration, enforce its per-request cap,
+// resolve the deadline, and run the sentences through the model's queue. On
+// failure it has written the error reply and ok is false.
+func (s *Server) detect(w http.ResponseWriter, r *http.Request, sentences []string) (results []Result, degraded, ok bool) {
+	model := modelParam(r)
+	cfg, err := s.reg.config(model)
+	if err != nil {
+		writeDetectError(w, err)
+		return nil, false, false
+	}
+	if len(sentences) > cfg.MaxRequest {
+		http.Error(w, fmt.Sprintf("batch of %d sentences exceeds the per-request cap of %d",
+			len(sentences), cfg.MaxRequest), http.StatusRequestEntityTooLarge)
+		return nil, false, false
+	}
+	dl, err := requestDeadline(r, cfg)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false, false
+	}
+	ctx := r.Context()
+	if dl > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, dl)
+		defer cancel()
+	}
+	results, degraded, err = s.DetectModelDegraded(ctx, model, sentences)
+	if err != nil {
+		writeDetectError(w, err)
+		return nil, false, false
+	}
+	return results, degraded, true
 }
 
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
@@ -614,22 +596,8 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "set exactly one of sentence or log_line", http.StatusBadRequest)
 		return
 	}
-	model := modelParam(r)
-	cfg, err := s.reg.config(model)
-	if err != nil {
-		writeDetectError(w, err)
-		return
-	}
-	dl, err := requestDeadline(r, cfg)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := deadlineContext(r.Context(), dl)
-	defer cancel()
-	results, degraded, err := s.DetectModelDegraded(ctx, model, []string{sentence})
-	if err != nil {
-		writeDetectError(w, err)
+	results, degraded, ok := s.detect(w, r, []string{sentence})
+	if !ok {
 		return
 	}
 	resp := toResponse(results[0])
@@ -647,27 +615,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	model := modelParam(r)
-	cfg, err := s.reg.config(model)
-	if err != nil {
-		writeDetectError(w, err)
-		return
-	}
-	if len(req.Sentences) > cfg.MaxRequest {
-		http.Error(w, fmt.Sprintf("batch of %d sentences exceeds the per-request cap of %d",
-			len(req.Sentences), cfg.MaxRequest), http.StatusRequestEntityTooLarge)
-		return
-	}
-	dl, err := requestDeadline(r, cfg)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel := deadlineContext(r.Context(), dl)
-	defer cancel()
-	results, degraded, err := s.DetectModelDegraded(ctx, model, req.Sentences)
-	if err != nil {
-		writeDetectError(w, err)
+	results, degraded, ok := s.detect(w, r, req.Sentences)
+	if !ok {
 		return
 	}
 	resp := BatchResponse{Results: make([]DetectResponse, len(results)), Degraded: degraded}
@@ -683,7 +632,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // {"lines": [...]} with Content-Type application/json. `?strict=1` aborts on
 // the first malformed line; the default skips and counts. Alerts and
 // trace-flagged events stream to /v1/alerts subscribers; the response is the
-// run's MonitorReport.
+// run's MonitorReport — with an error field and 400 when the run aborted, 429
+// plus the retry headers when the model shed one of its chunks.
 func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -713,16 +663,21 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	report, err := s.MonitorIngestModel(r.Context(), modelParam(r), body, strict)
 	resp := MonitorResponse{MonitorReport: report}
 	switch {
-	case errors.Is(err, ErrUnknownModel):
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	case errors.Is(err, ErrServerClosed):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+	case errors.Is(err, ErrUnknownModel), errors.Is(err, ErrServerClosed):
+		writeDetectError(w, err) // 404 and 503, as for detect
 		return
 	case err != nil:
+		// A shed chunk is the server's overload, not the client's mistake: a
+		// shed detect's status and retry headers, the partial report the body.
+		status := http.StatusBadRequest
+		var oe *OverloadedError
+		if errors.As(err, &oe) {
+			setRetryAfter(w.Header(), oe.RetryAfter)
+			status = http.StatusTooManyRequests
+		}
 		resp.Error = err.Error()
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
+		w.WriteHeader(status)
 		json.NewEncoder(w).Encode(resp)
 		return
 	}

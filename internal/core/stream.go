@@ -15,7 +15,6 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
-	"repro/internal/tensor"
 )
 
 // TracePolicy decides when a workflow execution as a whole is anomalous from
@@ -317,11 +316,6 @@ type MonitorConfig struct {
 	// ChunkSize is the micro-batch size: lines per model invocation
 	// (default 32).
 	ChunkSize int
-	// FlushDelay bounds how long a partial chunk waits for more lines
-	// before being classified anyway (default 100ms, negative disables).
-	// Without it a trickling source — a tailed log growing a few lines at
-	// a time — would hold alerts hostage until ChunkSize lines accumulate.
-	FlushDelay time.Duration
 	// Workers is the number of concurrent chunk classifiers (default
 	// GOMAXPROCS). Chunks are classified in parallel but alerts and trace
 	// updates are applied in input order.
@@ -342,11 +336,10 @@ type MonitorConfig struct {
 	// Sinks receive alert and trace-flagged events in input order.
 	Sinks []AlertSink
 	// Gate, when non-nil, is the calibrated stage-1 cascade
-	// (internal/cascade): each parsed job is scored before the transformer
-	// and the confident band short-circuits to a verdict, so only the
-	// uncertain band pays encoder cost. The server's ingest path leaves this
-	// nil — its chunks route through the engine queue, which applies the
-	// slot's gate — so no line is ever gated twice.
+	// (internal/cascade) the run's engine applies to each chunk's unique
+	// sentences, as serving does: the confident band short-circuits to a
+	// verdict, so only the uncertain band pays encoder cost. The server's
+	// ingest ignores it: its chunks meet the gate of the model's own slot.
 	Gate *cascade.Gate
 }
 
@@ -354,14 +347,17 @@ func (c *MonitorConfig) fill() {
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 32
 	}
-	if c.FlushDelay == 0 {
-		c.FlushDelay = 100 * time.Millisecond
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	// Policy and MaxTraces zero values are resolved by NewTraceTracker.
 }
+
+// monitorFlushDelay bounds how long a partial chunk waits for more lines
+// before being classified anyway. Without it a trickling source — a tailed
+// log growing a few lines at a time — would hold alerts hostage until
+// ChunkSize lines accumulate.
+const monitorFlushDelay = 100 * time.Millisecond
 
 // maxLineBytes bounds a single monitor log line; longer lines are treated
 // as malformed (skipped in lenient mode) instead of aborting the stream.
@@ -396,12 +392,13 @@ func readLogLine(br *bufio.Reader, max int) (line string, tooLong bool, err erro
 	}
 }
 
-// monitorChunk is one micro-batch moving through the pipeline.
+// monitorChunk is one micro-batch moving through the pipeline: its lines read,
+// parsed and rendered, and, once submitted, the engine job classifying them.
 type monitorChunk struct {
-	idx     int
-	lines   []string
-	jobs    []flowbench.Job
-	results []Result
+	lines     []string
+	jobs      []flowbench.Job
+	sentences []string
+	job       *detectJob
 }
 
 // Monitor reads raw key=value log lines (logparse.LogLine format) from r,
@@ -419,12 +416,12 @@ func Monitor(d Detector, r io.Reader, onAlert func(Alert)) (MonitorReport, error
 	})
 }
 
-// MonitorWith is the fully configurable streaming monitor. Lines are parsed,
-// grouped into ChunkSize micro-batches, classified by a pool of Workers
-// (each owning a tensor.Workspace when the detector supports the
-// workspace-threaded batch path), and folded back in input order: alerts
-// fire per abnormal line, the tracker updates per job, and a trace-flagged
-// event fires the moment a trace first trips the policy.
+// MonitorWith is the fully configurable streaming monitor: the monitor loop
+// over a serving engine of its own (Workers workers, ChunkSize-sentence
+// batches of d) that lives for the run. Inference is therefore the serving
+// path's, not a copy of it: repeated lines in a chunk reach the model once,
+// cfg.Gate gates as a served model's cascade does, and the report's cascade
+// counters are that engine's, counting unique lines as /v1/models does.
 //
 // ctx cancellation stops the run between lines; the partial report and
 // ctx.Err() are returned. In strict mode the first malformed line aborts
@@ -435,114 +432,78 @@ func MonitorWith(ctx context.Context, d Detector, r io.Reader, cfg MonitorConfig
 		return MonitorReport{}, err
 	}
 	cfg.fill()
+	stats := &statsRecorder{}
+	// QueueDepth Workers: with the loop's own in-flight bound that is one
+	// chunk running and one waiting per worker, and the reader blocks beyond.
+	eng := newEngine(d, BatchConfig{MaxBatch: cfg.ChunkSize, Workers: cfg.Workers, QueueDepth: cfg.Workers},
+		stats, nil, &cascadeSlot{g: cfg.Gate})
+	defer eng.Close()
+	report, err := monitor(ctx, eng.submit, r, cfg)
+	st := stats.snapshot(0, false)
+	report.CascadeEvaluated, report.CascadeShort = int(st.CascadeEvaluated), int(st.CascadeShort)
+	return report, err
+}
+
+// monitor is the one monitor loop, under MonitorWith and the server's ingest
+// alike: lines are read, parsed and grouped into cfg.ChunkSize micro-batches;
+// each chunk goes to submit — an engine's front door — as one job; and the
+// collector waits on the jobs in submission order, so alerts, tracker updates
+// and trace-flagged events happen in input order however the engine's workers
+// were scheduled. cfg must already be filled.
+//
+// A chunk the engine refuses or fails (shed, closed, deadline) ends the run
+// with that error; its lines and those of every later chunk are not counted
+// as Processed — never as that many confident "normal" classifications.
+func monitor(ctx context.Context, submit func(context.Context, []string) (*detectJob, error), r io.Reader, cfg MonitorConfig) (MonitorReport, error) {
 	tracker := cfg.Tracker
 	if tracker == nil {
 		tracker = NewTraceTracker(cfg.Policy, cfg.MaxTraces)
 	}
 	evictedBefore := tracker.Evicted()
+	// Chunks still queued when the run fails are skipped by the engine rather
+	// than computed: cancelling ctx is how the collector tells it.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
-	chunks := make(chan *monitorChunk, cfg.Workers)
-	classified := make(chan *monitorChunk, cfg.Workers)
-	wsDet, _ := d.(BatchWSDetector)
-	var cascEval, cascShort atomic.Int64
-	var workers sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			var ws *tensor.Workspace
-			if wsDet != nil {
-				ws = tensor.GetWorkspace()
-				defer tensor.PutWorkspace(ws)
-			}
-			classify := func(sentences []string) []Result {
-				if wsDet != nil {
-					ws.Reset()
-					return wsDet.DetectBatchWS(sentences, ws)
-				}
-				return d.DetectBatch(sentences)
-			}
-			for c := range chunks {
-				if g := cfg.Gate; g != nil {
-					// Cascade pre-filter on the chunk path: jobs are already
-					// parsed here, so stage 1 scores them directly; only the
-					// uncertain band is rendered to sentences and classified,
-					// fanning back by index — order-preserving, mirroring the
-					// engine's dedup fan-back.
-					c.results = make([]Result, len(c.jobs))
-					var pass []string
-					var passIdx []int
-					for i, j := range c.jobs {
-						score := g.ScoreJob(j)
-						switch g.Decide(score) {
-						case cascade.ShortNormal:
-							c.results[i] = Result{Label: 0, Score: g.Prob(score)}
-						case cascade.ShortAbnormal:
-							c.results[i] = Result{Label: 1, Score: g.Prob(score)}
-						default:
-							pass = append(pass, logparse.Sentence(j))
-							passIdx = append(passIdx, i)
-						}
-					}
-					if len(pass) > 0 {
-						res := classify(pass)
-						for k, i := range passIdx {
-							c.results[i] = res[k]
-						}
-					}
-					cascEval.Add(int64(len(c.jobs)))
-					cascShort.Add(int64(len(c.jobs) - len(pass)))
-					classified <- c
-					continue
-				}
-				sentences := make([]string, len(c.jobs))
-				for i, j := range c.jobs {
-					sentences[i] = logparse.Sentence(j)
-				}
-				c.results = classify(sentences)
-				classified <- c
-			}
-		}()
-	}
-	go func() {
-		workers.Wait()
-		close(classified)
-	}()
-
-	// The collector owns the ordered side effects: chunks arrive in
-	// completion order, are re-sequenced by index, and only then hit the
-	// sinks and tracker — so event order never depends on worker scheduling.
+	// The collector owns the ordered side effects. inflight is FIFO, so it
+	// meets chunks in input order; its capacity lets Workers chunks be in the
+	// engine while the one ahead of them is folded, and no more.
 	var report MonitorReport
+	var chunkErr error
+	inflight := make(chan *monitorChunk, cfg.Workers)
 	collectorDone := make(chan struct{})
 	go func() {
 		defer close(collectorDone)
-		pending := make(map[int]*monitorChunk)
-		next := 0
-		for c := range classified {
-			pending[c.idx] = c
-			for {
-				cur, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
-				for i, res := range cur.results {
-					report.Processed++
-					job := cur.jobs[i]
-					if res.Abnormal() {
-						report.Alerts++
-						a := Alert{Line: cur.lines[i], Job: job, Result: res}
-						for _, s := range cfg.Sinks {
-							s.Alert(a)
-						}
+		for c := range inflight {
+			if chunkErr == nil {
+				// Cancelled runs fold nothing further, even a chunk already
+				// classified: no sink fires for a caller that has left.
+				chunkErr = ctx.Err()
+			}
+			if chunkErr != nil {
+				continue // the run is over; drain what was submitted
+			}
+			results, _, err := c.job.wait()
+			if err != nil {
+				chunkErr = err
+				cancel()
+				continue
+			}
+			for i, res := range results {
+				report.Processed++
+				job := c.jobs[i]
+				if res.Abnormal() {
+					report.Alerts++
+					a := Alert{Line: c.lines[i], Job: job, Result: res}
+					for _, s := range cfg.Sinks {
+						s.Alert(a)
 					}
-					v, newly := tracker.Observe(job.TraceID, res.Abnormal())
-					if newly {
-						report.FlaggedTraces++
-						for _, s := range cfg.Sinks {
-							s.TraceFlagged(v)
-						}
+				}
+				v, newly := tracker.Observe(job.TraceID, res.Abnormal())
+				if newly {
+					report.FlaggedTraces++
+					for _, s := range cfg.Sinks {
+						s.TraceFlagged(v)
 					}
 				}
 			}
@@ -552,15 +513,15 @@ func MonitorWith(ctx context.Context, d Detector, r io.Reader, cfg MonitorConfig
 	// The line reader runs in its own goroutine so the chunker below can
 	// flush a partial chunk on a timer while the underlying Read blocks —
 	// a tailed log trickling in below ChunkSize lines still alerts within
-	// FlushDelay. The reader reports its terminal IO error on readErrCh
-	// (buffered, written before lines closes) and gives up on readerQuit.
+	// monitorFlushDelay. The reader leaves its terminal IO error in ioErr
+	// before it closes lines, and gives up on readerQuit.
 	type lineEvent struct {
 		text    string
 		no      int
 		tooLong bool
 	}
 	lines := make(chan lineEvent, cfg.ChunkSize)
-	readErrCh := make(chan error, 1)
+	var ioErr error
 	readerQuit := make(chan struct{})
 	go func() {
 		defer close(lines)
@@ -573,77 +534,57 @@ func MonitorWith(ctx context.Context, d Detector, r io.Reader, cfg MonitorConfig
 				select {
 				case lines <- lineEvent{text: line, no: lineNo, tooLong: tooLong}:
 				case <-readerQuit:
-					readErrCh <- nil
 					return
 				}
 			} else if rerr == nil {
 				lineNo++ // blank line: counted, not forwarded
 			}
-			if rerr == io.EOF {
-				readErrCh <- nil
-				return
-			}
 			if rerr != nil {
-				readErrCh <- rerr
+				if rerr != io.EOF {
+					ioErr = rerr
+				}
 				return
 			}
 		}
 	}()
 
 	var (
-		readErr    error
-		malformed  int
-		idx        int
-		flushTimer *time.Timer
-		flushC     <-chan time.Time
+		readErr   error
+		malformed int
 	)
 	cur := &monitorChunk{}
-	stopFlushTimer := func() {
-		if flushTimer != nil && !flushTimer.Stop() {
-			select {
-			case <-flushTimer.C:
-			default:
-			}
+	// flush submits the chunk being built, if any, and queues it for the
+	// collector. A chunk the engine refuses is dropped, not retried.
+	flush := func() error {
+		if len(cur.jobs) == 0 {
+			return nil
 		}
+		c := cur
+		cur = &monitorChunk{}
+		var err error
+		if c.job, err = submit(ctx, c.sentences); err == nil {
+			inflight <- c
+		}
+		return err
 	}
-	flush := func() {
-		stopFlushTimer()
-		if len(cur.jobs) > 0 {
-			cur.idx = idx
-			idx++
-			chunks <- cur
-			cur = &monitorChunk{}
-		}
-	}
-	armFlushTimer := func() {
-		if cfg.FlushDelay < 0 {
-			return
-		}
-		if flushTimer == nil {
-			flushTimer = time.NewTimer(cfg.FlushDelay)
-			flushC = flushTimer.C
-			return
-		}
-		stopFlushTimer()
-		flushTimer.Reset(cfg.FlushDelay)
-	}
+	// Armed by a chunk's first line; a tick that finds the chunk already
+	// flushed for size is a no-op. Reset needs no drain first: under go.mod's
+	// go line timer channels are synchronous, so no earlier tick outlives it.
+	flushTimer := time.NewTimer(monitorFlushDelay)
+	defer flushTimer.Stop()
 loop:
 	for {
-		var tc <-chan time.Time
-		if len(cur.jobs) > 0 {
-			tc = flushC
-		}
 		select {
 		case <-ctx.Done():
 			readErr = ctx.Err()
 			break loop
-		case <-tc:
-			flush()
+		case <-flushTimer.C:
+			if readErr = flush(); readErr != nil {
+				break loop
+			}
 		case ev, ok := <-lines:
 			if !ok {
-				if err := <-readErrCh; err != nil {
-					readErr = err
-				}
+				readErr = ioErr
 				break loop
 			}
 			if ev.tooLong {
@@ -668,10 +609,13 @@ loop:
 			}
 			cur.lines = append(cur.lines, ev.text)
 			cur.jobs = append(cur.jobs, job)
+			cur.sentences = append(cur.sentences, logparse.Sentence(job))
 			if len(cur.jobs) == cfg.ChunkSize {
-				flush()
+				if readErr = flush(); readErr != nil {
+					break loop
+				}
 			} else if len(cur.jobs) == 1 {
-				armFlushTimer()
+				flushTimer.Reset(monitorFlushDelay)
 			}
 		}
 	}
@@ -681,15 +625,18 @@ loop:
 		// before the bad one) — but not after cancellation, where running
 		// a model forward and firing sinks for a caller that already left
 		// would contradict the cancellation contract.
-		flush()
+		if err := flush(); readErr == nil {
+			readErr = err
+		}
 	}
-	close(chunks)
+	close(inflight)
 	<-collectorDone
+	if chunkErr != nil {
+		readErr = chunkErr // the chunker only saw the collector's cancel
+	}
 
 	report.Malformed = malformed
 	report.ActiveTraces = tracker.Len()
 	report.EvictedTraces = tracker.Evicted() - evictedBefore
-	report.CascadeEvaluated = int(cascEval.Load())
-	report.CascadeShort = int(cascShort.Load())
 	return report, readErr
 }

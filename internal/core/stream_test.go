@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"hash/fnv"
 	"io"
 	"strings"
@@ -379,7 +380,7 @@ func TestMonitorContextCancel(t *testing.T) {
 
 // TestMonitorFlushDelayPartialChunk pins the tail-mode latency contract: a
 // trickling source that never fills a chunk still gets its lines classified
-// within FlushDelay, while the stream stays open.
+// within monitorFlushDelay, while the stream stays open.
 func TestMonitorFlushDelayPartialChunk(t *testing.T) {
 	pr, pw := io.Pipe()
 	alerts := make(chan Alert, 8)
@@ -390,9 +391,8 @@ func TestMonitorFlushDelayPartialChunk(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		report, err := MonitorWith(context.Background(), markDetector{}, pr, MonitorConfig{
-			ChunkSize:  32,
-			FlushDelay: 20 * time.Millisecond,
-			Sinks:      []AlertSink{SinkFuncs{OnAlert: func(a Alert) { alerts <- a }}},
+			ChunkSize: 32,
+			Sinks:     []AlertSink{SinkFuncs{OnAlert: func(a Alert) { alerts <- a }}},
 		})
 		done <- result{report, err}
 	}()
@@ -419,6 +419,115 @@ func TestMonitorFlushDelayPartialChunk(t *testing.T) {
 	if res.report.Processed != 2 || res.report.Alerts != 1 {
 		t.Fatalf("report = %+v", res.report)
 	}
+}
+
+// TestMonitorDedupsRepeats pins what the library monitor gained from running
+// on an engine: a line repeated inside one chunk reaches the model once, while
+// the report, the sinks and the tracker still count every line.
+func TestMonitorDedupsRepeats(t *testing.T) {
+	distinct := []flowbench.Job{streamJob(1, 0, true), streamJob(1, 1, false), streamJob(2, 0, true)}
+	distinct[2].Features[0] = 77 // the sentence carries features only, not trace or node
+	var jobs []flowbench.Job
+	wantAlerts := 0
+	for i := 0; i < 12; i++ {
+		j := distinct[(i*5)%len(distinct)]
+		jobs = append(jobs, j)
+		if hashResult(logparse.Sentence(j)).Abnormal() {
+			wantAlerts++
+		}
+	}
+	det := &dedupDetector{}
+	tracker := NewTraceTracker(DefaultTracePolicy(), 16)
+	alerts := 0
+	report, err := MonitorWith(context.Background(), det, strings.NewReader(logOf(jobs)), MonitorConfig{
+		ChunkSize: len(jobs), Workers: 1, Tracker: tracker,
+		Sinks: []AlertSink{SinkFuncs{OnAlert: func(Alert) { alerts++ }}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen := det.seen(); len(seen) != len(distinct) {
+		t.Fatalf("model classified %d sentences, want the %d distinct ones", len(seen), len(distinct))
+	}
+	if report.Processed != len(jobs) || report.Alerts != wantAlerts || alerts != wantAlerts {
+		t.Fatalf("report = %+v with %d alerts delivered, want %d processed / %d alerts", report, alerts, len(jobs), wantAlerts)
+	}
+	if v, _ := tracker.Verdict(1); v.Jobs != 8 {
+		t.Fatalf("tracker counted %d jobs of trace 1, want 8 of the 12 lines", v.Jobs)
+	}
+}
+
+// TestMonitorChunkErrorEndsRun pins what happens to a chunk the engine will
+// not take: the ingest ends with the engine's error, the chunks admitted
+// before it are still folded, and the refused chunk's lines are not counted
+// as processed. The worker is held on the first chunk, so the queue is in a
+// known state when the later chunks arrive.
+func TestMonitorChunkErrorEndsRun(t *testing.T) {
+	chunk := func(trace int) string {
+		return logOf([]flowbench.Job{streamJob(trace, 0, false), streamJob(trace, 1, false)})
+	}
+	type outcome struct {
+		report MonitorReport
+		err    error
+	}
+	// ingest starts a MonitorIngest fed by the returned pipe and returns once
+	// its first chunk is inside the model.
+	ingest := func(t *testing.T, s *Server, det *gateDetector) (*io.PipeWriter, <-chan outcome) {
+		pr, pw := io.Pipe()
+		done := make(chan outcome, 1)
+		go func() {
+			report, err := s.MonitorIngest(context.Background(), pr, false)
+			pr.Close() // a writer still feeding the ended run fails instead of hanging
+			done <- outcome{report, err}
+		}()
+		if _, err := io.WriteString(pw, chunk(1)); err != nil {
+			t.Fatal(err)
+		}
+		<-det.entered
+		return pw, done
+	}
+
+	t.Run("shed", func(t *testing.T) {
+		det := newGateDetector()
+		s := NewServerWith(det, BatchConfig{MaxBatch: 2, Workers: 1, ShedQueueDepth: 1})
+		defer s.Close()
+		pw, done := ingest(t, s, det)
+		// The second chunk waits behind the held worker, which puts the queue
+		// at its budget; the third is refused.
+		io.WriteString(pw, chunk(2)+chunk(3))
+		waitFor(t, "the third chunk to be shed", func() bool {
+			st, _ := s.reg.Stats("")
+			return st.Shed == 1
+		})
+		close(det.release)
+		res := <-done
+		var oe *OverloadedError
+		if !errors.As(res.err, &oe) {
+			t.Fatalf("err = %v, want *OverloadedError", res.err)
+		}
+		if res.report.Processed != 4 {
+			t.Fatalf("processed %d lines, want the 4 of the two admitted chunks", res.report.Processed)
+		}
+	})
+	t.Run("registry closed mid-ingest", func(t *testing.T) {
+		det := newGateDetector()
+		s := NewServerWith(det, BatchConfig{MaxBatch: 2, Workers: 1})
+		pw, done := ingest(t, s, det)
+		go s.Close() // blocks draining the held chunk; lookups fail from here on
+		waitFor(t, "the registry to close", func() bool {
+			_, err := s.reg.route("")
+			return errors.Is(err, ErrServerClosed)
+		})
+		io.WriteString(pw, chunk(2))
+		close(det.release) // whenever the held chunk finishes, the second finds no registry
+		res := <-done
+		if !errors.Is(res.err, ErrServerClosed) {
+			t.Fatalf("err = %v, want ErrServerClosed", res.err)
+		}
+		if res.report.Processed != 2 {
+			t.Fatalf("processed %d lines, want the 2 of the chunk admitted before the close", res.report.Processed)
+		}
+	})
 }
 
 // TestMonitorLegacyWrapper keeps the simple Monitor entry point honest.

@@ -118,9 +118,15 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 		resp, err = httpc.Do(req)
 		success := err == nil && !retryableStatus(resp.StatusCode)
 		if c.Breaker != nil {
-			// Transport errors and retryable statuses are replica-health
-			// signals; application-level 4xx are not failures of the replica.
-			c.Breaker.Record(err == nil && (resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests))
+			if err != nil && req.Context().Err() != nil {
+				// The caller gave up, which says nothing about the server:
+				// neither success nor failure.
+				c.Breaker.Abandon()
+			} else {
+				// Transport errors and retryable statuses are replica-health
+				// signals; application-level 4xx are not failures of the replica.
+				c.Breaker.Record(err == nil && (resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests))
+			}
 		}
 		if success {
 			return resp, nil

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -325,5 +326,49 @@ func TestBreakerAbandon(t *testing.T) {
 	br.Record(true)
 	if br.State() != Closed {
 		t.Fatalf("state = %s after successful probe, want closed", br.State())
+	}
+}
+
+// roundTripFunc is an http.RoundTripper that answers in-process.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestClientCancelledIsNotAServerFailure pins Abandon at its second call
+// site: requests that fail because their caller cancelled leave the client's
+// breaker closed, while the same transport error under a live context opens
+// it at the threshold.
+func TestClientCancelledIsNotAServerFailure(t *testing.T) {
+	br := NewBreaker(2, time.Hour)
+	c := &Client{
+		HTTP: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			if err := r.Context().Err(); err != nil {
+				return nil, err
+			}
+			return nil, http.ErrHandlerTimeout // any transport-level failure
+		})},
+		Policy:  Policy{MaxAttempts: 1},
+		Breaker: br,
+		Sleep:   func(time.Duration) {},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 5; i++ {
+		req, _ := http.NewRequestWithContext(cancelled, http.MethodGet, "http://replica.invalid/", nil)
+		if _, err := c.Do(req); err == nil {
+			t.Fatal("cancelled request succeeded")
+		}
+	}
+	if br.State() != Closed {
+		t.Fatalf("breaker state = %s after cancelled requests, want closed", br.State())
+	}
+	for i := 0; i < 2; i++ {
+		req, _ := http.NewRequest(http.MethodGet, "http://replica.invalid/", nil)
+		if _, err := c.Do(req); err == nil {
+			t.Fatal("failing transport succeeded")
+		}
+	}
+	if br.State() != Open {
+		t.Fatalf("breaker state = %s after two live failures, want open", br.State())
 	}
 }
