@@ -3,6 +3,7 @@ package icl
 import (
 	"testing"
 
+	"repro/internal/logparse"
 	"repro/internal/prompt"
 )
 
@@ -24,15 +25,13 @@ func TestPromptPrefixSuffixRecomposition(t *testing.T) {
 }
 
 // TestEvaluateCachedMatchesUncached is the end-to-end equivalence check:
-// the cached evaluation path must produce exactly the predictions of the
-// uncached path.
+// Evaluate must produce exactly the predictions of the uncached training
+// forward over full prompts.
 func TestEvaluateCachedMatchesUncached(t *testing.T) {
 	d, ds := testDetector(t)
 	exs := PromptExamples(SelectExamples(ds.Train, 4, Mixed, 3))
 	jobs := ds.Test[:25]
-	want := Evaluate(d, jobs, exs)
-	got := EvaluateCached(d, jobs, exs)
-	if want != got {
+	if got, want := Evaluate(d, jobs, exs), refConfusion(d, jobs, exs); got != want {
 		t.Fatalf("cached confusion %+v != uncached %+v", got, want)
 	}
 }
@@ -41,12 +40,11 @@ func TestAnomalyScoresCachedMatchesUncached(t *testing.T) {
 	d, ds := testDetector(t)
 	exs := PromptExamples(SelectExamples(ds.Train, 4, Mixed, 3))
 	jobs := ds.Test[:15]
-	_, want := AnomalyScores(d, jobs, exs)
-	_, got := AnomalyScoresCached(d, jobs, exs)
-	for i := range want {
-		diff := want[i] - got[i]
-		if diff < -1e-4 || diff > 1e-4 {
-			t.Fatalf("score[%d]: cached %v vs uncached %v", i, got[i], want[i])
+	_, got := AnomalyScores(d, jobs, exs)
+	for i, j := range jobs {
+		_, want := refClassify(d, logparse.Sentence(j), exs)
+		if diff := got[i] - float64(want[1]); diff < -1e-4 || diff > 1e-4 {
+			t.Fatalf("score[%d]: cached %v vs uncached %v", i, got[i], want[1])
 		}
 	}
 }
@@ -54,9 +52,7 @@ func TestAnomalyScoresCachedMatchesUncached(t *testing.T) {
 func TestEvaluateCachedZeroShot(t *testing.T) {
 	d, ds := testDetector(t)
 	jobs := ds.Test[:10]
-	want := Evaluate(d, jobs, nil)
-	got := EvaluateCached(d, jobs, nil)
-	if want != got {
+	if got, want := Evaluate(d, jobs, nil), refConfusion(d, jobs, nil); got != want {
 		t.Fatalf("zero-shot cached %+v != uncached %+v", got, want)
 	}
 }

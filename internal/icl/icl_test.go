@@ -96,11 +96,11 @@ func TestMixString(t *testing.T) {
 func TestClassifyReturnsValidDistribution(t *testing.T) {
 	d, ds := testDetector(t)
 	exs := PromptExamples(SelectExamples(ds.Train, 4, Mixed, 3))
-	label, probs := d.ClassifyJob(ds.Test[0], exs)
-	if label != 0 && label != 1 {
+	labels, probs := d.ClassifyBatchCachedWS(d.NewPromptCache(exs), []string{logparse.Sentence(ds.Test[0])}, nil)
+	if label := labels[0]; label != 0 && label != 1 {
 		t.Fatalf("label = %d", label)
 	}
-	sum := probs[0] + probs[1]
+	sum := probs[0][0] + probs[0][1]
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("probs sum = %v", sum)
 	}

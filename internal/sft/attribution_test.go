@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/flowbench"
+	"repro/internal/logparse"
 )
 
 func TestSentenceWithout(t *testing.T) {
@@ -67,12 +68,18 @@ func TestAttributionFindsCPUAnomalySignal(t *testing.T) {
 	cfg.Epochs = 3
 	Train(c, JobExamples(ds.Train), nil, cfg)
 
-	hits, total := 0, 0
+	var cpu []flowbench.Job
+	var sentences []string
 	for _, j := range ds.Test {
-		if !j.Anomaly.IsCPU() {
-			continue
+		if j.Anomaly.IsCPU() {
+			cpu = append(cpu, j)
+			sentences = append(sentences, logparse.Sentence(j))
 		}
-		if pred, _ := c.PredictJob(j); pred != 1 {
+	}
+	preds, _ := c.PredictBatchWS(sentences, nil)
+	hits, total := 0, 0
+	for i, j := range cpu {
+		if preds[i] != 1 {
 			continue // only explain detected anomalies
 		}
 		total++

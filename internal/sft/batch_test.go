@@ -5,7 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/logparse"
+	"repro/internal/tensor"
 )
+
+// refPredict is the batched path's reference: the softmax of the training
+// forward's classification logits for one sentence.
+func refPredict(c *Classifier, text string) (int, [2]float32) {
+	logits := c.Model.ForwardCls(c.Tok.Encode(text, true), false)
+	var row [2]float32
+	copy(row[:], logits.Row(0))
+	tensor.Softmax(row[:])
+	return tensor.ArgMax(row[:]), row
+}
 
 func TestPredictBatchMatchesSequential(t *testing.T) {
 	c, ds := testSetup(t, 30)
@@ -14,12 +25,12 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 		texts = append(texts, logparse.Sentence(j))
 	}
 	texts = append(texts, "") // the debias probe sentence must batch too
-	labels, probs := c.PredictBatch(texts)
+	labels, probs := c.PredictBatchWS(texts, nil)
 	if len(labels) != len(texts) || len(probs) != len(texts) {
 		t.Fatalf("batch sizes %d/%d, want %d", len(labels), len(probs), len(texts))
 	}
 	for i, text := range texts {
-		wantLabel, wantProbs := c.Predict(text)
+		wantLabel, wantProbs := refPredict(c, text)
 		if labels[i] != wantLabel {
 			t.Fatalf("text %d: batch label %d vs sequential %d", i, labels[i], wantLabel)
 		}
@@ -37,7 +48,7 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 
 func TestPredictBatchEmpty(t *testing.T) {
 	c, _ := testSetup(t, 5)
-	labels, probs := c.PredictBatch(nil)
+	labels, probs := c.PredictBatchWS(nil, nil)
 	if labels != nil || probs != nil {
 		t.Fatal("empty batch should return nil results")
 	}
@@ -49,17 +60,17 @@ func TestPredictBatchConcurrent(t *testing.T) {
 	for i := range texts {
 		texts[i] = logparse.Sentence(ds.Test[i])
 	}
-	wantLabels, _ := c.PredictBatch(texts)
+	wantLabels, _ := c.PredictBatchWS(texts, nil)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			labels, _ := c.PredictBatch(texts)
+			labels, _ := c.PredictBatchWS(texts, nil)
 			for i := range labels {
 				if labels[i] != wantLabels[i] {
-					errs <- "concurrent PredictBatch diverged"
+					errs <- "concurrent PredictBatchWS diverged"
 					return
 				}
 			}

@@ -119,9 +119,9 @@ func TestEvaluateMatchesPredict(t *testing.T) {
 
 func TestPredictProbsSumToOne(t *testing.T) {
 	c, ds := testSetup(t, 5)
-	_, p := c.PredictJob(ds.Test[0])
-	if math.Abs(float64(p[0]+p[1])-1) > 1e-5 {
-		t.Fatalf("probs = %v", p)
+	_, probs := c.PredictBatchWS([]string{logparse.Sentence(ds.Test[0])}, nil)
+	if p := probs[0]; math.Abs(float64(p[0]+p[1])-1) > 1e-5 {
+		t.Fatalf("probs = %v", probs[0])
 	}
 }
 

@@ -1,6 +1,7 @@
 package transformer
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -29,11 +30,39 @@ func batchTestSeqs(n, vocab, maxLen int, seed uint64) [][]int {
 	return seqs
 }
 
+// refNextLogits is the inference paths' reference: the last row of the
+// training forward over ids, which must fit in MaxSeqLen.
+func refNextLogits(m *Model, ids []int) []float32 {
+	logits := m.ForwardLM(ids, false)
+	return logits.Row(logits.Rows - 1)
+}
+
+// refChoice is the reference constrained choice: the softmax of
+// refNextLogits over the choice tokens, and its argmax.
+func refChoice(m *Model, ids, choices []int) (int, []float32) {
+	row := refNextLogits(m, ids)
+	sub := make([]float32, len(choices))
+	for i, c := range choices {
+		sub[i] = row[c]
+	}
+	tensor.Softmax(sub)
+	return tensor.ArgMax(sub), sub
+}
+
+// maxAbsDiff is the largest elementwise |a-b|.
+func maxAbsDiff(a, b []float32) float64 {
+	var d float64
+	for i := range a {
+		d = math.Max(d, math.Abs(float64(a[i]-b[i])))
+	}
+	return d
+}
+
 func TestForwardClsBatchMatchesSequential(t *testing.T) {
 	for _, causal := range []bool{false, true} {
 		m := batchTestModel(causal)
 		seqs := batchTestSeqs(9, m.Config.VocabSize, m.Config.MaxSeqLen, 3)
-		got := m.ForwardClsBatch(seqs)
+		got := m.ForwardClsBatchWS(seqs, nil)
 		if got.Rows != len(seqs) || got.Cols != m.Config.NumClasses {
 			t.Fatalf("batch logits shape %dx%d", got.Rows, got.Cols)
 		}
@@ -54,39 +83,26 @@ func TestForwardClsBatchTruncatesKeepingHead(t *testing.T) {
 		long[i] = i % m.Config.VocabSize
 	}
 	batch := [][]int{long}
-	got := m.ForwardClsBatch(batch)
+	got := m.ForwardClsBatchWS(batch, nil)
 	want := m.ForwardCls(long, false) // Encode truncates the same way
 	if !tensor.NewFrom(1, got.Cols, got.Row(0)).AllClose(want, 1e-5) {
 		t.Fatal("truncated batch forward differs from sequential")
 	}
 	if len(batch[0]) != m.Config.MaxSeqLen+10 {
-		t.Fatal("EncodeBatch mutated the caller's sequence batch")
+		t.Fatal("the batch forward mutated the caller's sequence batch")
 	}
 }
 
 func TestNextTokenLogitsBatchMatchesSequential(t *testing.T) {
 	m := batchTestModel(true)
 	prompts := batchTestSeqs(8, m.Config.VocabSize, m.Config.MaxSeqLen, 5)
-	// Include one over-length prompt: both paths keep the right edge.
-	long := make([]int, m.Config.MaxSeqLen+7)
-	for i := range long {
-		long[i] = (i * 3) % m.Config.VocabSize
-	}
-	prompts = append(prompts, long)
 	logits := m.NextTokenLogitsBatch(prompts)
 	if logits.Rows != len(prompts) || logits.Cols != m.Config.VocabSize {
 		t.Fatalf("batch logits shape %dx%d", logits.Rows, logits.Cols)
 	}
 	for i, p := range prompts {
-		want := m.NextTokenLogits(p)
-		for j, v := range logits.Row(i) {
-			d := v - want[j]
-			if d < 0 {
-				d = -d
-			}
-			if d > 1e-5 {
-				t.Fatalf("prompt %d logit %d: batch %v vs sequential %v", i, j, v, want[j])
-			}
+		if d := maxAbsDiff(logits.Row(i), refNextLogits(m, p)); d > 1e-5 {
+			t.Fatalf("prompt %d: batch logits differ from the training forward by %g", i, d)
 		}
 	}
 }
@@ -97,34 +113,30 @@ func TestScoreChoiceBatchMatchesSequential(t *testing.T) {
 	choices := []int{10, 20}
 	best, probs := m.ScoreChoiceBatch(prompts, choices)
 	for i, p := range prompts {
-		wantBest, wantProbs := m.ScoreChoice(p, choices)
+		wantBest, wantProbs := refChoice(m, p, choices)
 		if best[i] != wantBest {
 			t.Fatalf("prompt %d: batch choice %d vs sequential %d", i, best[i], wantBest)
 		}
-		for c := range choices {
-			d := probs[i][c] - wantProbs[c]
-			if d < 0 {
-				d = -d
-			}
-			if d > 1e-5 {
-				t.Fatalf("prompt %d choice %d prob mismatch", i, c)
-			}
+		if d := maxAbsDiff(probs[i], wantProbs); d > 1e-5 {
+			t.Fatalf("prompt %d: choice probabilities differ by %g", i, d)
 		}
 	}
 }
 
+// TestInferKVCacheMatchesBuildKVCache checks the read-only cache builder
+// against the keys and values the training forward projects over the same
+// prefix.
 func TestInferKVCacheMatchesBuildKVCache(t *testing.T) {
 	m := batchTestModel(true)
 	prefix := batchTestSeqs(1, m.Config.VocabSize, m.Config.MaxSeqLen/2, 13)[0]
-	want := m.BuildKVCache(prefix)
 	got := m.InferKVCache(prefix)
-	if got.Len != want.Len || len(got.Layers) != len(want.Layers) {
-		t.Fatalf("cache shape: len %d/%d layers %d/%d", got.Len, want.Len, len(got.Layers), len(want.Layers))
+	m.Encode(prefix, false)
+	if got.Len != len(prefix) || len(got.Layers) != len(m.Blocks) {
+		t.Fatalf("cache shape: len %d/%d layers %d/%d", got.Len, len(prefix), len(got.Layers), len(m.Blocks))
 	}
-	for li := range want.Layers {
-		if !got.Layers[li].K.AllClose(want.Layers[li].K, 1e-5) ||
-			!got.Layers[li].V.AllClose(want.Layers[li].V, 1e-5) {
-			t.Fatalf("layer %d cache differs between read-only and caching builders", li)
+	for li, b := range m.Blocks {
+		if !got.Layers[li].K.AllClose(b.Attn.k, 1e-5) || !got.Layers[li].V.AllClose(b.Attn.v, 1e-5) {
+			t.Fatalf("layer %d: cached K/V differ from the training forward's projections", li)
 		}
 	}
 }
@@ -134,32 +146,21 @@ func TestNextTokenLogitsBatchWithCacheMatchesSequential(t *testing.T) {
 	prefix := batchTestSeqs(1, m.Config.VocabSize, m.Config.MaxSeqLen/2, 17)[0]
 	suffixes := batchTestSeqs(6, m.Config.VocabSize, m.Config.MaxSeqLen-len(prefix), 19)
 	cache := m.InferKVCache(prefix)
-	logits := m.NextTokenLogitsBatchWithCache(cache, suffixes)
+	logits := m.NextTokenLogitsBatchWithCacheWS(cache, suffixes, nil)
 	if logits.Rows != len(suffixes) {
 		t.Fatalf("rows = %d", logits.Rows)
 	}
 	for i, suffix := range suffixes {
-		// Reference 1: the sequential cached path.
-		cached := m.NextTokenLogitsWithCache(cache, suffix)
-		// Reference 2: the uncached full concatenation.
-		full := m.NextTokenLogits(append(append([]int{}, prefix...), suffix...))
-		for j, v := range logits.Row(i) {
-			for ref, want := range map[string]float32{"cached": cached[j], "full": full[j]} {
-				d := v - want
-				if d < 0 {
-					d = -d
-				}
-				if d > 1e-4 {
-					t.Fatalf("suffix %d logit %d: batch %v vs %s %v", i, j, v, ref, want)
-				}
-			}
+		full := refNextLogits(m, append(append([]int{}, prefix...), suffix...))
+		if d := maxAbsDiff(logits.Row(i), full); d > 1e-4 {
+			t.Fatalf("suffix %d: cached batch logits differ from the full training forward by %g", i, d)
 		}
 	}
 }
 
 func TestEmptyBatches(t *testing.T) {
 	enc := batchTestModel(false)
-	if got := enc.ForwardClsBatch(nil); got.Rows != 0 {
+	if got := enc.ForwardClsBatchWS(nil, nil); got.Rows != 0 {
 		t.Fatalf("empty cls batch rows = %d", got.Rows)
 	}
 	dec := batchTestModel(true)
@@ -174,7 +175,7 @@ func TestEmptyBatches(t *testing.T) {
 func TestBatchForwardIsConcurrencySafe(t *testing.T) {
 	m := batchTestModel(false)
 	seqs := batchTestSeqs(6, m.Config.VocabSize, m.Config.MaxSeqLen, 11)
-	want := m.ForwardClsBatch(seqs)
+	want := m.ForwardClsBatchWS(seqs, nil)
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for g := 0; g < 8; g++ {
@@ -182,7 +183,7 @@ func TestBatchForwardIsConcurrencySafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
-				got := m.ForwardClsBatch(seqs)
+				got := m.ForwardClsBatchWS(seqs, nil)
 				if !got.AllClose(want, 1e-6) {
 					errs <- "concurrent batch forward diverged"
 					return

@@ -1,14 +1,18 @@
 package transformer
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
+// cachedLogits runs one suffix through the cached-prefix forward.
+func cachedLogits(m *Model, cache *KVCache, suffix []int) []float32 {
+	return m.NextTokenLogitsBatchWithCacheWS(cache, [][]int{suffix}, nil).Row(0)
+}
+
 // TestKVCacheMatchesFullForward is the core equivalence property: logits
-// from the cached path must match a full forward pass over the
+// from the cached path must match the training forward over the
 // concatenation.
 func TestKVCacheMatchesFullForward(t *testing.T) {
 	cfg := smallConfig(true)
@@ -16,13 +20,10 @@ func TestKVCacheMatchesFullForward(t *testing.T) {
 	m := New(cfg, tensor.NewRNG(51))
 	prefix := []int{1, 4, 2, 9, 7, 3}
 	suffix := []int{5, 8, 11}
-	full := m.NextTokenLogits(append(append([]int{}, prefix...), suffix...))
-	cache := m.BuildKVCache(prefix)
-	cached := m.NextTokenLogitsWithCache(cache, suffix)
-	for i := range full {
-		if math.Abs(float64(full[i]-cached[i])) > 1e-4 {
-			t.Fatalf("logit %d: full %v vs cached %v", i, full[i], cached[i])
-		}
+	full := refNextLogits(m, append(append([]int{}, prefix...), suffix...))
+	cached := cachedLogits(m, m.InferKVCache(prefix), suffix)
+	if d := maxAbsDiff(full, cached); d > 1e-4 {
+		t.Fatalf("cached logits differ from the full forward by %g", d)
 	}
 }
 
@@ -30,14 +31,11 @@ func TestKVCacheReusableAcrossSuffixes(t *testing.T) {
 	cfg := smallConfig(true)
 	m := New(cfg, tensor.NewRNG(52))
 	prefix := []int{2, 4, 6, 8}
-	cache := m.BuildKVCache(prefix)
+	cache := m.InferKVCache(prefix)
 	for _, suffix := range [][]int{{1}, {3, 5}, {7, 9, 11}} {
-		full := m.NextTokenLogits(append(append([]int{}, prefix...), suffix...))
-		cached := m.NextTokenLogitsWithCache(cache, suffix)
-		for i := range full {
-			if math.Abs(float64(full[i]-cached[i])) > 1e-4 {
-				t.Fatalf("suffix %v logit %d mismatch", suffix, i)
-			}
+		full := refNextLogits(m, append(append([]int{}, prefix...), suffix...))
+		if d := maxAbsDiff(full, cachedLogits(m, cache, suffix)); d > 1e-4 {
+			t.Fatalf("suffix %v: logits differ by %g", suffix, d)
 		}
 	}
 }
@@ -48,16 +46,13 @@ func TestScoreChoiceWithCacheMatches(t *testing.T) {
 	prefix := []int{1, 2, 3}
 	suffix := []int{4, 5}
 	choices := []int{6, 7}
-	wantBest, wantProbs := m.ScoreChoice(append(append([]int{}, prefix...), suffix...), choices)
-	cache := m.BuildKVCache(prefix)
-	gotBest, gotProbs := m.ScoreChoiceWithCache(cache, suffix, choices)
-	if gotBest != wantBest {
-		t.Fatalf("best = %d, want %d", gotBest, wantBest)
+	wantBest, wantProbs := refChoice(m, append(append([]int{}, prefix...), suffix...), choices)
+	gotBest, gotProbs := m.ScoreChoiceBatchWithCacheWS(m.InferKVCache(prefix), [][]int{suffix}, choices, nil)
+	if gotBest[0] != wantBest {
+		t.Fatalf("best = %d, want %d", gotBest[0], wantBest)
 	}
-	for i := range wantProbs {
-		if math.Abs(float64(wantProbs[i]-gotProbs[i])) > 1e-4 {
-			t.Fatalf("probs mismatch: %v vs %v", gotProbs, wantProbs)
-		}
+	if d := maxAbsDiff(gotProbs[0], wantProbs); d > 1e-4 {
+		t.Fatalf("probs mismatch: %v vs %v", gotProbs[0], wantProbs)
 	}
 }
 
@@ -68,7 +63,7 @@ func TestBuildKVCacheRejectsNonCausal(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.BuildKVCache([]int{1, 2})
+	m.InferKVCache([]int{1, 2})
 }
 
 func TestBuildKVCacheRejectsOverflow(t *testing.T) {
@@ -79,27 +74,27 @@ func TestBuildKVCacheRejectsOverflow(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.BuildKVCache(make([]int, cfg.MaxSeqLen+1))
+	m.InferKVCache(make([]int, cfg.MaxSeqLen+1))
 }
 
 func TestCachePathRejectsTotalOverflow(t *testing.T) {
 	cfg := smallConfig(true)
 	m := New(cfg, tensor.NewRNG(56))
-	cache := m.BuildKVCache(make([]int, cfg.MaxSeqLen-1))
+	cache := m.InferKVCache(make([]int, cfg.MaxSeqLen-1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.NextTokenLogitsWithCache(cache, []int{1, 2, 3})
+	m.ScoreChoiceBatchWithCacheWS(cache, [][]int{{1, 2, 3}}, []int{4, 5}, nil)
 }
 
 func TestKVCacheNotMutatedByQueries(t *testing.T) {
 	cfg := smallConfig(true)
 	m := New(cfg, tensor.NewRNG(57))
-	cache := m.BuildKVCache([]int{1, 2, 3, 4})
+	cache := m.InferKVCache([]int{1, 2, 3, 4})
 	before := cache.Layers[0].K.Clone()
-	m.NextTokenLogitsWithCache(cache, []int{5, 6})
+	m.ScoreChoiceBatchWithCacheWS(cache, [][]int{{5, 6}}, []int{1, 2}, nil)
 	if !cache.Layers[0].K.Equal(before) {
 		t.Fatal("query mutated the shared cache")
 	}

@@ -41,7 +41,7 @@ func TestQuantizeInt8BatchForwardParity(t *testing.T) {
 	// Encoder classification path.
 	enc := batchTestModel(false)
 	seqs := batchTestSeqs(6, enc.Config.VocabSize, enc.Config.MaxSeqLen, 41)
-	wantCls := enc.ForwardClsBatch(seqs)
+	wantCls := enc.ForwardClsBatchWS(seqs, nil)
 	stats := enc.QuantizeInt8(0)
 	if !enc.IsQuantized() {
 		t.Fatal("model does not report quantized")
@@ -52,8 +52,8 @@ func TestQuantizeInt8BatchForwardParity(t *testing.T) {
 	if stats.CodesBytes*3 >= stats.FP32Bytes {
 		t.Fatalf("serialized int8 %dB not well under fp32 %dB", stats.CodesBytes, stats.FP32Bytes)
 	}
-	gotCls := enc.ForwardClsBatch(seqs)
-	quantCloseEnough(t, "ForwardClsBatch", gotCls, wantCls, 0.15)
+	gotCls := enc.ForwardClsBatchWS(seqs, nil)
+	quantCloseEnough(t, "ForwardClsBatchWS", gotCls, wantCls, 0.15)
 
 	// At serving scale (the default ICL decoder over a 2000-word vocabulary)
 	// the projections serialize 3.7× smaller: one byte per weight plus the
@@ -68,14 +68,14 @@ func TestQuantizeInt8BatchForwardParity(t *testing.T) {
 	dec := batchTestModel(true)
 	prefix := batchTestSeqs(1, dec.Config.VocabSize, dec.Config.MaxSeqLen/2, 43)[0]
 	suffixes := batchTestSeqs(5, dec.Config.VocabSize, dec.Config.MaxSeqLen-len(prefix), 47)
-	wantLogits := dec.NextTokenLogitsBatchWithCache(dec.InferKVCache(prefix), suffixes)
+	wantLogits := dec.NextTokenLogitsBatchWithCacheWS(dec.InferKVCache(prefix), suffixes, nil)
 	dec.QuantizeInt8(0)
 	cache := dec.InferKVCache(prefix)
-	gotLogits := dec.NextTokenLogitsBatchWithCache(cache, suffixes)
-	quantCloseEnough(t, "NextTokenLogitsBatchWithCache", gotLogits, wantLogits, 0.15)
+	gotLogits := dec.NextTokenLogitsBatchWithCacheWS(cache, suffixes, nil)
+	quantCloseEnough(t, "cached-prefix logits", gotLogits, wantLogits, 0.15)
 
 	// Single-suffix decode agrees with its own batched path bitwise.
-	one := dec.NextTokenLogitsWithCache(cache, suffixes[0])
+	one := dec.NextTokenLogitsBatchWithCacheWS(cache, suffixes[:1], nil).Row(0)
 	for j, v := range gotLogits.Row(0) {
 		if one[j] != v {
 			t.Fatal("quantized single decode diverged from batched decode")
@@ -95,15 +95,15 @@ func TestQuantizeInt8MergesLoRA(t *testing.T) {
 		tensor.Gaussian(lora.B.W, 0.05, rng)
 	}
 	seqs := batchTestSeqs(4, m.Config.VocabSize, m.Config.MaxSeqLen, 53)
-	want := m.ForwardClsBatch(seqs)
+	want := m.ForwardClsBatchWS(seqs, nil)
 	m.QuantizeInt8(0)
 	for _, b := range m.Blocks {
 		if _, ok := b.Attn.Wq.(*nn.QuantizedLinear); !ok {
 			t.Fatalf("LoRA-wrapped Wq not quantized: %T", b.Attn.Wq)
 		}
 	}
-	got := m.ForwardClsBatch(seqs)
-	quantCloseEnough(t, "LoRA-merged ForwardClsBatch", got, want, 0.15)
+	got := m.ForwardClsBatchWS(seqs, nil)
+	quantCloseEnough(t, "LoRA-merged ForwardClsBatchWS", got, want, 0.15)
 }
 
 // TestQuantizeInt8SharedLayers pins ALBERT-style models: shared projections
@@ -114,7 +114,7 @@ func TestQuantizeInt8SharedLayers(t *testing.T) {
 	cfg.NumLayers = 3
 	m := New(cfg, tensor.NewRNG(61))
 	seqs := batchTestSeqs(3, cfg.VocabSize, cfg.MaxSeqLen, 67)
-	want := m.ForwardClsBatch(seqs)
+	want := m.ForwardClsBatchWS(seqs, nil)
 	stats := m.QuantizeInt8(0)
 	// 6 projections shared across blocks + the LM head.
 	if stats.Layers != 7 {
@@ -123,8 +123,8 @@ func TestQuantizeInt8SharedLayers(t *testing.T) {
 	if m.Blocks[0].FF1 != m.Blocks[1].FF1 || m.Blocks[1].FF1 != m.Blocks[2].FF1 {
 		t.Fatal("shared blocks do not share the quantized FF1")
 	}
-	got := m.ForwardClsBatch(seqs)
-	quantCloseEnough(t, "shared-layer ForwardClsBatch", got, want, 0.15)
+	got := m.ForwardClsBatchWS(seqs, nil)
+	quantCloseEnough(t, "shared-layer ForwardClsBatchWS", got, want, 0.15)
 }
 
 // TestQuantizedSaveLoadRoundTrip pins the two-stream checkpoint: residual
@@ -149,7 +149,7 @@ func TestQuantizedSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqs := batchTestSeqs(5, m.Config.VocabSize, m.Config.MaxSeqLen, 71)
-	if !rt.ForwardClsBatch(seqs).Equal(m.ForwardClsBatch(seqs)) {
+	if !rt.ForwardClsBatchWS(seqs, nil).Equal(m.ForwardClsBatchWS(seqs, nil)) {
 		t.Fatal("round-tripped quantized model is not bitwise identical")
 	}
 }

@@ -164,13 +164,13 @@ func TestQuantizedBatchForwardAllocations(t *testing.T) {
 func TestWorkspaceForwardIsConcurrencySafe(t *testing.T) {
 	enc := batchTestModel(false)
 	seqs := batchTestSeqs(5, enc.Config.VocabSize, enc.Config.MaxSeqLen, 23)
-	wantCls := enc.ForwardClsBatch(seqs)
+	wantCls := enc.ForwardClsBatchWS(seqs, nil)
 
 	dec := batchTestModel(true)
 	prefix := batchTestSeqs(1, dec.Config.VocabSize, dec.Config.MaxSeqLen/2, 29)[0]
 	cache := dec.InferKVCache(prefix)
 	suffixes := batchTestSeqs(4, dec.Config.VocabSize, dec.Config.MaxSeqLen-len(prefix), 31)
-	wantBest, _ := dec.ScoreChoiceBatchWithCache(cache, suffixes, []int{3, 4})
+	wantBest, _ := dec.ScoreChoiceBatchWithCacheWS(cache, suffixes, []int{3, 4}, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 32)
