@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
@@ -31,14 +32,18 @@ func main() {
 
 	// Find an anomalous job the model ultimately detects, then replay its
 	// features as a stream.
-	var job flowbench.Job
+	var anomalous []flowbench.Job
+	var sentences []string
 	for _, j := range ds.Test {
 		if j.Label == 1 {
-			if pred, _ := clf.PredictJob(j); pred == 1 {
-				job = j
-				break
-			}
+			anomalous = append(anomalous, j)
+			sentences = append(sentences, logparse.Sentence(j))
 		}
+	}
+	preds, _ := clf.PredictBatchWS(sentences, nil)
+	var job flowbench.Job
+	if i := slices.Index(preds, 1); i >= 0 {
+		job = anomalous[i]
 	}
 	fmt.Printf("streaming job (true label: %s, injected anomaly: %s)\n\n",
 		logparse.LabelWord(job.Label), job.Anomaly)

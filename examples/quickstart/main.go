@@ -41,11 +41,16 @@ func main() {
 
 	// 4. Evaluate and classify a few jobs.
 	fmt.Printf("test: %s\n", sft.Evaluate(clf, ds.Test))
-	for _, j := range ds.Test[:3] {
-		pred, probs := clf.PredictJob(j)
+	jobs := ds.Test[:3]
+	sentences := make([]string, len(jobs))
+	for i, j := range jobs {
+		sentences[i] = logparse.Sentence(j)
+	}
+	preds, probs := clf.PredictBatchWS(sentences, nil)
+	for i, j := range jobs {
 		fmt.Printf("  %q -> %s (p=%.2f, true %s)\n",
-			truncate(logparse.Sentence(j), 60), logparse.LabelWord(pred),
-			probs[pred], logparse.LabelWord(j.Label))
+			truncate(sentences[i], 60), logparse.LabelWord(preds[i]),
+			probs[i][preds[i]], logparse.LabelWord(j.Label))
 	}
 }
 

@@ -2,6 +2,9 @@ package repro
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -99,12 +102,14 @@ func TestCheckpointAcrossProcessBoundary(t *testing.T) {
 	}
 	rf.Close()
 	clf2 := sft.NewClassifier(m2, tok)
-	for _, j := range ds.Test[:20] {
-		p1, _ := clf.PredictJob(j)
-		p2, _ := clf2.PredictJob(j)
-		if p1 != p2 {
-			t.Fatal("loaded checkpoint predicts differently")
-		}
+	sentences := make([]string, 20)
+	for i, j := range ds.Test[:20] {
+		sentences[i] = logparse.Sentence(j)
+	}
+	p1, _ := clf.PredictBatchWS(sentences, nil)
+	p2, _ := clf2.PredictBatchWS(sentences, nil)
+	if !slices.Equal(p1, p2) {
+		t.Fatal("loaded checkpoint predicts differently")
 	}
 }
 
@@ -282,6 +287,96 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 		contPath = ""
 		if !s.prose && strings.HasSuffix(strings.TrimSpace(s.code), "\\") {
 			contPath, contLine, contBin = s.path, s.n+1, bin
+		}
+	})
+}
+
+// TestDocsNameOnlyExistingIdentifiers fails on a backticked Go identifier in
+// README.md or docs/*.md that no .go file of the repository declares: a
+// `pkg.Name` or `pkg.Type.Method` whose package is one of the repo's must
+// name something that package declares, and a `Type.Method` or a bare `Name`
+// (starting uppercase, with a lowercase letter) something some package
+// declares; a trailing `(…)` is ignored. Any other qualifier — a
+// standard-library package (`sync.Pool`) or a variable (`r.Context()`) — is
+// not the repo's to check. docs/PERFORMANCE.md is measurement history, like
+// CHANGES.md, and exempt.
+func TestDocsNameOnlyExistingIdentifiers(t *testing.T) {
+	declared := map[string]map[string]bool{} // package name -> declared names
+	anywhere := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.Contains(path, "testdata") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		names := declared[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			declared[f.Name.Name] = names
+		}
+		declare := func(ids ...*ast.Ident) {
+			for _, id := range ids {
+				names[id.Name], anywhere[id.Name] = true, true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				declare(n.Name)
+			case *ast.TypeSpec:
+				declare(n.Name)
+			case *ast.ValueSpec:
+				declare(n.Names...)
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					declare(field.Names...)
+				}
+			case *ast.InterfaceType:
+				for _, field := range n.Methods.List {
+					declare(field.Names...)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ident := regexp.MustCompile(`^\*?(?:([a-z][a-z0-9]*)\.)?([A-Z]\w*)(?:\.([A-Z]\w*))?(?:\(.*\))?$`)
+	lower := regexp.MustCompile(`[a-z]`)
+	eachDocSpan(t, func(s docSpan) {
+		if !s.prose || s.path == filepath.Join("docs", "PERFORMANCE.md") ||
+			s.path != "README.md" && filepath.Dir(s.path) != "docs" {
+			return
+		}
+		m := ident.FindStringSubmatch(s.code)
+		if m == nil {
+			return
+		}
+		qual, names := m[1], []string{m[2]}
+		if m[3] != "" {
+			names = append(names, m[3])
+		}
+		scope := anywhere
+		switch {
+		case qual != "":
+			if scope = declared[qual]; scope == nil {
+				return
+			}
+		case len(names) == 1 && !lower.MatchString(names[0]):
+			return // an acronym or constant-style word (`ICL`, `GOMAXPROCS`)
+		}
+		for _, name := range names {
+			if !scope[name] {
+				t.Errorf("%s names `%s`, but no .go file declares %s", s, s.code, name)
+			}
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/pretrain"
 	"repro/internal/sft"
+	"repro/internal/tensor"
 	"repro/internal/tokenizer"
 )
 
@@ -34,11 +35,13 @@ func BenchmarkServeBatch8(b *testing.B) {
 		batch[i] = logparse.Sentence(ds.Test[i])
 	}
 
-	run := func(name string, serve func()) {
+	run := func(name string, serve func(ws *tensor.Workspace)) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				serve()
+				ws := tensor.GetWorkspace()
+				serve(ws)
+				tensor.PutWorkspace(ws)
 			}
 		})
 	}
@@ -52,7 +55,7 @@ func BenchmarkServeBatch8(b *testing.B) {
 		clf := sft.NewClassifier(enc, tok)
 		det := icl.NewDetector(dec, tok)
 		pc := det.NewPromptCache(exs)
-		run("sft"+suffix, func() { clf.PredictBatch(batch) })
-		run("icl"+suffix, func() { det.ClassifyBatchCached(pc, batch) })
+		run("sft"+suffix, func(ws *tensor.Workspace) { clf.PredictBatchWS(batch, ws) })
+		run("icl"+suffix, func(ws *tensor.Workspace) { det.ClassifyBatchCachedWS(pc, batch, ws) })
 	}
 }

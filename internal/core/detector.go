@@ -118,14 +118,15 @@ func NewSFTDetector(clf *sft.Classifier) Detector { return &sftDetector{clf: clf
 func (d *sftDetector) DetectSentence(sentence string) Result {
 	// Delegate to the batch path (batch of 1): the batched forward reads the
 	// model without mutating layer state, so a registry-held detector is safe
-	// to call from any handler goroutine. The single-sentence training-path
-	// forward caches activations on the layers and is not.
+	// to call from any handler goroutine. The training forward caches
+	// activations on the layers and is not.
 	return d.DetectBatch([]string{sentence})[0]
 }
 
 func (d *sftDetector) DetectBatch(sentences []string) []Result {
-	labels, probs := d.clf.PredictBatch(sentences)
-	return toResults(labels, probs)
+	ws := tensor.GetWorkspace()
+	defer tensor.PutWorkspace(ws)
+	return d.DetectBatchWS(sentences, ws)
 }
 
 func (d *sftDetector) DetectBatchWS(sentences []string, ws *tensor.Workspace) []Result {
@@ -165,15 +166,15 @@ func NewICLDetector(det *icl.Detector, examples []prompt.Example) Detector {
 
 func (d *iclDetector) DetectSentence(sentence string) Result {
 	// Batch of 1 through the read-only cached path: concurrency-safe (unlike
-	// icl.Detector.Classify, whose forward caches activations on the model)
-	// and it reuses the shared prompt-prefix KV cache.
+	// the training forward, which caches activations on the model) and it
+	// reuses the shared prompt-prefix KV cache.
 	return d.DetectBatch([]string{sentence})[0]
 }
 
 func (d *iclDetector) DetectBatch(sentences []string) []Result {
-	d.cacheOnce.Do(func() { d.cache = d.det.NewPromptCache(d.examples) })
-	labels, probs := d.det.ClassifyBatchCached(d.cache, sentences)
-	return toResults(labels, probs)
+	ws := tensor.GetWorkspace()
+	defer tensor.PutWorkspace(ws)
+	return d.DetectBatchWS(sentences, ws)
 }
 
 func (d *iclDetector) DetectBatchWS(sentences []string, ws *tensor.Workspace) []Result {

@@ -37,7 +37,7 @@ func (l *Lab) AblationPretrain() *Table {
 		c := sft.NewClassifier(sub.Pretrained("bert-base-uncased"), sub.Tokenizer())
 		cfg := l.sftConfig()
 		sft.Train(c, train, nil, cfg)
-		t.Add(steps, sft.EvaluateJobsParallel(c, ds.Test).Accuracy())
+		t.Add(steps, sft.Evaluate(c, ds.Test).Accuracy())
 	}
 	return t
 }
@@ -61,7 +61,7 @@ func (l *Lab) AblationLoRARank() *Table {
 		cfg.Alpha = float64(2 * rank)
 		cfg.Quantize = false
 		res := icl.FineTune(d, ds.Train, cfg)
-		acc := icl.EvaluateCached(d, test, exs).Accuracy()
+		acc := icl.Evaluate(d, test, exs).Accuracy()
 		t.Add(rank, res.TrainableParams,
 			fmt.Sprintf("%.2f%%", 100*res.TrainableFraction()), acc)
 	}
@@ -89,7 +89,7 @@ func (l *Lab) AblationQuantization() *Table {
 			cfg := l.iclFTConfig()
 			cfg.Quantize = quant
 			icl.FineTune(d, ds.Train, cfg)
-			acc := icl.EvaluateCached(d, test, exs).Accuracy()
+			acc := icl.Evaluate(d, test, exs).Accuracy()
 			precision, bytes := "fp32", fp32Bytes
 			if quant {
 				precision, bytes = "4-bit", quantBytes
@@ -156,7 +156,7 @@ func (l *Lab) AblationDebias() *Table {
 		if aug {
 			name = "empty-sentence (40)"
 		}
-		t.Add(name, sft.EvaluateJobsParallel(c, ds.Test).Accuracy(), gap)
+		t.Add(name, sft.Evaluate(c, ds.Test).Accuracy(), gap)
 	}
 	return t
 }

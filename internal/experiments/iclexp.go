@@ -55,7 +55,7 @@ func (l *Lab) Table3() *Table {
 		var out [3]float64
 		for i, mix := range []icl.ExampleMix{icl.NegativeOnly, icl.PositiveOnly, icl.Mixed} {
 			exs := icl.PromptExamples(icl.SelectExamples(ds.Train, shots, mix, l.Scale.Seed+uint64(i)))
-			out[i] = icl.EvaluateCached(d, test, exs).Accuracy()
+			out[i] = icl.Evaluate(d, test, exs).Accuracy()
 		}
 		return out
 	}
@@ -94,7 +94,7 @@ func (l *Lab) Figure12() *Table {
 		for _, mix := range []icl.ExampleMix{icl.Mixed, icl.PositiveOnly, icl.NegativeOnly} {
 			for _, shots := range l.Scale.Fig12Shots {
 				exs := icl.PromptExamples(icl.SelectExamples(ds.Train, shots, mix, l.Scale.Seed+uint64(shots)))
-				acc := icl.EvaluateCached(d, test, exs).Accuracy()
+				acc := icl.Evaluate(d, test, exs).Accuracy()
 				t.Add(name, mix.String(), shots, acc)
 			}
 		}
@@ -142,12 +142,12 @@ func (l *Lab) Table4() *Table {
 
 	for _, name := range decoderOrder() {
 		base := l.newDetector(name)
-		_, scores := icl.AnomalyScoresCached(base, test, nil) // zero-shot
+		_, scores := icl.AnomalyScores(base, test, nil) // zero-shot
 		addScores(name+" (w/o FT)", scores)
 
 		ft := l.newDetector(name)
 		icl.FineTune(ft, ds.Train, l.iclFTConfig())
-		_, ftScores := icl.AnomalyScoresCached(ft, test, nil)
+		_, ftScores := icl.AnomalyScores(ft, test, nil)
 		addScores(name+" (w/ FT)", ftScores)
 	}
 	return t
@@ -196,7 +196,7 @@ func (l *Lab) Figure14() *Table {
 		row := []interface{}{string(trainWF)}
 		for _, evalWF := range flowbench.Workflows {
 			exs := icl.PromptExamples(icl.SelectExamples(l.Dataset(evalWF).Train, shots, icl.Mixed, l.Scale.Seed))
-			row = append(row, icl.EvaluateCached(d, l.iclTest(evalWF), exs).Accuracy())
+			row = append(row, icl.Evaluate(d, l.iclTest(evalWF), exs).Accuracy())
 		}
 		t.Add(row...)
 	}

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/flowbench"
+	"repro/internal/logparse"
 	"repro/internal/sft"
 )
 
@@ -54,9 +56,9 @@ func (l *Lab) Figure4() *Table {
 	train := sft.JobExamples(ds.Train)
 	for _, spec := range modelsEncoderOrder() {
 		c := l.newClassifier(spec)
-		pre := sft.EvaluateJobsParallel(c, ds.Test).Accuracy()
+		pre := sft.Evaluate(c, ds.Test).Accuracy()
 		sft.Train(c, train, nil, l.sftConfig())
-		post := sft.EvaluateJobsParallel(c, ds.Test).Accuracy()
+		post := sft.Evaluate(c, ds.Test).Accuracy()
 		t.Add(spec, pre, post)
 	}
 	mlp := baselines.TrainMLP(ds.Train, baselines.DefaultMLPConfig())
@@ -81,7 +83,7 @@ func (l *Lab) Figure5() *Table {
 		start := time.Now()
 		sft.Train(c, train, nil, l.sftConfig())
 		elapsed := time.Since(start)
-		acc := sft.EvaluateJobsParallel(c, ds.Test).Accuracy()
+		acc := sft.Evaluate(c, ds.Test).Accuracy()
 		t.Add(spec, c.Model.ParamCount(), fmt.Sprintf("%.2f", elapsed.Seconds()), acc)
 	}
 	return t
@@ -122,13 +124,17 @@ func (l *Lab) Figure7() *Table {
 	// Pick an anomalous job whose full sentence the model classifies
 	// correctly, so the timeline shows the flip to LABEL_1.
 	job := ds.Test[0]
+	var anomalous []flowbench.Job
+	var sentences []string
 	for _, j := range ds.Test {
 		if j.Label == 1 {
-			if pred, _ := c.PredictJob(j); pred == 1 {
-				job = j
-				break
-			}
+			anomalous = append(anomalous, j)
+			sentences = append(sentences, logparse.Sentence(j))
 		}
+	}
+	preds, _ := c.PredictBatchWS(sentences, nil)
+	if i := slices.Index(preds, 1); i >= 0 {
+		job = anomalous[i]
 	}
 	for _, step := range sft.OnlineTrace(c, job) {
 		t.Add(fmt.Sprintf("T%d", step.K), step.Sentence, fmt.Sprintf("LABEL_%d", step.Label), step.Score)
@@ -147,7 +153,7 @@ func (l *Lab) Figure8() *Table {
 	}
 	ds := l.Dataset(flowbench.Genome)
 	c := l.trainedGenomeClassifier()
-	hist, missed := sft.EarlyDetectionParallel(c, ds.Test)
+	hist, missed := sft.EarlyDetection(c, ds.Test)
 	for i, name := range flowbench.FeatureNames {
 		t.Add(name, hist[i])
 	}
@@ -217,7 +223,7 @@ func (l *Lab) Figure10() *Table {
 		sft.Train(c, sft.JobExamples(l.Dataset(trainWF).Train), nil, l.sftConfig())
 		row := []interface{}{string(trainWF)}
 		for _, evalWF := range flowbench.Workflows {
-			row = append(row, sft.EvaluateJobsParallel(c, l.Dataset(evalWF).Test).Accuracy())
+			row = append(row, sft.Evaluate(c, l.Dataset(evalWF).Test).Accuracy())
 		}
 		t.Add(row...)
 	}
@@ -244,7 +250,7 @@ func (l *Lab) Figure11() *Table {
 			cfg.Epochs = maxInt(1, l.Scale.Epochs-1)
 			sft.Train(c, sft.JobExamples(montage.Train[:n]), nil, cfg)
 		}
-		t.Add(pct, sft.EvaluateJobsParallel(c, montage.Test).Accuracy())
+		t.Add(pct, sft.Evaluate(c, montage.Test).Accuracy())
 	}
 	return t
 }
@@ -264,7 +270,7 @@ func (l *Lab) Table2() *Table {
 	d2train := sft.JobExamples(d2.Train)
 
 	evalD1 := func(c *sft.Classifier) (float64, float64) {
-		conf := sft.EvaluateJobsParallel(c, d1.Test)
+		conf := sft.Evaluate(c, d1.Test)
 		return conf.Accuracy(), conf.Precision()
 	}
 

@@ -40,7 +40,8 @@ type CoTResult struct {
 func ChainOfThought(d *Detector, query flowbench.Job, ctx []flowbench.Job) CoTResult {
 	examples := PromptExamples(ctx)
 	cotPrompt := prompt.CoT(examples, logparse.Sentence(query))
-	label, probs := d.ClassifyJob(query, examples)
+	labels, probs := d.classifyJobs([]flowbench.Job{query}, examples)
+	label := labels[0]
 
 	normalMean, abnormalMean, haveBoth := classMeans(ctx)
 	var steps []string
@@ -91,7 +92,7 @@ func ChainOfThought(d *Detector, query flowbench.Job, ctx []flowbench.Job) CoTRe
 	}
 	return CoTResult{
 		Label:      label,
-		Confidence: probs[label],
+		Confidence: probs[0][label],
 		Steps:      steps,
 		Text:       sb.String(),
 		Prompt:     cotPrompt,

@@ -3,6 +3,12 @@
 // parameter-efficient LoRA fine-tuning under 4-bit quantization (Table III),
 // ranking evaluation against unsupervised baselines (Table IV), and
 // chain-of-thought interpretability (Figure 13).
+//
+// LoRA fine-tuning runs the model's training forward. Every classification
+// — the evaluations behind the paper's numbers included — runs on the
+// read-only packed forward the detection service uses: the few-shot
+// context's query-independent prefix is encoded once into a PromptCache, and
+// batches of query suffixes continue it (Detector.ClassifyBatchCachedWS).
 package icl
 
 import (
@@ -116,20 +122,9 @@ func (d *Detector) labelChoiceIDs() [2]int {
 	return [2]int{d.Tok.ID(logparse.LabelNormal), d.Tok.ID(logparse.LabelAbnormal)}
 }
 
-// Classify runs the few-shot prompt for a query sentence and returns the
-// predicted label (0 normal, 1 abnormal) plus the constrained (normal,
-// abnormal) probability pair.
-func (d *Detector) Classify(query string, examples []prompt.Example) (int, [2]float32) {
-	p := prompt.FewShot(examples, query)
-	ids := append([]int{tokenizer.BOS}, d.Tok.Encode(p, false)...)
-	choices := d.labelChoiceIDs()
-	best, probs := d.Model.ScoreChoice(ids, choices[:])
-	return best, [2]float32{probs[0], probs[1]}
-}
-
 // PromptCache holds the read-only KV cache of a fixed few-shot context's
 // query-independent prefix (task description + examples + "instruct :").
-// Build it once with NewPromptCache and reuse it across ClassifyBatchCached
+// Build it once with NewPromptCache and reuse it across ClassifyBatchCachedWS
 // calls — including concurrent ones: construction and use touch only model
 // weights and the immutable cache.
 type PromptCache struct {
@@ -150,31 +145,16 @@ func (d *Detector) NewPromptCache(examples []prompt.Example) *PromptCache {
 	return pc
 }
 
-// ClassifyBatch classifies a batch of query sentences against one shared
-// few-shot context, returning per-query labels and probability pairs in
-// input order. The prompt prefix is encoded once into a KV cache and only
-// the per-query suffixes run through the block stack as a packed batch; use
-// NewPromptCache + ClassifyBatchCached to amortize the prefix encoding
-// across calls as well. Predictions match Classify on each query; the
-// batched path reads the model without mutating it, so it is safe to call
-// concurrently.
-func (d *Detector) ClassifyBatch(queries []string, examples []prompt.Example) ([]int, [][2]float32) {
-	return d.ClassifyBatchCached(d.NewPromptCache(examples), queries)
-}
-
-// ClassifyBatchCached is ClassifyBatch against a prebuilt prompt cache.
-// Queries whose suffix would overflow the context fall back to the
-// full-prompt batched path (which keeps the right edge, as Classify does).
-func (d *Detector) ClassifyBatchCached(pc *PromptCache, queries []string) ([]int, [][2]float32) {
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	return d.ClassifyBatchCachedWS(pc, queries, ws)
-}
-
-// ClassifyBatchCachedWS is ClassifyBatchCached on a caller-owned
-// tensor.Workspace, letting a long-lived inference worker reuse one scratch
-// arena across batches. The workspace is used, not reset: the caller resets
-// it between batches.
+// ClassifyBatchCachedWS classifies a batch of query sentences against the
+// few-shot context pc was built for, returning per-query labels (0 normal, 1
+// abnormal) and constrained (normal, abnormal) probability pairs in input
+// order. Only the query suffixes run through the block stack, as one packed
+// batch continuing the cached prefix. A query whose suffix would overflow
+// the context — or every query, when the prefix alone does — runs as a full
+// prompt instead, cut to its right edge, where the query is. Scratch comes
+// from ws, which is used, not reset: a long-lived inference worker resets its
+// own arena between batches, and a one-shot caller passes nil. The path reads
+// the model without mutating it, so it is safe to call concurrently.
 func (d *Detector) ClassifyBatchCachedWS(pc *PromptCache, queries []string, ws *tensor.Workspace) ([]int, [][2]float32) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -197,7 +177,11 @@ func (d *Detector) ClassifyBatchCachedWS(pc *PromptCache, queries []string, ws *
 		fullIdx = append(fullIdx, i)
 		p := prompt.FewShot(pc.examples, q)
 		//lint:ignore hotalloc full-prompt fallback, taken only when the prefix cache cannot serve the query
-		fullPrompts = append(fullPrompts, append([]int{tokenizer.BOS}, d.Tok.Encode(p, false)...))
+		ids := append([]int{tokenizer.BOS}, d.Tok.Encode(p, false)...)
+		if n := d.Model.Config.MaxSeqLen; len(ids) > n {
+			ids = ids[len(ids)-n:]
+		}
+		fullPrompts = append(fullPrompts, ids)
 	}
 	if len(suffixes) > 0 {
 		best, probs := d.Model.ScoreChoiceBatchWithCacheWS(pc.cache, suffixes, pc.choices[:], ws)
@@ -207,7 +191,7 @@ func (d *Detector) ClassifyBatchCachedWS(pc *PromptCache, queries []string, ws *
 		}
 	}
 	if len(fullPrompts) > 0 {
-		best, probs := d.Model.ScoreChoiceBatch(fullPrompts, pc.choices[:])
+		best, probs := d.Model.ScoreChoiceBatchWithCacheWS(nil, fullPrompts, pc.choices[:], ws)
 		for k, i := range fullIdx {
 			labels[i] = best[k]
 			out[i] = [2]float32{probs[k][0], probs[k][1]}
@@ -216,34 +200,56 @@ func (d *Detector) ClassifyBatchCachedWS(pc *PromptCache, queries []string, ws *
 	return labels, out
 }
 
-// ClassifyJob classifies a job's full sentence.
-func (d *Detector) ClassifyJob(j flowbench.Job, examples []prompt.Example) (int, [2]float32) {
-	return d.Classify(logparse.Sentence(j), examples)
+// evalChunk is how many queries one evaluation forward packs.
+const evalChunk = 32
+
+// classifyJobs classifies jobs' full sentences against one few-shot context:
+// a single PromptCache serves every chunk of evalChunk queries, each chunk on
+// the same pooled workspace.
+func (d *Detector) classifyJobs(jobs []flowbench.Job, examples []prompt.Example) ([]int, [][2]float32) {
+	pc := d.NewPromptCache(examples)
+	ws := tensor.GetWorkspace()
+	defer tensor.PutWorkspace(ws)
+	labels := make([]int, 0, len(jobs))
+	probs := make([][2]float32, 0, len(jobs))
+	for lo := 0; lo < len(jobs); lo += evalChunk {
+		chunk := jobs[lo:min(lo+evalChunk, len(jobs))]
+		queries := make([]string, len(chunk))
+		for i, j := range chunk {
+			queries[i] = logparse.Sentence(j)
+		}
+		ws.Reset()
+		l, p := d.ClassifyBatchCachedWS(pc, queries, ws)
+		labels = append(labels, l...)
+		probs = append(probs, p...)
+	}
+	return labels, probs
+}
+
+// jobLabels returns jobs' ground-truth labels.
+func jobLabels(jobs []flowbench.Job) []int {
+	labels := make([]int, len(jobs))
+	for i, j := range jobs {
+		labels[i] = j.Label
+	}
+	return labels
 }
 
 // Evaluate scores the detector over jobs with a fixed prompt context.
 func Evaluate(d *Detector, jobs []flowbench.Job, examples []prompt.Example) metrics.Confusion {
-	labels := make([]int, len(jobs))
-	preds := make([]int, len(jobs))
-	for i, j := range jobs {
-		labels[i] = j.Label
-		pred, _ := d.ClassifyJob(j, examples)
-		preds[i] = pred
-	}
-	return metrics.NewConfusion(labels, preds)
+	preds, _ := d.classifyJobs(jobs, examples)
+	return metrics.NewConfusion(jobLabels(jobs), preds)
 }
 
 // AnomalyScores returns labels and anomaly scores (probability of the
 // abnormal label) for ranking metrics.
 func AnomalyScores(d *Detector, jobs []flowbench.Job, examples []prompt.Example) ([]int, []float64) {
-	labels := make([]int, len(jobs))
+	_, probs := d.classifyJobs(jobs, examples)
 	scores := make([]float64, len(jobs))
-	for i, j := range jobs {
-		labels[i] = j.Label
-		_, probs := d.ClassifyJob(j, examples)
-		scores[i] = float64(probs[1])
+	for i, p := range probs {
+		scores[i] = float64(p[1])
 	}
-	return labels, scores
+	return jobLabels(jobs), scores
 }
 
 // FineTuneConfig controls quantized LoRA fine-tuning (the "FT: Yes" rows of

@@ -28,14 +28,18 @@ type FeatureAttribution struct {
 // Attribute computes occlusion attributions for every feature of a job,
 // returned in descending |Delta| order.
 func Attribute(c *Classifier, j flowbench.Job) []FeatureAttribution {
-	full := c.Score(logparse.Sentence(j))
+	// The full sentence, then the sentence with each feature occluded.
+	texts := []string{logparse.Sentence(j)}
+	for i := range flowbench.FeatureNames {
+		texts = append(texts, sentenceWithout(j, i))
+	}
+	_, probs := predict(c, texts)
 	out := make([]FeatureAttribution, 0, flowbench.NumFeatures)
 	for i, name := range flowbench.FeatureNames {
-		occluded := c.Score(sentenceWithout(j, i))
 		out = append(out, FeatureAttribution{
 			Feature: name,
 			Value:   j.Features[i],
-			Delta:   full - occluded,
+			Delta:   float64(probs[0][1]) - float64(probs[1+i][1]),
 		})
 	}
 	sort.SliceStable(out, func(a, b int) bool {

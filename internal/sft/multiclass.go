@@ -69,17 +69,6 @@ func NewMultiClassifier(m *transformer.Model, tok *tokenizer.Tokenizer, classes 
 	return &MultiClassifier{Model: m, Tok: tok, Classes: classes}
 }
 
-// Predict classifies a sentence, returning the argmax class and the full
-// class distribution.
-func (c *MultiClassifier) Predict(text string) (int, []float32) {
-	ids := c.Tok.Encode(text, true)
-	logits := c.Model.ForwardCls(ids, false)
-	probs := make([]float32, c.Classes)
-	copy(probs, logits.Row(0))
-	tensor.Softmax(probs)
-	return tensor.ArgMax(probs), probs
-}
-
 // TrainMulti fine-tunes the multi-class classifier; the recipe matches the
 // binary Train.
 func TrainMulti(c *MultiClassifier, train []Example, cfg TrainConfig) []EpochStats {
@@ -148,13 +137,25 @@ type MultiConfusion struct {
 
 // EvaluateMulti scores the classifier on labeled examples.
 func EvaluateMulti(c *MultiClassifier, examples []Example) MultiConfusion {
+	preds := make([]int, len(examples))
+	fanOut(len(examples), func(lo, hi int, ws *tensor.Workspace) {
+		seqs := make([][]int, hi-lo)
+		for i, ex := range examples[lo:hi] {
+			seqs[i] = c.Tok.Encode(ex.Text, true)
+		}
+		logits := c.Model.ForwardClsBatchWS(seqs, ws)
+		for i := range seqs {
+			row := logits.Row(i)
+			tensor.Softmax(row)
+			preds[lo+i] = tensor.ArgMax(row)
+		}
+	})
 	mc := MultiConfusion{Classes: c.Classes, Counts: make([][]int, c.Classes)}
 	for i := range mc.Counts {
 		mc.Counts[i] = make([]int, c.Classes)
 	}
-	for _, ex := range examples {
-		pred, _ := c.Predict(ex.Text)
-		mc.Counts[ex.Label][pred]++
+	for i, ex := range examples {
+		mc.Counts[ex.Label][preds[i]]++
 	}
 	return mc
 }

@@ -23,17 +23,20 @@ type StepPrediction struct {
 // OnlineTrace classifies every prefix of a job's feature sequence,
 // simulating real-time detection as log fields stream in (Figure 7).
 func OnlineTrace(c *Classifier, j flowbench.Job) []StepPrediction {
-	out := make([]StepPrediction, 0, flowbench.NumFeatures)
-	for k := 1; k <= flowbench.NumFeatures; k++ {
-		text := logparse.Prefix(j, k)
-		pred, probs := c.Predict(text)
-		out = append(out, StepPrediction{
-			K:        k,
-			Feature:  flowbench.FeatureNames[k-1],
+	texts := make([]string, flowbench.NumFeatures)
+	for k := range texts {
+		texts[k] = logparse.Prefix(j, k+1)
+	}
+	labels, probs := predict(c, texts)
+	out := make([]StepPrediction, len(texts))
+	for k, text := range texts {
+		out[k] = StepPrediction{
+			K:        k + 1,
+			Feature:  flowbench.FeatureNames[k],
 			Sentence: text,
-			Label:    pred,
-			Score:    probs[pred],
-		})
+			Label:    labels[k],
+			Score:    probs[k][labels[k]],
+		}
 	}
 	return out
 }
@@ -41,25 +44,27 @@ func OnlineTrace(c *Classifier, j flowbench.Job) []StepPrediction {
 // EarlyDetection computes the Figure 8 histogram: for each job, the first
 // prefix length at which the model predicts the job's true label; the
 // result counts jobs per feature index (0-based). Jobs never classified
-// correctly at any prefix are counted in the returned missed total.
+// correctly at any prefix are counted in the returned missed total. It works
+// in rounds — round k classifies prefix k of every job no earlier round
+// resolved — so a job is classified up to its first correct prefix and never
+// past it, while each round is one batched evaluation.
 func EarlyDetection(c *Classifier, jobs []flowbench.Job) (histogram [flowbench.NumFeatures]int, missed int) {
-	for _, j := range jobs {
-		if k := firstCorrectPrefix(c, j); k == 0 {
-			missed++
-		} else {
-			histogram[k-1]++
+	pending := append([]flowbench.Job(nil), jobs...)
+	for k := 1; k <= flowbench.NumFeatures && len(pending) > 0; k++ {
+		texts := make([]string, len(pending))
+		for i, j := range pending {
+			texts[i] = logparse.Prefix(j, k)
 		}
-	}
-	return histogram, missed
-}
-
-// firstCorrectPrefix returns the 1-based prefix length at which the
-// classifier first predicts j's true label, or 0 if it never does.
-func firstCorrectPrefix(c *Classifier, j flowbench.Job) int {
-	for k := 1; k <= flowbench.NumFeatures; k++ {
-		if pred, _ := c.Predict(logparse.Prefix(j, k)); pred == j.Label {
-			return k
+		preds, _ := predict(c, texts)
+		unresolved := pending[:0]
+		for i, j := range pending {
+			if preds[i] == j.Label {
+				histogram[k-1]++
+			} else {
+				unresolved = append(unresolved, j)
+			}
 		}
+		pending = unresolved
 	}
-	return 0
+	return histogram, len(pending)
 }

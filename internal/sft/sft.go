@@ -4,9 +4,18 @@
 // augmentation of Figure 9, the parameter-freezing strategy of Table II,
 // transfer learning (Figures 10/11), and the online/early detection analyses
 // of Figures 7/8.
+//
+// Training runs the model's training forward. Every prediction — the
+// evaluations behind the paper's numbers included — runs on the read-only
+// packed forward the detection service uses (Classifier.PredictBatchWS):
+// evaluations fan chunks of sentences out over GOMAXPROCS goroutines that
+// share the one model, so what they score is exactly what the service serves.
 package sft
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/flowbench"
@@ -59,30 +68,12 @@ func NewClassifier(m *transformer.Model, tok *tokenizer.Tokenizer) *Classifier {
 	return &Classifier{Model: m, Tok: tok}
 }
 
-// Predict classifies a sentence, returning the predicted label and the
-// class-probability pair (normal, abnormal).
-func (c *Classifier) Predict(text string) (int, [2]float32) {
-	ids := c.Tok.Encode(text, true)
-	logits := c.Model.ForwardCls(ids, false)
-	row := make([]float32, 2)
-	copy(row, logits.Row(0))
-	tensor.Softmax(row)
-	return tensor.ArgMax(row), [2]float32{row[0], row[1]}
-}
-
-// PredictBatch classifies a batch of sentences in one packed forward pass,
+// PredictBatchWS classifies a batch of sentences in one packed forward pass,
 // returning per-sentence labels and (normal, abnormal) probability pairs in
-// input order. Predictions match Predict on each sentence; the batched path
-// reads the model without mutating it, so it is safe to call concurrently.
-func (c *Classifier) PredictBatch(texts []string) ([]int, [][2]float32) {
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	return c.PredictBatchWS(texts, ws)
-}
-
-// PredictBatchWS is PredictBatch on a caller-owned tensor.Workspace, letting
-// a long-lived inference worker reuse one scratch arena across batches. The
-// workspace is used, not reset: the caller resets it between batches.
+// input order. Scratch comes from ws, which is used, not reset: a long-lived
+// inference worker resets its own arena between batches, and a one-shot
+// caller passes nil. The path reads the model without mutating it, so it is
+// safe to call concurrently.
 func (c *Classifier) PredictBatchWS(texts []string, ws *tensor.Workspace) ([]int, [][2]float32) {
 	if len(texts) == 0 {
 		return nil, nil
@@ -109,16 +100,43 @@ func (c *Classifier) PredictBatchWS(texts []string, ws *tensor.Workspace) ([]int
 	return labels, probs
 }
 
-// PredictJob classifies a job's full sentence.
-func (c *Classifier) PredictJob(j flowbench.Job) (int, [2]float32) {
-	return c.Predict(logparse.Sentence(j))
+// evalChunk is how many sentences one evaluation forward packs.
+const evalChunk = 32
+
+// fanOut calls fn on [0, n) in consecutive chunks of at most evalChunk, from
+// up to GOMAXPROCS goroutines that share the one read-only model, each on a
+// pooled workspace it resets between chunks. fn writes only its own range of
+// the caller's results, and a sentence's result does not depend on the chunk
+// it lands in, so the outcome is the same however the chunks are scheduled.
+func fanOut(n int, fn func(lo, hi int, ws *tensor.Workspace)) {
+	chunks := (n + evalChunk - 1) / evalChunk
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), chunks); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := tensor.GetWorkspace()
+			defer tensor.PutWorkspace(ws)
+			for k := int(next.Add(1)) - 1; k < chunks; k = int(next.Add(1)) - 1 {
+				ws.Reset()
+				fn(k*evalChunk, min((k+1)*evalChunk, n), ws)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
-// Score returns the anomaly score (probability of the abnormal class) for a
-// sentence, used for ranking metrics.
-func (c *Classifier) Score(text string) float64 {
-	_, p := c.Predict(text)
-	return float64(p[1])
+// predict is PredictBatchWS over any number of sentences, through fanOut.
+func predict(c *Classifier, texts []string) ([]int, [][2]float32) {
+	labels := make([]int, len(texts))
+	probs := make([][2]float32, len(texts))
+	fanOut(len(texts), func(lo, hi int, ws *tensor.Workspace) {
+		l, p := c.PredictBatchWS(texts[lo:hi], ws)
+		copy(labels[lo:], l)
+		copy(probs[lo:], p)
+	})
+	return labels, probs
 }
 
 // TrainConfig controls fine-tuning.
@@ -263,12 +281,11 @@ func shouldStop(stats []EpochStats, patience int) bool {
 // EvaluateExamples scores the classifier on labeled sentences.
 func EvaluateExamples(c *Classifier, examples []Example) metrics.Confusion {
 	labels := make([]int, len(examples))
-	preds := make([]int, len(examples))
+	texts := make([]string, len(examples))
 	for i, ex := range examples {
-		labels[i] = ex.Label
-		pred, _ := c.Predict(ex.Text)
-		preds[i] = pred
+		labels[i], texts[i] = ex.Label, ex.Text
 	}
+	preds, _ := predict(c, texts)
 	return metrics.NewConfusion(labels, preds)
 }
 
@@ -277,29 +294,10 @@ func Evaluate(c *Classifier, jobs []flowbench.Job) metrics.Confusion {
 	return EvaluateExamples(c, JobExamples(jobs))
 }
 
-// AnomalyScores returns per-job anomaly scores and labels for ranking
-// metrics (Table IV style evaluation of classifiers).
-func AnomalyScores(c *Classifier, jobs []flowbench.Job) (labels []int, scores []float64) {
-	labels = make([]int, len(jobs))
-	scores = make([]float64, len(jobs))
-	for i, j := range jobs {
-		labels[i] = j.Label
-		scores[i] = c.Score(logparse.Sentence(j))
-	}
-	return labels, scores
-}
-
 // BiasProbe predicts the empty sentence and returns the (normal, abnormal)
 // probability pair — the Figure 9 probe. An unbiased model returns ≈(0.5,
 // 0.5).
 func BiasProbe(c *Classifier) [2]float32 {
-	_, p := c.Predict("")
-	return p
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	_, p := predict(c, []string{""})
+	return p[0]
 }

@@ -125,22 +125,6 @@ func TestPredictProbsSumToOne(t *testing.T) {
 	}
 }
 
-func TestAnomalyScores(t *testing.T) {
-	c, ds := testSetup(t, 5)
-	labels, scores := AnomalyScores(c, ds.Test[:30])
-	if len(labels) != 30 || len(scores) != 30 {
-		t.Fatal("length mismatch")
-	}
-	for i, s := range scores {
-		if s < 0 || s > 1 {
-			t.Fatalf("score[%d] = %v", i, s)
-		}
-		if labels[i] != ds.Test[i].Label {
-			t.Fatal("label mismatch")
-		}
-	}
-}
-
 func TestBiasProbeAndDebiasing(t *testing.T) {
 	// Train on normal-only data: the model becomes biased toward "normal"
 	// for the empty input.

@@ -7,7 +7,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Batched inference.
+// Inference.
 //
 // A batch of B token sequences is packed into one [ΣTᵢ, dModel] matrix plus
 // an offsets slice (tensor.Offsets layout). Position-wise layers — the six
@@ -18,36 +18,29 @@ import (
 //
 // The whole path is built on the nn.Inferer read-only forwards: it never
 // touches the layers' backward caches, so one trained model can serve
-// concurrent ForwardClsBatch/NextTokenLogitsBatch calls from many goroutines
-// (the property core.Server's worker pool and core.DetectTraces rely on).
+// concurrent calls from many goroutines (the property core.Server's workers,
+// core.DetectTraces and sft's evaluation fan-out rely on). The training forward (Encode,
+// ForwardCls, ForwardLM) is for training, and is the tests' reference.
 //
 // Every temporary — packed activations, per-sequence attention scores, even
 // the per-sequence view headers — is drawn from a tensor.Workspace arena.
-// The exported methods come in pairs: the plain form borrows a workspace
-// from the package pool for the duration of the call, while the WS form
-// (ForwardClsBatchWS, ScoreChoiceBatchWithCacheWS, ...) lets a long-lived
-// owner such as a core.Server worker reuse its own arena across batches.
-// Results returned by either form are always fresh heap allocations, never
-// arena-backed, so callers may Reset the workspace freely afterwards.
+// Each operation has one entry point, taking the workspace last: a long-lived
+// owner such as a core.Server worker passes its own arena and resets it
+// between batches; a one-shot caller passes nil and gets plain allocation
+// (tensor.Workspace's nil contract). Results are always fresh heap
+// allocations, never arena-backed, so callers may Reset the workspace freely
+// afterwards.
 
-// EncodeBatch embeds each sequence and runs the packed batch through the
+// encodeBatch embeds each sequence and runs the packed batch through the
 // block stack and final layer norm, returning the packed hidden states
-// [ΣTᵢ, dModel] and the segment offsets. Sequences longer than MaxSeqLen are
-// truncated keeping the head (as Encode does); empty sequences panic.
-func (m *Model) EncodeBatch(seqs [][]int) (*tensor.Matrix, []int) {
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	h, offsets := m.encodeBatch(seqs, ws)
-	return h.Clone(), append([]int(nil), offsets...)
-}
-
-// encodeBatch is EncodeBatch on a caller-owned workspace; the returned matrix
-// and offsets slice are arena-backed and die at the workspace's next Reset.
+// [ΣTᵢ, dModel] and the segment offsets, both arena-backed. Sequences longer
+// than MaxSeqLen are truncated keeping the head (as Encode does); empty
+// sequences panic.
 func (m *Model) encodeBatch(seqs [][]int, ws *tensor.Workspace) (*tensor.Matrix, []int) {
 	truncated := false
 	for i, ids := range seqs {
 		if len(ids) == 0 {
-			panic("transformer: EncodeBatch on empty sequence")
+			panic("transformer: empty sequence in batch")
 		}
 		if len(ids) > m.Config.MaxSeqLen {
 			if !truncated {
@@ -220,108 +213,64 @@ func (a *MultiHeadAttention) inferBatch(x *tensor.Matrix, offsets []int, past La
 	return out, LayerKV{}
 }
 
-// InferKVCache captures each attention layer's keys and values over the
-// prefix on the read-only inference path, so a cache can be built while other
-// goroutines run inference on the same model.
-func (m *Model) InferKVCache(prefix []int) *KVCache {
+// nextTokenLogits computes next-token logits [B, VocabSize] for a batch of
+// sequences that all continue cache's prefix; a nil cache is no prefix, and
+// the sequences are then whole prompts. Only the B final positions reach the
+// LM head, so a shared few-shot prompt is encoded once per cache instead of
+// once per query. Every sequence must be non-empty and fit in MaxSeqLen after
+// the prefix. The output is drawn from out (nil allocates); the choice-scoring
+// path passes the scratch workspace, since it reduces the logits to the few
+// choice columns before returning and a full vocabulary row per sequence is
+// the batch's largest single garbage producer otherwise.
+func (m *Model) nextTokenLogits(cache *KVCache, seqs [][]int, ws, out *tensor.Workspace) *tensor.Matrix {
 	if !m.Config.Causal {
-		panic("transformer: KV cache requires a causal model")
+		panic("transformer: next-token logits require a causal model")
 	}
-	if len(prefix) == 0 {
-		panic("transformer: empty prefix")
-	}
-	if len(prefix) > m.Config.MaxSeqLen {
-		panic("transformer: prefix exceeds MaxSeqLen")
-	}
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	offsets := ws.GetInts(2)
-	offsets[0], offsets[1] = 0, len(prefix)
-	h := m.embedBatchOne(prefix, 0, ws)
-	cache := &KVCache{Len: len(prefix)}
-	for _, b := range m.Blocks {
-		var kv LayerKV
-		h, kv = b.inferBatch(h, offsets, LayerKV{}, ws, true)
-		cache.Layers = append(cache.Layers, kv)
-	}
-	return cache
-}
-
-// NextTokenLogitsBatchWithCache computes next-token logits [B, VocabSize]
-// for a batch of suffixes that all continue the same cached prefix. Row i
-// matches NextTokenLogitsWithCache(cache, suffixes[i]) — only the suffixes
-// run through the block stack, so a shared few-shot prompt is encoded once
-// per cache instead of once per query. Every suffix must be non-empty and
-// cache.Len+len(suffix) must fit in MaxSeqLen.
-func (m *Model) NextTokenLogitsBatchWithCache(cache *KVCache, suffixes [][]int) *tensor.Matrix {
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	return m.NextTokenLogitsBatchWithCacheWS(cache, suffixes, ws)
-}
-
-// NextTokenLogitsBatchWithCacheWS is NextTokenLogitsBatchWithCache on a
-// caller-owned workspace. The returned logits are heap-allocated.
-func (m *Model) NextTokenLogitsBatchWithCacheWS(cache *KVCache, suffixes [][]int, ws *tensor.Workspace) *tensor.Matrix {
-	return m.nextTokenLogitsBatchCached(cache, suffixes, ws, nil)
-}
-
-// nextTokenLogitsBatchCached computes the batched cached-prefix logits with
-// the [B, VocabSize] output drawn from out (nil allocates — the public
-// contract; the choice-scoring path passes the scratch workspace instead,
-// since it reduces the logits to the few choice columns before returning and
-// a full vocabulary row per suffix is the batch's largest single garbage
-// producer otherwise).
-func (m *Model) nextTokenLogitsBatchCached(cache *KVCache, suffixes [][]int, ws, out *tensor.Workspace) *tensor.Matrix {
-	if len(suffixes) == 0 {
+	if len(seqs) == 0 {
 		return tensor.New(0, m.Config.VocabSize)
 	}
-	offsets := ws.GetInts(len(suffixes) + 1)
+	var past []LayerKV
+	start := 0
+	if cache != nil {
+		past, start = cache.Layers, cache.Len
+	}
+	offsets := ws.GetInts(len(seqs) + 1)
 	offsets[0] = 0
-	for i, ids := range suffixes {
+	for i, ids := range seqs {
 		if len(ids) == 0 {
-			panic("transformer: empty suffix")
+			panic("transformer: empty sequence in batch")
 		}
-		if cache.Len+len(ids) > m.Config.MaxSeqLen {
-			panic("transformer: cached sequence exceeds MaxSeqLen")
+		if start+len(ids) > m.Config.MaxSeqLen {
+			panic("transformer: sequence exceeds MaxSeqLen")
 		}
 		offsets[i+1] = offsets[i] + len(ids)
 	}
-	h := m.embedBatch(suffixes, offsets, cache.Len, ws)
-	h = m.runBlocksBatch(h, offsets, cache.Layers, ws)
-	last := ws.Get(len(suffixes), m.Config.DModel)
+	h := m.embedBatch(seqs, offsets, start, ws)
+	h = m.runBlocksBatch(h, offsets, past, ws)
+	last := ws.Get(len(seqs), m.Config.DModel)
 	for s := 0; s+1 < len(offsets); s++ {
 		copy(last.Row(s), h.Row(offsets[s+1]-1))
 	}
 	return nn.Infer(m.LMHead, last, out)
 }
 
-// ScoreChoiceBatchWithCache is ScoreChoiceWithCache over a batch of suffixes
-// sharing one cached prefix.
-func (m *Model) ScoreChoiceBatchWithCache(cache *KVCache, suffixes [][]int, choices []int) ([]int, [][]float32) {
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	return m.ScoreChoiceBatchWithCacheWS(cache, suffixes, choices, ws)
+// ScoreChoiceBatchWithCacheWS is the constrained decoding ICL classifies
+// with: for each sequence continuing cache's prefix it returns the index of
+// the highest-logit choice token (the choices are the label words' first
+// tokens) and the softmax over just those choices. A nil cache is no prefix:
+// each sequence is then a whole prompt, which the caller cuts to MaxSeqLen.
+// The vocabulary logits stay in the workspace — only the per-choice
+// probabilities are returned, freshly allocated.
+func (m *Model) ScoreChoiceBatchWithCacheWS(cache *KVCache, seqs [][]int, choices []int, ws *tensor.Workspace) ([]int, [][]float32) {
+	logits := m.nextTokenLogits(cache, seqs, ws, ws)
+	return chooseFromLogits(logits, len(seqs), choices)
 }
 
-// ScoreChoiceBatchWithCacheWS is ScoreChoiceBatchWithCache on a caller-owned
-// workspace. The full-vocabulary logits stay in the workspace arena — only
-// the per-choice probabilities are returned, freshly allocated.
-func (m *Model) ScoreChoiceBatchWithCacheWS(cache *KVCache, suffixes [][]int, choices []int, ws *tensor.Workspace) ([]int, [][]float32) {
-	logits := m.nextTokenLogitsBatchCached(cache, suffixes, ws, ws)
-	return chooseFromLogits(logits, len(suffixes), choices)
-}
-
-// ForwardClsBatch classifies a batch of sequences in one packed forward pass,
-// returning logits [B, NumClasses]. Row i matches ForwardCls(seqs[i], false)
-// exactly. The classification head runs only on the B pooled vectors.
-func (m *Model) ForwardClsBatch(seqs [][]int) *tensor.Matrix {
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	return m.ForwardClsBatchWS(seqs, ws)
-}
-
-// ForwardClsBatchWS is ForwardClsBatch on a caller-owned workspace. The
-// returned logits are heap-allocated.
+// ForwardClsBatchWS classifies a batch of sequences in one packed forward
+// pass, returning logits [B, NumClasses]; row i matches ForwardCls(seqs[i],
+// false) up to float rounding. Sequences longer than MaxSeqLen keep their
+// head, as Encode does. The classification head runs only on the B pooled
+// vectors, and the returned logits are heap-allocated.
 func (m *Model) ForwardClsBatchWS(seqs [][]int, ws *tensor.Workspace) *tensor.Matrix {
 	if len(seqs) == 0 {
 		return tensor.New(0, m.Config.NumClasses)
@@ -343,42 +292,6 @@ func (m *Model) ForwardClsBatchWS(seqs [][]int, ws *tensor.Workspace) *tensor.Ma
 		}
 	}
 	return m.ClsHead.Infer(pooled, nil)
-}
-
-// NextTokenLogitsBatch returns next-token logits [B, VocabSize] for a batch
-// of prompts. The model must be causal. Prompts longer than MaxSeqLen keep
-// their right edge (as NextTokenLogits does). Unlike the sequential path,
-// the LM head runs only on the B final positions rather than every token.
-func (m *Model) NextTokenLogitsBatch(prompts [][]int) *tensor.Matrix {
-	if !m.Config.Causal {
-		panic("transformer: NextTokenLogitsBatch requires a causal model")
-	}
-	if len(prompts) == 0 {
-		return tensor.New(0, m.Config.VocabSize)
-	}
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	seqs := make([][]int, len(prompts))
-	for i, ids := range prompts {
-		if len(ids) > m.Config.MaxSeqLen {
-			ids = ids[len(ids)-m.Config.MaxSeqLen:]
-		}
-		seqs[i] = ids
-	}
-	h, offsets := m.encodeBatch(seqs, ws)
-	last := ws.Get(len(seqs), m.Config.DModel)
-	for s := 0; s+1 < len(offsets); s++ {
-		copy(last.Row(s), h.Row(offsets[s+1]-1))
-	}
-	return nn.Infer(m.LMHead, last, nil)
-}
-
-// ScoreChoiceBatch is ScoreChoice over a batch of prompts: for each prompt it
-// returns the index of the highest-logit choice token and the softmax over
-// just those choices.
-func (m *Model) ScoreChoiceBatch(prompts [][]int, choices []int) ([]int, [][]float32) {
-	logits := m.NextTokenLogitsBatch(prompts)
-	return chooseFromLogits(logits, len(prompts), choices)
 }
 
 // chooseFromLogits reduces per-row vocabulary logits to the best index and

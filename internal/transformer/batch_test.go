@@ -96,7 +96,7 @@ func TestForwardClsBatchTruncatesKeepingHead(t *testing.T) {
 func TestNextTokenLogitsBatchMatchesSequential(t *testing.T) {
 	m := batchTestModel(true)
 	prompts := batchTestSeqs(8, m.Config.VocabSize, m.Config.MaxSeqLen, 5)
-	logits := m.NextTokenLogitsBatch(prompts)
+	logits := m.nextTokenLogits(nil, prompts, nil, nil)
 	if logits.Rows != len(prompts) || logits.Cols != m.Config.VocabSize {
 		t.Fatalf("batch logits shape %dx%d", logits.Rows, logits.Cols)
 	}
@@ -111,7 +111,7 @@ func TestScoreChoiceBatchMatchesSequential(t *testing.T) {
 	m := batchTestModel(true)
 	prompts := batchTestSeqs(8, m.Config.VocabSize, m.Config.MaxSeqLen, 9)
 	choices := []int{10, 20}
-	best, probs := m.ScoreChoiceBatch(prompts, choices)
+	best, probs := m.ScoreChoiceBatchWithCacheWS(nil, prompts, choices, nil)
 	for i, p := range prompts {
 		wantBest, wantProbs := refChoice(m, p, choices)
 		if best[i] != wantBest {
@@ -146,7 +146,7 @@ func TestNextTokenLogitsBatchWithCacheMatchesSequential(t *testing.T) {
 	prefix := batchTestSeqs(1, m.Config.VocabSize, m.Config.MaxSeqLen/2, 17)[0]
 	suffixes := batchTestSeqs(6, m.Config.VocabSize, m.Config.MaxSeqLen-len(prefix), 19)
 	cache := m.InferKVCache(prefix)
-	logits := m.NextTokenLogitsBatchWithCacheWS(cache, suffixes, nil)
+	logits := m.nextTokenLogits(cache, suffixes, nil, nil)
 	if logits.Rows != len(suffixes) {
 		t.Fatalf("rows = %d", logits.Rows)
 	}
@@ -164,7 +164,7 @@ func TestEmptyBatches(t *testing.T) {
 		t.Fatalf("empty cls batch rows = %d", got.Rows)
 	}
 	dec := batchTestModel(true)
-	if got := dec.NextTokenLogitsBatch(nil); got.Rows != 0 {
+	if got := dec.nextTokenLogits(nil, nil, nil, nil); got.Rows != 0 {
 		t.Fatalf("empty lm batch rows = %d", got.Rows)
 	}
 }

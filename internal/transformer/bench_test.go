@@ -28,11 +28,12 @@ func BenchmarkAttentionForward(b *testing.B) {
 	}
 }
 
-// BenchmarkKVCacheDecode measures one cached decode step: scoring the next
-// token of a 1-token suffix against a 256-token cached prefix — the ICL
-// serving inner loop after the prompt cache is built — in fp32 and with
-// every projection computing in integers. allocs/op should sit within a few
-// allocations of zero (only returned results allocate).
+// BenchmarkKVCacheDecode measures one cached decode step on a workspace
+// borrowed from the pool: scoring the next token of a 1-token suffix against
+// a 256-token cached prefix — the ICL serving inner loop after the prompt
+// cache is built — in fp32 and with every projection computing in integers.
+// allocs/op should sit within a few allocations of zero (only returned
+// results allocate).
 func BenchmarkKVCacheDecode(b *testing.B) {
 	for _, precision := range []string{"fp32", "int8"} {
 		b.Run(precision, func(b *testing.B) {
@@ -45,13 +46,18 @@ func BenchmarkKVCacheDecode(b *testing.B) {
 				prefix[i] = i % 300
 			}
 			cache := m.InferKVCache(prefix)
-			suffix := []int{7}
+			suffixes := [][]int{{7}}
 			choices := []int{10, 20}
-			m.ScoreChoiceWithCache(cache, suffix, choices) // warm the workspace pool
+			decode := func() {
+				ws := tensor.GetWorkspace()
+				m.ScoreChoiceBatchWithCacheWS(cache, suffixes, choices, ws)
+				tensor.PutWorkspace(ws)
+			}
+			decode() // warm the workspace pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.ScoreChoiceWithCache(cache, suffix, choices)
+				decode()
 			}
 		})
 	}

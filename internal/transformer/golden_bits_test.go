@@ -38,7 +38,7 @@ type goldenBits struct {
 	// ForwardClsBatchWS logits [B, NumClasses], row-major.
 	EncoderLogitsFP32 []uint32 `json:"encoder_logits_fp32"`
 	EncoderLogitsInt8 []uint32 `json:"encoder_logits_int8"`
-	// NextTokenLogitsBatchWithCacheWS logits [B, VocabSize] over the cached
+	// nextTokenLogits logits [B, VocabSize] over the cached
 	// prefix, then ScoreChoiceBatchWithCacheWS probabilities [B, choices].
 	DecoderLogitsFP32 []uint32 `json:"decoder_logits_fp32"`
 	DecoderLogitsInt8 []uint32 `json:"decoder_logits_int8"`
@@ -137,7 +137,7 @@ func computeGoldenBits() goldenBits {
 	score := func() (logits, probs []uint32) {
 		cache := dec.InferKVCache(prefix)
 		ws.Reset()
-		logits = floatBits(dec.NextTokenLogitsBatchWithCacheWS(cache, seqs, ws).Data)
+		logits = floatBits(dec.nextTokenLogits(cache, seqs, ws, nil).Data)
 		ws.Reset()
 		_, ps := dec.ScoreChoiceBatchWithCacheWS(cache, seqs, choices, ws)
 		for _, p := range ps {

@@ -1,7 +1,6 @@
 package transformer
 
 import (
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -17,78 +16,39 @@ type LayerKV struct {
 // full-prompt forward pass into a suffix-only pass (the same optimization
 // production LLM servers apply to shared system prompts).
 //
-// A cache is read-only after construction. The suffix paths that consume it
-// (NextTokenLogitsWithCache, ScoreChoiceWithCache, and the batched variants)
-// run on the read-only workspace-backed forwards, so one cache can serve
-// concurrent queries from many goroutines.
+// A cache is read-only after construction, and ScoreChoiceBatchWithCacheWS,
+// which consumes it, runs on the read-only workspace-backed forward, so one
+// cache can serve concurrent queries from many goroutines.
 type KVCache struct {
 	Layers []LayerKV
 	// Len is the prefix length in tokens.
 	Len int
 }
 
-// BuildKVCache runs the prefix through the model once and captures each
-// attention layer's keys and values. The model must be causal and the prefix
-// must fit in MaxSeqLen.
-func (m *Model) BuildKVCache(prefix []int) *KVCache {
-	return m.InferKVCache(prefix)
-}
-
-// NextTokenLogitsWithCache computes the next-token logits for prefix+suffix,
-// reusing the cached prefix. The cache is not mutated and the pass is
-// read-only on the model. Results are identical to NextTokenLogits over the
-// concatenation (up to float addition order).
-func (m *Model) NextTokenLogitsWithCache(cache *KVCache, suffix []int) []float32 {
+// InferKVCache captures each attention layer's keys and values over the
+// prefix on the read-only inference path, so a cache can be built while other
+// goroutines run inference on the same model. The model must be causal and
+// the prefix must fit in MaxSeqLen.
+func (m *Model) InferKVCache(prefix []int) *KVCache {
+	if !m.Config.Causal {
+		panic("transformer: KV cache requires a causal model")
+	}
+	if len(prefix) == 0 {
+		panic("transformer: empty prefix")
+	}
+	if len(prefix) > m.Config.MaxSeqLen {
+		panic("transformer: prefix exceeds MaxSeqLen")
+	}
 	ws := tensor.GetWorkspace()
 	defer tensor.PutWorkspace(ws)
-	return m.nextTokenLogitsWithCache(cache, suffix, ws)
-}
-
-func (m *Model) nextTokenLogitsWithCache(cache *KVCache, suffix []int, ws *tensor.Workspace) []float32 {
-	if len(suffix) == 0 {
-		panic("transformer: empty suffix")
-	}
-	if cache.Len+len(suffix) > m.Config.MaxSeqLen {
-		panic("transformer: cached sequence exceeds MaxSeqLen")
-	}
 	offsets := ws.GetInts(2)
-	offsets[0], offsets[1] = 0, len(suffix)
-	h := m.embedBatchOne(suffix, cache.Len, ws)
-	for li, b := range m.Blocks {
-		h, _ = b.inferBatch(h, offsets, cache.Layers[li], ws, false)
+	offsets[0], offsets[1] = 0, len(prefix)
+	h := m.embedBatch([][]int{prefix}, offsets, 0, ws)
+	cache := &KVCache{Len: len(prefix)}
+	for _, b := range m.Blocks {
+		var kv LayerKV
+		h, kv = b.inferBatch(h, offsets, LayerKV{}, ws, true)
+		cache.Layers = append(cache.Layers, kv)
 	}
-	// Only the final position feeds the next-token logits; run the LN and LM
-	// head on that single row.
-	last := ws.RowView(h, h.Rows-1, h.Rows)
-	logits := nn.Infer(m.LMHead, m.FinalLN.Infer(last, ws), ws)
-	//lint:ignore hotalloc returned to the caller; the logits row must outlive the workspace's next Reset
-	out := make([]float32, logits.Cols)
-	copy(out, logits.Row(0))
-	return out
-}
-
-// ScoreChoiceWithCache is ScoreChoice with a cached prefix: it returns the
-// best choice index and the softmax over the candidate tokens' logits.
-func (m *Model) ScoreChoiceWithCache(cache *KVCache, suffix []int, choices []int) (int, []float32) {
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	logits := m.nextTokenLogitsWithCache(cache, suffix, ws)
-	sub := make([]float32, len(choices))
-	for i, c := range choices {
-		sub[i] = logits[c]
-	}
-	tensor.Softmax(sub)
-	return tensor.ArgMax(sub), sub
-}
-
-// embedBatchOne is embedBatch for a single sequence, avoiding the packed
-// batch plumbing on the per-token decode path.
-func (m *Model) embedBatchOne(ids []int, posStart int, ws *tensor.Workspace) *tensor.Matrix {
-	pos := ws.GetInts(len(ids))
-	for i := range pos {
-		pos[i] = posStart + i
-	}
-	h := m.TokEmb.Infer(ids, ws)
-	pe := m.PosEmb.Infer(pos, ws)
-	return tensor.Add(h, h, pe)
+	return cache
 }

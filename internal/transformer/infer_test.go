@@ -8,7 +8,7 @@ import (
 
 // cachedLogits runs one suffix through the cached-prefix forward.
 func cachedLogits(m *Model, cache *KVCache, suffix []int) []float32 {
-	return m.NextTokenLogitsBatchWithCacheWS(cache, [][]int{suffix}, nil).Row(0)
+	return m.nextTokenLogits(cache, [][]int{suffix}, nil, nil).Row(0)
 }
 
 // TestKVCacheMatchesFullForward is the core equivalence property: logits

@@ -68,14 +68,14 @@ func TestQuantizeInt8BatchForwardParity(t *testing.T) {
 	dec := batchTestModel(true)
 	prefix := batchTestSeqs(1, dec.Config.VocabSize, dec.Config.MaxSeqLen/2, 43)[0]
 	suffixes := batchTestSeqs(5, dec.Config.VocabSize, dec.Config.MaxSeqLen-len(prefix), 47)
-	wantLogits := dec.NextTokenLogitsBatchWithCacheWS(dec.InferKVCache(prefix), suffixes, nil)
+	wantLogits := dec.nextTokenLogits(dec.InferKVCache(prefix), suffixes, nil, nil)
 	dec.QuantizeInt8(0)
 	cache := dec.InferKVCache(prefix)
-	gotLogits := dec.NextTokenLogitsBatchWithCacheWS(cache, suffixes, nil)
+	gotLogits := dec.nextTokenLogits(cache, suffixes, nil, nil)
 	quantCloseEnough(t, "cached-prefix logits", gotLogits, wantLogits, 0.15)
 
 	// Single-suffix decode agrees with its own batched path bitwise.
-	one := dec.NextTokenLogitsBatchWithCacheWS(cache, suffixes[:1], nil).Row(0)
+	one := dec.nextTokenLogits(cache, suffixes[:1], nil, nil).Row(0)
 	for j, v := range gotLogits.Row(0) {
 		if one[j] != v {
 			t.Fatal("quantized single decode diverged from batched decode")

@@ -235,36 +235,20 @@ func TestNextTokenLogitsRequiresCausal(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(13))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for non-causal NextTokenLogits")
+			t.Fatal("expected panic for next-token scoring on an encoder")
 		}
 	}()
-	m.NextTokenLogits([]int{1, 2})
-}
-
-func TestNextTokenLogitsTruncatesLeft(t *testing.T) {
-	m := New(smallConfig(true), tensor.NewRNG(14))
-	long := make([]int, 50)
-	for i := range long {
-		long[i] = i % 20
-	}
-	// Must not panic, and must match using only the rightmost window.
-	got := m.NextTokenLogits(long)
-	want := m.NextTokenLogits(long[len(long)-m.Config.MaxSeqLen:])
-	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-5 {
-			t.Fatal("left truncation mismatch")
-		}
-	}
+	m.ScoreChoiceBatchWithCacheWS(nil, [][]int{{1, 2}}, []int{4, 5}, nil)
 }
 
 func TestScoreChoice(t *testing.T) {
 	m := New(smallConfig(true), tensor.NewRNG(15))
-	best, probs := m.ScoreChoice([]int{1, 2, 3}, []int{4, 5})
-	if best != 0 && best != 1 {
-		t.Fatalf("best = %d", best)
+	best, probs := m.ScoreChoiceBatchWithCacheWS(nil, [][]int{{1, 2, 3}}, []int{4, 5}, nil)
+	if best[0] != 0 && best[0] != 1 {
+		t.Fatalf("best = %d", best[0])
 	}
-	if math.Abs(float64(probs[0]+probs[1])-1) > 1e-5 {
-		t.Fatalf("choice probs sum to %v", probs[0]+probs[1])
+	if math.Abs(float64(probs[0][0]+probs[0][1])-1) > 1e-5 {
+		t.Fatalf("choice probs sum to %v", probs[0][0]+probs[0][1])
 	}
 }
 
@@ -355,34 +339,6 @@ func TestQuantize4BitModel(t *testing.T) {
 	for _, v := range logits.Data {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatal("quantized model produced non-finite logits")
-		}
-	}
-}
-
-func TestGenerateStopsAtStopToken(t *testing.T) {
-	m := New(smallConfig(true), tensor.NewRNG(22))
-	// With an untrained model we can't force a specific token, but stop==all
-	// tokens must end generation immediately.
-	all := make([]int, 20)
-	for i := range all {
-		all[i] = i
-	}
-	out := m.Generate([]int{1, 2}, GenerateOptions{MaxNewTokens: 10, StopTokens: all})
-	if len(out) != 0 {
-		t.Fatalf("generation ignored stop tokens: %v", out)
-	}
-}
-
-func TestGenerateTemperatureSampling(t *testing.T) {
-	m := New(smallConfig(true), tensor.NewRNG(23))
-	rng := tensor.NewRNG(24)
-	out := m.Generate([]int{1}, GenerateOptions{MaxNewTokens: 5, Temperature: 1.0, RNG: rng})
-	if len(out) != 5 {
-		t.Fatalf("generated %d tokens, want 5", len(out))
-	}
-	for _, tok := range out {
-		if tok < 0 || tok >= 20 {
-			t.Fatalf("token %d out of vocab", tok)
 		}
 	}
 }

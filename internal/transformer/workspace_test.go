@@ -63,24 +63,28 @@ func TestStridedAttentionMatchesCopyingBitwise(t *testing.T) {
 }
 
 // TestKVCacheDecodeAllocations pins the steady-state allocation count of the
-// per-token decode step (the ICL serving hot path) at near-zero: only the
-// returned logits/probability slices may allocate, never the forward pass's
-// temporaries.
+// one-query decode step on a workspace borrowed from the pool (how core's
+// DetectBatch serves a lone sentence) at near-zero: only the returned
+// best/probability slices may allocate, never the forward pass's temporaries.
 func TestKVCacheDecodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	m := New(smallConfig(true), tensor.NewRNG(92))
 	cache := m.InferKVCache([]int{1, 2, 3, 4, 5, 6})
-	suffix := []int{7, 8}
+	suffixes := [][]int{{7, 8}}
 	choices := []int{1, 2}
-	m.ScoreChoiceWithCache(cache, suffix, choices) // warm the workspace pool
-	allocs := testing.AllocsPerRun(100, func() {
-		m.ScoreChoiceWithCache(cache, suffix, choices)
-	})
-	// Budget: the logits copy and the choice-probability slice (measured: 2)
-	// plus headroom for pool/GC noise. The pre-workspace implementation
-	// allocated hundreds of matrices per call here.
+	decode := func() {
+		ws := tensor.GetWorkspace()
+		m.ScoreChoiceBatchWithCacheWS(cache, suffixes, choices, ws)
+		tensor.PutWorkspace(ws)
+	}
+	decode() // warm the workspace pool
+	allocs := testing.AllocsPerRun(100, decode)
+	// Budget: the best-index slice, the probability slice-of-slices and the
+	// one choice-probability slice (measured: 3) plus headroom for pool/GC
+	// noise. The pre-workspace implementation allocated hundreds of matrices
+	// per call here.
 	if allocs > 4 {
 		t.Fatalf("KV-cache decode step allocates %v times per op, want ≤ 4", allocs)
 	}
