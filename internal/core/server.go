@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/logparse"
+	"repro/internal/resilience"
 )
 
 // DetectRequest is the body of POST /v1/detect. Exactly one of Sentence or
@@ -513,25 +514,13 @@ func writeDetectError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrUnknownModel):
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.As(err, &oe):
-		setRetryAfter(w.Header(), oe.RetryAfter)
+		resilience.SetRetryAfter(w.Header(), oe.RetryAfter)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, "deadline exceeded before results were ready", http.StatusGatewayTimeout)
 	default:
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	}
-}
-
-// setRetryAfter writes a 429's two retry headers: Retry-After (integer
-// seconds, per RFC 9110) and Retry-After-Ms (exact milliseconds, for clients
-// that can back off finer than a second).
-func setRetryAfter(h http.Header, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	h.Set("Retry-After", strconv.FormatInt(secs, 10))
-	h.Set("Retry-After-Ms", strconv.FormatInt(d.Milliseconds(), 10))
 }
 
 // detect is what both detect handlers do once they hold the request's
@@ -672,7 +661,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		status := http.StatusBadRequest
 		var oe *OverloadedError
 		if errors.As(err, &oe) {
-			setRetryAfter(w.Header(), oe.RetryAfter)
+			resilience.SetRetryAfter(w.Header(), oe.RetryAfter)
 			status = http.StatusTooManyRequests
 		}
 		resp.Error = err.Error()

@@ -537,12 +537,7 @@ func (g *Gateway) shedNow(w http.ResponseWriter) {
 			}
 		}
 	}
-	secs := int64((retry + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	w.Header().Set("Retry-After-Ms", strconv.FormatInt(retry.Milliseconds(), 10))
+	resilience.SetRetryAfter(w.Header(), retry)
 	http.Error(w, "gateway: no routable replica (all ejected, cooling, or saturated)", http.StatusTooManyRequests)
 }
 

@@ -56,6 +56,16 @@ func RetryableStatus(code int) bool { return retryableStatus(code) }
 // or zero. Exported for the gateway's per-replica 429 cooldowns.
 func RetryAfterHint(resp *http.Response) time.Duration { return retryAfterHint(resp) }
 
+// SetRetryAfter writes a 429's two retry headers, the pair RetryAfterHint
+// reads: Retry-After in whole seconds, rounded up and at least 1 (RFC 9110),
+// and Retry-After-Ms with the exact milliseconds, for clients that can back
+// off finer than a second. core's and the gateway's sheds both write it here.
+func SetRetryAfter(h http.Header, d time.Duration) {
+	secs := max(1, int64((d+time.Second-1)/time.Second))
+	h.Set("Retry-After", strconv.FormatInt(secs, 10))
+	h.Set("Retry-After-Ms", strconv.FormatInt(d.Milliseconds(), 10))
+}
+
 // retryableStatus reports whether a response status is worth retrying: the
 // server shed (429) or a hop failed transiently (502/503/504). Other 5xx
 // (500, 501) are bugs, not load.
@@ -69,11 +79,12 @@ func retryableStatus(code int) bool {
 }
 
 // retryAfterHint extracts the server's drain estimate: Retry-After-Ms
-// (milliseconds, the sub-second channel core's 429s use) wins over the
-// RFC 9110 Retry-After in whole seconds.
+// (milliseconds, the sub-second channel SetRetryAfter writes) wins over the
+// RFC 9110 Retry-After in whole seconds, which SetRetryAfter rounds up to at
+// least 1 — so a present Retry-After-Ms of 0 means zero, not the 1s beside it.
 func retryAfterHint(resp *http.Response) time.Duration {
 	if v := resp.Header.Get("Retry-After-Ms"); v != "" {
-		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
+		if ms, err := strconv.Atoi(v); err == nil && ms >= 0 {
 			return time.Duration(ms) * time.Millisecond
 		}
 	}

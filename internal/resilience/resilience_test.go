@@ -372,3 +372,29 @@ func TestClientCancelledIsNotAServerFailure(t *testing.T) {
 		t.Fatalf("breaker state = %s after two live failures, want open", br.State())
 	}
 }
+
+// TestRetryAfterRoundTrip pins the writer against its parser: whatever
+// SetRetryAfter writes, RetryAfterHint reads back to the millisecond, and the
+// whole-second header never says less than 1.
+func TestRetryAfterRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		d        time.Duration
+		wantSecs string
+	}{
+		{0, "1"},
+		{time.Millisecond, "1"},
+		{999 * time.Millisecond, "1"},
+		{time.Second, "1"},
+		{1500 * time.Millisecond, "2"},
+		{5 * time.Second, "5"},
+	} {
+		resp := &http.Response{Header: http.Header{}}
+		SetRetryAfter(resp.Header, tc.d)
+		if got := resp.Header.Get("Retry-After"); got != tc.wantSecs {
+			t.Errorf("%v: Retry-After %q, want %q", tc.d, got, tc.wantSecs)
+		}
+		if got := RetryAfterHint(resp); got != tc.d {
+			t.Errorf("%v: RetryAfterHint read back %v", tc.d, got)
+		}
+	}
+}
