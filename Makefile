@@ -66,5 +66,6 @@ fuzz-smoke:
 	$(GO) test ./internal/logparse -run '^$$' -fuzz '^FuzzParseLogLine$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logparse -run '^$$' -fuzz '^FuzzParseCSVRow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadDetector$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzPromWriterLabels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzKernelsMatchReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzElementwiseMatchReference$$' -fuzztime $(FUZZTIME)

@@ -1,34 +1,15 @@
-// Command anomalygw fronts a fleet of anomalyd replicas with one
-// overload-safe HTTP endpoint — the replicated-serving tier of ROADMAP
-// item 1 (see docs/RELIABILITY.md, "Replicated serving").
+// Command anomalygw serves a fleet of anomalyd replicas as one node (see
+// docs/RELIABILITY.md, "Replicated serving"):
 //
 //	anomalygw -replicas http://10.0.0.1:8080,http://10.0.0.2:8080,http://10.0.0.3:8080
 //
-// What the gateway adds over a plain load balancer:
-//
-//   - Consistent-hash routing on trace ID: /v1/monitor lines (and /v1/detect
-//     requests carrying ?trace= or X-Trace-Key) always land on the replica
-//     that owns the trace's TraceTracker window, so trace-level verdicts
-//     stay correct across a fleet. Stateless traffic load-balances to the
-//     least-loaded routable replica.
-//   - Active health checking: each replica's /readyz is probed every
-//     -health-interval; -eject-after consecutive failures take it out of
-//     rotation, -readmit-after successes bring it back. Traces owned by an
-//     ejected replica deterministically re-home to their next ring
-//     preference.
-//   - Hedged retries: a forward that outlives the fleet's recent p99 is
-//     raced by a copy on the next replica in preference order; hedges and
-//     retries share one retry budget and each replica sits behind its own
-//     circuit breaker.
-//   - Fleet admission control: a replica's 429 Retry-After becomes a routing
-//     cooldown, and when nothing is routable the gateway sheds with its own
-//     429 + Retry-After instead of queueing on a saturated fleet.
-//
-// Endpoints mirror anomalyd's (detect, detect/batch, monitor, models,
-// stats/reset, alerts, healthz, readyz) plus the gateway's own Prometheus
-// /metrics. GET /v1/models and POST /v1/monitor return fleet-merged bodies
-// in the single-node shape, so existing clients (and loadlab -addr) work
-// against the gateway unchanged.
+// It is the server anomalyd runs, with the replicas' models: at start it reads
+// their GET /v1/models and serves every model they list, with their batch
+// sizes and the sum of their workers, and it exits if no replica answers.
+// Requests, the monitor and its trace windows, /v1/alerts, /v1/models and
+// /metrics are the front's own; each batch its workers form is computed by
+// one replica's /v1/detect/batch, hedged, retried and behind a per-replica
+// circuit breaker (internal/gateway). The replicas keep no state.
 package main
 
 import (
@@ -46,60 +27,30 @@ import (
 )
 
 func main() {
-	var (
-		addr          = flag.String("addr", ":8090", "listen address")
-		replicas      = flag.String("replicas", "", "comma-separated anomalyd base URLs (required), e.g. http://127.0.0.1:8080,http://127.0.0.1:8081")
-		vnodes        = flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default 128)")
-		healthIvl     = flag.Duration("health-interval", time.Second, "period between /readyz probes of each replica")
-		healthTimeout = flag.Duration("health-timeout", 0, "per-probe timeout (0 = min(health-interval, 500ms))")
-		ejectAfter    = flag.Int("eject-after", 2, "consecutive probe failures that eject a replica from rotation")
-		readmitAfter  = flag.Int("readmit-after", 2, "consecutive probe successes that re-admit an ejected replica")
-		maxAttempts   = flag.Int("max-attempts", 3, "distinct replicas one request may be forwarded to")
-		hedgeDelay    = flag.Duration("hedge-delay", 0, "fixed hedge trigger delay (0 = derive from recent forward p99)")
-		hedgeMin      = flag.Duration("hedge-min", 0, "floor for the derived hedge delay (0 = 5ms)")
-		hedgeMax      = flag.Duration("hedge-max", 0, "ceiling for the derived hedge delay (0 = 250ms)")
-		budgetCap     = flag.Float64("retry-budget", 0, "retry+hedge token bucket capacity (0 = 32)")
-		budgetRatio   = flag.Float64("retry-ratio", 0, "retry budget refill per forwarded request (0 = 0.1)")
-		breakThresh   = flag.Int("breaker-threshold", 0, "consecutive forward failures that open a replica's circuit (0 = 5)")
-		breakCool     = flag.Duration("breaker-cooldown", 0, "open-circuit probe interval (0 = 1s)")
-		cooldown      = flag.Duration("cooldown", 0, "routing cooldown for a 429 with no Retry-After hint (0 = 500ms)")
-	)
+	addr := flag.String("addr", ":8090", "listen address")
+	replicas := flag.String("replicas", "", "comma-separated anomalyd base URLs (required), e.g. http://127.0.0.1:8080,http://127.0.0.1:8081")
 	flag.Parse()
-	if *replicas == "" {
-		log.Fatal("anomalygw: -replicas is required")
-	}
 	var urls []string
 	for _, u := range strings.Split(*replicas, ",") {
 		if u = strings.TrimSpace(strings.TrimSuffix(u, "/")); u != "" {
 			urls = append(urls, u)
 		}
 	}
+	if len(urls) == 0 {
+		log.Fatal("anomalygw: -replicas is required")
+	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	g, err := gateway.New(ctx, gateway.Config{
-		Replicas:         urls,
-		VirtualNodes:     *vnodes,
-		HealthInterval:   *healthIvl,
-		HealthTimeout:    *healthTimeout,
-		EjectAfter:       *ejectAfter,
-		ReadmitAfter:     *readmitAfter,
-		MaxAttempts:      *maxAttempts,
-		HedgeDelay:       *hedgeDelay,
-		HedgeMin:         *hedgeMin,
-		HedgeMax:         *hedgeMax,
-		BudgetCapacity:   *budgetCap,
-		BudgetRatio:      *budgetRatio,
-		BreakerThreshold: *breakThresh,
-		BreakerCooldown:  *breakCool,
-		CooldownDefault:  *cooldown,
-	})
+	// The forwards' root outlives the signal: in-flight requests finish
+	// through the fleet during the graceful shutdown below.
+	g, err := gateway.New(context.Background(), gateway.Config{Replicas: urls})
 	if err != nil {
 		log.Fatal("anomalygw: ", err)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
-	log.Printf("gateway listening on %s, %d replicas: %s", *addr, len(urls), strings.Join(urls, ", "))
+	log.Printf("gateway listening on %s, models %v over %d replicas: %s",
+		*addr, g.Registry().Names(), len(urls), strings.Join(urls, ", "))
 	srv := &http.Server{Addr: *addr, Handler: g}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
@@ -111,11 +62,12 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown: stop accepting, let in-flight forwards and SSE
-	// fan-ins finish (Close cancels the health checker, and the signal
-	// context's cancellation unwinds the alert readers).
+	// Graceful shutdown, as anomalyd's: end the SSE streams so Shutdown's
+	// wait on active connections can complete, let in-flight requests
+	// finish, then release the front's workers.
 	log.Print("shutting down...")
 	stop()
+	g.CloseStreams()
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {

@@ -8,7 +8,8 @@
 //	expbench -list
 //
 // Each experiment prints a table shaped like the corresponding artifact in
-// the paper; EXPERIMENTS.md records paper-reported vs measured values.
+// the paper; those printed tables are the record of the measured values, to
+// set beside the paper's own.
 package main
 
 import (

@@ -89,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cascName  = fs.String("cascade", "", "two-stage inference drill: replay each non-chaos scenario twice, stage-1 gate (ngram, pca, or iforest) off then on, as paired report rows (in-process only)")
 		cascRec   = fs.Float64("cascade-recall", cascade.DefaultTargetRecall, "cascade calibration target recall")
 		gatewayN  = fs.Int("gateway", 0, "replicated-serving drill: boot N in-process replicas behind an anomalygw gateway and replay each non-chaos scenario against it too, as paired single-node vs fleet rows (in-process only, N >= 2)")
-		gwKill    = fs.Bool("gateway-kill", false, "with -gateway: blackhole one replica for the middle third of each gateway replay, exercising ejection, re-routing, and re-admission")
+		gwKill    = fs.Bool("gateway-kill", false, "with -gateway: blackhole one replica for the middle third of each gateway replay, exercising its breaker opening and its half-open re-admission")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// remote server.
 	var monReset func() error
 	// Gateway drill state (nil/empty unless -gateway N): the fleet's base
-	// URL, a fleet-wide tracker reset, and the blackhole switch for -gateway-kill.
+	// URL, the front's tracker reset, and the blackhole switch for -gateway-kill.
 	var gwURL string
 	var gwReset func() error
 	var gwKiller *killGate
@@ -513,8 +513,9 @@ func retryClient(seed uint64) *resilience.Client {
 
 // bootGatewayFleet builds the -gateway drill: n in-process replicas (each
 // its own registry and HTTP server, all serving the shared detector — batch
-// scoring is read-only) behind a gateway with test-paced health checking.
-// With kill armed, the last replica sits behind a killGate blackhole.
+// scoring is read-only) behind a gateway front. reset clears the front's
+// trace tracker, the fleet's only one. With kill armed, the last replica sits
+// behind a killGate blackhole.
 func bootGatewayFleet(det core.Detector, bcfg core.BatchConfig, n int, kill bool) (gwURL string, reset func() error, killer *killGate, cleanup func(), err error) {
 	var cleanups []func()
 	cleanup = func() {
@@ -527,7 +528,6 @@ func bootGatewayFleet(det core.Detector, bcfg core.BatchConfig, n int, kill bool
 		return "", nil, nil, nil, e
 	}
 	var urls []string
-	var regs []*core.Registry
 	for i := 0; i < n; i++ {
 		reg := core.NewRegistry()
 		if err := reg.Add(core.DefaultModel, det, bcfg); err != nil {
@@ -548,16 +548,12 @@ func bootGatewayFleet(det core.Detector, bcfg core.BatchConfig, n int, kill bool
 		hsrv := &http.Server{Handler: h}
 		go hsrv.Serve(ln)
 		urls = append(urls, "http://"+ln.Addr().String())
-		regs = append(regs, reg)
 		cleanups = append(cleanups, func() {
 			hsrv.Close()
 			srv.Close()
 		})
 	}
-	gw, err := gateway.New(context.Background(), gateway.Config{
-		Replicas:       urls,
-		HealthInterval: 50 * time.Millisecond, // compressed replays need compressed ejection
-	})
+	gw, err := gateway.New(context.Background(), gateway.Config{Replicas: urls})
 	if err != nil {
 		return fail(err)
 	}
@@ -569,14 +565,7 @@ func bootGatewayFleet(det core.Detector, bcfg core.BatchConfig, n int, kill bool
 	ghsrv := &http.Server{Handler: gw}
 	go ghsrv.Serve(gln)
 	cleanups = append(cleanups, func() { ghsrv.Close() })
-	reset = func() error {
-		for _, reg := range regs {
-			if err := reg.ResetMonitor(core.DefaultModel); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	reset = func() error { return gw.Registry().ResetMonitor(core.DefaultModel) }
 	return "http://" + gln.Addr().String(), reset, killer, cleanup, nil
 }
 

@@ -84,9 +84,9 @@ func TestRunSmoke(t *testing.T) {
 		"roc_auc": 0.5, "avg_precision": 0, "line_f1": 0, "trace_f1": 0,
 	}
 	monitor := pins{"events": 200, "alerts": 45, "flagged_traces": 5, "malformed": 0}
-	// A +gw row repeats its single-node row except for dedup_saved, which is
-	// summed over the replicas: a hedged request is computed, and its repeats
-	// saved, on two of them (87, 90, 92 across runs under the race detector).
+	// A +gw row repeats its single-node row except for dedup_saved: the fleet
+	// replays at another speed (below), and how many repeats meet in one of
+	// the front's batches moves with the schedule.
 	fleet := func(single pins) pins {
 		out := single.and(pins{"replicas": 3, "error_rate": 0})
 		delete(out, "dedup_saved")
@@ -96,11 +96,10 @@ func TestRunSmoke(t *testing.T) {
 	// chance on it.
 	chance := pins{"events": 200, "roc_auc": 0.5, "avg_precision": 0, "line_f1": 0, "trace_f1": 0}
 
-	// The gateway row replays at speed 2, not 200: its pinned columns hold only
-	// while the fleet keeps up. A saturated replica fails its /readyz probes,
-	// the gateway ejects it and sheds (docs/RELIABILITY.md, "Known defects"),
-	// and shed requests move errors and quality. The race detector makes the
-	// replicas ~10× slower, so the schedule slows with them.
+	// The gateway row replays at speed 2, not 200, the speed its pins were
+	// recorded at when a saturated replica was still ejected and shed. The
+	// race detector makes the replicas ~10× slower, so the schedule slows
+	// with them.
 	fleetSpeed := "2"
 	if raceEnabled {
 		fleetSpeed = "0.25"

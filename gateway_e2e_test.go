@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -14,19 +15,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gateway"
-	"repro/internal/gateway/ring"
 	"repro/internal/resilience"
 	"repro/internal/scenario"
 )
 
 // TestGatewayChaosEndToEnd is the replicated-serving acceptance gate: three
-// anomalyd replicas behind the anomalygw gateway, one killed mid-replay.
-// The drill must keep the client-visible failure rate bounded with a clean
-// taxonomy, re-home every affected trace to exactly one surviving replica
-// with fleet-merged monitor verdicts identical to a single node's, deliver
-// each replica's alerts in input order through the fan-in stream, recover
-// its tail latency once the ejection settles, and leak zero goroutines after
-// shutdown.
+// anomalyd replicas behind the anomalygw front, one killed mid-replay. The
+// drill must keep the client-visible failure rate bounded with a clean
+// taxonomy, open the victim's breaker and only its, recover its tail latency
+// on the survivors, report monitor verdicts identical to a single node's with
+// no trace state on any replica, deliver the alerts in input order through
+// the front's own stream, and leak zero goroutines after shutdown.
 func TestGatewayChaosEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -35,8 +34,7 @@ func TestGatewayChaosEndToEnd(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	// Three replicas, each its own registry and HTTP server over the shared
-	// detector (batch scoring is read-only; trace state is per-registry —
-	// exactly what the ring protects).
+	// detector (batch scoring is read-only).
 	const n = 3
 	regs := make([]*core.Registry, n)
 	srvs := make([]*core.Server, n)
@@ -55,10 +53,7 @@ func TestGatewayChaosEndToEnd(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	g, err := gateway.New(ctx, gateway.Config{
-		Replicas:       urls,
-		HealthInterval: 25 * time.Millisecond, // ejection inside the compressed replay
-	})
+	g, err := gateway.New(ctx, gateway.Config{Replicas: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +64,7 @@ func TestGatewayChaosEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ~150 lines/s for ~4s of wall time: enough runway for the kill, the
-	// ejection, and a post window, while staying under fleet capacity on a
-	// contended CI box — over-driving trips the replicas' admission control
-	// (saturated /readyz -> ejection -> boundary shed) and turns the clean
-	// baseline into a shed measurement. The race detector slows inference
+	// breaker opening, and a post window. The race detector slows inference
 	// ~10x, so the race build drives an order of magnitude gentler.
 	events, rate := 600, 150.0
 	if raceEnabled {
@@ -82,43 +74,20 @@ func TestGatewayChaosEndToEnd(t *testing.T) {
 	const speed = 1.0
 	rcfg := scenario.ReplayConfig{BaseURL: gs.URL, Model: "genome-sft", Speed: speed, Timeout: 30 * time.Second}
 
-	// Plain builds must serve the clean windows perfectly; under the race
-	// detector's slowdown, transient queue saturation can blip a replica's
-	// /readyz and shed a handful of requests at the boundary, so the race
-	// build gets a 2% budget instead of zero.
-	cleanBudget := 0
-	if raceEnabled {
-		cleanBudget = events / 50
-	}
-
-	// Phase 1 — clean fleet baseline.
+	// Phase 1 — clean fleet baseline. Saturation queues at the front rather
+	// than failing anything, so a clean fleet serves every request.
 	clean, err := scenario.Replay(ctx, s, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clean.Errors > cleanBudget {
+	if clean.Errors != 0 {
 		t.Fatalf("clean fleet replay failed %d/%d requests (%+v)", clean.Errors, clean.Requests, clean.Failures)
 	}
 
-	// Phase 2 — the same stream with one replica killed mid-replay. The kill
-	// lands a third of the way in, so the run records a pre window, the
-	// outage + ejection, and a post window on the surviving fleet.
-	//
-	// The victim is the replica that owns the most of the stream: the ring
-	// hashes replica URLs, httptest picks their ports, and with a fixed victim
-	// about one run in sixty killed a replica owning none of the stream's
-	// handful of traces, leaving phase 4 nothing to re-route.
-	rg := ring.New(urls, 0)
-	owned := map[string]int{}
-	for _, ev := range s.Events {
-		owned[rg.Owner(ring.TraceKey(ev.Job.TraceID))]++
-	}
-	victim := 0
-	for i, u := range urls {
-		if owned[u] > owned[urls[victim]] {
-			victim = i
-		}
-	}
+	// Phase 2 — the same stream with one replica killed a third of the way
+	// in. The victim is the first replica in preference order (ties in
+	// outstanding work go to configuration order), so the kill meets work.
+	const victim = 0
 	wall := time.Duration(float64(s.Duration()) / speed)
 	killT := time.AfterFunc(wall/3, func() {
 		https[victim].CloseClientConnections()
@@ -135,8 +104,8 @@ func TestGatewayChaosEndToEnd(t *testing.T) {
 		chaos.Errors, chaos.Requests, chaos.Failures, ccfg.Retry.RetriesSent.Load(),
 		clean.ClientP99Ms, chaos.ClientP99Ms)
 
-	// Bounded, well-typed failure: retries + rotation absorb most of the
-	// outage; what leaks through must be part of the taxonomy, not hangs.
+	// Bounded, well-typed failure: the front re-sends a failed batch to a
+	// survivor; what leaks through must be part of the taxonomy, not hangs.
 	if rate := float64(chaos.Errors) / float64(chaos.Requests); rate > 0.25 {
 		t.Errorf("failure rate %.3f exceeds 0.25 with one of three replicas killed (%+v)", rate, chaos.Failures)
 	}
@@ -144,196 +113,103 @@ func TestGatewayChaosEndToEnd(t *testing.T) {
 		t.Errorf("taxonomy total %d != errors %d", chaos.Failures.Total(), chaos.Errors)
 	}
 
-	// The health checker must have ejected the victim (and only it).
-	waitUntil(t, 2*time.Second, func() bool {
-		var rr gateway.ReadyResponse
-		if err := getJSON(gs.URL+"/readyz", &rr); err != nil {
-			return false
+	// The victim's breaker opened, and only its.
+	metrics := getText(t, gs.URL+"/metrics")
+	for i, u := range urls {
+		ejected := strings.Contains(metrics, fmt.Sprintf("repro_gateway_ejections_total{replica=%q} 0\n", u))
+		if ejected == (i == victim) {
+			t.Errorf("replica %d: ejected %v, want %v\n%s", i, !ejected, i == victim, metrics)
 		}
-		healthy := 0
-		victimHealthy := false
-		for _, st := range rr.Replicas {
-			if st.Healthy {
-				healthy++
-				if st.URL == urls[victim] {
-					victimHealthy = true
-				}
-			}
-		}
-		return rr.Ready && healthy == n-1 && !victimHealthy
-	})
+	}
 
-	// Phase 3 — post-window recovery: the surviving fleet must serve the
-	// stream cleanly again, with tail latency back at the clean baseline.
+	// Phase 3 — post-window recovery: the survivors must serve the stream
+	// cleanly again, with tail latency back at the clean baseline.
 	post, err := scenario.Replay(ctx, s, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if post.Errors > cleanBudget {
-		t.Fatalf("post-ejection replay failed %d/%d requests (%+v)", post.Errors, post.Requests, post.Failures)
+	if post.Errors != 0 {
+		t.Fatalf("post-kill replay failed %d/%d requests (%+v)", post.Errors, post.Requests, post.Failures)
 	}
 	if !raceEnabled {
 		bound := 1.5*clean.ClientP99Ms + 100
 		if post.ClientP99Ms > bound {
-			t.Errorf("post-ejection p99 %.1fms did not recover to %.1fms (clean p99 %.1fms)",
+			t.Errorf("post-kill p99 %.1fms did not recover to %.1fms (clean p99 %.1fms)",
 				post.ClientP99Ms, bound, clean.ClientP99Ms)
 		}
 	}
 
-	// Phase 4 — trace re-routing correctness. Subscribe to the fan-in alert
-	// stream, then demux the full monitor stream through the gateway with the
-	// victim dead: no line may be lost, every line must land on a survivor,
-	// traces owned by the victim must re-home to their next ring preference,
-	// and the fleet-merged report must match a fresh single node bit for bit.
+	// Phase 4 — the monitor, with the victim dead. The front runs the one
+	// monitor loop and the one tracker, so its report must be a fresh single
+	// node's, field for field, and no replica may hold trace state.
 	alerts := subscribeAlerts(t, gs.URL)
-	// SSE has no replay: wait until the gateway's per-replica alert readers
-	// are attached to both survivors before producing alerts, or the head of
-	// the stream is silently missed.
-	waitUntil(t, 2*time.Second, func() bool {
-		for i := 0; i < n; i++ {
-			if i == victim {
-				continue
-			}
-			var mr core.ModelsResponse
-			if err := getJSON(urls[i]+"/v1/models", &mr); err != nil || mr.SSE.Subscribers < 1 {
-				return false
-			}
-		}
-		return true
-	})
-
 	var input strings.Builder
-	traceLines := map[int]int{}
 	for _, ev := range s.Events {
 		input.WriteString(ev.Line)
 		input.WriteByte('\n')
-		traceLines[ev.Job.TraceID]++
 	}
-	droppedBefore := sseDropped(t, urls, victim)
+	droppedBefore := sseDropped(t, gs.URL)
 	resp, err := http.Post(gs.URL+"/v1/monitor?model=genome-sft&strict=1", "text/plain", strings.NewReader(input.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var agg gateway.MonitorAggregate
-	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
+	var mr core.MonitorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || agg.Error != "" {
-		t.Fatalf("gateway monitor: status %d, error %q", resp.StatusCode, agg.Error)
+	if resp.StatusCode != http.StatusOK || mr.Error != "" {
+		t.Fatalf("front monitor: status %d, error %q", resp.StatusCode, mr.Error)
 	}
-	if agg.Gateway.Lost != 0 {
-		t.Fatalf("lost %d monitor lines with two healthy survivors", agg.Gateway.Lost)
-	}
-	if agg.Processed != len(s.Events) {
-		t.Fatalf("fleet processed %d of %d lines", agg.Processed, len(s.Events))
-	}
-	if lines := agg.Gateway.Lines[urls[victim]]; lines != 0 {
-		t.Errorf("%d lines routed to the dead victim", lines)
-	}
-
-	// Exactly-one-survivor accounting: with a fresh tracker per registry and
-	// no evictions at this scale, distinct traces across survivors must sum
-	// to the stream's distinct traces — double-counting (a split trace) or
-	// undercounting (a lost trace) both break the equality.
-	survivorTraces := 0
-	for i := 0; i < n; i++ {
-		infos := regs[i].Info()
-		if len(infos) != 1 {
-			t.Fatalf("replica %d registry has %d models", i, len(infos))
-		}
-		active := infos[0].ActiveTraces
-		if i == victim {
-			if active != 0 {
-				t.Errorf("victim tracker saw %d traces after death", active)
-			}
-			continue
-		}
-		survivorTraces += active
-	}
-	if survivorTraces != len(traceLines) {
-		t.Errorf("survivors hold %d distinct traces, stream has %d (traces split or lost)",
-			survivorTraces, len(traceLines))
-	}
-	rerouteWant := 0
-	for id := range traceLines {
-		if rg.Owner(ring.TraceKey(id)) == urls[victim] {
-			rerouteWant++
-		}
-	}
-	if rerouteWant == 0 {
-		t.Fatal("drill vacuous: the victim owned no traces")
-	}
-	if agg.Gateway.Rerouted == 0 {
-		t.Errorf("victim owned %d traces but the demux re-routed no lines", rerouteWant)
-	}
-
-	// Verdict correctness: the fleet-merged report must match a fresh single
-	// node ingesting the identical stream — consistent-hash demux must not
-	// change what gets flagged.
-	refReg := core.NewRegistry()
-	if err := refReg.Add("genome-sft", det, core.BatchConfig{MaxBatch: 64, Workers: 2}); err != nil {
+	refSrv := core.NewServerRegistry(core.NewRegistry())
+	if err := refSrv.Registry().Add("genome-sft", det, core.BatchConfig{MaxBatch: 64, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	refSrv := core.NewServerRegistry(refReg)
 	ref, err := refSrv.MonitorIngestModel(ctx, "genome-sft", strings.NewReader(input.String()), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.Alerts != ref.Alerts || agg.FlaggedTraces != ref.FlaggedTraces ||
-		agg.ActiveTraces != ref.ActiveTraces || agg.Malformed != ref.Malformed {
-		t.Errorf("fleet-merged report diverges from single node:\n fleet  %+v\n single %+v",
-			agg.MonitorReport, ref)
-	}
 	refSrv.Close()
+	if mr.MonitorReport != ref {
+		t.Errorf("front report diverges from a single node's:\n front  %+v\n single %+v", mr.MonitorReport, ref)
+	}
+	if mr.Processed != len(s.Events) || mr.Alerts == 0 {
+		t.Errorf("front processed %d of %d lines with %d alerts; the comparison needs all of them and some alerts",
+			mr.Processed, len(s.Events), mr.Alerts)
+	}
+	for i := 0; i < n; i++ {
+		if active := regs[i].Info()[0].ActiveTraces; active != 0 {
+			t.Errorf("replica %d tracks %d traces, want 0: trace state is the front's", i, active)
+		}
+	}
 
-	// Phase 5 — in-order alerts through the fan-in: events interleave across
-	// replicas, but each trace lives on one replica, so per-trace alert order
-	// must follow input order.
-	//
-	// How many events arrive is not the report's count: a replica's alert bus
-	// never blocks ingest, so when the collector publishes a chunk's alerts
-	// faster than the SSE handler writes them out, the gateway's reader — the
-	// bus's one subscriber — falls more than its 64-event buffer behind and
-	// misses events. The bus counts every miss, and every publish has
-	// happened by the time the monitor reply is back, so what must hold
-	// exactly is delivered + dropped == published, over both event kinds.
-	perTrace := map[int][]string{}
-	for _, ev := range s.Events {
-		perTrace[ev.Job.TraceID] = append(perTrace[ev.Job.TraceID], ev.Line)
-	}
-	dropped := sseDropped(t, urls, victim) - droppedBefore
-	published := agg.Alerts + agg.FlaggedTraces
+	// Phase 5 — the alerts through the front's own /v1/alerts: one bus, fed
+	// by the monitor's collector, so the alert events are a subsequence of
+	// the input. The bus never blocks ingest and drops what a subscriber
+	// more than 64 events behind cannot take, counting each drop, so what
+	// must hold exactly is delivered + dropped == published.
+	dropped := sseDropped(t, gs.URL) - droppedBefore
+	published := mr.Alerts + mr.FlaggedTraces
 	got, traceEvents := collectEvents(alerts, published-dropped, 20*time.Second)
-	pos := map[int]int{}
+	pos := 0
 	for i, a := range got {
-		lines := perTrace[a.Trace]
-		found := false
-		for pos[a.Trace] < len(lines) {
-			if lines[pos[a.Trace]] == a.Line {
-				found = true
-				pos[a.Trace]++
-				break
-			}
-			pos[a.Trace]++
+		for pos < len(s.Events) && s.Events[pos].Line != a.Line {
+			pos++
 		}
-		if !found {
-			t.Fatalf("alert %d (trace %d, %q) arrived out of that trace's input order", i, a.Trace, a.Line)
+		if pos == len(s.Events) {
+			t.Fatalf("alert %d (trace %d, %q) arrived out of input order", i, a.Trace, a.Line)
 		}
+		pos++
 	}
-	t.Logf("alert fan-in: %d alert + %d trace events delivered, %d dropped by the replica buses, %d published",
+	t.Logf("alerts: %d alert + %d trace events delivered, %d dropped, %d published",
 		len(got), traceEvents, dropped, published)
 	if len(got)+traceEvents+dropped != published {
-		t.Errorf("fan-in delivered %d alert + %d trace events and the replica buses dropped %d; report counted %d alerts + %d flagged traces",
-			len(got), traceEvents, dropped, agg.Alerts, agg.FlaggedTraces)
-	}
-	if len(got) > agg.Alerts || traceEvents > agg.FlaggedTraces {
-		t.Errorf("fan-in delivered %d alert / %d trace events, more than the %d / %d the report counted",
-			len(got), traceEvents, agg.Alerts, agg.FlaggedTraces)
+		t.Errorf("delivered %d alert + %d trace events and dropped %d; the report counted %d alerts + %d flagged traces",
+			len(got), traceEvents, dropped, mr.Alerts, mr.FlaggedTraces)
 	}
 
-	// Wind down everything and verify nothing leaked: gateway health loops,
-	// alert fan-in readers, replica worker pools, SSE buses.
+	// Wind down everything and verify nothing leaked: the front's workers
+	// and SSE stream, the replicas' worker pools.
 	alerts.close()
 	gs.Close()
 	g.Close()
@@ -383,10 +259,16 @@ func subscribeAlerts(t *testing.T, base string) *alertSub {
 		cancel()
 		resp.Body.Close()
 	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	// The server subscribes before it writes the stream's opening comment:
+	// once that is read, no event can be missed.
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), ":") {
+		sub.close()
+		t.Fatalf("alert stream opened with %q", sc.Text())
+	}
 	go func() {
 		defer close(sub.ch)
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 64<<10), 1<<20)
 		event, data := "", ""
 		for sc.Scan() {
 			line := sc.Text()
@@ -435,21 +317,14 @@ func collectEvents(sub *alertSub, want int, timeout time.Duration) (alerts []cor
 	return alerts, traces
 }
 
-// sseDropped sums the surviving replicas' alert-bus drop counters.
-func sseDropped(t *testing.T, urls []string, victim int) int {
+// sseDropped reads the alert bus's drop counter from base's /v1/models.
+func sseDropped(t *testing.T, base string) int {
 	t.Helper()
-	total := 0
-	for i, u := range urls {
-		if i == victim {
-			continue
-		}
-		var mr core.ModelsResponse
-		if err := getJSON(u+"/v1/models", &mr); err != nil {
-			t.Fatal(err)
-		}
-		total += int(mr.SSE.Dropped)
+	var mr core.ModelsResponse
+	if err := getJSON(base+"/v1/models", &mr); err != nil {
+		t.Fatal(err)
 	}
-	return total
+	return int(mr.SSE.Dropped)
 }
 
 func getJSON(url string, v interface{}) error {
@@ -461,14 +336,16 @@ func getJSON(url string, v interface{}) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
+func getText(t *testing.T, url string) string {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("condition not met in time")
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -381,6 +381,63 @@ func TestDocsNameOnlyExistingIdentifiers(t *testing.T) {
 	})
 }
 
+// TestDocsNameOnlyExistingFiles fails on a Markdown file named in a .go
+// comment, in README.md or in docs/*.md that git does not track. A name with a
+// directory must be a tracked path; a bare name must be the base name of one.
+func TestDocsNameOnlyExistingFiles(t *testing.T) {
+	out, err := exec.Command("git", "ls-files").Output()
+	if err != nil {
+		t.Skipf("no git checkout to list tracked files from: %v", err)
+	}
+	tracked := map[string]bool{}
+	for _, p := range strings.Fields(string(out)) {
+		tracked[p], tracked[filepath.Base(p)] = true, true
+	}
+	cited := regexp.MustCompile(`[\w./-]*\w\.md\b`)
+	check := func(where, text string) {
+		for _, name := range cited.FindAllString(text, -1) {
+			if !tracked[strings.TrimPrefix(name, "./")] {
+				t.Errorf("%s names %s, which is not a tracked file", where, name)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				check(fset.Position(c.Pos()).String(), c.Text)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(docs, "README.md") {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(data), "\n") {
+			check(path+":"+strconv.Itoa(n+1), line)
+		}
+	}
+}
+
 // TestDocsNameOnlyExistingTests fails on a backticked `Test…`, `Benchmark…`
 // or `Fuzz…` name that no _test.go in the repository declares; a trailing `*`
 // makes the name a prefix. docs/PERFORMANCE.md is measurement history, like

@@ -89,6 +89,16 @@ type BatchWSDetector interface {
 	DetectBatchWS(sentences []string, ws *tensor.Workspace) []Result
 }
 
+// FallibleDetector is implemented by detectors whose batch call can fail: a
+// model served by another process (internal/gateway's remote detectors). The
+// serving engine calls TryDetectBatch in place of DetectBatch, and an error
+// fails every request of the batch with it — an *OverloadedError as a shed.
+// There is no context: one batch serves several callers, so the detector runs
+// it under a context of its own.
+type FallibleDetector interface {
+	TryDetectBatch(sentences []string) ([]Result, error)
+}
+
 // Detector is the unified detection interface implemented by both
 // approaches.
 type Detector interface {

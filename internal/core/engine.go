@@ -54,13 +54,15 @@ func (j *detectJob) wait() (results []Result, degraded bool, err error) {
 // swapped out of a registry) re-fetch and retry, so a hot-swap drops no
 // requests.
 type engine struct {
-	det   Detector
-	cfg   BatchConfig
-	stats *statsRecorder // owned by the registry slot (or the monitor run); survives swaps
-	fb    *fallbackSlot  // owned by the registry slot; may hold no detector
-	gate  *cascadeSlot   // owned by the registry slot; may hold no gate
-	brown brownout
-	jobs  chan *detectJob // the whole backlog: nothing waits anywhere else
+	det    Detector
+	infer  inferFunc // det's batch call, resolved once
+	usesWS bool      // infer draws on the calling worker's workspace
+	cfg    BatchConfig
+	stats  *statsRecorder // owned by the registry slot (or the monitor run); survives swaps
+	fb     *fallbackSlot  // owned by the registry slot; may hold no detector
+	gate   *cascadeSlot   // owned by the registry slot; may hold no gate
+	brown  brownout
+	jobs   chan *detectJob // the whole backlog: nothing waits anywhere else
 
 	mu     sync.RWMutex // guards closed vs. enqueue
 	closed bool
@@ -89,11 +91,37 @@ func newEngine(det Detector, cfg BatchConfig, stats *statsRecorder, fb *fallback
 		},
 		jobs: make(chan *detectJob, cfg.QueueDepth),
 	}
+	e.infer, e.usesWS = resolveInfer(det)
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
 	}
 	return e
+}
+
+// inferFunc is the engine's one model call: a chunk of at most MaxBatch
+// sentences in, their results in input order out, scratch drawn from the
+// calling worker's workspace.
+type inferFunc func(sentences []string, ws *tensor.Workspace) ([]Result, error)
+
+// resolveInfer picks det's batch call once, so the batch runner never
+// branches on the detector, and reports whether that call uses the worker's
+// workspace. A FallibleDetector's call is used as is; an in-process detector
+// cannot fail, and runs on the worker's workspace (reset per chunk, bounding
+// the arena to one chunk's scratch) when it accepts one.
+func resolveInfer(det Detector) (infer inferFunc, usesWS bool) {
+	switch d := det.(type) {
+	case FallibleDetector:
+		return func(sentences []string, _ *tensor.Workspace) ([]Result, error) { return d.TryDetectBatch(sentences) }, false
+	case BatchWSDetector:
+		return func(sentences []string, ws *tensor.Workspace) ([]Result, error) {
+			ws.Reset()
+			return d.DetectBatchWS(sentences, ws), nil
+		}, true
+	}
+	return func(sentences []string, _ *tensor.Workspace) ([]Result, error) {
+		return det.DetectBatch(sentences), nil
+	}, false
 }
 
 // Close drains queued requests, stops the inference workers, and fails
@@ -200,17 +228,21 @@ func (e *engine) brownoutActive() bool { return e.brown.active() }
 // forms a batch around it from whatever else is already waiting, and runs it —
 // so an idle pool answers a lone request at once, and only while every worker
 // is busy does the queue accumulate, to be taken whole by the next one free.
-// Each worker owns one tensor.Workspace for its lifetime: when the detector
-// supports workspace-threaded batches (BatchWSDetector), every model
+// When the detector supports workspace-threaded batches (BatchWSDetector),
+// each worker owns one tensor.Workspace for its lifetime and every model
 // invocation reuses the worker's arena instead of allocating its temporaries,
-// so steady-state serving is allocation-free outside request plumbing.
+// so steady-state serving is allocation-free outside request plumbing. Other
+// workers hold none: a pooled workspace keeps the arena its last user grew,
+// and a worker that never uses it would pin that memory for its whole life.
 func (e *engine) worker() {
 	defer e.wg.Done()
-	w := &batchWorker{e: e, ws: tensor.GetWorkspace()}
-	defer tensor.PutWorkspace(w.ws)
-	wsDet, _ := e.det.(BatchWSDetector)
+	w := &batchWorker{e: e}
+	if e.usesWS {
+		w.ws = tensor.GetWorkspace()
+		defer tensor.PutWorkspace(w.ws)
+	}
 	for job := range e.jobs {
-		w.runBatch(e.fill(job), wsDet)
+		w.runBatch(e.fill(job))
 	}
 }
 
@@ -252,15 +284,15 @@ type batchWorker struct {
 // Copying (rather than sub-slicing one shared backing array) keeps jobs from
 // aliasing each other's memory once their waiters take ownership. Jobs whose
 // caller already cancelled are skipped entirely — their sentences never
-// reach the model. The worker's workspace is reset between chunks, bounding
-// the arena to one chunk's scratch.
+// reach the model. A chunk the model fails fails every live job of the batch
+// with its error.
 //
 // Identical sentences inside the coalesced batch are classified once:
 // production log streams are highly repetitive (a stuck job re-emitting the
 // same line, fleets of identical workers), so deduplication converts repeats
 // into near-free throughput. Detection is a pure function of the sentence
 // text, which makes the fan-back exact, not approximate.
-func (w *batchWorker) runBatch(batch []*detectJob, wsDet BatchWSDetector) {
+func (w *batchWorker) runBatch(batch []*detectJob) {
 	e := w.e
 	started := time.Now()
 	live := make([]*detectJob, 0, len(batch))
@@ -345,13 +377,15 @@ func (w *batchWorker) runBatch(batch []*detectJob, wsDet BatchWSDetector) {
 	}
 	results := make([]Result, 0, len(run))
 	for lo := 0; lo < len(run); lo += e.cfg.MaxBatch {
-		hi := min(lo+e.cfg.MaxBatch, len(run))
-		if wsDet != nil {
-			w.ws.Reset()
-			results = append(results, wsDet.DetectBatchWS(run[lo:hi], w.ws)...)
-		} else {
-			results = append(results, e.det.DetectBatch(run[lo:hi])...)
+		out, err := e.infer(run[lo:min(lo+e.cfg.MaxBatch, len(run))], w.ws)
+		if err != nil {
+			for _, j := range live {
+				j.err = err
+				close(j.done)
+			}
+			return
 		}
+		results = append(results, out...)
 	}
 	if gated != nil {
 		for k, i := range runIdx {

@@ -2,13 +2,19 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/logparse"
 	"repro/internal/tensor"
 )
 
@@ -337,5 +343,102 @@ func TestRunBatchDedupSingleSentence(t *testing.T) {
 	}
 	if res[0] != hashResult("only line") {
 		t.Fatalf("result = %+v", res[0])
+	}
+}
+
+// fallibleDetector fails, with err, every batch whose first sentence starts
+// with prefix ("" fails them all) — through the error path a FallibleDetector
+// has: the engine must never call its error-less DetectBatch.
+type fallibleDetector struct {
+	*gateDetector
+	err    error
+	prefix string
+}
+
+func (d fallibleDetector) TryDetectBatch(ss []string) ([]Result, error) {
+	res := d.gateDetector.DetectBatch(ss)
+	if strings.HasPrefix(ss[0], d.prefix) {
+		return nil, d.err
+	}
+	return res, nil
+}
+
+func (fallibleDetector) DetectBatch([]string) []Result {
+	panic("the engine called a FallibleDetector's DetectBatch")
+}
+
+// TestEngineModelErrorFailsBatch pins the engine's one error path: a batch
+// the model fails fails every job in it with the model's error, and the jobs
+// of other batches are untouched.
+func TestEngineModelErrorFailsBatch(t *testing.T) {
+	down := errors.New("replica down")
+	g := &gatedEngine{t: t, det: newGateDetector(), rec: &statsRecorder{}}
+	g.freeAll = sync.OnceFunc(func() { close(g.det.release) })
+	cfg := BatchConfig{MaxBatch: 8, Workers: 1}
+	cfg.fill()
+	g.eng = newEngine(fallibleDetector{g.det, down, "fail"}, cfg, g.rec, nil, nil)
+	t.Cleanup(func() { g.freeAll(); g.eng.Close() })
+
+	held := g.hold("h0")
+	f0 := g.submit(context.Background(), "fail f0")
+	f1 := g.submit(context.Background(), "f1", "f2")
+	g.free()
+	g.wantNext("fail f0", "f1", "f2") // one batch: both queued jobs
+	g.finish(held)
+	for _, p := range []pendingDetect{f0, f1} {
+		if out := <-p.out; !errors.Is(out.err, down) || out.res != nil {
+			t.Fatalf("%q: results %+v, err %v; want the model's error", p.sentences, out.res, out.err)
+		}
+	}
+	if st := g.stats(); st.Batches != 1 {
+		t.Fatalf("stats counted %d batches, want 1: a failed batch ran no compute worth timing", st.Batches)
+	}
+}
+
+// TestModelErrorStatus pins how a model's failure reads over HTTP: a shed
+// (*OverloadedError) is a 429 with the retry headers, anything else a 503 —
+// on /v1/monitor with the partial report and the error, never a 400, which
+// stays the strict-mode answer to a malformed line.
+func TestModelErrorStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err    error
+		status int
+	}{
+		{errors.New("replica down"), http.StatusServiceUnavailable},
+		{&OverloadedError{RetryAfter: 2 * time.Second}, http.StatusTooManyRequests},
+	} {
+		det := fallibleDetector{newGateDetector(), tc.err, ""}
+		close(det.release)
+		s := NewServerWith(det, BatchConfig{MaxBatch: 2, Workers: 1})
+		hs := httptest.NewServer(s)
+
+		resp, err := http.Post(hs.URL+"/v1/detect/batch", "application/json", strings.NewReader(`{"sentences":["fail a"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%v: detect status %d, want %d", tc.err, resp.StatusCode, tc.status)
+		}
+		if tc.status == http.StatusTooManyRequests && (resp.Header.Get("Retry-After") != "2" || resp.Header.Get("Retry-After-Ms") != "2000") {
+			t.Errorf("%v: retry headers %v", tc.err, resp.Header)
+		}
+
+		var log strings.Builder
+		for i := 0; i < 6; i++ {
+			log.WriteString(logparse.LogLine(streamJob(1, i, false)) + "\n")
+		}
+		resp, err = http.Post(hs.URL+"/v1/monitor", "text/plain", strings.NewReader(log.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mr MonitorResponse
+		json.NewDecoder(resp.Body).Decode(&mr)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || mr.Error == "" || mr.Processed >= 6 {
+			t.Errorf("%v: monitor status %d, report %+v; want %d, an error, lines lost", tc.err, resp.StatusCode, mr, tc.status)
+		}
+		hs.Close()
+		s.Close()
 	}
 }

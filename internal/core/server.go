@@ -621,8 +621,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // {"lines": [...]} with Content-Type application/json. `?strict=1` aborts on
 // the first malformed line; the default skips and counts. Alerts and
 // trace-flagged events stream to /v1/alerts subscribers; the response is the
-// run's MonitorReport — with an error field and 400 when the run aborted, 429
-// plus the retry headers when the model shed one of its chunks.
+// run's MonitorReport. A run that stopped early answers its partial report
+// with an error field: 400 when the input ended it (a strict-mode malformed
+// line, an unreadable body), 429 plus the retry headers when the model shed
+// one of its chunks, and 503 when the model failed one.
 func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -656,11 +658,15 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		writeDetectError(w, err) // 404 and 503, as for detect
 		return
 	case err != nil:
-		// A shed chunk is the server's overload, not the client's mistake: a
-		// shed detect's status and retry headers, the partial report the body.
-		status := http.StatusBadRequest
+		// Only the input is the client's mistake. A shed chunk gets a shed
+		// detect's status and retry headers; any other failure is the
+		// server's. The partial report is the body either way.
+		status := http.StatusServiceUnavailable
 		var oe *OverloadedError
-		if errors.As(err, &oe) {
+		switch {
+		case errors.As(err, &inputError{}):
+			status = http.StatusBadRequest
+		case errors.As(err, &oe):
 			resilience.SetRetryAfter(w.Header(), oe.RetryAfter)
 			status = http.StatusTooManyRequests
 		}

@@ -392,6 +392,13 @@ func readLogLine(br *bufio.Reader, max int) (line string, tooLong bool, err erro
 	}
 }
 
+// inputError is a monitor run aborted by its input — a strict-mode malformed
+// line or a failed read of the stream — as opposed to one the engine or the
+// model failed. /v1/monitor answers 400 for it, and 429 or 503 for those.
+type inputError struct{ error }
+
+func (e inputError) Unwrap() error { return e.error }
+
 // monitorChunk is one micro-batch moving through the pipeline: its lines read,
 // parsed and rendered, and, once submitted, the engine job classifying them.
 type monitorChunk struct {
@@ -584,7 +591,9 @@ loop:
 			}
 		case ev, ok := <-lines:
 			if !ok {
-				readErr = ioErr
+				if ioErr != nil {
+					readErr = inputError{ioErr}
+				}
 				break loop
 			}
 			if ev.tooLong {
@@ -592,7 +601,7 @@ loop:
 				// over-long line), the reader skips it so one garbage
 				// blob can't kill a lenient tail.
 				if cfg.Strict {
-					readErr = fmt.Errorf("core: line %d: line exceeds %d bytes", ev.no, maxLineBytes)
+					readErr = inputError{fmt.Errorf("core: line %d: line exceeds %d bytes", ev.no, maxLineBytes)}
 					break loop
 				}
 				malformed++
@@ -601,7 +610,7 @@ loop:
 			job, perr := logparse.ParseLogLine(ev.text)
 			if perr != nil {
 				if cfg.Strict {
-					readErr = fmt.Errorf("core: line %d: %w", ev.no, perr)
+					readErr = inputError{fmt.Errorf("core: line %d: %w", ev.no, perr)}
 					break loop
 				}
 				malformed++

@@ -2,11 +2,15 @@
 // evaluation section. Each experiment is a method on Lab returning a Table
 // (printable rows); cmd/expbench and the repository's benchmarks drive them.
 //
-// Absolute numbers differ from the paper (scaled-down models on synthetic
-// Flow-Bench; see DESIGN.md), but each experiment preserves the paper's
-// comparison structure: who is compared, over what workload, and which
-// direction the result should point. EXPERIMENTS.md records paper-reported
-// vs measured values.
+// Absolute numbers differ from the paper, by substitution: the models are the
+// paper's families scaled down to CPU-trainable sizes that keep their size
+// ordering (internal/models), pre-trained in-process on a synthetic
+// log-language corpus instead of loaded from public checkpoints
+// (internal/pretrain), and Flow-Bench is regenerated synthetically with its
+// Table I statistics (internal/flowbench). Each experiment preserves the
+// paper's comparison structure: who is compared, over what workload, and
+// which direction the result should point. The measured values are the
+// tables cmd/expbench prints; the paper's are in the paper.
 package experiments
 
 import (

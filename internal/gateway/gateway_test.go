@@ -9,160 +9,229 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gateway/ring"
+	"repro/internal/flowbench"
+	"repro/internal/logparse"
+	"repro/internal/resilience"
 )
 
-// fakeReplica is a scriptable anomalyd stand-in: ready/unready, sheddy,
-// slow, and it records which traces its monitor endpoint saw.
-type fakeReplica struct {
-	srv *httptest.Server
+// markDetector is the replicas' model: it flags exactly the sentences of the
+// jobs streamJob marks abnormal, so a verdict is a pure function of its line.
+type markDetector struct{}
 
-	ready   atomic.Bool
-	shed429 atomic.Bool
-	delay   atomic.Int64 // ns applied to detect forwards
-
-	detects atomic.Int64
-	resets  atomic.Int64
-
-	mu     sync.Mutex
-	traces map[string]int // trace id -> monitor lines seen
-}
-
-func newFakeReplica(t *testing.T) *fakeReplica {
-	t.Helper()
-	f := &fakeReplica{traces: map[string]int{}}
-	f.ready.Store(true)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !f.ready.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte(`{"ready":true}`))
-	})
-	detect := func(w http.ResponseWriter, r *http.Request) {
-		if f.shed429.Load() {
-			w.Header().Set("Retry-After-Ms", "60000")
-			w.Header().Set("Retry-After", "60")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		if d := f.delay.Load(); d > 0 {
-			select {
-			case <-time.After(time.Duration(d)):
-			case <-r.Context().Done():
-				return
-			}
-		}
-		f.detects.Add(1)
-		io.Copy(io.Discard, r.Body)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"replica":%q}`, f.srv.URL)
+func (markDetector) DetectSentence(s string) core.Result {
+	if strings.Contains(s, " is 666.0") {
+		return core.Result{Label: 1, Score: 0.99}
 	}
-	mux.HandleFunc("/v1/detect", detect)
-	mux.HandleFunc("/v1/detect/batch", detect)
-	mux.HandleFunc("/v1/monitor", func(w http.ResponseWriter, r *http.Request) {
-		sc := bufio.NewScanner(r.Body)
-		n := 0
-		local := map[string]bool{}
-		for sc.Scan() {
-			line := sc.Text()
-			if line == "" {
-				continue
-			}
-			n++
-			if i := strings.Index(line, "trace="); i >= 0 {
-				id := line[i+len("trace="):]
-				if k := strings.IndexByte(id, ' '); k >= 0 {
-					id = id[:k]
-				}
-				local[id] = true
-				f.mu.Lock()
-				f.traces[id]++
-				f.mu.Unlock()
-			}
-		}
-		writeJSON(w, core.MonitorResponse{MonitorReport: core.MonitorReport{
-			Processed:    n,
-			ActiveTraces: len(local),
-		}})
-	})
-	mux.HandleFunc("/v1/models", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, core.ModelsResponse{Models: []core.ModelInfo{{
-			Name:         "default",
-			Default:      true,
-			ActiveTraces: 3,
-			QueueDepth:   64,
-			Stats:        core.EngineStats{Requests: 10, Sentences: 20, Batches: 5, QueueWaitP99Ms: 7},
-		}}})
-	})
-	mux.HandleFunc("/v1/stats/reset", func(w http.ResponseWriter, r *http.Request) {
-		f.resets.Add(1)
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("/v1/alerts", func(w http.ResponseWriter, r *http.Request) {
-		fl := w.(http.Flusher)
-		w.Header().Set("Content-Type", "text/event-stream")
-		fmt.Fprintf(w, ": streaming\n\n")
-		fl.Flush()
-		fmt.Fprintf(w, "event: alert\ndata: {\"replica\":%q}\n\n", f.srv.URL)
-		fl.Flush()
-		<-r.Context().Done()
-	})
-	f.srv = httptest.NewServer(mux)
-	t.Cleanup(f.srv.Close)
-	return f
+	return core.Result{Label: 0, Score: 0.01}
 }
 
-func (f *fakeReplica) traceSet() map[string]int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]int, len(f.traces))
-	for k, v := range f.traces {
-		out[k] = v
+func (d markDetector) DetectBatch(ss []string) []core.Result {
+	out := make([]core.Result, len(ss))
+	for i, s := range ss {
+		out[i] = d.DetectSentence(s)
 	}
 	return out
 }
 
-// newGateway builds a gateway over the fakes with fast test timings.
-func newGateway(t *testing.T, cfg Config, fakes ...*fakeReplica) (*Gateway, *httptest.Server) {
+func (d markDetector) DetectJob(j flowbench.Job) core.Result {
+	return d.DetectSentence(logparse.Sentence(j))
+}
+
+func (markDetector) Approach() core.Approach { return core.SFT }
+
+// streamJob builds a parseable job, distinct per node; abnormal jobs carry
+// the value markDetector flags.
+func streamJob(trace, node int, abnormal bool) flowbench.Job {
+	j := flowbench.Job{Workflow: flowbench.Genome, TraceID: trace, NodeIndex: node, TaskType: "t"}
+	for i := range j.Features {
+		j.Features[i] = float64(10 + i + node)
+	}
+	if abnormal {
+		j.Features[2] = 666
+	}
+	return j
+}
+
+// monitorLog is n distinct lines over traces 0..traces-1, every third one
+// abnormal.
+func monitorLog(n, traces int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		sb.WriteString(logparse.LogLine(streamJob(i%traces, i, i%3 == 0)))
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// sentence is the i-th distinct sentence, so the front's dedup never merges
+// two of a test's requests.
+func sentence(i int) string { return logparse.Sentence(streamJob(0, i, false)) }
+
+// fakeReplica is an anomalyd: a real core.Server over markDetector, behind a
+// handler the test scripts.
+type fakeReplica struct {
+	srv  *httptest.Server
+	node *core.Server
+
+	shedMs   atomic.Int64 // answer batches 429 with this Retry-After-Ms (0: serve them)
+	degraded atomic.Bool  // answer batches as a browned-out replica does
+	delay    atomic.Int64 // ns a batch waits before it is served
+	unready  atomic.Bool  // GET /readyz answers 503
+	dead     atomic.Bool  // every connection is dropped, as by a crashed replica
+
+	batches atomic.Int64 // batch requests that reached it, dead or alive
+}
+
+func newFakeReplica(t *testing.T, cfg core.BatchConfig) *fakeReplica {
+	t.Helper()
+	f := &fakeReplica{node: core.NewServerWith(markDetector{}, cfg)}
+	f.srv = httptest.NewServer(f)
+	t.Cleanup(func() {
+		f.srv.Close()
+		f.node.Close()
+	})
+	return f
+}
+
+func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/detect/batch" {
+		f.batches.Add(1)
+	}
+	switch {
+	case f.dead.Load():
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conn.Close()
+		}
+		return
+	case r.URL.Path == "/readyz" && f.unready.Load():
+		w.WriteHeader(http.StatusServiceUnavailable)
+		return
+	case r.URL.Path != "/v1/detect/batch":
+	case f.shedMs.Load() > 0:
+		resilience.SetRetryAfter(w.Header(), time.Duration(f.shedMs.Load())*time.Millisecond)
+		w.WriteHeader(http.StatusTooManyRequests)
+		return
+	case f.degraded.Load():
+		var req core.BatchRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		json.NewEncoder(w).Encode(core.BatchResponse{Results: make([]core.DetectResponse, len(req.Sentences)), Degraded: true})
+		return
+	case f.delay.Load() > 0:
+		// Consumed, the body lets the server see a client that hangs up.
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		select {
+		case <-time.After(time.Duration(f.delay.Load())):
+		case <-r.Context().Done():
+			return
+		}
+	}
+	f.node.ServeHTTP(w, r)
+}
+
+// fleet is n one-worker replicas.
+func fleet(t *testing.T, n int) []*fakeReplica {
+	out := make([]*fakeReplica, n)
+	for i := range out {
+		out[i] = newFakeReplica(t, core.BatchConfig{Workers: 1})
+	}
+	return out
+}
+
+// newFront builds a gateway over the fakes and serves it.
+func newFront(t *testing.T, cfg Config, fakes ...*fakeReplica) (*Gateway, *httptest.Server) {
 	t.Helper()
 	for _, f := range fakes {
 		cfg.Replicas = append(cfg.Replicas, f.srv.URL)
-	}
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 20 * time.Millisecond
 	}
 	g, err := New(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(g.Close)
 	srv := httptest.NewServer(g)
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() {
+		srv.Close()
+		g.Close()
+	})
 	return g, srv
 }
 
-func postDetect(t *testing.T, url string) *http.Response {
+func post(t *testing.T, url, ctype, body string) (int, http.Header, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(`{"sentences":["ok"]}`))
+	resp, err := http.Post(url, ctype, strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
-	return resp
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header, b
 }
 
-func drainClose(t *testing.T, resp *http.Response) {
+// detect sends sentence as a one-line batch, failing the test on anything
+// but a 200 with one verdict.
+func detect(t *testing.T, base, sentence string) {
 	t.Helper()
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	status, _, body := post(t, base+"/v1/detect/batch", "application/json", fmt.Sprintf(`{"sentences":[%q]}`, sentence))
+	var br core.BatchResponse
+	if status != http.StatusOK || json.Unmarshal(body, &br) != nil || len(br.Results) != 1 || br.Degraded {
+		t.Fatalf("detect: status %d, body %s", status, body)
+	}
+}
+
+// monitor posts a plain-text log to the front's /v1/monitor.
+func monitor(t *testing.T, base, log string) (int, core.MonitorResponse) {
+	t.Helper()
+	status, _, body := post(t, base+"/v1/monitor", "text/plain", log)
+	var mr core.MonitorResponse
+	if err := json.Unmarshal(body, &mr); err != nil {
+		t.Fatalf("monitor: status %d, body %s", status, body)
+	}
+	return status, mr
+}
+
+// singleNode is what one replica running the whole log itself reports.
+func singleNode(t *testing.T, log string) core.MonitorReport {
+	t.Helper()
+	node := core.NewServerWith(markDetector{}, core.BatchConfig{Workers: 1})
+	defer node.Close()
+	rep, err := node.MonitorIngest(context.Background(), strings.NewReader(log), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("decode %s: %v", url, err)
+	}
+}
+
+// defaultModel is the default model's row of base's GET /v1/models.
+func defaultModel(t *testing.T, base string) core.ModelInfo {
+	t.Helper()
+	var mr core.ModelsResponse
+	getJSON(t, base+"/v1/models", &mr)
+	for _, m := range mr.Models {
+		if m.Default {
+			return m
+		}
+	}
+	t.Fatalf("%s lists no default model: %+v", base, mr)
+	return core.ModelInfo{}
 }
 
 func metricsText(t *testing.T, base string) string {
@@ -176,451 +245,453 @@ func metricsText(t *testing.T, base string) string {
 	return string(b)
 }
 
-func metricValue(t *testing.T, text, needle string) float64 {
+func metricValue(t *testing.T, text, sample string) float64 {
 	t.Helper()
 	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, needle+" ") {
-			var v float64
-			if _, err := fmt.Sscanf(line[len(needle)+1:], "%g", &v); err != nil {
+		if v, ok := strings.CutPrefix(line, sample+" "); ok {
+			var f float64
+			if _, err := fmt.Sscanf(v, "%g", &f); err != nil {
 				t.Fatalf("parsing %q: %v", line, err)
 			}
-			return v
+			return f
 		}
 	}
-	t.Fatalf("metric %q not found in exposition:\n%s", needle, text)
+	t.Fatalf("sample %q not in exposition:\n%s", sample, text)
 	return 0
 }
 
+// fakeClock is the breakers' time: the tests step it past the cooldown.
+type fakeClock struct{ now time.Time }
+
+func (c *fakeClock) read() time.Time { return c.now }
+
 func TestForwardBasic(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	_, srv := newGateway(t, Config{}, a, b)
+	f := fleet(t, 2)
+	_, srv := newFront(t, Config{}, f...)
 
-	resp := postDetect(t, srv.URL+"/v1/detect")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	status, _, body := post(t, srv.URL+"/v1/detect", "application/json",
+		fmt.Sprintf(`{"log_line":%q}`, logparse.LogLine(streamJob(1, 1, true))))
+	var dr core.DetectResponse
+	if status != http.StatusOK || json.Unmarshal(body, &dr) != nil || dr.Label != 1 {
+		t.Fatalf("status %d, body %s; want 200 and an abnormal verdict", status, body)
 	}
-	if resp.Header.Get("X-Gateway-Replica") == "" {
-		t.Fatalf("missing X-Gateway-Replica header")
-	}
-	drainClose(t, resp)
-	if a.detects.Load()+b.detects.Load() != 1 {
-		t.Fatalf("fleet saw %d detects, want 1", a.detects.Load()+b.detects.Load())
+	if n := f[0].batches.Load() + f[1].batches.Load(); n != 1 {
+		t.Fatalf("fleet computed %d batches, want 1", n)
 	}
 }
 
+// TestTraceAffinity pins what trace affinity is for: every line of a trace,
+// over however many posts, meets one tracker — the front's — and the
+// replicas hold no trace state.
 func TestTraceAffinity(t *testing.T) {
-	a, b, c := newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)
-	_, srv := newGateway(t, Config{}, a, b, c)
+	f := fleet(t, 2)
+	_, srv := newFront(t, Config{}, f...)
 
-	rg := ring.New([]string{a.srv.URL, b.srv.URL, c.srv.URL}, 0)
-	owner := rg.Owner(ring.TraceKey(7))
+	// Trace 7's abnormal lines come in five posts. Its first flags it, and the
+	// flag latches on the tracker that saw it: a post meeting another tracker
+	// would flag the trace again.
 	for i := 0; i < 5; i++ {
-		resp := postDetect(t, srv.URL+"/v1/detect?trace=7")
-		if got := resp.Header.Get("X-Gateway-Replica"); got != owner {
-			t.Fatalf("request %d went to %s, want ring owner %s", i, got, owner)
+		status, mr := monitor(t, srv.URL, logparse.LogLine(streamJob(7, i, true))+"\n")
+		if want := map[bool]int{true: 1}[i == 0]; status != http.StatusOK || mr.FlaggedTraces != want {
+			t.Fatalf("post %d: status %d, %d traces flagged, want 200 and %d", i, status, mr.FlaggedTraces, want)
 		}
-		drainClose(t, resp)
+	}
+	if n := defaultModel(t, srv.URL).ActiveTraces; n != 1 {
+		t.Errorf("front tracks %d traces, want 1", n)
+	}
+	for _, r := range f {
+		if n := defaultModel(t, r.srv.URL).ActiveTraces; n != 0 {
+			t.Errorf("replica %s tracks %d traces, want 0", r.srv.URL, n)
+		}
 	}
 }
 
+// TestHealthEjectionAndReadmission steps a replica's breaker through its
+// states on a fake clock: a replica that drops connections stops receiving
+// batches after BreakerThreshold failures, and after the cooldown its
+// half-open probe — a real batch — readmits it.
 func TestHealthEjectionAndReadmission(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	g, srv := newGateway(t, Config{HealthInterval: 10 * time.Millisecond}, a, b)
+	f := fleet(t, 2)
+	a := f[0]
+	g, srv := newFront(t, Config{BreakerThreshold: 2}, f...)
+	clock := &fakeClock{now: time.Unix(0, 0)}
+	for _, rep := range g.pool.replicas {
+		rep.breaker = resilience.NewBreakerClock(2, breakerCooldown, clock.read)
+	}
 
-	a.ready.Store(false)
-	waitFor(t, time.Second, func() bool { return !g.replicas[a.srv.URL].healthy.Load() })
-
-	// All traffic, even trace-pinned-to-a traffic, lands on b.
-	for i := 0; i < 10; i++ {
-		resp := postDetect(t, srv.URL+fmt.Sprintf("/v1/detect?trace=%d", i))
-		if got := resp.Header.Get("X-Gateway-Replica"); got != b.srv.URL {
-			t.Fatalf("with %s ejected, request went to %s", a.srv.URL, got)
+	a.dead.Store(true)
+	for i := 1; i <= 4; i++ {
+		detect(t, srv.URL, sentence(i)) // answered by the other replica
+		if want := int64(min(i, 2)); a.batches.Load() != want {
+			t.Fatalf("batch %d: the dead replica was sent %d batches, want %d", i, a.batches.Load(), want)
 		}
-		drainClose(t, resp)
 	}
-	if ej := g.replicas[a.srv.URL].ejections.Load(); ej != 1 {
-		t.Fatalf("ejections = %d, want 1", ej)
+	text := metricsText(t, srv.URL)
+	if v := metricValue(t, text, fmt.Sprintf("repro_gateway_ejections_total{replica=%q}", a.srv.URL)); v != 1 {
+		t.Fatalf("ejections_total = %v, want 1", v)
 	}
 
-	a.ready.Store(true)
-	waitFor(t, time.Second, func() bool { return g.replicas[a.srv.URL].healthy.Load() })
-	text := metricsText(t, srv.URL)
-	if v := metricValue(t, text, fmt.Sprintf("repro_gateway_replica_healthy{replica=%q}", a.srv.URL)); v != 1 {
-		t.Fatalf("replica_healthy = %v after readmission, want 1", v)
+	clock.now = clock.now.Add(breakerCooldown)
+	a.dead.Store(false)
+	detect(t, srv.URL, sentence(5))
+	if a.batches.Load() != 3 {
+		t.Fatalf("after the cooldown the replica was sent %d batches, want 3 (the probe)", a.batches.Load())
 	}
+	if st := g.pool.replicas[0].breaker.State(); st != resilience.Closed {
+		t.Fatalf("breaker %s after a successful probe, want closed", st)
+	}
+	detect(t, srv.URL, sentence(6))
+	if a.batches.Load() != 4 {
+		t.Fatalf("readmitted replica was sent %d batches, want 4", a.batches.Load())
+	}
+}
+
+// TestUnreadyReplicaKeepsReceivingBatches pins that saturation is queueing,
+// not ejection: nothing reads a replica's /readyz, so one reporting itself
+// saturated keeps computing the batches routed to it.
+func TestUnreadyReplicaKeepsReceivingBatches(t *testing.T) {
+	f := fleet(t, 2)
+	_, srv := newFront(t, Config{}, f...)
+	f[0].unready.Store(true)
+	for i := 1; i <= 5; i++ {
+		detect(t, srv.URL, sentence(i))
+		if f[0].batches.Load() != int64(i) {
+			t.Fatalf("unready replica was sent %d of %d batches", f[0].batches.Load(), i)
+		}
+	}
+}
+
+// TestReplica429MovesBatch: a replica's 429, or its brownout tier's answer,
+// sends the batch on to the next replica, on the retry budget, and counts
+// nothing against the refuser.
+func TestReplica429MovesBatch(t *testing.T) {
+	f := fleet(t, 2)
+	g, srv := newFront(t, Config{BreakerThreshold: 1}, f...)
+	f[0].shedMs.Store(60000)
+	for i := 1; i <= 3; i++ {
+		if i == 3 {
+			f[0].shedMs.Store(0)
+			f[0].degraded.Store(true)
+		}
+		detect(t, srv.URL, sentence(i))
+		if f[0].batches.Load() != int64(i) || f[1].batches.Load() != int64(i) {
+			t.Fatalf("batch %d: refuser sent %d, other %d; want %d each", i, f[0].batches.Load(), f[1].batches.Load(), i)
+		}
+	}
+	if st := g.pool.replicas[0].breaker.State(); st != resilience.Closed {
+		t.Fatalf("refusing replica's breaker %s, want closed", st)
+	}
+	text := metricsText(t, srv.URL)
+	if v := metricValue(t, text, "repro_gateway_retries_total"); v != 3 {
+		t.Fatalf("retries_total = %v, want 3", v)
+	}
+	if v := metricValue(t, text, "repro_gateway_shed_total"); v != 0 {
+		t.Fatalf("shed_total = %v, want 0", v)
+	}
+}
+
+// TestShedWhenNothingRoutable: the front answers 429 only when every replica
+// refused the batch, with the smallest of their hints, written by core's one
+// 429 writer — and the next batch tries the replicas again.
+func TestShedWhenNothingRoutable(t *testing.T) {
+	f := fleet(t, 2)
+	_, srv := newFront(t, Config{}, f...)
+	f[0].shedMs.Store(60000)
+	f[1].shedMs.Store(30000)
+	for i := 1; i <= 2; i++ {
+		status, h, body := post(t, srv.URL+"/v1/detect/batch", "application/json", fmt.Sprintf(`{"sentences":[%q]}`, sentence(i)))
+		if status != http.StatusTooManyRequests || h.Get("Retry-After") != "30" || h.Get("Retry-After-Ms") != "30000" ||
+			!strings.Contains(string(body), "core: overloaded") {
+			t.Fatalf("status %d, headers %v, body %q; want core's 429 with the smaller hint", status, h, body)
+		}
+		if f[0].batches.Load() != int64(i) || f[1].batches.Load() != int64(i) {
+			t.Fatalf("shed %d reached the replicas %d and %d times, want %d each", i, f[0].batches.Load(), f[1].batches.Load(), i)
+		}
+	}
+	text := metricsText(t, srv.URL)
+	if v := metricValue(t, text, "repro_gateway_shed_total"); v != 2 {
+		t.Fatalf("shed_total = %v, want 2", v)
+	}
+	f[1].shedMs.Store(0)
+	detect(t, srv.URL, sentence(3))
 }
 
 func TestHedgeWinsOverStraggler(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	_, srv := newGateway(t, Config{HedgeDelay: 10 * time.Millisecond}, a, b)
-
-	// Pin candidate order with a trace key, then make the owner a straggler.
-	rg := ring.New([]string{a.srv.URL, b.srv.URL}, 0)
-	prefs := rg.Lookup(ring.TraceKey(42))
-	slow, fast := a, b
-	if prefs[0] == b.srv.URL {
-		slow, fast = b, a
-	}
-	slow.delay.Store(int64(400 * time.Millisecond))
+	f := fleet(t, 2)
+	_, srv := newFront(t, Config{}, f...)
+	// The first replica in preference order straggles far beyond hedgeMax,
+	// the delay a hedge waits before any forward latency is known.
+	f[0].delay.Store(int64(time.Minute))
 
 	start := time.Now()
-	resp := postDetect(t, srv.URL+"/v1/detect?trace=42")
-	elapsed := time.Since(start)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Gateway-Replica"); got != fast.srv.URL {
-		t.Fatalf("answered by %s, want hedge target %s", got, fast.srv.URL)
-	}
-	drainClose(t, resp)
-	if elapsed > 300*time.Millisecond {
-		t.Fatalf("hedged request took %v, want well under the straggler's 400ms", elapsed)
+	detect(t, srv.URL, sentence(1))
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("hedged batch took %v, behind its one-minute straggler", elapsed)
 	}
 	text := metricsText(t, srv.URL)
-	if v := metricValue(t, text, "repro_gateway_hedge_wins_total"); v < 1 {
-		t.Fatalf("hedge_wins_total = %v, want >= 1", v)
+	for sample, want := range map[string]float64{
+		"repro_gateway_hedges_total":                                           1,
+		"repro_gateway_hedge_wins_total":                                       1,
+		fmt.Sprintf("repro_gateway_forwarded_total{replica=%q}", f[0].srv.URL): 0,
+		fmt.Sprintf("repro_gateway_forwarded_total{replica=%q}", f[1].srv.URL): 1,
+	} {
+		if v := metricValue(t, text, sample); v != want {
+			t.Errorf("%s = %v, want %v", sample, v, want)
+		}
 	}
 }
 
-func TestCooldownReroutesAfter429(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	g, srv := newGateway(t, Config{HedgeDelay: time.Hour}, a, b)
-
-	rg := ring.New([]string{a.srv.URL, b.srv.URL}, 0)
-	prefs := rg.Lookup(ring.TraceKey(3))
-	shedder := a
-	if prefs[0] == b.srv.URL {
-		shedder = b
-	}
-	other := a
-	if shedder == a {
-		other = b
-	}
-	shedder.shed429.Store(true)
-
-	// First request: the owner sheds, the retry rotates to the survivor.
-	resp := postDetect(t, srv.URL+"/v1/detect?trace=3")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 via failover", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Gateway-Replica"); got != other.srv.URL {
-		t.Fatalf("answered by %s, want failover target %s", got, other.srv.URL)
-	}
-	drainClose(t, resp)
-
-	// The 429's Retry-After is now a cooldown: the owner is not routable, so
-	// the next request goes straight to the survivor without an attempt.
-	before := other.detects.Load()
-	resp = postDetect(t, srv.URL+"/v1/detect?trace=3")
-	drainClose(t, resp)
-	if other.detects.Load() != before+1 {
-		t.Fatalf("cooldown did not route to the survivor")
-	}
-	if !time.Now().Before(time.Unix(0, g.replicas[shedder.srv.URL].coolUntil.Load())) {
-		t.Fatalf("shedding replica has no active cooldown")
-	}
-	text := metricsText(t, srv.URL)
-	if v := metricValue(t, text, fmt.Sprintf("repro_gateway_replica_cooling{replica=%q}", shedder.srv.URL)); v != 1 {
-		t.Fatalf("replica_cooling = %v, want 1", v)
-	}
-	if v := metricValue(t, text, "repro_gateway_retries_total"); v < 1 {
-		t.Fatalf("retries_total = %v, want >= 1", v)
-	}
-}
-
-func TestShedWhenNothingRoutable(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	_, srv := newGateway(t, Config{HedgeDelay: time.Hour}, a, b)
-	a.shed429.Store(true)
-	b.shed429.Store(true)
-
-	// First request: every candidate sheds; the last 429 relays as-is with
-	// the replica's own Retry-After intact.
-	resp := postDetect(t, srv.URL+"/v1/detect")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want relayed 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After-Ms") != "60000" {
-		t.Fatalf("Retry-After-Ms = %q, want the replica's 60000", resp.Header.Get("Retry-After-Ms"))
-	}
-	drainClose(t, resp)
-
-	// Both replicas now cool: the gateway sheds at the boundary without
-	// forwarding anything.
-	resp = postDetect(t, srv.URL+"/v1/detect")
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want gateway shed 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" || resp.Header.Get("Retry-After-Ms") == "" {
-		t.Fatalf("gateway shed missing Retry-After hints: %v", resp.Header)
-	}
-	drainClose(t, resp)
-	text := metricsText(t, srv.URL)
-	if v := metricValue(t, text, "repro_gateway_shed_total"); v < 1 {
-		t.Fatalf("shed_total = %v, want >= 1", v)
-	}
-
-	// /readyz agrees: nothing routable.
-	rr, err := http.Get(srv.URL + "/readyz")
-	if err != nil {
-		t.Fatalf("GET /readyz: %v", err)
-	}
-	defer rr.Body.Close()
-	if rr.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz status = %d, want 503 while everything cools", rr.StatusCode)
-	}
-}
-
+// TestModelsMergeAndStatsReset: the front's models are the replicas', with
+// their batch sizes and their summed workers and shed depths, and its stats
+// are its own.
 func TestModelsMergeAndStatsReset(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	_, srv := newGateway(t, Config{}, a, b)
+	a := newFakeReplica(t, core.BatchConfig{MaxBatch: 16, Workers: 1, ShedQueueDepth: 4})
+	b := newFakeReplica(t, core.BatchConfig{MaxBatch: 8, Workers: 2, ShedQueueDepth: 6})
+	c := newFakeReplica(t, core.BatchConfig{Workers: 1})
+	_, ab := newFront(t, Config{}, a, b)
+	_, ac := newFront(t, Config{}, a, c)
 
-	resp, err := http.Get(srv.URL + "/v1/models")
-	if err != nil {
-		t.Fatalf("GET /v1/models: %v", err)
+	m := defaultModel(t, ab.URL)
+	if m.Name != core.DefaultModel || m.Approach != core.SFT || m.Precision != core.PrecisionFP32 ||
+		m.MaxBatch != 8 || m.Workers != 3 || m.ShedQueueDepth != 10 {
+		t.Fatalf("front model %+v, want the replicas' default sft/fp32 model, max batch 8, 3 workers, shed depth 10", m)
 	}
-	defer resp.Body.Close()
-	var agg ModelsAggregate
-	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
-		t.Fatalf("decoding aggregate: %v", err)
-	}
-	if len(agg.Replicas) != 2 {
-		t.Fatalf("replicas in aggregate = %d, want 2", len(agg.Replicas))
-	}
-	if len(agg.Models) != 1 || agg.Models[0].Name != "default" {
-		t.Fatalf("merged models = %+v, want one 'default'", agg.Models)
-	}
-	m := agg.Models[0]
-	if m.Stats.Requests != 20 || m.Stats.Sentences != 40 || m.ActiveTraces != 6 {
-		t.Fatalf("merged stats not summed: requests=%d sentences=%d active=%d", m.Stats.Requests, m.Stats.Sentences, m.ActiveTraces)
-	}
-	if m.Stats.QueueWaitP99Ms != 7 {
-		t.Fatalf("merged p99 = %v, want per-replica max 7", m.Stats.QueueWaitP99Ms)
+	if d := defaultModel(t, ac.URL).ShedQueueDepth; d != 0 {
+		t.Fatalf("shed depth %d over a replica that does not shed, want 0", d)
 	}
 
-	rr, err := http.Post(srv.URL+"/v1/stats/reset", "", nil)
-	if err != nil {
-		t.Fatalf("POST /v1/stats/reset: %v", err)
+	detect(t, ab.URL, sentence(1))
+	detect(t, ab.URL, sentence(2))
+	if n := defaultModel(t, ab.URL).Stats.Requests; n != 2 {
+		t.Fatalf("front counted %d requests, want 2", n)
 	}
-	rr.Body.Close()
-	if rr.StatusCode != http.StatusNoContent {
-		t.Fatalf("reset status = %d, want 204", rr.StatusCode)
+	if status, _, _ := post(t, ab.URL+"/v1/stats/reset", "", ""); status != http.StatusNoContent {
+		t.Fatalf("reset status %d, want 204", status)
 	}
-	if a.resets.Load() != 1 || b.resets.Load() != 1 {
-		t.Fatalf("resets not fanned out: a=%d b=%d", a.resets.Load(), b.resets.Load())
+	if n := defaultModel(t, ab.URL).Stats.Requests; n != 0 {
+		t.Fatalf("front counted %d requests after its reset, want 0", n)
+	}
+	if n := defaultModel(t, a.srv.URL).Stats.Requests + defaultModel(t, b.srv.URL).Stats.Requests; n != 2 {
+		t.Fatalf("replicas counted %d batches, want 2: the front's reset is its own", n)
 	}
 }
 
-func monitorLines(n int) string {
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "wf=w trace=%d node=1 task=ok\n", i)
-	}
-	return sb.String()
-}
-
+// TestMonitorDemux: the front splits a monitor stream into batches across the
+// replicas — every line computed by exactly one of them — and its report is a
+// single node's.
 func TestMonitorDemux(t *testing.T) {
-	a, b, c := newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)
-	_, srv := newGateway(t, Config{}, a, b, c)
+	f := fleet(t, 3)
+	_, srv := newFront(t, Config{}, f...)
 
-	const n = 30
-	resp, err := http.Post(srv.URL+"/v1/monitor", "text/plain", strings.NewReader(monitorLines(n)))
-	if err != nil {
-		t.Fatalf("POST /v1/monitor: %v", err)
+	log := monitorLog(90, 6)
+	status, mr := monitor(t, srv.URL, log)
+	if status != http.StatusOK || mr.Error != "" {
+		t.Fatalf("status %d, error %q", status, mr.Error)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d, body: %s", resp.StatusCode, body)
+	if want := singleNode(t, log); mr.MonitorReport != want {
+		t.Fatalf("front report %+v, single node %+v", mr.MonitorReport, want)
 	}
-	var agg MonitorAggregate
-	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
-		t.Fatalf("decoding aggregate: %v", err)
-	}
-	if agg.Processed != n {
-		t.Fatalf("merged Processed = %d, want %d", agg.Processed, n)
-	}
-	if agg.Gateway.Lost != 0 || agg.Gateway.Rerouted != 0 {
-		t.Fatalf("healthy fleet lost=%d rerouted=%d, want 0/0", agg.Gateway.Lost, agg.Gateway.Rerouted)
-	}
-	// Demux correctness: every trace on exactly one replica, union complete.
-	seen := map[string]string{}
-	for _, f := range []*fakeReplica{a, b, c} {
-		for id := range f.traceSet() {
-			if prev, dup := seen[id]; dup {
-				t.Fatalf("trace %s split across %s and %s", id, prev, f.srv.URL)
-			}
-			seen[id] = f.srv.URL
+	var computed int64
+	for _, r := range f {
+		m := defaultModel(t, r.srv.URL)
+		computed += m.Stats.Sentences
+		if m.ActiveTraces != 0 {
+			t.Errorf("replica %s tracks %d traces, want 0", r.srv.URL, m.ActiveTraces)
 		}
 	}
-	if len(seen) != n {
-		t.Fatalf("fleet saw %d distinct traces, want %d", len(seen), n)
-	}
-	// Demux agrees with the ring.
-	rg := ring.New([]string{a.srv.URL, b.srv.URL, c.srv.URL}, 0)
-	for id, at := range seen {
-		if want := rg.Owner("trace:" + id); at != want {
-			t.Fatalf("trace %s on %s, ring owner is %s", id, at, want)
-		}
+	if computed != 90 {
+		t.Fatalf("replicas computed %d sentences of 90", computed)
 	}
 }
 
 func TestMonitorJSONBody(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	_, srv := newGateway(t, Config{}, a, b)
-
+	_, srv := newFront(t, Config{}, fleet(t, 2)...)
 	body, _ := json.Marshal(core.MonitorRequest{Lines: []string{
-		"wf=w trace=1 node=1 task=ok",
-		"wf=w trace=2 node=1 task=ok",
+		logparse.LogLine(streamJob(1, 1, true)),
+		logparse.LogLine(streamJob(2, 2, false)),
 	}})
-	resp, err := http.Post(srv.URL+"/v1/monitor", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	var agg MonitorAggregate
-	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if agg.Processed != 2 {
-		t.Fatalf("Processed = %d, want 2", agg.Processed)
+	status, _, reply := post(t, srv.URL+"/v1/monitor", "application/json", string(body))
+	var mr core.MonitorResponse
+	if status != http.StatusOK || json.Unmarshal(reply, &mr) != nil || mr.Processed != 2 || mr.Alerts != 1 {
+		t.Fatalf("status %d, body %s; want 2 lines processed, 1 alert", status, reply)
 	}
 }
 
+// TestMonitorReroutesWhenReplicaDies: with one replica dropping every
+// connection, its batches go to the survivors and no line is lost.
 func TestMonitorReroutesWhenReplicaDies(t *testing.T) {
-	a, b, c := newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)
-	// Long health interval: the demux must fail over on its own, before the
-	// health checker notices anything.
-	_, srv := newGateway(t, Config{HealthInterval: time.Hour}, a, b, c)
+	f := fleet(t, 3)
+	_, srv := newFront(t, Config{}, f...)
+	f[0].dead.Store(true) // the first in preference order
 
-	victim := c
-	victim.srv.CloseClientConnections()
-	victim.srv.Close()
-
-	const n = 30
-	resp, err := http.Post(srv.URL+"/v1/monitor", "text/plain", strings.NewReader(monitorLines(n)))
-	if err != nil {
-		t.Fatalf("POST /v1/monitor: %v", err)
+	log := monitorLog(90, 6)
+	status, mr := monitor(t, srv.URL, log)
+	if status != http.StatusOK || mr.MonitorReport != singleNode(t, log) {
+		t.Fatalf("status %d, report %+v (error %q); want 200 and the single node's report", status, mr.MonitorReport, mr.Error)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d, body: %s", resp.StatusCode, body)
+	if f[0].batches.Load() == 0 {
+		t.Fatal("no batch was sent to the dead replica: nothing was re-routed")
 	}
-	var agg MonitorAggregate
-	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
-		t.Fatalf("decoding aggregate: %v", err)
-	}
-	if agg.Gateway.Lost != 0 {
-		t.Fatalf("lost %d lines with two healthy survivors", agg.Gateway.Lost)
-	}
-	if agg.Processed != n {
-		t.Fatalf("merged Processed = %d, want %d (every line re-homed)", agg.Processed, n)
-	}
-	// Every trace must land whole on exactly one SURVIVOR — and specifically
-	// on its next ring preference after the victim.
-	rg := ring.New([]string{a.srv.URL, b.srv.URL, c.srv.URL}, 0)
-	seen := map[string]string{}
-	for _, f := range []*fakeReplica{a, b} {
-		for id := range f.traceSet() {
-			if prev, dup := seen[id]; dup {
-				t.Fatalf("trace %s split across %s and %s", id, prev, f.srv.URL)
-			}
-			seen[id] = f.srv.URL
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("survivors saw %d distinct traces, want %d", len(seen), n)
-	}
-	reroutedWant := 0
-	for id, at := range seen {
-		prefs := rg.Lookup("trace:" + id)
-		want := prefs[0]
-		if want == victim.srv.URL {
-			want = prefs[1]
-			reroutedWant++
-		}
-		if at != want {
-			t.Fatalf("trace %s on %s, want %s (ring order %v)", id, at, want, prefs)
-		}
-	}
-	if reroutedWant == 0 {
-		t.Fatalf("test vacuous: no trace was owned by the victim")
-	}
-	if agg.Gateway.Rerouted == 0 {
-		t.Fatalf("rerouted counter = 0, want > 0")
+	if n := defaultModel(t, f[1].srv.URL).Stats.Sentences + defaultModel(t, f[2].srv.URL).Stats.Sentences; n != 90 {
+		t.Fatalf("survivors computed %d sentences of 90", n)
 	}
 }
 
-func TestAlertsFanIn(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	_, srv := newGateway(t, Config{}, a, b)
+// TestMonitorWithNoReplicaLeftIsNotOK: a monitor stream no replica can
+// compute is the server's failure, not the client's and not a success — 503,
+// with the partial report and its error.
+func TestMonitorWithNoReplicaLeftIsNotOK(t *testing.T) {
+	f := fleet(t, 2)
+	_, srv := newFront(t, Config{}, f...)
+	for _, r := range f {
+		r.srv.Close()
+	}
+	status, mr := monitor(t, srv.URL, monitorLog(10, 2))
+	if status != http.StatusServiceUnavailable || mr.Processed >= 10 || mr.Error == "" {
+		t.Fatalf("status %d, processed %d of 10, error %q; want 503, lines lost, an error", status, mr.Processed, mr.Error)
+	}
+}
 
-	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/alerts", nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+// TestAlertsFanIn: the alerts of lines computed across the fleet reach one
+// stream, the front's, in input order.
+func TestAlertsFanIn(t *testing.T) {
+	_, srv := newFront(t, Config{}, fleet(t, 2)...)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute) // ends a stream short of events
 	defer cancel()
-	resp, err := http.DefaultClient.Do(req.WithContext(ctx))
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/alerts", nil)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("GET /v1/alerts: %v", err)
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	want := map[string]bool{a.srv.URL: false, b.srv.URL: false}
 	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		for u := range want {
-			if strings.Contains(line, u) {
-				want[u] = true
+	if !sc.Scan() || !strings.HasPrefix(sc.Text(), ":") {
+		t.Fatalf("stream opened with %q", sc.Text()) // the subscription exists from here on
+	}
+
+	log := monitorLog(60, 4)
+	var want []string
+	for i, line := range strings.Split(strings.TrimSpace(log), "\n") {
+		if i%3 == 0 {
+			want = append(want, line)
+		}
+	}
+	if status, mr := monitor(t, srv.URL, log); status != http.StatusOK || mr.Alerts != len(want) {
+		t.Fatalf("status %d, %d alerts, want 200 and %d", status, mr.Alerts, len(want))
+	}
+	var got []string
+	for len(got) < len(want) && sc.Scan() {
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			var ev core.AlertEvent
+			if json.Unmarshal([]byte(data), &ev) == nil && ev.Line != "" {
+				got = append(got, ev.Line)
 			}
 		}
-		if want[a.srv.URL] && want[b.srv.URL] {
-			return // both replicas' events reached the merged stream
-		}
 	}
-	t.Fatalf("stream ended before both replicas' alerts arrived: %v (err %v)", want, sc.Err())
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("alerts arrived as\n%s\nwant, in input order,\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
+// TestGatewayMetricsExposition: the front's /metrics is one valid exposition
+// — core's families and the pool's, each family's # TYPE once, before its
+// samples, each sample on one line — with every repro_gateway_* sample the
+// benchmark reads.
 func TestGatewayMetricsExposition(t *testing.T) {
-	a := newFakeReplica(t)
-	_, srv := newGateway(t, Config{}, a)
-	drainClose(t, postDetect(t, srv.URL+"/v1/detect"))
+	f := fleet(t, 2)
+	_, srv := newFront(t, Config{}, f...)
+	detect(t, srv.URL, sentence(1))
+	monitor(t, srv.URL, monitorLog(10, 2))
 
 	text := metricsText(t, srv.URL)
-	for _, m := range []string{
-		"repro_gateway_replicas 1",
-		"repro_gateway_requests_total 1",
-		"# TYPE repro_gateway_requests_total counter",
-		"repro_gateway_retry_budget_tokens",
-		fmt.Sprintf("repro_gateway_forwarded_total{replica=%q} 1", a.srv.URL),
-	} {
-		if !strings.Contains(text, m) {
-			t.Fatalf("exposition missing %q:\n%s", m, text)
+	typed := map[string]int{}
+	sample := regexp.MustCompile(`^([a-z_]+)(\{[a-z_]+="[^"\\]*"(,[a-z_]+="[^"\\]*")*\})? -?[0-9.e+-]+$`)
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			typed[strings.Fields(rest)[0]]++
+			continue
+		}
+		if strings.HasPrefix(line, "# HELP ") {
+			continue
+		}
+		m := sample.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("not a sample line: %q", line)
+		} else if typed[m[1]] == 0 {
+			t.Errorf("sample before its family's # TYPE: %q", line)
 		}
 	}
-	if v := metricValue(t, text, `repro_gateway_forward_latency_ms{quantile="0.99"}`); v < 0 {
-		t.Fatalf("latency quantile = %v", v)
+	for name, n := range typed {
+		if n != 1 {
+			t.Errorf("# TYPE %s appears %d times", name, n)
+		}
+	}
+	if typed["repro_requests_total"] != 1 {
+		t.Errorf("core's families missing:\n%s", text)
+	}
+	if v := metricValue(t, text, `repro_gateway_forward_latency_ms{model="default",quantile="0.5"}`); v <= 0 {
+		t.Errorf("forward p50 = %v after traffic, want > 0", v)
+	}
+	metricValue(t, text, `repro_gateway_forward_latency_ms{model="default",quantile="0.99"}`)
+	for _, name := range []string{"retries_total", "hedges_total", "hedge_wins_total", "shed_total", "breaker_open_total"} {
+		if v := metricValue(t, text, "repro_gateway_"+name); v != 0 {
+			t.Errorf("repro_gateway_%s = %v on a healthy fleet, want 0", name, v)
+		}
+	}
+	forwarded := 0.0
+	for _, r := range f {
+		forwarded += metricValue(t, text, fmt.Sprintf("repro_gateway_forwarded_total{replica=%q}", r.srv.URL))
+		if v := metricValue(t, text, fmt.Sprintf("repro_gateway_ejections_total{replica=%q}", r.srv.URL)); v != 0 {
+			t.Errorf("ejections_total{%s} = %v, want 0", r.srv.URL, v)
+		}
+	}
+	if want := float64(f[0].batches.Load() + f[1].batches.Load()); forwarded != want || forwarded < 2 {
+		t.Errorf("forwarded_total sums to %v, replicas answered %v batches", forwarded, want)
+	}
+}
+
+// TestRemoteErrorlessMethodsUnreached pins that serving calls a remote
+// detector's TryDetectBatch only: its error-less Detector methods panic, and
+// detect, batch and monitor traffic through the front never reaches them.
+func TestRemoteErrorlessMethodsUnreached(t *testing.T) {
+	g, srv := newFront(t, Config{}, fleet(t, 1)...)
+	if status, _, body := post(t, srv.URL+"/v1/detect", "application/json", fmt.Sprintf(`{"sentence":%q}`, sentence(1))); status != http.StatusOK {
+		t.Fatalf("detect: status %d, %s", status, body)
+	}
+	detect(t, srv.URL, sentence(2))
+	if status, mr := monitor(t, srv.URL, monitorLog(10, 2)); status != http.StatusOK || mr.Processed != 10 {
+		t.Fatalf("monitor: status %d, report %+v", status, mr)
+	}
+
+	det, err := g.Registry().Detector("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func(){
+		"DetectBatch":    func() { det.DetectBatch([]string{"x"}) },
+		"DetectSentence": func() { det.DetectSentence("x") },
+		"DetectJob":      func() { det.DetectJob(flowbench.Job{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s returned; the pin above would prove nothing", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
 func TestNewRejectsEmptyFleet(t *testing.T) {
 	if _, err := New(context.Background(), Config{}); err == nil {
-		t.Fatalf("New with no replicas succeeded")
+		t.Fatal("New with no replicas succeeded")
 	}
-}
-
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	if _, err := New(context.Background(), Config{Replicas: []string{gone.URL}}); err == nil {
+		t.Fatal("New with no replica answering succeeded")
 	}
-	t.Fatalf("condition not met within %v", timeout)
 }
 
 // scriptedTransport answers each forward as its script says: "ok" is a 200,
@@ -644,50 +715,42 @@ func (s *scriptedTransport) RoundTrip(req *http.Request) (*http.Response, error)
 
 // TestForwardCancelledIsNotAReplicaFailure pins that an attempt which failed
 // because its caller's context was cancelled counts neither way on the
-// replica's breaker and failure counter, while a transport error still does.
+// replica's breaker, while a transport error still does.
 func TestForwardCancelledIsNotAReplicaFailure(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		script   []string
-		state    string
-		failures int64
+		name      string
+		script    []string
+		state     resilience.BreakerState
+		ejections int64
 	}{
-		{"cancelled attempts leave the circuit closed", []string{"cancelled", "cancelled", "cancelled", "cancelled"}, "closed", 0},
-		{"transport errors still open it", []string{"error", "error"}, "open", 2},
-		{"a cancelled attempt does not reset the streak", []string{"error", "cancelled", "error"}, "open", 2},
-		// The 1ns cooldown has always passed by the next attempt, so each
-		// attempt after the circuit opens is a half-open probe.
-		{"a cancelled probe lets the next request probe", []string{"error", "error", "cancelled", "ok"}, "closed", 2},
-		{"a failed probe re-opens", []string{"error", "error", "cancelled", "error"}, "open", 3},
+		{"cancelled attempts leave the circuit closed", []string{"cancelled", "cancelled", "cancelled", "cancelled"}, resilience.Closed, 0},
+		{"transport errors still open it", []string{"error", "error"}, resilience.Open, 1},
+		{"a cancelled attempt does not reset the streak", []string{"error", "cancelled", "error"}, resilience.Open, 1},
+		// The clock passes the cooldown before every attempt, so each attempt
+		// after the circuit opens is a half-open probe.
+		{"a cancelled probe lets the next request probe", []string{"error", "error", "cancelled", "ok"}, resilience.Closed, 1},
+		{"a failed probe re-opens", []string{"error", "error", "cancelled", "error"}, resilience.Open, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := &scriptedTransport{}
-			g, err := New(context.Background(), Config{
-				Replicas:         []string{"http://replica.invalid"},
-				Client:           &http.Client{Transport: rt},
-				HealthInterval:   time.Hour, // no probe runs during the test
-				BreakerThreshold: 2,
-				BreakerCooldown:  time.Nanosecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer g.Close()
-			rep := g.replicas["http://replica.invalid"]
+			clock := &fakeClock{now: time.Unix(0, 0)}
+			p := &pool{ctx: context.Background(), client: &http.Client{Transport: rt}, budget: resilience.NewBudget(budgetCapacity, budgetRatio)}
+			rep := &replica{url: "http://replica.invalid", breaker: resilience.NewBreakerClock(2, breakerCooldown, clock.read)}
 			for i, outcome := range tc.script {
+				clock.now = clock.now.Add(breakerCooldown)
 				ctx, cancel := context.WithCancel(context.Background())
 				rt.outcome, rt.cancel = outcome, cancel
-				_, err := g.forwardOnce(ctx, rep, http.MethodPost, "/v1/detect", "application/json", []byte(`{}`))
+				_, err := p.forwardOnce(ctx, rep, "/v1/detect/batch", []byte(`{}`), 0)
 				cancel()
 				if (err == nil) != (outcome == "ok") {
 					t.Fatalf("attempt %d (%s): err = %v", i, outcome, err)
 				}
 			}
-			if got := rep.breaker.State().String(); got != tc.state {
+			if got := rep.breaker.State(); got != tc.state {
 				t.Errorf("breaker %s, want %s", got, tc.state)
 			}
-			if got := rep.failures.Load(); got != tc.failures {
-				t.Errorf("failures = %d, want %d", got, tc.failures)
+			if got := rep.ejections.Load(); got != tc.ejections {
+				t.Errorf("ejections = %d, want %d", got, tc.ejections)
 			}
 		})
 	}

@@ -30,7 +30,7 @@ type CoTResult struct {
 // ChainOfThought classifies query with few-shot context ctx and renders an
 // interpretable reasoning trace.
 //
-// Substitution note (see DESIGN.md): a 7B instruction-tuned model free-forms
+// Substitution note: a 7B instruction-tuned model free-forms
 // this reasoning; at repository scale the decoder supplies the decision
 // (constrained decoding over the label words under the CoT prompt) while the
 // reasoning narrative is rendered from the same class-conditional feature

@@ -65,3 +65,48 @@ func TestPromWriterNoLabels(t *testing.T) {
 		t.Fatalf("unlabeled sample mangled: %q", string(w.Bytes()))
 	}
 }
+
+// FuzzPromWriterLabels pins label escaping as a round trip: any label value
+// written through PromWriter keeps its sample on one line and unescapes back
+// to itself under the exposition format's three escapes.
+func FuzzPromWriterLabels(f *testing.F) {
+	for _, v := range []string{"", "default", `a\b"c` + "\n", `\n`, "\\\n\"", "http://127.0.0.1:8091", "ü\x00\r"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		var w PromWriter
+		w.Gauge("m", "h", 1, "l", v)
+		lines := strings.Split(strings.TrimSuffix(string(w.Bytes()), "\n"), "\n")
+		if len(lines) != 3 {
+			t.Fatalf("label %q: exposition has %d lines, want HELP, TYPE and one sample:\n%s", v, len(lines), w.Bytes())
+		}
+		escaped, ok := strings.CutPrefix(lines[2], `m{l="`)
+		if escaped, ok = strings.CutSuffix(escaped, `"} 1`); !ok {
+			t.Fatalf("label %q: sample line %q", v, lines[2])
+		}
+		var got strings.Builder
+		for i := 0; i < len(escaped); i++ {
+			switch c := escaped[i]; {
+			case c == '"':
+				t.Fatalf("label %q: unescaped quote in %q", v, escaped)
+			case c != '\\':
+				got.WriteByte(c)
+			case i+1 == len(escaped):
+				t.Fatalf("label %q: trailing backslash in %q", v, escaped)
+			default:
+				i++
+				switch escaped[i] {
+				case '\\', '"':
+					got.WriteByte(escaped[i])
+				case 'n':
+					got.WriteByte('\n')
+				default:
+					t.Fatalf("label %q: unknown escape \\%c in %q", v, escaped[i], escaped)
+				}
+			}
+		}
+		if got.String() != v {
+			t.Fatalf("label %q came back as %q", v, got.String())
+		}
+	})
+}

@@ -45,21 +45,17 @@ type Client struct {
 	BreakerOpen  atomic.Int64
 }
 
-// RetryableStatus reports whether a response status is worth retrying: the
-// server shed (429) or a hop failed transiently (502/503/504). Other 5xx
-// (500, 501) are bugs, not load. Exported for the gateway, whose
-// replica-rotation loop applies the same taxonomy as Client.Do.
-func RetryableStatus(code int) bool { return retryableStatus(code) }
-
 // RetryAfterHint extracts a response's server-side drain estimate —
 // Retry-After-Ms (milliseconds) over RFC 9110 Retry-After (whole seconds) —
-// or zero. Exported for the gateway's per-replica 429 cooldowns.
+// or zero. Exported for the gateway, which passes the smallest hint of the
+// replicas that refused a batch on to its own client.
 func RetryAfterHint(resp *http.Response) time.Duration { return retryAfterHint(resp) }
 
 // SetRetryAfter writes a 429's two retry headers, the pair RetryAfterHint
 // reads: Retry-After in whole seconds, rounded up and at least 1 (RFC 9110),
 // and Retry-After-Ms with the exact milliseconds, for clients that can back
-// off finer than a second. core's and the gateway's sheds both write it here.
+// off finer than a second. core's sheds, the fleet front's included, write it
+// here.
 func SetRetryAfter(h http.Header, d time.Duration) {
 	secs := max(1, int64((d+time.Second-1)/time.Second))
 	h.Set("Retry-After", strconv.FormatInt(secs, 10))

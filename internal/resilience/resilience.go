@@ -4,8 +4,7 @@
 // — jittered exponential backoff that honors the server's drain estimate, a
 // retry budget so retries cannot amplify an outage, and a circuit breaker
 // that stops hammering a replica that is failing fast. cmd/loadlab uses it
-// for replay-with-retries today; the multi-replica gateway (ROADMAP item 1)
-// is its intended second consumer.
+// for replay-with-retries, and internal/gateway for its forwards to replicas.
 //
 // Everything is deterministic under a fixed Seed: jitter comes from the
 // repo's splittable RNG, not math/rand, so a chaos replay with retries is
@@ -193,14 +192,20 @@ type Breaker struct {
 // NewBreaker opens after threshold consecutive failures and probes again
 // after cooldown. Non-positive arguments fall back to 5 failures / 1s.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
+	//lint:ignore determinism injectable clock's production default; deterministic chaos replays inject a fake
+	return NewBreakerClock(threshold, cooldown, time.Now)
+}
+
+// NewBreakerClock is NewBreaker reading the time from now, so a test can step
+// a breaker through its cooldown without sleeping.
+func NewBreakerClock(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
 	if threshold <= 0 {
 		threshold = 5
 	}
 	if cooldown <= 0 {
 		cooldown = time.Second
 	}
-	//lint:ignore determinism injectable clock's production default; deterministic chaos replays inject a fake
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+	return &Breaker{threshold: threshold, cooldown: cooldown, now: now}
 }
 
 // Allow reports whether a request may proceed. In the open state it starts
@@ -230,32 +235,34 @@ func (b *Breaker) Allow() bool {
 	return false
 }
 
-// Record reports a request outcome. A success closes the circuit and zeroes
-// the failure count; a failure counts toward the threshold (closed) or
-// re-opens the circuit (half-open probe failed).
-func (b *Breaker) Record(success bool) {
+// Record reports a request outcome, and whether this report opened the
+// circuit. A success closes the circuit and zeroes the failure count; a
+// failure counts toward the threshold (closed) or re-opens the circuit
+// (half-open probe failed).
+func (b *Breaker) Record(success bool) (opened bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if success {
 		b.state = Closed
 		b.failures = 0
 		b.probing = false
-		return
+		return false
 	}
 	switch b.state {
 	case Closed:
 		b.failures++
-		if b.failures >= b.threshold {
-			b.state = Open
-			b.openedAt = b.now()
-		}
+		opened = b.failures >= b.threshold
 	case HalfOpen:
-		b.state = Open
-		b.openedAt = b.now()
+		opened = true
 		b.probing = false
 	case Open:
 		// A straggler from before the trip; the circuit is already open.
 	}
+	if opened {
+		b.state = Open
+		b.openedAt = b.now()
+	}
+	return opened
 }
 
 // Abandon reports that an allowed request ended with no outcome to judge the
@@ -268,10 +275,14 @@ func (b *Breaker) Abandon() {
 	b.mu.Unlock()
 }
 
-// State returns the breaker's current position (telemetry; the answer may be
-// stale by the time it is read).
+// State returns the breaker's position as the next Allow would find it: an
+// open circuit whose cooldown has passed reads half-open, its probe due. For
+// telemetry and routing; the answer may be stale by the time it is read.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.state == Open && b.now().Sub(b.openedAt) >= b.cooldown {
+		return HalfOpen
+	}
 	return b.state
 }
