@@ -379,8 +379,14 @@ func (w *batchWorker) runBatch(batch []*detectJob) {
 	for lo := 0; lo < len(run); lo += e.cfg.MaxBatch {
 		out, err := e.infer(run[lo:min(lo+e.cfg.MaxBatch, len(run))], w.ws)
 		if err != nil {
+			// A model that refused the batch shed its requests, as admission
+			// control does: count them where /v1/models and /metrics look.
+			shed := errors.As(err, new(*OverloadedError))
 			for _, j := range live {
 				j.err = err
+				if shed {
+					e.stats.shedRequest()
+				}
 				close(j.done)
 			}
 			return

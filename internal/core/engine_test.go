@@ -390,8 +390,8 @@ func TestEngineModelErrorFailsBatch(t *testing.T) {
 			t.Fatalf("%q: results %+v, err %v; want the model's error", p.sentences, out.res, out.err)
 		}
 	}
-	if st := g.stats(); st.Batches != 1 {
-		t.Fatalf("stats counted %d batches, want 1: a failed batch ran no compute worth timing", st.Batches)
+	if st := g.stats(); st.Batches != 1 || st.Shed != 0 {
+		t.Fatalf("stats counted %d batches and %d sheds, want 1 and 0: a failed batch ran no compute worth timing, and shed nothing", st.Batches, st.Shed)
 	}
 }
 
@@ -437,6 +437,11 @@ func TestModelErrorStatus(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.status || mr.Error == "" || mr.Processed >= 6 {
 			t.Errorf("%v: monitor status %d, report %+v; want %d, an error, lines lost", tc.err, resp.StatusCode, mr, tc.status)
+		}
+		// A refused batch is counted where a shed is, and a failed one is not.
+		st, _ := s.Registry().Stats("")
+		if shed := tc.status == http.StatusTooManyRequests; (st.Shed > 0) != shed {
+			t.Errorf("%v: stats counted %d sheds, want them counted: %v", tc.err, st.Shed, shed)
 		}
 		hs.Close()
 		s.Close()

@@ -8,9 +8,7 @@ import (
 
 // handleMetrics is GET /metrics: the Prometheus text exposition of every
 // served model's EngineStats — the same numbers GET /v1/models reports as
-// JSON, rendered for scrapers. This is the observability half of the
-// replicated-serving story: the gateway's health checker watches /readyz for
-// the routing decision, while /metrics is how saturation (queue depth, batch
+// JSON, rendered for scrapers. It is how saturation (queue depth, batch
 // occupancy, stage p50/p99, shed/expired/degraded/cascade counters) becomes
 // visible to humans and dashboards across a fleet of replicas.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

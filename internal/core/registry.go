@@ -318,8 +318,9 @@ func (r *Registry) Stats(name string) (EngineStats, error) {
 
 // ModelReadiness is one model's saturation view for /readyz: a model is not
 // ready when its queue is at the shed threshold (or full, if shedding is off)
-// or its brownout tier is engaged — the signals a gateway uses to eject a hot
-// replica from rotation before requests start failing.
+// or its brownout tier is engaged — the signals an external load balancer can
+// use to take a hot replica out of rotation before requests start failing.
+// The fleet front does not read them: it queues for a saturated replica.
 type ModelReadiness struct {
 	Name       string  `json:"name"`
 	QueueLen   int     `json:"queue_len"`

@@ -436,8 +436,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // readyResponse is the /readyz body: per-model queue saturation and the
 // overall verdict. Status 200 means every model is ready; 503 means at least
-// one is saturated or browned out — the signal a load balancer or the future
-// gateway uses to eject this replica from rotation while it drains.
+// one is saturated or browned out — the signal a load balancer can use to take
+// this replica out of rotation while it drains.
 type readyResponse struct {
 	Ready  bool             `json:"ready"`
 	Models []ModelReadiness `json:"models"`

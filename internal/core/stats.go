@@ -25,9 +25,11 @@ type EngineStats struct {
 	// the sentence-dedup layer answered without a model invocation.
 	Batches    int64 `json:"batches"`
 	DedupSaved int64 `json:"dedup_saved"`
-	// Shed counts requests refused by admission control or the queue-wait
-	// budget (the 429 Retry-After path); Expired counts requests whose
-	// deadline passed while queued, dropped at dequeue without compute.
+	// Shed counts requests refused by admission control, the queue-wait
+	// budget, or a model that refused their batch, as a fleet front's does
+	// when every replica it tried shed it (the 429 Retry-After path);
+	// Expired counts requests whose deadline passed while queued, dropped at
+	// dequeue without compute.
 	Shed    int64 `json:"shed"`
 	Expired int64 `json:"expired"`
 	// Degraded counts sentences answered by the brownout fallback tier;
@@ -130,8 +132,8 @@ func (s *statsRecorder) ranBatch(queueWaits []time.Duration, compute time.Durati
 	s.mu.Unlock()
 }
 
-// shedRequest counts one request refused by admission control or the
-// queue-wait budget.
+// shedRequest counts one request refused by admission control, the
+// queue-wait budget, or a model that refused its batch.
 func (s *statsRecorder) shedRequest() {
 	s.mu.Lock()
 	s.shed++

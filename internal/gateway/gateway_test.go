@@ -412,8 +412,70 @@ func TestShedWhenNothingRoutable(t *testing.T) {
 	if v := metricValue(t, text, "repro_gateway_shed_total"); v != 2 {
 		t.Fatalf("shed_total = %v, want 2", v)
 	}
+	if n := defaultModel(t, srv.URL).Stats.Shed; n != 2 {
+		t.Fatalf("front's stats counted %d sheds, want the 2 it answered 429", n)
+	}
 	f[1].shedMs.Store(0)
 	detect(t, srv.URL, sentence(3))
+}
+
+// TestHungReplicaOpensItsBreaker: a replica that takes a batch and never
+// answers fails the forward at attemptTimeout, and its breaker counts that.
+// With the hedge budget spent, nothing else would bound the wait: the batch
+// fails instead of holding a front worker, the replica's circuit opens, and
+// the next batch goes to the other replica.
+func TestHungReplicaOpensItsBreaker(t *testing.T) {
+	f := fleet(t, 2)
+	g, srv := newFront(t, Config{BreakerThreshold: 1}, f...)
+	clock := &fakeClock{now: time.Unix(0, 0)}
+	g.pool.replicas[0].breaker = resilience.NewBreakerClock(1, breakerCooldown, clock.read)
+	f[0].delay.Store(int64(time.Hour)) // the first in preference order
+	// Spend the retry budget: the hung forward gets neither a hedge nor a retry.
+	for g.pool.budget.Withdraw() {
+	}
+
+	start := time.Now()
+	status, _, body := post(t, srv.URL+"/v1/detect/batch", "application/json", fmt.Sprintf(`{"sentences":[%q]}`, sentence(1)))
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, body %s; want 503: the hung forward failed and no retry was in budget", status, body)
+	}
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("the batch waited %v on a hung replica", elapsed)
+	}
+	if st := g.pool.replicas[0].breaker.State(); st != resilience.Open {
+		t.Fatalf("hung replica's breaker %s, want open", st)
+	}
+	if v := metricValue(t, metricsText(t, srv.URL), fmt.Sprintf("repro_gateway_ejections_total{replica=%q}", f[0].srv.URL)); v != 1 {
+		t.Fatalf("ejections_total = %v, want 1", v)
+	}
+	detect(t, srv.URL, sentence(2))
+	if f[0].batches.Load() != 1 || f[1].batches.Load() != 1 {
+		t.Fatalf("hung replica sent %d batches, other %d; want 1 each", f[0].batches.Load(), f[1].batches.Load())
+	}
+}
+
+// TestHedgedPairIsNotRetried: a batch whose hedge launched has been sent to
+// both replicas of the pair. When both fail, no retry spends a budget token
+// sending it to either again.
+func TestHedgedPairIsNotRetried(t *testing.T) {
+	f := fleet(t, 2)
+	_, srv := newFront(t, Config{}, f...)
+	for _, r := range f {
+		r.delay.Store(int64(time.Hour))
+	}
+	status, _, body := post(t, srv.URL+"/v1/detect/batch", "application/json", fmt.Sprintf(`{"sentences":[%q]}`, sentence(1)))
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, body %s; want 503", status, body)
+	}
+	if f[0].batches.Load() != 1 || f[1].batches.Load() != 1 {
+		t.Fatalf("replicas sent %d and %d batches, want 1 each", f[0].batches.Load(), f[1].batches.Load())
+	}
+	text := metricsText(t, srv.URL)
+	for sample, want := range map[string]float64{"repro_gateway_hedges_total": 1, "repro_gateway_retries_total": 0} {
+		if v := metricValue(t, text, sample); v != want {
+			t.Errorf("%s = %v, want %v", sample, v, want)
+		}
+	}
 }
 
 func TestHedgeWinsOverStraggler(t *testing.T) {
