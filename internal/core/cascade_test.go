@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -287,6 +290,53 @@ func TestCascadeMonitorParity(t *testing.T) {
 	for i := range baseFlagged {
 		if cascFlagged[i] != baseFlagged[i] {
 			t.Fatalf("flagged trace %d diverges: gated %d, base %d", i, cascFlagged[i], baseFlagged[i])
+		}
+	}
+}
+
+// TestFitCascadeIndependentOfGOMAXPROCS: the gate FitCascade fits from a
+// trained detector is byte-identical at GOMAXPROCS 1, 2 and 4, and equal to
+// the gate fitted from verdicts taken in serial 256-sentence chunks. A
+// sentence's verdict does not depend on the batch it is scored in.
+func TestFitCascadeIndependentOfGOMAXPROCS(t *testing.T) {
+	det, _ := detector(t)
+	jobs := flowbench.Generate(flowbench.Genome, 9).Subsample(600, 0, 0, 12).Train
+	cfg := cascade.Config{Seed: 5}
+	verdicts := make([]int, len(jobs))
+	for lo := 0; lo < len(jobs); lo += 256 {
+		hi := min(lo+256, len(jobs))
+		sentences := make([]string, 0, hi-lo)
+		for _, j := range jobs[lo:hi] {
+			sentences = append(sentences, logparse.Sentence(j))
+		}
+		for k, r := range det.DetectBatch(sentences) {
+			verdicts[lo+k] = r.Label
+		}
+	}
+	ref, err := cascade.Fit(cfg, jobs, verdicts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Positives() == 0 {
+		t.Fatal("the detector flags no calibration job; the gate would fail open")
+	}
+	want, err := json.Marshal(ref.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		g, err := FitCascade(det, cfg, jobs)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(g.Params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("GOMAXPROCS=%d: gate differs from the serial 256-chunk gate", procs)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package pretrain
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -43,6 +45,19 @@ func TestBuildCorpusDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("corpus not deterministic")
 		}
+	}
+}
+
+// TestBuildCorpusGolden pins the default corpus bit for bit, one document a
+// line: every workload's vocabulary and pre-training draws come from it.
+func TestBuildCorpusGolden(t *testing.T) {
+	const want = "7bd9cc10d50c5e0280ae791bbc22195652447a4ac0cfb714d5d38709eefd083f"
+	h := sha256.New()
+	for _, doc := range BuildCorpus(DefaultCorpus()) {
+		h.Write([]byte(doc + "\n"))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("default corpus SHA-256 = %s, want %s", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,6 +48,11 @@ type goldenBits struct {
 	// FNV-64a over every parameter's bits after goldenTrainSteps AdamW steps.
 	EncoderTrainFNV string `json:"encoder_train_fnv64"`
 	DecoderTrainFNV string `json:"decoder_train_fnv64"`
+	// The same hash over training with frozen weights: the decoder 4-bit
+	// quantized under LoRA adapters on next-token loss, then the encoder with
+	// its backbone frozen. Frozen parameters do not move, so what it pins is
+	// the gradient that flows through them to what does.
+	FrozenTrainFNV string `json:"frozen_train_fnv64"`
 }
 
 const (
@@ -99,21 +105,39 @@ func paramsFNV(params []*nn.Param) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// goldenTrain runs goldenTrainSteps single-sequence classification steps
-// (dropout is 0, so the run is deterministic) and hashes the parameters.
-func goldenTrain(causal bool) string {
-	m := goldenModel(causal)
+// goldenTrain runs goldenTrainSteps single-sequence steps on m and returns its
+// parameters: classification steps, or with lm next-token steps. Every random
+// draw is seeded, so the run is deterministic.
+func goldenTrain(m *Model, lm bool) []*nn.Param {
 	seqs := goldenSeqs(m.Config.VocabSize)
 	opt := nn.NewAdamW(1e-3, 0.01)
 	loss := nn.NewSoftmaxCrossEntropy()
 	params := m.Params()
 	for step := 0; step < goldenTrainSteps; step++ {
-		logits := m.ForwardCls(seqs[step%len(seqs)], true)
-		_, dlogits := loss.Loss(logits, []int{step % 2})
-		m.BackwardCls(dlogits)
+		ids := seqs[step%len(seqs)]
+		if lm {
+			// Each position predicts the next token, the last one the first
+			// (so the 1-token sequence has a target too).
+			next := append(slices.Clone(ids[1:]), ids[0])
+			_, dlogits := loss.Loss(m.ForwardLM(ids, true), next)
+			m.BackwardLM(dlogits)
+		} else {
+			_, dlogits := loss.Loss(m.ForwardCls(ids, true), []int{step % 2})
+			m.BackwardCls(dlogits)
+		}
 		opt.Step(params)
 	}
-	return paramsFNV(params)
+	return params
+}
+
+// goldenFrozenTrain hashes both frozen-weight runs of FrozenTrainFNV.
+func goldenFrozenTrain() string {
+	dec := goldenModel(true)
+	dec.Quantize4Bit()
+	dec.ApplyLoRA(4, 8, 0.05, tensor.NewRNG(1204))
+	enc := goldenModel(false)
+	enc.FreezeBackbone()
+	return paramsFNV(append(goldenTrain(dec, true), goldenTrain(enc, false)...))
 }
 
 func computeGoldenBits() goldenBits {
@@ -149,8 +173,9 @@ func computeGoldenBits() goldenBits {
 	dec.QuantizeInt8(0)
 	g.DecoderLogitsInt8, g.DecoderProbsInt8 = score()
 
-	g.EncoderTrainFNV = goldenTrain(false)
-	g.DecoderTrainFNV = goldenTrain(true)
+	g.EncoderTrainFNV = paramsFNV(goldenTrain(goldenModel(false), false))
+	g.DecoderTrainFNV = paramsFNV(goldenTrain(goldenModel(true), false))
+	g.FrozenTrainFNV = goldenFrozenTrain()
 	return g
 }
 
