@@ -17,6 +17,7 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
+	"repro/internal/tensor"
 )
 
 // cascadeSlot is the registry-slot holder of a model's stage-1 gate. Like
@@ -47,18 +48,27 @@ func (s *cascadeSlot) store(g *cascade.Gate) {
 // threshold is placed so at least cfg.TargetRecall of everything the
 // detector flags still reaches the transformer at serve time. The returned
 // gate is ready for Registry.SetCascade or artifact persistence.
+//
+// The sentences are scored in fitChunk-sentence batches fanned out over
+// GOMAXPROCS goroutines; a sentence's verdict does not depend on the batch it
+// is in, so the gate does not depend on the schedule.
 func FitCascade(det Detector, cfg cascade.Config, train []flowbench.Job) (*cascade.Gate, error) {
 	verdicts := make([]int, len(train))
-	sentences := make([]string, len(train))
-	for i, j := range train {
-		sentences[i] = logparse.Sentence(j)
-	}
-	const chunk = 256
-	for lo := 0; lo < len(sentences); lo += chunk {
-		hi := min(lo+chunk, len(sentences))
-		for k, r := range det.DetectBatch(sentences[lo:hi]) {
+	tensor.FanOut(len(train), fitChunk, func(lo, hi int) {
+		sentences := make([]string, hi-lo)
+		for k, j := range train[lo:hi] {
+			sentences[k] = logparse.Sentence(j)
+		}
+		for k, r := range det.DetectBatch(sentences) {
 			verdicts[lo+k] = r.Label
 		}
-	}
+	})
 	return cascade.Fit(cfg, train, verdicts)
 }
+
+// fitChunk is sft's evaluation chunk. It is also a batch size the servers
+// run, which matters because a pooled workspace keeps the size of the
+// largest batch that used it, and serving workers take theirs from the same
+// pool: 256-sentence calibration batches left arenas several times a served
+// batch's size resident for the life of the process.
+const fitChunk = 32

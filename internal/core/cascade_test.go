@@ -345,7 +345,7 @@ func TestFitCascadeIndependentOfGOMAXPROCS(t *testing.T) {
 // detector actually flags — the positives count is exactly the set of
 // detector-flagged jobs.
 func TestFitCascadeUsesDetectorVerdicts(t *testing.T) {
-	jobs, verdicts := cascadeTestJobs(300, 10) // >256 forces the chunked DetectBatch path
+	jobs, verdicts := cascadeTestJobs(300, 10) // not a multiple of fitChunk: a short last batch
 	want := 0
 	for _, v := range verdicts {
 		want += v

@@ -9,12 +9,12 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
+	"repro/internal/tensor"
 )
 
 // TracePolicy decides when a workflow execution as a whole is anomalous from
@@ -63,8 +63,8 @@ func (v TraceVerdict) Fraction() float64 {
 // DetectTraces runs the detector over jobs grouped by trace and applies the
 // policy to each execution, returning verdicts ordered by trace id. Each
 // trace's jobs are classified in one DetectBatch call, and traces are fanned
-// out over a bounded worker pool (DetectBatch is read-only on the model, so
-// workers share the detector safely).
+// out with tensor.FanOut (DetectBatch is read-only on the model, so the
+// goroutines share the detector safely).
 func DetectTraces(d Detector, jobs []flowbench.Job, policy TracePolicy) []TraceVerdict {
 	byTrace := flowbench.TraceJobs(jobs)
 	ids := make([]int, 0, len(byTrace))
@@ -73,7 +73,7 @@ func DetectTraces(d Detector, jobs []flowbench.Job, policy TracePolicy) []TraceV
 	}
 	sort.Ints(ids)
 	out := make([]TraceVerdict, len(ids))
-	verdict := func(i int) {
+	tensor.FanOut(len(ids), 1, func(i, _ int) {
 		trace := byTrace[ids[i]]
 		sentences := make([]string, len(trace))
 		for k, j := range trace {
@@ -87,34 +87,7 @@ func DetectTraces(d Detector, jobs []flowbench.Job, policy TracePolicy) []TraceV
 		}
 		v.Flagged = policy.flagged(v)
 		out[i] = v
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers <= 1 {
-		for i := range ids {
-			verdict(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(ids) {
-					return
-				}
-				verdict(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return out
 }
 

@@ -97,9 +97,9 @@ func Generate(wf Workflow, seed uint64) *Dataset {
 	rng := tensor.NewRNG(seed ^ uint64(len(wf))<<32)
 	counts := allocateAnomalies(traces, n, totalAnom, rng)
 
-	jobs := make([]Job, 0, totalJobs)
+	jobs := make([]Job, totalJobs)
 	for t := 0; t < traces; t++ {
-		jobs = append(jobs, generateTrace(d, t, counts[t], rng)...)
+		generateTrace(jobs[t*n:(t+1)*n], d, t, counts[t], rng)
 	}
 
 	return split(wf, d, jobs, spec, rng)
@@ -133,57 +133,46 @@ func allocateAnomalies(traces, nodes, totalAnom int, rng *tensor.RNG) []int {
 	return counts
 }
 
-// generateTrace produces the jobs of one workflow execution, injecting
-// anomCount anomalous nodes as a contiguous topological segment starting at
-// a random point (matching Flow-Bench's "injected at various points").
-func generateTrace(d *DAG, traceID, anomCount int, rng *tensor.RNG) []Job {
-	n := d.NumNodes()
-	anomalous := make([]bool, n)
+// generateTrace writes the jobs of one workflow execution into out (one per
+// DAG node), injecting anomCount anomalous nodes as a contiguous topological
+// segment starting at a random point (matching Flow-Bench's "injected at
+// various points").
+func generateTrace(out []Job, d *DAG, traceID, anomCount int, rng *tensor.RNG) {
+	n := len(out)
 	var class AnomalyClass = None
+	start, end := 0, 0
 	if anomCount > 0 {
 		class = AnomalyClasses[rng.Intn(len(AnomalyClasses))]
-		start := 0
 		if anomCount < n {
 			start = rng.Intn(n - anomCount + 1)
 		}
-		for i := start; i < start+anomCount; i++ {
-			anomalous[i] = true
-		}
+		end = start + anomCount
 	}
-	jobs := make([]Job, n)
-	for i := 0; i < n; i++ {
-		node := d.Nodes[i]
-		f := sampleBaseline(node.TaskType, rng)
-		j := Job{
+	for i := range out {
+		j := &out[i]
+		taskType := d.Nodes[i].TaskType
+		*j = Job{
 			Workflow:  d.Workflow,
 			TraceID:   traceID,
 			NodeIndex: i,
-			TaskType:  node.TaskType,
-			Features:  f,
+			TaskType:  taskType,
+			Features:  sampleBaseline(taskType, rng),
 		}
-		if anomalous[i] {
+		if i >= start && i < end {
 			applyAnomaly(&j.Features, class, rng)
 			j.Label = 1
 			j.Anomaly = class
 		}
-		jobs[i] = j
 	}
-	return jobs
 }
 
 // split partitions jobs into train/val/test with the exact per-split
-// normal/anomalous counts of spec, shuffling within each stratum.
+// normal/anomalous counts of spec, shuffling within each stratum. The
+// shuffles permute indices; each split is gathered from jobs once.
 func split(wf Workflow, d *DAG, jobs []Job, spec [3][2]int, rng *tensor.RNG) *Dataset {
-	var normal, anom []Job
-	for _, j := range jobs {
-		if j.Label == 0 {
-			normal = append(normal, j)
-		} else {
-			anom = append(anom, j)
-		}
-	}
-	shuffleJobs(normal, rng)
-	shuffleJobs(anom, rng)
+	normal, anom := partition(jobs)
+	shuffle(normal, rng)
+	shuffle(anom, rng)
 	wantNormal := spec[0][0] + spec[1][0] + spec[2][0]
 	wantAnom := spec[0][1] + spec[1][1] + spec[2][1]
 	if len(normal) != wantNormal || len(anom) != wantAnom {
@@ -191,31 +180,56 @@ func split(wf Workflow, d *DAG, jobs []Job, spec [3][2]int, rng *tensor.RNG) *Da
 			wf, len(normal), len(anom), wantNormal, wantAnom))
 	}
 	ds := &Dataset{Workflow: wf, DAG: d}
+	parts := [3]*[]Job{&ds.Train, &ds.Val, &ds.Test}
 	ni, ai := 0, 0
 	for s, counts := range spec {
-		part := make([]Job, 0, counts[0]+counts[1])
-		part = append(part, normal[ni:ni+counts[0]]...)
-		part = append(part, anom[ai:ai+counts[1]]...)
+		idx := make([]int32, 0, counts[0]+counts[1])
+		idx = append(idx, normal[ni:ni+counts[0]]...)
+		idx = append(idx, anom[ai:ai+counts[1]]...)
 		ni += counts[0]
 		ai += counts[1]
-		shuffleJobs(part, rng)
-		switch s {
-		case 0:
-			ds.Train = part
-		case 1:
-			ds.Val = part
-		case 2:
-			ds.Test = part
-		}
+		shuffle(idx, rng)
+		*parts[s] = gather(jobs, idx)
 	}
 	return ds
 }
 
-func shuffleJobs(jobs []Job, rng *tensor.RNG) {
-	for i := len(jobs) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		jobs[i], jobs[j] = jobs[j], jobs[i]
+// partition returns the indices of jobs' normal and anomalous entries, each
+// in input order.
+func partition(jobs []Job) (normal, anom []int32) {
+	nAnom := 0
+	for i := range jobs {
+		if jobs[i].Label != 0 {
+			nAnom++
+		}
 	}
+	normal = make([]int32, 0, len(jobs)-nAnom)
+	anom = make([]int32, 0, nAnom)
+	for i := range jobs {
+		if jobs[i].Label == 0 {
+			normal = append(normal, int32(i))
+		} else {
+			anom = append(anom, int32(i))
+		}
+	}
+	return normal, anom
+}
+
+// shuffle is a Fisher–Yates shuffle drawing one rng.Intn per position.
+func shuffle(idx []int32, rng *tensor.RNG) {
+	for i := len(idx) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+}
+
+// gather returns the jobs at idx, in idx order.
+func gather(jobs []Job, idx []int32) []Job {
+	out := make([]Job, len(idx))
+	for k, i := range idx {
+		out[k] = jobs[i]
+	}
+	return out
 }
 
 // GenerateAll generates all three workflow datasets with seeds derived from
@@ -246,14 +260,7 @@ func stratifiedSample(jobs []Job, n int, rng *tensor.RNG) []Job {
 		copy(out, jobs)
 		return out
 	}
-	var normal, anom []Job
-	for _, j := range jobs {
-		if j.Label == 0 {
-			normal = append(normal, j)
-		} else {
-			anom = append(anom, j)
-		}
-	}
+	normal, anom := partition(jobs)
 	frac := float64(len(anom)) / float64(len(jobs))
 	nAnom := int(frac*float64(n) + 0.5)
 	if nAnom > len(anom) {
@@ -263,13 +270,13 @@ func stratifiedSample(jobs []Job, n int, rng *tensor.RNG) []Job {
 	if nNormal > len(normal) {
 		nNormal = len(normal)
 	}
-	shuffleJobs(normal, rng)
-	shuffleJobs(anom, rng)
-	out := make([]Job, 0, nNormal+nAnom)
-	out = append(out, normal[:nNormal]...)
-	out = append(out, anom[:nAnom]...)
-	shuffleJobs(out, rng)
-	return out
+	shuffle(normal, rng)
+	shuffle(anom, rng)
+	idx := make([]int32, 0, nNormal+nAnom)
+	idx = append(idx, normal[:nNormal]...)
+	idx = append(idx, anom[:nAnom]...)
+	shuffle(idx, rng)
+	return gather(jobs, idx)
 }
 
 // SplitStats summarizes one split for Table I.

@@ -23,7 +23,7 @@ func numericalGrad(theta *float32, lossFn func() float64) float64 {
 
 // checkLayerGradients runs a scalar loss L = Σ dout⊙layer(x) through the
 // layer and compares analytic parameter and input gradients to finite
-// differences.
+// differences. A frozen parameter must get no gradient at all.
 func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Matrix, tol float64) {
 	t.Helper()
 	rng := tensor.NewRNG(99)
@@ -45,6 +45,15 @@ func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Matrix, tol float6
 	dx := layer.Backward(dout)
 
 	for _, p := range layer.Params() {
+		if p.Frozen {
+			for i, g := range p.Grad.Data {
+				if g != 0 {
+					t.Errorf("frozen %s grad[%d] = %v, want 0", p.Name, i, g)
+					break
+				}
+			}
+			continue
+		}
 		// Check a few scattered entries per parameter to keep tests fast.
 		for k := 0; k < 5 && k < len(p.W.Data); k++ {
 			idx := (k * 7919) % len(p.W.Data)
@@ -107,13 +116,26 @@ func TestSequentialGradcheck(t *testing.T) {
 	checkLayerGradients(t, seq, randomInput(3, 6, 9), 1e-2)
 }
 
+// TestLoRAGradcheck checks A, B and the input gradient against finite
+// differences, and that the frozen base weight and bias get no gradient.
 func TestLoRAGradcheck(t *testing.T) {
 	rng := tensor.NewRNG(10)
 	base := NewLinear("base", 6, 4, rng)
 	lora := NewLoRA(base, 2, 4, 0, rng)
+	if !base.Weight.Frozen || !base.Bias.Frozen {
+		t.Fatal("NewLoRA left the base trainable")
+	}
 	// Make B nonzero so its gradient path is exercised meaningfully.
 	tensor.Gaussian(lora.B.W, 0.5, rng)
 	checkLayerGradients(t, lora, randomInput(3, 6, 11), 1e-2)
+}
+
+// TestFrozenLayerNormGradcheck: with γ and β frozen, the input gradient still
+// matches finite differences and neither parameter gets a gradient.
+func TestFrozenLayerNormGradcheck(t *testing.T) {
+	ln := NewLayerNorm("ln", 8)
+	FreezeAll(ln.Params(), true)
+	checkLayerGradients(t, ln, randomInput(3, 8, 4), 2e-2)
 }
 
 func TestCrossEntropyGradcheck(t *testing.T) {

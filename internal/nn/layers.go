@@ -60,7 +60,8 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return out
 }
 
-// Backward implements the standard layer-norm gradient.
+// Backward implements the standard layer-norm gradient. dγ and dβ accumulate
+// only into parameters that are not frozen; dx is computed either way.
 func (ln *LayerNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if ln.xhat == nil {
 		panic("nn: LayerNorm.Backward before Forward")
@@ -70,15 +71,23 @@ func (ln *LayerNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	g := ln.Gamma.W.Data
 	gGrad := ln.Gamma.Grad.Data
 	bGrad := ln.Beta.Grad.Data
+	dxhat := make([]float32, d)
 	for i := 0; i < n; i++ {
 		dr := dout.Row(i)
 		xr := ln.xhat.Row(i)
 		// dγ, dβ accumulate across rows.
+		if !ln.Gamma.Frozen {
+			for j, v := range dr {
+				gGrad[j] += v * xr[j]
+			}
+		}
+		if !ln.Beta.Frozen {
+			for j, v := range dr {
+				bGrad[j] += v
+			}
+		}
 		var sumDxhat, sumDxhatXhat float32
-		dxhat := make([]float32, d)
 		for j := 0; j < d; j++ {
-			gGrad[j] += dr[j] * xr[j]
-			bGrad[j] += dr[j]
 			dh := dr[j] * g[j]
 			dxhat[j] = dh
 			sumDxhat += dh
@@ -297,10 +306,15 @@ func (e *Embedding) Forward(ids []int) *tensor.Matrix {
 	return out
 }
 
-// Backward scatters dout rows into the table gradient.
+// Backward scatters dout rows into the table gradient, unless the table is
+// frozen.
 func (e *Embedding) Backward(dout *tensor.Matrix) {
 	if e.ids == nil {
 		panic("nn: Embedding.Backward before Forward")
+	}
+	if e.Table.Frozen {
+		e.ids = nil
+		return
 	}
 	for i, id := range e.ids {
 		gr := e.Table.Grad.Row(id)

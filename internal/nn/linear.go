@@ -51,15 +51,16 @@ func (l *Linear) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// Backward accumulates dW = xᵀ·dout and db = colsum(dout), returning
-// dx = dout·Wᵀ.
+// Backward accumulates dW = xᵀ·dout and db = colsum(dout) into the gradients
+// of whichever of W and b are not frozen, returning dx = dout·Wᵀ either way.
 func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	dW := tensor.TMatMul(nil, l.x, dout)
-	tensor.AddScaled(l.Weight.Grad, dW, 1)
-	if l.Bias != nil {
+	if !l.Weight.Frozen {
+		tensor.AddScaled(l.Weight.Grad, tensor.TMatMul(nil, l.x, dout), 1)
+	}
+	if l.Bias != nil && !l.Bias.Frozen {
 		db := tensor.ColSums(dout)
 		for j, v := range db {
 			l.Bias.Grad.Data[j] += v
@@ -142,9 +143,9 @@ func (l *LoRALinear) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return y
 }
 
-// Backward routes gradients to A and B (the base parameters are frozen but
-// still receive gradient accumulation, which the optimizer ignores) and
-// returns dx combining the base path and the adapter path.
+// Backward routes gradients to A and B and returns dx combining the base path
+// and the adapter path. The frozen base parameters get no gradient; dx still
+// flows through W.
 func (l *LoRALinear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	if l.x == nil {
 		panic("nn: LoRALinear.Backward before Forward")

@@ -20,8 +20,10 @@ type Param struct {
 	// Grad accumulates ∂loss/∂W across a mini-batch; optimizers consume and
 	// zero it.
 	Grad *tensor.Matrix
-	// Frozen excludes the parameter from optimizer updates (its gradient is
-	// still computed so that upstream layers receive correct signals).
+	// Frozen excludes the parameter from optimizer updates and from
+	// gradient accumulation: a frozen parameter gets no gradient, while the
+	// layer still passes the gradient with respect to its input (dx) through
+	// it to the layers below.
 	Frozen bool
 }
 

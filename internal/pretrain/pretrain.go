@@ -57,19 +57,25 @@ var labelPairs = [][2]string{
 
 // BuildCorpus generates the pre-training corpus. Job features come from
 // fresh synthetic traces (seeded independently of the experiment datasets);
-// true anomaly labels are never included.
+// true anomaly labels are never included. The three workflows are generated
+// concurrently: each draws from its own seeded RNGs, so the corpus does not
+// depend on the schedule.
 func BuildCorpus(opts CorpusOptions) []string {
 	rng := tensor.NewRNG(opts.Seed)
 	var corpus []string
+	subs := make([][]flowbench.Job, len(flowbench.Workflows))
+	tensor.FanOut(len(subs), 1, func(i, _ int) {
+		wf := flowbench.Workflows[i]
+		ds := flowbench.Generate(wf, opts.Seed^0xabcd)
+		subs[i] = ds.Subsample(opts.SentencesPerWorkflow, 0, 0, opts.Seed+uint64(len(wf))).Train
+	})
 	// Pool of unlabeled job sentences across all workflows.
 	var pool []flowbench.Job
-	for _, wf := range flowbench.Workflows {
-		ds := flowbench.Generate(wf, opts.Seed^0xabcd)
-		sub := ds.Subsample(opts.SentencesPerWorkflow, 0, 0, opts.Seed+uint64(len(wf)))
-		for _, j := range sub.Train {
+	for _, sub := range subs {
+		for _, j := range sub {
 			corpus = append(corpus, logparse.Sentence(j))
-			pool = append(pool, j)
 		}
+		pool = append(pool, sub...)
 	}
 	// One instance of the full task description so every template word is in
 	// vocabulary.

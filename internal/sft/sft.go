@@ -13,9 +13,6 @@
 package sft
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/flowbench"
@@ -103,28 +100,17 @@ func (c *Classifier) PredictBatchWS(texts []string, ws *tensor.Workspace) ([]int
 // evalChunk is how many sentences one evaluation forward packs.
 const evalChunk = 32
 
-// fanOut calls fn on [0, n) in consecutive chunks of at most evalChunk, from
-// up to GOMAXPROCS goroutines that share the one read-only model, each on a
-// pooled workspace it resets between chunks. fn writes only its own range of
-// the caller's results, and a sentence's result does not depend on the chunk
-// it lands in, so the outcome is the same however the chunks are scheduled.
+// fanOut calls fn on [0, n) in chunks of at most evalChunk through
+// tensor.FanOut, each on a pooled workspace; the goroutines share the one
+// read-only model. fn writes only its own range of the caller's results, and
+// a sentence's result does not depend on the chunk it lands in, so the
+// outcome is the same however the chunks are scheduled.
 func fanOut(n int, fn func(lo, hi int, ws *tensor.Workspace)) {
-	chunks := (n + evalChunk - 1) / evalChunk
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), chunks); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := tensor.GetWorkspace()
-			defer tensor.PutWorkspace(ws)
-			for k := int(next.Add(1)) - 1; k < chunks; k = int(next.Add(1)) - 1 {
-				ws.Reset()
-				fn(k*evalChunk, min((k+1)*evalChunk, n), ws)
-			}
-		}()
-	}
-	wg.Wait()
+	tensor.FanOut(n, evalChunk, func(lo, hi int) {
+		ws := tensor.GetWorkspace()
+		defer tensor.PutWorkspace(ws)
+		fn(lo, hi, ws)
+	})
 }
 
 // predict is PredictBatchWS over any number of sentences, through fanOut.

@@ -14,6 +14,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Matrix is a dense row-major float32 matrix. The zero value is an empty
@@ -173,6 +174,35 @@ func parallelRows(rows, workPerRow int, fn func(lo, hi int)) {
 			defer wg.Done()
 			fn(lo, hi)
 		}(lo, min(lo+chunk, rows))
+	}
+	wg.Wait()
+}
+
+// FanOut calls fn on [0, n) in consecutive ranges of at most chunk elements,
+// from up to GOMAXPROCS goroutines that each take the next range when they
+// finish one, and returns when every call has. fn must be safe to call
+// concurrently on disjoint ranges; when each call writes only its own range
+// of the results, the outcome does not depend on the schedule. With one
+// worker the ranges run in order on the caller's goroutine.
+func FanOut(n, chunk int, fn func(lo, hi int)) {
+	chunks := (n + chunk - 1) / chunk
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	if workers <= 1 {
+		for lo := 0; lo < n; lo += chunk {
+			fn(lo, min(lo+chunk, n))
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < chunks; k = int(next.Add(1)) - 1 {
+				fn(k*chunk, min((k+1)*chunk, n))
+			}
+		}()
 	}
 	wg.Wait()
 }

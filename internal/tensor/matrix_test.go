@@ -2,9 +2,39 @@ package tensor
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
+
+// TestFanOutCoversEachIndexOnce: every index of [0, n) lands in exactly one
+// call, in a range of at most chunk, at one and several workers.
+func TestFanOutCoversEachIndexOnce(t *testing.T) {
+	for _, procs := range []int{1, 3} {
+		for _, c := range []struct{ n, chunk int }{{0, 4}, {1, 4}, {10, 3}, {64, 32}, {1000, 7}} {
+			hits := make([]int, c.n)
+			var bad atomic.Int64
+			withProcs(procs, func() {
+				FanOut(c.n, c.chunk, func(lo, hi int) {
+					if hi <= lo || hi-lo > c.chunk {
+						bad.Add(1)
+					}
+					for i := lo; i < hi; i++ {
+						hits[i]++
+					}
+				})
+			})
+			if bad.Load() != 0 {
+				t.Errorf("procs=%d n=%d chunk=%d: %d ranges empty or over chunk", procs, c.n, c.chunk, bad.Load())
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("procs=%d n=%d chunk=%d: index %d visited %d times", procs, c.n, c.chunk, i, h)
+				}
+			}
+		}
+	}
+}
 
 func TestNewShapes(t *testing.T) {
 	m := New(3, 4)

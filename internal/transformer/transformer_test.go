@@ -292,6 +292,32 @@ func TestSharedLayersGradientAccumulation(t *testing.T) {
 	}
 }
 
+// TestFreezeBackboneTrainingLeavesBackboneGradsZero: a training step on a
+// frozen backbone accumulates gradient into the classification head only —
+// no embedding, block, LayerNorm or LM-head parameter gets any.
+func TestFreezeBackboneTrainingLeavesBackboneGradsZero(t *testing.T) {
+	m := New(smallConfig(false), tensor.NewRNG(19))
+	m.FreezeBackbone()
+	_, grad := nn.NewSoftmaxCrossEntropy().Loss(m.ForwardCls([]int{1, 2, 3, 4}, true), []int{1})
+	m.BackwardCls(grad)
+	head := map[*nn.Param]bool{}
+	for _, p := range m.ClsHead.Params() {
+		head[p] = true
+	}
+	for _, p := range m.Params() {
+		var sum float64
+		for _, g := range p.Grad.Data {
+			sum += math.Abs(float64(g))
+		}
+		if head[p] && sum == 0 {
+			t.Errorf("trainable %s got no gradient", p.Name)
+		}
+		if !head[p] && sum != 0 {
+			t.Errorf("frozen %s got gradient (|g|₁ = %v)", p.Name, sum)
+		}
+	}
+}
+
 func TestFreezeBackbone(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(18))
 	m.FreezeBackbone()
