@@ -66,9 +66,9 @@ func FitCascade(det Detector, cfg cascade.Config, train []flowbench.Job) (*casca
 	return cascade.Fit(cfg, train, verdicts)
 }
 
-// fitChunk is sft's evaluation chunk. It is also a batch size the servers
-// run, which matters because a pooled workspace keeps the size of the
-// largest batch that used it, and serving workers take theirs from the same
-// pool: 256-sentence calibration batches left arenas several times a served
-// batch's size resident for the life of the process.
+// fitChunk is sft's evaluation chunk and the default MaxBatch. That it is no
+// larger than a served batch matters: a pooled workspace keeps the size of
+// the largest batch that used it, and serving workers take theirs from the
+// same pool, so 256-sentence calibration batches left arenas eight times a
+// served batch's size resident for the life of the process.
 const fitChunk = 32
