@@ -312,15 +312,12 @@ func (e *Embedding) Backward(dout *tensor.Matrix) {
 	if e.ids == nil {
 		panic("nn: Embedding.Backward before Forward")
 	}
-	if e.Table.Frozen {
-		e.ids = nil
-		return
-	}
-	for i, id := range e.ids {
-		gr := e.Table.Grad.Row(id)
-		dr := dout.Row(i)
-		for j, v := range dr {
-			gr[j] += v
+	if !e.Table.Frozen {
+		for i, id := range e.ids {
+			gr := e.Table.Grad.Row(id)
+			for j, v := range dout.Row(i) {
+				gr[j] += v
+			}
 		}
 	}
 	e.ids = nil
