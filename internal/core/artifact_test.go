@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -242,5 +245,31 @@ func TestArtifactServesWithZeroTraining(t *testing.T) {
 	}
 	if want := det.DetectSentence(logparse.Sentence(ds.Test[0])); out.Label != want.Label {
 		t.Fatalf("served label %d, trained label %d", out.Label, want.Label)
+	}
+}
+
+// TestSFTArtifactDigest pins every byte of the SFT artifact that
+// `anomalyd -workflow predict-future-sales -seed 6 -train 300 -pretrain 80
+// -epochs 1 -train-out` writes: MLM pre-training, fine-tuning and the
+// serialization, end to end. The digest is asserted on amd64 only, as the
+// transformer's golden bits are: elsewhere the compiler may fuse x*y+z into
+// one rounding.
+func TestSFTArtifactDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the artifact digest is recorded on amd64; the compiler may fuse x*y+z on %s", runtime.GOARCH)
+	}
+	det, _, err := Train(Options{
+		Workflow: flowbench.Sales, TrainSize: 300, PretrainSteps: 80, Epochs: 1, Debias: true, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveDetector(&buf, det); err != nil {
+		t.Fatal(err)
+	}
+	const want = "55cdee5d3e0ff0e52d194ab9dd7439495516b183571983185486f243bfeec132"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("SFT artifact SHA-256 %x, want %s", sum, want)
 	}
 }

@@ -53,6 +53,16 @@ type goldenBits struct {
 	// its backbone frozen. Frozen parameters do not move, so what it pins is
 	// the gradient that flows through them to what does.
 	FrozenTrainFNV string `json:"frozen_train_fnv64"`
+	// The two trained models above, run forward over goldenSeqs: the
+	// encoder's classification logits [B, NumClasses], then the decoder's
+	// last-position next-token logits [B, VocabSize]. The inference fields
+	// run untrained models (γ = 1, β = 0), which hide the order in which
+	// LayerNorm applies γ; trained parameters do not.
+	TrainedLogitsFP32 []uint32 `json:"trained_logits_fp32"`
+	// The hash over training with dropout 0.1 (every registry model's
+	// rate): a shared-layer encoder on classification, then a decoder on
+	// next-token loss. It pins the order of the dropout draws.
+	DropoutTrainFNV string `json:"dropout_train_fnv64"`
 }
 
 const (
@@ -60,15 +70,18 @@ const (
 	goldenTrainSteps = 5
 )
 
-// goldenModel builds the fixed-seed 2-layer model: the encoder at the
+// goldenConfig is the fixed 2-layer architecture: the encoder at the
 // bert-base-uncased head width (12), the decoder at mistral's (24).
-func goldenModel(causal bool) *Model {
+func goldenConfig(causal bool) Config {
 	cfg := Config{Name: "golden-enc", VocabSize: 80, MaxSeqLen: 96, DModel: 48, NumHeads: 4, NumLayers: 2, FFNDim: 96, NumClasses: 2}
 	if causal {
 		cfg.Name, cfg.Causal, cfg.DModel, cfg.FFNDim = "golden-dec", true, 96, 192
 	}
-	return New(cfg, tensor.NewRNG(1201))
+	return cfg
 }
+
+// goldenModel builds the fixed-seed golden model.
+func goldenModel(causal bool) *Model { return New(goldenConfig(causal), tensor.NewRNG(1201)) }
 
 // goldenSeqs are fixed token sequences whose lengths cross the kernels'
 // unroll remainders and include the 1-token edge.
@@ -140,6 +153,27 @@ func goldenFrozenTrain() string {
 	return paramsFNV(append(goldenTrain(dec, true), goldenTrain(enc, false)...))
 }
 
+// goldenDropoutTrain hashes both dropout runs of DropoutTrainFNV.
+func goldenDropoutTrain() string {
+	encCfg, decCfg := goldenConfig(false), goldenConfig(true)
+	encCfg.ShareLayers, encCfg.Dropout, decCfg.Dropout = true, 0.1, 0.1
+	enc, dec := New(encCfg, tensor.NewRNG(1201)), New(decCfg, tensor.NewRNG(1201))
+	return paramsFNV(append(goldenTrain(enc, false), goldenTrain(dec, true)...))
+}
+
+// trainedLogits runs enc's classification forward and dec's next-token
+// forward over seqs, one sequence at a time, for TrainedLogitsFP32.
+func trainedLogits(enc, dec *Model, seqs [][]int) []uint32 {
+	var out []uint32
+	for _, ids := range seqs {
+		out = append(out, floatBits(enc.ForwardCls(ids, false).Data)...)
+	}
+	for _, ids := range seqs {
+		out = append(out, floatBits(refNextLogits(dec, ids))...)
+	}
+	return out
+}
+
 func computeGoldenBits() goldenBits {
 	var g goldenBits
 	ws := tensor.NewWorkspace()
@@ -173,9 +207,12 @@ func computeGoldenBits() goldenBits {
 	dec.QuantizeInt8(0)
 	g.DecoderLogitsInt8, g.DecoderProbsInt8 = score()
 
-	g.EncoderTrainFNV = paramsFNV(goldenTrain(goldenModel(false), false))
-	g.DecoderTrainFNV = paramsFNV(goldenTrain(goldenModel(true), false))
+	enc, dec = goldenModel(false), goldenModel(true)
+	g.EncoderTrainFNV = paramsFNV(goldenTrain(enc, false))
+	g.DecoderTrainFNV = paramsFNV(goldenTrain(dec, false))
 	g.FrozenTrainFNV = goldenFrozenTrain()
+	g.TrainedLogitsFP32 = trainedLogits(enc, dec, seqs)
+	g.DropoutTrainFNV = goldenDropoutTrain()
 	return g
 }
 
