@@ -47,6 +47,7 @@ func FitMLPAE(train []flowbench.Job, cfg AEConfig) *MLPAE {
 	x := m.std.Matrix(train)
 	opt := nn.NewAdamW(cfg.LR, 0)
 	order := rng.Perm(x.Rows)
+	tape := nn.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(order)
 		for lo := 0; lo < len(order); lo += cfg.Batch {
@@ -58,9 +59,10 @@ func FitMLPAE(train []flowbench.Job, cfg AEConfig) *MLPAE {
 			for k, idx := range order[lo:hi] {
 				copy(xb.Row(k), x.Row(idx))
 			}
-			recon := m.net.Forward(xb, true)
+			recon := m.net.Forward(xb, tape.WS(), tape)
 			_, grad := nn.MSE(recon, xb)
-			m.net.Backward(grad)
+			m.net.Backward(tape, grad)
+			tape.Reset()
 			opt.Step(m.net.Params())
 		}
 	}
@@ -70,7 +72,7 @@ func FitMLPAE(train []flowbench.Job, cfg AEConfig) *MLPAE {
 // Score returns per-job reconstruction errors; higher means more anomalous.
 func (m *MLPAE) Score(jobs []flowbench.Job) []float64 {
 	x := m.std.Matrix(jobs)
-	recon := m.net.Forward(x, false)
+	recon := m.net.Forward(x, nil, nil)
 	return rowSquaredErrors(x, recon)
 }
 
@@ -99,12 +101,14 @@ func FitGCNAE(dag *flowbench.DAG, train []flowbench.Job, cfg AEConfig) *GCNAE {
 	graphs := BuildTraceGraphs(dag, train)
 	opt := nn.NewAdamW(cfg.LR, 0)
 	params := g.params()
+	tape := nn.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, tg := range graphs {
 			x := g.std.Matrix(tg.Jobs)
-			recon := g.forward(tg.Adj, x, true)
+			recon := g.forward(tg.Adj, x, tape)
 			_, grad := nn.MSE(recon, x)
-			g.backward(grad)
+			g.backward(tg.Adj, tape, grad)
+			tape.Reset()
 			opt.Step(params)
 		}
 	}
@@ -119,18 +123,18 @@ func (g *GCNAE) params() []*nn.Param {
 	return out
 }
 
-func (g *GCNAE) forward(adj, x *tensor.Matrix, train bool) *tensor.Matrix {
-	h := g.enc1.forward(adj, x, train)
-	h = g.act.Forward(h, train)
-	h = g.enc2.forward(adj, h, train)
-	return g.dec.Forward(h, train)
+func (g *GCNAE) forward(adj, x *tensor.Matrix, tape *nn.Tape) *tensor.Matrix {
+	h := g.enc1.forward(adj, x, tape)
+	h = g.act.Forward(h, tape.WS(), tape)
+	h = g.enc2.forward(adj, h, tape)
+	return g.dec.Forward(h, tape.WS(), tape)
 }
 
-func (g *GCNAE) backward(grad *tensor.Matrix) {
-	d := g.dec.Backward(grad)
-	d = g.enc2.backward(d)
-	d = g.act.Backward(d)
-	g.enc1.backward(d)
+func (g *GCNAE) backward(adj *tensor.Matrix, tape *nn.Tape, grad *tensor.Matrix) {
+	d := g.dec.Backward(tape, grad)
+	d = g.enc2.backward(adj, tape, d)
+	d = g.act.Backward(tape, d)
+	g.enc1.backward(adj, tape, d)
 }
 
 // Score returns per-job reconstruction errors over trace graphs, aligned
@@ -140,7 +144,7 @@ func (g *GCNAE) Score(dag *flowbench.DAG, jobs []flowbench.Job) []float64 {
 	scores := make(map[[2]int]float64, len(jobs))
 	for _, tg := range graphs {
 		x := g.std.Matrix(tg.Jobs)
-		recon := g.forward(tg.Adj, x, false)
+		recon := g.forward(tg.Adj, x, nil)
 		errs := rowSquaredErrors(x, recon)
 		for i, j := range tg.Jobs {
 			scores[[2]int{j.TraceID, j.NodeIndex}] = errs[i]
@@ -199,10 +203,11 @@ func FitAnomalyDAE(dag *flowbench.DAG, train []flowbench.Job, cfg AEConfig, memL
 	graphs := BuildTraceGraphs(dag, train)
 	opt := nn.NewAdamW(cfg.LR, 0)
 	params := append(a.enc.params(), a.attr.Params()...)
+	tape := nn.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, tg := range graphs {
 			x := a.std.Matrix(tg.Jobs)
-			z := a.act.Forward(a.enc.forward(tg.Adj, x, true), true)
+			z := a.act.Forward(a.enc.forward(tg.Adj, x, tape), tape.WS(), tape)
 			// Structure loss: ‖σ(ZZᵀ) - Â‖²; attribute loss: ‖dec(Z) - X‖².
 			zzT := tensor.MatMulT(nil, z, z)
 			sigmoidInPlace(zzT)
@@ -216,13 +221,14 @@ func FitAnomalyDAE(dag *flowbench.DAG, train []flowbench.Job, cfg AEConfig, memL
 			dzT := tensor.TMatMul(nil, gradS, z)
 			tensor.AddScaled(dz, dzT, 1)
 
-			xr := a.attr.Forward(z, true)
+			xr := a.attr.Forward(z, tape.WS(), tape)
 			_, gradA := nn.MSE(xr, x)
-			dzAttr := a.attr.Backward(gradA)
+			dzAttr := a.attr.Backward(tape, gradA)
 			tensor.AddScaled(dz, dzAttr, 1)
 
-			dh := a.act.Backward(dz)
-			a.enc.backward(dh)
+			dh := a.act.Backward(tape, dz)
+			a.enc.backward(tg.Adj, tape, dh)
+			tape.Reset()
 			opt.Step(params)
 		}
 	}
@@ -235,10 +241,10 @@ func (a *AnomalyDAE) Score(dag *flowbench.DAG, jobs []flowbench.Job) []float64 {
 	scores := make(map[[2]int]float64, len(jobs))
 	for _, tg := range graphs {
 		x := a.std.Matrix(tg.Jobs)
-		z := a.act.Forward(a.enc.forward(tg.Adj, x, false), false)
+		z := a.act.Forward(a.enc.forward(tg.Adj, x, nil), nil, nil)
 		zzT := tensor.MatMulT(nil, z, z)
 		sigmoidInPlace(zzT)
-		xr := a.attr.Forward(z, false)
+		xr := a.attr.Forward(z, nil, nil)
 		attrErr := rowSquaredErrors(x, xr)
 		for i, j := range tg.Jobs {
 			var structErr float64

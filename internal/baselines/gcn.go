@@ -11,11 +11,9 @@ import (
 
 // gcnLayer is one graph-convolution layer H' = Â·H·W + b with symmetric
 // normalization Â = D^{-1/2}(A+I)D^{-1/2}. The adjacency is supplied per
-// forward call (graphs differ per trace).
+// call, backward included (graphs differ per trace).
 type gcnLayer struct {
 	lin *nn.Linear
-
-	adj *tensor.Matrix // cached Â for backward
 }
 
 func newGCNLayer(name string, in, out int, rng *tensor.RNG) *gcnLayer {
@@ -23,19 +21,17 @@ func newGCNLayer(name string, in, out int, rng *tensor.RNG) *gcnLayer {
 }
 
 // forward computes Â·(H·W + b); adj must be the normalized adjacency.
-func (g *gcnLayer) forward(adj, h *tensor.Matrix, train bool) *tensor.Matrix {
-	g.adj = adj
-	hw := g.lin.Forward(h, train)
+func (g *gcnLayer) forward(adj, h *tensor.Matrix, tape *nn.Tape) *tensor.Matrix {
+	hw := g.lin.Forward(h, tape.WS(), tape)
 	// Â has one nonzero per neighbor per row — the sparse-rows kernel skips
 	// the (majority) zero entries the dense branch-free MatMul would stream.
 	return tensor.MatMulOneHotRows(nil, adj, hw)
 }
 
 // backward: dHW = Âᵀ·dout = Â·dout (symmetric), then through the linear.
-func (g *gcnLayer) backward(dout *tensor.Matrix) *tensor.Matrix {
-	dhw := tensor.MatMulOneHotRows(nil, g.adj, dout)
-	g.adj = nil
-	return g.lin.Backward(dhw)
+func (g *gcnLayer) backward(adj *tensor.Matrix, tape *nn.Tape, dout *tensor.Matrix) *tensor.Matrix {
+	dhw := tensor.MatMulOneHotRows(nil, adj, dout)
+	return g.lin.Backward(tape, dhw)
 }
 
 func (g *gcnLayer) params() []*nn.Param { return g.lin.Params() }
@@ -145,11 +141,13 @@ func TrainGCN(dag *flowbench.DAG, train []flowbench.Job, cfg GCNConfig) *GCN {
 	opt := nn.NewAdamW(cfg.LR, 1e-4)
 	ce := nn.NewSoftmaxCrossEntropy()
 	params := g.params()
+	tape := nn.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, tg := range graphs {
-			logits := g.forward(tg, true)
+			logits := g.forward(tg, tape)
 			_, grad := ce.Loss(logits, Labels(tg.Jobs))
-			g.backward(tg, grad)
+			g.backward(tg, tape, grad)
+			tape.Reset()
 			opt.Step(params)
 		}
 	}
@@ -164,19 +162,19 @@ func (g *GCN) params() []*nn.Param {
 	return out
 }
 
-func (g *GCN) forward(tg TraceGraph, train bool) *tensor.Matrix {
+func (g *GCN) forward(tg TraceGraph, tape *nn.Tape) *tensor.Matrix {
 	h := g.std.Matrix(tg.Jobs)
-	h = g.l1.forward(tg.Adj, h, train)
-	h = g.act.Forward(h, train)
-	h = g.l2.forward(tg.Adj, h, train)
-	return g.head.Forward(h, train)
+	h = g.l1.forward(tg.Adj, h, tape)
+	h = g.act.Forward(h, tape.WS(), tape)
+	h = g.l2.forward(tg.Adj, h, tape)
+	return g.head.Forward(h, tape.WS(), tape)
 }
 
-func (g *GCN) backward(tg TraceGraph, grad *tensor.Matrix) {
-	d := g.head.Backward(grad)
-	d = g.l2.backward(d)
-	d = g.act.Backward(d)
-	g.l1.backward(d)
+func (g *GCN) backward(tg TraceGraph, tape *nn.Tape, grad *tensor.Matrix) {
+	d := g.head.Backward(tape, grad)
+	d = g.l2.backward(tg.Adj, tape, d)
+	d = g.act.Backward(tape, d)
+	g.l1.backward(tg.Adj, tape, d)
 }
 
 // Predict classifies all jobs grouped into trace graphs, returning labels
@@ -185,7 +183,7 @@ func (g *GCN) Predict(dag *flowbench.DAG, jobs []flowbench.Job) []int {
 	graphs := BuildTraceGraphs(dag, jobs)
 	pred := make(map[[2]int]int, len(jobs)) // (trace, node) → label
 	for _, tg := range graphs {
-		logits := g.forward(tg, false)
+		logits := g.forward(tg, nil)
 		for i, j := range tg.Jobs {
 			pred[[2]int{j.TraceID, j.NodeIndex}] = tensor.ArgMax(logits.Row(i))
 		}

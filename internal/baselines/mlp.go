@@ -46,6 +46,7 @@ func TrainMLP(train []flowbench.Job, cfg MLPConfig) *MLP {
 	opt := nn.NewAdamW(cfg.LR, 1e-4)
 	ce := nn.NewSoftmaxCrossEntropy()
 	order := rng.Perm(len(train))
+	tape := nn.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(order)
 		for lo := 0; lo < len(order); lo += cfg.Batch {
@@ -59,9 +60,10 @@ func TrainMLP(train []flowbench.Job, cfg MLPConfig) *MLP {
 				copy(xb.Row(k), x.Row(idx))
 				yb[k] = y[idx]
 			}
-			logits := m.net.Forward(xb, true)
+			logits := m.net.Forward(xb, tape.WS(), tape)
 			_, grad := ce.Loss(logits, yb)
-			m.net.Backward(grad)
+			m.net.Backward(tape, grad)
+			tape.Reset()
 			opt.Step(m.net.Params())
 		}
 	}
@@ -71,7 +73,7 @@ func TrainMLP(train []flowbench.Job, cfg MLPConfig) *MLP {
 // Predict classifies jobs, returning 0/1 labels.
 func (m *MLP) Predict(jobs []flowbench.Job) []int {
 	x := m.std.Matrix(jobs)
-	logits := m.net.Forward(x, false)
+	logits := m.net.Forward(x, nil, nil)
 	out := make([]int, len(jobs))
 	for i := range out {
 		out[i] = tensor.ArgMax(logits.Row(i))

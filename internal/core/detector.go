@@ -126,10 +126,9 @@ type sftDetector struct {
 func NewSFTDetector(clf *sft.Classifier) Detector { return &sftDetector{clf: clf} }
 
 func (d *sftDetector) DetectSentence(sentence string) Result {
-	// Delegate to the batch path (batch of 1): the batched forward reads the
-	// model without mutating layer state, so a registry-held detector is safe
-	// to call from any handler goroutine. The training forward caches
-	// activations on the layers and is not.
+	// Delegate to the batch path (batch of 1): the untaped forward reads
+	// only the model's parameters, so a registry-held detector is safe to
+	// call from any handler goroutine.
 	return d.DetectBatch([]string{sentence})[0]
 }
 
@@ -175,9 +174,8 @@ func NewICLDetector(det *icl.Detector, examples []prompt.Example) Detector {
 }
 
 func (d *iclDetector) DetectSentence(sentence string) Result {
-	// Batch of 1 through the read-only cached path: concurrency-safe (unlike
-	// the training forward, which caches activations on the model) and it
-	// reuses the shared prompt-prefix KV cache.
+	// Batch of 1 through the read-only cached path: concurrency-safe, and
+	// it reuses the shared prompt-prefix KV cache.
 	return d.DetectBatch([]string{sentence})[0]
 }
 

@@ -64,13 +64,14 @@ func TestLabPretrainedCloning(t *testing.T) {
 		t.Fatal("Pretrained must return clones, not the cached model")
 	}
 	// Clones carry identical weights.
-	if !a.ForwardCls([]int{1, 2, 3}, false).Equal(b.ForwardCls([]int{1, 2, 3}, false)) {
+	ids := [][]int{{1, 2, 3}}
+	if !a.ForwardClsBatchWS(ids, nil).Equal(b.ForwardClsBatchWS(ids, nil)) {
 		t.Fatal("clones differ")
 	}
 	// Mutating one clone must not leak into subsequent clones.
 	a.ClsHead.Weight.W.Data[0] += 10
 	c := l.Pretrained("distilbert-base-uncased")
-	if a.ForwardCls([]int{1, 2, 3}, false).Equal(c.ForwardCls([]int{1, 2, 3}, false)) {
+	if a.ForwardClsBatchWS(ids, nil).Equal(c.ForwardClsBatchWS(ids, nil)) {
 		t.Fatal("mutation leaked into cache")
 	}
 }

@@ -8,24 +8,21 @@ import (
 	"repro/internal/logparse"
 	"repro/internal/metrics"
 	"repro/internal/prompt"
-	"repro/internal/tensor"
 	"repro/internal/tokenizer"
 )
 
-// refClassify is the batched path's reference: the training forward over the
-// full few-shot prompt, cut to its right edge when it overflows the context,
-// with the constrained softmax over the two label words at the last position.
+// refClassify is the batched path's reference: the forward over the full
+// few-shot prompt alone, cut to its right edge when it overflows the
+// context, with the constrained softmax over the two label words at the last
+// position.
 func refClassify(d *Detector, query string, examples []prompt.Example) (int, [2]float32) {
 	ids := append([]int{tokenizer.BOS}, d.Tok.Encode(prompt.FewShot(examples, query), false)...)
 	if n := d.Model.Config.MaxSeqLen; len(ids) > n {
 		ids = ids[len(ids)-n:]
 	}
-	logits := d.Model.ForwardLM(ids, false)
-	row := logits.Row(logits.Rows - 1)
 	choices := d.labelChoiceIDs()
-	p := [2]float32{row[choices[0]], row[choices[1]]}
-	tensor.Softmax(p[:])
-	return tensor.ArgMax(p[:]), p
+	best, probs := d.Model.ScoreChoiceBatchWithCacheWS(nil, [][]int{ids}, choices[:], nil)
+	return best[0], [2]float32{probs[0][0], probs[0][1]}
 }
 
 // refConfusion is Evaluate's reference over refClassify.

@@ -4,9 +4,9 @@
 // ranking evaluation against unsupervised baselines (Table IV), and
 // chain-of-thought interpretability (Figure 13).
 //
-// LoRA fine-tuning runs the model's training forward. Every classification
-// — the evaluations behind the paper's numbers included — runs on the
-// read-only packed forward the detection service uses: the few-shot
+// LoRA fine-tuning runs the model's one forward on an nn.Tape, a prompt per
+// step. Every classification — the evaluations behind the paper's numbers
+// included — runs it untaped, as the detection service does: the few-shot
 // context's query-independent prefix is encoded once into a PromptCache, and
 // batches of query suffixes continue it (Detector.ClassifyBatchCachedWS).
 package icl
@@ -320,6 +320,7 @@ func FineTune(d *Detector, train []flowbench.Job, cfg FineTuneConfig) FineTuneRe
 	opt := nn.NewAdamW(cfg.LR, 0)
 	ce := nn.NewSoftmaxCrossEntropy()
 	params := d.Model.Params()
+	tape := nn.NewTape()
 	tailStart := cfg.Steps * 9 / 10
 	var tail float64
 	tailN := 0
@@ -338,9 +339,10 @@ func FineTune(d *Detector, train []flowbench.Job, cfg FineTuneConfig) FineTuneRe
 			targets[i] = -1
 		}
 		targets[len(targets)-1] = ids[len(ids)-1] // supervise only the answer
-		logits := d.Model.ForwardLM(inputs, true)
+		logits := d.Model.ForwardLMTape([][]int{inputs}, tape)
 		loss, grad := ce.Loss(logits, targets)
-		d.Model.BackwardLM(grad)
+		d.Model.Backward(tape, grad)
+		tape.Reset()
 		nn.ClipGradNorm(params, 1.0)
 		opt.Step(params)
 		if step >= tailStart {

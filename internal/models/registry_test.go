@@ -83,8 +83,8 @@ func TestBuildKinds(t *testing.T) {
 func TestBuildDeterministic(t *testing.T) {
 	a := MustGet("gpt2").Build(50)
 	b := MustGet("gpt2").Build(50)
-	la := a.ForwardCls([]int{1, 2, 3}, false)
-	lb := b.ForwardCls([]int{1, 2, 3}, false)
+	la := a.ForwardClsBatchWS([][]int{{1, 2, 3}}, nil)
+	lb := b.ForwardClsBatchWS([][]int{{1, 2, 3}}, nil)
 	if !la.Equal(lb) {
 		t.Fatal("Build must be deterministic per spec")
 	}
@@ -93,8 +93,8 @@ func TestBuildDeterministic(t *testing.T) {
 func TestCasedUncasedDiffer(t *testing.T) {
 	a := MustGet("bert-base-cased").Build(50)
 	b := MustGet("bert-base-uncased").Build(50)
-	la := a.ForwardCls([]int{1, 2, 3}, false)
-	lb := b.ForwardCls([]int{1, 2, 3}, false)
+	la := a.ForwardClsBatchWS([][]int{{1, 2, 3}}, nil)
+	lb := b.ForwardClsBatchWS([][]int{{1, 2, 3}}, nil)
 	if la.Equal(lb) {
 		t.Fatal("cased/uncased variants must have decorrelated initializations")
 	}

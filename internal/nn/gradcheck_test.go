@@ -23,16 +23,17 @@ func numericalGrad(theta *float32, lossFn func() float64) float64 {
 
 // checkLayerGradients runs a scalar loss L = Σ dout⊙layer(x) through the
 // layer and compares analytic parameter and input gradients to finite
-// differences. A frozen parameter must get no gradient at all.
+// differences. A frozen parameter must get no gradient at all, and the taped
+// forward must return the inference forward's output, bit for bit.
 func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Matrix, tol float64) {
 	t.Helper()
 	rng := tensor.NewRNG(99)
 	// Fixed random upstream gradient defines the scalar loss.
-	y0 := layer.Forward(x, false)
+	y0 := layer.Forward(x, nil, nil)
 	dout := tensor.New(y0.Rows, y0.Cols)
 	tensor.Gaussian(dout, 1, rng)
 	lossFn := func() float64 {
-		y := layer.Forward(x, false)
+		y := layer.Forward(x, nil, nil)
 		var s float64
 		for i, v := range y.Data {
 			s += float64(v) * float64(dout.Data[i])
@@ -41,8 +42,11 @@ func checkLayerGradients(t *testing.T, layer Layer, x *tensor.Matrix, tol float6
 	}
 	// Analytic pass.
 	ZeroGrads(layer.Params())
-	layer.Forward(x, false)
-	dx := layer.Backward(dout)
+	tape := NewTape()
+	if y := layer.Forward(x, tape.WS(), tape); !y.Equal(y0) {
+		t.Error("taped forward differs from the inference forward")
+	}
+	dx := layer.Backward(tape, dout)
 
 	for _, p := range layer.Params() {
 		if p.Frozen {

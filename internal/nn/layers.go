@@ -12,9 +12,6 @@ type LayerNorm struct {
 	Gamma *Param // [1, dim]
 	Beta  *Param // [1, dim]
 	Eps   float32
-
-	xhat   *tensor.Matrix // cached normalized input
-	invStd []float32      // cached per-row 1/σ
 }
 
 // NewLayerNorm returns a LayerNorm over dim features with gamma=1, beta=0.
@@ -28,12 +25,15 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	return ln
 }
 
-// Forward normalizes each row of x.
-func (ln *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+// Forward normalizes each row, x̂ = (x−mean)·(1/σ), to γ·x̂ + β, recording x̂
+// and the per-row 1/σ.
+func (ln *LayerNorm) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
 	n, d := x.Rows, x.Cols
-	out := tensor.New(n, d)
-	ln.xhat = tensor.New(n, d)
-	ln.invStd = make([]float32, n)
+	out := ws.Get(n, d)
+	var xhat, invStd *tensor.Matrix
+	if tape != nil {
+		xhat, invStd = ws.Get(n, d), ws.Get(n, 1)
+	}
 	g, b := ln.Gamma.W.Data, ln.Beta.W.Data
 	for i := 0; i < n; i++ {
 		row := x.Row(i)
@@ -48,33 +48,37 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 			varsum += dv * dv
 		}
 		inv := 1 / float32(math.Sqrt(float64(varsum/float32(d)+ln.Eps)))
-		ln.invStd[i] = inv
-		xr := ln.xhat.Row(i)
 		or := out.Row(i)
 		for j, v := range row {
-			xh := (v - mean) * inv
-			xr[j] = xh
-			or[j] = g[j]*xh + b[j]
+			or[j] = g[j]*((v-mean)*inv) + b[j]
+		}
+		if tape != nil {
+			invStd.Data[i] = inv
+			xr := xhat.Row(i)
+			for j, v := range row {
+				xr[j] = (v - mean) * inv
+			}
 		}
 	}
+	tape.Push(ln.Gamma.Name, nil, xhat, invStd)
 	return out
 }
 
 // Backward implements the standard layer-norm gradient. dγ and dβ accumulate
 // only into parameters that are not frozen; dx is computed either way.
-func (ln *LayerNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if ln.xhat == nil {
-		panic("nn: LayerNorm.Backward before Forward")
-	}
+func (ln *LayerNorm) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
+	_, rec := tape.Pop(ln.Gamma.Name)
+	xhat, invStd := rec[0], rec[1]
+	ws := tape.WS()
 	n, d := dout.Rows, dout.Cols
-	dx := tensor.New(n, d)
+	dx := ws.Get(n, d)
 	g := ln.Gamma.W.Data
 	gGrad := ln.Gamma.Grad.Data
 	bGrad := ln.Beta.Grad.Data
-	dxhat := make([]float32, d)
+	dxhat := ws.Get(1, d).Data
 	for i := 0; i < n; i++ {
 		dr := dout.Row(i)
-		xr := ln.xhat.Row(i)
+		xr := xhat.Row(i)
 		// dγ, dβ accumulate across rows.
 		if !ln.Gamma.Frozen {
 			for j, v := range dr {
@@ -93,14 +97,13 @@ func (ln *LayerNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			sumDxhat += dh
 			sumDxhatXhat += dh * xr[j]
 		}
-		inv := ln.invStd[i]
+		inv := invStd.Data[i]
 		dxr := dx.Row(i)
 		nd := float32(d)
 		for j := 0; j < d; j++ {
 			dxr[j] = inv / nd * (nd*dxhat[j] - sumDxhat - xr[j]*sumDxhatXhat)
 		}
 	}
-	ln.xhat = nil
 	return dx
 }
 
@@ -109,27 +112,25 @@ func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
 
 // GELU is the Gaussian Error Linear Unit activation (tanh approximation),
 // the standard feed-forward nonlinearity in BERT/GPT-style transformers.
-type GELU struct {
-	x *tensor.Matrix
-}
+type GELU struct{}
 
 // NewGELU returns a GELU activation layer.
 func NewGELU() *GELU { return &GELU{} }
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
-// Forward applies GELU element-wise.
-func (g *GELU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	g.x = x
-	out := tensor.New(x.Rows, x.Cols)
+// Forward applies GELU element-wise, recording the input.
+func (g *GELU) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
+	out := ws.Get(x.Rows, x.Cols)
 	tensor.GELU(out.Data, x.Data)
+	tape.Push("GELU", nil, x)
 	return out
 }
 
 // geluScalar is the activation one element at a time: the tanh approximation
 // in pure float32 on the fast tanh (float64 math.Tanh plus the conversion
-// round trip was ~15% of a whole encoder forward). Forward and Infer compute
-// it through tensor.GELU, whole matrices at a time; this copy is the function
+// round trip was ~15% of a whole encoder forward). Forward computes it
+// through tensor.GELU, whole matrices at a time; this copy is the function
 // geluGradScalar differentiates, and the reference TestGELUMatchesScalarBits
 // holds tensor.GELU to.
 func geluScalar(v float32) float32 {
@@ -143,16 +144,13 @@ func geluGradScalar(v float32) float32 {
 	return 0.5*(1+t) + 0.5*v*sech2*float32(geluC)*(1+3*0.044715*v*v)
 }
 
-// Backward multiplies by the GELU derivative at the cached input.
-func (g *GELU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if g.x == nil {
-		panic("nn: GELU.Backward before Forward")
-	}
-	dx := tensor.New(dout.Rows, dout.Cols)
-	for i, v := range g.x.Data {
+// Backward multiplies by the GELU derivative at the recorded input.
+func (g *GELU) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
+	_, rec := tape.Pop("GELU")
+	dx := tape.WS().Get(dout.Rows, dout.Cols)
+	for i, v := range rec[0].Data {
 		dx.Data[i] = dout.Data[i] * geluGradScalar(v)
 	}
-	g.x = nil
 	return dx
 }
 
@@ -160,38 +158,34 @@ func (g *GELU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 func (g *GELU) Params() []*Param { return nil }
 
 // ReLU is the rectified linear activation, used by the MLP baselines.
-type ReLU struct {
-	mask []bool
-}
+type ReLU struct{}
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative entries.
-func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols)
-	r.mask = make([]bool, len(x.Data))
+// Forward zeroes negative entries, recording the input.
+func (r *ReLU) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
+	out := ws.Get(x.Rows, x.Cols)
 	for i, v := range x.Data {
+		out.Data[i] = 0
 		if v > 0 {
 			out.Data[i] = v
-			r.mask[i] = true
 		}
 	}
+	tape.Push("ReLU", nil, x)
 	return out
 }
 
 // Backward passes gradient only where the input was positive.
-func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if r.mask == nil {
-		panic("nn: ReLU.Backward before Forward")
-	}
-	dx := tensor.New(dout.Rows, dout.Cols)
+func (r *ReLU) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
+	_, rec := tape.Pop("ReLU")
+	dx := tape.WS().Get(dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
-		if r.mask[i] {
+		dx.Data[i] = 0
+		if rec[0].Data[i] > 0 {
 			dx.Data[i] = v
 		}
 	}
-	r.mask = nil
 	return dx
 }
 
@@ -200,34 +194,29 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Tanh is the hyperbolic-tangent activation, used by the autoencoder
 // baselines and pooler heads.
-type Tanh struct {
-	y *tensor.Matrix
-}
+type Tanh struct{}
 
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
-// Forward applies tanh element-wise.
-func (t *Tanh) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols)
+// Forward applies tanh element-wise, recording the output.
+func (t *Tanh) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
+	out := ws.Get(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = float32(math.Tanh(float64(v)))
 	}
-	t.y = out
+	tape.Push("Tanh", nil, out)
 	return out
 }
 
 // Backward multiplies by 1 - tanh².
-func (t *Tanh) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if t.y == nil {
-		panic("nn: Tanh.Backward before Forward")
-	}
-	dx := tensor.New(dout.Rows, dout.Cols)
+func (t *Tanh) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
+	_, rec := tape.Pop("Tanh")
+	dx := tape.WS().Get(dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
-		y := t.y.Data[i]
+		y := rec[0].Data[i]
 		dx.Data[i] = v * (1 - y*y)
 	}
-	t.y = nil
 	return dx
 }
 
@@ -240,51 +229,61 @@ func (t *Tanh) Params() []*Param { return nil }
 type Dropout struct {
 	P   float32
 	rng *tensor.RNG
-
-	mask *tensor.Matrix
 }
 
 // NewDropout returns a dropout layer with drop probability p.
 func NewDropout(p float32, rng *tensor.RNG) *Dropout { return &Dropout{P: p, rng: rng} }
 
-// Forward applies inverted dropout when train is true.
-func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if !train || d.P <= 0 {
-		d.mask = nil
+// Forward applies inverted dropout under a tape, recording the mask (nil
+// when P is 0); without a tape it returns x.
+func (d *Dropout) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
+	if tape == nil || d.P <= 0 {
+		tape.Push("Dropout", nil, nil)
 		return x
 	}
-	keep := 1 - d.P
-	inv := 1 / keep
-	d.mask = tensor.New(x.Rows, x.Cols)
-	out := tensor.New(x.Rows, x.Cols)
+	mask := dropoutMask(ws, x.Rows, x.Cols, d.P, d.rng)
+	out := ws.Get(x.Rows, x.Cols)
 	for i, v := range x.Data {
-		if d.rng.Float32() < keep {
-			d.mask.Data[i] = inv
-			out.Data[i] = v * inv
+		out.Data[i] = 0
+		if m := mask.Data[i]; m != 0 {
+			out.Data[i] = v * m
 		}
 	}
+	tape.Push("Dropout", nil, mask)
 	return out
 }
 
-// Backward applies the cached mask (identity if Forward ran in eval mode).
-func (d *Dropout) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if d.mask == nil {
+// Backward applies the recorded mask.
+func (d *Dropout) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
+	_, rec := tape.Pop("Dropout")
+	if rec[0] == nil {
 		return dout
 	}
-	dx := tensor.Mul(nil, dout, d.mask)
-	d.mask = nil
-	return dx
+	return tensor.Mul(tape.WS().Get(dout.Rows, dout.Cols), dout, rec[0])
 }
 
 // Params returns nil; Dropout has no parameters.
 func (d *Dropout) Params() []*Param { return nil }
 
+// dropoutMask draws an inverted-dropout mask from rng, one draw per element
+// in row-major order: 1/(1-p) where the element is kept, 0 where dropped.
+func dropoutMask(ws *tensor.Workspace, rows, cols int, p float32, rng *tensor.RNG) *tensor.Matrix {
+	keep := 1 - p
+	inv := 1 / keep
+	mask := ws.Get(rows, cols)
+	for i := range mask.Data {
+		mask.Data[i] = 0
+		if rng.Float32() < keep {
+			mask.Data[i] = inv
+		}
+	}
+	return mask
+}
+
 // Embedding maps integer token ids to dense vectors. It is not a Layer (its
 // input is ids, not a matrix); the transformer models call it directly.
 type Embedding struct {
 	Table *Param // [vocab, dim]
-
-	ids []int // cached ids for Backward
 }
 
 // NewEmbedding returns a vocab×dim embedding table with N(0, 0.02²) init
@@ -295,32 +294,30 @@ func NewEmbedding(name string, vocab, dim int, rng *tensor.RNG) *Embedding {
 	return e
 }
 
-// Forward gathers rows of the table for each id.
-func (e *Embedding) Forward(ids []int) *tensor.Matrix {
-	dim := e.Table.W.Cols
-	out := tensor.New(len(ids), dim)
+// Forward gathers table row ids[i] into row i of the result, recording the
+// ids.
+func (e *Embedding) Forward(ids []int, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
+	out := ws.Get(len(ids), e.Table.W.Cols)
 	for i, id := range ids {
 		copy(out.Row(i), e.Table.W.Row(id))
 	}
-	e.ids = ids
+	tape.Push(e.Table.Name, ids)
 	return out
 }
 
 // Backward scatters dout rows into the table gradient, unless the table is
 // frozen.
-func (e *Embedding) Backward(dout *tensor.Matrix) {
-	if e.ids == nil {
-		panic("nn: Embedding.Backward before Forward")
+func (e *Embedding) Backward(tape *Tape, dout *tensor.Matrix) {
+	ids, _ := tape.Pop(e.Table.Name)
+	if e.Table.Frozen {
+		return
 	}
-	if !e.Table.Frozen {
-		for i, id := range e.ids {
-			gr := e.Table.Grad.Row(id)
-			for j, v := range dout.Row(i) {
-				gr[j] += v
-			}
+	for i, id := range ids {
+		gr := e.Table.Grad.Row(id)
+		for j, v := range dout.Row(i) {
+			gr[j] += v
 		}
 	}
-	e.ids = nil
 }
 
 // Params returns the embedding table.

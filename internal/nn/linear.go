@@ -10,8 +10,6 @@ import (
 type Linear struct {
 	Weight *Param // [in, out]
 	Bias   *Param // [1, out]; nil when the layer has no bias
-
-	x *tensor.Matrix // cached input for Backward
 }
 
 // NewLinear returns an in→out linear layer with Xavier-initialized weights
@@ -38,13 +36,13 @@ func (l *Linear) In() int { return l.Weight.W.Rows }
 // Out returns the output dimension.
 func (l *Linear) Out() int { return l.Weight.W.Cols }
 
-// Forward computes xW + b, caching x for the backward pass.
-func (l *Linear) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+// Forward computes xW + b, recording x for Backward.
+func (l *Linear) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
 	if x.Cols != l.In() {
 		panic(fmt.Sprintf("nn: %s forward input dim %d, want %d", l.Weight.Name, x.Cols, l.In()))
 	}
-	l.x = x
-	y := tensor.MatMul(nil, x, l.Weight.W)
+	tape.Push(l.Weight.Name, nil, x)
+	y := tensor.MatMul(ws.Get(x.Rows, l.Out()), x, l.Weight.W)
 	if l.Bias != nil {
 		y = tensor.AddRowVec(y, y, l.Bias.W.Data)
 	}
@@ -53,12 +51,11 @@ func (l *Linear) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward accumulates dW = xᵀ·dout and db = colsum(dout) into the gradients
 // of whichever of W and b are not frozen, returning dx = dout·Wᵀ either way.
-func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if l.x == nil {
-		panic("nn: Linear.Backward before Forward")
-	}
+func (l *Linear) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
+	_, rec := tape.Pop(l.Weight.Name)
+	ws := tape.WS()
 	if !l.Weight.Frozen {
-		tensor.AddScaled(l.Weight.Grad, tensor.TMatMul(nil, l.x, dout), 1)
+		tensor.AddScaled(l.Weight.Grad, tensor.TMatMul(ws.Get(l.In(), l.Out()), rec[0], dout), 1)
 	}
 	if l.Bias != nil && !l.Bias.Frozen {
 		db := tensor.ColSums(dout)
@@ -66,9 +63,7 @@ func (l *Linear) Backward(dout *tensor.Matrix) *tensor.Matrix {
 			l.Bias.Grad.Data[j] += v
 		}
 	}
-	dx := tensor.MatMulT(nil, dout, l.Weight.W)
-	l.x = nil
-	return dx
+	return tensor.MatMulT(ws.Get(dout.Rows, l.In()), dout, l.Weight.W)
 }
 
 // Params returns the layer's parameters.
@@ -92,10 +87,6 @@ type LoRALinear struct {
 
 	dropout float32
 	rng     *tensor.RNG
-
-	x  *tensor.Matrix // cached input
-	xa *tensor.Matrix // cached xA (post-dropout) for B's gradient
-	dm *tensor.Matrix // cached dropout mask applied to x rows (nil when p=0)
 }
 
 // NewLoRA wraps base with a rank-r adapter using scaling factor alpha/r and
@@ -118,52 +109,41 @@ func NewLoRA(base *Linear, rank int, alpha float64, dropout float32, rng *tensor
 	return l
 }
 
-// Forward computes the base output plus the scaled low-rank correction.
-func (l *LoRALinear) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	y := l.Base.Forward(x, train)
+// Forward computes the base output plus the scaled low-rank correction. Under
+// a tape, dropout masks the adapter branch's input, and it records that
+// input, xA and the mask.
+func (l *LoRALinear) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
+	y := l.Base.Forward(x, ws, tape)
 	xin := x
-	l.dm = nil
-	if train && l.dropout > 0 {
-		// LoRA-style dropout applies to the adapter branch input only.
-		mask := tensor.New(x.Rows, x.Cols)
-		keep := 1 - l.dropout
-		inv := 1 / keep
-		for i := range mask.Data {
-			if l.rng.Float32() < keep {
-				mask.Data[i] = inv
-			}
-		}
-		xin = tensor.Mul(nil, x, mask)
-		l.dm = mask
+	var mask *tensor.Matrix
+	if tape != nil && l.dropout > 0 {
+		mask = dropoutMask(ws, x.Rows, x.Cols, l.dropout, l.rng)
+		xin = tensor.Mul(ws.Get(x.Rows, x.Cols), x, mask)
 	}
-	l.x = xin
-	l.xa = tensor.MatMul(nil, xin, l.A.W)
-	delta := tensor.MatMul(nil, l.xa, l.B.W)
-	tensor.AddScaled(y, delta, l.Scale)
+	xa := tensor.MatMul(ws.Get(x.Rows, l.Rank), xin, l.A.W)
+	tensor.AddScaled(y, tensor.MatMul(ws.Get(x.Rows, l.Base.Out()), xa, l.B.W), l.Scale)
+	tape.Push(l.A.Name, nil, xin, xa, mask)
 	return y
 }
 
 // Backward routes gradients to A and B and returns dx combining the base path
 // and the adapter path. The frozen base parameters get no gradient; dx still
 // flows through W.
-func (l *LoRALinear) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if l.x == nil {
-		panic("nn: LoRALinear.Backward before Forward")
-	}
-	dx := l.Base.Backward(dout) // dx through frozen base path
+func (l *LoRALinear) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
+	_, rec := tape.Pop(l.A.Name)
+	xin, xa, mask := rec[0], rec[1], rec[2]
+	dx := l.Base.Backward(tape, dout) // dx through frozen base path
+	ws := tape.WS()
 	// Adapter path: delta = scale·(xA)B.
-	dDelta := tensor.Scale(nil, dout, l.Scale)
-	dB := tensor.TMatMul(nil, l.xa, dDelta)
-	tensor.AddScaled(l.B.Grad, dB, 1)
-	dXA := tensor.MatMulT(nil, dDelta, l.B.W)
-	dA := tensor.TMatMul(nil, l.x, dXA)
-	tensor.AddScaled(l.A.Grad, dA, 1)
-	dxAdapter := tensor.MatMulT(nil, dXA, l.A.W)
-	if l.dm != nil {
-		dxAdapter = tensor.Mul(dxAdapter, dxAdapter, l.dm)
+	dDelta := tensor.Scale(ws.Get(dout.Rows, dout.Cols), dout, l.Scale)
+	tensor.AddScaled(l.B.Grad, tensor.TMatMul(ws.Get(l.Rank, l.Base.Out()), xa, dDelta), 1)
+	dXA := tensor.MatMulT(ws.Get(dout.Rows, l.Rank), dDelta, l.B.W)
+	tensor.AddScaled(l.A.Grad, tensor.TMatMul(ws.Get(l.Base.In(), l.Rank), xin, dXA), 1)
+	dxAdapter := tensor.MatMulT(ws.Get(dout.Rows, l.Base.In()), dXA, l.A.W)
+	if mask != nil {
+		dxAdapter = tensor.Mul(dxAdapter, dxAdapter, mask)
 	}
 	tensor.AddScaled(dx, dxAdapter, 1)
-	l.x, l.xa, l.dm = nil, nil, nil
 	return dx
 }
 

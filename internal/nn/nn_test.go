@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -45,7 +46,7 @@ func TestFreezeAll(t *testing.T) {
 func TestLinearForwardShape(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	l := NewLinear("l", 5, 7, rng)
-	y := l.Forward(randomInput(3, 5, 1), false)
+	y := l.Forward(randomInput(3, 5, 1), nil, nil)
 	if y.Rows != 3 || y.Cols != 7 {
 		t.Fatalf("Forward shape = %dx%d, want 3x7", y.Rows, y.Cols)
 	}
@@ -59,16 +60,16 @@ func TestLinearForwardBadDimPanics(t *testing.T) {
 			t.Fatal("expected panic on bad input dim")
 		}
 	}()
-	l.Forward(randomInput(3, 4, 1), false)
+	l.Forward(randomInput(3, 4, 1), nil, nil)
 }
 
 func TestDropoutEvalIsIdentity(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	d := NewDropout(0.5, rng)
 	x := randomInput(4, 4, 2)
-	y := d.Forward(x, false)
+	y := d.Forward(x, nil, nil)
 	if !y.Equal(x) {
-		t.Fatal("dropout must be identity in eval mode")
+		t.Fatal("dropout must be identity without a tape")
 	}
 }
 
@@ -77,7 +78,8 @@ func TestDropoutTrainDropsAndScales(t *testing.T) {
 	d := NewDropout(0.5, rng)
 	x := tensor.New(100, 100)
 	x.Fill(1)
-	y := d.Forward(x, true)
+	tape := NewTape()
+	y := d.Forward(x, tape.WS(), tape)
 	zeros, twos := 0, 0
 	for _, v := range y.Data {
 		switch v {
@@ -102,7 +104,8 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	e := NewEmbedding("emb", 10, 4, rng)
 	ids := []int{1, 3, 1}
-	out := e.Forward(ids)
+	tape := NewTape()
+	out := e.Forward(ids, tape.WS(), tape)
 	if out.Rows != 3 || out.Cols != 4 {
 		t.Fatalf("embedding shape = %dx%d", out.Rows, out.Cols)
 	}
@@ -114,7 +117,7 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 	}
 	dout := tensor.New(3, 4)
 	dout.Fill(1)
-	e.Backward(dout)
+	e.Backward(tape, dout)
 	// Token 1 appears twice so its grad row is 2, token 3 once = 1, rest 0.
 	if e.Table.Grad.At(1, 0) != 2 || e.Table.Grad.At(3, 0) != 1 || e.Table.Grad.At(0, 0) != 0 {
 		t.Fatalf("embedding grads: %v", e.Table.Grad.Data[:20])
@@ -128,15 +131,17 @@ func TestSGDStepReducesLoss(t *testing.T) {
 	targets := []int{0, 1, 0, 1, 0, 1, 0, 1}
 	ce := NewSoftmaxCrossEntropy()
 	opt := NewSGD(0.1, 0.9)
+	tape := NewTape()
 	var first, last float64
 	for i := 0; i < 50; i++ {
-		logits := l.Forward(x, true)
+		logits := l.Forward(x, tape.WS(), tape)
 		loss, grad := ce.Loss(logits, targets)
 		if i == 0 {
 			first = loss
 		}
 		last = loss
-		l.Backward(grad)
+		l.Backward(tape, grad)
+		tape.Reset()
 		opt.Step(l.Params())
 	}
 	if last >= first {
@@ -161,15 +166,17 @@ func TestAdamWStepReducesLoss(t *testing.T) {
 	}
 	ce := NewSoftmaxCrossEntropy()
 	opt := NewAdamW(0.01, 0.01)
+	tape := NewTape()
 	var first, last float64
 	for i := 0; i < 80; i++ {
-		logits := model.Forward(x, true)
+		logits := model.Forward(x, tape.WS(), tape)
 		loss, grad := ce.Loss(logits, targets)
 		if i == 0 {
 			first = loss
 		}
 		last = loss
-		model.Backward(grad)
+		model.Backward(tape, grad)
+		tape.Reset()
 		opt.Step(model.Params())
 	}
 	if last >= first*0.5 {
@@ -185,9 +192,10 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 	x := randomInput(4, 3, 5)
 	ce := NewSoftmaxCrossEntropy()
 	opt := NewAdamW(0.1, 0)
-	logits := l.Forward(x, true)
+	tape := NewTape()
+	logits := l.Forward(x, tape.WS(), tape)
 	_, grad := ce.Loss(logits, []int{0, 1, 0, 1})
-	l.Backward(grad)
+	l.Backward(tape, grad)
 	opt.Step(l.Params())
 	if !l.Weight.W.Equal(before) {
 		t.Fatal("frozen weight moved under optimizer step")
@@ -279,9 +287,9 @@ func TestLoRAInitialOutputMatchesBase(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	base := NewLinear("base", 5, 3, rng)
 	x := randomInput(4, 5, 7)
-	want := base.Forward(x, false)
+	want := base.Forward(x, nil, nil)
 	lora := NewLoRA(base, 2, 4, 0, rng)
-	got := lora.Forward(x, false)
+	got := lora.Forward(x, nil, nil)
 	if !got.AllClose(want, 1e-5) {
 		t.Fatal("LoRA with B=0 must match base output")
 	}
@@ -309,9 +317,9 @@ func TestLoRAMergeMatchesAdapterOutput(t *testing.T) {
 	lora := NewLoRA(base, 2, 4, 0, rng)
 	tensor.Gaussian(lora.B.W, 0.3, rng)
 	x := randomInput(3, 6, 8)
-	want := lora.Forward(x, false)
+	want := lora.Forward(x, nil, nil)
 	merged := lora.Merge()
-	got := merged.Forward(x, false)
+	got := merged.Forward(x, nil, nil)
 	if !got.AllClose(want, 1e-4) {
 		t.Fatal("merged LoRA output differs from adapter output")
 	}
@@ -410,8 +418,8 @@ func BenchmarkQuantize4Bit(b *testing.B) {
 	}
 }
 
-// TestGELUMatchesScalarBits holds both GELU entry points — and through them
-// tensor.GELU on whichever implementation this machine runs — to geluScalar,
+// TestGELUMatchesScalarBits holds GELU's forward, taped and not — and through
+// it tensor.GELU on whichever implementation this machine runs — to geluScalar,
 // element by element and bit for bit, at widths that end inside, on and just
 // past an eight-lane group and on inputs across the saturation, NaN and
 // infinity branches.
@@ -422,7 +430,7 @@ func TestGELUMatchesScalarBits(t *testing.T) {
 	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
 		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32, 5.5, -5.5, 40, -40}
 	g := NewGELU()
-	ws := tensor.NewWorkspace()
+	ws, tape := tensor.NewWorkspace(), NewTape()
 	for _, shape := range [][2]int{{1, 1}, {1, 7}, {3, 8}, {5, 9}, {27, 96}, {64, 193}} {
 		x := randomInput(shape[0], shape[1], 7)
 		for i := range x.Data {
@@ -431,7 +439,7 @@ func TestGELUMatchesScalarBits(t *testing.T) {
 				x.Data[i] = special[(i/5)%len(special)]
 			}
 		}
-		for name, got := range map[string]*tensor.Matrix{"Forward": g.Forward(x, false), "Infer": g.Infer(x, ws)} {
+		for name, got := range map[string]*tensor.Matrix{"inference": g.Forward(x, ws, nil), "taped": g.Forward(x, tape.WS(), tape)} {
 			for i, v := range x.Data {
 				want, have := geluScalar(v), got.Data[i]
 				if math.Float32bits(have) != math.Float32bits(want) && !(have != have && want != want) {
@@ -440,4 +448,31 @@ func TestGELUMatchesScalarBits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTapeMisuseFailsLoudly: a Backward with no record to pop, or whose
+// newest record is another layer's, panics naming the layer.
+func TestTapeMisuseFailsLoudly(t *testing.T) {
+	rng := tensor.NewRNG(15)
+	lin := NewLinear("lin", 4, 4, rng)
+	x := randomInput(2, 4, 16)
+	mustPanic := func(name, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			for _, w := range []string{"lin.weight", want} {
+				if !strings.Contains(msg, w) {
+					t.Errorf("%s: panic %q does not name %q", name, msg, w)
+				}
+			}
+		}()
+		fn()
+	}
+	mustPanic("empty tape", "empty tape", func() { lin.Backward(NewTape(), x) })
+	mustPanic("nil tape", "empty tape", func() { lin.Backward(nil, x) })
+	mustPanic("wrong record", "GELU", func() {
+		tape := NewTape()
+		NewGELU().Forward(lin.Forward(x, tape.WS(), tape), tape.WS(), tape)
+		lin.Backward(tape, x)
+	})
 }

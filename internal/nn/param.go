@@ -3,10 +3,13 @@
 // hand-written forward/backward passes, losses, optimizers, LoRA adapters,
 // and block-wise weight quantization.
 //
-// The design is a classic "tape-free" layer graph: each Layer caches whatever
-// it needs during Forward and consumes it in Backward. Parameters carry their
-// own gradient buffers and a Frozen flag, which is how both Table II
-// (parameter freezing) and LoRA (frozen base weights) are implemented.
+// Layers are stateless: a layer holds its parameters and nothing a forward
+// computed. Forward(x, ws, tape) reads only the parameters and, given a
+// Tape, records what Backward(tape, dout) needs; with a nil tape the same
+// call is the inference forward, safe for concurrent use on one model.
+// Parameters carry their own gradient buffers and a Frozen flag, which is
+// how both Table II (parameter freezing) and LoRA (frozen base weights) are
+// implemented.
 package nn
 
 import "repro/internal/tensor"
@@ -40,14 +43,14 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Layer is a differentiable matrix-to-matrix transformation.
 //
-// Forward consumes an input of shape [n, in] and produces [n, out]; train
-// selects training-time behaviour (e.g. dropout). Backward consumes
-// ∂loss/∂output and returns ∂loss/∂input, accumulating parameter gradients
-// as a side effect. Backward must be called at most once per Forward, with
-// the gradient corresponding to the most recent Forward.
+// Forward maps [n, in] to [n, out], drawing its output and scratch from ws
+// (nil allocates). With a tape it is the training forward: dropout is live
+// and the layer records what Backward needs, so ws must be Tape.WS, which
+// lives until Backward. Backward pops that record, accumulates parameter
+// gradients, and returns ∂loss/∂input.
 type Layer interface {
-	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
-	Backward(dout *tensor.Matrix) *tensor.Matrix
+	Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix
+	Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix
 	Params() []*Param
 }
 
@@ -94,17 +97,17 @@ type Sequential struct {
 func NewSequential(layers ...Layer) *Sequential { return &Sequential{Layers: layers} }
 
 // Forward applies each layer in order.
-func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (s *Sequential) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		x = l.Forward(x, ws, tape)
 	}
 	return x
 }
 
 // Backward propagates the gradient through the layers in reverse order.
-func (s *Sequential) Backward(dout *tensor.Matrix) *tensor.Matrix {
+func (s *Sequential) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dout = s.Layers[i].Backward(dout)
+		dout = s.Layers[i].Backward(tape, dout)
 	}
 	return dout
 }

@@ -20,8 +20,8 @@ import (
 // instead of the fp32 parameter stream.
 //
 // QuantizedLinear implements Layer so it can sit in any projection slot a
-// *Linear occupies (attention Wq/Wk/Wv/Wo, FFN, LM head), but Backward
-// panics: quantize for serving, not for training.
+// *Linear occupies (attention Wq/Wk/Wv/Wo, FFN, LM head), but a taped
+// Forward and Backward panic: quantize for serving, not for training.
 type QuantizedLinear struct {
 	// Name is the wrapped layer's weight name (used by checkpoints to match
 	// sections to layers).
@@ -50,11 +50,14 @@ func (l *QuantizedLinear) In() int { return l.W.In }
 // Out returns the output dimension.
 func (l *QuantizedLinear) Out() int { return l.W.Out }
 
-// Infer computes xW + b in int8: activations are quantized per row on the
+// Forward computes xW + b in int8: activations are quantized per row on the
 // fly, the matmul accumulates in integers, and the bias is added in fp32.
-func (l *QuantizedLinear) Infer(x *tensor.Matrix, ws *tensor.Workspace) *tensor.Matrix {
+func (l *QuantizedLinear) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
+	if tape != nil {
+		panic(fmt.Sprintf("nn: %s is int8-quantized and inference-only; it cannot record a training forward", l.Name))
+	}
 	if x.Cols != l.In() {
-		panic(fmt.Sprintf("nn: %s infer input dim %d, want %d", l.Name, x.Cols, l.In()))
+		panic(fmt.Sprintf("nn: %s forward input dim %d, want %d", l.Name, x.Cols, l.In()))
 	}
 	y := tensor.MatMulQ8(ws.Get(x.Rows, l.Out()), x, l.W, ws)
 	if l.Bias != nil {
@@ -67,8 +70,8 @@ func (l *QuantizedLinear) Infer(x *tensor.Matrix, ws *tensor.Workspace) *tensor.
 // caller (tensor.QuantizeRowsQ8) — how the attention layer shares one
 // quantization pass across its Q, K, and V projections. Output buffers come
 // from wsOut (nil allocates; the KV-capture path passes nil so cached keys
-// and values outlive the workspace). Results are bitwise identical to Infer
-// on the original rows.
+// and values outlive the workspace). Results are bitwise identical to
+// Forward on the original rows.
 func (l *QuantizedLinear) InferQuantized(qa tensor.QuantizedRows, wsOut *tensor.Workspace) *tensor.Matrix {
 	y := tensor.MatMulQ8Pre(wsOut.Get(qa.Rows, l.Out()), qa, l.W)
 	if l.Bias != nil {
@@ -77,14 +80,8 @@ func (l *QuantizedLinear) InferQuantized(qa tensor.QuantizedRows, wsOut *tensor.
 	return y
 }
 
-// Forward delegates to Infer (there is no training mode and nothing to cache
-// for a backward pass that cannot run).
-func (l *QuantizedLinear) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	return l.Infer(x, nil)
-}
-
 // Backward panics: int8 weights are not trainable.
-func (l *QuantizedLinear) Backward(dout *tensor.Matrix) *tensor.Matrix {
+func (l *QuantizedLinear) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
 	panic(fmt.Sprintf("nn: %s is int8-quantized and inference-only; Backward is not supported", l.Name))
 }
 

@@ -154,6 +154,7 @@ func MLM(m *transformer.Model, tok *tokenizer.Tokenizer, corpus []string, opts O
 	opt := nn.NewAdamW(opts.LR, 0.01)
 	ce := nn.NewSoftmaxCrossEntropy()
 	params := m.Params()
+	tape := nn.NewTape()
 	return runSteps(opts.Steps, func(step int) float64 {
 		ids := tok.Encode(corpus[rng.Intn(len(corpus))], true)
 		if len(ids) > m.Config.MaxSeqLen {
@@ -186,9 +187,10 @@ func MLM(m *transformer.Model, tok *tokenizer.Tokenizer, corpus []string, opts O
 			targets[i] = ids[i]
 			input[i] = tokenizer.MASK
 		}
-		logits := m.ForwardLM(input, true)
+		logits := m.ForwardLMTape([][]int{input}, tape)
 		loss, grad := ce.Loss(logits, targets)
-		m.BackwardLM(grad)
+		m.Backward(tape, grad)
+		tape.Reset()
 		nn.ClipGradNorm(params, 1.0)
 		opt.Step(params)
 		return loss
@@ -208,6 +210,7 @@ func CLM(m *transformer.Model, tok *tokenizer.Tokenizer, corpus []string, opts O
 	opt := nn.NewAdamW(opts.LR, 0.01)
 	ce := nn.NewSoftmaxCrossEntropy()
 	params := m.Params()
+	tape := nn.NewTape()
 	return runSteps(opts.Steps, func(step int) float64 {
 		text := corpus[rng.Intn(len(corpus))]
 		ids := append([]int{tokenizer.BOS}, tok.Encode(text, false)...)
@@ -218,9 +221,10 @@ func CLM(m *transformer.Model, tok *tokenizer.Tokenizer, corpus []string, opts O
 		if len(ids) < 2 {
 			return 0
 		}
-		logits := m.ForwardLM(ids[:len(ids)-1], true)
+		logits := m.ForwardLMTape([][]int{ids[:len(ids)-1]}, tape)
 		loss, grad := ce.Loss(logits, ids[1:])
-		m.BackwardLM(grad)
+		m.Backward(tape, grad)
+		tape.Reset()
 		nn.ClipGradNorm(params, 1.0)
 		opt.Step(params)
 		return loss

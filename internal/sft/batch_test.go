@@ -13,10 +13,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// refPredict is the batched path's reference: the softmax of the training
-// forward's classification logits for one sentence.
+// refPredict is the batched path's reference: the softmax of the
+// classification logits for one sentence run alone.
 func refPredict(c *Classifier, text string) (int, [2]float32) {
-	logits := c.Model.ForwardCls(c.Tok.Encode(text, true), false)
+	logits := c.Model.ForwardClsBatchWS([][]int{c.Tok.Encode(text, true)}, nil)
 	var row [2]float32
 	copy(row[:], logits.Row(0))
 	tensor.Softmax(row[:])

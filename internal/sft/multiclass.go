@@ -87,6 +87,7 @@ func TrainMulti(c *MultiClassifier, train []Example, cfg TrainConfig) []EpochSta
 		order[i] = i
 	}
 	stats := make([]EpochStats, 0, cfg.Epochs)
+	tape := nn.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		start := time.Now()
 		rng.Shuffle(order)
@@ -99,11 +100,12 @@ func TrainMulti(c *MultiClassifier, train []Example, cfg TrainConfig) []EpochSta
 				panic(fmt.Sprintf("sft: label %d out of range for %d classes", ex.Label, c.Classes))
 			}
 			ids := c.Tok.Encode(ex.Text, true)
-			logits := c.Model.ForwardCls(ids, true)
+			logits := c.Model.ForwardClsTape([][]int{ids}, tape)
 			loss, grad := ce.Loss(logits, []int{ex.Label})
 			total += loss
 			tensor.Scale(grad, grad, invBatch)
-			c.Model.BackwardCls(grad)
+			c.Model.Backward(tape, grad)
+			tape.Reset()
 			pending++
 			if pending == cfg.BatchSize {
 				if cfg.ClipNorm > 0 {

@@ -5,11 +5,13 @@
 // transfer learning (Figures 10/11), and the online/early detection analyses
 // of Figures 7/8.
 //
-// Training runs the model's training forward. Every prediction — the
-// evaluations behind the paper's numbers included — runs on the read-only
-// packed forward the detection service uses (Classifier.PredictBatchWS):
-// evaluations fan chunks of sentences out over GOMAXPROCS goroutines that
-// share the one model, so what they score is exactly what the service serves.
+// Training runs the model's one forward on an nn.Tape, a sentence per call,
+// accumulating a mini-batch's gradients across calls. Every prediction — the
+// evaluations behind the paper's numbers and head-only training's features
+// included — runs it untaped, as the detection service does
+// (Classifier.PredictBatchWS): chunks of sentences fan out over GOMAXPROCS
+// goroutines that share the one model, so what they score is exactly what
+// the service serves.
 package sft
 
 import (
@@ -189,6 +191,7 @@ func Train(c *Classifier, train, val []Example, cfg TrainConfig) []EpochStats {
 	for i := range order {
 		order[i] = i
 	}
+	tape := nn.NewTape()
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		start := time.Now()
 		rng.Shuffle(order)
@@ -198,11 +201,12 @@ func Train(c *Classifier, train, val []Example, cfg TrainConfig) []EpochStats {
 		for _, idx := range order {
 			ex := data[idx]
 			ids := c.Tok.Encode(ex.Text, true)
-			logits := c.Model.ForwardCls(ids, true)
+			logits := c.Model.ForwardClsTape([][]int{ids}, tape)
 			loss, grad := ce.Loss(logits, []int{ex.Label})
 			totalLoss += loss
 			tensor.Scale(grad, grad, invBatch)
-			c.Model.BackwardCls(grad)
+			c.Model.Backward(tape, grad)
+			tape.Reset()
 			pending++
 			if pending == cfg.BatchSize {
 				if cfg.ClipNorm > 0 {

@@ -3,12 +3,14 @@
 // and in-context learning, with hand-written backpropagation on top of
 // internal/nn.
 //
-// Training processes one token sequence at a time ([seq, d_model] matrices);
-// mini-batching is done by gradient accumulation in the trainers, which
-// keeps the backward pass straightforward. Inference additionally has a
-// packed batched path (batch.go): B sequences run as one [ΣTᵢ, d_model]
-// matrix through the position-wise layers with per-sequence attention — no
-// padding, read-only on the model, safe for concurrent use.
+// There is one forward (batch.go): B token sequences packed into one
+// [ΣTᵢ, d_model] matrix plus offsets, the position-wise layers run once over
+// the packed matrix and attention per sequence — no padding. It reads only
+// the model's parameters, so serving calls share one model across
+// goroutines. Training runs the same forward on an nn.Tape
+// (ForwardClsTape, ForwardLMTape), which records what Model.Backward needs;
+// the trainers pass one sequence per call and accumulate a mini-batch's
+// gradients across calls.
 package transformer
 
 import (
@@ -30,13 +32,11 @@ type MultiHeadAttention struct {
 	// nn.LoRALinear adapters by Model.ApplyLoRA; they are *nn.Linear as
 	// constructed.
 	Wq, Wk, Wv, Wo nn.Layer
-
-	// Cached forward state for the backward pass.
-	x       *tensor.Matrix
-	q, k, v *tensor.Matrix
-	probs   []*tensor.Matrix // per-head [T,T] attention distributions
-	concat  *tensor.Matrix   // pre-Wo head concatenation
 }
+
+// Attention's tape records: each head's probabilities per sequence, then
+// the offsets and the q/k/v projections.
+const probsRecord, attentionRecord = "MultiHeadAttention.probs", "MultiHeadAttention"
 
 // NewMultiHeadAttention constructs an attention layer. dModel must be
 // divisible by numHeads.
@@ -55,90 +55,155 @@ func NewMultiHeadAttention(name string, dModel, numHeads int, causal bool, rng *
 	}
 }
 
-// sharedCopy returns an attention layer sharing a's parameters but with
-// independent forward caches (used for ALBERT-style layer sharing). It
-// requires plain Linear projections — LoRA is not combined with layer
-// sharing.
-func (a *MultiHeadAttention) sharedCopy() *MultiHeadAttention {
-	share := func(l nn.Layer) nn.Layer {
-		lin := l.(*nn.Linear)
-		return &nn.Linear{Weight: lin.Weight, Bias: lin.Bias}
+// forward computes self-attention over a packed batch: the four projections
+// run on the whole packed matrix; attention heads are column windows of the
+// packed projections addressed by the strided kernels, so no per-head (or
+// per-sequence) data is copied and no scores cross a sequence boundary. With
+// a non-empty past (causal, untaped), every sequence attends the shared
+// cached prefix before its own positions. The fused ScaledMaskedRowSoftmax
+// applies scaling, causal masking, and softmax in one pass over each score
+// row. With capture set, the packed K/V projections are heap-allocated and
+// returned for cache construction (one sequence); otherwise the returned
+// LayerKV is empty.
+func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, past LayerKV, ws *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
+	Tp := 0
+	if past.K != nil {
+		if !a.Causal {
+			panic("transformer: past keys require causal attention")
+		}
+		Tp = past.K.Rows
 	}
-	return &MultiHeadAttention{
-		NumHeads: a.NumHeads, DModel: a.DModel, Causal: a.Causal,
-		Wq: share(a.Wq), Wk: share(a.Wk), Wv: share(a.Wv), Wo: share(a.Wo),
-	}
-}
-
-// Forward computes self-attention over x [T, dModel]. Heads are addressed as
-// column windows of the packed q/k/v projections via the strided kernels —
-// no per-head copies are made; only the per-head probability matrices are
-// allocated (the backward pass consumes them).
-func (a *MultiHeadAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	T := x.Rows
 	dh := a.DModel / a.NumHeads
-	a.x = x
-	a.q = a.Wq.Forward(x, train)
-	a.k = a.Wk.Forward(x, train)
-	a.v = a.Wv.Forward(x, train)
-	a.probs = make([]*tensor.Matrix, a.NumHeads)
-	a.concat = tensor.New(T, a.DModel)
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	for h := 0; h < a.NumHeads; h++ {
-		off := h * dh
-		scores := tensor.New(T, T)
-		tensor.MatMulTStrided(scores, 0, a.q, off, a.k, off, dh)
-		tensor.ScaledMaskedRowSoftmax(scores, scale, 0, a.Causal)
-		a.probs[h] = scores
-		tensor.MatMulStrided(a.concat, off, scores, 0, T, a.v, off, dh)
+	kvws := ws
+	if capture {
+		kvws = nil // captured K/V must outlive the workspace
 	}
-	return a.Wo.Forward(a.concat, train)
-}
-
-// Backward propagates dout through the attention layer, accumulating
-// parameter gradients and returning dx.
-func (a *MultiHeadAttention) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	if a.x == nil {
-		panic("transformer: attention Backward before Forward")
+	var q, k, v *tensor.Matrix
+	wq, qok := a.Wq.(*nn.QuantizedLinear)
+	wk, kok := a.Wk.(*nn.QuantizedLinear)
+	wv, vok := a.Wv.(*nn.QuantizedLinear)
+	if tape == nil && qok && kok && vok && wq.W.Block == wk.W.Block && wq.W.Block == wv.W.Block {
+		// Int8 path: the three projections read the same input, so quantize
+		// it once and run all three from the shared codes.
+		qa := tensor.QuantizeRowsQ8(x, wq.W.Block, ws)
+		q = wq.InferQuantized(qa, ws)
+		k = wk.InferQuantized(qa, kvws)
+		v = wv.InferQuantized(qa, kvws)
+	} else {
+		q = a.Wq.Forward(x, ws, tape)
+		k = a.Wk.Forward(x, kvws, tape)
+		v = a.Wv.Forward(x, kvws, tape)
 	}
-	T := dout.Rows
-	dh := a.DModel / a.NumHeads
+	concat := ws.Get(x.Rows, a.DModel)
 	scale := float32(1 / math.Sqrt(float64(dh)))
-
-	dConcat := a.Wo.Backward(dout)
-	dq := tensor.New(T, a.DModel)
-	dk := tensor.New(T, a.DModel)
-	dv := tensor.New(T, a.DModel)
-	dScores := tensor.New(T, T)
-	dProbs := tensor.New(T, T)
-	for h := 0; h < a.NumHeads; h++ {
-		off := h * dh
-		probs := a.probs[h]
-		// out = probs · vh over the head's column window.
-		tensor.MatMulTStrided(dProbs, 0, dConcat, off, a.v, off, dh)
-		tensor.TMatMulStrided(dv, off, probs, dConcat, off, dh)
-		// Softmax backward per row: dS = P ⊙ (dP - Σ dP⊙P).
-		for i := 0; i < T; i++ {
-			pr := probs.Row(i)
-			dpr := dProbs.Row(i)
-			var dot float32
-			for j := range pr {
-				dot += pr[j] * dpr[j]
+	// Inference runs the sequences serially through one max-shaped score
+	// buffer: without this, a 32-sequence chunk through a 6-layer model
+	// would pin ~200 distinct score buffers in the arena, and rebuilding that
+	// arena dominated the streaming monitor's allocations. A taped forward
+	// keeps every head's probabilities for backward instead.
+	var scoresBuf, scores *tensor.Matrix
+	if tape == nil {
+		maxT := 0
+		for s := 0; s+1 < len(offsets); s++ {
+			maxT = max(maxT, offsets[s+1]-offsets[s])
+		}
+		scoresBuf = ws.Get(maxT, Tp+maxT)
+	}
+	for s := 0; s+1 < len(offsets); s++ {
+		lo, hi := offsets[s], offsets[s+1]
+		T := hi - lo
+		qs := ws.RowView(q, lo, hi)
+		ks := ws.RowView(k, lo, hi)
+		vs := ws.RowView(v, lo, hi)
+		cs := ws.RowView(concat, lo, hi)
+		if tape == nil {
+			// scores over [past | current] keys: [T, Tp+T], reused across heads.
+			scores = ws.ShapedView(scoresBuf, T, Tp+T)
+		}
+		for h := 0; h < a.NumHeads; h++ {
+			off := h * dh
+			if tape != nil {
+				scores = ws.Get(T, Tp+T)
 			}
-			dsr := dScores.Row(i)
-			for j := range pr {
-				dsr[j] = pr[j] * (dpr[j] - dot)
+			if Tp > 0 {
+				tensor.MatMulTStrided(scores, 0, qs, off, past.K, off, dh)
+			}
+			tensor.MatMulTStrided(scores, Tp, qs, off, ks, off, dh)
+			tensor.ScaledMaskedRowSoftmax(scores, scale, Tp, a.Causal)
+			tape.Push(probsRecord, nil, scores)
+			// out = probs_past·pastV + probs_cur·curV, straight into the
+			// head's column window of concat.
+			if Tp > 0 {
+				tensor.MatMulStrided(cs, off, scores, 0, Tp, past.V, off, dh)
+				tensor.MatMulStridedAcc(cs, off, scores, Tp, T, vs, off, dh)
+			} else {
+				tensor.MatMulStrided(cs, off, scores, 0, T, vs, off, dh)
 			}
 		}
-		tensor.Scale(dScores, dScores, scale)
-		// scores = qh·khᵀ ⇒ dq = dS·kh, dk = dSᵀ·qh.
-		tensor.MatMulStrided(dq, off, dScores, 0, T, a.k, off, dh)
-		tensor.TMatMulStrided(dk, off, dScores, a.q, off, dh)
 	}
-	dx := a.Wq.Backward(dq)
-	tensor.AddScaled(dx, a.Wk.Backward(dk), 1)
-	tensor.AddScaled(dx, a.Wv.Backward(dv), 1)
-	a.x, a.q, a.k, a.v, a.probs, a.concat = nil, nil, nil, nil, nil, nil
+	tape.Push(attentionRecord, offsets, q, k, v)
+	out := a.Wo.Forward(concat, ws, tape)
+	if capture {
+		return out, LayerKV{K: k, V: v}
+	}
+	return out, LayerKV{}
+}
+
+// backward propagates dout through the attention recorded last on tape,
+// accumulating parameter gradients and returning dx. It pops the heads'
+// probabilities last head first; each head of each sequence writes its own
+// window of dq, dk and dv, so the order moves no bit.
+func (a *MultiHeadAttention) backward(tape *nn.Tape, dout *tensor.Matrix) *tensor.Matrix {
+	ws := tape.WS()
+	dConcat := a.Wo.Backward(tape, dout)
+	offsets, rec := tape.Pop(attentionRecord)
+	q, k, v := rec[0], rec[1], rec[2]
+	dh := a.DModel / a.NumHeads
+	scale := float32(1 / math.Sqrt(float64(dh)))
+	dq := ws.Get(dout.Rows, a.DModel)
+	dk := ws.Get(dout.Rows, a.DModel)
+	dv := ws.Get(dout.Rows, a.DModel)
+	for s := len(offsets) - 2; s >= 0; s-- {
+		lo, hi := offsets[s], offsets[s+1]
+		T := hi - lo
+		qs, ks, vs := ws.RowView(q, lo, hi), ws.RowView(k, lo, hi), ws.RowView(v, lo, hi)
+		dqs, dks, dvs := ws.RowView(dq, lo, hi), ws.RowView(dk, lo, hi), ws.RowView(dv, lo, hi)
+		dcs := ws.RowView(dConcat, lo, hi)
+		dScores := ws.Get(T, T)
+		dProbs := ws.Get(T, T)
+		for h := a.NumHeads - 1; h >= 0; h-- {
+			off := h * dh
+			_, rec := tape.Pop(probsRecord)
+			probs := rec[0]
+			// out = probs · vh over the head's column window.
+			tensor.MatMulTStrided(dProbs, 0, dcs, off, vs, off, dh)
+			tensor.TMatMulStrided(dvs, off, probs, dcs, off, dh)
+			// Softmax backward per row: dS = P ⊙ (dP - Σ dP⊙P).
+			for i := 0; i < T; i++ {
+				pr := probs.Row(i)
+				dpr := dProbs.Row(i)
+				var dot float32
+				for j := range pr {
+					dot += pr[j] * dpr[j]
+				}
+				dsr := dScores.Row(i)
+				for j := range pr {
+					dsr[j] = pr[j] * (dpr[j] - dot)
+				}
+			}
+			tensor.Scale(dScores, dScores, scale)
+			// scores = qh·khᵀ ⇒ dq = dS·kh, dk = dSᵀ·qh.
+			tensor.MatMulStrided(dqs, off, dScores, 0, T, ks, off, dh)
+			tensor.TMatMulStrided(dks, off, dScores, qs, off, dh)
+		}
+	}
+	// The projections pop in reverse too; their input gradients still sum
+	// q + k + v.
+	dxv := a.Wv.Backward(tape, dv)
+	dxk := a.Wk.Backward(tape, dk)
+	dx := a.Wq.Backward(tape, dq)
+	tensor.AddScaled(dx, dxk, 1)
+	tensor.AddScaled(dx, dxv, 1)
 	return dx
 }
 

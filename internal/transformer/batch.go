@@ -1,42 +1,42 @@
 package transformer
 
 import (
-	"math"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// Inference.
+// The forward.
 //
 // A batch of B token sequences is packed into one [ΣTᵢ, dModel] matrix plus
-// an offsets slice (tensor.Offsets layout). Position-wise layers — the six
-// linear projections per block, layer norms, and activations — then run once
-// over the packed matrix instead of B times, which is where the throughput
-// win over per-sequence forwards comes from; only attention is computed per
-// sequence, since softmax must not mix positions across sequences.
+// an offsets slice (tensor.Offsets layout), as FlashAttention's varlen
+// cu_seqlens. Position-wise layers — the six linear projections per block,
+// layer norms, and activations — then run once over the packed matrix
+// instead of B times, which is where the throughput win over per-sequence
+// forwards comes from; only attention is computed per sequence, since
+// softmax must not mix positions across sequences. Every position-wise
+// kernel computes a row from that row alone, so packing moves no bit.
 //
-// The whole path is built on the nn.Inferer read-only forwards: it never
-// touches the layers' backward caches, so one trained model can serve
+// This is the only forward. Serving and evaluation run it without a tape:
+// it reads only the model's parameters, so one trained model serves
 // concurrent calls from many goroutines (the property core.Server's workers,
-// core.DetectTraces and sft's evaluation fan-out rely on). The training forward (Encode,
-// ForwardCls, ForwardLM) is for training, and is the tests' reference.
+// core.DetectTraces and sft's evaluation fan-out rely on). Training runs it
+// on an nn.Tape (ForwardClsTape, ForwardLMTape), which turns dropout on and
+// records what Model.Backward needs.
 //
 // Every temporary — packed activations, per-sequence attention scores, even
-// the per-sequence view headers — is drawn from a tensor.Workspace arena.
-// Each operation has one entry point, taking the workspace last: a long-lived
-// owner such as a core.Server worker passes its own arena and resets it
-// between batches; a one-shot caller passes nil and gets plain allocation
-// (tensor.Workspace's nil contract). Results are always fresh heap
-// allocations, never arena-backed, so callers may Reset the workspace freely
-// afterwards.
+// the per-sequence view headers — is drawn from a tensor.Workspace arena:
+// a long-lived owner such as a core.Server worker passes its own and resets
+// it between batches; a one-shot caller passes nil and gets plain allocation
+// (tensor.Workspace's nil contract); a taped forward uses the tape's. The
+// serving entry points return fresh heap allocations, never arena-backed,
+// so callers may Reset the workspace freely afterwards.
 
 // encodeBatch embeds each sequence and runs the packed batch through the
 // block stack and final layer norm, returning the packed hidden states
 // [ΣTᵢ, dModel] and the segment offsets, both arena-backed. Sequences longer
-// than MaxSeqLen are truncated keeping the head (as Encode does); empty
-// sequences panic.
-func (m *Model) encodeBatch(seqs [][]int, ws *tensor.Workspace) (*tensor.Matrix, []int) {
+// than MaxSeqLen are truncated keeping the head, which holds the
+// classification token and earliest features; empty sequences panic.
+func (m *Model) encodeBatch(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (*tensor.Matrix, []int) {
 	truncated := false
 	for i, ids := range seqs {
 		if len(ids) == 0 {
@@ -56,27 +56,30 @@ func (m *Model) encodeBatch(seqs [][]int, ws *tensor.Workspace) (*tensor.Matrix,
 	for i, ids := range seqs {
 		offsets[i+1] = offsets[i] + len(ids)
 	}
-	h := m.embedBatch(seqs, offsets, 0, ws)
-	return m.runBlocksBatch(h, offsets, nil, ws), offsets
+	h := m.embedBatch(seqs, offsets, 0, ws, tape)
+	return m.runBlocksBatch(h, offsets, nil, ws, tape), offsets
 }
 
 // runBlocksBatch drives the packed batch through the block stack and the
-// final layer norm, with double-buffered scratch: block intermediates
-// alternate between two pooled workspaces, each reset once its layer's
-// output has been consumed by the next layer. Only the normalized output
-// (and whatever the caller placed there) lands in the caller's arena, so a
-// worker's resident workspace holds ~2 layers of scratch instead of the
+// final layer norm. Without a tape, scratch is double-buffered: block
+// intermediates alternate between two pooled workspaces, each reset once its
+// layer's output has been consumed by the next layer. Only the normalized
+// output (and whatever the caller placed there) lands in the caller's arena,
+// so a worker's resident workspace holds ~2 layers of scratch instead of the
 // whole stack's — the difference between the streaming monitor's chunk
-// pipeline rebuilding ~5 MB versus ~2 MB of arena on a cold start. past is
-// the per-layer KV cache (nil when uncached).
-func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, past []LayerKV, ws *tensor.Workspace) *tensor.Matrix {
-	var scratch [2]*tensor.Workspace
-	scratch[0], scratch[1] = tensor.GetWorkspace(), tensor.GetWorkspace()
-	defer tensor.PutWorkspace(scratch[0])
-	defer tensor.PutWorkspace(scratch[1])
+// pipeline rebuilding ~5 MB versus ~2 MB of arena on a cold start. A taped
+// forward keeps every block's intermediates for backward, in the tape's
+// arena. past is the per-layer KV cache (nil when uncached).
+func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, past []LayerKV, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
+	scratch := [2]*tensor.Workspace{ws, ws}
+	if tape == nil {
+		scratch[0], scratch[1] = tensor.GetWorkspace(), tensor.GetWorkspace()
+		defer tensor.PutWorkspace(scratch[0])
+		defer tensor.PutWorkspace(scratch[1])
+	}
 	for li, b := range m.Blocks {
 		wsi := scratch[li%2]
-		if li >= 2 {
+		if li >= 2 && tape == nil {
 			// This arena holds layer li-2's intermediates; layer li-1 has
 			// already consumed that output, so the buffers are dead.
 			wsi.Reset()
@@ -85,17 +88,17 @@ func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, past []LayerKV, 
 		if past != nil {
 			kv = past[li]
 		}
-		h, _ = b.inferBatch(h, offsets, kv, wsi, false)
+		h, _ = b.forward(h, offsets, kv, wsi, tape, false)
 	}
 	// The final norm reads the last block's output from its scratch arena
 	// (still alive here) and writes into the caller's workspace.
-	return m.FinalLN.Infer(h, ws)
+	return m.FinalLN.Forward(h, ws, tape)
 }
 
 // embedBatch gathers token+position embeddings for the packed batch.
 // Positions restart at posStart for every sequence (posStart is nonzero when
 // the batch continues a cached shared prefix).
-func (m *Model) embedBatch(seqs [][]int, offsets []int, posStart int, ws *tensor.Workspace) *tensor.Matrix {
+func (m *Model) embedBatch(seqs [][]int, offsets []int, posStart int, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
 	total := offsets[len(offsets)-1]
 	flat := ws.GetInts(total)
 	pos := ws.GetInts(total)
@@ -107,110 +110,58 @@ func (m *Model) embedBatch(seqs [][]int, offsets []int, posStart int, ws *tensor
 			n++
 		}
 	}
-	h := m.TokEmb.Infer(flat, ws)
-	pe := m.PosEmb.Infer(pos, ws)
+	h := m.TokEmb.Forward(flat, ws, tape)
+	pe := m.PosEmb.Forward(pos, ws, tape)
 	return tensor.Add(h, h, pe)
 }
 
-// inferBatch runs the block over a packed batch using read-only forwards on
-// the workspace arena. When past holds cached keys/values, every sequence in
-// the batch additionally attends over that shared prefix. With capture set,
-// the attention layer's packed K/V projections are heap-allocated and
-// returned for cache construction (meaningful when the batch is one
-// sequence); otherwise the returned LayerKV is empty.
-func (b *Block) inferBatch(x *tensor.Matrix, offsets []int, past LayerKV, ws *tensor.Workspace, capture bool) (*tensor.Matrix, LayerKV) {
-	h := b.LN1.Infer(x, ws)
-	h, kv := b.Attn.inferBatch(h, offsets, past, ws, capture)
-	x1 := tensor.Add(h, x, h)
-
-	h2 := b.LN2.Infer(x1, ws)
-	h2 = nn.Infer(b.FF1, h2, ws)
-	h2 = b.Act.Infer(h2, ws)
-	h2 = nn.Infer(b.FF2, h2, ws)
-	return tensor.Add(h2, x1, h2), kv
+// LayerKV holds the cached key and value projections of one attention layer
+// over a prompt prefix ([Tprefix, dModel] each).
+type LayerKV struct {
+	K, V *tensor.Matrix
 }
 
-// inferBatch computes self-attention over a packed batch: the four
-// projections run on the whole packed matrix; attention heads are column
-// windows of the packed projections addressed by the strided kernels, so no
-// per-head (or per-sequence) data is copied and no scores cross a sequence
-// boundary. With a non-empty past (causal models only), every sequence
-// attends the shared cached prefix before its own positions. The fused
-// ScaledMaskedRowSoftmax applies scaling, causal masking, and softmax in one
-// pass over each score row.
-func (a *MultiHeadAttention) inferBatch(x *tensor.Matrix, offsets []int, past LayerKV, ws *tensor.Workspace, capture bool) (*tensor.Matrix, LayerKV) {
-	Tp := 0
-	if past.K != nil {
-		if !a.Causal {
-			panic("transformer: past keys require causal attention")
-		}
-		Tp = past.K.Rows
+// KVCache is an inference-time cache of a causal model's per-layer keys and
+// values over a fixed prompt prefix. ICL evaluation shares one few-shot
+// prefix across hundreds of queries; caching it turns each query from a
+// full-prompt forward pass into a suffix-only pass (the same optimization
+// production LLM servers apply to shared system prompts).
+//
+// A cache is read-only after construction, and ScoreChoiceBatchWithCacheWS,
+// which consumes it, reads only the model's parameters, so one cache can
+// serve concurrent queries from many goroutines.
+type KVCache struct {
+	Layers []LayerKV
+	// Len is the prefix length in tokens.
+	Len int
+}
+
+// InferKVCache captures each attention layer's keys and values over the
+// prefix on the untaped forward, so a cache can be built while other
+// goroutines run inference on the same model. The model must be causal and
+// the prefix must fit in MaxSeqLen.
+func (m *Model) InferKVCache(prefix []int) *KVCache {
+	if !m.Config.Causal {
+		panic("transformer: KV cache requires a causal model")
 	}
-	dh := a.DModel / a.NumHeads
-	kvws := ws
-	if capture {
-		kvws = nil // captured K/V must outlive the workspace
+	if len(prefix) == 0 {
+		panic("transformer: empty prefix")
 	}
-	var q, k, v *tensor.Matrix
-	wq, qok := a.Wq.(*nn.QuantizedLinear)
-	wk, kok := a.Wk.(*nn.QuantizedLinear)
-	wv, vok := a.Wv.(*nn.QuantizedLinear)
-	if qok && kok && vok && wq.W.Block == wk.W.Block && wq.W.Block == wv.W.Block {
-		// Int8 path: the three projections read the same input, so quantize
-		// it once and run all three from the shared codes.
-		qa := tensor.QuantizeRowsQ8(x, wq.W.Block, ws)
-		q = wq.InferQuantized(qa, ws)
-		k = wk.InferQuantized(qa, kvws)
-		v = wv.InferQuantized(qa, kvws)
-	} else {
-		q = nn.Infer(a.Wq, x, ws)
-		k = nn.Infer(a.Wk, x, kvws)
-		v = nn.Infer(a.Wv, x, kvws)
+	if len(prefix) > m.Config.MaxSeqLen {
+		panic("transformer: prefix exceeds MaxSeqLen")
 	}
-	concat := ws.Get(x.Rows, a.DModel)
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	// One max-shaped score buffer serves every sequence of the batch (the
-	// sequences run serially): without this, a 32-sequence chunk through a
-	// 6-layer model would pin ~200 distinct score buffers in the arena, and
-	// rebuilding that arena dominated the streaming monitor's allocations.
-	maxT := 0
-	for s := 0; s+1 < len(offsets); s++ {
-		if T := offsets[s+1] - offsets[s]; T > maxT {
-			maxT = T
-		}
+	ws := tensor.GetWorkspace()
+	defer tensor.PutWorkspace(ws)
+	offsets := ws.GetInts(2)
+	offsets[0], offsets[1] = 0, len(prefix)
+	h := m.embedBatch([][]int{prefix}, offsets, 0, ws, nil)
+	cache := &KVCache{Len: len(prefix)}
+	for _, b := range m.Blocks {
+		var kv LayerKV
+		h, kv = b.forward(h, offsets, LayerKV{}, ws, nil, true)
+		cache.Layers = append(cache.Layers, kv)
 	}
-	scoresBuf := ws.Get(maxT, Tp+maxT)
-	for s := 0; s+1 < len(offsets); s++ {
-		lo, hi := offsets[s], offsets[s+1]
-		T := hi - lo
-		qs := ws.RowView(q, lo, hi)
-		ks := ws.RowView(k, lo, hi)
-		vs := ws.RowView(v, lo, hi)
-		cs := ws.RowView(concat, lo, hi)
-		// scores over [past | current] keys: [T, Tp+T], reused across heads.
-		scores := ws.ShapedView(scoresBuf, T, Tp+T)
-		for h := 0; h < a.NumHeads; h++ {
-			off := h * dh
-			if Tp > 0 {
-				tensor.MatMulTStrided(scores, 0, qs, off, past.K, off, dh)
-			}
-			tensor.MatMulTStrided(scores, Tp, qs, off, ks, off, dh)
-			tensor.ScaledMaskedRowSoftmax(scores, scale, Tp, a.Causal)
-			// out = probs_past·pastV + probs_cur·curV, straight into the
-			// head's column window of concat.
-			if Tp > 0 {
-				tensor.MatMulStrided(cs, off, scores, 0, Tp, past.V, off, dh)
-				tensor.MatMulStridedAcc(cs, off, scores, Tp, T, vs, off, dh)
-			} else {
-				tensor.MatMulStrided(cs, off, scores, 0, T, vs, off, dh)
-			}
-		}
-	}
-	out := nn.Infer(a.Wo, concat, ws)
-	if capture {
-		return out, LayerKV{K: k, V: v}
-	}
-	return out, LayerKV{}
+	return cache
 }
 
 // nextTokenLogits computes next-token logits [B, VocabSize] for a batch of
@@ -245,13 +196,13 @@ func (m *Model) nextTokenLogits(cache *KVCache, seqs [][]int, ws, out *tensor.Wo
 		}
 		offsets[i+1] = offsets[i] + len(ids)
 	}
-	h := m.embedBatch(seqs, offsets, start, ws)
-	h = m.runBlocksBatch(h, offsets, past, ws)
+	h := m.embedBatch(seqs, offsets, start, ws, nil)
+	h = m.runBlocksBatch(h, offsets, past, ws, nil)
 	last := ws.Get(len(seqs), m.Config.DModel)
 	for s := 0; s+1 < len(offsets); s++ {
 		copy(last.Row(s), h.Row(offsets[s+1]-1))
 	}
-	return nn.Infer(m.LMHead, last, out)
+	return m.LMHead.Forward(last, out, nil)
 }
 
 // ScoreChoiceBatchWithCacheWS is the constrained decoding ICL classifies
@@ -267,15 +218,29 @@ func (m *Model) ScoreChoiceBatchWithCacheWS(cache *KVCache, seqs [][]int, choice
 }
 
 // ForwardClsBatchWS classifies a batch of sequences in one packed forward
-// pass, returning logits [B, NumClasses]; row i matches ForwardCls(seqs[i],
-// false) up to float rounding. Sequences longer than MaxSeqLen keep their
-// head, as Encode does. The classification head runs only on the B pooled
+// pass, returning logits [B, NumClasses]. Sequences longer than MaxSeqLen
+// keep their head. The classification head runs only on the B pooled
 // vectors, and the returned logits are heap-allocated.
 func (m *Model) ForwardClsBatchWS(seqs [][]int, ws *tensor.Workspace) *tensor.Matrix {
 	if len(seqs) == 0 {
 		return tensor.New(0, m.Config.NumClasses)
 	}
-	h, offsets := m.encodeBatch(seqs, ws)
+	return m.ClsHead.Forward(m.PooledBatchWS(seqs, ws), nil, nil)
+}
+
+// PooledBatchWS returns what the classification head reads, [B, DModel] in
+// ws: the features head-only training caches. Encoders pool the mean over
+// positions, which unlike [CLS] carries signal even from a backbone frozen
+// after MLM-only pre-training; decoders pool the last position, the only one
+// that has seen the whole sequence under causal masking.
+func (m *Model) PooledBatchWS(seqs [][]int, ws *tensor.Workspace) *tensor.Matrix {
+	pooled, _ := m.pool(seqs, ws, nil)
+	return pooled
+}
+
+// pool is PooledBatchWS, optionally on a tape, also returning the offsets.
+func (m *Model) pool(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (*tensor.Matrix, []int) {
+	h, offsets := m.encodeBatch(seqs, ws, tape)
 	pooled := ws.GetZeroed(len(seqs), m.Config.DModel)
 	for s := 0; s+1 < len(offsets); s++ {
 		lo, hi := offsets[s], offsets[s+1]
@@ -291,7 +256,7 @@ func (m *Model) ForwardClsBatchWS(seqs [][]int, ws *tensor.Workspace) *tensor.Ma
 			}
 		}
 	}
-	return m.ClsHead.Infer(pooled, nil)
+	return pooled, offsets
 }
 
 // chooseFromLogits reduces per-row vocabulary logits to the best index and

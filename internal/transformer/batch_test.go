@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -30,11 +31,10 @@ func batchTestSeqs(n, vocab, maxLen int, seed uint64) [][]int {
 	return seqs
 }
 
-// refNextLogits is the inference paths' reference: the last row of the
-// training forward over ids, which must fit in MaxSeqLen.
+// refNextLogits is the cached paths' reference: the next-token logits of
+// ids run alone, uncached; ids must fit in MaxSeqLen.
 func refNextLogits(m *Model, ids []int) []float32 {
-	logits := m.ForwardLM(ids, false)
-	return logits.Row(logits.Rows - 1)
+	return m.nextTokenLogits(nil, [][]int{ids}, nil, nil).Row(0)
 }
 
 // refChoice is the reference constrained choice: the softmax of
@@ -110,6 +110,30 @@ func TestForwardClsBatchTruncatesKeepingHead(t *testing.T) {
 	}
 }
 
+// TestTapedForwardMatchesServed: without dropout, the forward a trainer
+// records computes the logits serving returns, bit for bit.
+func TestTapedForwardMatchesServed(t *testing.T) {
+	for _, causal := range []bool{false, true} {
+		m := batchTestModel(causal)
+		seqs := batchTestSeqs(5, m.Config.VocabSize, m.Config.MaxSeqLen, 21)
+		tape := nn.NewTape()
+		if !sameBits(m.ForwardClsTape(seqs, tape).Data, m.ForwardClsBatchWS(seqs, nil).Data) {
+			t.Fatalf("causal=%v: taped classification logits differ from served", causal)
+		}
+		if !causal {
+			continue
+		}
+		lm, served := m.ForwardLMTape(seqs, tape), m.nextTokenLogits(nil, seqs, nil, nil)
+		at := 0
+		for i, ids := range seqs {
+			at += len(ids)
+			if !sameBits(lm.Row(at-1), served.Row(i)) {
+				t.Fatalf("prompt %d: taped next-token logits differ from served", i)
+			}
+		}
+	}
+}
+
 func TestNextTokenLogitsBatchMatchesSequential(t *testing.T) {
 	m := batchTestModel(true)
 	prompts := batchTestSeqs(8, m.Config.VocabSize, m.Config.MaxSeqLen, 5)
@@ -137,21 +161,26 @@ func TestScoreChoiceBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInferKVCacheMatchesBuildKVCache checks the read-only cache builder
-// against the keys and values the training forward projects over the same
-// prefix.
+// TestInferKVCacheMatchesBuildKVCache checks the cache builder against the
+// keys and values a taped forward over the same prefix records, bit for bit.
 func TestInferKVCacheMatchesBuildKVCache(t *testing.T) {
 	m := batchTestModel(true)
 	prefix := batchTestSeqs(1, m.Config.VocabSize, m.Config.MaxSeqLen/2, 13)[0]
 	got := m.InferKVCache(prefix)
-	m.Encode(prefix, false)
 	if got.Len != len(prefix) || len(got.Layers) != len(m.Blocks) {
 		t.Fatalf("cache shape: len %d/%d layers %d/%d", got.Len, len(prefix), len(got.Layers), len(m.Blocks))
 	}
+	offsets := []int{0, len(prefix)}
+	h := m.embedBatch([][]int{prefix}, offsets, 0, nil, nil)
 	for li, b := range m.Blocks {
-		if !got.Layers[li].K.AllClose(b.Attn.k, 1e-5) || !got.Layers[li].V.AllClose(b.Attn.v, 1e-5) {
-			t.Fatalf("layer %d: cached K/V differ from the training forward's projections", li)
+		tape := nn.NewTape()
+		b.Attn.forward(b.LN1.Forward(h, nil, nil), offsets, LayerKV{}, tape.WS(), tape, false)
+		tape.Pop(b.Attn.Wo.(*nn.Linear).Weight.Name)
+		_, rec := tape.Pop(attentionRecord)
+		if !sameBits(got.Layers[li].K.Data, rec[1].Data) || !sameBits(got.Layers[li].V.Data, rec[2].Data) {
+			t.Fatalf("layer %d: cached K/V differ from the recorded projections", li)
 		}
+		h, _ = b.forward(h, offsets, LayerKV{}, nil, nil, false)
 	}
 }
 

@@ -3,6 +3,7 @@ package transformer
 import (
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -16,16 +17,55 @@ func mistralConfig(vocab int) Config {
 	}
 }
 
-func BenchmarkAttentionForward(b *testing.B) {
-	rng := tensor.NewRNG(2)
-	attn := NewMultiHeadAttention("bench", 64, 4, true, rng)
-	x := tensor.New(64, 64)
-	tensor.Gaussian(x, 1, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		attn.Forward(x, false)
+// BenchmarkTrainStep measures one optimizer step of each training recipe
+// on its taped forward and backward: cls is one sft.Train sequence (27
+// tokens, bert-base-uncased's shape), lm-lora one icl.FineTune prompt (~300
+// tokens, mistral's shape, LoRA on Wq/Wv, only the answer position
+// supervised). Both run at the registry models' dropout.
+func BenchmarkTrainStep(b *testing.B) {
+	ids := func(n, vocab int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = (7*i + 3) % vocab
+		}
+		return out
 	}
+	b.Run("cls", func(b *testing.B) {
+		cfg := Config{Name: "bench", VocabSize: 300, MaxSeqLen: 64, DModel: 48, NumHeads: 4, NumLayers: 4, FFNDim: 96, Dropout: 0.1, NumClasses: 2}
+		m := New(cfg, tensor.NewRNG(3))
+		seq := [][]int{ids(27, cfg.VocabSize)}
+		opt, ce, params, tape := nn.NewAdamW(1e-3, 0.01), nn.NewSoftmaxCrossEntropy(), m.Params(), nn.NewTape()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, d := ce.Loss(m.ForwardClsTape(seq, tape), []int{i % 2})
+			m.Backward(tape, d)
+			tape.Reset()
+			opt.Step(params)
+		}
+	})
+	b.Run("lm-lora", func(b *testing.B) {
+		cfg := mistralConfig(300)
+		cfg.Dropout = 0.1
+		m := New(cfg, tensor.NewRNG(4))
+		m.ApplyLoRA(8, 16, 0.05, tensor.NewRNG(5))
+		prompt := ids(300, cfg.VocabSize)
+		targets := make([]int, len(prompt)-1)
+		for i := range targets {
+			targets[i] = -1
+		}
+		targets[len(targets)-1] = prompt[len(prompt)-1]
+		seq := [][]int{prompt[:len(prompt)-1]}
+		opt, ce, params, tape := nn.NewAdamW(2e-3, 0), nn.NewSoftmaxCrossEntropy(), m.Params(), nn.NewTape()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, d := ce.Loss(m.ForwardLMTape(seq, tape), targets)
+			m.Backward(tape, d)
+			tape.Reset()
+			opt.Step(params)
+		}
+	})
 }
 
 // BenchmarkKVCacheDecode measures one cached decode step on a workspace

@@ -41,53 +41,38 @@ func NewBlock(name string, dModel, numHeads, ffnDim int, causal bool, dropout fl
 	}
 }
 
-// SharedCopy returns a block sharing b's parameters but owning its forward
-// caches, enabling ALBERT-style cross-layer parameter sharing: N distinct
-// Block values reuse one set of weights, and their gradients accumulate into
-// the shared Param buffers.
-func (b *Block) SharedCopy(rng *tensor.RNG) *Block {
-	ff1, ff2 := b.FF1.(*nn.Linear), b.FF2.(*nn.Linear)
-	return &Block{
-		LN1:   &nn.LayerNorm{Gamma: b.LN1.Gamma, Beta: b.LN1.Beta, Eps: b.LN1.Eps},
-		Attn:  b.Attn.sharedCopy(),
-		LN2:   &nn.LayerNorm{Gamma: b.LN2.Gamma, Beta: b.LN2.Beta, Eps: b.LN2.Eps},
-		FF1:   &nn.Linear{Weight: ff1.Weight, Bias: ff1.Bias},
-		Act:   nn.NewGELU(),
-		FF2:   &nn.Linear{Weight: ff2.Weight, Bias: ff2.Bias},
-		dropA: nn.NewDropout(b.dropA.P, rng.Split()),
-		dropF: nn.NewDropout(b.dropF.P, rng.Split()),
-	}
+// forward runs the block over a packed batch (see MultiHeadAttention.forward
+// for past and capture). The residual sums overwrite branch outputs no
+// record holds.
+func (b *Block) forward(x *tensor.Matrix, offsets []int, past LayerKV, ws *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
+	h := b.LN1.Forward(x, ws, tape)
+	h, kv := b.Attn.forward(h, offsets, past, ws, tape, capture)
+	h = b.dropA.Forward(h, ws, tape)
+	x1 := tensor.Add(h, x, h)
+
+	h2 := b.LN2.Forward(x1, ws, tape)
+	h2 = b.FF1.Forward(h2, ws, tape)
+	h2 = b.Act.Forward(h2, ws, tape)
+	h2 = b.FF2.Forward(h2, ws, tape)
+	h2 = b.dropF.Forward(h2, ws, tape)
+	return tensor.Add(h2, x1, h2), kv
 }
 
-// Forward runs the block over x [T, dModel].
-func (b *Block) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	h := b.LN1.Forward(x, train)
-	h = b.Attn.Forward(h, train)
-	h = b.dropA.Forward(h, train)
-	x1 := tensor.Add(nil, x, h)
-
-	h2 := b.LN2.Forward(x1, train)
-	h2 = b.FF1.Forward(h2, train)
-	h2 = b.Act.Forward(h2, train)
-	h2 = b.FF2.Forward(h2, train)
-	h2 = b.dropF.Forward(h2, train)
-	return tensor.Add(nil, x1, h2)
-}
-
-// Backward propagates dout through the block and returns dx.
-func (b *Block) Backward(dout *tensor.Matrix) *tensor.Matrix {
+// backward propagates dout through the block recorded last on tape and
+// returns dx.
+func (b *Block) backward(tape *nn.Tape, dout *tensor.Matrix) *tensor.Matrix {
 	// Residual 2: out = x1 + drop(FF(LN2(x1))).
-	dh2 := b.dropF.Backward(dout)
-	dh2 = b.FF2.Backward(dh2)
-	dh2 = b.Act.Backward(dh2)
-	dh2 = b.FF1.Backward(dh2)
-	dx1 := b.LN2.Backward(dh2)
+	dh2 := b.dropF.Backward(tape, dout)
+	dh2 = b.FF2.Backward(tape, dh2)
+	dh2 = b.Act.Backward(tape, dh2)
+	dh2 = b.FF1.Backward(tape, dh2)
+	dx1 := b.LN2.Backward(tape, dh2)
 	tensor.AddScaled(dx1, dout, 1)
 
 	// Residual 1: x1 = x + drop(Attn(LN1(x))).
-	dh := b.dropA.Backward(dx1)
-	dh = b.Attn.Backward(dh)
-	dx := b.LN1.Backward(dh)
+	dh := b.dropA.Backward(tape, dx1)
+	dh = b.Attn.backward(tape, dh)
+	dx := b.LN1.Backward(tape, dh)
 	tensor.AddScaled(dx, dx1, 1)
 	return dx
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Clone returns a deep copy of the model: fresh parameter and cache storage
-// with identical weights. Cloning is how experiments reuse one pre-trained
+// Clone returns a deep copy of the model: fresh parameter storage with
+// identical weights. Cloning is how experiments reuse one pre-trained
 // checkpoint across many fine-tuning runs without re-pre-training.
 //
 // Clone requires the model to still have its constructed-time architecture

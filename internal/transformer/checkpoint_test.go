@@ -11,13 +11,13 @@ import (
 func TestCloneProducesIdenticalOutputs(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(31))
 	c := m.Clone()
-	ids := []int{1, 2, 3, 4}
-	if !m.ForwardCls(ids, false).Equal(c.ForwardCls(ids, false)) {
+	ids := [][]int{{1, 2, 3, 4}}
+	if !m.ForwardClsBatchWS(ids, nil).Equal(c.ForwardClsBatchWS(ids, nil)) {
 		t.Fatal("clone output differs")
 	}
 	// Mutating the clone must not affect the original.
 	c.ClsHead.Weight.W.Data[0] += 1
-	if m.ForwardCls(ids, false).Equal(c.ForwardCls(ids, false)) {
+	if m.ForwardClsBatchWS(ids, nil).Equal(c.ForwardClsBatchWS(ids, nil)) {
 		t.Fatal("clone shares storage with original")
 	}
 }
@@ -40,8 +40,8 @@ func TestCloneSharedLayers(t *testing.T) {
 	cfg.NumLayers = 3
 	m := New(cfg, tensor.NewRNG(33))
 	c := m.Clone()
-	ids := []int{1, 2, 3}
-	if !m.ForwardCls(ids, false).Equal(c.ForwardCls(ids, false)) {
+	ids := [][]int{{1, 2, 3}}
+	if !m.ForwardClsBatchWS(ids, nil).Equal(c.ForwardClsBatchWS(ids, nil)) {
 		t.Fatal("shared-layer clone output differs")
 	}
 }
@@ -56,8 +56,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ids := []int{2, 4, 6}
-	if !m.ForwardLM(ids, false).Equal(m2.ForwardLM(ids, false)) {
+	ids := [][]int{{2, 4, 6}}
+	if !m.ForwardLMTape(ids, nil).Equal(m2.ForwardLMTape(ids, nil)) {
 		t.Fatal("loaded model differs from saved model")
 	}
 }

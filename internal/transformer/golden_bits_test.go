@@ -126,18 +126,20 @@ func goldenTrain(m *Model, lm bool) []*nn.Param {
 	opt := nn.NewAdamW(1e-3, 0.01)
 	loss := nn.NewSoftmaxCrossEntropy()
 	params := m.Params()
+	tape := nn.NewTape()
 	for step := 0; step < goldenTrainSteps; step++ {
 		ids := seqs[step%len(seqs)]
+		var dlogits *tensor.Matrix
 		if lm {
 			// Each position predicts the next token, the last one the first
 			// (so the 1-token sequence has a target too).
 			next := append(slices.Clone(ids[1:]), ids[0])
-			_, dlogits := loss.Loss(m.ForwardLM(ids, true), next)
-			m.BackwardLM(dlogits)
+			_, dlogits = loss.Loss(m.ForwardLMTape([][]int{ids}, tape), next)
 		} else {
-			_, dlogits := loss.Loss(m.ForwardCls(ids, true), []int{step % 2})
-			m.BackwardCls(dlogits)
+			_, dlogits = loss.Loss(m.ForwardClsTape([][]int{ids}, tape), []int{step % 2})
 		}
+		m.Backward(tape, dlogits)
+		tape.Reset()
 		opt.Step(params)
 	}
 	return params
@@ -162,16 +164,11 @@ func goldenDropoutTrain() string {
 }
 
 // trainedLogits runs enc's classification forward and dec's next-token
-// forward over seqs, one sequence at a time, for TrainedLogitsFP32.
+// forward over seqs, packed in one batch each, for TrainedLogitsFP32. Run
+// one sequence at a time, as training runs them, they give the same bits.
 func trainedLogits(enc, dec *Model, seqs [][]int) []uint32 {
-	var out []uint32
-	for _, ids := range seqs {
-		out = append(out, floatBits(enc.ForwardCls(ids, false).Data)...)
-	}
-	for _, ids := range seqs {
-		out = append(out, floatBits(refNextLogits(dec, ids))...)
-	}
-	return out
+	out := floatBits(enc.ForwardClsBatchWS(seqs, nil).Data)
+	return append(out, floatBits(dec.nextTokenLogits(nil, seqs, nil, nil).Data)...)
 }
 
 func computeGoldenBits() goldenBits {

@@ -52,10 +52,6 @@ type Model struct {
 	// nothing, and head-only training reaches into it directly.
 	LMHead  nn.Layer
 	ClsHead *nn.Linear
-
-	// cached state for backward
-	lastIDs []int
-	lastH   *tensor.Matrix // final hidden states [T, d]
 }
 
 // New constructs a model from cfg with weights initialized from rng.
@@ -72,10 +68,16 @@ func New(cfg Config, rng *tensor.RNG) *Model {
 		ClsHead: nn.NewLinear(cfg.Name+".cls_head", cfg.DModel, cfg.NumClasses, rng),
 	}
 	if cfg.ShareLayers {
+		// The layers hold no activations, so every block runs base's. Each
+		// keeps its own dropout streams, and its own attention struct, whose
+		// projection slots quantization rewrites block by block.
 		base := NewBlock(fmt.Sprintf("%s.block", cfg.Name), cfg.DModel, cfg.NumHeads, cfg.FFNDim, cfg.Causal, cfg.Dropout, rng)
 		m.Blocks = append(m.Blocks, base)
 		for i := 1; i < cfg.NumLayers; i++ {
-			m.Blocks = append(m.Blocks, base.SharedCopy(rng))
+			b, attn := *base, *base.Attn
+			b.Attn = &attn
+			b.dropA, b.dropF = nn.NewDropout(cfg.Dropout, rng.Split()), nn.NewDropout(cfg.Dropout, rng.Split())
+			m.Blocks = append(m.Blocks, &b)
 		}
 	} else {
 		for i := 0; i < cfg.NumLayers; i++ {
@@ -85,122 +87,72 @@ func New(cfg Config, rng *tensor.RNG) *Model {
 	return m
 }
 
-// Encode embeds ids and runs the block stack, returning final hidden states
-// [T, dModel]. Sequences longer than MaxSeqLen are truncated (keeping the
-// head, which holds the classification token and earliest features).
-func (m *Model) Encode(ids []int, train bool) *tensor.Matrix {
-	if len(ids) == 0 {
-		panic("transformer: Encode on empty sequence")
-	}
-	if len(ids) > m.Config.MaxSeqLen {
-		ids = ids[:m.Config.MaxSeqLen]
-	}
-	pos := make([]int, len(ids))
-	for i := range pos {
-		pos[i] = i
-	}
-	h := m.TokEmb.Forward(ids)
-	pe := m.PosEmb.Forward(pos)
-	h = tensor.Add(nil, h, pe)
-	for _, b := range m.Blocks {
-		h = b.Forward(h, train)
-	}
-	h = m.FinalLN.Forward(h, train)
-	m.lastIDs = ids
-	m.lastH = h
-	return h
+// modelRecord names the model's own tape record: the offsets after a
+// classification forward, for unpool; none after a language-model forward.
+const modelRecord = "Model"
+
+// ForwardClsTape is ForwardClsBatchWS recorded on tape for Backward, with
+// dropout live. The logits live in the tape's workspace, until its Reset.
+func (m *Model) ForwardClsTape(seqs [][]int, tape *nn.Tape) *tensor.Matrix {
+	ws := tape.WS()
+	pooled, offsets := m.pool(seqs, ws, tape)
+	logits := m.ClsHead.Forward(pooled, ws, tape)
+	tape.Push(modelRecord, offsets)
+	return logits
 }
 
-// backbone backward: propagates dh [T,d] through final LN, blocks, and the
-// embeddings.
-func (m *Model) backwardBackbone(dh *tensor.Matrix) {
-	dh = m.FinalLN.Backward(dh)
+// ForwardLMTape returns language-model logits [ΣTᵢ, VocabSize] at every
+// position of the packed batch (masked-token for encoders, next-token for
+// decoders), recorded on tape like ForwardClsTape.
+func (m *Model) ForwardLMTape(seqs [][]int, tape *nn.Tape) *tensor.Matrix {
+	ws := tape.WS()
+	h, _ := m.encodeBatch(seqs, ws, tape)
+	logits := m.LMHead.Forward(h, ws, tape)
+	tape.Push(modelRecord, nil)
+	return logits
+}
+
+// Backward propagates dlogits, the loss gradient for the logits the last
+// ForwardClsTape or ForwardLMTape on tape returned, down to the embeddings,
+// accumulating every unfrozen parameter's gradient. Reset the tape after.
+func (m *Model) Backward(tape *nn.Tape, dlogits *tensor.Matrix) {
+	offsets, _ := tape.Pop(modelRecord)
+	var dh *tensor.Matrix
+	if offsets == nil {
+		dh = m.LMHead.Backward(tape, dlogits)
+	} else {
+		dh = m.unpool(offsets, m.ClsHead.Backward(tape, dlogits), tape.WS())
+	}
+	dh = m.FinalLN.Backward(tape, dh)
 	for i := len(m.Blocks) - 1; i >= 0; i-- {
-		dh = m.Blocks[i].Backward(dh)
+		dh = m.Blocks[i].backward(tape, dh)
 	}
 	// Token and positional embeddings both received the same upstream grad.
-	m.TokEmb.Backward(dh)
-	m.PosEmb.Backward(dh)
-	m.lastIDs, m.lastH = nil, nil
+	m.PosEmb.Backward(tape, dh)
+	m.TokEmb.Backward(tape, dh)
 }
 
-// ForwardLM returns next-token/MLM logits [T, vocab] over the sequence.
-func (m *Model) ForwardLM(ids []int, train bool) *tensor.Matrix {
-	h := m.Encode(ids, train)
-	return m.LMHead.Forward(h, train)
-}
-
-// BackwardLM propagates dlogits [T, vocab] through the LM head and backbone.
-func (m *Model) BackwardLM(dlogits *tensor.Matrix) {
-	dh := m.LMHead.Backward(dlogits)
-	m.backwardBackbone(dh)
-}
-
-// ForwardCls returns classification logits [1, NumClasses]. Encoders use
-// mean pooling over all positions — unlike [CLS] pooling, the mean carries
-// signal even when the backbone is frozen after MLM-only pre-training (our
-// pre-training has no next-sentence task to give [CLS] meaning). Decoders
-// pool the last position, the only one that has seen the whole sequence
-// under causal masking.
-func (m *Model) ForwardCls(ids []int, train bool) *tensor.Matrix {
-	h := m.Encode(ids, train)
-	pooled := tensor.New(1, m.Config.DModel)
-	if m.Config.Causal {
-		copy(pooled.Data, h.Row(h.Rows-1))
-	} else {
-		inv := 1 / float32(h.Rows)
-		for i := 0; i < h.Rows; i++ {
-			row := h.Row(i)
-			for j, v := range row {
-				pooled.Data[j] += v * inv
-			}
+// unpool spreads each pooled row's gradient back over its sequence's
+// positions: evenly for an encoder's mean, onto the last position for a
+// decoder.
+func (m *Model) unpool(offsets []int, dPooled *tensor.Matrix, ws *tensor.Workspace) *tensor.Matrix {
+	dh := ws.GetZeroed(offsets[len(offsets)-1], m.Config.DModel)
+	for s := 0; s+1 < len(offsets); s++ {
+		lo, hi := offsets[s], offsets[s+1]
+		src := dPooled.Row(s)
+		if m.Config.Causal {
+			copy(dh.Row(hi-1), src)
+			continue
 		}
-	}
-	return m.ClsHead.Forward(pooled, train)
-}
-
-// BackwardCls propagates dlogits [1, NumClasses] back through the pooling
-// and the backbone.
-func (m *Model) BackwardCls(dlogits *tensor.Matrix) {
-	if m.lastH == nil {
-		panic("transformer: BackwardCls before ForwardCls")
-	}
-	dPooled := m.ClsHead.Backward(dlogits)
-	dh := tensor.New(m.lastH.Rows, m.lastH.Cols)
-	if m.Config.Causal {
-		copy(dh.Row(dh.Rows-1), dPooled.Row(0))
-	} else {
-		inv := 1 / float32(dh.Rows)
-		src := dPooled.Row(0)
-		for i := 0; i < dh.Rows; i++ {
+		inv := 1 / float32(hi-lo)
+		for i := lo; i < hi; i++ {
 			row := dh.Row(i)
 			for j, v := range src {
 				row[j] = v * inv
 			}
 		}
 	}
-	m.backwardBackbone(dh)
-}
-
-// Pooled returns the pooled representation ForwardCls feeds the
-// classification head (mean over positions for encoders, last position for
-// decoders), without running the head. Used to cache frozen-backbone
-// features for fast head-only training.
-func (m *Model) Pooled(ids []int) []float32 {
-	h := m.Encode(ids, false)
-	out := make([]float32, m.Config.DModel)
-	if m.Config.Causal {
-		copy(out, h.Row(h.Rows-1))
-	} else {
-		inv := 1 / float32(h.Rows)
-		for i := 0; i < h.Rows; i++ {
-			for j, v := range h.Row(i) {
-				out[j] += v * inv
-			}
-		}
-	}
-	m.lastIDs, m.lastH = nil, nil
-	return out
+	return dh
 }
 
 // Params returns all parameters: backbone, LM head, and classification head.

@@ -73,8 +73,8 @@ func (m *Model) quantSlots() []quantSlot {
 // tensor.QInt8Block). Shared-layer (ALBERT) models quantize each shared
 // projection once and install the same quantized layer in every block.
 //
-// The model afterwards serves inference only: training forwards/backwards
-// through quantized projections panic. Quantizing twice panics.
+// The model afterwards serves inference only: a taped forward through the
+// quantized projections panics. Quantizing twice panics.
 func (m *Model) QuantizeInt8(block int) QuantInt8Stats {
 	if m.IsQuantized() {
 		panic("transformer: model is already int8-quantized")

@@ -203,8 +203,8 @@ func TestQuantizedBackwardPanics(t *testing.T) {
 			t.Fatal("training forward/backward through a quantized model did not panic")
 		}
 	}()
-	logits := m.ForwardCls([]int{1, 2, 3}, true)
-	m.BackwardCls(logits)
+	tape := nn.NewTape()
+	m.Backward(tape, m.ForwardClsTape([][]int{{1, 2, 3}}, tape))
 }
 
 // TestQuantizeTwicePanics pins double quantization.

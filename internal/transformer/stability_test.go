@@ -28,7 +28,7 @@ func TestModelFiniteUnderExtremeEmbeddings(t *testing.T) {
 	for i := range m.TokEmb.Table.W.Data {
 		m.TokEmb.Table.W.Data[i] *= 1e6
 	}
-	logits := m.ForwardCls([]int{1, 2, 3, 4}, false)
+	logits := m.ForwardClsBatchWS([][]int{{1, 2, 3, 4}}, nil)
 	if !isFinite(logits) {
 		t.Fatal("extreme embeddings produced non-finite logits")
 	}
@@ -40,10 +40,11 @@ func TestTrainingSurvivesOutlierGradients(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(72))
 	opt := nn.NewAdamW(1e-3, 0.01)
 	params := m.Params()
-	logits := m.ForwardCls([]int{1, 2, 3}, true)
+	tape := nn.NewTape()
+	logits := m.ForwardClsTape([][]int{{1, 2, 3}}, tape)
 	grad := tensor.New(logits.Rows, logits.Cols)
 	grad.Fill(1e8) // absurd upstream gradient
-	m.BackwardCls(grad)
+	m.Backward(tape, grad)
 	nn.ClipGradNorm(params, 1.0)
 	opt.Step(params)
 	for _, p := range params {
@@ -52,7 +53,7 @@ func TestTrainingSurvivesOutlierGradients(t *testing.T) {
 		}
 	}
 	// The model must still produce finite outputs afterwards.
-	if !isFinite(m.ForwardCls([]int{1, 2, 3}, false)) {
+	if !isFinite(m.ForwardClsBatchWS([][]int{{1, 2, 3}}, nil)) {
 		t.Fatal("model broken after outlier gradient step")
 	}
 }
@@ -68,8 +69,7 @@ func TestClsLogitsFiniteProperty(t *testing.T) {
 		for i := range ids {
 			ids[i] = rng.Intn(m.Config.VocabSize)
 		}
-		logits := m.ForwardCls(ids, false)
-		return isFinite(logits)
+		return isFinite(m.ForwardClsBatchWS([][]int{ids}, nil))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

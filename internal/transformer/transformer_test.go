@@ -9,6 +9,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// attend runs a over x as one sequence.
+func attend(a *MultiHeadAttention, x *tensor.Matrix, tape *nn.Tape) *tensor.Matrix {
+	y, _ := a.forward(x, []int{0, x.Rows}, LayerKV{}, tape.WS(), tape, false)
+	return y
+}
+
 func smallConfig(causal bool) Config {
 	return Config{
 		Name: "test", VocabSize: 20, MaxSeqLen: 16, DModel: 8,
@@ -22,7 +28,7 @@ func TestAttentionShapes(t *testing.T) {
 	a := NewMultiHeadAttention("a", 8, 2, false, rng)
 	x := tensor.New(5, 8)
 	tensor.Gaussian(x, 1, rng)
-	y := a.Forward(x, false)
+	y := attend(a, x, nil)
 	if y.Rows != 5 || y.Cols != 8 {
 		t.Fatalf("attention output %dx%d, want 5x8", y.Rows, y.Cols)
 	}
@@ -46,12 +52,12 @@ func TestCausalMaskBlocksFuture(t *testing.T) {
 		a := NewMultiHeadAttention("a", 8, 2, causal, rng)
 		x := tensor.New(4, 8)
 		tensor.Gaussian(x, 1, tensor.NewRNG(3))
-		y1 := a.Forward(x, false)
+		y1 := attend(a, x, nil)
 		x2 := x.Clone()
 		for j := 0; j < 8; j++ {
 			x2.Set(3, j, x2.At(3, j)+5) // perturb the last position
 		}
-		y2 := a.Forward(x2, false)
+		y2 := attend(a, x2, nil)
 		changed := false
 		for i := 0; i < 3; i++ { // earlier positions
 			for j := 0; j < 8; j++ {
@@ -80,7 +86,7 @@ func TestAttentionGradcheck(t *testing.T) {
 		dout := tensor.New(4, 8)
 		tensor.Gaussian(dout, 1, tensor.NewRNG(6))
 		lossFn := func() float64 {
-			y := a.Forward(x, false)
+			y := attend(a, x, nil)
 			var s float64
 			for i, v := range y.Data {
 				s += float64(v) * float64(dout.Data[i])
@@ -88,8 +94,9 @@ func TestAttentionGradcheck(t *testing.T) {
 			return s
 		}
 		nn.ZeroGrads(a.Params())
-		a.Forward(x, false)
-		dx := a.Backward(dout)
+		tape := nn.NewTape()
+		attend(a, x, tape)
+		dx := a.backward(tape, dout)
 		// Check input gradient entries.
 		for k := 0; k < 8; k++ {
 			idx := (k * 13) % len(x.Data)
@@ -130,13 +137,14 @@ func TestBlockForwardBackwardShapes(t *testing.T) {
 	b := NewBlock("b", 8, 2, 16, false, 0, rng)
 	x := tensor.New(5, 8)
 	tensor.Gaussian(x, 1, rng)
-	y := b.Forward(x, true)
+	tape := nn.NewTape()
+	y, _ := b.forward(x, []int{0, x.Rows}, LayerKV{}, tape.WS(), tape, false)
 	if y.Rows != 5 || y.Cols != 8 {
 		t.Fatalf("block output %dx%d", y.Rows, y.Cols)
 	}
 	dout := tensor.New(5, 8)
 	tensor.Gaussian(dout, 1, rng)
-	dx := b.Backward(dout)
+	dx := b.backward(tape, dout)
 	if dx.Rows != 5 || dx.Cols != 8 {
 		t.Fatalf("block dx %dx%d", dx.Rows, dx.Cols)
 	}
@@ -144,7 +152,7 @@ func TestBlockForwardBackwardShapes(t *testing.T) {
 
 func TestModelForwardClsShape(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(8))
-	logits := m.ForwardCls([]int{1, 2, 3, 4}, false)
+	logits := m.ForwardClsBatchWS([][]int{{1, 2, 3, 4}}, nil)
 	if logits.Rows != 1 || logits.Cols != 2 {
 		t.Fatalf("cls logits %dx%d, want 1x2", logits.Rows, logits.Cols)
 	}
@@ -152,7 +160,7 @@ func TestModelForwardClsShape(t *testing.T) {
 
 func TestModelForwardLMShape(t *testing.T) {
 	m := New(smallConfig(true), tensor.NewRNG(9))
-	logits := m.ForwardLM([]int{1, 2, 3}, false)
+	logits := m.ForwardLMTape([][]int{{1, 2, 3}}, nn.NewTape())
 	if logits.Rows != 3 || logits.Cols != 20 {
 		t.Fatalf("lm logits %dx%d, want 3x20", logits.Rows, logits.Cols)
 	}
@@ -161,7 +169,7 @@ func TestModelForwardLMShape(t *testing.T) {
 func TestModelTruncatesLongSequences(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(10))
 	ids := make([]int, 100)
-	h := m.Encode(ids, false)
+	h, _ := m.encodeBatch([][]int{ids}, nil, nil)
 	if h.Rows != m.Config.MaxSeqLen {
 		t.Fatalf("encoded %d positions, want truncation to %d", h.Rows, m.Config.MaxSeqLen)
 	}
@@ -174,7 +182,7 @@ func TestModelEmptySequencePanics(t *testing.T) {
 			t.Fatal("expected panic on empty sequence")
 		}
 	}()
-	m.Encode(nil, false)
+	m.ForwardClsBatchWS([][]int{nil}, nil)
 }
 
 // TestModelLearnsTinyClassification trains a small encoder to separate two
@@ -186,18 +194,20 @@ func TestModelLearnsTinyClassification(t *testing.T) {
 	// Class 0: sequences of token 5; class 1: sequences of token 9.
 	examples := [][]int{{1, 5, 5, 5}, {1, 9, 9, 9}}
 	labels := []int{0, 1}
+	tape := nn.NewTape()
 	for epoch := 0; epoch < 60; epoch++ {
 		for i, ids := range examples {
-			logits := m.ForwardCls(ids, true)
+			logits := m.ForwardClsTape([][]int{ids}, tape)
 			_, grad := ce.Loss(logits, []int{labels[i]})
-			m.BackwardCls(grad)
+			m.Backward(tape, grad)
+			tape.Reset()
 			opt.Step(m.Params())
 		}
 	}
 	correct := 0
-	for i, ids := range examples {
-		logits := m.ForwardCls(ids, false)
-		if tensor.ArgMax(logits.Row(0)) == labels[i] {
+	logits := m.ForwardClsBatchWS(examples, nil)
+	for i := range examples {
+		if tensor.ArgMax(logits.Row(i)) == labels[i] {
 			correct++
 		}
 	}
@@ -214,11 +224,13 @@ func TestDecoderLearnsNextToken(t *testing.T) {
 	ce := nn.NewSoftmaxCrossEntropy()
 	opt := nn.NewAdamW(3e-3, 0.01)
 	seq := []int{2, 7, 3, 11, 5, 13}
+	tape := nn.NewTape()
 	for step := 0; step < 150; step++ {
-		logits := m.ForwardLM(seq[:len(seq)-1], true)
+		logits := m.ForwardLMTape([][]int{seq[:len(seq)-1]}, tape)
 		targets := seq[1:]
 		_, grad := ce.Loss(logits, targets)
-		m.BackwardLM(grad)
+		m.Backward(tape, grad)
+		tape.Reset()
 		opt.Step(m.Params())
 	}
 	// Greedy decoding from the first two tokens must replay the rest.
@@ -263,10 +275,11 @@ func TestSharedLayersParamCount(t *testing.T) {
 		t.Fatalf("shared params %d !< dense params %d", shared.ParamCount(), dense.ParamCount())
 	}
 	// Shared model still runs and trains.
-	logits := shared.ForwardCls([]int{1, 2, 3}, true)
+	tape := nn.NewTape()
+	logits := shared.ForwardClsTape([][]int{{1, 2, 3}}, tape)
 	ce := nn.NewSoftmaxCrossEntropy()
 	_, grad := ce.Loss(logits, []int{1})
-	shared.BackwardCls(grad)
+	shared.Backward(tape, grad)
 	nn.NewAdamW(1e-3, 0).Step(shared.Params())
 }
 
@@ -275,10 +288,11 @@ func TestSharedLayersGradientAccumulation(t *testing.T) {
 	cfg.NumLayers = 3
 	cfg.ShareLayers = true
 	m := New(cfg, tensor.NewRNG(17))
-	logits := m.ForwardCls([]int{1, 2, 3, 4}, true)
+	tape := nn.NewTape()
+	logits := m.ForwardClsTape([][]int{{1, 2, 3, 4}}, tape)
 	ce := nn.NewSoftmaxCrossEntropy()
 	_, grad := ce.Loss(logits, []int{0})
-	m.BackwardCls(grad)
+	m.Backward(tape, grad)
 	// The shared block's gradient accumulates contributions from all three
 	// layer applications; it must be nonzero.
 	var sum float64
@@ -298,8 +312,9 @@ func TestSharedLayersGradientAccumulation(t *testing.T) {
 func TestFreezeBackboneTrainingLeavesBackboneGradsZero(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(19))
 	m.FreezeBackbone()
-	_, grad := nn.NewSoftmaxCrossEntropy().Loss(m.ForwardCls([]int{1, 2, 3, 4}, true), []int{1})
-	m.BackwardCls(grad)
+	tape := nn.NewTape()
+	_, grad := nn.NewSoftmaxCrossEntropy().Loss(m.ForwardClsTape([][]int{{1, 2, 3, 4}}, tape), []int{1})
+	m.Backward(tape, grad)
 	head := map[*nn.Param]bool{}
 	for _, p := range m.ClsHead.Params() {
 		head[p] = true
@@ -342,10 +357,11 @@ func TestApplyLoRAFraction(t *testing.T) {
 		t.Fatalf("LoRA trainable/total = %d/%d", trainable, total)
 	}
 	// Forward/backward still work through the adapters.
-	logits := m.ForwardLM([]int{1, 2, 3}, true)
+	tape := nn.NewTape()
+	logits := m.ForwardLMTape([][]int{{1, 2, 3}}, tape)
 	ce := nn.NewSoftmaxCrossEntropy()
 	_, grad := ce.Loss(logits, []int{2, 3, 4})
-	m.BackwardLM(grad)
+	m.Backward(tape, grad)
 	// Base weights frozen: optimizer must move only adapters.
 	before := m.Blocks[0].Attn.Wk.(*nn.Linear).Weight.W.Clone()
 	nn.NewAdamW(1e-2, 0).Step(m.Params())
@@ -361,7 +377,7 @@ func TestQuantize4BitModel(t *testing.T) {
 		t.Fatalf("quantization savings %d/%d", qb, fb)
 	}
 	// Quantized model still produces finite logits.
-	logits := m.ForwardLM([]int{1, 2, 3}, false)
+	logits := m.ForwardLMTape([][]int{{1, 2, 3}}, nil)
 	for _, v := range logits.Data {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatal("quantized model produced non-finite logits")
@@ -372,8 +388,8 @@ func TestQuantize4BitModel(t *testing.T) {
 func TestModelDeterminism(t *testing.T) {
 	m1 := New(smallConfig(false), tensor.NewRNG(25))
 	m2 := New(smallConfig(false), tensor.NewRNG(25))
-	l1 := m1.ForwardCls([]int{3, 1, 4}, false)
-	l2 := m2.ForwardCls([]int{3, 1, 4}, false)
+	l1 := m1.ForwardClsBatchWS([][]int{{3, 1, 4}}, nil)
+	l2 := m2.ForwardClsBatchWS([][]int{{3, 1, 4}}, nil)
 	if !l1.Equal(l2) {
 		t.Fatal("same seed must produce identical models")
 	}

@@ -23,9 +23,9 @@ func referenceAttentionForward(a *MultiHeadAttention, x *tensor.Matrix) *tensor.
 		}
 		return out
 	}
-	q := nn.Infer(a.Wq, x, nil)
-	k := nn.Infer(a.Wk, x, nil)
-	v := nn.Infer(a.Wv, x, nil)
+	q := a.Wq.Forward(x, nil, nil)
+	k := a.Wk.Forward(x, nil, nil)
+	v := a.Wv.Forward(x, nil, nil)
 	concat := tensor.New(x.Rows, a.DModel)
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	for h := 0; h < a.NumHeads; h++ {
@@ -36,13 +36,13 @@ func referenceAttentionForward(a *MultiHeadAttention, x *tensor.Matrix) *tensor.
 			copy(concat.Row(i)[h*dh:(h+1)*dh], out.Row(i))
 		}
 	}
-	return nn.Infer(a.Wo, concat, nil)
+	return a.Wo.Forward(concat, nil, nil)
 }
 
 // TestStridedAttentionMatchesCopyingBitwise is the core strided-kernel
 // equivalence property: attention over head views must equal attention over
-// head copies bit for bit, for both the training Forward and the batched
-// read-only path.
+// head copies bit for bit, taped (each head's probabilities kept) or not
+// (one score buffer reused).
 func TestStridedAttentionMatchesCopyingBitwise(t *testing.T) {
 	for _, causal := range []bool{false, true} {
 		rng := tensor.NewRNG(91)
@@ -51,13 +51,11 @@ func TestStridedAttentionMatchesCopyingBitwise(t *testing.T) {
 		tensor.Gaussian(x, 1, rng)
 
 		want := referenceAttentionForward(a, x)
-		if got := a.Forward(x, false); !got.Equal(want) {
-			t.Fatalf("causal=%v: training Forward differs from copying reference", causal)
-		}
-		ws := tensor.NewWorkspace()
-		got, _ := a.inferBatch(x, []int{0, x.Rows}, LayerKV{}, ws, false)
-		if !got.Equal(want) {
-			t.Fatalf("causal=%v: batched inferBatch differs from copying reference", causal)
+		for _, tape := range []*nn.Tape{nil, nn.NewTape()} {
+			got, _ := a.forward(x, []int{0, x.Rows}, LayerKV{}, tape.WS(), tape, false)
+			if !got.Equal(want) {
+				t.Fatalf("causal=%v taped=%v: forward differs from copying reference", causal, tape != nil)
+			}
 		}
 	}
 }
