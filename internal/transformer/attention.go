@@ -169,8 +169,7 @@ func (a *MultiHeadAttention) backward(tape *nn.Tape, dout *tensor.Matrix) *tenso
 		qs, ks, vs := ws.RowView(q, lo, hi), ws.RowView(k, lo, hi), ws.RowView(v, lo, hi)
 		dqs, dks, dvs := ws.RowView(dq, lo, hi), ws.RowView(dk, lo, hi), ws.RowView(dv, lo, hi)
 		dcs := ws.RowView(dConcat, lo, hi)
-		dScores := ws.Get(T, T)
-		dProbs := ws.Get(T, T)
+		dScores, dProbs := ws.Get(T, T), ws.Get(T, T)
 		for h := a.NumHeads - 1; h >= 0; h-- {
 			off := h * dh
 			_, rec := tape.Pop(probsRecord)
