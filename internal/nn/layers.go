@@ -60,8 +60,8 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape)
 	return out
 }
 
-// affine writes γ·((v−mean)·inv) + β for each v of row into out. Alone, the
-// loop compiles without bounds checks (71 vs 91 µs inline, [384, 96], Xeon).
+// affine writes γ·((v−mean)·inv) + β for each v of row into out. On its own
+// the loop has no bounds checks: 71 µs, 91 inline, for [384, 96] on a Xeon core.
 func (ln *LayerNorm) affine(out, row []float32, mean, inv float32) {
 	g, b := ln.Gamma.W.Data[:len(row)], ln.Beta.W.Data[:len(row)]
 	out = out[:len(row)]
