@@ -1,8 +1,12 @@
 package cascade
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/flowbench"
@@ -217,6 +221,28 @@ func TestParamsRoundTrip(t *testing.T) {
 				t.Fatalf("%s: job %d routed differently after round-trip", scorer, i)
 			}
 		}
+	}
+}
+
+// TestGateParamsGolden pins the bytes a calibrated gate saves: the SHA-256
+// of the JSON an artifact's cascade section holds, for a default-config gate
+// fitted on a Genome training split with the jobs' labels as verdicts.
+func TestGateParamsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the digest is recorded on amd64; the compiler may fuse x*y+z on %s", runtime.GOARCH)
+	}
+	train := flowbench.Generate(flowbench.Genome, 6).Train
+	verdicts := make([]int, len(train))
+	for i, j := range train {
+		verdicts[i] = j.Label
+	}
+	raw, err := json.Marshal(fitGate(t, Config{}, train, verdicts).Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "770edb3174106d0793e76bb961127eba87572906d2b293f1130fb0cf18ca1a75"
+	if sum := sha256.Sum256(raw); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("gate params SHA-256 %x, want %s", sum, want)
 	}
 }
 
