@@ -28,7 +28,7 @@ func TestChaosReplayEndToEnd(t *testing.T) {
 	}
 	det := e2eDetector(t)
 	ds := flowbench.Generate(flowbench.Genome, 42)
-	fb, err := core.FitFallback("pca", ds.Train, 42)
+	fb, err := core.FitFallback(ds.Train, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,14 +35,14 @@
 // fault-injection campaign (see internal/faults) for chaos drills; see
 // docs/RELIABILITY.md.
 //
-// -cascade arms two-stage inference: a calibrated cheap scorer (ngram — a
-// supervised count table over the tokenizer's magnitude buckets — pca, or
-// iforest) short-circuits confidently-normal lines in front of the
-// transformer, always on (unlike brownout, which only engages under
-// saturation). -cascade-recall sets the calibration target (default 0.995);
-// per-model gating counters appear under "stats" in GET /v1/models. Gates
-// fitted at training time travel inside the artifact (-train-out -cascade
-// ngram) and re-arm automatically on -load; see docs/PERFORMANCE.md.
+// -cascade arms two-stage inference: a calibrated cheap scorer (ngram, a
+// supervised count table over the tokenizer's magnitude buckets)
+// short-circuits confident lines in front of the transformer, always on
+// (unlike brownout, which only engages under saturation). -cascade-recall
+// sets the calibration target (default 0.995); per-model gating counters
+// appear under "stats" in GET /v1/models. Gates fitted at training time
+// travel inside the artifact (-train-out -cascade) and re-arm automatically
+// on -load; -load with -cascade refits them. See docs/PERFORMANCE.md.
 //
 // With -load the daemon performs zero training steps at boot: each artifact
 // (written by -train-out, sfttrain -save, or iclrun -save) is loaded into the
@@ -103,11 +103,14 @@ func main() {
 		brownout     = flag.Int("brownout", 0, "queue depth that engages brownout: /v1/detect/batch answers degraded from a calibrated PCA baseline until load recedes (0 = off)")
 		brownHold    = flag.Duration("brownout-hold", 0, "how long the queue must stay saturated before brownout engages (0 = default 250ms)")
 		faultsSpec   = flag.String("faults", "", `fault-injection campaign armed at listen, e.g. "seed=7,every=5,kinds=latency+error,window=10s:30s,path=/v1/" — chaos drills only`)
-		cascScorer   = flag.String("cascade", "", "two-stage inference: stage-1 scorer (ngram, pca, or iforest) short-circuits confidently-normal lines before the transformer (empty = off)")
+		cascOn       = flag.Bool("cascade", false, "two-stage inference: a calibrated ngram stage-1 scorer short-circuits confident lines before the transformer")
 		cascRecall   = flag.Float64("cascade-recall", cascade.DefaultTargetRecall, "cascade calibration target: fraction of flagged calibration lines that must still reach the transformer")
 		instance     = flag.String("instance", "", "replica name stamped on responses (X-Replica) and /metrics (repro_instance_info) when serving behind anomalygw")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		log.Fatalf("anomalyd: unexpected arguments %q: flags take no positional words (-cascade is a bool flag)", flag.Args())
+	}
 	if *trainOut != "" && *load != "" {
 		log.Fatal("anomalyd: -train-out and -load are mutually exclusive")
 	}
@@ -129,7 +132,7 @@ func main() {
 		for _, spec := range strings.Split(*load, ",") {
 			name, path := splitModelSpec(spec)
 			start := time.Now()
-			det, gate, err := core.LoadDetectorFileWithCascade(path)
+			det, gate, err := core.LoadDetectorFile(path)
 			if err != nil {
 				log.Fatal("anomalyd: ", err)
 			}
@@ -180,18 +183,16 @@ func main() {
 			// the cascade without refitting (thresholds are calibrated against
 			// this exact detector's verdicts).
 			var gate *cascade.Gate
-			if *cascScorer != "" {
+			if *cascOn {
 				ds := flowbench.Generate(flowbench.Workflow(*workflow), *seed)
-				gate, err = core.FitCascade(det, cascade.Config{
-					Scorer: *cascScorer, TargetRecall: *cascRecall, Seed: *seed,
-				}, ds.Train)
+				gate, err = core.FitCascade(det, cascade.Config{TargetRecall: *cascRecall}, ds.Train)
 				if err != nil {
 					log.Fatal("anomalyd: ", err)
 				}
-				log.Printf("cascade calibrated: %s gate, target recall %.3f (%d calibration positives)",
-					gate.Scorer(), gate.TargetRecall(), gate.Positives())
+				log.Printf("cascade calibrated: ngram gate, target recall %.3f (%d calibration positives)",
+					gate.TargetRecall(), gate.Positives())
 			}
-			if err := core.SaveDetectorFileWithCascade(*trainOut, det, gate); err != nil {
+			if err := core.SaveDetectorFile(*trainOut, det, gate); err != nil {
 				log.Fatal("anomalyd: ", err)
 			}
 			log.Printf("artifact written to %s; serve it with: anomalyd -load %s", *trainOut, *trainOut)
@@ -206,9 +207,9 @@ func main() {
 	// Cascade arming: an explicit -cascade fits fresh gates against each
 	// served detector's own verdicts on the training split; otherwise any
 	// gate that traveled inside a v3 artifact re-arms as saved.
-	if *cascScorer != "" {
+	if *cascOn {
 		ds := flowbench.Generate(flowbench.Workflow(*workflow), *seed)
-		ccfg := cascade.Config{Scorer: *cascScorer, TargetRecall: *cascRecall, Seed: *seed}
+		ccfg := cascade.Config{TargetRecall: *cascRecall}
 		for _, name := range reg.Names() {
 			g, err := core.FitCascade(dets[name], ccfg, ds.Train)
 			if err != nil {
@@ -217,8 +218,8 @@ func main() {
 			if err := reg.SetCascade(name, g); err != nil {
 				log.Fatal("anomalyd: ", err)
 			}
-			log.Printf("cascade armed on %s: %s gate, target recall %.3f (%d calibration positives)",
-				name, g.Scorer(), g.TargetRecall(), g.Positives())
+			log.Printf("cascade armed on %s: ngram gate, target recall %.3f (%d calibration positives)",
+				name, g.TargetRecall(), g.Positives())
 		}
 	} else {
 		for name, g := range gates {
@@ -228,8 +229,8 @@ func main() {
 			if err := reg.SetCascade(name, g); err != nil {
 				log.Fatal("anomalyd: ", err)
 			}
-			log.Printf("cascade armed on %s from artifact: %s gate, target recall %.3f",
-				name, g.Scorer(), g.TargetRecall())
+			log.Printf("cascade armed on %s from artifact: ngram gate, target recall %.3f",
+				name, g.TargetRecall())
 		}
 	}
 
@@ -238,7 +239,7 @@ func main() {
 	// served model (scoring is read-only).
 	if *brownout > 0 {
 		ds := flowbench.Generate(flowbench.Workflow(*workflow), *seed)
-		fb, err := core.FitFallback("pca", ds.Train, *seed)
+		fb, err := core.FitFallback(ds.Train, *seed)
 		if err != nil {
 			log.Fatal("anomalyd: ", err)
 		}

@@ -92,7 +92,7 @@ func main() {
 
 	exs := icl.PromptExamples(icl.SelectExamples(ds.Train, *shots, mix, *seed))
 	if *save != "" {
-		if err := core.SaveDetectorFile(*save, core.NewICLDetector(d, exs)); err != nil {
+		if err := core.SaveDetectorFile(*save, core.NewICLDetector(d, exs), nil); err != nil {
 			fmt.Fprintln(os.Stderr, "iclrun:", err)
 			os.Exit(1)
 		}

@@ -9,7 +9,7 @@
 //	loadlab -scenarios bursty,near-dup -out - # subset, report to stdout
 //	loadlab -scenarios chaos-bursty -retries  # fault-injected replay, client retries
 //	loadlab -chaos -shed-depth 64 -brownout 48 -deadline-ms 250  # full overload drill
-//	loadlab -cascade ngram                    # paired rows per scenario: cascade off, then on
+//	loadlab -cascade                          # paired rows per scenario: cascade off, then on
 //
 // Each scenario (see docs/SCENARIOS.md) is generated from a name + seed and
 // is byte-identical across runs, so reports diff meaningfully across commits
@@ -86,13 +86,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		brownout  = fs.Int("brownout", 0, "queue depth that engages brownout degradation to a calibrated PCA baseline (0 = off, in-process)")
 		brownHold = fs.Duration("brownout-hold", 0, "how long the queue must stay saturated before brownout engages (0 = server default 250ms; compressed replays need a hold matched to their timescale)")
 		retries   = fs.Bool("retries", false, "send replay requests through the resilience retry client (backoff, budget, Retry-After)")
-		cascName  = fs.String("cascade", "", "two-stage inference drill: replay each non-chaos scenario twice, stage-1 gate (ngram, pca, or iforest) off then on, as paired report rows (in-process only)")
+		cascOn    = fs.Bool("cascade", false, "two-stage inference drill: replay each non-chaos scenario twice, ngram stage-1 gate off then on, as paired report rows (in-process only)")
 		cascRec   = fs.Float64("cascade-recall", cascade.DefaultTargetRecall, "cascade calibration target recall")
 		gatewayN  = fs.Int("gateway", 0, "replicated-serving drill: boot N in-process replicas behind an anomalygw gateway and replay each non-chaos scenario against it too, as paired single-node vs fleet rows (in-process only, N >= 2)")
 		gwKill    = fs.Bool("gateway-kill", false, "with -gateway: blackhole one replica for the middle third of each gateway replay, exercising its breaker opening and its half-open re-admission")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q: flags take no positional words (-cascade is a bool flag)", fs.Args())
 	}
 	if *list {
 		for _, d := range scenario.All() {
@@ -107,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *gwKill && *gatewayN == 0 {
 		return fmt.Errorf("-gateway-kill needs -gateway N")
 	}
-	if *gatewayN > 0 && *cascName != "" {
+	if *gatewayN > 0 && *cascOn {
 		return fmt.Errorf("-gateway and -cascade both pair rows against the base replay; run them separately")
 	}
 
@@ -185,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if *brownout > 0 {
 			ds := flowbench.Generate(cfg.Workflow, cfg.Seed)
-			fb, err := core.FitFallback("pca", ds.Train, cfg.Seed)
+			fb, err := core.FitFallback(ds.Train, cfg.Seed)
 			if err != nil {
 				return err
 			}
@@ -194,16 +197,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintf(stderr, "brownout fallback fitted (pca, engages at queue depth %d)\n", *brownout)
 		}
-		if *cascName != "" {
+		if *cascOn {
 			ds := flowbench.Generate(cfg.Workflow, cfg.Seed)
-			g, err := core.FitCascade(det, cascade.Config{
-				Scorer: *cascName, TargetRecall: *cascRec, Seed: cfg.Seed,
-			}, ds.Train)
+			g, err := core.FitCascade(det, cascade.Config{TargetRecall: *cascRec}, ds.Train)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stderr, "cascade calibrated: %s gate, target recall %.3f (%d calibration positives)\n",
-				g.Scorer(), g.TargetRecall(), g.Positives())
+			fmt.Fprintf(stderr, "cascade calibrated: ngram gate, target recall %.3f (%d calibration positives)\n",
+				g.TargetRecall(), g.Positives())
 			cascadeArm = func(on bool) error {
 				if on {
 					return reg.SetCascade(core.DefaultModel, g)
@@ -245,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if len(chaosSet) > 0 {
 			return fmt.Errorf("chaos replays need the in-process server (faults are injected into its handler); drop -addr or use anomalyd -faults")
 		}
-		if *cascName != "" {
+		if *cascOn {
 			return fmt.Errorf("-cascade pairs off/on replays by toggling the in-process model's gate; drop -addr (a remote anomalyd arms its own cascade with -cascade)")
 		}
 		if *gatewayN > 0 {
@@ -672,7 +673,7 @@ func pickMonitorSet(spec string, defs []scenario.Def) (map[string]bool, error) {
 // fresh small training run.
 func buildDetector(stderr io.Writer, load string, quantize bool, opts core.Options) (core.Detector, string, error) {
 	if load != "" {
-		det, err := core.LoadDetectorFile(load)
+		det, _, err := core.LoadDetectorFile(load)
 		if err != nil {
 			return nil, "", err
 		}

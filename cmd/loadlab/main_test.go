@@ -70,7 +70,7 @@ func TestRunSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	artifact := filepath.Join(t.TempDir(), "smoke.artifact")
-	if err := core.SaveDetectorFile(artifact, det); err != nil {
+	if err := core.SaveDetectorFile(artifact, det, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,7 +128,7 @@ func TestRunSmoke(t *testing.T) {
 		},
 		{
 			name: "cascade",
-			args: []string{"-speed", "200", "-scenarios", "steady,near-dup", "-cascade", "ngram", "-baselines", "none"},
+			args: []string{"-speed", "200", "-scenarios", "steady,near-dup", "-cascade", "-baselines", "none"},
 			want: map[string]pins{
 				"LoadLab/steady/sft":        steady,
 				"LoadLabMonitor/steady/sft": monitor,
@@ -272,5 +272,21 @@ func TestRunRejectsUnknownScenario(t *testing.T) {
 	}
 	if err := run([]string{"-monitor", "nope", "-scenarios", "steady"}, &stdout, &stderr); err == nil {
 		t.Fatal("unknown monitor scenario should fail")
+	}
+}
+
+// TestRunRejectsStrayArguments: flag parsing stops at the first word that is
+// not a flag, so a stray value — such as the scorer name -cascade took
+// before it became a bool flag — would silently drop every flag after it.
+func TestRunRejectsStrayArguments(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-cascade", "ngram", "-cascade-recall", "0.9999", "-out", "lab.json"}, &stdout, &stderr)
+	if err == nil {
+		t.Fatal("stray positional arguments should fail")
+	}
+	for _, word := range []string{`"ngram"`, `"-out"`} {
+		if !strings.Contains(err.Error(), word) {
+			t.Errorf("error %q does not name leftover %s", err, word)
+		}
 	}
 }

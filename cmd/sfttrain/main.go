@@ -86,7 +86,7 @@ func main() {
 	fmt.Printf("empty-input probe: p(normal)=%.3f p(abnormal)=%.3f\n", probe[0], probe[1])
 
 	if *save != "" {
-		if err := core.SaveDetectorFile(*save, core.NewSFTDetector(c)); err != nil {
+		if err := core.SaveDetectorFile(*save, core.NewSFTDetector(c), nil); err != nil {
 			fmt.Fprintln(os.Stderr, "sfttrain:", err)
 			os.Exit(1)
 		}

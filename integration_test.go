@@ -235,25 +235,50 @@ func TestDocsNameOnlyExistingMakeTargets(t *testing.T) {
 // binary reliably, so it only has to be declared by some binary — which is
 // what catches a deleted flag — or be one of the go test / bench/run.sh flags
 // the prose discusses.
+//
+// It also fails on a bare word after a bool flag — on a command line, a bool
+// flag of that binary; in a standalone prose span, a flag every binary that
+// declares it declares bool. Flag parsing stops at that word, so every flag
+// after it would be dropped. docs/PERFORMANCE.md is measurement history and
+// keeps the command lines it was measured with.
 func TestDocsNameOnlyExistingFlags(t *testing.T) {
-	declaration := regexp.MustCompile(`\b(?:flag|fs)\.(?:String|Int|Uint64|Bool|Duration|Float64|Var)\(\s*"([^"]+)"`)
+	declaration := regexp.MustCompile(`\b(?:flag|fs)\.(String|Int|Uint64|Bool|Duration|Float64|Var)\(\s*"([^"]+)"`)
 	declared := map[string]map[string]bool{}
+	isBool := map[string]map[string]bool{}
 	anywhere := map[string]bool{"cpu": true, "benchtime": true, "race": true, "update": true, "seconds": true, "trace": true}
+	boolAnywhere, nonBool := map[string]bool{}, map[string]bool{}
 	for _, bin := range []string{"anomalyd", "anomalygw", "loadlab", "expbench", "flowgen", "sfttrain", "iclrun"} {
 		src, err := os.ReadFile(filepath.Join("cmd", bin, "main.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		declared[bin] = map[string]bool{}
+		declared[bin], isBool[bin] = map[string]bool{}, map[string]bool{}
 		for _, m := range declaration.FindAllSubmatch(src, -1) {
-			declared[bin][string(m[1])] = true
-			anywhere[string(m[1])] = true
+			name := string(m[2])
+			declared[bin][name] = true
+			anywhere[name] = true
+			if string(m[1]) == "Bool" {
+				isBool[bin][name], boolAnywhere[name] = true, true
+			} else {
+				nonBool[name] = true
+			}
 		}
 		if len(declared[bin]) == 0 {
 			t.Fatalf("found no flag declarations in cmd/%s/main.go", bin)
 		}
 	}
+	for name := range nonBool {
+		delete(boolAnywhere, name)
+	}
 	flagWord := regexp.MustCompile("^--?([a-z][a-z0-9-]*)")
+	// strayValue reports whether tok is a bare word following prev, a bool
+	// flag given without =value.
+	bareWord := regexp.MustCompile(`^[\w./"'$][^<>]*$`)
+	history := filepath.Join("docs", "PERFORMANCE.md")
+	strayValue := func(bools map[string]bool, s docSpan, prev, tok string) bool {
+		m := flagWord.FindStringSubmatch(prev)
+		return s.path != history && m != nil && bools[m[1]] && !strings.Contains(prev, "=") && bareWord.MatchString(tok)
+	}
 
 	// A command line ending in a backslash continues on the next line of the
 	// same file, still addressed to contBin.
@@ -264,12 +289,19 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 			if !anywhere[m[1]] {
 				t.Errorf("%s names `-%s`, which no binary declares", s, m[1])
 			}
+			words := strings.Fields(s.code)
+			for i := 1; i < len(words); i++ {
+				if strayValue(boolAnywhere, s, words[i-1], words[i]) {
+					t.Errorf("%s gives bool flag %s the value %q", s, words[i-1], words[i])
+				}
+			}
 			return
 		}
 		bin := ""
 		if s.path == contPath && s.n == contLine {
 			bin = contBin
 		}
+		prev := ""
 		for _, tok := range strings.Fields(s.code) {
 			// anomalyd, ./cmd/anomalyd and /tmp/anomalyd all run anomalyd.
 			base := tok[strings.LastIndexByte(tok, '/')+1:]
@@ -282,7 +314,11 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 				if m := flagWord.FindStringSubmatch(tok); m != nil && !declared[bin][m[1]] {
 					t.Errorf("%s passes -%s to %s, which cmd/%s/main.go does not declare", s, m[1], bin, bin)
 				}
+				if strayValue(isBool[bin], s, prev, tok) {
+					t.Errorf("%s gives %s's bool flag %s the value %q", s, bin, prev, tok)
+				}
 			}
+			prev = tok
 		}
 		contPath = ""
 		if !s.prose && strings.HasSuffix(strings.TrimSpace(s.code), "\\") {

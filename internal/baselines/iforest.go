@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/flowbench"
@@ -105,119 +104,6 @@ func (f *IsolationForest) pathLength(node *iNode, row []float32, depth float64) 
 		return f.pathLength(node.left, row, depth+1)
 	}
 	return f.pathLength(node.right, row, depth+1)
-}
-
-// ScoreOne scores a single job without heap allocation — the cascade gate's
-// stage-1 hot path. Equivalent to Score on a one-job slice.
-//
-//repro:hotpath
-func (f *IsolationForest) ScoreOne(j flowbench.Job) float64 {
-	z := f.std.Transform(j)
-	c := avgPathLength(f.subsample)
-	var sum float64
-	for _, tr := range f.trees {
-		sum += f.pathLength(tr, z[:], 0)
-	}
-	mean := sum / float64(len(f.trees))
-	return math.Pow(2, -mean/c)
-}
-
-// IFNode is one serialized isolation-tree node. Left and Right index into
-// the tree's flat node slice; -1 marks a leaf.
-type IFNode struct {
-	Feature int     `json:"f"`
-	Split   float32 `json:"s"`
-	Left    int     `json:"l"`
-	Right   int     `json:"r"`
-	Size    int     `json:"n"`
-}
-
-// IForestParams is the serializable form of a fitted IsolationForest — what
-// the cascade section of detector artifacts persists. Each tree is its nodes
-// in preorder with index links.
-type IForestParams struct {
-	Std       Standardizer `json:"std"`
-	Subsample int          `json:"subsample"`
-	Trees     [][]IFNode   `json:"trees"`
-}
-
-// Params exports the fitted forest for serialization.
-func (f *IsolationForest) Params() IForestParams {
-	out := IForestParams{Std: *f.std, Subsample: f.subsample}
-	out.Trees = make([][]IFNode, len(f.trees))
-	for t, tr := range f.trees {
-		out.Trees[t] = flattenITree(tr, nil)
-	}
-	return out
-}
-
-// flattenITree appends node and its subtree to out in preorder, returning
-// the extended slice.
-func flattenITree(node *iNode, out []IFNode) []IFNode {
-	idx := len(out)
-	out = append(out, IFNode{Feature: node.feature, Split: node.split, Left: -1, Right: -1, Size: node.size})
-	if node.left != nil {
-		out[idx].Left = len(out)
-		out = flattenITree(node.left, out)
-		out[idx].Right = len(out)
-		out = flattenITree(node.right, out)
-	}
-	return out
-}
-
-// IForestFromParams reconstructs a forest from serialized parameters,
-// validating indices and statistics (artifacts are untrusted input).
-func IForestFromParams(p IForestParams) (*IsolationForest, error) {
-	if len(p.Trees) == 0 || p.Subsample < 2 {
-		return nil, fmt.Errorf("baselines: iforest params need trees and subsample >= 2")
-	}
-	for i := range p.Std.Std {
-		if !(p.Std.Std[i] > 0) || math.IsInf(p.Std.Std[i], 0) ||
-			math.IsNaN(p.Std.Mean[i]) || math.IsInf(p.Std.Mean[i], 0) {
-			return nil, fmt.Errorf("baselines: iforest standardizer stats invalid at feature %d", i)
-		}
-	}
-	std := p.Std
-	f := &IsolationForest{std: &std, subsample: p.Subsample}
-	for t, nodes := range p.Trees {
-		root, err := buildFromFlat(nodes, 0, 0)
-		if err != nil {
-			return nil, fmt.Errorf("baselines: iforest tree %d: %w", t, err)
-		}
-		f.trees = append(f.trees, root)
-	}
-	return f, nil
-}
-
-// maxITreeDepth bounds decode recursion; fitted trees are depth <= ~log2
-// subsample, so 64 is far beyond any honest artifact and guards cycles.
-const maxITreeDepth = 64
-
-func buildFromFlat(nodes []IFNode, i, depth int) (*iNode, error) {
-	if depth > maxITreeDepth {
-		return nil, fmt.Errorf("node depth exceeds %d", maxITreeDepth)
-	}
-	if i < 0 || i >= len(nodes) {
-		return nil, fmt.Errorf("node index %d out of range", i)
-	}
-	n := nodes[i]
-	node := &iNode{feature: n.Feature, split: n.Split, size: n.Size}
-	if (n.Left < 0) != (n.Right < 0) {
-		return nil, fmt.Errorf("node %d has exactly one child", i)
-	}
-	if n.Left >= 0 {
-		if n.Feature < 0 || n.Feature >= flowbench.NumFeatures {
-			return nil, fmt.Errorf("node %d splits on feature %d", i, n.Feature)
-		}
-		var err error
-		if node.left, err = buildFromFlat(nodes, n.Left, depth+1); err != nil {
-			return nil, err
-		}
-		if node.right, err = buildFromFlat(nodes, n.Right, depth+1); err != nil {
-			return nil, err
-		}
-	}
-	return node, nil
 }
 
 // Score returns anomaly scores in (0,1); higher means more anomalous

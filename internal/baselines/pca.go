@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/flowbench"
@@ -102,79 +101,6 @@ func rayleigh(m *tensor.Matrix, v []float32) float64 {
 		num += float64(v[i]) * s
 	}
 	return num
-}
-
-// ScoreOne scores a single job without heap allocation — the cascade gate's
-// stage-1 hot path. It computes the same projection/reconstruction error as
-// Score on a one-job slice, up to float32 summation order.
-//
-//repro:hotpath
-func (p *PCADetector) ScoreOne(j flowbench.Job) float64 {
-	z := p.std.Transform(j)
-	var recon [flowbench.NumFeatures]float32
-	for c := 0; c < p.components.Rows; c++ {
-		row := p.components.Row(c)
-		var dot float32
-		for i, v := range z {
-			dot += v * row[i]
-		}
-		for i, v := range row {
-			recon[i] += dot * v
-		}
-	}
-	var e float64
-	for i, v := range z {
-		d := float64(v - recon[i])
-		e += d * d
-	}
-	return e
-}
-
-// PCAParams is the serializable form of a fitted PCADetector — what the
-// cascade section of detector artifacts persists.
-type PCAParams struct {
-	Std        Standardizer `json:"std"`
-	Components [][]float32  `json:"components"`
-}
-
-// Params exports the fitted detector for serialization.
-func (p *PCADetector) Params() PCAParams {
-	out := PCAParams{Std: *p.std}
-	out.Components = make([][]float32, p.components.Rows)
-	for r := range out.Components {
-		row := make([]float32, p.components.Cols)
-		copy(row, p.components.Row(r))
-		out.Components[r] = row
-	}
-	return out
-}
-
-// PCAFromParams reconstructs a detector from serialized parameters,
-// validating shape and statistics (artifacts are untrusted input).
-func PCAFromParams(p PCAParams) (*PCADetector, error) {
-	if len(p.Components) == 0 || len(p.Components) > flowbench.NumFeatures {
-		return nil, fmt.Errorf("baselines: pca params have %d components, want 1..%d", len(p.Components), flowbench.NumFeatures)
-	}
-	m := tensor.New(len(p.Components), flowbench.NumFeatures)
-	for r, row := range p.Components {
-		if len(row) != flowbench.NumFeatures {
-			return nil, fmt.Errorf("baselines: pca component %d has %d dims, want %d", r, len(row), flowbench.NumFeatures)
-		}
-		for _, v := range row {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return nil, fmt.Errorf("baselines: pca component %d has non-finite entry", r)
-			}
-		}
-		copy(m.Row(r), row)
-	}
-	for i := range p.Std.Std {
-		if !(p.Std.Std[i] > 0) || math.IsInf(p.Std.Std[i], 0) ||
-			math.IsNaN(p.Std.Mean[i]) || math.IsInf(p.Std.Mean[i], 0) {
-			return nil, fmt.Errorf("baselines: pca standardizer stats invalid at feature %d", i)
-		}
-	}
-	std := p.Std
-	return &PCADetector{std: &std, components: m}, nil
 }
 
 // Score returns per-job reconstruction errors from the retained components;

@@ -1,10 +1,9 @@
 // Package cascade implements two-stage inference for the detection hot path
 // (ROADMAP item 5): a calibrated cheap first stage short-circuits
 // confidently-normal and confidently-abnormal log lines to a verdict and
-// passes only the uncertain band to the transformer. The default stage-1 scorer is a supervised n-gram
-// over the tokenizer's magnitude buckets (ngram.go) — the transformer's own
-// discretized view of a job — with the seed's unsupervised PCA and
-// isolation-forest scorers as alternatives. The gate is calibrated on
+// passes only the uncertain band to the transformer. The stage-1 scorer is a
+// supervised n-gram over the tokenizer's magnitude buckets (ngram.go) — the
+// transformer's own discretized view of a job. The gate is calibrated on
 // training data against the transformer's own verdicts so end-to-end
 // verdicts stay in ≥99% agreement with transformer-only serving; the serving
 // integration lives in internal/core (engine pre-filter, monitor chunk
@@ -21,65 +20,44 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/baselines"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 )
 
-// Defaults for Config zero values.
-const (
-	DefaultScorer       = "ngram"
-	DefaultTargetRecall = 0.995
-)
+// DefaultTargetRecall is the calibration target a zero Config.TargetRecall
+// means.
+const DefaultTargetRecall = 0.995
 
-// Config selects and calibrates the first stage.
+// scorerName is the one stage-1 scorer's name on the wire (Params.Scorer).
+const scorerName = "ngram"
+
+// Config calibrates the first stage.
 type Config struct {
-	// Scorer names the stage-1 scorer: "ngram" (default), "pca", or
-	// "iforest".
-	Scorer string
 	// TargetRecall is the fraction of calibration positives (the
 	// transformer-flagged training jobs) whose stage-1 score must clear the
-	// confident-normal threshold and reach the transformer. Default
-	// DefaultTargetRecall.
+	// confident-normal threshold and reach the transformer. The same bound
+	// caps the false-abnormal rate on calibration negatives at
+	// (1 − TargetRecall). Default DefaultTargetRecall.
 	TargetRecall float64
-	// NormalOnly disables the confident-abnormal band: the gate then only
-	// ever short-circuits toward normal, and every score at or above Low
-	// pays for the transformer. By default both thresholds are calibrated —
-	// the highest-scoring lines short-circuit to an abnormal verdict, with
-	// the false-abnormal rate on calibration negatives bounded by
-	// (1 − TargetRecall) — because on Flow-Bench streams a large share of
-	// traffic is confidently abnormal and passing it through would forfeit
-	// most of the cascade speedup.
-	NormalOnly bool
-	// Seed seeds the stage-1 fit (PCA power iteration, forest sampling).
+	// Seed is ignored: the ngram fit draws no randomness.
+	//
+	// Deprecated: ignored. Kept only so existing callers compile.
 	Seed uint64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Scorer == "" {
-		c.Scorer = DefaultScorer
-	}
-	if c.TargetRecall == 0 {
-		c.TargetRecall = DefaultTargetRecall
-	}
-	return c
-}
-
 // Gate is a calibrated two-threshold first stage. Scores below Low
-// short-circuit to a normal verdict, scores at or above High (unless fitted
-// with NormalOnly) short-circuit to an abnormal verdict, and the band in
-// between passes to the transformer.
+// short-circuit to a normal verdict, scores at or above High short-circuit
+// to an abnormal verdict, and the band in between passes to the
+// transformer. Both bands are calibrated because on Flow-Bench streams a
+// large share of traffic is confidently abnormal, and passing it through
+// would forfeit most of the cascade speedup.
 type Gate struct {
-	scorer    string
 	low       float64
 	high      float64
 	scale     float64
 	recall    float64
 	positives int
-
-	pca    *baselines.PCADetector
-	forest *baselines.IsolationForest
-	ngram  *ngramModel
+	ngram     *ngramModel
 }
 
 // Fit fits the stage-1 scorer on train and calibrates the thresholds.
@@ -90,7 +68,9 @@ type Gate struct {
 // calibrating on it would only collapse the confident-normal band without
 // changing any serving verdict.)
 func Fit(cfg Config, train []flowbench.Job, verdicts []int) (*Gate, error) {
-	cfg = cfg.withDefaults()
+	if cfg.TargetRecall == 0 {
+		cfg.TargetRecall = DefaultTargetRecall
+	}
 	if len(train) == 0 {
 		return nil, fmt.Errorf("cascade: no training jobs")
 	}
@@ -100,19 +80,7 @@ func Fit(cfg Config, train []flowbench.Job, verdicts []int) (*Gate, error) {
 	if cfg.TargetRecall <= 0 || cfg.TargetRecall > 1 {
 		return nil, fmt.Errorf("cascade: target recall %v out of (0, 1]", cfg.TargetRecall)
 	}
-	g := &Gate{scorer: cfg.Scorer, recall: cfg.TargetRecall, high: math.MaxFloat64}
-	switch cfg.Scorer {
-	case "ngram":
-		g.ngram = fitNGram(train, verdicts)
-	case "pca":
-		g.pca = baselines.FitPCA(train, 4, cfg.Seed)
-	case "iforest":
-		fc := baselines.DefaultIForestConfig()
-		fc.Seed = cfg.Seed
-		g.forest = baselines.FitIsolationForest(train, fc)
-	default:
-		return nil, fmt.Errorf("cascade: unknown scorer %q (want ngram, pca, or iforest)", cfg.Scorer)
-	}
+	g := &Gate{recall: cfg.TargetRecall, high: math.MaxFloat64, ngram: fitNGram(train, verdicts)}
 
 	scores := make([]float64, len(train))
 	var pos, neg []float64
@@ -145,19 +113,19 @@ func Fit(cfg Config, train []flowbench.Job, verdicts []int) (*Gate, error) {
 		idx = len(pos) - 1
 	}
 	g.low = pos[idx]
-	// The ngram scorer assigns exactly ngramUnseen to keys with no
-	// calibration evidence; those must always reach stage 2, so the
-	// confident-normal band is structurally capped below that score no matter
-	// where the recall quantile lands. (Capping only lowers the threshold —
-	// the recall guarantee, a lower bound, is preserved.)
-	if g.ngram != nil && g.low > ngramUnseen {
+	// The scorer assigns exactly ngramUnseen to keys with no calibration
+	// evidence; those must always reach stage 2, so the confident-normal band
+	// is structurally capped below that score no matter where the recall
+	// quantile lands. (Capping only lowers the threshold — the recall
+	// guarantee, a lower bound, is preserved.)
+	if g.low > ngramUnseen {
 		g.low = ngramUnseen
 	}
 
-	// High: unless NormalOnly, the quantile of negative scores that bounds
-	// false-abnormal short circuits to (1−recall) of the negatives. Kept
-	// beyond every training score otherwise.
-	if !cfg.NormalOnly && len(neg) > 0 {
+	// High: the quantile of negative scores that bounds false-abnormal short
+	// circuits to (1−recall) of the negatives. Without negatives it stays
+	// beyond every score.
+	if len(neg) > 0 {
 		sort.Float64s(neg)
 		hi := int(math.Ceil(float64(len(neg)) * cfg.TargetRecall))
 		if hi >= len(neg) {
@@ -165,11 +133,11 @@ func Fit(cfg Config, train []flowbench.Job, verdicts []int) (*Gate, error) {
 		} else {
 			g.high = neg[hi]
 		}
-		// Mirror of the Low cap: an ngram key with no calibration evidence
-		// scores exactly ngramUnseen and must pass to stage 2, never short
-		// abnormal. Raising the threshold only tightens the calibrated
-		// false-abnormal bound.
-		if g.ngram != nil && g.high <= ngramUnseen {
+		// Mirror of the Low cap: a key with no calibration evidence scores
+		// exactly ngramUnseen and must pass to stage 2, never short abnormal.
+		// Raising the threshold only tightens the calibrated false-abnormal
+		// bound.
+		if g.high <= ngramUnseen {
 			g.high = math.Nextafter(ngramUnseen, 1)
 		}
 		if g.high < g.low {
@@ -200,14 +168,7 @@ func stddev(xs []float64) float64 {
 //
 //repro:hotpath
 func (g *Gate) ScoreJob(j flowbench.Job) float64 {
-	switch {
-	case g.ngram != nil:
-		return g.ngram.score(&j.Features)
-	case g.pca != nil:
-		return g.pca.ScoreOne(j)
-	default:
-		return g.forest.ScoreOne(j)
-	}
+	return g.ngram.score(&j.Features)
 }
 
 // ScoreSentence scores one feature sentence. ok is false when the sentence
@@ -256,14 +217,11 @@ func (g *Gate) Prob(score float64) float64 {
 	return 1 / (1 + math.Exp(-(score-g.low)/g.scale))
 }
 
-// Scorer names the fitted stage-1 scorer.
-func (g *Gate) Scorer() string { return g.scorer }
-
 // Low is the calibrated confident-normal threshold.
 func (g *Gate) Low() float64 { return g.low }
 
 // High is the calibrated confident-abnormal threshold (math.MaxFloat64 when
-// the abnormal band is off).
+// calibration saw no negatives).
 func (g *Gate) High() float64 { return g.high }
 
 // TargetRecall is the recall the gate was calibrated to.
@@ -273,47 +231,38 @@ func (g *Gate) TargetRecall() float64 { return g.recall }
 func (g *Gate) Positives() int { return g.positives }
 
 // Params is the serialized form of a calibrated gate — what the artifact v3
-// cascade section stores.
+// cascade section stores. Scorer is always "ngram"; it stays on the wire so
+// an artifact names the scorer its thresholds were calibrated for.
 type Params struct {
-	Scorer       string                   `json:"scorer"`
-	Low          float64                  `json:"low"`
-	High         float64                  `json:"high"`
-	Scale        float64                  `json:"scale"`
-	TargetRecall float64                  `json:"target_recall"`
-	Positives    int                      `json:"positives"`
-	PCA          *baselines.PCAParams     `json:"pca,omitempty"`
-	IForest      *baselines.IForestParams `json:"iforest,omitempty"`
-	NGram        *NGramParams             `json:"ngram,omitempty"`
+	Scorer       string       `json:"scorer"`
+	Low          float64      `json:"low"`
+	High         float64      `json:"high"`
+	Scale        float64      `json:"scale"`
+	TargetRecall float64      `json:"target_recall"`
+	Positives    int          `json:"positives"`
+	NGram        *NGramParams `json:"ngram,omitempty"`
 }
 
 // Params exports the gate for serialization.
 func (g *Gate) Params() Params {
-	p := Params{
-		Scorer:       g.scorer,
+	np := g.ngram.params()
+	return Params{
+		Scorer:       scorerName,
 		Low:          g.low,
 		High:         g.high,
 		Scale:        g.scale,
 		TargetRecall: g.recall,
 		Positives:    g.positives,
+		NGram:        &np,
 	}
-	if g.pca != nil {
-		pp := g.pca.Params()
-		p.PCA = &pp
-	}
-	if g.forest != nil {
-		fp := g.forest.Params()
-		p.IForest = &fp
-	}
-	if g.ngram != nil {
-		np := g.ngram.params()
-		p.NGram = &np
-	}
-	return p
 }
 
 // FromParams reconstructs a gate from serialized parameters, validating them
 // (artifacts are untrusted input).
 func FromParams(p Params) (*Gate, error) {
+	if p.Scorer != scorerName {
+		return nil, fmt.Errorf("cascade: gate names stage-1 scorer %q, but this build has only %q; refit the gate with anomalyd -load <artifact> -cascade", p.Scorer, scorerName)
+	}
 	for _, v := range [...]float64{p.Low, p.High, p.Scale, p.TargetRecall} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("cascade: non-finite threshold in gate params")
@@ -322,35 +271,19 @@ func FromParams(p Params) (*Gate, error) {
 	if p.Scale <= 0 {
 		return nil, fmt.Errorf("cascade: scale %v must be positive", p.Scale)
 	}
-	g := &Gate{
-		scorer:    p.Scorer,
+	if p.NGram == nil {
+		return nil, fmt.Errorf("cascade: ngram gate params carry no count table")
+	}
+	m, err := ngramFromParams(*p.NGram)
+	if err != nil {
+		return nil, err
+	}
+	return &Gate{
 		low:       p.Low,
 		high:      p.High,
 		scale:     p.Scale,
 		recall:    p.TargetRecall,
 		positives: p.Positives,
-	}
-	switch {
-	case p.Scorer == "ngram" && p.NGram != nil:
-		m, err := ngramFromParams(*p.NGram)
-		if err != nil {
-			return nil, err
-		}
-		g.ngram = m
-	case p.Scorer == "pca" && p.PCA != nil:
-		pca, err := baselines.PCAFromParams(*p.PCA)
-		if err != nil {
-			return nil, fmt.Errorf("cascade: %w", err)
-		}
-		g.pca = pca
-	case p.Scorer == "iforest" && p.IForest != nil:
-		f, err := baselines.IForestFromParams(*p.IForest)
-		if err != nil {
-			return nil, fmt.Errorf("cascade: %w", err)
-		}
-		g.forest = f
-	default:
-		return nil, fmt.Errorf("cascade: gate params name scorer %q without matching parameters", p.Scorer)
-	}
-	return g, nil
+		ngram:     m,
+	}, nil
 }

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/flowbench"
@@ -57,7 +59,6 @@ func TestFitValidation(t *testing.T) {
 		{"verdict count mismatch", Config{}, jobs, verdicts[:len(verdicts)-1]},
 		{"recall above one", Config{TargetRecall: 1.5}, jobs, verdicts},
 		{"negative recall", Config{TargetRecall: -0.1}, jobs, verdicts},
-		{"unknown scorer", Config{Scorer: "magic8ball"}, jobs, verdicts},
 	}
 	for _, tc := range cases {
 		if _, err := Fit(tc.cfg, tc.jobs, tc.verdicts); err == nil {
@@ -67,18 +68,15 @@ func TestFitValidation(t *testing.T) {
 }
 
 // TestFitDeterminism: calibration is a pure function of (config, jobs,
-// verdicts) — two fits on identical input export identical parameters, for
-// both stage-1 scorers. This is what makes artifact-embedded gates and
-// re-fits at serve startup interchangeable.
+// verdicts) — two fits on identical input export identical parameters. This
+// is what makes artifact-embedded gates and re-fits at serve startup
+// interchangeable.
 func TestFitDeterminism(t *testing.T) {
 	jobs, verdicts := calJobs(256, 16)
-	for _, scorer := range []string{"ngram", "pca", "iforest"} {
-		cfg := Config{Scorer: scorer, Seed: 7}
-		a := fitGate(t, cfg, jobs, verdicts)
-		b := fitGate(t, cfg, jobs, verdicts)
-		if !reflect.DeepEqual(a.Params(), b.Params()) {
-			t.Errorf("%s: identical fits exported different params", scorer)
-		}
+	a := fitGate(t, Config{}, jobs, verdicts)
+	b := fitGate(t, Config{}, jobs, verdicts)
+	if !reflect.DeepEqual(a.Params(), b.Params()) {
+		t.Error("identical fits exported different params")
 	}
 }
 
@@ -91,32 +89,29 @@ func TestCalibratedRecall(t *testing.T) {
 	for i, j := range ds.Train {
 		verdicts[i] = j.Label
 	}
-	for _, scorer := range []string{"ngram", "pca", "iforest"} {
-		const recall = 0.9 // off-default so the quantile index is nonzero
-		g := fitGate(t, Config{Scorer: scorer, TargetRecall: recall, Seed: 3}, ds.Train, verdicts)
-		var pos, kept int
-		for i, j := range ds.Train {
-			if verdicts[i] != 1 {
-				continue
-			}
-			pos++
-			if g.ScoreJob(j) >= g.Low() {
-				kept++
-			}
+	const recall = 0.9 // off-default so the quantile index is nonzero
+	g := fitGate(t, Config{TargetRecall: recall}, ds.Train, verdicts)
+	var pos, kept int
+	for i, j := range ds.Train {
+		if verdicts[i] != 1 {
+			continue
 		}
-		if pos == 0 {
-			t.Fatalf("%s: dataset has no calibration positives", scorer)
+		pos++
+		if g.ScoreJob(j) >= g.Low() {
+			kept++
 		}
-		if got := float64(kept) / float64(pos); got < recall {
-			t.Errorf("%s: %d/%d positives (%.3f) reach the transformer, want >= %.3f",
-				scorer, kept, pos, got, recall)
-		}
-		if g.Positives() != pos {
-			t.Errorf("%s: Positives() = %d, want %d", scorer, g.Positives(), pos)
-		}
-		if g.TargetRecall() != recall {
-			t.Errorf("%s: TargetRecall() = %v, want %v", scorer, g.TargetRecall(), recall)
-		}
+	}
+	if pos == 0 {
+		t.Fatal("dataset has no calibration positives")
+	}
+	if got := float64(kept) / float64(pos); got < recall {
+		t.Errorf("%d/%d positives (%.3f) reach the transformer, want >= %.3f", kept, pos, got, recall)
+	}
+	if g.Positives() != pos {
+		t.Errorf("Positives() = %d, want %d", g.Positives(), pos)
+	}
+	if g.TargetRecall() != recall {
+		t.Errorf("TargetRecall() = %v, want %v", g.TargetRecall(), recall)
 	}
 }
 
@@ -136,12 +131,13 @@ func TestFailOpenWithoutPositives(t *testing.T) {
 	}
 }
 
-// TestAbnormalBand: calibrated by default — the highest training scores
-// short-circuit abnormal with the thresholds ordered — and NormalOnly
-// disarms it so even an extreme score only passes through.
+// TestAbnormalBand: always calibrated — the highest training scores
+// short-circuit abnormal with the thresholds ordered — except when
+// calibration saw no negatives, which leaves nothing to bound the
+// false-abnormal rate by, so even an extreme score only passes through.
 func TestAbnormalBand(t *testing.T) {
 	jobs, verdicts := calJobs(256, 16)
-	on := fitGate(t, Config{Seed: 7}, jobs, verdicts)
+	on := fitGate(t, Config{}, jobs, verdicts)
 	if on.High() == math.MaxFloat64 {
 		t.Fatal("default gate never calibrated High()")
 	}
@@ -152,12 +148,13 @@ func TestAbnormalBand(t *testing.T) {
 		t.Fatalf("score at High() decided %v, want ShortAbnormal", d)
 	}
 
-	off := fitGate(t, Config{Seed: 7, NormalOnly: true}, jobs, verdicts)
+	allPos, allVerdicts := calJobs(64, 1) // every job flagged: no negatives
+	off := fitGate(t, Config{}, allPos, allVerdicts)
 	if off.High() != math.MaxFloat64 {
-		t.Fatalf("NormalOnly High() = %v, want math.MaxFloat64", off.High())
+		t.Fatalf("High() without negatives = %v, want math.MaxFloat64", off.High())
 	}
 	if d := off.Decide(1e300); d != PassThrough {
-		t.Fatalf("NormalOnly gate decided %v on an extreme score, want PassThrough", d)
+		t.Fatalf("gate without negatives decided %v on an extreme score, want PassThrough", d)
 	}
 }
 
@@ -166,7 +163,7 @@ func TestAbnormalBand(t *testing.T) {
 // recall quantiles landed — the structural caps on both thresholds.
 func TestNGramUnseenPasses(t *testing.T) {
 	jobs, verdicts := calJobs(256, 2) // half the traffic flagged: High lands low
-	g := fitGate(t, Config{Seed: 7}, jobs, verdicts)
+	g := fitGate(t, Config{}, jobs, verdicts)
 	unseen := flowbench.Job{TaskType: "t"}
 	for k := range unseen.Features {
 		unseen.Features[k] = 1e9 + float64(k)*1e10 // buckets no calJobs feature hits
@@ -183,7 +180,7 @@ func TestNGramUnseenPasses(t *testing.T) {
 // TestDecideBands pins the routing arithmetic around the thresholds.
 func TestDecideBands(t *testing.T) {
 	jobs, verdicts := calJobs(256, 16)
-	g := fitGate(t, Config{Seed: 7}, jobs, verdicts)
+	g := fitGate(t, Config{}, jobs, verdicts)
 	if d := g.Decide(g.Low() - 1e-9); d != ShortNormal {
 		t.Errorf("just below Low: %v, want ShortNormal", d)
 	}
@@ -200,26 +197,24 @@ func TestDecideBands(t *testing.T) {
 }
 
 // TestParamsRoundTrip: export → rebuild must preserve every score and routing
-// decision bit-exactly, for both scorers — the artifact v3 contract.
+// decision bit-exactly — the artifact v3 contract.
 func TestParamsRoundTrip(t *testing.T) {
 	jobs, verdicts := calJobs(256, 16)
-	for _, scorer := range []string{"ngram", "pca", "iforest"} {
-		g := fitGate(t, Config{Scorer: scorer, Seed: 7}, jobs, verdicts)
-		back, err := FromParams(g.Params())
-		if err != nil {
-			t.Fatalf("%s: %v", scorer, err)
+	g := fitGate(t, Config{}, jobs, verdicts)
+	back, err := FromParams(g.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Params(), g.Params()) {
+		t.Error("params changed across round-trip")
+	}
+	for i, j := range jobs {
+		ws, bs := g.ScoreJob(j), back.ScoreJob(j)
+		if ws != bs {
+			t.Fatalf("job %d scored %v before, %v after round-trip", i, ws, bs)
 		}
-		if !reflect.DeepEqual(back.Params(), g.Params()) {
-			t.Errorf("%s: params changed across round-trip", scorer)
-		}
-		for i, j := range jobs {
-			ws, bs := g.ScoreJob(j), back.ScoreJob(j)
-			if ws != bs {
-				t.Fatalf("%s: job %d scored %v before, %v after round-trip", scorer, i, ws, bs)
-			}
-			if g.Decide(ws) != back.Decide(bs) {
-				t.Fatalf("%s: job %d routed differently after round-trip", scorer, i)
-			}
+		if g.Decide(ws) != back.Decide(bs) {
+			t.Fatalf("job %d routed differently after round-trip", i)
 		}
 	}
 }
@@ -247,19 +242,14 @@ func TestGateParamsGolden(t *testing.T) {
 }
 
 // TestFromParamsRejectsInvalid: artifacts are untrusted input, so corrupt
-// gate parameters must fail loudly instead of misrouting traffic.
+// gate parameters must fail loudly instead of misrouting traffic — and so
+// must a gate calibrated for a stage-1 scorer this build does not have.
 func TestFromParamsRejectsInvalid(t *testing.T) {
 	jobs, verdicts := calJobs(64, 8)
-	good := fitGate(t, Config{Scorer: "pca", Seed: 7}, jobs, verdicts).Params()
-	goodNG := fitGate(t, Config{Scorer: "ngram", Seed: 7}, jobs, verdicts).Params()
+	good := fitGate(t, Config{}, jobs, verdicts).Params()
+	// mutate deep-copies the ngram table so each case corrupts its own copy.
 	mutate := func(f func(*Params)) Params {
 		p := good
-		f(&p)
-		return p
-	}
-	// mutateNG deep-copies the ngram table so each case corrupts its own copy.
-	mutateNG := func(f func(*Params)) Params {
-		p := goodNG
 		ng := *p.NGram
 		ng.Idx = append([]uint32(nil), ng.Idx...)
 		ng.N = append([]uint32(nil), ng.N...)
@@ -276,20 +266,26 @@ func TestFromParamsRejectsInvalid(t *testing.T) {
 		{"infinite high", mutate(func(p *Params) { p.High = math.Inf(1) })},
 		{"zero scale", mutate(func(p *Params) { p.Scale = 0 })},
 		{"negative scale", mutate(func(p *Params) { p.Scale = -1 })},
-		{"scorer without params", mutate(func(p *Params) { p.PCA = nil })},
-		{"scorer/params mismatch", mutate(func(p *Params) { p.Scorer = "iforest" })},
+		{"pca scorer", mutate(func(p *Params) { p.Scorer = "pca" })},
+		{"iforest scorer", mutate(func(p *Params) { p.Scorer = "iforest" })},
 		{"unknown scorer", mutate(func(p *Params) { p.Scorer = "magic8ball" })},
-		{"ngram without table", mutateNG(func(p *Params) { p.NGram = nil })},
-		{"ngram bits mismatch", mutateNG(func(p *Params) { p.NGram.Bits = 4 })},
-		{"ngram ragged arrays", mutateNG(func(p *Params) { p.NGram.Pos = p.NGram.Pos[:1] })},
-		{"ngram slot out of range", mutateNG(func(p *Params) { p.NGram.Idx[0] = 1 << 30 })},
-		{"ngram pos exceeds n", mutateNG(func(p *Params) { p.NGram.Pos[0] = p.NGram.N[0] + 1 })},
-		{"ngram repeated slot", mutateNG(func(p *Params) { p.NGram.Idx[1] = p.NGram.Idx[0] })},
+		{"no scorer", mutate(func(p *Params) { p.Scorer = "" })},
+		{"ngram without table", mutate(func(p *Params) { p.NGram = nil })},
+		{"ngram bits mismatch", mutate(func(p *Params) { p.NGram.Bits = 4 })},
+		{"ngram ragged arrays", mutate(func(p *Params) { p.NGram.Pos = p.NGram.Pos[:1] })},
+		{"ngram slot out of range", mutate(func(p *Params) { p.NGram.Idx[0] = 1 << 30 })},
+		{"ngram pos exceeds n", mutate(func(p *Params) { p.NGram.Pos[0] = p.NGram.N[0] + 1 })},
+		{"ngram repeated slot", mutate(func(p *Params) { p.NGram.Idx[1] = p.NGram.Idx[0] })},
 	}
 	for _, tc := range cases {
 		if _, err := FromParams(tc.p); err == nil {
 			t.Errorf("%s: FromParams accepted corrupt params", tc.name)
 		}
+	}
+	// A gate saved with a scorer this build lacks names it and the remedy.
+	_, err := FromParams(mutate(func(p *Params) { p.Scorer = "pca" }))
+	if msg := fmt.Sprint(err); !strings.Contains(msg, `"pca"`) || !strings.Contains(msg, "-cascade") {
+		t.Errorf("pca gate error %q names neither the scorer nor the refit", msg)
 	}
 }
 
@@ -298,7 +294,7 @@ func TestFromParamsRejectsInvalid(t *testing.T) {
 // unparseable text reports ok=false so the caller routes it to stage 2.
 func TestScoreSentence(t *testing.T) {
 	jobs, verdicts := calJobs(64, 8)
-	g := fitGate(t, Config{Seed: 7}, jobs, verdicts)
+	g := fitGate(t, Config{}, jobs, verdicts)
 	for i, j := range jobs {
 		s := logparse.Sentence(j)
 		got, ok := g.ScoreSentence(s)
@@ -321,21 +317,19 @@ func TestScoreSentence(t *testing.T) {
 // chunk loop for every ingested line.
 func TestHotPathAllocFree(t *testing.T) {
 	jobs, verdicts := calJobs(256, 16)
-	for _, scorer := range []string{"ngram", "pca", "iforest"} {
-		g := fitGate(t, Config{Scorer: scorer, Seed: 7}, jobs, verdicts)
-		j := jobs[1]
-		s := logparse.Sentence(j)
-		var sink float64
-		allocs := testing.AllocsPerRun(200, func() {
-			sc := g.ScoreJob(j)
-			sink += g.Prob(sc)
-			sink += float64(g.Decide(sc))
-			sc2, _ := g.ScoreSentence(s)
-			sink += sc2
-		})
-		if allocs != 0 {
-			t.Errorf("%s: stage-1 hot path allocates %.1f/op, want 0", scorer, allocs)
-		}
-		_ = sink
+	g := fitGate(t, Config{}, jobs, verdicts)
+	j := jobs[1]
+	s := logparse.Sentence(j)
+	var sink float64
+	allocs := testing.AllocsPerRun(200, func() {
+		sc := g.ScoreJob(j)
+		sink += g.Prob(sc)
+		sink += float64(g.Decide(sc))
+		sc2, _ := g.ScoreSentence(s)
+		sink += sc2
+	})
+	if allocs != 0 {
+		t.Errorf("stage-1 hot path allocates %.1f/op, want 0", allocs)
 	}
+	_ = sink
 }

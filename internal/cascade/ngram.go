@@ -7,7 +7,7 @@ import (
 	"repro/internal/tokenizer"
 )
 
-// The "ngram" stage-1 scorer keys on the transformer's own view of a job.
+// The stage-1 scorer, "ngram", keys on the transformer's own view of a job.
 // The tokenizer discretizes every numeral into one of tokenizer.NumBuckets
 // logarithmic magnitude buckets before the encoder ever sees it, so the
 // stage-2 verdict for a feature sentence is a function of the 9-byte bucket
@@ -21,11 +21,11 @@ import (
 // evidence either way, so it must reach the transformer — Fit caps the
 // confident-normal threshold below that score.
 //
-// Unlike pca/iforest, this scorer is supervised by the calibration verdicts,
-// which is what lets it short-circuit the bulk of steady traffic while
-// holding ≥99% verdict agreement: it reproduces the transformer's decision
-// boundary on seen keys instead of approximating it with reconstruction
-// error.
+// Unlike an unsupervised baseline (PCA, isolation forest), the scorer is
+// supervised by the calibration verdicts, which is what lets it
+// short-circuit the bulk of steady traffic while holding ≥99% verdict
+// agreement: it reproduces the transformer's decision boundary on seen keys
+// instead of approximating it with reconstruction error.
 const (
 	// ngramBits sizes the hashed count table (1<<17 slots ≈ 9× the distinct
 	// keys in a Flow-Bench training split; collisions merge counts, which can

@@ -19,7 +19,7 @@
 //	        classification head)
 //	section int8 projection weights (transformer.Model.SaveQuantized wire
 //	        format)                                      [v2+, int8 only]
-//	section cascade gate as JSON (cascade.Params: stage-1 scorer parameters
+//	section cascade gate as JSON (cascade.Params: the ngram count table
 //	        and calibrated thresholds; zero-length when the detector was
 //	        saved without a gate)                        [v3+]
 //	uint32  CRC-32 (IEEE) of every preceding byte
@@ -106,19 +106,13 @@ func applyLoRAShape(m *transformer.Model, rank int, scale float32) {
 	}
 }
 
-// SaveDetector writes det to w as a detector artifact with no cascade gate.
-// Only detectors produced by this package (Train, NewSFTDetector,
-// NewICLDetector, LoadDetector) can be saved; foreign Detector
-// implementations are rejected.
-func SaveDetector(w io.Writer, det Detector) error {
-	return SaveDetectorWithCascade(w, det, nil)
-}
-
-// SaveDetectorWithCascade writes det and an optional calibrated stage-1 gate
-// to w as one artifact, so a trained cascade ships with the detector it was
+// SaveDetector writes det and an optional calibrated stage-1 gate to w as
+// one detector artifact, so a trained cascade ships with the detector it was
 // calibrated against (thresholds are meaningless against any other model's
-// verdicts). A nil gate writes an empty cascade section.
-func SaveDetectorWithCascade(w io.Writer, det Detector, gate *cascade.Gate) error {
+// verdicts). A nil gate writes an empty cascade section. Only detectors
+// produced by this package (Train, NewSFTDetector, NewICLDetector,
+// LoadDetector) can be saved; foreign Detector implementations are rejected.
+func SaveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
 	var (
 		approach Approach
 		model    *transformer.Model
@@ -213,19 +207,13 @@ func SaveDetectorWithCascade(w io.Writer, det Detector, gate *cascade.Gate) erro
 // config (including LoRA structure for fine-tuned ICL detectors), weights
 // loaded bit-exactly, tokenizer restored, and — for ICL — the few-shot
 // PromptCache rebuilt lazily on first batched use. Detection results are
-// bitwise identical to the detector that was saved. Any embedded cascade
-// gate is ignored; use LoadDetectorWithCascade to recover it.
-func LoadDetector(r io.Reader) (Detector, error) {
-	det, _, err := LoadDetectorWithCascade(r)
-	return det, err
-}
-
-// LoadDetectorWithCascade reads a detector artifact and the calibrated
-// stage-1 gate it carries, if any. v1/v2 artifacts and v3 artifacts saved
-// without a gate return a nil gate; a present-but-invalid gate section fails
-// the load (a detector served with a corrupt gate would silently misroute
-// traffic).
-func LoadDetectorWithCascade(r io.Reader) (Detector, *cascade.Gate, error) {
+// bitwise identical to the detector that was saved.
+//
+// The second result is the calibrated stage-1 gate the artifact carries:
+// nil for v1/v2 artifacts and v3 artifacts saved without one. A
+// present-but-invalid gate section fails the load (a detector served with a
+// corrupt gate would silently misroute traffic).
+func LoadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 	h := crc32.NewIEEE()
 	tr := io.TeeReader(r, h)
 	var magic, version uint32
@@ -403,17 +391,12 @@ func validateArtifactConfig(cfg transformer.Config) error {
 	return nil
 }
 
-// SaveDetectorFile writes det to path atomically: the artifact lands under a
-// temporary name first and is renamed into place, so a reader (or a crash)
-// never sees a half-written artifact — the property hot-swap workflows that
-// watch an artifact path rely on.
-func SaveDetectorFile(path string, det Detector) error {
-	return SaveDetectorFileWithCascade(path, det, nil)
-}
-
-// SaveDetectorFileWithCascade is SaveDetectorFile carrying an optional
-// calibrated stage-1 gate (see SaveDetectorWithCascade).
-func SaveDetectorFileWithCascade(path string, det Detector, gate *cascade.Gate) error {
+// SaveDetectorFile writes det and an optional gate (see SaveDetector) to
+// path atomically: the artifact lands under a temporary name first and is
+// renamed into place, so a reader (or a crash) never sees a half-written
+// artifact — the property hot-swap workflows that watch an artifact path
+// rely on.
+func SaveDetectorFile(path string, det Detector, gate *cascade.Gate) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -426,7 +409,7 @@ func SaveDetectorFileWithCascade(path string, det Detector, gate *cascade.Gate) 
 		tmp.Close()
 		return err
 	}
-	if err := SaveDetectorWithCascade(tmp, det, gate); err != nil {
+	if err := SaveDetector(tmp, det, gate); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -436,23 +419,15 @@ func SaveDetectorFileWithCascade(path string, det Detector, gate *cascade.Gate) 
 	return os.Rename(tmp.Name(), path)
 }
 
-// LoadDetectorFile reads a detector artifact from path, ignoring any
-// embedded cascade gate.
-func LoadDetectorFile(path string) (Detector, error) {
-	det, _, err := LoadDetectorFileWithCascade(path)
-	return det, err
-}
-
-// LoadDetectorFileWithCascade reads a detector artifact from path along with
-// the calibrated stage-1 gate it carries (nil for v1/v2 artifacts or v3
-// artifacts saved without one).
-func LoadDetectorFileWithCascade(path string) (Detector, *cascade.Gate, error) {
+// LoadDetectorFile reads a detector artifact from path along with the
+// calibrated stage-1 gate it carries (see LoadDetector).
+func LoadDetectorFile(path string) (Detector, *cascade.Gate, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	det, gate, err := LoadDetectorWithCascade(f)
+	det, gate, err := LoadDetector(f)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -12,18 +12,17 @@ import (
 
 // TestArtifactCascadeRoundTrip: a gate saved with its detector comes back
 // parameter-identical, scoring and routing bit-exactly, while the detector
-// itself stays bitwise equal — and the old gate-blind entry points still
-// load the same artifact.
+// itself stays bitwise equal.
 func TestArtifactCascadeRoundTrip(t *testing.T) {
 	det, ds := detector(t)
 	jobs, verdicts := cascadeTestJobs(128, 8)
 	gate := testCascadeGate(t, jobs, verdicts)
 
 	var buf bytes.Buffer
-	if err := SaveDetectorWithCascade(&buf, det, gate); err != nil {
+	if err := SaveDetector(&buf, det, gate); err != nil {
 		t.Fatal(err)
 	}
-	loaded, got, err := LoadDetectorWithCascade(bytes.NewReader(buf.Bytes()))
+	loaded, got, err := LoadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,25 +39,18 @@ func TestArtifactCascadeRoundTrip(t *testing.T) {
 		}
 	}
 	assertDetectorsBitwiseEqual(t, det, loaded, ds)
-
-	// The gate-blind loader reads the same bytes and simply drops the gate.
-	blind, err := LoadDetector(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertDetectorsBitwiseEqual(t, det, blind, ds)
 }
 
-// TestArtifactNoGateRoundTrip: SaveDetector writes a v3 artifact with an
-// empty cascade section, and loading reports no gate rather than inventing
-// one.
+// TestArtifactNoGateRoundTrip: SaveDetector with a nil gate writes a v3
+// artifact with an empty cascade section, and loading reports no gate rather
+// than inventing one.
 func TestArtifactNoGateRoundTrip(t *testing.T) {
 	det, _ := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det); err != nil {
+	if err := SaveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, gate, err := LoadDetectorWithCascade(bytes.NewReader(buf.Bytes()))
+	_, gate, err := LoadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +67,10 @@ func TestArtifactFileCascadeRoundTrip(t *testing.T) {
 	gate := testCascadeGate(t, jobs, verdicts)
 
 	path := t.TempDir() + "/det.wfda"
-	if err := SaveDetectorFileWithCascade(path, det, gate); err != nil {
+	if err := SaveDetectorFile(path, det, gate); err != nil {
 		t.Fatal(err)
 	}
-	loaded, got, err := LoadDetectorFileWithCascade(path)
+	loaded, got, err := LoadDetectorFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +160,12 @@ func TestArtifactBackCompat(t *testing.T) {
 	var buf bytes.Buffer
 	// Save WITH a gate: the downgrade drops the section, proving old layouts
 	// are read by structure, not by luck of an empty trailer.
-	if err := SaveDetectorWithCascade(&buf, det, gate); err != nil {
+	if err := SaveDetector(&buf, det, gate); err != nil {
 		t.Fatal(err)
 	}
 	for _, version := range []uint32{1, 2} {
 		old := reencodeArtifact(t, buf.Bytes(), version, nil)
-		loaded, g, err := LoadDetectorWithCascade(bytes.NewReader(old))
+		loaded, g, err := LoadDetector(bytes.NewReader(old))
 		if err != nil {
 			t.Fatalf("v%d artifact failed to load: %v", version, err)
 		}
@@ -185,13 +177,15 @@ func TestArtifactBackCompat(t *testing.T) {
 }
 
 // TestArtifactCorruptGateFailsLoad: a present-but-invalid gate section must
-// fail the whole load loudly, not serve the detector with a broken stage 1.
+// fail the whole load loudly, not serve the detector with a broken stage 1 —
+// and so must a gate fitted with a stage-1 scorer this build no longer has:
+// the error names the scorer and the refit.
 func TestArtifactCorruptGateFailsLoad(t *testing.T) {
 	det, _ := detector(t)
 	jobs, verdicts := cascadeTestJobs(64, 8)
 	gate := testCascadeGate(t, jobs, verdicts)
 	var buf bytes.Buffer
-	if err := SaveDetectorWithCascade(&buf, det, gate); err != nil {
+	if err := SaveDetector(&buf, det, gate); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -201,12 +195,15 @@ func TestArtifactCorruptGateFailsLoad(t *testing.T) {
 	}{
 		{"truncated JSON", func([]byte) []byte { return []byte("{") }, "decoding cascade gate"},
 		{"invalid params", func([]byte) []byte {
-			return []byte(`{"scorer":"pca","low":0,"high":0,"scale":0,"target_recall":0.995}`)
+			return []byte(`{"scorer":"ngram","low":0,"high":0,"scale":0,"target_recall":0.995}`)
 		}, "rebuilding cascade gate"},
+		{"pca gate", func(sec []byte) []byte {
+			return bytes.Replace(sec, []byte(`"scorer":"ngram"`), []byte(`"scorer":"pca"`), 1)
+		}, `scorer "pca", but this build has only "ngram"; refit the gate with anomalyd -load <artifact> -cascade`},
 	}
 	for _, tc := range cases {
 		bad := reencodeArtifact(t, buf.Bytes(), ArtifactVersion, tc.mut)
-		_, _, err := LoadDetectorWithCascade(bytes.NewReader(bad))
+		_, _, err := LoadDetector(bytes.NewReader(bad))
 		if err == nil {
 			t.Errorf("%s: corrupt gate loaded silently", tc.name)
 			continue

@@ -85,10 +85,10 @@ func assertDetectorsBitwiseEqual(t *testing.T, want, got Detector, ds *flowbench
 func TestArtifactRoundTripSFT(t *testing.T) {
 	det, ds := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det); err != nil {
+	if err := SaveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDetector(bytes.NewReader(buf.Bytes()))
+	loaded, _, err := LoadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestArtifactRoundTripICL(t *testing.T) {
 	det := iclDetectorForTest(t)
 	_, ds := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det); err != nil {
+	if err := SaveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDetector(bytes.NewReader(buf.Bytes()))
+	loaded, _, err := LoadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,18 +120,18 @@ func TestArtifactRoundTripICL(t *testing.T) {
 func TestArtifactSecondGeneration(t *testing.T) {
 	det, ds := detector(t)
 	var gen1 bytes.Buffer
-	if err := SaveDetector(&gen1, det); err != nil {
+	if err := SaveDetector(&gen1, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded1, err := LoadDetector(bytes.NewReader(gen1.Bytes()))
+	loaded1, _, err := LoadDetector(bytes.NewReader(gen1.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var gen2 bytes.Buffer
-	if err := SaveDetector(&gen2, loaded1); err != nil {
+	if err := SaveDetector(&gen2, loaded1, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded2, err := LoadDetector(bytes.NewReader(gen2.Bytes()))
+	loaded2, _, err := LoadDetector(bytes.NewReader(gen2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestArtifactSecondGeneration(t *testing.T) {
 func TestArtifactFileRoundTrip(t *testing.T) {
 	det, ds := detector(t)
 	path := filepath.Join(t.TempDir(), "det.artifact")
-	if err := SaveDetectorFile(path, det); err != nil {
+	if err := SaveDetectorFile(path, det, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Atomic write: no temp litter next to the artifact.
@@ -152,7 +152,7 @@ func TestArtifactFileRoundTrip(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("artifact dir has %d entries, want 1 (temp file leaked?)", len(entries))
 	}
-	loaded, err := LoadDetectorFile(path)
+	loaded, _, err := LoadDetectorFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestArtifactFileRoundTrip(t *testing.T) {
 func TestArtifactRejectsCorruption(t *testing.T) {
 	det, _ := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det); err != nil {
+	if err := SaveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -194,7 +194,7 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadDetector(bytes.NewReader(tc.mutate(good)))
+			_, _, err := LoadDetector(bytes.NewReader(tc.mutate(good)))
 			if err == nil {
 				t.Fatalf("%s: expected load error", tc.name)
 			}
@@ -207,7 +207,7 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 
 func TestSaveDetectorRejectsForeignImplementations(t *testing.T) {
 	var buf bytes.Buffer
-	err := SaveDetector(&buf, markDetector{})
+	err := SaveDetector(&buf, markDetector{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "cannot save") {
 		t.Fatalf("err = %v", err)
 	}
@@ -219,10 +219,10 @@ func TestSaveDetectorRejectsForeignImplementations(t *testing.T) {
 func TestArtifactServesWithZeroTraining(t *testing.T) {
 	det, ds := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det); err != nil {
+	if err := SaveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDetector(bytes.NewReader(buf.Bytes()))
+	loaded, _, err := LoadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestSFTArtifactDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det); err != nil {
+	if err := SaveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
 	const want = "55cdee5d3e0ff0e52d194ab9dd7439495516b183571983185486f243bfeec132"

@@ -1,46 +1,24 @@
 package core
 
 // Two-stage cascade inference for the detection hot path. The brownout tier
-// (overload.go) answers traffic with a cheap scorer only under sustained
-// saturation; the cascade runs a calibrated cheap scorer — by default a
-// supervised n-gram over the tokenizer's magnitude buckets, optionally the
-// same PCA/iForest family the brownout uses — as an always-on *first stage*
-// in front of the transformer. The calibrated gate
-// (internal/cascade) short-circuits confidently-normal lines to a verdict
-// inside runBatch — the one place, which monitor chunks pass through like
-// every detect request — so only the uncertain band pays full encoder cost,
-// pinned to ≥99% verdict agreement with transformer-only serving.
+// (overload.go) answers traffic with a cheap PCA baseline only under
+// sustained saturation; the cascade runs a calibrated cheap scorer — a
+// supervised n-gram over the tokenizer's magnitude buckets — as an
+// always-on *first stage* in front of the transformer. The calibrated gate
+// (internal/cascade) short-circuits confident lines to a verdict inside
+// runBatch — the one place, which monitor chunks pass through like every
+// detect request — so only the uncertain band pays full encoder cost,
+// pinned to ≥99% verdict agreement with transformer-only serving. The gate
+// lives on the registry slot, like the trace tracker, stats recorder and
+// fallback slot, not on the engine: SetCascade takes effect on the next
+// batch and the gate survives hot-swaps.
 
 import (
-	"sync"
-
 	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 	"repro/internal/tensor"
 )
-
-// cascadeSlot is the registry-slot holder of a model's stage-1 gate. Like
-// the trace tracker, stats recorder, and fallback slot it belongs to the
-// servedModel, not the engine, so SetCascade takes effect immediately and
-// the gate survives hot-swaps. Guarded by a mutex rather than an atomic so a
-// nil gate (cascade off) stays representable.
-type cascadeSlot struct {
-	mu sync.RWMutex
-	g  *cascade.Gate
-}
-
-func (s *cascadeSlot) load() *cascade.Gate {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.g
-}
-
-func (s *cascadeSlot) store(g *cascade.Gate) {
-	s.mu.Lock()
-	s.g = g
-	s.mu.Unlock()
-}
 
 // FitCascade fits and calibrates a stage-1 gate against det's own verdicts
 // on the training jobs: the detector classifies every training sentence

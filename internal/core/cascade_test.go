@@ -45,7 +45,7 @@ func cascadeTestJobs(n, anomalyEvery int) (jobs []flowbench.Job, verdicts []int)
 // pass).
 func testCascadeGate(t *testing.T, jobs []flowbench.Job, verdicts []int) *cascade.Gate {
 	t.Helper()
-	g, err := cascade.Fit(cascade.Config{Scorer: "iforest", Seed: 3}, jobs, verdicts)
+	g, err := cascade.Fit(cascade.Config{}, jobs, verdicts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +205,8 @@ func TestCascadeCountersResetAndSwap(t *testing.T) {
 			info = &mi
 		}
 	}
-	if info == nil || !info.HasCascade || info.CascadeScorer != "iforest" {
-		t.Fatalf("ModelInfo after swap = %+v, want HasCascade with iforest", info)
+	if info == nil || !info.HasCascade {
+		t.Fatalf("ModelInfo after swap = %+v, want HasCascade", info)
 	}
 	if _, err := srv.DetectModelContext(context.Background(), "m", sentences); err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ func TestFitCascadeUsesDetectorVerdicts(t *testing.T) {
 	for _, v := range verdicts {
 		want += v
 	}
-	g, err := FitCascade(markDetector{}, cascade.Config{Scorer: "iforest", Seed: 5}, jobs)
+	g, err := FitCascade(markDetector{}, cascade.Config{}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func detector(t *testing.T) (Detector, *flowbench.Dataset) {
 		testDS = flowbench.Generate(flowbench.Genome, 9).Subsample(100, 50, 200, 10)
 		useCache := os.Getenv("REPRO_DETECTOR_CACHE") != ""
 		if useCache {
-			if det, err := LoadDetectorFile(testArtifactPath); err == nil {
+			if det, _, err := LoadDetectorFile(testArtifactPath); err == nil {
 				testDet = det
 				return
 			}
@@ -60,7 +60,7 @@ func detector(t *testing.T) (Detector, *flowbench.Dataset) {
 		// start from the file.
 		if useCache {
 			if err := os.MkdirAll(filepath.Dir(testArtifactPath), 0o755); err == nil {
-				_ = SaveDetectorFile(testArtifactPath, det)
+				_ = SaveDetectorFile(testArtifactPath, det, nil)
 			}
 		}
 	})

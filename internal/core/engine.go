@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cascade"
@@ -58,9 +59,9 @@ type engine struct {
 	infer  inferFunc // det's batch call, resolved once
 	usesWS bool      // infer draws on the calling worker's workspace
 	cfg    BatchConfig
-	stats  *statsRecorder // owned by the registry slot (or the monitor run); survives swaps
-	fb     *fallbackSlot  // owned by the registry slot; may hold no detector
-	gate   *cascadeSlot   // owned by the registry slot; may hold no gate
+	stats  *statsRecorder                // owned by the registry slot (or the monitor run); survives swaps
+	fb     *fallbackSlot                 // owned by the registry slot; may hold no detector
+	gate   *atomic.Pointer[cascade.Gate] // owned by the registry slot; may hold no gate
 	brown  brownout
 	jobs   chan *detectJob // the whole backlog: nothing waits anywhere else
 
@@ -71,12 +72,12 @@ type engine struct {
 
 // newEngine starts the worker pool for det. cfg must already be filled. fb
 // may be nil (no brownout tier); gate may be nil (no cascade first stage).
-func newEngine(det Detector, cfg BatchConfig, stats *statsRecorder, fb *fallbackSlot, gate *cascadeSlot) *engine {
+func newEngine(det Detector, cfg BatchConfig, stats *statsRecorder, fb *fallbackSlot, gate *atomic.Pointer[cascade.Gate]) *engine {
 	if fb == nil {
 		fb = &fallbackSlot{}
 	}
 	if gate == nil {
-		gate = &cascadeSlot{}
+		gate = new(atomic.Pointer[cascade.Gate])
 	}
 	e := &engine{
 		det:   det,
@@ -86,7 +87,7 @@ func newEngine(det Detector, cfg BatchConfig, stats *statsRecorder, fb *fallback
 		gate:  gate,
 		brown: brownout{
 			high: cfg.BrownoutDepth,
-			low:  cfg.BrownoutRecover,
+			low:  cfg.BrownoutDepth / 2,
 			hold: cfg.BrownoutHold,
 		},
 		jobs: make(chan *detectJob, cfg.QueueDepth),
@@ -354,7 +355,7 @@ func (w *batchWorker) runBatch(batch []*detectJob) {
 	run := uniq
 	var gated []Result
 	var runIdx []int
-	if g := e.gate.load(); g != nil && len(uniq) > 0 {
+	if g := e.gate.Load(); g != nil && len(uniq) > 0 {
 		gated = make([]Result, len(uniq))
 		run = make([]string, 0, len(uniq))
 		runIdx = make([]int, 0, len(uniq))

@@ -117,7 +117,7 @@ func (f *fallbackSlot) store(det Detector) {
 	f.mu.Unlock()
 }
 
-// scorerDetector adapts a fitted baselines.JobScorer (PCA, isolation forest)
+// scorerDetector adapts a fitted baselines.JobScorer (the PCA baseline)
 // into the Detector interface: sentences are parsed back into feature
 // vectors, scored in one call, and thresholded at the calibrated cutoff.
 // This is the brownout tier's engine — microseconds per line instead of the
@@ -130,12 +130,12 @@ type scorerDetector struct {
 	scale  float64
 }
 
-// NewScorerDetector wraps a fitted baseline scorer as a Detector. cutoff is
+// newScorerDetector wraps a fitted baseline scorer as a Detector. cutoff is
 // the calibrated decision threshold (baselines.CalibrateThreshold); scale
 // converts score distance from the cutoff into a pseudo-probability via a
 // logistic, so Result.Score stays in (0, 1) like the transformer's (<= 0
 // means unit scale). The resulting detector reports Approach "baseline".
-func NewScorerDetector(sc baselines.JobScorer, cutoff, scale float64) Detector {
+func newScorerDetector(sc baselines.JobScorer, cutoff, scale float64) Detector {
 	if scale <= 0 {
 		scale = 1
 	}
@@ -188,13 +188,13 @@ func (d *scorerDetector) DetectJob(j flowbench.Job) Result {
 
 func (d *scorerDetector) Approach() Approach { return ApproachBaseline }
 
-// FitFallback fits the named seed baseline ("pca" or "iforest") on train,
-// calibrates its decision threshold to the training contamination, and wraps
-// it as a brownout Detector ready for Registry.SetFallback. The logistic
-// scale is the standard deviation of the training scores, so the degraded
-// Score saturates over the score range actually observed.
-func FitFallback(name string, train []flowbench.Job, seed uint64) (Detector, error) {
-	sc, err := baselines.FitScorer(name, train, seed)
+// FitFallback fits the PCA seed baseline on train, calibrates its decision
+// threshold to the training contamination, and wraps it as a brownout
+// Detector ready for Registry.SetFallback. The logistic scale is the
+// standard deviation of the training scores, so the degraded Score
+// saturates over the score range actually observed.
+func FitFallback(train []flowbench.Job, seed uint64) (Detector, error) {
+	sc, err := baselines.FitScorer("pca", train, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -209,5 +209,5 @@ func FitFallback(name string, train []flowbench.Job, seed uint64) (Detector, err
 		sq += (s - mean) * (s - mean)
 	}
 	scale := math.Sqrt(sq / float64(len(scores)))
-	return NewScorerDetector(sc, cutoff, scale), nil
+	return newScorerDetector(sc, cutoff, scale), nil
 }

@@ -282,7 +282,7 @@ func TestBrownoutServesDegraded(t *testing.T) {
 	reg := NewRegistry()
 	cfg := BatchConfig{
 		MaxBatch: 1, Workers: 1, QueueDepth: 64,
-		BrownoutDepth: 3, BrownoutRecover: 1, BrownoutHold: 10 * time.Millisecond,
+		BrownoutDepth: 3, BrownoutHold: 10 * time.Millisecond,
 	}
 	if err := reg.Add("m", det, cfg); err != nil {
 		t.Fatal(err)
@@ -361,7 +361,7 @@ func TestBrownoutServesDegraded(t *testing.T) {
 func TestFitFallbackScoresSentences(t *testing.T) {
 	ds := flowbench.Generate(flowbench.Genome, 7)
 	train := ds.Train[:600]
-	det, err := FitFallback("pca", train, 7)
+	det, err := FitFallback(train, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cascade"
 )
@@ -29,7 +30,7 @@ type servedModel struct {
 	tracker  *TraceTracker
 	stats    *statsRecorder
 	fallback *fallbackSlot
-	gate     *cascadeSlot
+	gate     *atomic.Pointer[cascade.Gate] // nil inside: cascade off
 }
 
 // Registry holds named detectors, each served by its own coalescing queue and
@@ -73,7 +74,7 @@ func (r *Registry) Add(name string, det Detector, cfg BatchConfig) error {
 	}
 	stats := &statsRecorder{}
 	fb := &fallbackSlot{}
-	gate := &cascadeSlot{}
+	gate := new(atomic.Pointer[cascade.Gate])
 	r.models[name] = &servedModel{
 		name:     name,
 		cfg:      cfg,
@@ -180,7 +181,7 @@ func (r *Registry) SetCascade(name string, g *cascade.Gate) error {
 	if err != nil {
 		return err
 	}
-	m.gate.store(g)
+	m.gate.Store(g)
 	return nil
 }
 
@@ -193,7 +194,7 @@ func (r *Registry) Cascade(name string) (*cascade.Gate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.gate.load(), nil
+	return m.gate.Load(), nil
 }
 
 // SetDefault changes which model unnamed requests route to.
@@ -265,10 +266,8 @@ type ModelInfo struct {
 	QueueDepth     int  `json:"queue_depth"`
 	ShedQueueDepth int  `json:"shed_queue_depth,omitempty"`
 	HasFallback    bool `json:"has_fallback,omitempty"`
-	// HasCascade reports whether a stage-1 gate is installed;
-	// CascadeScorer names its cheap scorer ("ngram", "pca", "iforest").
-	HasCascade    bool   `json:"has_cascade,omitempty"`
-	CascadeScorer string `json:"cascade_scorer,omitempty"`
+	// HasCascade reports whether a stage-1 gate is installed.
+	HasCascade bool `json:"has_cascade,omitempty"`
 	// Stats is the slot's serving-counter snapshot: queue depth and
 	// saturation, coalescing effectiveness, and the queue-wait/compute stage
 	// latency percentiles the load lab records per scenario.
@@ -292,11 +291,8 @@ func (r *Registry) Info() []ModelInfo {
 			QueueDepth:     m.cfg.QueueDepth,
 			ShedQueueDepth: m.cfg.ShedQueueDepth,
 			HasFallback:    m.fallback.load() != nil,
+			HasCascade:     m.gate.Load() != nil,
 			Stats:          m.stats.snapshot(len(m.eng.jobs), m.eng.brownoutActive()),
-		}
-		if g := m.gate.load(); g != nil {
-			info.HasCascade = true
-			info.CascadeScorer = g.Scorer()
 		}
 		out = append(out, info)
 	}

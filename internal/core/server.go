@@ -158,11 +158,8 @@ type BatchConfig struct {
 	// has stayed at or above this depth for BrownoutHold and the slot holds
 	// a fallback detector (Registry.SetFallback), detect traffic is answered
 	// by the cheap tier (degraded:true) until the queue drains to
-	// BrownoutRecover. Zero disables brownout.
+	// BrownoutDepth/2. Zero disables brownout.
 	BrownoutDepth int
-	// BrownoutRecover is the low watermark that disengages the brownout
-	// tier (default BrownoutDepth/2).
-	BrownoutRecover int
 	// BrownoutHold is how long the queue must stay saturated before the
 	// tier engages — a single burst should shed, not degrade (default
 	// 250ms when BrownoutDepth is set).
@@ -191,13 +188,8 @@ func (c *BatchConfig) fill() {
 	if c.ShedQueueDepth > c.QueueDepth {
 		c.ShedQueueDepth = c.QueueDepth
 	}
-	if c.BrownoutDepth > 0 {
-		if c.BrownoutRecover <= 0 {
-			c.BrownoutRecover = c.BrownoutDepth / 2
-		}
-		if c.BrownoutHold <= 0 {
-			c.BrownoutHold = 250 * time.Millisecond
-		}
+	if c.BrownoutDepth > 0 && c.BrownoutHold <= 0 {
+		c.BrownoutHold = 250 * time.Millisecond
 	}
 	// Policy and MaxTraces zero values are resolved by NewTraceTracker.
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cascade"
@@ -413,10 +414,12 @@ func MonitorWith(ctx context.Context, d Detector, r io.Reader, cfg MonitorConfig
 	}
 	cfg.fill()
 	stats := &statsRecorder{}
+	gate := new(atomic.Pointer[cascade.Gate])
+	gate.Store(cfg.Gate)
 	// QueueDepth Workers: with the loop's own in-flight bound that is one
 	// chunk running and one waiting per worker, and the reader blocks beyond.
 	eng := newEngine(d, BatchConfig{MaxBatch: cfg.ChunkSize, Workers: cfg.Workers, QueueDepth: cfg.Workers},
-		stats, nil, &cascadeSlot{g: cfg.Gate})
+		stats, nil, gate)
 	defer eng.Close()
 	report, err := monitor(ctx, eng.submit, r, cfg)
 	st := stats.snapshot(0, false)

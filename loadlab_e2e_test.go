@@ -24,7 +24,7 @@ func e2eDetector(t *testing.T) core.Detector {
 	t.Helper()
 	useCache := os.Getenv("REPRO_DETECTOR_CACHE") != ""
 	if useCache {
-		if det, err := core.LoadDetectorFile(e2eArtifactPath); err == nil {
+		if det, _, err := core.LoadDetectorFile(e2eArtifactPath); err == nil {
 			return det
 		}
 	}
@@ -40,7 +40,7 @@ func e2eDetector(t *testing.T) core.Detector {
 	}
 	if useCache {
 		if err := os.MkdirAll(filepath.Dir(e2eArtifactPath), 0o755); err == nil {
-			_ = core.SaveDetectorFile(e2eArtifactPath, det)
+			_ = core.SaveDetectorFile(e2eArtifactPath, det, nil)
 		}
 	}
 	return det
@@ -59,10 +59,10 @@ func TestLoadLabEndToEnd(t *testing.T) {
 	// Train (or load the CI-cached fixture), then force the artifact
 	// boundary: what serves below is a detector deserialized from disk.
 	art := filepath.Join(t.TempDir(), "detector.artifact")
-	if err := core.SaveDetectorFile(art, e2eDetector(t)); err != nil {
+	if err := core.SaveDetectorFile(art, e2eDetector(t), nil); err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.LoadDetectorFile(art)
+	det, _, err := core.LoadDetectorFile(art)
 	if err != nil {
 		t.Fatal(err)
 	}
