@@ -271,10 +271,10 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 		delete(boolAnywhere, name)
 	}
 	flagWord := regexp.MustCompile("^--?([a-z][a-z0-9-]*)")
-	// strayValue reports whether tok is a bare word following prev, a bool
-	// flag given without =value.
 	bareWord := regexp.MustCompile(`^[\w./"'$][^<>]*$`)
 	history := filepath.Join("docs", "PERFORMANCE.md")
+	// strayValue reports whether tok is a bare word following prev, a bool
+	// flag given without =value.
 	strayValue := func(bools map[string]bool, s docSpan, prev, tok string) bool {
 		m := flagWord.FindStringSubmatch(prev)
 		return s.path != history && m != nil && bools[m[1]] && !strings.Contains(prev, "=") && bareWord.MatchString(tok)
