@@ -132,7 +132,7 @@ func main() {
 		for _, spec := range strings.Split(*load, ",") {
 			name, path := splitModelSpec(spec)
 			start := time.Now()
-			det, gate, err := core.LoadDetectorFile(path)
+			det, gate, err := loadArtifact(path, *cascOn)
 			if err != nil {
 				log.Fatal("anomalyd: ", err)
 			}
@@ -314,6 +314,20 @@ func main() {
 
 // splitModelSpec parses one -load entry: "name=path" serves path under name;
 // a bare path serves under the file's base name without extension.
+// loadArtifact loads one detector artifact. With refit set (-cascade, which
+// fits a fresh gate for every served model) a saved gate this build cannot
+// rebuild — one an older build fitted with the retired pca or iforest
+// scorers — is dropped with a log line instead of failing the load: the
+// detector sections are intact and the saved gate would be replaced anyway.
+func loadArtifact(path string, refit bool) (core.Detector, *cascade.Gate, error) {
+	det, gate, err := core.LoadDetectorFile(path)
+	if err != nil && refit && det != nil {
+		log.Printf("anomalyd: dropping the saved gate, -cascade fits a fresh one: %v", err)
+		return det, nil, nil
+	}
+	return det, gate, err
+}
+
 func splitModelSpec(spec string) (name, path string) {
 	if eq := strings.IndexByte(spec, '='); eq >= 0 {
 		return spec[:eq], spec[eq+1:]

@@ -673,9 +673,14 @@ func pickMonitorSet(spec string, defs []scenario.Def) (map[string]bool, error) {
 // fresh small training run.
 func buildDetector(stderr io.Writer, load string, quantize bool, opts core.Options) (core.Detector, string, error) {
 	if load != "" {
+		// loadlab never arms an artifact's gate (-cascade fits its own), so a
+		// saved gate this build cannot rebuild does not block the detector.
 		det, _, err := core.LoadDetectorFile(load)
-		if err != nil {
+		if det == nil {
 			return nil, "", err
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "ignoring the artifact's cascade gate: %v\n", err)
 		}
 		if quantize && core.DetectorPrecision(det) != core.PrecisionInt8 {
 			if det, err = core.QuantizeDetector(det); err != nil {

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"maps"
 	"math"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/flowbench"
 	"repro/internal/scenario"
@@ -69,10 +72,23 @@ func TestRunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	artifact := filepath.Join(t.TempDir(), "smoke.artifact")
-	if err := core.SaveDetectorFile(artifact, det, nil); err != nil {
+	// The artifact carries a gate an older build fitted with the retired pca
+	// scorer. loadlab never arms an artifact's gate, so every row serves the
+	// detector all the same, and the cascade row fits its own.
+	ds := flowbench.Generate(flowbench.Genome, 9)
+	labels := make([]int, len(ds.Train))
+	for i, j := range ds.Train {
+		labels[i] = j.Label
+	}
+	oldGate, err := cascade.Fit(cascade.Config{}, ds.Train, labels)
+	if err != nil {
 		t.Fatal(err)
 	}
+	artifact := filepath.Join(t.TempDir(), "smoke.artifact")
+	if err := core.SaveDetectorFile(artifact, det, oldGate); err != nil {
+		t.Fatal(err)
+	}
+	retireGate(t, artifact)
 
 	steady := pins{
 		"events": 200, "requests": 200, "errors": 0, "dedup_saved": 0,
@@ -213,6 +229,9 @@ func TestRunSmoke(t *testing.T) {
 			if err := run(args, &stdout, &stderr); err != nil {
 				t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 			}
+			if !strings.Contains(stderr.String(), `ignoring the artifact's cascade gate`) {
+				t.Errorf("stderr does not note the dropped pca gate: %s", stderr.String())
+			}
 			data, err := os.ReadFile(out)
 			if err != nil {
 				t.Fatal(err)
@@ -255,6 +274,26 @@ func TestRunSmoke(t *testing.T) {
 				row.check(t, got)
 			}
 		})
+	}
+}
+
+// retireGate rewrites the artifact at path as an older build that still had
+// the pca stage-1 scorer would have saved it: the gate names pca, padded so
+// the section keeps its length, and the checksum trailer is recomputed.
+func retireGate(t *testing.T, path string) {
+	t.Helper()
+	art, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := []byte(`"scorer":"ngram"`), []byte(`"scorer":  "pca"`)
+	if bytes.Count(art, from) != 1 {
+		t.Fatalf("artifact holds %d ngram gates, want 1", bytes.Count(art, from))
+	}
+	art = bytes.Replace(art, from, to, 1)
+	binary.LittleEndian.PutUint32(art[len(art)-4:], crc32.ChecksumIEEE(art[:len(art)-4]))
+	if err := os.WriteFile(path, art, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

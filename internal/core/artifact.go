@@ -211,8 +211,12 @@ func SaveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
 //
 // The second result is the calibrated stage-1 gate the artifact carries:
 // nil for v1/v2 artifacts and v3 artifacts saved without one. A
-// present-but-invalid gate section fails the load (a detector served with a
-// corrupt gate would silently misroute traffic).
+// present-but-invalid gate section — corrupt, or naming a stage-1 scorer this
+// build does not have — is an error, but the detector sections are intact:
+// LoadDetector then returns the detector with a nil gate alongside the
+// error. A caller that refits the gate (anomalyd -load … -cascade) or never
+// arms it (loadlab) may serve that detector; every other caller must fail
+// the load rather than serve without the gate the artifact carries.
 func LoadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 	h := crc32.NewIEEE()
 	tr := io.TeeReader(r, h)
@@ -302,14 +306,9 @@ func LoadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 		return nil, nil, fmt.Errorf("core: artifact checksum mismatch (stored %#x, computed %#x): file corrupted?", stored, sum)
 	}
 	var gate *cascade.Gate
+	var gateErr error
 	if len(gateJSON) > 0 {
-		var gp cascade.Params
-		if err := json.Unmarshal(gateJSON, &gp); err != nil {
-			return nil, nil, fmt.Errorf("core: decoding cascade gate: %w", err)
-		}
-		if gate, err = cascade.FromParams(gp); err != nil {
-			return nil, nil, fmt.Errorf("core: rebuilding cascade gate: %w", err)
-		}
+		gate, gateErr = decodeGate(gateJSON)
 	}
 
 	// Seed is irrelevant: every parameter is overwritten by Load below.
@@ -325,12 +324,13 @@ func LoadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 		}
 		return model.Load(bytes.NewReader(weights))
 	}
+	var det Detector
 	switch approach {
 	case SFT:
 		if err := loadWeights(); err != nil {
 			return nil, nil, err
 		}
-		return NewSFTDetector(sft.NewClassifier(model, tok)), gate, nil
+		det = NewSFTDetector(sft.NewClassifier(model, tok))
 	default: // ICL, validated above
 		var meta iclMeta
 		if err := json.Unmarshal(metaJSON, &meta); err != nil {
@@ -344,8 +344,22 @@ func LoadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 		if err := loadWeights(); err != nil {
 			return nil, nil, err
 		}
-		return NewICLDetector(icl.NewDetector(model, tok), meta.Examples), gate, nil
+		det = NewICLDetector(icl.NewDetector(model, tok), meta.Examples)
 	}
+	return det, gate, gateErr
+}
+
+// decodeGate rebuilds the stage-1 gate from a cascade section's JSON.
+func decodeGate(b []byte) (*cascade.Gate, error) {
+	var gp cascade.Params
+	if err := json.Unmarshal(b, &gp); err != nil {
+		return nil, fmt.Errorf("core: decoding cascade gate: %w", err)
+	}
+	g, err := cascade.FromParams(gp)
+	if err != nil {
+		return nil, fmt.Errorf("core: rebuilding cascade gate: %w", err)
+	}
+	return g, nil
 }
 
 // maxConfigDim bounds any single model dimension an artifact may declare.
@@ -420,7 +434,8 @@ func SaveDetectorFile(path string, det Detector, gate *cascade.Gate) error {
 }
 
 // LoadDetectorFile reads a detector artifact from path along with the
-// calibrated stage-1 gate it carries (see LoadDetector).
+// calibrated stage-1 gate it carries (see LoadDetector, whose detector it
+// likewise returns alongside an error from the gate section alone).
 func LoadDetectorFile(path string) (Detector, *cascade.Gate, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -429,9 +444,9 @@ func LoadDetectorFile(path string) (Detector, *cascade.Gate, error) {
 	defer f.Close()
 	det, gate, err := LoadDetector(f)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+		err = fmt.Errorf("%s: %w", path, err)
 	}
-	return det, gate, nil
+	return det, gate, err
 }
 
 // writeSection writes one uint32-length-prefixed byte block.

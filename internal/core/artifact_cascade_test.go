@@ -177,11 +177,12 @@ func TestArtifactBackCompat(t *testing.T) {
 }
 
 // TestArtifactCorruptGateFailsLoad: a present-but-invalid gate section must
-// fail the whole load loudly, not serve the detector with a broken stage 1 —
-// and so must a gate fitted with a stage-1 scorer this build no longer has:
-// the error names the scorer and the refit.
+// fail the load loudly, not serve the detector with a broken stage 1 — and so
+// must a gate fitted with a stage-1 scorer this build no longer has, whose
+// error names the scorer and the refit. The detector sections are intact, so
+// the detector still comes back beside the error, with no gate.
 func TestArtifactCorruptGateFailsLoad(t *testing.T) {
-	det, _ := detector(t)
+	det, ds := detector(t)
 	jobs, verdicts := cascadeTestJobs(64, 8)
 	gate := testCascadeGate(t, jobs, verdicts)
 	var buf bytes.Buffer
@@ -203,7 +204,7 @@ func TestArtifactCorruptGateFailsLoad(t *testing.T) {
 	}
 	for _, tc := range cases {
 		bad := reencodeArtifact(t, buf.Bytes(), ArtifactVersion, tc.mut)
-		_, _, err := LoadDetector(bytes.NewReader(bad))
+		loaded, g, err := LoadDetector(bytes.NewReader(bad))
 		if err == nil {
 			t.Errorf("%s: corrupt gate loaded silently", tc.name)
 			continue
@@ -211,5 +212,10 @@ func TestArtifactCorruptGateFailsLoad(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name the gate (want %q)", tc.name, err, tc.want)
 		}
+		if g != nil || loaded == nil {
+			t.Errorf("%s: got gate %v, detector %v; want no gate and the detector", tc.name, g, loaded)
+			continue
+		}
+		assertDetectorsBitwiseEqual(t, det, loaded, ds)
 	}
 }
