@@ -62,7 +62,7 @@ func TestCascadeParityEndToEnd(t *testing.T) {
 		if err := reg.SetCascade("genome-sft", nil); err != nil {
 			t.Fatal(err)
 		}
-		base, err := srv.DetectModelContext(ctx, "genome-sft", sents)
+		base, err := srv.DetectContext(ctx, sents)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestCascadeParityEndToEnd(t *testing.T) {
 		if err := reg.ResetStats("genome-sft"); err != nil {
 			t.Fatal(err)
 		}
-		casc, err := srv.DetectModelContext(ctx, "genome-sft", sents)
+		casc, err := srv.DetectContext(ctx, sents)
 		if err != nil {
 			t.Fatal(err)
 		}

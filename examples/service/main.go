@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -54,9 +55,11 @@ func main() {
 		logBuf.WriteString(logparse.LogLine(j))
 		logBuf.WriteByte('\n')
 	}
-	fmt.Println("streaming the execution log through core.Monitor:")
-	mrep, err := core.Monitor(det, &logBuf, func(a core.Alert) {
-		fmt.Printf("  ALERT %s: %s\n", a.Result, truncate(logparse.Sentence(a.Job), 60))
+	fmt.Println("streaming the execution log through core.MonitorWith:")
+	mrep, err := core.MonitorWith(context.Background(), det, &logBuf, core.MonitorConfig{
+		Sinks: []core.AlertSink{core.SinkFuncs{OnAlert: func(a core.Alert) {
+			fmt.Printf("  ALERT %s: %s\n", a.Result, truncate(logparse.Sentence(a.Job), 60))
+		}}},
 	})
 	if err != nil {
 		log.Fatal(err)

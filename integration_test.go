@@ -329,16 +329,50 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 
 // TestDocsNameOnlyExistingIdentifiers fails on a backticked Go identifier in
 // README.md or docs/*.md that no .go file of the repository declares: a
-// `pkg.Name` or `pkg.Type.Method` whose package is one of the repo's must
-// name something that package declares, and a `Type.Method` or a bare `Name`
-// (starting uppercase, with a lowercase letter) something some package
-// declares; a trailing `(…)` is ignored. Any other qualifier — a
+// `pkg.Name` whose package is one of the repo's must name something that
+// package declares, and a bare `Name` (starting uppercase, with a lowercase
+// letter) something some package declares. A `Type.Member` or
+// `pkg.Type.Member` must name a type (of that package, when qualified) that
+// declares the member as a method or field, itself or through a type it
+// embeds. A trailing `(…)` is ignored. Any other qualifier — a
 // standard-library package (`sync.Pool`) or a variable (`r.Context()`) — is
 // not the repo's to check. docs/PERFORMANCE.md is measurement history, like
 // CHANGES.md, and exempt.
 func TestDocsNameOnlyExistingIdentifiers(t *testing.T) {
+	type typeRef struct{ pkg, name string }
 	declared := map[string]map[string]bool{} // package name -> declared names
 	anywhere := map[string]bool{}
+	members := map[typeRef]map[string]bool{} // methods and fields
+	embeds := map[typeRef][]typeRef{}
+	// typeOf resolves a receiver or embedded-field type expression to the
+	// type it names; pkg is the package the expression appears in.
+	typeOf := func(pkg string, e ast.Expr) (typeRef, bool) {
+		for {
+			switch x := e.(type) {
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.IndexListExpr:
+				e = x.X
+			case *ast.Ident:
+				return typeRef{pkg, x.Name}, true
+			case *ast.SelectorExpr:
+				if q, ok := x.X.(*ast.Ident); ok {
+					return typeRef{q.Name, x.Sel.Name}, true
+				}
+				return typeRef{}, false
+			default:
+				return typeRef{}, false
+			}
+		}
+	}
+	member := func(ref typeRef, name string) {
+		if members[ref] == nil {
+			members[ref] = map[string]bool{}
+		}
+		members[ref][name] = true
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
@@ -351,22 +385,50 @@ func TestDocsNameOnlyExistingIdentifiers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		names := declared[f.Name.Name]
+		pkg := f.Name.Name
+		names := declared[pkg]
 		if names == nil {
 			names = map[string]bool{}
-			declared[f.Name.Name] = names
+			declared[pkg] = names
 		}
 		declare := func(ids ...*ast.Ident) {
 			for _, id := range ids {
 				names[id.Name], anywhere[id.Name] = true, true
 			}
 		}
+		// fields records a struct's fields or an interface's methods as
+		// members of owner, and its embedded types as embeds.
+		fields := func(owner typeRef, list *ast.FieldList) {
+			for _, field := range list.List {
+				for _, id := range field.Names {
+					member(owner, id.Name)
+				}
+				if len(field.Names) == 0 {
+					if ref, ok := typeOf(pkg, field.Type); ok {
+						embeds[owner] = append(embeds[owner], ref)
+						member(owner, ref.name) // an embedded field is named by its type
+					}
+				}
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				declare(n.Name)
+				if n.Recv != nil && len(n.Recv.List) == 1 {
+					if ref, ok := typeOf(pkg, n.Recv.List[0].Type); ok {
+						member(ref, n.Name.Name)
+					}
+				}
 			case *ast.TypeSpec:
 				declare(n.Name)
+				owner := typeRef{pkg, n.Name.Name}
+				switch tt := n.Type.(type) {
+				case *ast.StructType:
+					fields(owner, tt.Fields)
+				case *ast.InterfaceType:
+					fields(owner, tt.Methods)
+				}
 			case *ast.ValueSpec:
 				declare(n.Names...)
 			case *ast.StructType:
@@ -385,6 +447,23 @@ func TestDocsNameOnlyExistingIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// has reports whether ref declares name, itself or through an embed.
+	var has func(ref typeRef, name string, seen map[typeRef]bool) bool
+	has = func(ref typeRef, name string, seen map[typeRef]bool) bool {
+		if seen[ref] {
+			return false
+		}
+		seen[ref] = true
+		if members[ref][name] {
+			return true
+		}
+		for _, e := range embeds[ref] {
+			if has(e, name, seen) {
+				return true
+			}
+		}
+		return false
+	}
 	ident := regexp.MustCompile(`^\*?(?:([a-z][a-z0-9]*)\.)?([A-Z]\w*)(?:\.([A-Z]\w*))?(?:\(.*\))?$`)
 	lower := regexp.MustCompile(`[a-z]`)
 	eachDocSpan(t, func(s docSpan) {
@@ -396,23 +475,28 @@ func TestDocsNameOnlyExistingIdentifiers(t *testing.T) {
 		if m == nil {
 			return
 		}
-		qual, names := m[1], []string{m[2]}
-		if m[3] != "" {
-			names = append(names, m[3])
+		qual, name, sel := m[1], m[2], m[3]
+		if qual != "" && declared[qual] == nil {
+			return
+		}
+		if sel != "" {
+			for pkg := range declared {
+				if (qual == "" || pkg == qual) && declared[pkg][name] && has(typeRef{pkg, name}, sel, map[typeRef]bool{}) {
+					return
+				}
+			}
+			t.Errorf("%s names `%s`, but no type %s declares or embeds a method or field %s", s, s.code, name, sel)
+			return
 		}
 		scope := anywhere
 		switch {
 		case qual != "":
-			if scope = declared[qual]; scope == nil {
-				return
-			}
-		case len(names) == 1 && !lower.MatchString(names[0]):
+			scope = declared[qual]
+		case !lower.MatchString(name):
 			return // an acronym or constant-style word (`ICL`, `GOMAXPROCS`)
 		}
-		for _, name := range names {
-			if !scope[name] {
-				t.Errorf("%s names `%s`, but no .go file declares %s", s, s.code, name)
-			}
+		if !scope[name] {
+			t.Errorf("%s names `%s`, but no .go file declares %s", s, s.code, name)
 		}
 	})
 }

@@ -1,8 +1,9 @@
 // Detector artifacts: the whole trained detector — transformer weights,
 // tokenizer vocabulary, and approach-specific state — as one versioned,
 // checksummed binary file. Train once (anomalyd -train-out, sfttrain -save,
-// iclrun -save), then serve in milliseconds (anomalyd -load) and hot-swap
-// into a running Registry; weights are data, not a boot-time side effect.
+// iclrun -save), then serve in milliseconds (anomalyd -load), so new weights
+// reach a fleet by a rolling restart; weights are data, not a boot-time side
+// effect.
 //
 // Format (all integers little-endian; sections are uint32-length-prefixed
 // byte blocks so each layer parses its own payload without over-reading):
@@ -408,8 +409,8 @@ func validateArtifactConfig(cfg transformer.Config) error {
 // SaveDetectorFile writes det and an optional gate (see SaveDetector) to
 // path atomically: the artifact lands under a temporary name first and is
 // renamed into place, so a reader (or a crash) never sees a half-written
-// artifact — the property hot-swap workflows that watch an artifact path
-// rely on.
+// artifact — the property a rolling restart that loads from a shared
+// artifact path relies on.
 func SaveDetectorFile(path string, det Detector, gate *cascade.Gate) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")

@@ -9,9 +9,8 @@ package core
 // runBatch — the one place, which monitor chunks pass through like every
 // detect request — so only the uncertain band pays full encoder cost,
 // pinned to ≥99% verdict agreement with transformer-only serving. The gate
-// lives on the registry slot, like the trace tracker, stats recorder and
-// fallback slot, not on the engine: SetCascade takes effect on the next
-// batch and the gate survives hot-swaps.
+// is an atomic pointer on the model's engine, so SetCascade takes effect on
+// the next batch.
 
 import (
 	"repro/internal/cascade"

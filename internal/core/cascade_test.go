@@ -106,7 +106,7 @@ func TestCascadeEngineOrderPreserving(t *testing.T) {
 				in[i] = sentences[src]
 				want[i] = verdicts[src]
 			}
-			res, err := srv.DetectModelContext(context.Background(), "m", in)
+			res, err := srv.DetectContext(context.Background(), in)
 			if err != nil {
 				errs[w] = err
 				return
@@ -143,11 +143,10 @@ func TestCascadeEngineOrderPreserving(t *testing.T) {
 	}
 }
 
-// TestCascadeCountersResetAndSwap: the cascade counters reset with the rest
-// of the model's stats, and both the gate and its counters survive a
-// hot-swap of the underlying detector — the gate belongs to the registry
-// slot, not the engine.
-func TestCascadeCountersResetAndSwap(t *testing.T) {
+// TestCascadeCountersReset: the cascade counters reset with the rest of the
+// model's stats, and removing the gate stops them for new traffic and clears
+// HasCascade.
+func TestCascadeCountersReset(t *testing.T) {
 	jobs, verdicts := cascadeTestJobs(64, 8)
 	g := testCascadeGate(t, jobs, verdicts)
 
@@ -166,7 +165,7 @@ func TestCascadeCountersResetAndSwap(t *testing.T) {
 	for i, j := range jobs {
 		sentences[i] = logparse.Sentence(j)
 	}
-	if _, err := srv.DetectModelContext(context.Background(), "m", sentences); err != nil {
+	if _, err := srv.DetectContext(context.Background(), sentences); err != nil {
 		t.Fatal(err)
 	}
 	st, err := reg.Stats("m")
@@ -175,6 +174,9 @@ func TestCascadeCountersResetAndSwap(t *testing.T) {
 	}
 	if st.CascadeEvaluated == 0 {
 		t.Fatalf("no cascade evaluations recorded: %+v", st)
+	}
+	if !reg.Info()[0].HasCascade {
+		t.Fatal("ModelInfo lacks HasCascade with a gate installed")
 	}
 
 	if err := reg.ResetStats("m"); err != nil {
@@ -188,37 +190,6 @@ func TestCascadeCountersResetAndSwap(t *testing.T) {
 		t.Fatalf("cascade counters survived reset: %+v", st)
 	}
 
-	if err := reg.Swap("m", hashDetector{}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := reg.Cascade("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil {
-		t.Fatal("gate dropped by Swap")
-	}
-	var info *ModelInfo
-	for _, mi := range reg.Info() {
-		if mi.Name == "m" {
-			mi := mi
-			info = &mi
-		}
-	}
-	if info == nil || !info.HasCascade {
-		t.Fatalf("ModelInfo after swap = %+v, want HasCascade", info)
-	}
-	if _, err := srv.DetectModelContext(context.Background(), "m", sentences); err != nil {
-		t.Fatal(err)
-	}
-	st, err = reg.Stats("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CascadeEvaluated == 0 || st.CascadeShort == 0 {
-		t.Fatalf("gate inactive after swap: %+v", st)
-	}
-
 	// Removing the gate turns the counters off for new traffic.
 	if err := reg.SetCascade("m", nil); err != nil {
 		t.Fatal(err)
@@ -226,7 +197,7 @@ func TestCascadeCountersResetAndSwap(t *testing.T) {
 	if err := reg.ResetStats("m"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.DetectModelContext(context.Background(), "m", sentences); err != nil {
+	if _, err := srv.DetectContext(context.Background(), sentences); err != nil {
 		t.Fatal(err)
 	}
 	st, err = reg.Stats("m")
@@ -235,6 +206,9 @@ func TestCascadeCountersResetAndSwap(t *testing.T) {
 	}
 	if st.CascadeEvaluated != 0 {
 		t.Fatalf("cascade counters moved with no gate installed: %+v", st)
+	}
+	if reg.Info()[0].HasCascade {
+		t.Fatal("ModelInfo reports HasCascade after the gate was removed")
 	}
 }
 

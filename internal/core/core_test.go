@@ -149,7 +149,9 @@ func TestMonitorStream(t *testing.T) {
 	}
 	buf.WriteString("\n") // blank lines are skipped
 	var alerts []Alert
-	report, err := Monitor(det, &buf, func(a Alert) { alerts = append(alerts, a) })
+	report, err := MonitorWith(context.Background(), det, &buf, MonitorConfig{
+		Sinks: []AlertSink{SinkFuncs{OnAlert: func(a Alert) { alerts = append(alerts, a) }}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrServerClosed is returned by Detect calls after the serving engine (or
-// the registry/server that owns it) has been closed.
+// ErrServerClosed is returned by detect and monitor calls after the serving
+// engine (or the registry/server that owns it) has been closed.
 var ErrServerClosed = errors.New("core: server closed")
 
 // detectJob is one coalescable unit of work: the sentences of a single HTTP
-// request, programmatic Detect call or monitor chunk, and the slot their
+// request, programmatic DetectContext call or monitor chunk, and the slot their
 // results land in. ctx is the caller's context: a job whose caller has gone
 // away by the time its batch runs is skipped instead of computed for nobody.
 type detectJob struct {
@@ -44,47 +44,41 @@ func (j *detectJob) wait() (results []Result, degraded bool, err error) {
 	}
 }
 
-// engine is the inference machinery behind one served detector: a job queue
-// and a pool of workers that form their own batches from it and own tensor
-// workspaces. It is a free-standing unit so a Registry can run one engine per
-// model and swap engines atomically without touching the HTTP layer.
+// engine is one served model: a job queue and a pool of workers that form
+// their own batches from it and own tensor workspaces, plus the serving state
+// of the model — its name, trace tracker, stats, cascade gate and brownout
+// fallback. A Registry slot is its engine; MonitorWith runs an unnamed one for
+// the length of a run.
 //
 // Lifecycle: newEngine starts the goroutines; Close drains queued jobs, waits
 // for in-flight batches to finish, and releases the workers. After Close,
-// submit fails with ErrServerClosed — callers holding a stale engine (one
-// swapped out of a registry) re-fetch and retry, so a hot-swap drops no
-// requests.
+// submit fails with ErrServerClosed.
 type engine struct {
-	det    Detector
-	infer  inferFunc // det's batch call, resolved once
-	usesWS bool      // infer draws on the calling worker's workspace
-	cfg    BatchConfig
-	stats  *statsRecorder                // owned by the registry slot (or the monitor run); survives swaps
-	fb     *fallbackSlot                 // owned by the registry slot; may hold no detector
-	gate   *atomic.Pointer[cascade.Gate] // owned by the registry slot; may hold no gate
-	brown  brownout
-	jobs   chan *detectJob // the whole backlog: nothing waits anywhere else
+	name     string
+	det      Detector
+	infer    inferFunc // det's batch call, resolved once
+	usesWS   bool      // infer draws on the calling worker's workspace
+	cfg      BatchConfig
+	tracker  *TraceTracker // the model's online trace windows, across monitor ingests
+	stats    statsRecorder
+	gate     atomic.Pointer[cascade.Gate] // nil: cascade off
+	fallback atomic.Pointer[Detector]     // nil: no brownout tier
+	brown    brownout
+	jobs     chan *detectJob // the whole backlog: nothing waits anywhere else
 
 	mu     sync.RWMutex // guards closed vs. enqueue
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// newEngine starts the worker pool for det. cfg must already be filled. fb
-// may be nil (no brownout tier); gate may be nil (no cascade first stage).
-func newEngine(det Detector, cfg BatchConfig, stats *statsRecorder, fb *fallbackSlot, gate *atomic.Pointer[cascade.Gate]) *engine {
-	if fb == nil {
-		fb = &fallbackSlot{}
-	}
-	if gate == nil {
-		gate = new(atomic.Pointer[cascade.Gate])
-	}
+// newEngine fills cfg's defaults and starts the worker pool for det.
+func newEngine(name string, det Detector, cfg BatchConfig) *engine {
+	cfg.fill()
 	e := &engine{
-		det:   det,
-		cfg:   cfg,
-		stats: stats,
-		fb:    fb,
-		gate:  gate,
+		name:    name,
+		det:     det,
+		cfg:     cfg,
+		tracker: NewTraceTracker(DefaultTracePolicy(), 0),
 		brown: brownout{
 			high: cfg.BrownoutDepth,
 			low:  cfg.BrownoutDepth / 2,
@@ -126,9 +120,9 @@ func resolveInfer(det Detector) (infer inferFunc, usesWS bool) {
 }
 
 // Close drains queued requests, stops the inference workers, and fails
-// subsequent submit calls with ErrServerClosed. It blocks until every
-// in-flight batch has completed — the drain guarantee Registry.Swap relies on
-// — and is idempotent.
+// subsequent submit calls with ErrServerClosed. It blocks until every queued
+// job and in-flight batch has completed — the drain Server.Close and
+// anomalyd's SIGTERM path rely on — and is idempotent.
 func (e *engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -146,8 +140,8 @@ func (e *engine) Close() {
 // here, and the batch runner skips enqueued jobs whose context has already
 // been cancelled instead of computing results nobody will read.
 //
-// Overload handling happens here, before any work is queued. When the slot
-// holds a brownout fallback and sustained saturation has engaged it, the
+// Overload handling happens here, before any work is queued. When the model
+// has a brownout fallback and sustained saturation has engaged it, the
 // request is answered by the cheap tier immediately (an already-done job
 // marked degraded) without touching the queue. Otherwise, if the queue already
 // holds ShedQueueDepth jobs, the request is shed with an OverloadedError
@@ -163,8 +157,8 @@ func (e *engine) submit(ctx context.Context, sentences []string) (*detectJob, er
 		return nil, err
 	}
 	depth := len(e.jobs)
-	if fb := e.fb.load(); fb != nil && e.brown.observe(depth, time.Now()) {
-		j.results, j.degraded = fb.DetectBatch(sentences), true
+	if fb := e.fallback.Load(); fb != nil && e.brown.observe(depth, time.Now()) {
+		j.results, j.degraded = (*fb).DetectBatch(sentences), true
 		e.stats.degradedServed(len(sentences))
 		close(j.done)
 		return j, nil
@@ -219,6 +213,9 @@ func (e *engine) retryAfter(depth int) time.Duration {
 	}
 	return d
 }
+
+// snapshot renders the engine's serving counters as EngineStats.
+func (e *engine) snapshot() EngineStats { return e.stats.snapshot(len(e.jobs), e.brownoutActive()) }
 
 // brownoutActive reports whether the degradation tier is currently engaged,
 // without folding in a queue-depth observation — the /readyz and /v1/models

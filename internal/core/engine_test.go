@@ -62,7 +62,7 @@ func TestRunBatchDedupsRepeatedSentences(t *testing.T) {
 	for i := range sentences {
 		sentences[i] = fmt.Sprintf("sentence %d", (i*7)%4)
 	}
-	got, err := s.Detect(sentences)
+	got, err := s.DetectContext(context.Background(), sentences)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,24 +141,22 @@ type gatedEngine struct {
 	t       *testing.T
 	det     *gateDetector
 	eng     *engine
-	rec     *statsRecorder
 	sent    int64
 	freeAll func() // releases every held and future batch; idempotent
 }
 
 func newGatedEngine(t *testing.T, cfg BatchConfig) *gatedEngine {
 	t.Helper()
-	cfg.fill()
 	det := newGateDetector()
-	g := &gatedEngine{t: t, det: det, rec: &statsRecorder{}}
+	g := &gatedEngine{t: t, det: det}
 	g.freeAll = sync.OnceFunc(func() { close(det.release) })
-	g.eng = newEngine(det, cfg, g.rec, nil, nil)
+	g.eng = newEngine("", det, cfg)
 	// A failed assertion leaves batches held; free them so Close can drain.
 	t.Cleanup(func() { g.freeAll(); g.eng.Close() })
 	return g
 }
 
-func (g *gatedEngine) stats() EngineStats { return g.rec.snapshot(len(g.eng.jobs), false) }
+func (g *gatedEngine) stats() EngineStats { return g.eng.snapshot() }
 
 // submit starts one DetectContext call and returns once its job is in the
 // engine (EngineStats.Requests has counted it), so jobs submitted one after
@@ -312,6 +310,43 @@ func TestEngineBatchingRule(t *testing.T) {
 	})
 }
 
+// TestEngineCloseDrainsInFlight pins Close's drain, which Server.Close and
+// anomalyd's SIGTERM shutdown rely on: a batch in flight when Close is called
+// returns its results, a job queued behind it is computed too, Close returns
+// only after both, and a submit after it fails with ErrServerClosed.
+func TestEngineCloseDrainsInFlight(t *testing.T) {
+	g := newGatedEngine(t, BatchConfig{MaxBatch: 1, Workers: 1})
+	inFlight := g.hold("in flight")
+	queued := g.submit(context.Background(), "queued")
+
+	closed := make(chan struct{})
+	go func() { g.eng.Close(); close(closed) }()
+	waitFor(t, "Close to refuse new work", func() bool {
+		g.eng.mu.RLock()
+		defer g.eng.mu.RUnlock()
+		return g.eng.closed
+	})
+	stillOpen := func(what string) {
+		t.Helper()
+		select {
+		case <-closed:
+			t.Fatalf("Close returned with %s", what)
+		default:
+		}
+	}
+	stillOpen("a batch in flight")
+	g.free()
+	g.wantNext("queued")
+	stillOpen("the queued job in the model")
+	g.free()
+	<-closed
+
+	g.finish(inFlight, queued)
+	if _, err := g.eng.submit(context.Background(), []string{"late"}); !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("submit after Close = %v, want ErrServerClosed", err)
+	}
+}
+
 // TestRunBatchDedupAcrossCoalescedJobs pins that deduplication spans request
 // boundaries inside one batch: six requests queued behind a busy worker, all
 // carrying the same sentence, reach the model as one invocation of the three
@@ -337,7 +372,7 @@ func TestRunBatchDedupSingleSentence(t *testing.T) {
 	det := &dedupDetector{}
 	s := NewServerWith(det, BatchConfig{MaxBatch: 8, Workers: 1})
 	defer s.Close()
-	res, err := s.Detect([]string{"only line"})
+	res, err := s.DetectContext(context.Background(), []string{"only line"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,11 +407,9 @@ func (fallibleDetector) DetectBatch([]string) []Result {
 // of other batches are untouched.
 func TestEngineModelErrorFailsBatch(t *testing.T) {
 	down := errors.New("replica down")
-	g := &gatedEngine{t: t, det: newGateDetector(), rec: &statsRecorder{}}
+	g := &gatedEngine{t: t, det: newGateDetector()}
 	g.freeAll = sync.OnceFunc(func() { close(g.det.release) })
-	cfg := BatchConfig{MaxBatch: 8, Workers: 1}
-	cfg.fill()
-	g.eng = newEngine(fallibleDetector{g.det, down, "fail"}, cfg, g.rec, nil, nil)
+	g.eng = newEngine("", fallibleDetector{g.det, down, "fail"}, BatchConfig{MaxBatch: 8, Workers: 1})
 	t.Cleanup(func() { g.freeAll(); g.eng.Close() })
 
 	held := g.hold("h0")

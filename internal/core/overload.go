@@ -95,28 +95,6 @@ func (b *brownout) active() bool {
 	return b.engaged
 }
 
-// fallbackSlot is the registry-slot holder of a model's brownout detector.
-// Like the trace tracker and stats recorder it belongs to the slot, not the
-// engine, so SetFallback takes effect immediately and survives hot-swaps.
-// The pointer is guarded by a mutex rather than an atomic so a nil fallback
-// stays representable.
-type fallbackSlot struct {
-	mu  sync.RWMutex
-	det Detector
-}
-
-func (f *fallbackSlot) load() Detector {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.det
-}
-
-func (f *fallbackSlot) store(det Detector) {
-	f.mu.Lock()
-	f.det = det
-	f.mu.Unlock()
-}
-
 // scorerDetector adapts a fitted baselines.JobScorer (the PCA baseline)
 // into the Detector interface: sentences are parsed back into feature
 // vectors, scored in one call, and thresholded at the calibrated cutoff.

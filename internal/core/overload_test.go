@@ -113,9 +113,9 @@ func TestMonitorShedOverHTTP(t *testing.T) {
 	defer ts.Close()
 	defer close(det.release) // LIFO: the worker unblocks before the closes wait on it
 
-	go srv.Detect([]string{"held"})
+	go srv.DetectContext(context.Background(), []string{"held"})
 	<-det.entered
-	go srv.Detect([]string{"queued"})
+	go srv.DetectContext(context.Background(), []string{"queued"})
 	waitFor(t, "the second request to queue behind the held worker", func() bool {
 		st, _ := srv.Registry().Stats("")
 		return st.QueueLen == 1
@@ -211,7 +211,7 @@ func TestMaxQueueWaitSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	eng, _ := reg.route("m")
+	eng, _ := reg.lookup("m")
 
 	var wg sync.WaitGroup
 	var shed atomic.Int64
@@ -291,7 +291,7 @@ func TestBrownoutServesDegraded(t *testing.T) {
 	if err := reg.SetFallback("m", labelDetector{label: 1}); err != nil {
 		t.Fatal(err)
 	}
-	eng, _ := reg.route("m")
+	eng, _ := reg.lookup("m")
 
 	// Build a sustained backlog against the blocked worker.
 	var wg sync.WaitGroup
@@ -433,7 +433,7 @@ func TestReadyzReflectsSaturation(t *testing.T) {
 	}
 
 	// Engage the default model's brownout tier directly (same package).
-	eng, err := srv.Registry().route("")
+	eng, err := srv.Registry().lookup("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -17,7 +18,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
-	if _, err := srv.Detect([]string{"a b c", "d e f"}); err != nil {
+	if _, err := srv.DetectContext(context.Background(), []string{"a b c", "d e f"}); err != nil {
 		t.Fatal(err)
 	}
 

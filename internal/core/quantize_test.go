@@ -232,11 +232,11 @@ func TestRegistryServesMixedPrecision(t *testing.T) {
 	sentences := fixtureSentences(ds, 16)
 	s := NewServerRegistry(reg)
 	ctx := context.Background()
-	fpRes, err := s.DetectModelContext(ctx, "genome", sentences)
+	fpRes, _, err := s.DetectModelDegraded(ctx, "genome", sentences)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qRes, err := s.DetectModelContext(ctx, "genome-int8", sentences)
+	qRes, _, err := s.DetectModelDegraded(ctx, "genome-int8", sentences)
 	if err != nil {
 		t.Fatal(err)
 	}

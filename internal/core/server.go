@@ -132,11 +132,6 @@ type BatchConfig struct {
 	// (default 2048). QueueDepth bounds jobs, not sentences, so without
 	// this cap one huge batch would bypass backpressure entirely.
 	MaxRequest int
-	// Policy is the trace-flagging policy for /v1/monitor ingest (zero
-	// value means DefaultTracePolicy).
-	Policy TracePolicy
-	// MaxTraces bounds the model's online trace window (default 4096).
-	MaxTraces int
 
 	// ShedQueueDepth is the admission-control budget: a request arriving
 	// while the queue already holds this many jobs is shed with 429
@@ -155,7 +150,7 @@ type BatchConfig struct {
 	// at dequeue (504) without touching the model. Zero means no default.
 	DefaultDeadline time.Duration
 	// BrownoutDepth engages the graceful-degradation tier: when the queue
-	// has stayed at or above this depth for BrownoutHold and the slot holds
+	// has stayed at or above this depth for BrownoutHold and the model has
 	// a fallback detector (Registry.SetFallback), detect traffic is answered
 	// by the cheap tier (degraded:true) until the queue drains to
 	// BrownoutDepth/2. Zero disables brownout.
@@ -164,12 +159,6 @@ type BatchConfig struct {
 	// tier engages — a single burst should shed, not degrade (default
 	// 250ms when BrownoutDepth is set).
 	BrownoutHold time.Duration
-}
-
-// DefaultBatchConfig is the serving recipe used by NewServer: batches of up
-// to 32 sentences across GOMAXPROCS workers.
-func DefaultBatchConfig() BatchConfig {
-	return BatchConfig{MaxBatch: 32}
 }
 
 func (c *BatchConfig) fill() {
@@ -191,7 +180,6 @@ func (c *BatchConfig) fill() {
 	if c.BrownoutDepth > 0 && c.BrownoutHold <= 0 {
 		c.BrownoutHold = 250 * time.Millisecond
 	}
-	// Policy and MaxTraces zero values are resolved by NewTraceTracker.
 }
 
 // maxJSONBody caps JSON request bodies that must be fully materialized
@@ -212,8 +200,7 @@ const maxJSONBody = 32 << 20
 // parameter; without it requests route to the registry's default model. This
 // is the deployment story the paper motivates, grown to production shape:
 // system administrators point workflow logs at one running service hosting a
-// detector per workflow or per approach, and operators hot-swap retrained
-// artifacts (Registry.Swap) without restarting or dropping requests.
+// detector per workflow or per approach.
 //
 // Requests are micro-batched per model: handlers enqueue their sentences on
 // the model's queue, and each of the model's inference workers, when free,
@@ -239,7 +226,7 @@ type Server struct {
 
 // NewServer wraps a single detector in an HTTP handler with the default
 // batching configuration, registered under DefaultModel.
-func NewServer(det Detector) *Server { return NewServerWith(det, DefaultBatchConfig()) }
+func NewServer(det Detector) *Server { return NewServerWith(det, BatchConfig{}) }
 
 // NewServerWith wraps a single detector with an explicit batching
 // configuration and starts its inference workers. Call Close to stop them.
@@ -279,12 +266,12 @@ func NewServerRegistry(reg *Registry) *Server {
 func (s *Server) SetInstance(name string) { s.instance = name }
 
 // Registry returns the server's model registry, through which models are
-// added, swapped, and removed while serving.
+// added, configured and inspected while serving.
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Close drains queued requests, stops every model's inference workers,
-// terminates any open /v1/alerts streams, and fails subsequent Detect calls
-// with ErrServerClosed. It is idempotent.
+// terminates any open /v1/alerts streams, and fails subsequent detect and
+// monitor calls with ErrServerClosed. It is idempotent.
 func (s *Server) Close() {
 	s.CloseStreams()
 	s.reg.Close()
@@ -299,35 +286,22 @@ func (s *Server) CloseStreams() {
 	s.streamsOnce.Do(func() { close(s.streams) })
 }
 
-// Detect classifies sentences through the default model's coalescing layer,
-// blocking until their results are ready (in input order). It is the
-// programmatic form of the HTTP endpoints and is safe for concurrent use.
-func (s *Server) Detect(sentences []string) ([]Result, error) {
-	//lint:ignore ctxflow public no-context convenience API; documented to run to completion, callers needing cancellation use DetectContext
-	return s.DetectModelContext(context.Background(), "", sentences)
-}
-
-// DetectContext is Detect honoring caller cancellation; see
-// DetectModelContext.
+// DetectContext classifies sentences through the default model's coalescing
+// layer, blocking until their results are ready (in input order). It is the
+// programmatic form of the HTTP endpoints, is safe for concurrent use, and
+// returns ctx.Err() as soon as ctx is done, whether the job is still queued
+// or in flight.
 func (s *Server) DetectContext(ctx context.Context, sentences []string) ([]Result, error) {
-	return s.DetectModelContext(ctx, "", sentences)
-}
-
-// DetectModelContext classifies sentences through the named model ("" routes
-// to the default). It returns ctx.Err() as soon as ctx is done, whether the
-// job is still queued or in flight. If the model is hot-swapped between
-// routing and enqueueing, the call transparently retries against the
-// replacement engine — a Swap under concurrent load drops no requests.
-func (s *Server) DetectModelContext(ctx context.Context, model string, sentences []string) ([]Result, error) {
-	res, _, err := s.DetectModelDegraded(ctx, model, sentences)
+	res, _, err := s.DetectModelDegraded(ctx, "", sentences)
 	return res, err
 }
 
-// DetectModelDegraded is DetectModelContext exposing whether the brownout
-// fallback tier (rather than the primary model) produced the results — the
-// signal the HTTP layer surfaces as `degraded:true`. Requests shed by
-// admission control or the queue-wait budget fail with an *OverloadedError
-// (errors.Is ErrOverloaded) carrying a Retry-After estimate.
+// DetectModelDegraded is DetectContext through the named model ("" routes to
+// the default), also reporting whether the brownout fallback tier (rather
+// than the primary model) produced the results — the signal the HTTP layer
+// surfaces as `degraded:true`. Requests shed by admission control or the
+// queue-wait budget fail with an *OverloadedError (errors.Is ErrOverloaded)
+// carrying a Retry-After estimate.
 func (s *Server) DetectModelDegraded(ctx context.Context, model string, sentences []string) ([]Result, bool, error) {
 	j, err := s.submit(ctx, model, sentences)
 	if err != nil {
@@ -337,23 +311,13 @@ func (s *Server) DetectModelDegraded(ctx context.Context, model string, sentence
 }
 
 // submit routes sentences to the named model's engine ("" = default) and
-// returns the queued job, re-routing when a hot-swap closed that engine first.
+// returns the queued job.
 func (s *Server) submit(ctx context.Context, model string, sentences []string) (*detectJob, error) {
-	for {
-		eng, err := s.reg.route(model)
-		if err != nil {
-			return nil, err
-		}
-		j, err := eng.submit(ctx, sentences)
-		if errors.Is(err, ErrServerClosed) {
-			// The engine was swapped out (or the registry closed) between
-			// route and enqueue. Re-route: a swap installs a replacement the
-			// retry lands on; a closed registry surfaces ErrServerClosed from
-			// route and terminates the loop.
-			continue
-		}
-		return j, err
+	e, err := s.reg.lookup(model)
+	if err != nil {
+		return nil, err
 	}
+	return e.submit(ctx, sentences)
 }
 
 // MonitorIngest streams raw log lines from r through the default model's
@@ -372,22 +336,24 @@ func (s *Server) MonitorIngest(ctx context.Context, r io.Reader, strict bool, ex
 // each chunk is submitted as one job, so concurrent ingests share the worker
 // pool's backpressure and admission control — /v1/monitor cannot starve detect
 // traffic of workers, and a shed chunk ends the ingest with its
-// *OverloadedError. The model name is resolved once at the start, so a stream
-// keeps feeding the same logical model even while it is hot-swapped mid-ingest.
+// *OverloadedError. The model name is resolved once at the start, so a ""
+// stream stays on the model that was the default when it began; each chunk is
+// routed again, so one submitted after the registry closed fails with
+// ErrServerClosed.
 func (s *Server) MonitorIngestModel(ctx context.Context, model string, r io.Reader, strict bool, extra ...AlertSink) (MonitorReport, error) {
-	name, tracker, cfg, err := s.reg.monitorState(model)
+	e, err := s.reg.lookup(model)
 	if err != nil {
 		return MonitorReport{}, err
 	}
 	submit := func(ctx context.Context, sentences []string) (*detectJob, error) {
-		return s.submit(ctx, name, sentences)
+		return s.submit(ctx, e.name, sentences)
 	}
 	return monitor(ctx, submit, r, MonitorConfig{
-		ChunkSize: cfg.MaxBatch,
-		Workers:   cfg.Workers,
+		ChunkSize: e.cfg.MaxBatch,
+		Workers:   e.cfg.Workers,
 		Strict:    strict,
-		Tracker:   tracker,
-		Sinks:     append([]AlertSink{busSink{bus: s.bus, model: name}}, extra...),
+		Tracker:   e.tracker,
+		Sinks:     append([]AlertSink{busSink{bus: s.bus, model: e.name}}, extra...),
 	})
 }
 
@@ -453,7 +419,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 // handleModels is GET /v1/models: the registered models, their approaches,
 // and per-model serving stats — what an operator checks before routing
-// traffic with ?model= or hot-swapping an artifact.
+// traffic with ?model=.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -521,11 +487,12 @@ func writeDetectError(w http.ResponseWriter, err error) {
 // failure it has written the error reply and ok is false.
 func (s *Server) detect(w http.ResponseWriter, r *http.Request, sentences []string) (results []Result, degraded, ok bool) {
 	model := modelParam(r)
-	cfg, err := s.reg.config(model)
+	e, err := s.reg.lookup(model)
 	if err != nil {
 		writeDetectError(w, err)
 		return nil, false, false
 	}
+	cfg := e.cfg
 	if len(sentences) > cfg.MaxRequest {
 		http.Error(w, fmt.Sprintf("batch of %d sentences exceeds the per-request cap of %d",
 			len(sentences), cfg.MaxRequest), http.StatusRequestEntityTooLarge)

@@ -180,12 +180,12 @@ func TestServerClose(t *testing.T) {
 	defer srv.Close()
 
 	sentence := logparse.Sentence(ds.Test[0])
-	if _, err := s.Detect([]string{sentence}); err != nil {
+	if _, err := s.DetectContext(context.Background(), []string{sentence}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	s.Close() // idempotent
-	if _, err := s.Detect([]string{sentence}); err != ErrServerClosed {
+	if _, err := s.DetectContext(context.Background(), []string{sentence}); err != ErrServerClosed {
 		t.Fatalf("Detect after Close: err = %v", err)
 	}
 	body, _ := json.Marshal(DetectRequest{Sentence: sentence})
@@ -277,7 +277,7 @@ func TestServerWorkersOwnWorkspaces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := s.Detect([]string{"a", "b", "c"}); err != nil {
+				if _, err := s.DetectContext(context.Background(), []string{"a", "b", "c"}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -187,38 +187,41 @@ func TestMonitorEndpointJSONAndStrict(t *testing.T) {
 
 // TestMonitorIngestPersistsTraceState checks the server carries online trace
 // state across ingest calls: a trace whose anomalies arrive in separate
-// requests still trips the policy.
+// requests still trips the policy. Under DefaultTracePolicy (5 anomalies or
+// 10%) the first ingest — 50 normal lines, then 2 abnormal — stays under both
+// thresholds, and the second — 3 more abnormal — crosses 5 at 5/55 = 9.1%, so
+// only the carried-over count can flag the trace.
 func TestMonitorIngestPersistsTraceState(t *testing.T) {
-	s := NewServerWith(markDetector{}, BatchConfig{
-		Workers: 1, Policy: TracePolicy{MinAnomalous: 4, MinFraction: 1.5},
-	})
+	s := NewServerWith(markDetector{}, BatchConfig{Workers: 1})
 	defer s.Close()
 
 	var flagged []TraceVerdict
 	sink := SinkFuncs{OnTrace: func(v TraceVerdict) { flagged = append(flagged, v) }}
-	lines := func(n0 int) string {
+	node := 0
+	lines := func(normal, abnormal int) string {
 		var sb strings.Builder
-		for i := 0; i < 2; i++ {
-			sb.WriteString(logparse.LogLine(streamJob(9, n0+i, true)) + "\n")
+		for i := 0; i < normal+abnormal; i++ {
+			sb.WriteString(logparse.LogLine(streamJob(9, node, i >= normal)) + "\n")
+			node++
 		}
 		return sb.String()
 	}
-	rep, err := s.MonitorIngest(context.Background(), strings.NewReader(lines(0)), false, sink)
+	rep, err := s.MonitorIngest(context.Background(), strings.NewReader(lines(50, 2)), false, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.FlaggedTraces != 0 || len(flagged) != 0 {
-		t.Fatalf("flagged after 2/4 anomalies: %+v", rep)
+		t.Fatalf("flagged after 2 anomalies in 52 jobs: %+v", rep)
 	}
-	rep, err = s.MonitorIngest(context.Background(), strings.NewReader(lines(2)), false, sink)
+	rep, err = s.MonitorIngest(context.Background(), strings.NewReader(lines(0, 3)), false, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.FlaggedTraces != 1 || len(flagged) != 1 {
 		t.Fatalf("second ingest: report %+v, %d trace events", rep, len(flagged))
 	}
-	if flagged[0].TraceID != 9 || flagged[0].Anomalous != 4 {
-		t.Fatalf("trace event = %+v", flagged[0])
+	if v := flagged[0]; v.TraceID != 9 || v.Anomalous != 5 || v.Jobs != 55 {
+		t.Fatalf("trace event = %+v, want trace 9 flagged at 5 of 55 jobs", v)
 	}
 }
 
@@ -231,7 +234,7 @@ func TestServerGoroutineDrain(t *testing.T) {
 	s := NewServerWith(markDetector{}, BatchConfig{Workers: 4})
 	srv := httptest.NewServer(s)
 	events, stop := sseSubscribe(t, srv.URL)
-	if _, err := s.Detect([]string{"warm"}); err != nil {
+	if _, err := s.DetectContext(context.Background(), []string{"warm"}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

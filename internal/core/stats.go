@@ -60,10 +60,8 @@ type EngineStats struct {
 // many models small.
 const statsWindow = 4096
 
-// statsRecorder accumulates EngineStats for one registry slot. Like the
-// slot's TraceTracker it belongs to the servedModel, not the engine, so
-// counters and latency windows survive a hot-swap. All methods are safe for
-// concurrent use; the recorder is written from every request goroutine and
+// statsRecorder accumulates EngineStats for one engine. All methods are safe
+// for concurrent use; the recorder is written from every request goroutine and
 // every inference worker, so the critical sections stay tiny (append to a
 // ring, bump counters).
 type statsRecorder struct {

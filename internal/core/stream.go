@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cascade"
@@ -133,7 +132,7 @@ func (s SinkFuncs) TraceFlagged(v TraceVerdict) {
 }
 
 // TraceTracker maintains online per-trace verdicts over a stream of job
-// observations. State is bounded: at most MaxTraces traces are tracked, with
+// observations. State is bounded: at most maxTraces traces are tracked, with
 // least-recently-observed traces evicted first, so memory stays O(active
 // traces) on unbounded streams.
 //
@@ -294,18 +293,12 @@ type MonitorConfig struct {
 	// GOMAXPROCS). Chunks are classified in parallel but alerts and trace
 	// updates are applied in input order.
 	Workers int
-	// Strict aborts on the first malformed line (the legacy Monitor
-	// behavior); the default skips and counts it.
+	// Strict aborts on the first malformed line; the default skips and
+	// counts it.
 	Strict bool
-	// Policy is the trace-flagging policy (zero value means
-	// DefaultTracePolicy). Ignored when Tracker is set.
-	Policy TracePolicy
-	// MaxTraces bounds the online trace window (default 4096). Ignored when
-	// Tracker is set.
-	MaxTraces int
 	// Tracker, when non-nil, carries trace state across monitor runs (the
-	// server shares one tracker across /v1/monitor requests). When nil a
-	// fresh tracker is created for the run.
+	// server shares one tracker across /v1/monitor requests). When nil the
+	// run starts a fresh DefaultTracePolicy tracker of 4096 traces.
 	Tracker *TraceTracker
 	// Sinks receive alert and trace-flagged events in input order.
 	Sinks []AlertSink
@@ -324,7 +317,6 @@ func (c *MonitorConfig) fill() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	// Policy and MaxTraces zero values are resolved by NewTraceTracker.
 }
 
 // monitorFlushDelay bounds how long a partial chunk waits for more lines
@@ -382,27 +374,18 @@ type monitorChunk struct {
 	job       *detectJob
 }
 
-// Monitor reads raw key=value log lines (logparse.LogLine format) from r,
-// classifies them in micro-batches, and invokes onAlert for every line
-// detected as abnormal. Malformed lines are skipped and counted in the
-// report; use MonitorWith with Strict for the legacy abort-on-first-error
-// behavior.
+// MonitorWith reads raw key=value log lines (logparse.LogLine format) from r,
+// classifies them in micro-batches, and hands every line detected as abnormal
+// and every newly flagged trace to cfg.Sinks. This is the paper's real-time
+// detection loop (Section IV-C) in library form: the workflow management
+// system appends to a log, MonitorWith tails it.
 //
-// This is the paper's real-time detection loop (Section IV-C) in library
-// form: the workflow management system appends to a log, Monitor tails it.
-func Monitor(d Detector, r io.Reader, onAlert func(Alert)) (MonitorReport, error) {
-	//lint:ignore ctxflow public no-context convenience API; the paper's library-form loop, callers needing cancellation use MonitorWith
-	return MonitorWith(context.Background(), d, r, MonitorConfig{
-		Sinks: []AlertSink{SinkFuncs{OnAlert: onAlert}},
-	})
-}
-
-// MonitorWith is the fully configurable streaming monitor: the monitor loop
-// over a serving engine of its own (Workers workers, ChunkSize-sentence
-// batches of d) that lives for the run. Inference is therefore the serving
-// path's, not a copy of it: repeated lines in a chunk reach the model once,
-// cfg.Gate gates as a served model's cascade does, and the report's cascade
-// counters are that engine's, counting unique lines as /v1/models does.
+// The loop runs over a serving engine of its own (Workers workers,
+// ChunkSize-sentence batches of d) that lives for the run. Inference is
+// therefore the serving path's, not a copy of it: repeated lines in a chunk
+// reach the model once, cfg.Gate gates as a served model's cascade does, and
+// the report's cascade counters are that engine's, counting unique lines as
+// /v1/models does.
 //
 // ctx cancellation stops the run between lines; the partial report and
 // ctx.Err() are returned. In strict mode the first malformed line aborts
@@ -413,16 +396,16 @@ func MonitorWith(ctx context.Context, d Detector, r io.Reader, cfg MonitorConfig
 		return MonitorReport{}, err
 	}
 	cfg.fill()
-	stats := &statsRecorder{}
-	gate := new(atomic.Pointer[cascade.Gate])
-	gate.Store(cfg.Gate)
 	// QueueDepth Workers: with the loop's own in-flight bound that is one
 	// chunk running and one waiting per worker, and the reader blocks beyond.
-	eng := newEngine(d, BatchConfig{MaxBatch: cfg.ChunkSize, Workers: cfg.Workers, QueueDepth: cfg.Workers},
-		stats, nil, gate)
+	eng := newEngine("", d, BatchConfig{MaxBatch: cfg.ChunkSize, Workers: cfg.Workers, QueueDepth: cfg.Workers})
 	defer eng.Close()
+	eng.gate.Store(cfg.Gate)
+	if cfg.Tracker == nil {
+		cfg.Tracker = eng.tracker
+	}
 	report, err := monitor(ctx, eng.submit, r, cfg)
-	st := stats.snapshot(0, false)
+	st := eng.snapshot()
 	report.CascadeEvaluated, report.CascadeShort = int(st.CascadeEvaluated), int(st.CascadeShort)
 	return report, err
 }
@@ -432,16 +415,13 @@ func MonitorWith(ctx context.Context, d Detector, r io.Reader, cfg MonitorConfig
 // each chunk goes to submit — an engine's front door — as one job; and the
 // collector waits on the jobs in submission order, so alerts, tracker updates
 // and trace-flagged events happen in input order however the engine's workers
-// were scheduled. cfg must already be filled.
+// were scheduled. cfg must already be filled and hold a Tracker.
 //
 // A chunk the engine refuses or fails (shed, closed, deadline) ends the run
 // with that error; its lines and those of every later chunk are not counted
 // as Processed — never as that many confident "normal" classifications.
 func monitor(ctx context.Context, submit func(context.Context, []string) (*detectJob, error), r io.Reader, cfg MonitorConfig) (MonitorReport, error) {
 	tracker := cfg.Tracker
-	if tracker == nil {
-		tracker = NewTraceTracker(cfg.Policy, cfg.MaxTraces)
-	}
 	evictedBefore := tracker.Evicted()
 	// Chunks still queued when the run fails are skipped by the engine rather
 	// than computed: cancelling ctx is how the collector tells it.

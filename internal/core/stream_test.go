@@ -261,7 +261,7 @@ func TestMonitorAlertOrder(t *testing.T) {
 	}
 }
 
-// TestTraceTrackerEviction bounds the window: with MaxTraces 4 and 10
+// TestTraceTrackerEviction bounds the window: with maxTraces 4 and 10
 // distinct traces, only 4 states survive and the rest are counted evicted.
 func TestTraceTrackerEviction(t *testing.T) {
 	tr := NewTraceTracker(DefaultTracePolicy(), 4)
@@ -515,7 +515,7 @@ func TestMonitorChunkErrorEndsRun(t *testing.T) {
 		pw, done := ingest(t, s, det)
 		go s.Close() // blocks draining the held chunk; lookups fail from here on
 		waitFor(t, "the registry to close", func() bool {
-			_, err := s.reg.route("")
+			_, err := s.reg.lookup("")
 			return errors.Is(err, ErrServerClosed)
 		})
 		io.WriteString(pw, chunk(2))
@@ -528,17 +528,4 @@ func TestMonitorChunkErrorEndsRun(t *testing.T) {
 			t.Fatalf("processed %d lines, want the 2 of the chunk admitted before the close", res.report.Processed)
 		}
 	})
-}
-
-// TestMonitorLegacyWrapper keeps the simple Monitor entry point honest.
-func TestMonitorLegacyWrapper(t *testing.T) {
-	jobs := []flowbench.Job{streamJob(1, 0, true), streamJob(1, 1, false)}
-	alerts := 0
-	report, err := Monitor(markDetector{}, strings.NewReader(logOf(jobs)), func(Alert) { alerts++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Processed != 2 || report.Alerts != 1 || alerts != 1 {
-		t.Fatalf("report = %+v, alerts = %d", report, alerts)
-	}
 }

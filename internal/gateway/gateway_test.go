@@ -716,7 +716,7 @@ func TestGatewayMetricsExposition(t *testing.T) {
 // detector's TryDetectBatch only: its error-less Detector methods panic, and
 // detect, batch and monitor traffic through the front never reaches them.
 func TestRemoteErrorlessMethodsUnreached(t *testing.T) {
-	g, srv := newFront(t, Config{}, fleet(t, 1)...)
+	_, srv := newFront(t, Config{}, fleet(t, 1)...)
 	if status, _, body := post(t, srv.URL+"/v1/detect", "application/json", fmt.Sprintf(`{"sentence":%q}`, sentence(1))); status != http.StatusOK {
 		t.Fatalf("detect: status %d, %s", status, body)
 	}
@@ -725,10 +725,8 @@ func TestRemoteErrorlessMethodsUnreached(t *testing.T) {
 		t.Fatalf("monitor: status %d, report %+v", status, mr)
 	}
 
-	det, err := g.Registry().Detector("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The type New registers for every fleet model.
+	var det core.Detector = &remote{}
 	for name, call := range map[string]func(){
 		"DetectBatch":    func() { det.DetectBatch([]string{"x"}) },
 		"DetectSentence": func() { det.DetectSentence("x") },
