@@ -273,3 +273,33 @@ func TestSFTArtifactDigest(t *testing.T) {
 		t.Fatalf("SFT artifact SHA-256 %x, want %s", sum, want)
 	}
 }
+
+// TestICLArtifactDigest pins every byte of the ICL artifact that `anomalyd
+// -approach icl -model mistral -workflow 1000-genome -seed 3 -train 200
+// -pretrain 60 -epochs 1 -train-out` writes: CLM pre-training, LoRA
+// fine-tuning, few-shot selection and the prompt cache's serialization, end
+// to end. amd64 only, as TestSFTArtifactDigest; it is skipped under -race,
+// which slows its training several-fold and moves no bit.
+func TestICLArtifactDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the artifact digest is recorded on amd64; the compiler may fuse x*y+z on %s", runtime.GOARCH)
+	}
+	if raceEnabled {
+		t.Skip("the race detector slows ICL training several-fold and changes none of its bits")
+	}
+	det, _, err := Train(Options{
+		Approach: ICL, Workflow: flowbench.Genome, Model: "mistral",
+		TrainSize: 200, PretrainSteps: 60, Epochs: 1, Debias: true, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveDetector(&buf, det, nil); err != nil {
+		t.Fatal(err)
+	}
+	const want = "5ed3d284348391e16a04c87663a97c927f10e01afe04de447fe81a7bcb32fe0f"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("ICL artifact SHA-256 %x, want %s", sum, want)
+	}
+}

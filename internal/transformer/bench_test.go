@@ -68,38 +68,59 @@ func BenchmarkTrainStep(b *testing.B) {
 	})
 }
 
-// BenchmarkKVCacheDecode measures one cached decode step on a workspace
-// borrowed from the pool: scoring the next token of a 1-token suffix against
-// a 256-token cached prefix — the ICL serving inner loop after the prompt
-// cache is built — in fp32 and with every projection computing in integers.
-// allocs/op should sit within a few allocations of zero (only returned
-// results allocate).
+// BenchmarkKVCacheDecode measures cached decode steps on a workspace
+// borrowed from the pool, in fp32 and with every projection computing in
+// integers. The top-level pair scores the next token of one 1-token suffix
+// against a 256-token cached prefix: the ICL serving inner loop for a lone
+// line after the prompt cache is built. chunk32 is the streaming monitor's
+// shape: a 32-line chunk of 29-token suffixes over a 230-token few-shot
+// prefix, at the served vocabulary of 120. allocs/op should sit within a few
+// allocations of zero (only returned results allocate).
 func BenchmarkKVCacheDecode(b *testing.B) {
 	for _, precision := range []string{"fp32", "int8"} {
 		b.Run(precision, func(b *testing.B) {
-			m := New(mistralConfig(300), tensor.NewRNG(7))
-			if precision == "int8" {
-				m.QuantizeInt8(0)
-			}
-			prefix := make([]int, 256)
-			for i := range prefix {
-				prefix[i] = i % 300
-			}
-			cache := m.InferKVCache(prefix)
-			suffixes := [][]int{{7}}
-			choices := []int{10, 20}
-			decode := func() {
-				ws := tensor.GetWorkspace()
-				m.ScoreChoiceBatchWithCacheWS(cache, suffixes, choices, ws)
-				tensor.PutWorkspace(ws)
-			}
-			decode() // warm the workspace pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				decode()
-			}
+			benchDecode(b, precision, 300, 256, [][]int{{7}})
 		})
+	}
+	b.Run("chunk32", func(b *testing.B) {
+		suffixes := make([][]int, 32)
+		for s := range suffixes {
+			suffixes[s] = make([]int, 29)
+			for i := range suffixes[s] {
+				suffixes[s][i] = (7*s + 3*i + 1) % 120
+			}
+		}
+		for _, precision := range []string{"fp32", "int8"} {
+			b.Run(precision, func(b *testing.B) {
+				benchDecode(b, precision, 120, 230, suffixes)
+			})
+		}
+	})
+}
+
+// benchDecode times ScoreChoiceBatchWithCacheWS on suffixes over a
+// prefixLen-token cached prefix, on a mistral-shaped decoder.
+func benchDecode(b *testing.B, precision string, vocab, prefixLen int, suffixes [][]int) {
+	m := New(mistralConfig(vocab), tensor.NewRNG(7))
+	if precision == "int8" {
+		m.QuantizeInt8(0)
+	}
+	prefix := make([]int, prefixLen)
+	for i := range prefix {
+		prefix[i] = i % vocab
+	}
+	cache := m.InferKVCache(prefix)
+	choices := []int{10, 20}
+	decode := func() {
+		ws := tensor.GetWorkspace()
+		m.ScoreChoiceBatchWithCacheWS(cache, suffixes, choices, ws)
+		tensor.PutWorkspace(ws)
+	}
+	decode() // warm the workspace pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
 	}
 }
 

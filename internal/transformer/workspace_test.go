@@ -162,7 +162,9 @@ func TestQuantizedBatchForwardAllocations(t *testing.T) {
 
 // TestWorkspaceForwardIsConcurrencySafe exercises the workspace-threaded
 // batch paths from many goroutines — each with its own arena, all sharing
-// one model and one KV cache — under -race.
+// one model and one KV cache — under -race. Every result must match the
+// serial one bit for bit: the classification logits, and the decoder's
+// choice probabilities as well as its argmax.
 func TestWorkspaceForwardIsConcurrencySafe(t *testing.T) {
 	enc := batchTestModel(false)
 	seqs := batchTestSeqs(5, enc.Config.VocabSize, enc.Config.MaxSeqLen, 23)
@@ -172,7 +174,7 @@ func TestWorkspaceForwardIsConcurrencySafe(t *testing.T) {
 	prefix := batchTestSeqs(1, dec.Config.VocabSize, dec.Config.MaxSeqLen/2, 29)[0]
 	cache := dec.InferKVCache(prefix)
 	suffixes := batchTestSeqs(4, dec.Config.VocabSize, dec.Config.MaxSeqLen-len(prefix), 31)
-	wantBest, _ := dec.ScoreChoiceBatchWithCacheWS(cache, suffixes, []int{3, 4}, nil)
+	wantBest, wantProbs := dec.ScoreChoiceBatchWithCacheWS(cache, suffixes, []int{3, 4}, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 32)
@@ -189,9 +191,9 @@ func TestWorkspaceForwardIsConcurrencySafe(t *testing.T) {
 					return
 				}
 				ws.Reset()
-				best, _ := dec.ScoreChoiceBatchWithCacheWS(cache, suffixes, []int{3, 4}, ws)
+				best, probs := dec.ScoreChoiceBatchWithCacheWS(cache, suffixes, []int{3, 4}, ws)
 				for i := range best {
-					if best[i] != wantBest[i] {
+					if best[i] != wantBest[i] || !sameBits(probs[i], wantProbs[i]) {
 						errs <- "concurrent cached scoring diverged"
 						return
 					}
