@@ -65,7 +65,13 @@ func NewMultiHeadAttention(name string, dModel, numHeads int, causal bool, rng *
 // row. With capture set, the packed K/V projections are heap-allocated and
 // returned for cache construction (one sequence); otherwise the returned
 // LayerKV is empty.
-func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, past LayerKV, ws *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
+//
+// With last set (causal, untaped), each sequence's query window is its last
+// position alone: K and V still cover every row, since that position attends
+// all of them, but Q, the scores, the softmax and Wo run on one row per
+// sequence, and the output is [B, DModel]. Every kernel computes a row from
+// that row alone, so those rows carry the bits a full forward gives them.
+func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, past LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
 	Tp := 0
 	if past.K != nil {
 		if !a.Causal {
@@ -78,23 +84,33 @@ func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, past Layer
 	if capture {
 		kvws = nil // captured K/V must outlive the workspace
 	}
+	xq := x // the rows that query
+	if last {
+		xq = lastRows(x, offsets, ws)
+	}
 	var q, k, v *tensor.Matrix
 	wq, qok := a.Wq.(*nn.QuantizedLinear)
 	wk, kok := a.Wk.(*nn.QuantizedLinear)
 	wv, vok := a.Wv.(*nn.QuantizedLinear)
 	if tape == nil && qok && kok && vok && wq.W.Block == wk.W.Block && wq.W.Block == wv.W.Block {
 		// Int8 path: the three projections read the same input, so quantize
-		// it once and run all three from the shared codes.
+		// it once and run all three from the shared codes. Gathered query
+		// rows quantize on their own: the scale is per row, so they get the
+		// codes they have in qa.
 		qa := tensor.QuantizeRowsQ8(x, wq.W.Block, ws)
-		q = wq.InferQuantized(qa, ws)
+		if last {
+			q = wq.InferQuantized(tensor.QuantizeRowsQ8(xq, wq.W.Block, ws), ws)
+		} else {
+			q = wq.InferQuantized(qa, ws)
+		}
 		k = wk.InferQuantized(qa, kvws)
 		v = wv.InferQuantized(qa, kvws)
 	} else {
-		q = a.Wq.Forward(x, ws, tape)
+		q = a.Wq.Forward(xq, ws, tape)
 		k = a.Wk.Forward(x, kvws, tape)
 		v = a.Wv.Forward(x, kvws, tape)
 	}
-	concat := ws.Get(x.Rows, a.DModel)
+	concat := ws.Get(xq.Rows, a.DModel)
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	// Inference runs the sequences serially through one max-shaped score
 	// buffer: without this, a 32-sequence chunk through a 6-layer model
@@ -107,29 +123,41 @@ func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, past Layer
 		for s := 0; s+1 < len(offsets); s++ {
 			maxT = max(maxT, offsets[s+1]-offsets[s])
 		}
-		scoresBuf = ws.Get(maxT, Tp+maxT)
+		maxTq := maxT
+		if last {
+			maxTq = 1
+		}
+		scoresBuf = ws.Get(maxTq, Tp+maxT)
 	}
 	for s := 0; s+1 < len(offsets); s++ {
 		lo, hi := offsets[s], offsets[s+1]
 		T := hi - lo
-		qs := ws.RowView(q, lo, hi)
+		// The sequence's queries are its last Tq positions, rows [qlo,
+		// qlo+Tq) of q and concat.
+		Tq, qlo := T, lo
+		if last {
+			Tq, qlo = 1, s
+		}
+		qs := ws.RowView(q, qlo, qlo+Tq)
 		ks := ws.RowView(k, lo, hi)
 		vs := ws.RowView(v, lo, hi)
-		cs := ws.RowView(concat, lo, hi)
+		cs := ws.RowView(concat, qlo, qlo+Tq)
 		if tape == nil {
-			// scores over [past | current] keys: [T, Tp+T], reused across heads.
-			scores = ws.ShapedView(scoresBuf, T, Tp+T)
+			// scores over [past | current] keys: [Tq, Tp+T], reused across heads.
+			scores = ws.ShapedView(scoresBuf, Tq, Tp+T)
 		}
 		for h := 0; h < a.NumHeads; h++ {
 			off := h * dh
 			if tape != nil {
-				scores = ws.Get(T, Tp+T)
+				scores = ws.Get(Tq, Tp+T)
 			}
 			if Tp > 0 {
 				tensor.MatMulTStrided(scores, 0, qs, off, past.K, off, dh)
 			}
 			tensor.MatMulTStrided(scores, Tp, qs, off, ks, off, dh)
-			tensor.ScaledMaskedRowSoftmax(scores, scale, Tp, a.Causal)
+			// Query row i sits at position T−Tq+i, so Tp+T−Tq keys precede
+			// the first.
+			tensor.ScaledMaskedRowSoftmax(scores, scale, Tp+T-Tq, a.Causal)
 			tape.Push(probsRecord, nil, scores)
 			// out = probs_past·pastV + probs_cur·curV, straight into the
 			// head's column window of concat.

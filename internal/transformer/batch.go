@@ -16,6 +16,16 @@ import (
 // softmax must not mix positions across sequences. Every position-wise
 // kernel computes a row from that row alone, so packing moves no bit.
 //
+// A row no caller reads is not computed either. An untaped causal forward
+// — next-token logits, a decoder's pooled features — reads only each
+// sequence's last position, and that position's hidden state after the
+// last block depends on the other rows only through that block's keys and
+// values. So the last block runs LN1, K and V over every row, and Q, the
+// attention, Wo, the residual, LN2, the feed-forward and the final norm over
+// the B last rows alone (the last flag of runBlocksBatch, Block.forward and
+// MultiHeadAttention.forward). For the same reason, each of those rows keeps
+// the bits it has in a forward over every row.
+//
 // This is the only forward. Serving and evaluation run it without a tape:
 // it reads only the model's parameters, so one trained model serves
 // concurrent calls from many goroutines (the property core.Server's workers,
@@ -33,10 +43,11 @@ import (
 
 // encodeBatch embeds each sequence and runs the packed batch through the
 // block stack and final layer norm, returning the packed hidden states
-// [ΣTᵢ, dModel] and the segment offsets, both arena-backed. Sequences longer
-// than MaxSeqLen are truncated keeping the head, which holds the
-// classification token and earliest features; empty sequences panic.
-func (m *Model) encodeBatch(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (*tensor.Matrix, []int) {
+// [ΣTᵢ, dModel] (with last, each sequence's last row only: [B, dModel]) and
+// the segment offsets, both arena-backed. Sequences longer than MaxSeqLen
+// are truncated keeping the head, which holds the classification token and
+// earliest features; empty sequences panic.
+func (m *Model) encodeBatch(seqs [][]int, last bool, ws *tensor.Workspace, tape *nn.Tape) (*tensor.Matrix, []int) {
 	truncated := false
 	for i, ids := range seqs {
 		if len(ids) == 0 {
@@ -57,7 +68,7 @@ func (m *Model) encodeBatch(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (
 		offsets[i+1] = offsets[i] + len(ids)
 	}
 	h := m.embedBatch(seqs, offsets, 0, ws, tape)
-	return m.runBlocksBatch(h, offsets, nil, ws, tape), offsets
+	return m.runBlocksBatch(h, offsets, nil, last, ws, tape), offsets
 }
 
 // runBlocksBatch drives the packed batch through the block stack and the
@@ -69,8 +80,10 @@ func (m *Model) encodeBatch(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (
 // whole stack's — the difference between the streaming monitor's chunk
 // pipeline rebuilding ~5 MB versus ~2 MB of arena on a cold start. A taped
 // forward keeps every block's intermediates for backward, in the tape's
-// arena. past is the per-layer KV cache (nil when uncached).
-func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, past []LayerKV, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
+// arena. past is the per-layer KV cache (nil when uncached). With last
+// (untaped and causal only), the final block and norm run on each
+// sequence's last row alone, and the output is [B, dModel].
+func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, past []LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
 	scratch := [2]*tensor.Workspace{ws, ws}
 	if tape == nil {
 		scratch[0], scratch[1] = tensor.GetWorkspace(), tensor.GetWorkspace()
@@ -88,7 +101,7 @@ func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, past []LayerKV, 
 		if past != nil {
 			kv = past[li]
 		}
-		h, _ = b.forward(h, offsets, kv, wsi, tape, false)
+		h, _ = b.forward(h, offsets, kv, last && li == len(m.Blocks)-1, wsi, tape, false)
 	}
 	// The final norm reads the last block's output from its scratch arena
 	// (still alive here) and writes into the caller's workspace.
@@ -158,7 +171,7 @@ func (m *Model) InferKVCache(prefix []int) *KVCache {
 	cache := &KVCache{Len: len(prefix)}
 	for _, b := range m.Blocks {
 		var kv LayerKV
-		h, kv = b.forward(h, offsets, LayerKV{}, ws, nil, true)
+		h, kv = b.forward(h, offsets, LayerKV{}, false, ws, nil, true)
 		cache.Layers = append(cache.Layers, kv)
 	}
 	return cache
@@ -166,9 +179,10 @@ func (m *Model) InferKVCache(prefix []int) *KVCache {
 
 // nextTokenLogits computes next-token logits [B, VocabSize] for a batch of
 // sequences that all continue cache's prefix; a nil cache is no prefix, and
-// the sequences are then whole prompts. Only the B final positions reach the
-// LM head, so a shared few-shot prompt is encoded once per cache instead of
-// once per query. Every sequence must be non-empty and fit in MaxSeqLen after
+// the sequences are then whole prompts. A shared few-shot prompt is encoded
+// once per cache instead of once per query, and only the B final positions
+// run the last block's queries, feed-forward, the final norm and the LM head
+// (the batch header above). Every sequence must be non-empty and fit in MaxSeqLen after
 // the prefix. The output is drawn from out (nil allocates); the choice-scoring
 // path passes the scratch workspace, since it reduces the logits to the few
 // choice columns before returning and a full vocabulary row per sequence is
@@ -197,12 +211,8 @@ func (m *Model) nextTokenLogits(cache *KVCache, seqs [][]int, ws, out *tensor.Wo
 		offsets[i+1] = offsets[i] + len(ids)
 	}
 	h := m.embedBatch(seqs, offsets, start, ws, nil)
-	h = m.runBlocksBatch(h, offsets, past, ws, nil)
-	last := ws.Get(len(seqs), m.Config.DModel)
-	for s := 0; s+1 < len(offsets); s++ {
-		copy(last.Row(s), h.Row(offsets[s+1]-1))
-	}
-	return m.LMHead.Forward(last, out, nil)
+	h = m.runBlocksBatch(h, offsets, past, true, ws, nil)
+	return m.LMHead.Forward(h, out, nil)
 }
 
 // ScoreChoiceBatchWithCacheWS is the constrained decoding ICL classifies
@@ -239,8 +249,15 @@ func (m *Model) PooledBatchWS(seqs [][]int, ws *tensor.Workspace) *tensor.Matrix
 }
 
 // pool is PooledBatchWS, optionally on a tape, also returning the offsets.
+// Untaped, a decoder's forward computes only the last rows, which are the
+// pooled vectors; a taped one computes every row for backward, and the last
+// are copied out.
 func (m *Model) pool(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (*tensor.Matrix, []int) {
-	h, offsets := m.encodeBatch(seqs, ws, tape)
+	last := m.Config.Causal && tape == nil
+	h, offsets := m.encodeBatch(seqs, last, ws, tape)
+	if last {
+		return h, offsets
+	}
 	pooled := ws.GetZeroed(len(seqs), m.Config.DModel)
 	for s := 0; s+1 < len(offsets); s++ {
 		lo, hi := offsets[s], offsets[s+1]
@@ -257,6 +274,16 @@ func (m *Model) pool(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (*tensor
 		}
 	}
 	return pooled, offsets
+}
+
+// lastRows gathers each sequence's last row of the packed x into a [B, Cols]
+// matrix from ws.
+func lastRows(x *tensor.Matrix, offsets []int, ws *tensor.Workspace) *tensor.Matrix {
+	out := ws.Get(len(offsets)-1, x.Cols)
+	for s := 0; s+1 < len(offsets); s++ {
+		copy(out.Row(s), x.Row(offsets[s+1]-1))
+	}
+	return out
 }
 
 // chooseFromLogits reduces per-row vocabulary logits to the best index and

@@ -46,10 +46,12 @@ type Model struct {
 	Blocks  []*Block
 	FinalLN *nn.LayerNorm
 	// LMHead is nn.Layer (constructed as *nn.Linear) so Model.QuantizeInt8
-	// can swap it for an int8 inference layer — the LM head is the largest
-	// single matmul of the decode path. ClsHead stays a concrete *nn.Linear:
-	// it is a [DModel, NumClasses] sliver whose quantization would save
-	// nothing, and head-only training reaches into it directly.
+	// can swap it for an int8 inference layer like every block projection.
+	// A decode runs it on one row per sequence, and at the served
+	// vocabulary of 120 it is the decode path's smallest matmul. ClsHead
+	// stays a concrete *nn.Linear: it is a [DModel, NumClasses] sliver whose
+	// quantization would save nothing, and head-only training reaches into
+	// it directly.
 	LMHead  nn.Layer
 	ClsHead *nn.Linear
 }
@@ -106,7 +108,7 @@ func (m *Model) ForwardClsTape(seqs [][]int, tape *nn.Tape) *tensor.Matrix {
 // decoders), recorded on tape like ForwardClsTape.
 func (m *Model) ForwardLMTape(seqs [][]int, tape *nn.Tape) *tensor.Matrix {
 	ws := tape.WS()
-	h, _ := m.encodeBatch(seqs, ws, tape)
+	h, _ := m.encodeBatch(seqs, false, ws, tape)
 	logits := m.LMHead.Forward(h, ws, tape)
 	tape.Push(modelRecord, nil)
 	return logits

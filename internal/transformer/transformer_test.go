@@ -11,7 +11,7 @@ import (
 
 // attend runs a over x as one sequence.
 func attend(a *MultiHeadAttention, x *tensor.Matrix, tape *nn.Tape) *tensor.Matrix {
-	y, _ := a.forward(x, []int{0, x.Rows}, LayerKV{}, tape.WS(), tape, false)
+	y, _ := a.forward(x, []int{0, x.Rows}, LayerKV{}, false, tape.WS(), tape, false)
 	return y
 }
 
@@ -138,7 +138,7 @@ func TestBlockForwardBackwardShapes(t *testing.T) {
 	x := tensor.New(5, 8)
 	tensor.Gaussian(x, 1, rng)
 	tape := nn.NewTape()
-	y, _ := b.forward(x, []int{0, x.Rows}, LayerKV{}, tape.WS(), tape, false)
+	y, _ := b.forward(x, []int{0, x.Rows}, LayerKV{}, false, tape.WS(), tape, false)
 	if y.Rows != 5 || y.Cols != 8 {
 		t.Fatalf("block output %dx%d", y.Rows, y.Cols)
 	}
@@ -169,7 +169,7 @@ func TestModelForwardLMShape(t *testing.T) {
 func TestModelTruncatesLongSequences(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(10))
 	ids := make([]int, 100)
-	h, _ := m.encodeBatch([][]int{ids}, nil, nil)
+	h, _ := m.encodeBatch([][]int{ids}, false, nil, nil)
 	if h.Rows != m.Config.MaxSeqLen {
 		t.Fatalf("encoded %d positions, want truncation to %d", h.Rows, m.Config.MaxSeqLen)
 	}

@@ -52,7 +52,7 @@ func TestStridedAttentionMatchesCopyingBitwise(t *testing.T) {
 
 		want := referenceAttentionForward(a, x)
 		for _, tape := range []*nn.Tape{nil, nn.NewTape()} {
-			got, _ := a.forward(x, []int{0, x.Rows}, LayerKV{}, tape.WS(), tape, false)
+			got, _ := a.forward(x, []int{0, x.Rows}, LayerKV{}, false, tape.WS(), tape, false)
 			if !got.Equal(want) {
 				t.Fatalf("causal=%v taped=%v: forward differs from copying reference", causal, tape != nil)
 			}
