@@ -23,8 +23,9 @@ import (
 // values. So the last block runs LN1, K and V over every row, and Q, the
 // attention, Wo, the residual, LN2, the feed-forward and the final norm over
 // the B last rows alone (the last flag of runBlocksBatch, Block.forward and
-// MultiHeadAttention.forward). For the same reason, each of those rows keeps
-// the bits it has in a forward over every row.
+// MultiHeadAttention.forward). Since every kernel computes a row from that
+// row alone, each of those rows keeps the bits it has in a forward over
+// every row (TestLastRowForwardMatchesAllRows).
 //
 // This is the only forward. Serving and evaluation run it without a tape:
 // it reads only the model's parameters, so one trained model serves
@@ -181,12 +182,13 @@ func (m *Model) InferKVCache(prefix []int) *KVCache {
 // sequences that all continue cache's prefix; a nil cache is no prefix, and
 // the sequences are then whole prompts. A shared few-shot prompt is encoded
 // once per cache instead of once per query, and only the B final positions
-// run the last block's queries, feed-forward, the final norm and the LM head
-// (the batch header above). Every sequence must be non-empty and fit in MaxSeqLen after
-// the prefix. The output is drawn from out (nil allocates); the choice-scoring
-// path passes the scratch workspace, since it reduces the logits to the few
-// choice columns before returning and a full vocabulary row per sequence is
-// the batch's largest single garbage producer otherwise.
+// run the last block's queries and feed-forward, the final norm and the LM
+// head (see the batch header above). Every sequence must be non-empty and
+// fit in MaxSeqLen after the prefix. The output is drawn from out (nil
+// allocates); the choice-scoring path passes the scratch workspace, since it
+// reduces the logits to the few choice columns before returning and a full
+// vocabulary row per sequence is the batch's largest single garbage producer
+// otherwise.
 func (m *Model) nextTokenLogits(cache *KVCache, seqs [][]int, ws, out *tensor.Workspace) *tensor.Matrix {
 	if !m.Config.Causal {
 		panic("transformer: next-token logits require a causal model")
