@@ -98,6 +98,34 @@ func BenchmarkKVCacheDecode(b *testing.B) {
 	})
 }
 
+// monitorSuffixes returns n ICL query suffixes shaped like the streaming
+// monitor's: nine (name, is, value) triples and the two closing tokens of
+// "category :", 29 tokens each. The first three values are s%4, (s/4)%2 and
+// (s/8)%2, so lines share leading runs as a workflow's delay fields do; the
+// rest are distinct for up to 64 lines.
+func monitorSuffixes(n int) [][]int {
+	const is, category, colon = 99, 97, 98
+	seqs := make([][]int, n)
+	for s := range seqs {
+		for f := 0; f < 9; f++ {
+			var value int
+			switch f {
+			case 0:
+				value = 10 + s%4
+			case 1:
+				value = 10 + (s/4)%2
+			case 2:
+				value = 10 + (s/8)%2
+			default:
+				value = 20 + (s+11*(f-3))%64
+			}
+			seqs[s] = append(seqs[s], 100+f, is, value)
+		}
+		seqs[s] = append(seqs[s], category, colon)
+	}
+	return seqs
+}
+
 // benchDecode times ScoreChoiceBatchWithCacheWS on suffixes over a
 // prefixLen-token cached prefix, on a mistral-shaped decoder.
 func benchDecode(b *testing.B, precision string, vocab, prefixLen int, suffixes [][]int) {

@@ -164,7 +164,7 @@ func TestQuantizedBatchForwardAllocations(t *testing.T) {
 // batch paths from many goroutines — each with its own arena, all sharing
 // one model and one KV cache — under -race. Every result must match the
 // serial one bit for bit: the classification logits, and the decoder's
-// choice probabilities as well as its argmax.
+// choice probabilities as well as its argmax over suffixes that share heads.
 func TestWorkspaceForwardIsConcurrencySafe(t *testing.T) {
 	enc := batchTestModel(false)
 	seqs := batchTestSeqs(5, enc.Config.VocabSize, enc.Config.MaxSeqLen, 23)
@@ -173,7 +173,10 @@ func TestWorkspaceForwardIsConcurrencySafe(t *testing.T) {
 	dec := batchTestModel(true)
 	prefix := batchTestSeqs(1, dec.Config.VocabSize, dec.Config.MaxSeqLen/2, 29)[0]
 	cache := dec.InferKVCache(prefix)
-	suffixes := batchTestSeqs(4, dec.Config.VocabSize, dec.Config.MaxSeqLen-len(prefix), 31)
+	// The suffixes share leading runs, so the goroutines also gather borrowed
+	// heads from the packed rows concurrently.
+	room := dec.Config.MaxSeqLen - len(prefix)
+	suffixes := append(batchTestSeqs(4, dec.Config.VocabSize, room, 31), sharedHeadBatch(room, dec.Config.VocabSize)...)
 	wantBest, wantProbs := dec.ScoreChoiceBatchWithCacheWS(cache, suffixes, []int{3, 4}, nil)
 
 	var wg sync.WaitGroup
