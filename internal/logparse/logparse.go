@@ -111,15 +111,25 @@ func ParseSentence(s string) (flowbench.Job, error) {
 	return j, nil
 }
 
-// sentenceFeatIdx maps feature names to their index, built once so the
-// zero-allocation scanner can look names up without per-call map builds.
-var sentenceFeatIdx = func() map[string]int {
-	m := make(map[string]int, flowbench.NumFeatures)
-	for i, n := range flowbench.FeatureNames {
-		m[n] = i
-	}
-	return m
-}()
+// featIdx maps feature names to their index and anomalyByName class names
+// to their class. Both are built once and only read after, so the parsers
+// look names up without per-call map builds.
+var (
+	featIdx = func() map[string]int {
+		m := make(map[string]int, flowbench.NumFeatures)
+		for i, n := range flowbench.FeatureNames {
+			m[n] = i
+		}
+		return m
+	}()
+	anomalyByName = func() map[string]flowbench.AnomalyClass {
+		m := map[string]flowbench.AnomalyClass{flowbench.None.String(): flowbench.None}
+		for _, a := range flowbench.AnomalyClasses {
+			m[a.String()] = a
+		}
+		return m
+	}()
+)
 
 // isSentenceSpace matches the whitespace Sentence/Prefix emit (and the
 // strings.Fields superset ParseSentence accepts for ASCII input).
@@ -155,7 +165,7 @@ func ScanSentence(s string, feats *[flowbench.NumFeatures]float64) bool {
 		tok := s[start:pos]
 		switch field {
 		case 0:
-			i, known := sentenceFeatIdx[tok]
+			i, known := featIdx[tok]
 			if !known {
 				return false
 			}
@@ -192,16 +202,7 @@ func LogLine(j flowbench.Job) string {
 // keys are ignored; missing features are zero.
 func ParseLogLine(line string) (flowbench.Job, error) {
 	var j flowbench.Job
-	fields := strings.Fields(line)
-	featIdx := make(map[string]int, flowbench.NumFeatures)
-	for i, n := range flowbench.FeatureNames {
-		featIdx[n] = i
-	}
-	anomalyByName := map[string]flowbench.AnomalyClass{}
-	for _, a := range append([]flowbench.AnomalyClass{flowbench.None}, flowbench.AnomalyClasses...) {
-		anomalyByName[a.String()] = a
-	}
-	for _, f := range fields {
+	for _, f := range strings.Fields(line) {
 		eq := strings.IndexByte(f, '=')
 		if eq < 0 {
 			return j, fmt.Errorf("logparse: malformed field %q", f)

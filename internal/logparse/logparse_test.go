@@ -167,3 +167,18 @@ func TestCorpusSortedAndComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestParseLogLineAllocations pins the monitor's per-line parse at one
+// allocation, the field slice: the name lookups read package tables instead
+// of building two maps per line.
+func TestParseLogLineAllocations(t *testing.T) {
+	line := LogLine(sampleJob())
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ParseLogLine(line); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("ParseLogLine allocates %v times per line, want ≤ 1", allocs)
+	}
+}
