@@ -26,6 +26,8 @@ type Workspace struct {
 	inext int
 	bytes [][]byte
 	bnext int
+	// children are the arenas Child hands out, kept for the workspace's life.
+	children []*Workspace
 }
 
 // NewWorkspace returns an empty workspace.
@@ -146,6 +148,22 @@ func (w *Workspace) Reset() {
 		return
 	}
 	w.next, w.vnext, w.inext, w.bnext = 0, 0, 0, 0
+}
+
+// Child returns the workspace's i-th child arena, created on first use and
+// kept for the workspace's life: a forward that double-buffers its scratch
+// across layers rewinds two children of its caller's workspace instead of
+// borrowing two pooled arenas, whose sizes another caller's batches set. Its
+// user rewinds a child; the parent's Reset does not. A nil workspace's
+// children are nil.
+func (w *Workspace) Child(i int) *Workspace {
+	if w == nil {
+		return nil
+	}
+	for len(w.children) <= i {
+		w.children = append(w.children, &Workspace{})
+	}
+	return w.children[i]
 }
 
 var workspacePool = sync.Pool{New: func() any { return &Workspace{} }}

@@ -71,7 +71,16 @@ func NewMultiHeadAttention(name string, dModel, numHeads int, causal bool, rng *
 // all of them, but Q, the scores, the softmax and Wo run on one row per
 // sequence, and the output is [B, DModel]. Every kernel computes a row from
 // that row alone, so those rows carry the bits a full forward gives them.
-func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, past LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
+//
+// A non-zero tree (causal, untaped; see pack) shares rows: the projections
+// run on the rows sequences own, and a sequence that borrows a head gathers
+// its keys and values — head rows, then its own — into one max-shaped K/V
+// pair drawn once per layer, so the kernels see the operands the sequence
+// run alone gives them. Its queries are its own rows, after the Tp+dep
+// positions the softmax mask lets them see; a sequence that owns no rows
+// queries nothing, except in the last block, where its query is the row of
+// its last position.
+func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, tree prefixTree, past LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
 	Tp := 0
 	if past.K != nil {
 		if !a.Causal {
@@ -86,7 +95,7 @@ func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, past Layer
 	}
 	xq := x // the rows that query
 	if last {
-		xq = lastRows(x, offsets, ws)
+		xq = lastRows(x, offsets, tree, ws)
 	}
 	var q, k, v *tensor.Matrix
 	wq, qok := a.Wq.(*nn.QuantizedLinear)
@@ -117,30 +126,42 @@ func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, past Layer
 	// would pin ~200 distinct score buffers in the arena, and rebuilding that
 	// arena dominated the streaming monitor's allocations. A taped forward
 	// keeps every head's probabilities for backward instead.
-	var scoresBuf, scores *tensor.Matrix
+	var scoresBuf, scores, kBuf, vBuf *tensor.Matrix
 	if tape == nil {
-		maxT := 0
+		maxT, maxTq := 0, 1
 		for s := 0; s+1 < len(offsets); s++ {
-			maxT = max(maxT, offsets[s+1]-offsets[s])
+			maxT = max(maxT, tree.depth(s)+offsets[s+1]-offsets[s])
+			maxTq = max(maxTq, offsets[s+1]-offsets[s])
 		}
-		maxTq := maxT
 		if last {
 			maxTq = 1
 		}
 		scoresBuf = ws.Get(maxTq, Tp+maxT)
+		if tree.dep != nil {
+			kBuf, vBuf = ws.Get(maxT, a.DModel), ws.Get(maxT, a.DModel)
+		}
 	}
 	for s := 0; s+1 < len(offsets); s++ {
 		lo, hi := offsets[s], offsets[s+1]
-		T := hi - lo
+		dep := tree.depth(s)
+		T := dep + hi - lo
 		// The sequence's queries are its last Tq positions, rows [qlo,
 		// qlo+Tq) of q and concat.
-		Tq, qlo := T, lo
+		Tq, qlo := hi-lo, lo
 		if last {
 			Tq, qlo = 1, s
+		}
+		if Tq == 0 {
+			continue
 		}
 		qs := ws.RowView(q, qlo, qlo+Tq)
 		ks := ws.RowView(k, lo, hi)
 		vs := ws.RowView(v, lo, hi)
+		if dep > 0 {
+			ks, vs = ws.ShapedView(kBuf, T, a.DModel), ws.ShapedView(vBuf, T, a.DModel)
+			tree.gather(ks, k, offsets, s)
+			tree.gather(vs, v, offsets, s)
+		}
 		cs := ws.RowView(concat, qlo, qlo+Tq)
 		if tape == nil {
 			// scores over [past | current] keys: [Tq, Tp+T], reused across heads.

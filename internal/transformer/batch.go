@@ -27,6 +27,19 @@ import (
 // row alone, each of those rows keeps the bits it has in a forward over
 // every row (TestLastRowForwardMatchesAllRows).
 //
+// Nor is a row computed twice. Under causal masking a position's hidden
+// state depends only on its own sequence's tokens up to it (and the cached
+// prefix they all continue), so two sequences that begin with the same
+// tokens hold the same rows there, bit for bit. An untaped causal forward
+// packs its batch as a prefix tree (pack): a sequence borrows the rows of
+// the longest leading run it shares with an earlier sequence and owns only
+// the rest. Embeddings, layer norms, projections and feed-forwards run on
+// owned rows; attention gathers each borrowing sequence's keys and values
+// into one buffer, so every kernel sees the operands the sequence run alone
+// gives it (TestSharedHeadForwardMatchesUnshared). A chunk of log-line
+// suffixes shares its leading fields: the streaming monitor's chunks compute
+// about 70 % of their rows.
+//
 // This is the only forward. Serving and evaluation run it without a tape:
 // it reads only the model's parameters, so one trained model serves
 // concurrent calls from many goroutines (the property core.Server's workers,
@@ -39,15 +52,18 @@ import (
 // a long-lived owner such as a core.Server worker passes its own and resets
 // it between batches; a one-shot caller passes nil and gets plain allocation
 // (tensor.Workspace's nil contract); a taped forward uses the tape's. The
+// block stack's scratch lives in two children of the caller's workspace
+// (runBlocksBatch), which the forward rewinds itself. The
 // serving entry points return fresh heap allocations, never arena-backed,
 // so callers may Reset the workspace freely afterwards.
 
 // encodeBatch embeds each sequence and runs the packed batch through the
 // block stack and final layer norm, returning the packed hidden states
-// [ΣTᵢ, dModel] (with last, each sequence's last row only: [B, dModel]) and
-// the segment offsets, both arena-backed. Sequences longer than MaxSeqLen
-// are truncated keeping the head, which holds the classification token and
-// earliest features; empty sequences panic.
+// [ΣTᵢ, dModel] (with last, each sequence's last row only: [B, dModel], over
+// a batch packed as a prefix tree) and the segment offsets, both
+// arena-backed. Sequences longer than MaxSeqLen are truncated keeping the
+// head, which holds the classification token and earliest features; empty
+// sequences panic.
 func (m *Model) encodeBatch(seqs [][]int, last bool, ws *tensor.Workspace, tape *nn.Tape) (*tensor.Matrix, []int) {
 	truncated := false
 	for i, ids := range seqs {
@@ -63,33 +79,118 @@ func (m *Model) encodeBatch(seqs [][]int, last bool, ws *tensor.Workspace, tape 
 			seqs[i] = ids[:m.Config.MaxSeqLen]
 		}
 	}
+	offsets, tree := pack(seqs, last, ws)
+	h := m.embedBatch(seqs, offsets, 0, ws, tape)
+	return m.runBlocksBatch(h, offsets, tree, nil, last, ws, tape), offsets
+}
+
+// prefixTree is how a packed batch shares rows: sequence s borrows its first
+// dep[s] positions from the rows of from[s], an earlier sequence that starts
+// with the same dep[s] tokens, and owns the rest. The zero value shares
+// nothing.
+type prefixTree struct {
+	dep, from []int
+}
+
+// pack lays a batch out: sequence s owns packed rows [offsets[s],
+// offsets[s+1]). With share (an untaped causal forward, whose rows depend on
+// their sequence's earlier tokens alone), s borrows the longest leading run
+// it has in common with any earlier sequence and owns only the positions
+// after it, so the batch packs as a prefix tree with one row per node. The
+// scan compares each sequence with every earlier one, O(B²·T), and draws
+// everything from ws; a batch that shares nothing gets the zero tree.
+func pack(seqs [][]int, share bool, ws *tensor.Workspace) ([]int, prefixTree) {
 	offsets := ws.GetInts(len(seqs) + 1)
 	offsets[0] = 0
-	for i, ids := range seqs {
-		offsets[i+1] = offsets[i] + len(ids)
+	var t prefixTree
+	if share {
+		t.dep, t.from = ws.GetInts(len(seqs)), ws.GetInts(len(seqs))
 	}
-	h := m.embedBatch(seqs, offsets, 0, ws, tape)
-	return m.runBlocksBatch(h, offsets, nil, last, ws, tape), offsets
+	shared := false
+	for s, ids := range seqs {
+		d := 0
+		if share {
+			from := 0
+			for c := 0; c < s && d < len(ids); c++ {
+				n := 0
+				for n < len(ids) && n < len(seqs[c]) && ids[n] == seqs[c][n] {
+					n++
+				}
+				if n > d {
+					d, from = n, c
+				}
+			}
+			t.dep[s], t.from[s] = d, from
+			shared = shared || d > 0
+		}
+		offsets[s+1] = offsets[s] + len(ids) - d
+	}
+	if !shared {
+		t = prefixTree{}
+	}
+	return offsets, t
+}
+
+// depth is how many leading positions sequence s borrows.
+func (t prefixTree) depth(s int) int {
+	if t.dep == nil {
+		return 0
+	}
+	return t.dep[s]
+}
+
+// row returns the packed row that holds position p of sequence s.
+func (t prefixTree) row(offsets []int, s, p int) int {
+	for p < t.depth(s) {
+		s = t.from[s]
+	}
+	return offsets[s] + p - t.depth(s)
+}
+
+// gather copies sequence s's rows of the packed x, positions [0, T) — its
+// borrowed head, then its own rows — into the first T rows of dst.
+func (t prefixTree) gather(dst, x *tensor.Matrix, offsets []int, s int) {
+	c, n := x.Cols, t.dep[s]
+	copy(dst.Data[n*c:], x.Data[offsets[s]*c:offsets[s+1]*c])
+	// Walk up the tree: each ancestor a holds positions [dep[a], n) of the
+	// head in its own rows.
+	for a := t.from[s]; n > 0; a = t.from[a] {
+		if d := t.dep[a]; d < n {
+			copy(dst.Data[d*c:n*c], x.Data[offsets[a]*c:])
+			n = d
+		}
+	}
 }
 
 // runBlocksBatch drives the packed batch through the block stack and the
 // final layer norm. Without a tape, scratch is double-buffered: block
-// intermediates alternate between two pooled workspaces, each reset once its
-// layer's output has been consumed by the next layer. Only the normalized
-// output (and whatever the caller placed there) lands in the caller's arena,
-// so a worker's resident workspace holds ~2 layers of scratch instead of the
+// intermediates alternate between two arenas, each reset once its layer's
+// output has been consumed by the next layer. The arenas are two children of
+// the caller's workspace, kept for its life, so a worker's scratch settles
+// at the size of its largest batch however the packed row count varies (a
+// nil workspace borrows two from the pool). Only the normalized output (and
+// whatever the caller placed there) lands in the caller's arena itself, so a
+// worker's resident workspace holds ~2 layers of scratch instead of the
 // whole stack's — the difference between the streaming monitor's chunk
 // pipeline rebuilding ~5 MB versus ~2 MB of arena on a cold start. A taped
 // forward keeps every block's intermediates for backward, in the tape's
-// arena. past is the per-layer KV cache (nil when uncached). With last
-// (untaped and causal only), the final block and norm run on each
-// sequence's last row alone, and the output is [B, dModel].
-func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, past []LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
+// arena. tree is the batch's sharing (see pack), past the per-layer KV cache
+// (nil when uncached). With last (untaped and causal only), the final block
+// and norm run on each sequence's last row alone, and the output is
+// [B, dModel].
+func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, tree prefixTree, past []LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
 	scratch := [2]*tensor.Workspace{ws, ws}
-	if tape == nil {
+	switch {
+	case tape != nil:
+	case ws == nil:
 		scratch[0], scratch[1] = tensor.GetWorkspace(), tensor.GetWorkspace()
 		defer tensor.PutWorkspace(scratch[0])
 		defer tensor.PutWorkspace(scratch[1])
+	default:
+		// Whatever the children hold is the previous forward's, and dead.
+		scratch[0], scratch[1] = ws.Child(0), ws.Child(1)
+		scratch[0].Reset()
+		scratch[1].Reset()
 	}
 	for li, b := range m.Blocks {
 		wsi := scratch[li%2]
@@ -102,25 +203,28 @@ func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, past []LayerKV, 
 		if past != nil {
 			kv = past[li]
 		}
-		h, _ = b.forward(h, offsets, kv, last && li == len(m.Blocks)-1, wsi, tape, false)
+		h, _ = b.forward(h, offsets, tree, kv, last && li == len(m.Blocks)-1, wsi, tape, false)
 	}
 	// The final norm reads the last block's output from its scratch arena
 	// (still alive here) and writes into the caller's workspace.
 	return m.FinalLN.Forward(h, ws, tape)
 }
 
-// embedBatch gathers token+position embeddings for the packed batch.
-// Positions restart at posStart for every sequence (posStart is nonzero when
-// the batch continues a cached shared prefix).
+// embedBatch gathers token+position embeddings for the rows each sequence
+// owns: the last offsets[s+1]−offsets[s] of its tokens (all of them unless
+// it borrows a head, see pack). Positions restart at posStart for every
+// sequence (posStart is nonzero when the batch continues a cached shared
+// prefix).
 func (m *Model) embedBatch(seqs [][]int, offsets []int, posStart int, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
 	total := offsets[len(offsets)-1]
 	flat := ws.GetInts(total)
 	pos := ws.GetInts(total)
 	n := 0
-	for _, ids := range seqs {
-		for p, id := range ids {
+	for s, ids := range seqs {
+		head := len(ids) - (offsets[s+1] - offsets[s])
+		for p, id := range ids[head:] {
 			flat[n] = id
-			pos[n] = posStart + p
+			pos[n] = posStart + head + p
 			n++
 		}
 	}
@@ -172,7 +276,7 @@ func (m *Model) InferKVCache(prefix []int) *KVCache {
 	cache := &KVCache{Len: len(prefix)}
 	for _, b := range m.Blocks {
 		var kv LayerKV
-		h, kv = b.forward(h, offsets, LayerKV{}, false, ws, nil, true)
+		h, kv = b.forward(h, offsets, prefixTree{}, LayerKV{}, false, ws, nil, true)
 		cache.Layers = append(cache.Layers, kv)
 	}
 	return cache
@@ -201,19 +305,17 @@ func (m *Model) nextTokenLogits(cache *KVCache, seqs [][]int, ws, out *tensor.Wo
 	if cache != nil {
 		past, start = cache.Layers, cache.Len
 	}
-	offsets := ws.GetInts(len(seqs) + 1)
-	offsets[0] = 0
-	for i, ids := range seqs {
+	for _, ids := range seqs {
 		if len(ids) == 0 {
 			panic("transformer: empty sequence in batch")
 		}
 		if start+len(ids) > m.Config.MaxSeqLen {
 			panic("transformer: sequence exceeds MaxSeqLen")
 		}
-		offsets[i+1] = offsets[i] + len(ids)
 	}
+	offsets, tree := pack(seqs, true, ws)
 	h := m.embedBatch(seqs, offsets, start, ws, nil)
-	h = m.runBlocksBatch(h, offsets, past, true, ws, nil)
+	h = m.runBlocksBatch(h, offsets, tree, past, true, ws, nil)
 	return m.LMHead.Forward(h, out, nil)
 }
 
@@ -278,12 +380,14 @@ func (m *Model) pool(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (*tensor
 	return pooled, offsets
 }
 
-// lastRows gathers each sequence's last row of the packed x into a [B, Cols]
-// matrix from ws.
-func lastRows(x *tensor.Matrix, offsets []int, ws *tensor.Workspace) *tensor.Matrix {
+// lastRows gathers the row of each sequence's last position from the packed
+// x into a [B, Cols] matrix from ws: its own last row, or for a sequence
+// that owns none, the row of the one it borrows that position from.
+func lastRows(x *tensor.Matrix, offsets []int, tree prefixTree, ws *tensor.Workspace) *tensor.Matrix {
 	out := ws.Get(len(offsets)-1, x.Cols)
 	for s := 0; s+1 < len(offsets); s++ {
-		copy(out.Row(s), x.Row(offsets[s+1]-1))
+		last := tree.depth(s) + offsets[s+1] - offsets[s] - 1
+		copy(out.Row(s), x.Row(tree.row(offsets, s, last)))
 	}
 	return out
 }

@@ -174,13 +174,13 @@ func TestInferKVCacheMatchesBuildKVCache(t *testing.T) {
 	h := m.embedBatch([][]int{prefix}, offsets, 0, nil, nil)
 	for li, b := range m.Blocks {
 		tape := nn.NewTape()
-		b.Attn.forward(b.LN1.Forward(h, nil, nil), offsets, LayerKV{}, false, tape.WS(), tape, false)
+		b.Attn.forward(b.LN1.Forward(h, nil, nil), offsets, prefixTree{}, LayerKV{}, false, tape.WS(), tape, false)
 		tape.Pop(b.Attn.Wo.(*nn.Linear).Weight.Name)
 		_, rec := tape.Pop(attentionRecord)
 		if !sameBits(got.Layers[li].K.Data, rec[1].Data) || !sameBits(got.Layers[li].V.Data, rec[2].Data) {
 			t.Fatalf("layer %d: cached K/V differ from the recorded projections", li)
 		}
-		h, _ = b.forward(h, offsets, LayerKV{}, false, nil, nil, false)
+		h, _ = b.forward(h, offsets, prefixTree{}, LayerKV{}, false, nil, nil, false)
 	}
 }
 

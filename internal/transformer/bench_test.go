@@ -74,8 +74,11 @@ func BenchmarkTrainStep(b *testing.B) {
 // against a 256-token cached prefix: the ICL serving inner loop for a lone
 // line after the prompt cache is built. chunk32 is the streaming monitor's
 // shape: a 32-line chunk of 29-token suffixes over a 230-token few-shot
-// prefix, at the served vocabulary of 120. allocs/op should sit within a few
-// allocations of zero (only returned results allocate).
+// prefix, at the served vocabulary of 120; its lines share nothing, so it is
+// the control for chunk32shared, the same shape with the leading runs a
+// monitor chunk's lines share (monitorSuffixes), which reports the share of
+// suffix rows the prefix-tree packing computes. allocs/op should sit within a
+// few allocations of zero (only returned results allocate).
 func BenchmarkKVCacheDecode(b *testing.B) {
 	for _, precision := range []string{"fp32", "int8"} {
 		b.Run(precision, func(b *testing.B) {
@@ -93,6 +96,17 @@ func BenchmarkKVCacheDecode(b *testing.B) {
 		for _, precision := range []string{"fp32", "int8"} {
 			b.Run(precision, func(b *testing.B) {
 				benchDecode(b, precision, 120, 230, suffixes)
+			})
+		}
+	})
+	b.Run("chunk32shared", func(b *testing.B) {
+		suffixes := monitorSuffixes(32)
+		offsets, _ := pack(suffixes, true, nil)
+		unique := float64(offsets[len(suffixes)]) / float64(32*len(suffixes[0]))
+		for _, precision := range []string{"fp32", "int8"} {
+			b.Run(precision, func(b *testing.B) {
+				benchDecode(b, precision, 120, 230, suffixes)
+				b.ReportMetric(unique, "unique_rows")
 			})
 		}
 	})

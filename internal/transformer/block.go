@@ -42,15 +42,15 @@ func NewBlock(name string, dModel, numHeads, ffnDim int, causal bool, dropout fl
 }
 
 // forward runs the block over a packed batch (see MultiHeadAttention.forward
-// for past, last and capture). With last set, everything after attention
+// for tree, past, last and capture). With last set, everything after attention
 // runs on each sequence's last row alone, and so does the output. The
 // residual sums overwrite branch outputs no record holds.
-func (b *Block) forward(x *tensor.Matrix, offsets []int, past LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
+func (b *Block) forward(x *tensor.Matrix, offsets []int, tree prefixTree, past LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
 	h := b.LN1.Forward(x, ws, tape)
-	h, kv := b.Attn.forward(h, offsets, past, last, ws, tape, capture)
+	h, kv := b.Attn.forward(h, offsets, tree, past, last, ws, tape, capture)
 	h = b.dropA.Forward(h, ws, tape)
 	if last {
-		x = lastRows(x, offsets, ws)
+		x = lastRows(x, offsets, tree, ws)
 	}
 	x1 := tensor.Add(h, x, h)
 

@@ -21,7 +21,7 @@ func allRowsLast(m *Model, cache *KVCache, seqs [][]int) *tensor.Matrix {
 		offsets[i+1] = offsets[i] + len(ids)
 	}
 	h := m.embedBatch(seqs, offsets, start, nil, nil)
-	h = m.runBlocksBatch(h, offsets, past, false, nil, nil)
+	h = m.runBlocksBatch(h, offsets, prefixTree{}, past, false, nil, nil)
 	last := tensor.New(len(seqs), m.Config.DModel)
 	for s := range seqs {
 		copy(last.Row(s), h.Row(offsets[s+1]-1))

@@ -32,15 +32,17 @@ func sharedHeadBatch(room, vocab int) [][]int {
 	}
 	head5 := fork(5, room-8, 61)
 	deeper := append(append([]int(nil), head5[:9]...), 90, 91, 92)
+	// Between head5 and deeper sits a shallower head, so a gather that
+	// stopped at deeper's own parent would read another head's rows.
 	return [][]int{
 		unshared,
 		base,
 		head5,
+		fork(1, 4, 77),
 		deeper,                          // borrows 9: 5 from base through head5
 		append([]int(nil), head5...),    // exact duplicate
 		append([]int(nil), base[:7]...), // strict prefix
-		fork(1, 4, 77),
-		{base[0]}, // one-token strict prefix
+		{base[0]},                       // one-token strict prefix
 		fork(room-1, 1, 33),
 	}
 }

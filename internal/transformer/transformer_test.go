@@ -11,7 +11,7 @@ import (
 
 // attend runs a over x as one sequence.
 func attend(a *MultiHeadAttention, x *tensor.Matrix, tape *nn.Tape) *tensor.Matrix {
-	y, _ := a.forward(x, []int{0, x.Rows}, LayerKV{}, false, tape.WS(), tape, false)
+	y, _ := a.forward(x, []int{0, x.Rows}, prefixTree{}, LayerKV{}, false, tape.WS(), tape, false)
 	return y
 }
 
@@ -138,7 +138,7 @@ func TestBlockForwardBackwardShapes(t *testing.T) {
 	x := tensor.New(5, 8)
 	tensor.Gaussian(x, 1, rng)
 	tape := nn.NewTape()
-	y, _ := b.forward(x, []int{0, x.Rows}, LayerKV{}, false, tape.WS(), tape, false)
+	y, _ := b.forward(x, []int{0, x.Rows}, prefixTree{}, LayerKV{}, false, tape.WS(), tape, false)
 	if y.Rows != 5 || y.Cols != 8 {
 		t.Fatalf("block output %dx%d", y.Rows, y.Cols)
 	}

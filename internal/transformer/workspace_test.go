@@ -52,7 +52,7 @@ func TestStridedAttentionMatchesCopyingBitwise(t *testing.T) {
 
 		want := referenceAttentionForward(a, x)
 		for _, tape := range []*nn.Tape{nil, nn.NewTape()} {
-			got, _ := a.forward(x, []int{0, x.Rows}, LayerKV{}, false, tape.WS(), tape, false)
+			got, _ := a.forward(x, []int{0, x.Rows}, prefixTree{}, LayerKV{}, false, tape.WS(), tape, false)
 			if !got.Equal(want) {
 				t.Fatalf("causal=%v taped=%v: forward differs from copying reference", causal, tape != nil)
 			}
@@ -135,6 +135,43 @@ func TestScoreChoiceBatchCachedAllocations(t *testing.T) {
 	// hundreds of forward-pass temporaries per call.
 	if allocs > 8 {
 		t.Fatalf("cached batch scoring allocates %v times per op, want ≤ 8", allocs)
+	}
+}
+
+// TestSharedChunkArenasSettle pins a held workspace's steady state over
+// chunks whose packed row counts differ, as the streaming monitor's do:
+// warmed once with the largest shared chunk, smaller shared chunks — one
+// with a strict prefix that owns no rows — alternate without re-growing an
+// arena, the block scratch's two child arenas included. The budget is
+// TestScoreChoiceBatchCachedAllocations': the returned slices (2 + B) plus
+// headroom.
+func TestSharedChunkArenasSettle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	cfg := Config{
+		Name: "settle", VocabSize: 120, MaxSeqLen: 40, DModel: 16,
+		NumHeads: 2, NumLayers: 3, FFNDim: 32, Causal: true, NumClasses: 2,
+	}
+	m := New(cfg, tensor.NewRNG(96))
+	cache := m.InferKVCache([]int{1, 2, 3, 4, 5, 6})
+	lines := monitorSuffixes(32)
+	chunks := [][][]int{
+		lines[:3],                       // share "name is"
+		{lines[4], lines[4][:7]},        // a strict prefix borrows every row
+		{lines[0], lines[8], lines[16]}, // share one value
+	}
+	choices := []int{1, 2}
+	ws := tensor.NewWorkspace()
+	m.ScoreChoiceBatchWithCacheWS(cache, lines, choices, ws) // warm with the largest chunk
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		ws.Reset()
+		m.ScoreChoiceBatchWithCacheWS(cache, chunks[i%len(chunks)], choices, ws)
+		i++
+	})
+	if allocs > 8 {
+		t.Fatalf("alternating shared chunks allocate %v times per op, want ≤ 8", allocs)
 	}
 }
 
