@@ -128,7 +128,7 @@ func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, tree prefi
 	// keeps every head's probabilities for backward instead.
 	var scoresBuf, scores, kBuf, vBuf *tensor.Matrix
 	if tape == nil {
-		maxT, maxTq := 0, 1
+		maxT, maxTq := 0, 0
 		for s := 0; s+1 < len(offsets); s++ {
 			maxT = max(maxT, tree.depth(s)+offsets[s+1]-offsets[s])
 			maxTq = max(maxTq, offsets[s+1]-offsets[s])

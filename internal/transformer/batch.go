@@ -182,6 +182,7 @@ func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, tree prefixTree,
 	scratch := [2]*tensor.Workspace{ws, ws}
 	switch {
 	case tape != nil:
+		// Backward reads every block's intermediates from the tape's arena.
 	case ws == nil:
 		scratch[0], scratch[1] = tensor.GetWorkspace(), tensor.GetWorkspace()
 		defer tensor.PutWorkspace(scratch[0])
