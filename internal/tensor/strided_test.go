@@ -336,23 +336,23 @@ func TestNilWorkspaceDegradesToAllocation(t *testing.T) {
 	PutWorkspace(ws) // no-op
 }
 
-// TestWorkspaceChildrenLiveWithTheParent pins Child: the same arena per
-// index for the parent's life, distinct from the parent and each other, and
-// keeping its buffers across the parent's Reset.
+// TestWorkspaceChildrenLiveWithTheParent pins Children: the same two arenas
+// for the parent's life, distinct from the parent and each other, and
+// keeping their buffers across the parent's Reset.
 func TestWorkspaceChildrenLiveWithTheParent(t *testing.T) {
 	ws := NewWorkspace()
-	c0, c1 := ws.Child(0), ws.Child(1)
-	if c0 == nil || c0 == c1 || c0 == ws || ws.Child(0) != c0 || ws.Child(1) != c1 {
-		t.Fatal("Child must return one distinct arena per index")
+	c0, c1 := ws.Children()
+	if again0, again1 := ws.Children(); c0 == nil || c0 == c1 || c0 == ws || c1 == ws || again0 != c0 || again1 != c1 {
+		t.Fatal("Children must return the same two distinct arenas every time")
 	}
 	m := c1.Get(4, 8)
 	ws.Reset()
 	c1.Reset()
-	if got := ws.Child(1).Get(4, 8); got != m {
+	if _, again1 := ws.Children(); again1.Get(4, 8) != m {
 		t.Fatal("a child's buffers did not survive the parent's Reset")
 	}
 	var none *Workspace
-	if none.Child(0) != nil {
+	if n0, n1 := none.Children(); n0 != nil || n1 != nil {
 		t.Fatal("a nil workspace's children must be nil")
 	}
 }

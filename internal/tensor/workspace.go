@@ -26,8 +26,9 @@ type Workspace struct {
 	inext int
 	bytes [][]byte
 	bnext int
-	// children are the arenas Child hands out, kept for the workspace's life.
-	children []*Workspace
+	// children are the arenas Children hands out, kept for the workspace's
+	// life.
+	children [2]*Workspace
 }
 
 // NewWorkspace returns an empty workspace.
@@ -150,20 +151,20 @@ func (w *Workspace) Reset() {
 	w.next, w.vnext, w.inext, w.bnext = 0, 0, 0, 0
 }
 
-// Child returns the workspace's i-th child arena, created on first use and
-// kept for the workspace's life: a forward that double-buffers its scratch
-// across layers rewinds two children of its caller's workspace instead of
-// borrowing two pooled arenas, whose sizes another caller's batches set. Its
-// user rewinds a child; the parent's Reset does not. A nil workspace's
-// children are nil.
-func (w *Workspace) Child(i int) *Workspace {
+// Children returns the workspace's two child arenas, created on first use
+// and kept for the workspace's life: a forward that double-buffers its
+// scratch across layers rewinds two children of its caller's workspace
+// instead of borrowing two pooled arenas, whose sizes another caller's
+// batches set. Its user rewinds a child; the parent's Reset does not. A nil
+// workspace's children are nil.
+func (w *Workspace) Children() (*Workspace, *Workspace) {
 	if w == nil {
-		return nil
+		return nil, nil
 	}
-	for len(w.children) <= i {
-		w.children = append(w.children, &Workspace{})
+	if w.children[0] == nil {
+		w.children = [2]*Workspace{{}, {}}
 	}
-	return w.children[i]
+	return w.children[0], w.children[1]
 }
 
 var workspacePool = sync.Pool{New: func() any { return &Workspace{} }}

@@ -37,8 +37,8 @@ import (
 // owned rows; attention gathers each borrowing sequence's keys and values
 // into one buffer, so every kernel sees the operands the sequence run alone
 // gives it (TestSharedHeadForwardMatchesUnshared). A chunk of log-line
-// suffixes shares its leading fields: the streaming monitor's chunks compute
-// about 70 % of their rows.
+// suffixes shares its leading fields, so the streaming monitor's chunks
+// borrow many of their rows.
 //
 // This is the only forward. Serving and evaluation run it without a tape:
 // it reads only the model's parameters, so one trained model serves
@@ -165,31 +165,30 @@ func (t prefixTree) gather(dst, x *tensor.Matrix, offsets []int, s int) {
 // runBlocksBatch drives the packed batch through the block stack and the
 // final layer norm. Without a tape, scratch is double-buffered: block
 // intermediates alternate between two arenas, each reset once its layer's
-// output has been consumed by the next layer. The arenas are two children of
-// the caller's workspace, kept for its life, so a worker's scratch settles
-// at the size of its largest batch however the packed row count varies (a
-// nil workspace borrows two from the pool). Only the normalized output (and
-// whatever the caller placed there) lands in the caller's arena itself, so a
-// worker's resident workspace holds ~2 layers of scratch instead of the
-// whole stack's — the difference between the streaming monitor's chunk
-// pipeline rebuilding ~5 MB versus ~2 MB of arena on a cold start. A taped
-// forward keeps every block's intermediates for backward, in the tape's
-// arena. tree is the batch's sharing (see pack), past the per-layer KV cache
-// (nil when uncached). With last (untaped and causal only), the final block
-// and norm run on each sequence's last row alone, and the output is
-// [B, dModel].
+// output has been consumed by the next layer. The arenas are the two
+// children of the caller's workspace (of a pooled one when the caller passes
+// nil), kept for its life, so a worker's scratch settles at the size of its
+// largest batch however the packed row count varies. Only the normalized
+// output (and whatever the caller placed there) lands in the caller's arena
+// itself, so a worker's resident workspace holds ~2 layers of scratch
+// instead of the whole stack's — the difference between the streaming
+// monitor's chunk pipeline rebuilding ~5 MB versus ~2 MB of arena on a cold
+// start. A taped forward keeps every block's intermediates for backward, in
+// the tape's arena. tree is the batch's sharing (see pack), past the
+// per-layer KV cache (nil when uncached). With last (untaped and causal
+// only), the final block and norm run on each sequence's last row alone, and
+// the output is [B, dModel].
 func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, tree prefixTree, past []LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
+	// Backward reads every block's intermediates from the tape's arena.
 	scratch := [2]*tensor.Workspace{ws, ws}
-	switch {
-	case tape != nil:
-		// Backward reads every block's intermediates from the tape's arena.
-	case ws == nil:
-		scratch[0], scratch[1] = tensor.GetWorkspace(), tensor.GetWorkspace()
-		defer tensor.PutWorkspace(scratch[0])
-		defer tensor.PutWorkspace(scratch[1])
-	default:
+	if tape == nil {
+		parent := ws
+		if parent == nil {
+			parent = tensor.GetWorkspace()
+			defer tensor.PutWorkspace(parent)
+		}
 		// Whatever the children hold is the previous forward's, and dead.
-		scratch[0], scratch[1] = ws.Child(0), ws.Child(1)
+		scratch[0], scratch[1] = parent.Children()
 		scratch[0].Reset()
 		scratch[1].Reset()
 	}
