@@ -357,6 +357,34 @@ func TestWorkspaceChildrenLiveWithTheParent(t *testing.T) {
 	}
 }
 
+// TestWorkspaceRegrowthLeavesHeadroom pins regrow: a slot's first buffer is
+// exact, and a slot that must grow again takes a quarter more than asked, so
+// the next few slightly larger requests (a packed batch whose row count
+// creeps up) reuse it instead of each reallocating.
+func TestWorkspaceRegrowthLeavesHeadroom(t *testing.T) {
+	ws := NewWorkspace()
+	if m := ws.Get(100, 8); cap(m.Data) != 800 {
+		t.Fatalf("first buffer cap %d, want exact 800", cap(m.Data))
+	}
+	if s := ws.GetInts(100); cap(s) != 100 {
+		t.Fatalf("first int slice cap %d, want exact 100", cap(s))
+	}
+	ws.Reset()
+	m, ints := ws.Get(101, 8), ws.GetInts(101)
+	if cap(m.Data) != 1010 || cap(ints) != 126 {
+		t.Fatalf("regrown caps %d and %d, want 808 + 808/4 = 1010 and 101 + 101/4 = 126", cap(m.Data), cap(ints))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, rows := range []int{101, 126, 110} {
+			ws.Reset()
+			_, _ = ws.Get(rows, 8), ws.GetInts(rows)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("requests inside the headroom allocated %.0f times", allocs)
+	}
+}
+
 // TestWorkspacePoolConcurrent hammers the pool from many goroutines under
 // -race: distinct borrowers must never observe each other's buffers.
 func TestWorkspacePoolConcurrent(t *testing.T) {

@@ -48,10 +48,23 @@ func (w *Workspace) Get(rows, cols int) *Matrix {
 	w.next++
 	n := rows * cols
 	if cap(m.Data) < n {
-		m.Data = make([]float32, n)
+		m.Data = make([]float32, n, regrow(cap(m.Data), n))
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
+}
+
+// regrow is the capacity an arena slot holding old elements takes when it
+// must hold n > old. A first allocation is exact. A slot that has to grow
+// again serves varying shapes — an untaped causal batch's packed row count
+// changes batch by batch with how much its sequences share — so it takes a
+// quarter more than asked and settles after a batch or two, instead of
+// reallocating at every new maximum.
+func regrow(old, n int) int {
+	if old == 0 {
+		return n
+	}
+	return n + n/4
 }
 
 // GetZeroed returns a zeroed rows×cols scratch matrix.
@@ -74,7 +87,7 @@ func (w *Workspace) GetInts(n int) []int {
 	}
 	s := w.ints[w.inext]
 	if cap(s) < n {
-		s = make([]int, n)
+		s = make([]int, n, regrow(cap(s), n))
 		w.ints[w.inext] = s
 	}
 	w.inext++
@@ -92,7 +105,7 @@ func (w *Workspace) GetBytes(n int) []byte {
 	}
 	s := w.bytes[w.bnext]
 	if cap(s) < n {
-		s = make([]byte, n)
+		s = make([]byte, n, regrow(cap(s), n))
 		w.bytes[w.bnext] = s
 	}
 	w.bnext++
