@@ -179,7 +179,8 @@ func (t prefixTree) gather(dst, x *tensor.Matrix, offsets []int, s int) {
 // only), the final block and norm run on each sequence's last row alone, and
 // the output is [B, dModel].
 func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, tree prefixTree, past []LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
-	// Backward reads every block's intermediates from the tape's arena.
+	// A taped forward keeps its scratch in ws, the tape's arena: backward
+	// reads every block's intermediates from there.
 	scratch := [2]*tensor.Workspace{ws, ws}
 	if tape == nil {
 		parent := ws
