@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 )
@@ -271,6 +272,35 @@ func TestSFTArtifactDigest(t *testing.T) {
 	const want = "55cdee5d3e0ff0e52d194ab9dd7439495516b183571983185486f243bfeec132"
 	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
 		t.Fatalf("SFT artifact SHA-256 %x, want %s", sum, want)
+	}
+}
+
+// TestCascadeArtifactDigest pins every byte of the cascade artifact that
+// `anomalyd -workflow 1000-genome -seed 6 -train 300 -pretrain 80 -epochs 1
+// -cascade -train-out` writes: the SFT detector, the ngram gate calibrated
+// against its verdicts on the training split, and both serializations, end
+// to end. amd64 only, as TestSFTArtifactDigest.
+func TestCascadeArtifactDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the artifact digest is recorded on amd64; the compiler may fuse x*y+z on %s", runtime.GOARCH)
+	}
+	det, _, err := Train(Options{
+		Workflow: flowbench.Genome, TrainSize: 300, PretrainSteps: 80, Epochs: 1, Debias: true, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, err := FitCascade(det, cascade.Config{TargetRecall: cascade.DefaultTargetRecall}, flowbench.Generate(flowbench.Genome, 6).Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveDetector(&buf, det, gate); err != nil {
+		t.Fatal(err)
+	}
+	const want = "16fa4586813a3f9b1212f988fe75b29103a7d43604af76458d18a3342af26273"
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("cascade artifact SHA-256 %x, want %s", sum, want)
 	}
 }
 
