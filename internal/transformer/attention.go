@@ -119,6 +119,7 @@ func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, tree prefi
 		k = a.Wk.Forward(x, kvws, tape)
 		v = a.Wv.Forward(x, kvws, tape)
 	}
+	tree.keep(k, v)
 	concat := ws.Get(xq.Rows, a.DModel)
 	scale := float32(1 / math.Sqrt(float64(dh)))
 	// Inference runs the sequences serially through one max-shaped score
@@ -159,8 +160,8 @@ func (a *MultiHeadAttention) forward(x *tensor.Matrix, offsets []int, tree prefi
 		vs := ws.RowView(v, lo, hi)
 		if dep > 0 {
 			ks, vs = ws.ShapedView(kBuf, T, a.DModel), ws.ShapedView(vBuf, T, a.DModel)
-			tree.gather(ks, k, offsets, s)
-			tree.gather(vs, v, offsets, s)
+			tree.gather(ks, k, offsets, s, 0)
+			tree.gather(vs, v, offsets, s, 1)
 		}
 		cs := ws.RowView(concat, qlo, qlo+Tq)
 		if tape == nil {

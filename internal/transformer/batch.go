@@ -79,56 +79,100 @@ func (m *Model) encodeBatch(seqs [][]int, last bool, ws *tensor.Workspace, tape 
 			seqs[i] = ids[:m.Config.MaxSeqLen]
 		}
 	}
-	offsets, tree := pack(seqs, last, ws)
+	offsets, tree := pack(seqs, last, nil, ws)
 	h := m.embedBatch(seqs, offsets, 0, ws, tape)
 	return m.runBlocksBatch(h, offsets, tree, nil, last, ws, tape), offsets
 }
 
 // prefixTree is how a packed batch shares rows: sequence s borrows its first
-// dep[s] positions from the rows of from[s], an earlier sequence that starts
-// with the same dep[s] tokens, and owns the rest. The zero value shares
-// nothing.
+// dep[s] positions and owns the rest. Its first hit[s] positions are pinned
+// nodes of the cache's suffix tree st, path[pstart[s]:][:hit[s]]; the rest
+// of its head comes from the rows of from[s], an earlier sequence that
+// starts with the same tokens. slot[r] is the suffix-tree slot the forward
+// writes packed row r's keys and values into, or −1, and layer the block
+// the forward is in. The zero value shares nothing; without a suffix tree
+// (st nil), nothing is cached or kept.
 type prefixTree struct {
 	dep, from []int
+	st        *suffixTree
+	// held[s] is how many of s's positions the suffix tree held at lookup
+	// (hit[s] is that, capped at len−1).
+	hit, held, pstart, path, slot []int
+	layer                         int
 }
 
 // pack lays a batch out: sequence s owns packed rows [offsets[s],
 // offsets[s+1]). With share (an untaped causal forward, whose rows depend on
 // their sequence's earlier tokens alone), s borrows the longest leading run
-// it has in common with any earlier sequence and owns only the positions
-// after it, so the batch packs as a prefix tree with one row per node. The
-// scan compares each sequence with every earlier one, O(B²·T), and draws
-// everything from ws; a batch that shares nothing gets the zero tree.
-func pack(seqs [][]int, share bool, ws *tensor.Workspace) ([]int, prefixTree) {
+// it has in common with any earlier sequence, or the longer run st (the
+// KVCache's suffix tree, nil for none) holds for it, and owns only the
+// positions after it, so the batch packs as a prefix tree with one row per
+// node it computes. A sequence borrows its last position only from a row,
+// never from the suffix tree, since the last block reads that position's
+// hidden state. The scan compares each sequence with every earlier one,
+// O(B²·T), and draws everything from ws; a batch that shares nothing gets
+// the zero tree. With st, the tree's nodes the batch uses stay pinned, and
+// the rows it shares have slots reserved, until settle.
+func pack(seqs [][]int, share bool, st *suffixTree, ws *tensor.Workspace) ([]int, prefixTree) {
 	offsets := ws.GetInts(len(seqs) + 1)
 	offsets[0] = 0
 	var t prefixTree
-	if share {
-		t.dep, t.from = ws.GetInts(len(seqs)), ws.GetInts(len(seqs))
+	if !share {
+		for s, ids := range seqs {
+			offsets[s+1] = offsets[s] + len(ids)
+		}
+		return offsets, t
+	}
+	t.dep, t.from = ws.GetInts(len(seqs)), ws.GetInts(len(seqs))
+	if st != nil {
+		t.st = st
+		t.hit, t.held, t.pstart = ws.GetInts(len(seqs)), ws.GetInts(len(seqs)), ws.GetInts(len(seqs)+1)
+		t.pstart[0] = 0
+		for s, ids := range seqs {
+			t.pstart[s+1] = t.pstart[s] + len(ids)
+		}
+		t.path = ws.GetInts(t.pstart[len(seqs)])
+		st.lookup(seqs, &t)
 	}
 	shared := false
 	for s, ids := range seqs {
-		d := 0
-		if share {
-			from := 0
-			for c := 0; c < s && d < len(ids); c++ {
-				n := 0
-				for n < len(ids) && n < len(seqs[c]) && ids[n] == seqs[c][n] {
-					n++
-				}
-				if n > d {
-					d, from = n, c
-				}
+		d, from := 0, 0
+		for c := 0; c < s && d < len(ids); c++ {
+			n := 0
+			for n < len(ids) && n < len(seqs[c]) && ids[n] == seqs[c][n] {
+				n++
 			}
-			t.dep[s], t.from[s] = d, from
-			shared = shared || d > 0
+			if n > d {
+				d, from = n, c
+			}
 		}
-		offsets[s+1] = offsets[s] + len(ids) - d
+		if d == len(ids) {
+			if _, node := t.locate(offsets, from, d-1); node >= 0 {
+				d-- // the last position is a node: compute it
+			}
+		}
+		t.dep[s], t.from[s] = max(d, t.cached(s)), from
+		shared = shared || t.dep[s] > 0
+		offsets[s+1] = offsets[s] + len(ids) - t.dep[s]
+	}
+	if st != nil {
+		t.slot = ws.GetInts(offsets[len(seqs)])
+		st.admit(seqs, offsets, t)
 	}
 	if !shared {
+		// Nothing borrowed: no node is pinned and no slot reserved.
 		t = prefixTree{}
 	}
 	return offsets, t
+}
+
+// settle hands the forward's suffix-tree state back (suffixTree.settle):
+// ok says the forward finished, so its reserved rows hold their keys and
+// values.
+func (t prefixTree) settle(seqs [][]int, offsets []int, ok bool) {
+	if t.st != nil {
+		t.st.settle(seqs, offsets, t, ok)
+	}
 }
 
 // depth is how many leading positions sequence s borrows.
@@ -139,25 +183,69 @@ func (t prefixTree) depth(s int) int {
 	return t.dep[s]
 }
 
-// row returns the packed row that holds position p of sequence s.
-func (t prefixTree) row(offsets []int, s, p int) int {
-	for p < t.depth(s) {
-		s = t.from[s]
+// cached is how many leading positions sequence s reads from suffix-tree
+// nodes.
+func (t prefixTree) cached(s int) int {
+	if t.hit == nil {
+		return 0
 	}
-	return offsets[s] + p - t.depth(s)
+	return t.hit[s]
 }
 
-// gather copies sequence s's rows of the packed x, positions [0, T) — its
-// borrowed head, then its own rows — into the first T rows of dst.
-func (t prefixTree) gather(dst, x *tensor.Matrix, offsets []int, s int) {
-	c, n := x.Cols, t.dep[s]
-	copy(dst.Data[n*c:], x.Data[offsets[s]*c:offsets[s+1]*c])
-	// Walk up the tree: each ancestor a holds positions [dep[a], n) of the
-	// head in its own rows.
-	for a := t.from[s]; n > 0; a = t.from[a] {
-		if d := t.dep[a]; d < n {
-			copy(dst.Data[d*c:n*c], x.Data[offsets[a]*c:])
+// locate returns where position p of sequence s is held: packed row row
+// (node −1), or suffix-tree node node (row −1).
+func (t prefixTree) locate(offsets []int, s, p int) (row, node int) {
+	for {
+		if d := t.depth(s); p >= d {
+			return offsets[s] + p - d, -1
+		}
+		if p < t.cached(s) {
+			return -1, t.path[t.pstart[s]+p]
+		}
+		s = t.from[s]
+	}
+}
+
+// sources walks sequence s's positions [0, n) from the last down and calls
+// fn for each run [lo, hi) of them: held in packed rows row… (nodes nil),
+// or in the suffix-tree nodes nodes (row −1). Each ancestor a holds
+// positions [dep[a], n) of the rest in its own rows.
+func (t prefixTree) sources(offsets []int, s, n int, fn func(lo, hi, row int, nodes []int)) {
+	for a := s; n > 0; a = t.from[a] {
+		if d := t.depth(a); d < n {
+			fn(d, n, offsets[a], nil)
 			n = d
+		}
+		if n > 0 && n <= t.cached(a) {
+			fn(0, n, -1, t.path[t.pstart[a]:][:n])
+			return
+		}
+	}
+}
+
+// gather copies sequence s's keys (half 0) or values (half 1) at positions
+// [0, T) — its borrowed head, then its own rows of the packed x — into the
+// first T rows of dst.
+func (t prefixTree) gather(dst, x *tensor.Matrix, offsets []int, s, half int) {
+	c := x.Cols
+	t.sources(offsets, s, t.depth(s)+offsets[s+1]-offsets[s], func(lo, hi, row int, nodes []int) {
+		if nodes == nil {
+			copy(dst.Data[lo*c:hi*c], x.Data[row*c:])
+			return
+		}
+		for i, nd := range nodes {
+			copy(dst.Row(lo+i), t.st.kvRow(nd, t.layer, half))
+		}
+	})
+}
+
+// keep copies the packed keys k and values v of every row with a reserved
+// slot into the slot, at the forward's layer.
+func (t prefixTree) keep(k, v *tensor.Matrix) {
+	for r, i := range t.slot {
+		if i >= 0 {
+			copy(t.st.kvRow(i, t.layer, 0), k.Row(r))
+			copy(t.st.kvRow(i, t.layer, 1), v.Row(r))
 		}
 	}
 }
@@ -204,6 +292,7 @@ func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, tree prefixTree,
 		if past != nil {
 			kv = past[li]
 		}
+		tree.layer = li
 		h, _ = b.forward(h, offsets, tree, kv, last && li == len(m.Blocks)-1, wsi, tape, false)
 	}
 	// The final norm reads the last block's output from its scratch arena
@@ -253,6 +342,9 @@ type KVCache struct {
 	Layers []LayerKV
 	// Len is the prefix length in tokens.
 	Len int
+	// tree keeps the suffix rows its forwards shared (suffixtree.go); nil
+	// for a cache not built by InferKVCache.
+	tree *suffixTree
 }
 
 // InferKVCache captures each attention layer's keys and values over the
@@ -274,7 +366,7 @@ func (m *Model) InferKVCache(prefix []int) *KVCache {
 	offsets := ws.GetInts(2)
 	offsets[0], offsets[1] = 0, len(prefix)
 	h := m.embedBatch([][]int{prefix}, offsets, 0, ws, nil)
-	cache := &KVCache{Len: len(prefix)}
+	cache := &KVCache{Len: len(prefix), tree: newSuffixTree(len(m.Blocks), m.Config.DModel, treeBytes)}
 	for _, b := range m.Blocks {
 		var kv LayerKV
 		h, kv = b.forward(h, offsets, prefixTree{}, LayerKV{}, false, ws, nil, true)
@@ -302,9 +394,10 @@ func (m *Model) nextTokenLogits(cache *KVCache, seqs [][]int, ws, out *tensor.Wo
 		return tensor.New(0, m.Config.VocabSize)
 	}
 	var past []LayerKV
+	var st *suffixTree
 	start := 0
 	if cache != nil {
-		past, start = cache.Layers, cache.Len
+		past, start, st = cache.Layers, cache.Len, cache.tree
 	}
 	for _, ids := range seqs {
 		if len(ids) == 0 {
@@ -314,9 +407,12 @@ func (m *Model) nextTokenLogits(cache *KVCache, seqs [][]int, ws, out *tensor.Wo
 			panic("transformer: sequence exceeds MaxSeqLen")
 		}
 	}
-	offsets, tree := pack(seqs, true, ws)
+	offsets, tree := pack(seqs, true, st, ws)
+	ok := false
+	defer func() { tree.settle(seqs, offsets, ok) }()
 	h := m.embedBatch(seqs, offsets, start, ws, nil)
 	h = m.runBlocksBatch(h, offsets, tree, past, true, ws, nil)
+	ok = true
 	return m.LMHead.Forward(h, out, nil)
 }
 
@@ -388,7 +484,8 @@ func lastRows(x *tensor.Matrix, offsets []int, tree prefixTree, ws *tensor.Works
 	out := ws.Get(len(offsets)-1, x.Cols)
 	for s := 0; s+1 < len(offsets); s++ {
 		last := tree.depth(s) + offsets[s+1] - offsets[s] - 1
-		copy(out.Row(s), x.Row(tree.row(offsets, s, last)))
+		r, _ := tree.locate(offsets, s, last)
+		copy(out.Row(s), x.Row(r))
 	}
 	return out
 }

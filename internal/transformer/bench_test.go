@@ -77,12 +77,17 @@ func BenchmarkTrainStep(b *testing.B) {
 // prefix, at the served vocabulary of 120; its lines share nothing, so it is
 // the control for chunk32shared, the same shape with the leading runs a
 // monitor chunk's lines share (monitorSuffixes), which reports the share of
-// suffix rows the prefix-tree packing computes. allocs/op should sit within a
-// few allocations of zero (only returned results allocate).
+// suffix rows the prefix-tree packing computes. Both decode every iteration
+// on a cache whose suffix tree is empty, so they time one chunk's own
+// sharing. chunk32stream cycles 64 distinct monitor-shaped chunks
+// (monitorChunk) through one cache, as the monitor does, and reports the
+// share of suffix rows computed once the suffix tree lends what earlier
+// chunks shared. allocs/op should sit within a few allocations of zero (only
+// returned results allocate).
 func BenchmarkKVCacheDecode(b *testing.B) {
 	for _, precision := range []string{"fp32", "int8"} {
 		b.Run(precision, func(b *testing.B) {
-			benchDecode(b, precision, 300, 256, [][]int{{7}})
+			benchDecode(b, precision, 300, 256, [][][]int{{{7}}}, false)
 		})
 	}
 	b.Run("chunk32", func(b *testing.B) {
@@ -95,18 +100,29 @@ func BenchmarkKVCacheDecode(b *testing.B) {
 		}
 		for _, precision := range []string{"fp32", "int8"} {
 			b.Run(precision, func(b *testing.B) {
-				benchDecode(b, precision, 120, 230, suffixes)
+				benchDecode(b, precision, 120, 230, [][][]int{suffixes}, true)
 			})
 		}
 	})
 	b.Run("chunk32shared", func(b *testing.B) {
 		suffixes := monitorSuffixes(32)
-		offsets, _ := pack(suffixes, true, nil)
+		offsets, _ := pack(suffixes, true, nil, nil)
 		unique := float64(offsets[len(suffixes)]) / float64(32*len(suffixes[0]))
 		for _, precision := range []string{"fp32", "int8"} {
 			b.Run(precision, func(b *testing.B) {
-				benchDecode(b, precision, 120, 230, suffixes)
+				benchDecode(b, precision, 120, 230, [][][]int{suffixes}, true)
 				b.ReportMetric(unique, "unique_rows")
+			})
+		}
+	})
+	b.Run("chunk32stream", func(b *testing.B) {
+		chunks := make([][][]int, 64)
+		for k := range chunks {
+			chunks[k] = monitorChunk(k, 32)
+		}
+		for _, precision := range []string{"fp32", "int8"} {
+			b.Run(precision, func(b *testing.B) {
+				benchDecode(b, precision, 120, 230, chunks, false)
 			})
 		}
 	})
@@ -140,9 +156,14 @@ func monitorSuffixes(n int) [][]int {
 	return seqs
 }
 
-// benchDecode times ScoreChoiceBatchWithCacheWS on suffixes over a
-// prefixLen-token cached prefix, on a mistral-shaped decoder.
-func benchDecode(b *testing.B, precision string, vocab, prefixLen int, suffixes [][]int) {
+// benchDecode times ScoreChoiceBatchWithCacheWS over a prefixLen-token
+// cached prefix, on a mistral-shaped decoder: iteration i decodes
+// chunks[i%len(chunks)]. With fresh, each iteration runs on a KVCache whose
+// suffix tree is empty, built outside the timer. Without, one cache serves
+// every iteration, warmed first by a pass over the chunks; a stream of more
+// than one chunk reports the share of suffix rows the timed iterations
+// computed as computed_rows.
+func benchDecode(b *testing.B, precision string, vocab, prefixLen int, chunks [][][]int, fresh bool) {
 	m := New(mistralConfig(vocab), tensor.NewRNG(7))
 	if precision == "int8" {
 		m.QuantizeInt8(0)
@@ -153,16 +174,30 @@ func benchDecode(b *testing.B, precision string, vocab, prefixLen int, suffixes 
 	}
 	cache := m.InferKVCache(prefix)
 	choices := []int{10, 20}
-	decode := func() {
+	decode := func(suffixes [][]int) {
 		ws := tensor.GetWorkspace()
 		m.ScoreChoiceBatchWithCacheWS(cache, suffixes, choices, ws)
 		tensor.PutWorkspace(ws)
 	}
-	decode() // warm the workspace pool
+	// Warm the workspace pool, and without fresh the suffix tree.
+	for _, suffixes := range chunks {
+		decode(suffixes)
+	}
+	st := cache.tree
+	rows, computed := st.rows, st.computed
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decode()
+		if fresh {
+			b.StopTimer()
+			cache = &KVCache{Layers: cache.Layers, Len: cache.Len, tree: newSuffixTree(len(m.Blocks), m.Config.DModel, treeBytes)}
+			cache.tree.alloc()
+			b.StartTimer()
+		}
+		decode(chunks[i%len(chunks)])
+	}
+	if !fresh && len(chunks) > 1 {
+		b.ReportMetric(float64(st.computed-computed)/float64(st.rows-rows), "computed_rows")
 	}
 }
 

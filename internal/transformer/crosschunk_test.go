@@ -110,9 +110,21 @@ func checkCrossChunk(m *Model, cache *KVCache, chunk [][]int, choices []int, ref
 	return nil
 }
 
-// streamCache is the cache a stream of chunks runs through.
+// streamCache is the cache a stream of chunks runs through: its suffix tree
+// holds 40 positions, so the stream fills it, evicts and hits again.
 func streamCache(m *Model, prefix []int) *KVCache {
-	return m.InferKVCache(prefix)
+	cache := m.InferKVCache(prefix)
+	cache.tree = newSuffixTree(len(m.Blocks), m.Config.DModel, 40*4*2*len(m.Blocks)*m.Config.DModel)
+	return cache
+}
+
+// checkTreeTurned fails t unless cache's suffix tree lent rows after its
+// first eviction, read at lentAtEviction (−1: it never evicted).
+func checkTreeTurned(t *testing.T, cache *KVCache, lentAtEviction int) {
+	t.Helper()
+	if st := cache.tree; lentAtEviction < 0 || st.lent <= lentAtEviction {
+		t.Fatalf("the suffix tree lent %d rows, %d before its first eviction (evicted %d): the stream never hit an evicted-into tree", st.lent, lentAtEviction, st.evicted)
+	}
 }
 
 // crossChunkStream is the pin's stream: 48 distinct chunks of 12 lines.
@@ -142,14 +154,23 @@ func TestCrossChunkHeadsMatchFresh(t *testing.T) {
 				if precision == "int8" {
 					m.QuantizeInt8(0)
 				}
-				refs := crossChunkRefs(m, m.InferKVCache(c.prefix), chunks, choices)
+				fresh := m.InferKVCache(c.prefix)
+				refs := crossChunkRefs(m, fresh, chunks, choices)
+				if fresh.tree.used != 0 {
+					t.Fatalf("the reference cache's suffix tree took %d slots serving batches of one", fresh.tree.used)
+				}
 				cache := streamCache(m, c.prefix)
 				ws := tensor.NewWorkspace()
+				lentAtEviction := -1
 				for k, chunk := range chunks {
 					if err := checkCrossChunk(m, cache, chunk, choices, refs, ws); err != nil {
 						t.Fatalf("chunk %d: %v", k, err)
 					}
+					if lentAtEviction < 0 && cache.tree.evicted > 0 {
+						lentAtEviction = cache.tree.lent
+					}
 				}
+				checkTreeTurned(t, cache, lentAtEviction)
 			})
 		}
 	}
@@ -194,6 +215,9 @@ func TestCrossChunkHeadsMatchFreshConcurrent(t *testing.T) {
 			close(errs)
 			if err, ok := <-errs; ok {
 				t.Fatal(err)
+			}
+			if cache.tree.evicted == 0 || cache.tree.lent == 0 {
+				t.Fatalf("the suffix tree lent %d rows and evicted %d nodes: the goroutines never shared it", cache.tree.lent, cache.tree.evicted)
 			}
 		})
 	}
