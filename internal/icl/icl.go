@@ -122,11 +122,13 @@ func (d *Detector) labelChoiceIDs() [2]int {
 	return [2]int{d.Tok.ID(logparse.LabelNormal), d.Tok.ID(logparse.LabelAbnormal)}
 }
 
-// PromptCache holds the read-only KV cache of a fixed few-shot context's
+// PromptCache holds the KV cache of a fixed few-shot context's
 // query-independent prefix (task description + examples + "instruct :").
 // Build it once with NewPromptCache and reuse it across ClassifyBatchCachedWS
-// calls — including concurrent ones: construction and use touch only model
-// weights and the immutable cache.
+// calls — including concurrent ones: the prefix's keys and values are
+// read-only after construction, and the one thing use writes is the cache's
+// bounded tree of query suffix rows, which transformer.KVCache guards with
+// its own lock.
 type PromptCache struct {
 	examples []prompt.Example
 	cache    *transformer.KVCache // nil when the prefix alone overflows the context

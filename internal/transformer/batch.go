@@ -38,10 +38,16 @@ import (
 // into one buffer, so every kernel sees the operands the sequence run alone
 // gives it (TestSharedHeadForwardMatchesUnshared). A chunk of log-line
 // suffixes shares its leading fields, so the streaming monitor's chunks
-// borrow many of their rows.
+// borrow many of their rows. A forward that continues a KVCache also
+// borrows from earlier forwards: the cache keeps a bounded prefix tree of
+// the K/V rows its forwards shared (suffixtree.go), and a sequence borrows
+// the longer of the run an earlier sequence of its batch shares and the run
+// the tree holds, never its last position, whose hidden state the last block
+// reads (TestCrossChunkHeadsMatchFresh).
 //
 // This is the only forward. Serving and evaluation run it without a tape:
-// it reads only the model's parameters, so one trained model serves
+// it reads only the model's parameters, and writes only a KVCache's suffix
+// tree, under that tree's lock, so one trained model and one cache serve
 // concurrent calls from many goroutines (the property core.Server's workers,
 // core.DetectTraces and sft's evaluation fan-out rely on). Training runs it
 // on an nn.Tape (ForwardClsTape, ForwardLMTape), which turns dropout on and
@@ -93,12 +99,10 @@ func (m *Model) encodeBatch(seqs [][]int, last bool, ws *tensor.Workspace, tape 
 // the forward is in. The zero value shares nothing; without a suffix tree
 // (st nil), nothing is cached or kept.
 type prefixTree struct {
-	dep, from []int
-	st        *suffixTree
-	// held[s] is how many of s's positions the suffix tree held at lookup
-	// (hit[s] is that, capped at len−1).
-	hit, held, pstart, path, slot []int
-	layer                         int
+	dep, from               []int
+	st                      *suffixTree
+	hit, pstart, path, slot []int
+	layer                   int
 }
 
 // pack lays a batch out: sequence s owns packed rows [offsets[s],
@@ -126,7 +130,7 @@ func pack(seqs [][]int, share bool, st *suffixTree, ws *tensor.Workspace) ([]int
 	t.dep, t.from = ws.GetInts(len(seqs)), ws.GetInts(len(seqs))
 	if st != nil {
 		t.st = st
-		t.hit, t.held, t.pstart = ws.GetInts(len(seqs)), ws.GetInts(len(seqs)), ws.GetInts(len(seqs)+1)
+		t.hit, t.pstart = ws.GetInts(len(seqs)), ws.GetInts(len(seqs)+1)
 		t.pstart[0] = 0
 		for s, ids := range seqs {
 			t.pstart[s+1] = t.pstart[s] + len(ids)
@@ -335,9 +339,14 @@ type LayerKV struct {
 // full-prompt forward pass into a suffix-only pass (the same optimization
 // production LLM servers apply to shared system prompts).
 //
-// A cache is read-only after construction, and ScoreChoiceBatchWithCacheWS,
-// which consumes it, reads only the model's parameters, so one cache can
-// serve concurrent queries from many goroutines.
+// Layers and Len are read-only after construction. The one mutable part is
+// the suffix tree InferKVCache gives a cache: the forwards that continue
+// the cache look up, reserve, publish and evict its nodes under the tree's
+// own mutex, held for none of a forward's arithmetic, and a node a forward
+// reads is pinned until it ends (suffixtree.go). ScoreChoiceBatchWithCacheWS
+// otherwise reads only the model's parameters, so one cache can serve
+// concurrent queries from many goroutines. The tree is runtime state: it
+// holds at most treeBytes of K/V and is never serialized.
 type KVCache struct {
 	Layers []LayerKV
 	// Len is the prefix length in tokens.

@@ -158,13 +158,12 @@ func (st *suffixTree) reserve() int32 {
 
 // lookup fills t's cached depths for seqs: hit[s] is the longest path
 // sequence s's tokens follow in the tree, capped at len−1 so that s still
-// computes its last row, and held[s] the uncapped one. Every node on a hit
-// path is pinned and marked referenced.
+// computes its last row. Every node on a hit path is pinned and marked
+// referenced.
 func (st *suffixTree) lookup(seqs [][]int, t *prefixTree) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.kv == nil {
-		clear(t.held)
 		clear(t.hit)
 		return
 	}
@@ -178,7 +177,7 @@ func (st *suffixTree) lookup(seqs [][]int, t *prefixTree) {
 			path[n] = int(node)
 			n++
 		}
-		t.held[s], t.hit[s] = n, min(n, len(ids)-1)
+		t.hit[s] = min(n, len(ids)-1)
 		st.lent += t.hit[s]
 		for _, nd := range path[:t.hit[s]] {
 			st.pins[nd]++
@@ -188,9 +187,10 @@ func (st *suffixTree) lookup(seqs [][]int, t *prefixTree) {
 }
 
 // admit reserves a slot for each packed row t's batch shares (a later
-// sequence gathers it) whose node the tree did not hold at lookup and whose
-// parent is the root, a pinned node or another reserved row; t.slot[r] is
-// row r's slot, or −1.
+// sequence gathers it) whose parent is the root, a pinned node or another
+// reserved row; t.slot[r] is row r's slot, or −1. A row the tree already
+// holds (a sequence's last, which it computes however deep its hit) is
+// reserved too, and settle frees the slot.
 func (st *suffixTree) admit(seqs [][]int, offsets []int, t prefixTree) {
 	for r := range t.slot {
 		t.slot[r] = -1
@@ -212,12 +212,11 @@ func (st *suffixTree) admit(seqs [][]int, offsets []int, t prefixTree) {
 	full := false
 	for s := range seqs {
 		for r := offsets[s]; r < offsets[s+1]; r++ {
-			p := t.dep[s] + r - offsets[s]
-			if t.slot[r] != wanted || full || p < t.held[s] {
-				t.slot[r] = -1
+			p, want := t.dep[s]+r-offsets[s], t.slot[r] == wanted
+			t.slot[r] = -1
+			if !want || full {
 				continue
 			}
-			t.slot[r] = -1
 			if p > 0 {
 				if up, node := t.locate(offsets, s, p-1); node < 0 && t.slot[up] < 0 {
 					continue
