@@ -27,9 +27,11 @@ import "sync"
 // evicted or rewritten, and a reserved slot is invisible to lookups until it
 // is published, so the rows a forward touches unlocked are its own.
 
-// treeBytes is the K/V budget of one KVCache's suffix tree: about 900
-// positions at the served mistral shape (6 layers, K and V, 96 floats).
-const treeBytes = 4 << 20
+// treeBytes is the K/V budget of one KVCache's suffix tree: 455 positions
+// at the served mistral shape (6 layers, K and V, 96 floats each). Twice
+// that raised the monitor's peak RSS by the slab's size, 7 %
+// (docs/PERFORMANCE.md § "PR 33").
+const treeBytes = 2 << 20
 
 // A slot is free, reserved by a forward that is writing it, or a live node.
 const (
