@@ -170,12 +170,11 @@ func pack(seqs [][]int, share bool, st *suffixTree, ws *tensor.Workspace) ([]int
 	return offsets, t
 }
 
-// settle hands the forward's suffix-tree state back (suffixTree.settle):
-// ok says the forward finished, so its reserved rows hold their keys and
-// values.
-func (t prefixTree) settle(seqs [][]int, offsets []int, ok bool) {
+// settle hands a finished forward's suffix-tree state back
+// (suffixTree.settle).
+func (t prefixTree) settle(seqs [][]int, offsets []int) {
 	if t.st != nil {
-		t.st.settle(seqs, offsets, t, ok)
+		t.st.settle(seqs, offsets, t)
 	}
 }
 
@@ -417,11 +416,9 @@ func (m *Model) nextTokenLogits(cache *KVCache, seqs [][]int, ws, out *tensor.Wo
 		}
 	}
 	offsets, tree := pack(seqs, true, st, ws)
-	ok := false
-	defer func() { tree.settle(seqs, offsets, ok) }()
 	h := m.embedBatch(seqs, offsets, start, ws, nil)
 	h = m.runBlocksBatch(h, offsets, tree, past, true, ws, nil)
-	ok = true
+	tree.settle(seqs, offsets)
 	return m.LMHead.Forward(h, out, nil)
 }
 

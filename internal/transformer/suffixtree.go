@@ -231,22 +231,17 @@ func (st *suffixTree) admit(seqs [][]int, offsets []int, t prefixTree) {
 	}
 }
 
-// settle ends t's forward: with ok, each reserved row is published as its
-// parent's child, unless another forward published that node first, when
-// the row's slot is freed and it takes the published node's place as a
-// parent; without ok (the forward did not finish), reserved slots are
-// freed. Either way every hit path is unpinned.
-func (st *suffixTree) settle(seqs [][]int, offsets []int, t prefixTree, ok bool) {
+// settle ends t's forward, which has written every reserved slot: each
+// reserved row is published as its parent's child, unless another forward
+// published that node first, when the row's slot is freed and it takes the
+// published node's place as a parent. Then every hit path is unpinned.
+func (st *suffixTree) settle(seqs [][]int, offsets []int, t prefixTree) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for s, ids := range seqs {
 		for r := offsets[s]; r < offsets[s+1]; r++ {
 			i := t.slot[r]
 			if i < 0 {
-				continue
-			}
-			if !ok {
-				st.state[i] = slotFree
 				continue
 			}
 			p, parent := t.dep[s]+r-offsets[s], int32(-1)
