@@ -174,8 +174,9 @@ func NewICLDetector(det *icl.Detector, examples []prompt.Example) Detector {
 }
 
 func (d *iclDetector) DetectSentence(sentence string) Result {
-	// Batch of 1 through the read-only cached path: concurrency-safe, and
-	// it reuses the shared prompt-prefix KV cache.
+	// Batch of 1 through the cached path: concurrency-safe (it reads the
+	// model, and the prompt cache guards its suffix tree with its own
+	// lock), and it reuses the shared prompt-prefix KV cache.
 	return d.DetectBatch([]string{sentence})[0]
 }
 

@@ -28,9 +28,10 @@ import "sync"
 // is published, so the rows a forward touches unlocked are its own.
 
 // treeBytes is the K/V budget of one KVCache's suffix tree: 455 positions
-// at the served mistral shape (6 layers, K and V, 96 floats each). Twice
-// that raised the monitor's peak RSS by the slab's size, 7 %
-// (docs/PERFORMANCE.md § "PR 33").
+// at the served mistral shape (6 layers, K and V, 96 floats each). With it
+// the streaming monitor computes 55 % of its suffix rows; twice the budget
+// computed 51 %, but raised the monitor's peak RSS by the slab's size, 7 %
+// (docs/PERFORMANCE.md, "keep shared suffix heads across chunks").
 const treeBytes = 2 << 20
 
 // A slot is free, reserved by a forward that is writing it, or a live node.
@@ -125,9 +126,6 @@ func (st *suffixTree) alloc() {
 // or, by CLOCK, an unpinned leaf not read since the hand last passed it. It
 // returns −1 when every slot is pinned, reserved or inner.
 func (st *suffixTree) reserve() int32 {
-	if st.slots == 0 {
-		return -1
-	}
 	if st.kv == nil {
 		st.alloc()
 	}
@@ -165,10 +163,6 @@ func (st *suffixTree) reserve() int32 {
 func (st *suffixTree) lookup(seqs [][]int, t *prefixTree) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.kv == nil {
-		clear(t.hit)
-		return
-	}
 	for s, ids := range seqs {
 		path := t.path[t.pstart[s]:]
 		n, node := 0, int32(-1)
