@@ -45,12 +45,12 @@
 // on -load; -load with -cascade refits them. See docs/PERFORMANCE.md.
 //
 // With -load the daemon performs zero training steps at boot: each artifact
-// (written by -train-out, sfttrain -save, or iclrun -save) is loaded into the
-// model registry under its name (`name=path`, or the file's base name) and
-// the first is the default route. Concurrent requests are micro-batched
-// through a per-model coalescing worker pool; -max-batch and -workers tune
-// it (see docs/API.md). With -tail the daemon also follows a
-// growing log file (the paper's Section IV-C loop) through the default model.
+// (written by -train-out) is loaded into the model registry under its name
+// (`name=path`, or the file's base name) and the first is the default route.
+// Concurrent requests are micro-batched through a per-model coalescing worker
+// pool; -max-batch and -workers tune it (see docs/API.md). With -tail the
+// daemon also follows a growing log file (the paper's Section IV-C loop)
+// through the default model.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener stops, open SSE
 // streams and the tail loop end, in-flight requests finish, and only then
@@ -173,9 +173,10 @@ func main() {
 				log.Fatal("anomalyd: ", err)
 			}
 			// The held-out metrics above were measured on the fp32 weights
-			// inside Train; what saves/serves from here on is int8. Use
-			// sfttrain/iclrun -quantize for metrics measured on the
-			// quantized detector itself.
+			// inside Train; what saves/serves from here on is int8. For
+			// metrics measured on the quantized detector itself, run
+			// loadlab -load <artifact> -quantize: it prints AUC and trace F1
+			// for the int8 detector.
 			log.Print("detector quantized to int8 (integer inference path; held-out metrics above are the fp32 model's)")
 		}
 		if *trainOut != "" {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +14,57 @@ import (
 	"repro/internal/core"
 	"repro/internal/flowbench"
 )
+
+// TestTrainOutArtifacts: -train-out, the command that writes detector
+// artifacts, saves the approach and precision each run asks for, and nothing
+// else: no gate without -cascade.
+func TestTrainOutArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains four detectors")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "anomalyd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building anomalyd: %v\n%s", err, out)
+	}
+	// The smallest model of each kind keeps the four runs to seconds.
+	for _, c := range []struct {
+		approach core.Approach
+		model    string
+		quantize bool
+		want     core.Precision
+	}{
+		{core.SFT, "distilbert-base-uncased", false, core.PrecisionFP32},
+		{core.SFT, "distilbert-base-uncased", true, core.PrecisionInt8},
+		{core.ICL, "gpt2", false, core.PrecisionFP32},
+		{core.ICL, "gpt2", true, core.PrecisionInt8},
+	} {
+		name := string(c.approach) + "-" + string(c.want)
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".artifact")
+			args := []string{"-approach", string(c.approach), "-model", c.model, "-train", "50", "-pretrain", "10", "-epochs", "1", "-train-out", path}
+			if c.quantize {
+				args = append(args, "-quantize")
+			}
+			if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+				t.Fatalf("anomalyd %s: %v\n%s", strings.Join(args, " "), err, out)
+			}
+			det, gate, err := core.LoadDetectorFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := det.Approach(); got != c.approach {
+				t.Errorf("artifact approach %s, want %s", got, c.approach)
+			}
+			if got := core.DetectorPrecision(det); got != c.want {
+				t.Errorf("artifact precision %s, want %s", got, c.want)
+			}
+			if gate != nil {
+				t.Error("artifact carries a cascade gate, but -cascade was not given")
+			}
+		})
+	}
+}
 
 // TestLoadArtifactRetiredGate: an artifact whose gate names a stage-1 scorer
 // this build lacks fails a plain -load with an error naming the scorer, and

@@ -13,18 +13,15 @@ import (
 	"repro/internal/logparse"
 	"repro/internal/models"
 	"repro/internal/pretrain"
-	"repro/internal/tokenizer"
 )
 
 func main() {
 	ds := flowbench.Generate(flowbench.Genome, 42).Subsample(800, 100, 120, 1)
-	corpus := pretrain.BuildCorpus(pretrain.DefaultCorpus())
-	corpus = append(corpus, logparse.Corpus(ds.Train)...)
-	tok := tokenizer.Build(corpus)
+	corpus, tok := pretrain.Vocabulary(pretrain.DefaultCorpus(), ds.Train)
 
 	model := models.MustGet("mistral").Build(tok.VocabSize())
 	fmt.Printf("pre-training mistral (%d params) with next-token prediction...\n", model.ParamCount())
-	pretrain.CLM(model, tok, corpus, pretrain.Options{Steps: 400, LR: 3e-3, Seed: 2})
+	pretrain.Run(model, tok, corpus, pretrain.Options{Steps: 400, LR: 3e-3, Seed: 2})
 	det := icl.NewDetector(model, tok)
 
 	// Zero-shot vs few-shot before fine-tuning.

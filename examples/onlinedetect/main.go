@@ -15,16 +15,13 @@ import (
 	"repro/internal/models"
 	"repro/internal/pretrain"
 	"repro/internal/sft"
-	"repro/internal/tokenizer"
 )
 
 func main() {
 	ds := flowbench.Generate(flowbench.Genome, 42).Subsample(800, 100, 300, 1)
-	corpus := pretrain.BuildCorpus(pretrain.DefaultCorpus())
-	corpus = append(corpus, logparse.Corpus(ds.Train)...)
-	tok := tokenizer.Build(corpus)
+	corpus, tok := pretrain.Vocabulary(pretrain.DefaultCorpus(), ds.Train)
 	model := models.MustGet("bert-base-uncased").Build(tok.VocabSize())
-	pretrain.MLM(model, tok, corpus, pretrain.Options{Steps: 300, LR: 3e-3, Seed: 2})
+	pretrain.Run(model, tok, corpus, pretrain.Options{Steps: 300, LR: 3e-3, Seed: 2})
 	clf := sft.NewClassifier(model, tok)
 	cfg := sft.DefaultTrainConfig()
 	cfg.Epochs = 3

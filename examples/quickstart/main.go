@@ -13,7 +13,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/pretrain"
 	"repro/internal/sft"
-	"repro/internal/tokenizer"
 )
 
 func main() {
@@ -23,12 +22,10 @@ func main() {
 		len(ds.Train), len(ds.Val), len(ds.Test), 100*ds.Stats()[0].Fraction())
 
 	// 2. Vocabulary + pre-trained checkpoint (MLM over unlabeled sentences).
-	corpus := pretrain.BuildCorpus(pretrain.DefaultCorpus())
-	corpus = append(corpus, logparse.Corpus(ds.Train)...)
-	tok := tokenizer.Build(corpus)
+	corpus, tok := pretrain.Vocabulary(pretrain.DefaultCorpus(), ds.Train)
 	model := models.MustGet("distilbert-base-uncased").Build(tok.VocabSize())
 	fmt.Printf("model: distilbert-base-uncased (%d params, vocab %d)\n", model.ParamCount(), tok.VocabSize())
-	pretrain.MLM(model, tok, corpus, pretrain.Options{Steps: 300, LR: 3e-3, Seed: 2})
+	pretrain.Run(model, tok, corpus, pretrain.Options{Steps: 300, LR: 3e-3, Seed: 2})
 
 	// 3. Supervised fine-tuning for sentence classification.
 	clf := sft.NewClassifier(model, tok)

@@ -10,11 +10,9 @@ import (
 	"fmt"
 
 	"repro/internal/flowbench"
-	"repro/internal/logparse"
 	"repro/internal/models"
 	"repro/internal/pretrain"
 	"repro/internal/sft"
-	"repro/internal/tokenizer"
 )
 
 func main() {
@@ -22,12 +20,9 @@ func main() {
 	montage := flowbench.Generate(flowbench.Montage, 42).Subsample(800, 100, 250, 1)
 
 	// A shared vocabulary lets one model serve both workflows.
-	corpus := pretrain.BuildCorpus(pretrain.DefaultCorpus())
-	corpus = append(corpus, logparse.Corpus(genome.Train)...)
-	corpus = append(corpus, logparse.Corpus(montage.Train)...)
-	tok := tokenizer.Build(corpus)
+	corpus, tok := pretrain.Vocabulary(pretrain.DefaultCorpus(), genome.Train, montage.Train)
 	base := models.MustGet("bert-base-uncased").Build(tok.VocabSize())
-	pretrain.MLM(base, tok, corpus, pretrain.Options{Steps: 300, LR: 3e-3, Seed: 2})
+	pretrain.Run(base, tok, corpus, pretrain.Options{Steps: 300, LR: 3e-3, Seed: 2})
 
 	cfg := sft.DefaultTrainConfig()
 	cfg.Epochs = 3

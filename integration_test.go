@@ -20,7 +20,6 @@ import (
 	"repro/internal/models"
 	"repro/internal/pretrain"
 	"repro/internal/sft"
-	"repro/internal/tokenizer"
 )
 
 // Integration tests exercising cross-module flows end to end.
@@ -64,15 +63,14 @@ func TestDatasetExportImportRoundTrip(t *testing.T) {
 
 // TestCheckpointAcrossProcessBoundary fine-tunes a model, saves it to disk,
 // loads it into a freshly built model of the same architecture, and checks
-// predictions survive — the cmd/sfttrain -save path.
+// predictions survive — the weights section of every fp32 detector artifact
+// (anomalyd -train-out).
 func TestCheckpointAcrossProcessBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
 	ds := flowbench.Generate(flowbench.Genome, 5).Subsample(200, 1, 50, 6)
-	corpus := pretrain.BuildCorpus(pretrain.CorpusOptions{SentencesPerWorkflow: 40, ICLDocs: 10, ExamplesPerDoc: 3, Seed: 7})
-	corpus = append(corpus, logparse.Corpus(ds.Train)...)
-	tok := tokenizer.Build(corpus)
+	_, tok := pretrain.Vocabulary(pretrain.CorpusOptions{SentencesPerWorkflow: 40, ICLDocs: 10, ExamplesPerDoc: 3, Seed: 7}, ds.Train)
 	m := models.MustGet("distilbert-base-uncased").Build(tok.VocabSize())
 	clf := sft.NewClassifier(m, tok)
 	cfg := sft.DefaultTrainConfig()
@@ -247,8 +245,13 @@ func TestDocsNameOnlyExistingFlags(t *testing.T) {
 	isBool := map[string]map[string]bool{}
 	anywhere := map[string]bool{"cpu": true, "benchtime": true, "race": true, "update": true, "seconds": true, "trace": true}
 	boolAnywhere, nonBool := map[string]bool{}, map[string]bool{}
-	for _, bin := range []string{"anomalyd", "anomalygw", "loadlab", "expbench", "flowgen", "sfttrain", "iclrun"} {
-		src, err := os.ReadFile(filepath.Join("cmd", bin, "main.go"))
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("found no cmd/*/main.go: %v", err)
+	}
+	for _, path := range mains {
+		bin := filepath.Base(filepath.Dir(path))
+		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,8 @@
 // Detector artifacts: the whole trained detector — transformer weights,
 // tokenizer vocabulary, and approach-specific state — as one versioned,
-// checksummed binary file. Train once (anomalyd -train-out, sfttrain -save,
-// iclrun -save), then serve in milliseconds (anomalyd -load), so new weights
-// reach a fleet by a rolling restart; weights are data, not a boot-time side
-// effect.
+// checksummed binary file. Train once (anomalyd -train-out), then serve in
+// milliseconds (anomalyd -load), so new weights reach a fleet by a rolling
+// restart; weights are data, not a boot-time side effect.
 //
 // Format (all integers little-endian; sections are uint32-length-prefixed
 // byte blocks so each layer parses its own payload without over-reading):

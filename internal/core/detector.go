@@ -24,7 +24,6 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/sft"
 	"repro/internal/tensor"
-	"repro/internal/tokenizer"
 )
 
 // Approach selects the detection method.
@@ -330,17 +329,13 @@ func Train(opts Options) (Detector, *TrainReport, error) {
 	}
 	ds := flowbench.Generate(opts.Workflow, opts.Seed).
 		Subsample(opts.TrainSize, 200, 300, opts.Seed+1)
-	corpus := pretrain.BuildCorpus(pretrain.DefaultCorpus())
-	corpus = append(corpus, logparse.Corpus(ds.Train)...)
-	tok := tokenizer.Build(corpus)
-	spec := models.MustGet(opts.Model)
-	model := spec.Build(tok.VocabSize())
-	popts := pretrain.Options{Steps: opts.PretrainSteps, LR: 3e-3, Seed: opts.Seed}
+	corpus, tok := pretrain.Vocabulary(pretrain.DefaultCorpus(), ds.Train)
+	model := models.MustGet(opts.Model).Build(tok.VocabSize())
+	pretrain.Run(model, tok, corpus, pretrain.Options{Steps: opts.PretrainSteps, LR: 3e-3, Seed: opts.Seed})
 
 	var det Detector
 	switch opts.Approach {
 	case SFT:
-		pretrain.MLM(model, tok, corpus, popts)
 		clf := sft.NewClassifier(model, tok)
 		cfg := sft.DefaultTrainConfig()
 		cfg.Epochs = opts.Epochs
@@ -351,7 +346,6 @@ func Train(opts Options) (Detector, *TrainReport, error) {
 		sft.Train(clf, sft.JobExamples(ds.Train), nil, cfg)
 		det = NewSFTDetector(clf)
 	case ICL:
-		pretrain.CLM(model, tok, corpus, popts)
 		d := icl.NewDetector(model, tok)
 		ftCfg := icl.DefaultFineTuneConfig()
 		ftCfg.Steps = opts.LoRASteps

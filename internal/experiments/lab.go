@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"repro/internal/flowbench"
-	"repro/internal/logparse"
 	"repro/internal/models"
 	"repro/internal/pretrain"
 	"repro/internal/tokenizer"
@@ -134,17 +133,15 @@ func (l *Lab) ensureTokenizerLocked() {
 	if l.tok != nil {
 		return
 	}
+	var splits [][]flowbench.Job
+	for _, wf := range flowbench.Workflows {
+		splits = append(splits, l.datasetLocked(wf).Train)
+	}
 	// ICL documents are weighted heavily so decoders learn the prompt
 	// format and in-context rule induction, not just sentence statistics.
-	corpus := pretrain.BuildCorpus(pretrain.CorpusOptions{
+	l.corpus, l.tok = pretrain.Vocabulary(pretrain.CorpusOptions{
 		SentencesPerWorkflow: 300, ICLDocs: 500, ExamplesPerDoc: 5, Seed: l.Scale.Seed ^ 0xbeef,
-	})
-	for _, wf := range flowbench.Workflows {
-		ds := l.datasetLocked(wf)
-		corpus = append(corpus, logparse.Corpus(ds.Train)...)
-	}
-	l.corpus = corpus
-	l.tok = tokenizer.Build(corpus)
+	}, splits...)
 }
 
 // Corpus returns the pre-training corpus (building it if needed).
@@ -156,8 +153,8 @@ func (l *Lab) Corpus() []string {
 }
 
 // Pretrained returns a fresh clone of the named model's pre-trained
-// checkpoint, pre-training it on first use (MLM for encoders, CLM for
-// decoders).
+// checkpoint, pre-training it on first use (pretrain.Run: MLM for encoders,
+// CLM for decoders).
 func (l *Lab) Pretrained(name string) *transformer.Model {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -173,10 +170,8 @@ func (l *Lab) Pretrained(name string) *transformer.Model {
 		// emerges; give them a larger causal-LM budget than the encoders'
 		// MLM budget.
 		opts.Steps *= 4
-		pretrain.CLM(m, l.tok, l.corpus, opts)
-	} else {
-		pretrain.MLM(m, l.tok, l.corpus, opts)
 	}
+	pretrain.Run(m, l.tok, l.corpus, opts)
 	l.pretrained[name] = m
 	return m.Clone()
 }

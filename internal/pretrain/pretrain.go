@@ -121,9 +121,15 @@ func randomRuleDoc(pool []flowbench.Job, k int, rng *tensor.RNG) string {
 	return prompt.Document(examples, logparse.Sentence(q), label(q))
 }
 
-// BuildTokenizer constructs the shared vocabulary over the corpus.
-func BuildTokenizer(corpus []string) *tokenizer.Tokenizer {
-	return tokenizer.Build(corpus)
+// Vocabulary is the recipe's vocabulary step: the pre-training corpus opts
+// describes, then the sentences of each training split in order, and the
+// tokenizer built over all of it. The corpus it returns is what Run trains on.
+func Vocabulary(opts CorpusOptions, splits ...[]flowbench.Job) ([]string, *tokenizer.Tokenizer) {
+	corpus := BuildCorpus(opts)
+	for _, split := range splits {
+		corpus = append(corpus, logparse.Corpus(split)...)
+	}
+	return corpus, tokenizer.Build(corpus)
 }
 
 // Options configures a pre-training run.
@@ -136,9 +142,15 @@ type Options struct {
 	Seed uint64
 }
 
-// DefaultOptions is a pre-training budget that makes SFT-vs-pretrain
-// comparisons meaningful at repository scale.
-func DefaultOptions() Options { return Options{Steps: 600, LR: 3e-3, Seed: 7} }
+// Run is the recipe's pre-training step: CLM for a decoder, MLM for an
+// encoder, as m.Config.Causal says. It returns the mean loss over the final
+// 10% of steps.
+func Run(m *transformer.Model, tok *tokenizer.Tokenizer, corpus []string, opts Options) float64 {
+	if m.Config.Causal {
+		return CLM(m, tok, corpus, opts)
+	}
+	return MLM(m, tok, corpus, opts)
+}
 
 // MLM pre-trains an encoder with masked-language modelling (BERT's 15%
 // masking: 80% [MASK], 10% random token, 10% unchanged) and returns the mean

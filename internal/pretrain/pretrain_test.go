@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/tokenizer"
+	"repro/internal/transformer"
 )
 
 func tinyCorpusOpts() CorpusOptions {
@@ -61,9 +62,8 @@ func TestBuildCorpusGolden(t *testing.T) {
 	}
 }
 
-func TestBuildTokenizerCoversCorpus(t *testing.T) {
-	corpus := BuildCorpus(tinyCorpusOpts())
-	tok := BuildTokenizer(corpus)
+func TestVocabularyCoversCorpus(t *testing.T) {
+	corpus, tok := Vocabulary(tinyCorpusOpts())
 	for _, doc := range corpus[:20] {
 		if r := tok.UnknownRate(doc); r != 0 {
 			t.Fatalf("unknown rate %v on own corpus", r)
@@ -72,8 +72,7 @@ func TestBuildTokenizerCoversCorpus(t *testing.T) {
 }
 
 func TestMLMReducesLoss(t *testing.T) {
-	corpus := BuildCorpus(tinyCorpusOpts())
-	tok := BuildTokenizer(corpus)
+	corpus, tok := Vocabulary(tinyCorpusOpts())
 	m := models.MustGet("distilbert-base-uncased").Build(tok.VocabSize())
 	early := MLM(m, tok, corpus, Options{Steps: 20, LR: 3e-3, Seed: 2})
 	late := MLM(m, tok, corpus, Options{Steps: 200, LR: 3e-3, Seed: 3})
@@ -83,8 +82,7 @@ func TestMLMReducesLoss(t *testing.T) {
 }
 
 func TestCLMReducesLoss(t *testing.T) {
-	corpus := BuildCorpus(tinyCorpusOpts())
-	tok := BuildTokenizer(corpus)
+	corpus, tok := Vocabulary(tinyCorpusOpts())
 	m := models.MustGet("gpt2").Build(tok.VocabSize())
 	early := CLM(m, tok, corpus, Options{Steps: 20, LR: 3e-3, Seed: 2})
 	late := CLM(m, tok, corpus, Options{Steps: 200, LR: 3e-3, Seed: 3})
@@ -115,4 +113,24 @@ func TestCLMRejectsEncoder(t *testing.T) {
 		}
 	}()
 	CLM(m, tok, corpus, Options{Steps: 1, LR: 1e-3})
+}
+
+// TestRunPicksObjective: Run trains an encoder exactly as MLM does and a
+// decoder exactly as CLM does.
+func TestRunPicksObjective(t *testing.T) {
+	corpus, tok := Vocabulary(tinyCorpusOpts())
+	opts := Options{Steps: 5, LR: 3e-3, Seed: 2}
+	for _, c := range []struct {
+		model string
+		step  func(*transformer.Model, *tokenizer.Tokenizer, []string, Options) float64
+	}{
+		{"distilbert-base-uncased", MLM},
+		{"gpt2", CLM},
+	} {
+		spec := models.MustGet(c.model)
+		got := Run(spec.Build(tok.VocabSize()), tok, corpus, opts)
+		if want := c.step(spec.Build(tok.VocabSize()), tok, corpus, opts); got != want {
+			t.Errorf("%s: Run loss %v, want %v", c.model, got, want)
+		}
+	}
 }
