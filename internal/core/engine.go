@@ -192,9 +192,10 @@ func (e *engine) submit(ctx context.Context, sentences []string) (*detectJob, er
 // retryAfter estimates how long a shed client should wait before retrying:
 // the expected time for the backlog ahead of it to drain, assuming each
 // queued job becomes roughly one batch served by Workers parallel workers at
-// the recent median compute time. depth is len(e.jobs), which is exact: work
-// a worker has not yet started waits nowhere else. Clamped to [50ms, 5s] so a
-// cold stats window or a pathological p50 still yields a sane hint.
+// the median compute time since the last stats reset. depth is len(e.jobs),
+// which is exact: work a worker has not yet started waits nowhere else.
+// Clamped to [50ms, 5s] so an empty histogram or a pathological p50 still
+// yields a sane hint.
 func (e *engine) retryAfter(depth int) time.Duration {
 	per := 25 * time.Millisecond
 	if p50 := e.stats.computeP50(); p50 > 0 {
@@ -398,11 +399,7 @@ func (w *batchWorker) runBatch(batch []*detectJob) {
 		results = gated
 	}
 	if len(live) > 0 {
-		waits := make([]time.Duration, len(live))
-		for i, j := range live {
-			waits[i] = started.Sub(j.enqueued)
-		}
-		e.stats.ranBatch(waits, time.Since(started), total-len(uniq))
+		e.stats.ranBatch(live, started, total-len(uniq))
 	}
 	if remap != nil {
 		expanded := make([]Result, total)

@@ -9,8 +9,9 @@ import (
 // handleMetrics is GET /metrics: the Prometheus text exposition of every
 // served model's EngineStats — the same numbers GET /v1/models reports as
 // JSON, rendered for scrapers. It is how saturation (queue depth, batch
-// occupancy, stage p50/p99, shed/expired/degraded/cascade counters) becomes
-// visible to humans and dashboards across a fleet of replicas.
+// occupancy, stage latency histograms, shed/expired/degraded/cascade
+// counters) becomes visible to humans and dashboards across a fleet of
+// replicas, whose histograms add up bucket by bucket.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -45,14 +46,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Counter("repro_cascade_short_circuited_total", "sentences the gate answered without the transformer", float64(st.CascadeShort), "model", m)
 		p.Counter("repro_cascade_passed_total", "sentences that passed the gate to the transformer", float64(st.CascadePassed), "model", m)
 		p.Gauge("repro_batch_occupancy", "mean sentences per executed batch", st.BatchOccupancy, "model", m)
-		p.Gauge("repro_stage_latency_ms", "server-side stage latency percentiles over the recent sample window",
-			st.QueueWaitP50Ms, "model", m, "stage", "queue_wait", "quantile", "0.5")
-		p.Gauge("repro_stage_latency_ms", "server-side stage latency percentiles over the recent sample window",
-			st.QueueWaitP99Ms, "model", m, "stage", "queue_wait", "quantile", "0.99")
-		p.Gauge("repro_stage_latency_ms", "server-side stage latency percentiles over the recent sample window",
-			st.ComputeP50Ms, "model", m, "stage", "compute", "quantile", "0.5")
-		p.Gauge("repro_stage_latency_ms", "server-side stage latency percentiles over the recent sample window",
-			st.ComputeP99Ms, "model", m, "stage", "compute", "quantile", "0.99")
+		const stage = "server-side stage latency since the last stats reset, in log buckets every replica shares"
+		p.Histogram("repro_stage_latency_ms", stage, &st.queueWait, "model", m, "stage", "queue_wait")
+		p.Histogram("repro_stage_latency_ms", stage, &st.compute, "model", m, "stage", "compute")
 	}
 	sse := s.bus.stats()
 	p.Gauge("repro_sse_subscribers", "open /v1/alerts connections", float64(sse.Subscribers))

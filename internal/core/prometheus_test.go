@@ -44,7 +44,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`repro_sentences_total{model="default"} 2`,
 		`repro_queue_len{model="default"}`,
 		`repro_batch_occupancy{model="default"}`,
-		`repro_stage_latency_ms{model="default",stage="compute",quantile="0.99"}`,
+		`repro_stage_latency_ms_count{model="default",stage="compute"} 1`,
 		`repro_shed_total{model="default"} 0`,
 		`repro_instance_info{instance="r7"} 1`,
 		"repro_ready 1",

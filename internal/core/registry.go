@@ -241,7 +241,7 @@ func (r *Registry) Readiness() ([]ModelReadiness, bool) {
 	return out, allReady
 }
 
-// ResetStats zeroes the serving counters and latency windows for name
+// ResetStats zeroes the serving counters and latency histograms for name
 // ("" = default model) — how the load lab isolates one scenario's stats from
 // the previous scenario's on a long-lived server. The trace tracker is not
 // touched.

@@ -429,7 +429,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatsReset is POST /v1/stats/reset[?model=]: zero the model's
-// serving counters and latency windows. The load lab calls this between
+// serving counters and latency histograms. The load lab calls this between
 // scenarios so each replay's /v1/models snapshot reflects only its own
 // traffic; the trace tracker is left alone.
 func (s *Server) handleStatsReset(w http.ResponseWriter, r *http.Request) {

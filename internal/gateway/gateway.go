@@ -63,10 +63,9 @@ type Config struct {
 const (
 	// maxAttempts is how many replicas one batch may be sent to.
 	maxAttempts = 3
-	// A batch grows its hedge after the front's recent forward p99, clamped to
-	// [hedgeMin, hedgeMax]; the p99 is re-read every hedgeEvery batches.
+	// A batch grows its hedge after the front's forward p99, clamped to
+	// [hedgeMin, hedgeMax].
 	hedgeMin, hedgeMax = 5 * time.Millisecond, 250 * time.Millisecond
-	hedgeEvery         = 64
 	// attemptTimeout bounds one forward. A replica that has not answered by
 	// then — hung, stopped, or cut off without a reset — has failed the
 	// attempt, and its breaker counts it: with the hedge budget spent, nothing
@@ -364,7 +363,7 @@ func (p *pool) forwardOnce(ctx context.Context, rep *replica, uri string, body [
 // front engine's compute stage: for a remote model, the replica round trip.
 func (p *pool) exposition(models []core.ModelInfo) []byte {
 	var w metrics.PromWriter
-	const latency = "forward latency percentiles over the recent window (the front engine's compute stage)"
+	const latency = "forward latency percentiles since the last stats reset (the front engine's compute stage)"
 	for _, m := range models {
 		w.Gauge("repro_gateway_forward_latency_ms", latency, m.Stats.ComputeP50Ms, "model", m.Name, "quantile", "0.5")
 		w.Gauge("repro_gateway_forward_latency_ms", latency, m.Stats.ComputeP99Ms, "model", m.Name, "quantile", "0.99")
@@ -391,9 +390,6 @@ type remote struct {
 	uri       string
 	approach  core.Approach
 	precision core.Precision
-
-	batches atomic.Int64
-	delay   atomic.Int64 // the hedge delay, ns
 }
 
 func (d *remote) TryDetectBatch(sentences []string) ([]core.Result, error) {
@@ -405,21 +401,16 @@ func (d *remote) TryDetectBatch(sentences []string) ([]core.Result, error) {
 }
 
 // hedgeDelay is when a slow forward grows its hedge: the front engine's
-// recent compute p99 for the model — for a remote model, the forward latency
-// — clamped to [hedgeMin, hedgeMax], and hedgeMax before any batch has run.
-// Reading the p99 sorts copies of the engine's sample windows, ~0.45 ms once
-// they are full (2-vCPU Xeon); read per batch, it put fleet-interactive's
-// p50 at 1.79 ms against 1.22 ms. So it is re-read every hedgeEvery batches.
+// compute p99 for the model — for a remote model, the forward latency —
+// clamped to [hedgeMin, hedgeMax], and hedgeMax before any batch has run.
+// The p99 is a walk over the engine's histogram buckets, so every batch
+// reads it afresh.
 func (d *remote) hedgeDelay() time.Duration {
-	if d.batches.Add(1)%hedgeEvery == 1 {
-		st, _ := d.reg.Stats(d.model) // only a closing front fails, and reads as no samples
-		delay := hedgeMax
-		if st.ComputeP99Ms > 0 {
-			delay = min(max(time.Duration(st.ComputeP99Ms*float64(time.Millisecond)), hedgeMin), hedgeMax)
-		}
-		d.delay.Store(int64(delay))
+	st, _ := d.reg.Stats(d.model) // only a closing front fails, and reads as no samples
+	if st.ComputeP99Ms == 0 {
+		return hedgeMax
 	}
-	return time.Duration(d.delay.Load())
+	return min(max(time.Duration(st.ComputeP99Ms*float64(time.Millisecond)), hedgeMin), hedgeMax)
 }
 
 func (d *remote) Approach() core.Approach   { return d.approach }

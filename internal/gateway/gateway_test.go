@@ -503,6 +503,68 @@ func TestHedgeWinsOverStraggler(t *testing.T) {
 	}
 }
 
+// TestHedgeDelayFollowsComputeP99: a batch's hedge delay is the front
+// engine's compute p99 read when the batch is sent, clamped to [hedgeMin,
+// hedgeMax] — hedgeMax before any batch — with no cached copy that lags the
+// histogram by a run of batches.
+func TestHedgeDelayFollowsComputeP99(t *testing.T) {
+	f := fleet(t, 2)
+	g, srv := newFront(t, Config{}, f...)
+	reg := g.Registry()
+	d := &remote{reg: reg, model: reg.Default()}
+	if got := d.hedgeDelay(); got != hedgeMax {
+		t.Fatalf("delay before any batch = %v, want hedgeMax %v", got, hedgeMax)
+	}
+	// slowBatch runs one batch that both replicas hold for delay, and returns
+	// the front's compute p99 after it.
+	slowBatch := func(delay time.Duration) time.Duration {
+		for _, r := range f {
+			r.delay.Store(int64(delay))
+		}
+		detect(t, srv.URL, sentence(int(delay)))
+		st, err := reg.Stats("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(st.ComputeP99Ms * float64(time.Millisecond))
+	}
+
+	p99 := slowBatch(30 * time.Millisecond)
+	if p99 < hedgeMin || p99 >= hedgeMax {
+		t.Fatalf("compute p99 %v after a 30 ms batch, want inside [%v, %v)", p99, hedgeMin, hedgeMax)
+	}
+	if got := d.hedgeDelay(); got != p99 {
+		t.Errorf("delay after a 30 ms batch = %v, want the compute p99 %v", got, p99)
+	}
+
+	if p99 = slowBatch(2 * hedgeMax); p99 <= hedgeMax {
+		t.Fatalf("compute p99 %v after a %v batch, want above hedgeMax", p99, 2*hedgeMax)
+	}
+	if got := d.hedgeDelay(); got != hedgeMax {
+		t.Errorf("delay with compute p99 %v = %v, want hedgeMax %v", p99, got, hedgeMax)
+	}
+
+	// The lower clamp needs a round trip under hedgeMin. The first one after
+	// the hedge race above may dial a new connection, so allow a few tries.
+	for try := 1; ; try++ {
+		if err := reg.ResetStats(""); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.hedgeDelay(); got != hedgeMax {
+			t.Fatalf("delay after a stats reset = %v, want hedgeMax %v", got, hedgeMax)
+		}
+		if p99 = slowBatch(0); p99 < hedgeMin {
+			break
+		}
+		if try == 5 {
+			t.Fatalf("compute p99 %v on an undelayed replica, want below hedgeMin %v", p99, hedgeMin)
+		}
+	}
+	if got := d.hedgeDelay(); got != hedgeMin {
+		t.Errorf("delay with compute p99 %v = %v, want hedgeMin %v", p99, got, hedgeMin)
+	}
+}
+
 // TestModelsMergeAndStatsReset: the front's models are the replicas', with
 // their batch sizes and their summed workers and shed depths, and its stats
 // are its own.
@@ -666,11 +728,13 @@ func TestGatewayMetricsExposition(t *testing.T) {
 	monitor(t, srv.URL, monitorLog(10, 2))
 
 	text := metricsText(t, srv.URL)
-	typed := map[string]int{}
+	typed, kind := map[string]int{}, map[string]string{}
 	sample := regexp.MustCompile(`^([a-z_]+)(\{[a-z_]+="[^"\\]*"(,[a-z_]+="[^"\\]*")*\})? -?[0-9.e+-]+$`)
 	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
 		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			typed[strings.Fields(rest)[0]]++
+			f := strings.Fields(rest)
+			typed[f[0]]++
+			kind[f[0]] = f[1]
 			continue
 		}
 		if strings.HasPrefix(line, "# HELP ") {
@@ -679,7 +743,17 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		m := sample.FindStringSubmatch(line)
 		if m == nil {
 			t.Errorf("not a sample line: %q", line)
-		} else if typed[m[1]] == 0 {
+			continue
+		}
+		// A histogram's samples carry its family's name plus a suffix; no
+		// other family's do.
+		family := m[1]
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(family, suffix); ok && kind[base] == "histogram" {
+				family = base
+			}
+		}
+		if typed[family] == 0 {
 			t.Errorf("sample before its family's # TYPE: %q", line)
 		}
 	}

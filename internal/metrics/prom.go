@@ -13,10 +13,10 @@ import (
 // built on it, which is what lets the gateway's saturation view and a
 // human's dashboards read the same numbers.
 //
-// Usage: one PromWriter per scrape. Gauge/Counter append samples; the
-// # HELP and # TYPE headers are emitted once per metric name, on first use,
-// so callers may emit a labeled family in any grouping. Not safe for
-// concurrent use.
+// Usage: one PromWriter per scrape. Gauge, Counter and Histogram append
+// samples; the # HELP and # TYPE headers are emitted once per metric name, on
+// first use, so callers may emit a labeled family in any grouping. Not safe
+// for concurrent use.
 type PromWriter struct {
 	b      strings.Builder
 	headed map[string]bool
@@ -24,16 +24,35 @@ type PromWriter struct {
 
 // Gauge appends one gauge sample. labels are alternating key, value pairs.
 func (w *PromWriter) Gauge(name, help string, v float64, labels ...string) {
-	w.sample(name, help, "gauge", v, labels)
+	w.head(name, help, "gauge")
+	w.line(name, v, labels)
 }
 
 // Counter appends one counter sample. By Prometheus convention the name
 // should end in _total. labels are alternating key, value pairs.
 func (w *PromWriter) Counter(name, help string, v float64, labels ...string) {
-	w.sample(name, help, "counter", v, labels)
+	w.head(name, help, "counter")
+	w.line(name, v, labels)
 }
 
-func (w *PromWriter) sample(name, help, typ string, v float64, labels []string) {
+// Histogram appends h as one histogram family: a cumulative name_bucket
+// sample per bound and le="+Inf", then name_sum and name_count. Every
+// Histogram has the same bounds, so two processes' buckets add up per le.
+// labels are alternating key, value pairs.
+func (w *PromWriter) Histogram(name, help string, h *Histogram, labels ...string) {
+	w.head(name, help, "histogram")
+	var cum uint64
+	for i, le := range bucketBounds {
+		cum += h.counts[i]
+		w.line(name+"_bucket", float64(cum), append(labels, "le", formatValue(le)))
+	}
+	w.line(name+"_bucket", float64(h.count), append(labels, "le", "+Inf"))
+	w.line(name+"_sum", h.sum, labels)
+	w.line(name+"_count", float64(h.count), labels)
+}
+
+// head writes name's # HELP and # TYPE on its first use.
+func (w *PromWriter) head(name, help, typ string) {
 	if w.headed == nil {
 		w.headed = make(map[string]bool)
 	}
@@ -42,6 +61,10 @@ func (w *PromWriter) sample(name, help, typ string, v float64, labels []string) 
 		fmt.Fprintf(&w.b, "# HELP %s %s\n", name, escapeHelp(help))
 		fmt.Fprintf(&w.b, "# TYPE %s %s\n", name, typ)
 	}
+}
+
+// line writes one sample.
+func (w *PromWriter) line(name string, v float64, labels []string) {
 	w.b.WriteString(name)
 	if len(labels) >= 2 {
 		w.b.WriteByte('{')

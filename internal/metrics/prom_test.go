@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -109,4 +110,62 @@ func FuzzPromWriterLabels(f *testing.F) {
 			t.Fatalf("label %q came back as %q", v, got.String())
 		}
 	})
+}
+
+// TestPromWriterHistogram: buckets are cumulative and end at le="+Inf" equal
+// to _count, and each family's # HELP and # TYPE histogram appear once.
+func TestPromWriterHistogram(t *testing.T) {
+	var a, b Histogram
+	for _, v := range []float64{0.5, 2, 2, 40, 20000} {
+		a.Observe(v)
+	}
+	b.Observe(7)
+	var w PromWriter
+	w.Histogram("lat_ms", "stage latency", &a, "stage", "compute")
+	w.Histogram("lat_ms", "stage latency", &b, "stage", "queue_wait")
+	w.Histogram("other_ms", "other latency", &b)
+	got := string(w.Bytes())
+
+	for _, name := range []string{"lat_ms", "other_ms"} {
+		for _, header := range []string{"# HELP " + name + " ", "# TYPE " + name + " histogram\n"} {
+			if n := strings.Count(got, header); n != 1 {
+				t.Errorf("%q appears %d times, want 1", header, n)
+			}
+		}
+	}
+	prev, buckets := -1.0, 0
+	var inf float64
+	for _, line := range strings.Split(got, "\n") {
+		rest, ok := strings.CutPrefix(line, `lat_ms_bucket{stage="compute",le="`)
+		if !ok {
+			continue
+		}
+		buckets++
+		le, v, _ := strings.Cut(rest, `"} `)
+		n, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatalf("parsing %q: %v", line, err)
+		}
+		if n < prev {
+			t.Errorf("bucket le=%s holds %v, below the previous bucket's %v", le, n, prev)
+		}
+		prev = n
+		if le == "+Inf" {
+			inf = n
+		}
+	}
+	if buckets != numBounds+1 || inf != 5 {
+		t.Errorf("%d buckets ending at +Inf %v, want %d ending at 5", buckets, inf, numBounds+1)
+	}
+	for _, want := range []string{
+		`lat_ms_count{stage="compute"} 5` + "\n",
+		`lat_ms_sum{stage="compute"} 20044.5` + "\n",
+		`lat_ms_bucket{stage="compute",le="2"} 3` + "\n",
+		`lat_ms_bucket{stage="queue_wait",le="+Inf"} 1` + "\n",
+		`other_ms_count 1` + "\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, got)
+		}
+	}
 }
