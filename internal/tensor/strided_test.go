@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"testing"
 )
@@ -336,24 +337,43 @@ func TestNilWorkspaceDegradesToAllocation(t *testing.T) {
 	PutWorkspace(ws) // no-op
 }
 
-// TestWorkspaceChildrenLiveWithTheParent pins Children: the same two arenas
-// for the parent's life, distinct from the parent and each other, and
-// keeping their buffers across the parent's Reset.
-func TestWorkspaceChildrenLiveWithTheParent(t *testing.T) {
+// TestWorkspaceChildLivesWithTheParent pins Child: the same arena for the
+// parent's life, distinct from the parent, and keeping its buffers across
+// the parent's Reset.
+func TestWorkspaceChildLivesWithTheParent(t *testing.T) {
 	ws := NewWorkspace()
-	c0, c1 := ws.Children()
-	if again0, again1 := ws.Children(); c0 == nil || c0 == c1 || c0 == ws || c1 == ws || again0 != c0 || again1 != c1 {
-		t.Fatal("Children must return the same two distinct arenas every time")
+	c := ws.Child()
+	if c == nil || c == ws || ws.Child() != c {
+		t.Fatal("Child must return the same distinct arena every time")
 	}
-	m := c1.Get(4, 8)
+	m := c.Get(4, 8)
 	ws.Reset()
-	c1.Reset()
-	if _, again1 := ws.Children(); again1.Get(4, 8) != m {
+	c.Reset()
+	if ws.Child().Get(4, 8) != m {
 		t.Fatal("a child's buffers did not survive the parent's Reset")
 	}
 	var none *Workspace
-	if n0, n1 := none.Children(); n0 != nil || n1 != nil {
-		t.Fatal("a nil workspace's children must be nil")
+	if none.Child() != nil {
+		t.Fatal("a nil workspace's child must be nil")
+	}
+}
+
+// TestWorkspaceBytesCountsEverySlot pins Bytes: the capacity of every float,
+// int and byte slot, handed out or rewound, plus the child's.
+func TestWorkspaceBytesCountsEverySlot(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Get(3, 4)
+	ws.GetInts(5)
+	ws.GetBytes(7)
+	ws.RowView(ws.Get(1, 2), 0, 1)
+	ws.Reset()
+	ws.Child().Get(2, 2)
+	if got, want := ws.Bytes(), 4*12+bits.UintSize/8*5+7+4*2+4*4; got != want {
+		t.Fatalf("Bytes = %d, want %d", got, want)
+	}
+	var none *Workspace
+	if none.Bytes() != 0 {
+		t.Fatal("a nil workspace must hold no bytes")
 	}
 }
 

@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Workspace is an arena of reusable scratch buffers for the steady-state
 // inference path. Layers request temporaries with Get/GetZeroed/GetInts/
@@ -26,9 +29,8 @@ type Workspace struct {
 	inext int
 	bytes [][]byte
 	bnext int
-	// children are the arenas Children hands out, kept for the workspace's
-	// life.
-	children [2]*Workspace
+	// child is the arena Child hands out, kept for the workspace's life.
+	child *Workspace
 }
 
 // NewWorkspace returns an empty workspace.
@@ -164,20 +166,38 @@ func (w *Workspace) Reset() {
 	w.next, w.vnext, w.inext, w.bnext = 0, 0, 0, 0
 }
 
-// Children returns the workspace's two child arenas, created on first use
-// and kept for the workspace's life: a forward that double-buffers its
-// scratch across layers rewinds two children of its caller's workspace
-// instead of borrowing two pooled arenas, whose sizes another caller's
-// batches set. Its user rewinds a child; the parent's Reset does not. A nil
-// workspace's children are nil.
-func (w *Workspace) Children() (*Workspace, *Workspace) {
+// Child returns the workspace's child arena, created on first use and kept
+// for the workspace's life: a forward draws each sublayer's scratch from its
+// caller's workspace's child. Its user rewinds it; the parent's Reset does
+// not. A nil workspace's child is nil.
+func (w *Workspace) Child() *Workspace {
 	if w == nil {
-		return nil, nil
+		return nil
 	}
-	if w.children[0] == nil {
-		w.children = [2]*Workspace{{}, {}}
+	if w.child == nil {
+		w.child = &Workspace{}
 	}
-	return w.children[0], w.children[1]
+	return w.child
+}
+
+// Bytes returns the bytes the arena holds: the capacity of every float, int
+// and byte slot, handed out since the last Reset or not, and its child's.
+// View headers are not counted. A nil workspace holds none.
+func (w *Workspace) Bytes() int {
+	if w == nil {
+		return 0
+	}
+	n := 0
+	for _, m := range w.bufs {
+		n += 4 * cap(m.Data)
+	}
+	for _, s := range w.ints {
+		n += bits.UintSize / 8 * cap(s)
+	}
+	for _, s := range w.bytes {
+		n += cap(s)
+	}
+	return n + w.child.Bytes()
 }
 
 var workspacePool = sync.Pool{New: func() any { return &Workspace{} }}

@@ -58,10 +58,10 @@ import (
 // a long-lived owner such as a core.Server worker passes its own and resets
 // it between batches; a one-shot caller passes nil and gets plain allocation
 // (tensor.Workspace's nil contract); a taped forward uses the tape's. The
-// block stack's scratch lives in two children of the caller's workspace
-// (runBlocksBatch), which the forward rewinds itself. The
-// serving entry points return fresh heap allocations, never arena-backed,
-// so callers may Reset the workspace freely afterwards.
+// residual stream and the final norm come from the caller's workspace, and
+// each sublayer's scratch from its child, which the forward rewinds itself
+// (runBlocksBatch). The serving entry points return fresh heap allocations,
+// never arena-backed, so callers may Reset the workspace freely afterwards.
 
 // encodeBatch embeds each sequence and runs the packed batch through the
 // block stack and final layer norm, returning the packed hidden states
@@ -254,52 +254,36 @@ func (t prefixTree) keep(k, v *tensor.Matrix) {
 }
 
 // runBlocksBatch drives the packed batch through the block stack and the
-// final layer norm. Without a tape, scratch is double-buffered: block
-// intermediates alternate between two arenas, each reset once its layer's
-// output has been consumed by the next layer. The arenas are the two
-// children of the caller's workspace (of a pooled one when the caller passes
-// nil), kept for its life, so a worker's scratch settles at the size of its
-// largest batch however the packed row count varies. Only the normalized
-// output (and whatever the caller placed there) lands in the caller's arena
-// itself, so a worker's resident workspace holds ~2 layers of scratch
-// instead of the whole stack's — the difference between the streaming
-// monitor's chunk pipeline rebuilding ~5 MB versus ~2 MB of arena on a cold
-// start. A taped forward keeps every block's intermediates for backward, in
-// the tape's arena. tree is the batch's sharing (see pack), past the
-// per-layer KV cache (nil when uncached). With last (untaped and causal
-// only), the final block and norm run on each sequence's last row alone, and
-// the output is [B, dModel].
+// final layer norm. Without a tape, h is the residual stream, which every
+// block updates in place, drawing one sublayer's intermediates at a time
+// from one scratch arena: the child of the caller's workspace (of a pooled
+// one when the caller passes nil), kept for its life, so a worker's scratch
+// settles at the size of its largest batch however the packed row count
+// varies. What outlives a sublayer — the residual stream, the last block's
+// gather, the normalized output — comes from the caller's workspace (plain
+// allocation for nil), never the scratch. A taped forward keeps every
+// block's intermediates for backward, in the tape's arena. tree is the
+// batch's sharing (see pack), past the per-layer KV cache (nil when
+// uncached). With last (untaped and causal only), the final block and norm
+// run on each sequence's last row alone, and the output is [B, dModel].
 func (m *Model) runBlocksBatch(h *tensor.Matrix, offsets []int, tree prefixTree, past []LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape) *tensor.Matrix {
-	// A taped forward keeps its scratch in ws, the tape's arena: backward
-	// reads every block's intermediates from there.
-	scratch := [2]*tensor.Workspace{ws, ws}
+	scratch := ws
 	if tape == nil {
 		parent := ws
 		if parent == nil {
 			parent = tensor.GetWorkspace()
 			defer tensor.PutWorkspace(parent)
 		}
-		// Whatever the children hold is the previous forward's, and dead.
-		scratch[0], scratch[1] = parent.Children()
-		scratch[0].Reset()
-		scratch[1].Reset()
+		scratch = parent.Child()
 	}
 	for li, b := range m.Blocks {
-		wsi := scratch[li%2]
-		if li >= 2 && tape == nil {
-			// This arena holds layer li-2's intermediates; layer li-1 has
-			// already consumed that output, so the buffers are dead.
-			wsi.Reset()
-		}
 		kv := LayerKV{}
 		if past != nil {
 			kv = past[li]
 		}
 		tree.layer = li
-		h, _ = b.forward(h, offsets, tree, kv, last && li == len(m.Blocks)-1, wsi, tape, false)
+		h, _ = b.forward(h, offsets, tree, kv, last && li == len(m.Blocks)-1, ws, scratch, tape, false)
 	}
-	// The final norm reads the last block's output from its scratch arena
-	// (still alive here) and writes into the caller's workspace.
 	return m.FinalLN.Forward(h, ws, tape)
 }
 
@@ -377,7 +361,7 @@ func (m *Model) InferKVCache(prefix []int) *KVCache {
 	cache := &KVCache{Len: len(prefix), tree: newSuffixTree(len(m.Blocks), m.Config.DModel, treeBytes)}
 	for _, b := range m.Blocks {
 		var kv LayerKV
-		h, kv = b.forward(h, offsets, prefixTree{}, LayerKV{}, false, ws, nil, true)
+		h, kv = b.forward(h, offsets, prefixTree{}, LayerKV{}, false, ws, ws.Child(), nil, true)
 		cache.Layers = append(cache.Layers, kv)
 	}
 	return cache

@@ -180,7 +180,7 @@ func TestInferKVCacheMatchesBuildKVCache(t *testing.T) {
 		if !sameBits(got.Layers[li].K.Data, rec[1].Data) || !sameBits(got.Layers[li].V.Data, rec[2].Data) {
 			t.Fatalf("layer %d: cached K/V differ from the recorded projections", li)
 		}
-		h, _ = b.forward(h, offsets, prefixTree{}, LayerKV{}, false, nil, nil, false)
+		h, _ = b.forward(h, offsets, prefixTree{}, LayerKV{}, false, nil, nil, nil, false)
 	}
 }
 

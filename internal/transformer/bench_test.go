@@ -82,8 +82,9 @@ func BenchmarkTrainStep(b *testing.B) {
 // sharing. chunk32stream cycles 64 distinct monitor-shaped chunks
 // (monitorChunk) through one cache, as the monitor does, and reports the
 // share of suffix rows computed once the suffix tree lends what earlier
-// chunks shared. allocs/op should sit within a few allocations of zero (only
-// returned results allocate).
+// chunks shared, and the bytes per packed row a held workspace settles at
+// over the stream. allocs/op should sit within a few allocations of zero
+// (only returned results allocate).
 func BenchmarkKVCacheDecode(b *testing.B) {
 	for _, precision := range []string{"fp32", "int8"} {
 		b.Run(precision, func(b *testing.B) {
@@ -197,13 +198,25 @@ func benchDecode(b *testing.B, precision string, vocab, prefixLen int, chunks []
 		decode(chunks[i%len(chunks)])
 	}
 	if !fresh && len(chunks) > 1 {
+		b.StopTimer()
 		b.ReportMetric(float64(st.computed-computed)/float64(st.rows-rows), "computed_rows")
+		// The footprint a worker's held workspace settles at over the
+		// stream, per packed row of the largest chunk packed alone.
+		ws, most := tensor.NewWorkspace(), 0
+		for _, suffixes := range chunks {
+			ws.Reset()
+			m.ScoreChoiceBatchWithCacheWS(cache, suffixes, choices, ws)
+			offsets, _ := pack(suffixes, true, nil, nil)
+			most = max(most, offsets[len(suffixes)])
+		}
+		b.ReportMetric(float64(ws.Bytes())/float64(most), "arena_B/row")
 	}
 }
 
 // BenchmarkEncodeBatch measures the packed batched encoder forward on a
 // reused worker-owned workspace (8 sequences × 48 tokens), the SFT serving
-// inner loop. allocs/op should sit within a few allocations of zero.
+// inner loop, and reports the bytes per packed row the workspace holds.
+// allocs/op should sit within a few allocations of zero.
 func BenchmarkEncodeBatch(b *testing.B) {
 	cfg := Config{
 		Name: "bench", VocabSize: 300, MaxSeqLen: 64, DModel: 96,
@@ -225,6 +238,7 @@ func BenchmarkEncodeBatch(b *testing.B) {
 		ws.Reset()
 		m.ForwardClsBatchWS(seqs, ws)
 	}
+	b.ReportMetric(float64(ws.Bytes())/float64(8*48), "arena_B/row")
 }
 
 // BenchmarkQuantizeInt8 measures converting a serving-scale decoder to the

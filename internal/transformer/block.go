@@ -43,23 +43,40 @@ func NewBlock(name string, dModel, numHeads, ffnDim int, causal bool, dropout fl
 
 // forward runs the block over a packed batch (see MultiHeadAttention.forward
 // for tree, past, last and capture). With last set, everything after attention
-// runs on each sequence's last row alone, and so does the output. The
-// residual sums overwrite branch outputs no record holds.
-func (b *Block) forward(x *tensor.Matrix, offsets []int, tree prefixTree, past LayerKV, last bool, ws *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
-	h := b.LN1.Forward(x, ws, tape)
-	h, kv := b.Attn.forward(h, offsets, tree, past, last, ws, tape, capture)
-	h = b.dropA.Forward(h, ws, tape)
+// runs on each sequence's last row alone, gathered into ws, and so does the
+// output. Untaped, x is the residual stream, which both sums update in place,
+// and each sublayer draws its intermediates from scratch, rewound before it.
+// A taped forward passes its tape's arena as both, and its sums overwrite the
+// branch outputs instead, since a record holds x.
+func (b *Block) forward(x *tensor.Matrix, offsets []int, tree prefixTree, past LayerKV, last bool, ws, scratch *tensor.Workspace, tape *nn.Tape, capture bool) (*tensor.Matrix, LayerKV) {
+	if tape == nil {
+		scratch.Reset()
+	}
+	h := b.LN1.Forward(x, scratch, tape)
+	h, kv := b.Attn.forward(h, offsets, tree, past, last, scratch, tape, capture)
+	h = b.dropA.Forward(h, scratch, tape)
 	if last {
 		x = lastRows(x, offsets, tree, ws)
 	}
-	x1 := tensor.Add(h, x, h)
+	x = residual(x, h, tape)
 
-	h2 := b.LN2.Forward(x1, ws, tape)
-	h2 = b.FF1.Forward(h2, ws, tape)
-	h2 = b.Act.Forward(h2, ws, tape)
-	h2 = b.FF2.Forward(h2, ws, tape)
-	h2 = b.dropF.Forward(h2, ws, tape)
-	return tensor.Add(h2, x1, h2), kv
+	if tape == nil {
+		scratch.Reset()
+	}
+	h = b.LN2.Forward(x, scratch, tape)
+	h = b.FF1.Forward(h, scratch, tape)
+	h = b.Act.Forward(h, scratch, tape)
+	h = b.FF2.Forward(h, scratch, tape)
+	h = b.dropF.Forward(h, scratch, tape)
+	return residual(x, h, tape), kv
+}
+
+// residual returns x + h, into x untaped and into h on a tape.
+func residual(x, h *tensor.Matrix, tape *nn.Tape) *tensor.Matrix {
+	if tape == nil {
+		return tensor.Add(x, x, h)
+	}
+	return tensor.Add(h, x, h)
 }
 
 // backward propagates dout through the block recorded last on tape and

@@ -138,7 +138,7 @@ func TestBlockForwardBackwardShapes(t *testing.T) {
 	x := tensor.New(5, 8)
 	tensor.Gaussian(x, 1, rng)
 	tape := nn.NewTape()
-	y, _ := b.forward(x, []int{0, x.Rows}, prefixTree{}, LayerKV{}, false, tape.WS(), tape, false)
+	y, _ := b.forward(x, []int{0, x.Rows}, prefixTree{}, LayerKV{}, false, tape.WS(), tape.WS(), tape, false)
 	if y.Rows != 5 || y.Cols != 8 {
 		t.Fatalf("block output %dx%d", y.Rows, y.Cols)
 	}

@@ -130,9 +130,8 @@ func TestScoreChoiceBatchCachedAllocations(t *testing.T) {
 	})
 	// Budget: the best-index slice, the probability slice-of-slices, and one
 	// choice-probability slice per suffix (3 here) — 5 measured — plus
-	// headroom for pool noise on the double-buffered block scratch. The
-	// pre-arena implementation allocated a [B, VocabSize] logits matrix and
-	// hundreds of forward-pass temporaries per call.
+	// headroom. The pre-arena implementation allocated a [B, VocabSize]
+	// logits matrix and hundreds of forward-pass temporaries per call.
 	if allocs > 8 {
 		t.Fatalf("cached batch scoring allocates %v times per op, want ≤ 8", allocs)
 	}
@@ -142,7 +141,7 @@ func TestScoreChoiceBatchCachedAllocations(t *testing.T) {
 // chunks whose packed row counts differ, as the streaming monitor's do:
 // warmed once with the largest shared chunk, smaller shared chunks — one
 // with a strict prefix that owns no rows — alternate without re-growing an
-// arena, the block scratch's two child arenas included. The budget is
+// arena, the block scratch's child arena included. The budget is
 // TestScoreChoiceBatchCachedAllocations': the returned slices (2 + B) plus
 // headroom.
 func TestSharedChunkArenasSettle(t *testing.T) {
@@ -175,6 +174,65 @@ func TestSharedChunkArenasSettle(t *testing.T) {
 	}
 }
 
+// TestForwardScratchIsOneSublayer pins what a held workspace keeps per
+// packed row once warmed: by a 64-sequence encoder batch at
+// bert-base-uncased's shape, and by a 32-line monitor chunk through the int8
+// decoder at mistral's, over a cached prefix. Each must stay under
+// checkFootprint's bound. A forward that kept two blocks' intermediates held 1.7 and
+// 1.9 times it.
+func TestForwardScratchIsOneSublayer(t *testing.T) {
+	enc := New(Config{
+		Name: "bert-base-uncased", VocabSize: 120, MaxSeqLen: 64, DModel: 48,
+		NumHeads: 4, NumLayers: 4, FFNDim: 96, NumClasses: 2,
+	}, tensor.NewRNG(104))
+	seqs := make([][]int, 64)
+	for s := range seqs {
+		seqs[s] = make([]int, 24+s%11) // 29 tokens on average, as a sentence
+		for i := range seqs[s] {
+			seqs[s][i] = (7*s + 3*i + 1) % enc.Config.VocabSize
+		}
+	}
+	ws := tensor.NewWorkspace()
+	enc.ForwardClsBatchWS(seqs, ws)
+	offsets, _ := pack(seqs, false, nil, nil)
+	checkFootprint(t, "encoder", enc.Config, false, ws, offsets[len(seqs)], 24+10, 0)
+
+	dec := New(mistralConfig(120), tensor.NewRNG(7))
+	dec.QuantizeInt8(0)
+	prefix := make([]int, 230)
+	for i := range prefix {
+		prefix[i] = i % 120
+	}
+	cache := dec.InferKVCache(prefix)
+	lines := monitorSuffixes(32)
+	ws = tensor.NewWorkspace()
+	dec.ScoreChoiceBatchWithCacheWS(cache, lines, []int{10, 20}, ws)
+	offsets, _ = pack(lines, true, nil, nil)
+	checkFootprint(t, "int8 decoder", dec.Config, true, ws, offsets[len(lines)], len(lines[0]), len(prefix))
+}
+
+// checkFootprint fails t when ws holds more bytes per packed row than a
+// forward of cfg over rows packed rows may, whose longest sequence, of maxT
+// positions, follows past cached ones. The bound's terms are one sublayer's
+// scratch — attention's six d-wide buffers and the feed-forward's two f-wide
+// ones, each with regrow's quarter, since the slots one sublayer sizes first
+// grow again for the other — then the residual stream with its position
+// embedding and the final norm, d each, and the score buffer. The int8 path
+// adds its quantized inputs' codes, a byte per column of d and of f, with the
+// quarter. Token ids, int8 scales and each sequence's last-row buffers fit
+// in the headroom of the slots that never regrow.
+func checkFootprint(t *testing.T, name string, cfg Config, q8 bool, ws *tensor.Workspace, rows, maxT, past int) {
+	t.Helper()
+	d, f := float64(cfg.DModel), float64(cfg.FFNDim)
+	bound := 4 * (1.25*(6*d+2*f) + 3*d + float64(maxT*(past+maxT))/float64(rows))
+	if q8 {
+		bound += 1.25 * (d + f)
+	}
+	if got := float64(ws.Bytes()) / float64(rows); got > bound {
+		t.Errorf("%s: the workspace holds %.0f bytes per packed row, want ≤ %.0f", name, got, bound)
+	}
+}
+
 // TestQuantizedBatchForwardAllocations pins that the int8 inference path
 // stays as allocation-lean as fp32: the quantized projections draw their
 // activation-code buffers from the same arena discipline.
@@ -198,8 +256,8 @@ func TestQuantizedBatchForwardAllocations(t *testing.T) {
 }
 
 // TestWorkspaceForwardIsConcurrencySafe exercises the workspace-threaded
-// batch paths from many goroutines — each with its own arena, all sharing
-// one model and one KV cache — under -race. Every result must match the
+// batch paths from many goroutines — each with its own arena or none, all
+// sharing one model and one KV cache — under -race. Every result must match the
 // serial one bit for bit: the classification logits, and the decoder's
 // choice probabilities as well as its argmax over suffixes that share heads.
 func TestWorkspaceForwardIsConcurrencySafe(t *testing.T) {
@@ -222,8 +280,15 @@ func TestWorkspaceForwardIsConcurrencySafe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := tensor.GetWorkspace()
-			defer tensor.PutWorkspace(ws)
+			// Half the goroutines pass a nil workspace, so their forwards
+			// borrow a pooled parent for the scratch while the others run:
+			// an output drawn from that parent would race with its next
+			// borrower.
+			var ws *tensor.Workspace
+			if g%2 == 0 {
+				ws = tensor.GetWorkspace()
+				defer tensor.PutWorkspace(ws)
+			}
 			for rep := 0; rep < 5; rep++ {
 				ws.Reset()
 				if got := enc.ForwardClsBatchWS(seqs, ws); !got.Equal(wantCls) {
