@@ -255,13 +255,13 @@ func main() {
 	// Signals are only captured once there is something to wind down.
 	// Installing the handler before a minutes-long training phase would
 	// swallow Ctrl-C and make the process unkillable until training ends.
+	// On the signal, restore its default (a second one kills the process).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	signalled := make(chan struct{})
+	context.AfterFunc(ctx, func() { stop(); log.Print("shutting down..."); close(signalled) })
 
 	handler := core.NewServerRegistry(reg)
-	if *instance != "" {
-		handler.SetInstance(*instance)
-	}
+	handler.SetInstance(*instance)
 	var root http.Handler = handler
 	if *faultsSpec != "" {
 		fc, err := faults.Parse(*faultsSpec)
@@ -274,47 +274,24 @@ func main() {
 		log.Printf("fault injection armed: %s", *faultsSpec)
 	}
 
+	// The tail loop ends on the signal, so the HTTP shutdown need not wait.
 	tailDone := make(chan struct{})
-	if *tail == "" {
-		close(tailDone)
-	} else {
-		go func() {
-			defer close(tailDone)
+	go func() {
+		defer close(tailDone)
+		if *tail != "" {
 			tailLog(ctx, handler, *tail, *tailPoll, *strict)
-		}()
-	}
+		}
+	}()
 
 	log.Printf("listening on %s, models %v (max batch %d)", *addr, reg.Names(), *maxBatch)
-	srv := &http.Server{Addr: *addr, Handler: root}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		handler.Close()
+	if err := handler.ListenAndServe(ctx, *addr, root); err != nil {
 		log.Fatal("anomalyd: ", err)
-	case <-ctx.Done():
 	}
-
-	// Graceful shutdown: stop the SSE streams and tail loop so Shutdown's
-	// wait on active connections can complete, let in-flight requests
-	// finish, then release the inference workers. log.Fatal here would skip
-	// all of this and leak the worker pool.
-	log.Print("shutting down...")
-	stop()
-	handler.CloseStreams()
 	<-tailDone
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		log.Printf("anomalyd: shutdown: %v", err)
-	}
-	handler.Close()
+	<-signalled
 	log.Print("bye")
 }
 
-// splitModelSpec parses one -load entry: "name=path" serves path under name;
-// a bare path serves under the file's base name without extension.
 // loadArtifact loads one detector artifact. With refit set (-cascade, which
 // fits a fresh gate for every served model) a saved gate this build cannot
 // rebuild — one an older build fitted with the retired pca or iforest
@@ -329,6 +306,8 @@ func loadArtifact(path string, refit bool) (core.Detector, *cascade.Gate, error)
 	return det, gate, err
 }
 
+// splitModelSpec parses one -load entry: "name=path" serves path under name;
+// a bare path serves under the file's base name without extension.
 func splitModelSpec(spec string) (name, path string) {
 	if eq := strings.IndexByte(spec, '='); eq >= 0 {
 		return spec[:eq], spec[eq+1:]

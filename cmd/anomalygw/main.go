@@ -16,12 +16,10 @@ import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/gateway"
 )
@@ -46,33 +44,16 @@ func main() {
 	if err != nil {
 		log.Fatal("anomalygw: ", err)
 	}
+	// On the signal, restore its default (a second one kills the process).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	signalled := make(chan struct{})
+	context.AfterFunc(ctx, func() { stop(); log.Print("shutting down..."); close(signalled) })
 
 	log.Printf("gateway listening on %s, models %v over %d replicas: %s",
 		*addr, g.Registry().Names(), len(urls), strings.Join(urls, ", "))
-	srv := &http.Server{Addr: *addr, Handler: g}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		g.Close()
+	if err := g.ListenAndServe(ctx, *addr, g); err != nil {
 		log.Fatal("anomalygw: ", err)
-	case <-ctx.Done():
 	}
-
-	// Graceful shutdown, as anomalyd's: end the SSE streams so Shutdown's
-	// wait on active connections can complete, let in-flight requests
-	// finish, then release the front's workers.
-	log.Print("shutting down...")
-	stop()
-	g.CloseStreams()
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		log.Printf("anomalygw: shutdown: %v", err)
-	}
-	g.Close()
+	<-signalled
 	log.Print("bye")
 }

@@ -246,16 +246,9 @@ func TestServerErrors(t *testing.T) {
 	srv := httptest.NewServer(NewServer(det))
 	defer srv.Close()
 
-	// GET on detect: method not allowed.
-	resp, _ := http.Get(srv.URL + "/v1/detect")
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
 	// Both fields set: bad request.
 	body, _ := json.Marshal(DetectRequest{Sentence: "a", LogLine: "wf=x"})
-	resp, _ = http.Post(srv.URL+"/v1/detect", "application/json", bytes.NewReader(body))
+	resp, _ := http.Post(srv.URL+"/v1/detect", "application/json", bytes.NewReader(body))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("both-fields status = %d", resp.StatusCode)
 	}

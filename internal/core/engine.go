@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +15,76 @@ import (
 // ErrServerClosed is returned by detect and monitor calls after the serving
 // engine (or the registry/server that owns it) has been closed.
 var ErrServerClosed = errors.New("core: server closed")
+
+// BatchConfig tunes one served model's request-coalescing layer.
+type BatchConfig struct {
+	// MaxBatch caps the number of sentences per model invocation
+	// (default 32).
+	MaxBatch int
+	// FlushDelay is ignored: a free worker runs whatever is queued at once,
+	// so there is no partial batch left to wait on.
+	//
+	// Deprecated: ignored. Kept only so existing callers compile.
+	FlushDelay time.Duration
+	// Workers is the number of concurrent inference workers (default
+	// GOMAXPROCS). The batched detection path is read-only on the model,
+	// so workers run in parallel on one detector.
+	Workers int
+	// QueueDepth bounds queued jobs before enqueueing blocks (default 256).
+	QueueDepth int
+	// MaxRequest caps the sentence count of a single HTTP batch request
+	// (default 2048). QueueDepth bounds jobs, not sentences, so without
+	// this cap one huge batch would bypass backpressure entirely.
+	MaxRequest int
+
+	// ShedQueueDepth is the admission-control budget: a request arriving
+	// while the queue already holds this many jobs is shed with 429
+	// Retry-After instead of deepening a backlog the workers cannot drain.
+	// The count is exact — every job no worker has started is in the queue —
+	// so a saturated model holds at most Workers running batches plus
+	// ShedQueueDepth waiting jobs. Zero disables shedding (requests block on
+	// the queue as before); values above QueueDepth are clamped to it.
+	ShedQueueDepth int
+	// MaxQueueWait is the per-job queue-time budget: a job that sat queued
+	// longer than this is shed at dequeue (same 429 contract) instead of
+	// computed — its answer would arrive too stale to matter. Zero disables.
+	MaxQueueWait time.Duration
+	// DefaultDeadline is applied to detect requests that carry no
+	// ?deadline_ms; a request whose deadline passes while queued is dropped
+	// at dequeue (504) without touching the model. Zero means no default.
+	DefaultDeadline time.Duration
+	// BrownoutDepth engages the graceful-degradation tier: when the queue
+	// has stayed at or above this depth for BrownoutHold and the model has
+	// a fallback detector (Registry.SetFallback), detect traffic is answered
+	// by the cheap tier (degraded:true) until the queue drains to
+	// BrownoutDepth/2. Zero disables brownout.
+	BrownoutDepth int
+	// BrownoutHold is how long the queue must stay saturated before the
+	// tier engages — a single burst should shed, not degrade (default
+	// 250ms when BrownoutDepth is set).
+	BrownoutHold time.Duration
+}
+
+func (c *BatchConfig) fill() {
+	if c.MaxBatch <= 0 {
+		c.MaxBatch = 32
+	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 256
+	}
+	if c.MaxRequest <= 0 {
+		c.MaxRequest = 2048
+	}
+	if c.ShedQueueDepth > c.QueueDepth {
+		c.ShedQueueDepth = c.QueueDepth
+	}
+	if c.BrownoutDepth > 0 && c.BrownoutHold <= 0 {
+		c.BrownoutHold = 250 * time.Millisecond
+	}
+}
 
 // detectJob is one coalescable unit of work: the sentences of a single HTTP
 // request, programmatic DetectContext call or monitor chunk, and the slot their

@@ -112,8 +112,8 @@ func (d *gateDetector) DetectBatchWS(ss []string, _ *tensor.Workspace) []Result 
 	return d.DetectBatch(ss)
 }
 
-// DetectContext is submit then wait — what Server.DetectModelDegraded does
-// once it has routed — for tests that drive an engine directly.
+// DetectContext is submit then wait — what the detect handlers do once they
+// have routed — for tests that drive an engine directly.
 func (e *engine) DetectContext(ctx context.Context, sentences []string) (results []Result, degraded bool, err error) {
 	j, err := e.submit(ctx, sentences)
 	if err != nil {

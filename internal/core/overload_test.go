@@ -189,15 +189,18 @@ func TestDeadlineExpiresQueuedRequest(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Malformed deadline is the client's mistake.
-	resp, err = ts.Client().Post(ts.URL+"/v1/detect/batch?deadline_ms=nope", "application/json",
-		strings.NewReader(`{"sentences": ["x is 1.0"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad deadline_ms status = %d, want 400", resp.StatusCode)
+	// Malformed deadline is the client's mistake, and so is one whose
+	// Duration would overflow.
+	for _, v := range []string{"nope", "10000000000000"} {
+		resp, err = ts.Client().Post(ts.URL+"/v1/detect/batch?deadline_ms="+v, "application/json",
+			strings.NewReader(`{"sentences": ["x is 1.0"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("deadline_ms=%s status = %d, want 400", v, resp.StatusCode)
+		}
 	}
 }
 

@@ -13,10 +13,6 @@ import (
 // counters) becomes visible to humans and dashboards across a fleet of
 // replicas, whose histograms add up bucket by bucket.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	var p metrics.PromWriter
 	if s.instance != "" {
 		p.Gauge("repro_instance_info", "replica identity; the instance label carries anomalyd -instance", 1, "instance", s.instance)

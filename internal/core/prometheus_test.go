@@ -55,19 +55,3 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
-
-// TestMetricsMethodNotAllowed pins /metrics to GET.
-func TestMetricsMethodNotAllowed(t *testing.T) {
-	srv := NewServerWith(hashDetector{}, BatchConfig{MaxBatch: 4})
-	defer srv.Close()
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-	resp, err := hs.Client().Post(hs.URL+"/metrics", "text/plain", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 405 {
-		t.Fatalf("POST /metrics: %d, want 405", resp.StatusCode)
-	}
-}

@@ -230,16 +230,18 @@ func TestRegistryServesMixedPrecision(t *testing.T) {
 	}
 
 	sentences := fixtureSentences(ds, 16)
-	s := NewServerRegistry(reg)
-	ctx := context.Background()
-	fpRes, _, err := s.DetectModelDegraded(ctx, "genome", sentences)
-	if err != nil {
-		t.Fatal(err)
+	detect := func(model string) []Result {
+		e, err := reg.lookup(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := e.DetectContext(context.Background(), sentences)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	qRes, _, err := s.DetectModelDegraded(ctx, "genome-int8", sentences)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fpRes, qRes := detect("genome"), detect("genome-int8")
 	agree := 0
 	for i := range fpRes {
 		if fpRes[i].Label == qRes[i].Label {

@@ -129,13 +129,6 @@ func (r *Registry) Names() []string {
 	return out
 }
 
-// Len returns the number of registered models.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.models)
-}
-
 // ModelInfo describes one registered model, as reported by GET /v1/models.
 type ModelInfo struct {
 	Name         string    `json:"name"`

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -135,15 +136,8 @@ func TestServerBatchErrors(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	// GET: method not allowed.
-	resp, _ := http.Get(srv.URL + "/v1/detect/batch")
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-
 	// Malformed JSON.
-	resp, _ = http.Post(srv.URL+"/v1/detect/batch", "application/json", strings.NewReader("{"))
+	resp, _ := http.Post(srv.URL+"/v1/detect/batch", "application/json", strings.NewReader("{"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad-json status = %d", resp.StatusCode)
 	}
@@ -452,5 +446,135 @@ func TestHandleBatchSentenceCap(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("at-cap status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestWrongMethod405 pins every method-bound route to the mux's 405: the
+// status plus an Allow header naming the route's method (a GET route allows
+// HEAD too).
+func TestWrongMethod405(t *testing.T) {
+	s := NewServerWith(hashDetector{}, BatchConfig{MaxBatch: 4})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	for _, c := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/v1/detect", "POST"},
+		{http.MethodGet, "/v1/detect/batch", "POST"},
+		{http.MethodGet, "/v1/monitor", "POST"},
+		{http.MethodPost, "/v1/models", "GET, HEAD"},
+		{http.MethodGet, "/v1/stats/reset", "POST"},
+		{http.MethodPost, "/v1/alerts", "GET, HEAD"},
+		{http.MethodPost, "/readyz", "GET, HEAD"},
+		{http.MethodPost, "/metrics", "GET, HEAD"},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != c.allow {
+			t.Errorf("%s %s: status %d, Allow %q; want 405, %q",
+				c.method, c.path, resp.StatusCode, resp.Header.Get("Allow"), c.allow)
+		}
+	}
+}
+
+// TestAlertsHeadReturns pins that HEAD /v1/alerts, which the GET route
+// answers, gets the stream's headers and returns instead of holding the
+// connection in the event loop.
+func TestAlertsHeadReturns(t *testing.T) {
+	s := NewServerWith(hashDetector{}, BatchConfig{MaxBatch: 4})
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodHead, "/v1/alerts", nil))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("HEAD /v1/alerts still streaming after 5s")
+	}
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "text/event-stream" {
+		t.Fatalf("HEAD /v1/alerts: status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	if n := s.bus.stats().Subscribers; n != 0 {
+		t.Fatalf("HEAD left %d alert subscribers", n)
+	}
+}
+
+// TestListenAndServeGracefulShutdown cancels ListenAndServe's context while
+// an /v1/alerts stream is open and a detect is inside the model: the stream
+// ends, ListenAndServe waits for the detect, the detect answers 200, and
+// ListenAndServe returns nil.
+func TestListenAndServeGracefulShutdown(t *testing.T) {
+	det := newGateDetector()
+	s := NewServerWith(det, BatchConfig{MaxBatch: 1, Workers: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- s.ListenAndServe(ctx, addr, s) }()
+	base := "http://" + addr
+	waitFor(t, "the listener", func() bool {
+		resp, err := http.Get(base + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+		}
+		return err == nil
+	})
+
+	events, stop := sseSubscribe(t, base)
+	defer stop()
+	detected := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(base+"/v1/detect", "application/json", strings.NewReader(`{"sentence": "x is 1.0"}`))
+		if err != nil {
+			detected <- 0
+			return
+		}
+		resp.Body.Close()
+		detected <- resp.StatusCode
+	}()
+	<-det.entered
+
+	cancel()
+	for range events { // the stream ends once shutdown has begun
+	}
+	select {
+	case err := <-served:
+		t.Fatalf("ListenAndServe returned %v with a detect in flight", err)
+	default:
+	}
+	close(det.release)
+	timeout := time.After(10 * time.Second)
+	select {
+	case code := <-detected:
+		if code != http.StatusOK {
+			t.Fatalf("in-flight detect answered %d, want 200", code)
+		}
+	case <-timeout:
+		t.Fatal("in-flight detect never answered")
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("ListenAndServe = %v, want nil", err)
+		}
+	case <-timeout:
+		t.Fatal("ListenAndServe never returned")
+	}
+	if _, err := s.DetectContext(context.Background(), []string{"after"}); err != ErrServerClosed {
+		t.Fatalf("detect after shutdown: %v, want ErrServerClosed", err)
 	}
 }

@@ -232,16 +232,6 @@ func gather(jobs []Job, idx []int32) []Job {
 	return out
 }
 
-// GenerateAll generates all three workflow datasets with seeds derived from
-// seed.
-func GenerateAll(seed uint64) map[Workflow]*Dataset {
-	out := make(map[Workflow]*Dataset, len(Workflows))
-	for i, wf := range Workflows {
-		out[wf] = Generate(wf, seed+uint64(i)*0x1000)
-	}
-	return out
-}
-
 // Subsample returns a smaller dataset with stratified (label-preserving)
 // random subsets of each split — the working scale for CPU-bound training
 // experiments. Requested sizes are clamped to the available split sizes.

@@ -6,17 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update to every non-frozen parameter and zeroes all
-	// gradients (including those of frozen parameters).
-	Step(params []*Param)
-	// SetLR changes the learning rate used by subsequent steps.
-	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
-}
-
 // SGD is stochastic gradient descent with optional momentum.
 type SGD struct {
 	lr       float64
