@@ -1,6 +1,9 @@
 package sft
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"repro/internal/flowbench"
@@ -76,6 +79,30 @@ func TestAnomalyTypeClassification(t *testing.T) {
 	// nonzero recall.
 	if mc.Recall(ClassCPU) == 0 || mc.Recall(ClassHDD) == 0 {
 		t.Fatalf("type recalls: cpu=%.3f hdd=%.3f", mc.Recall(ClassCPU), mc.Recall(ClassHDD))
+	}
+}
+
+// TestTypeClassifierDigest pins the bits the 3-class training path produces:
+// the SHA-256 of a small anomaly-type checkpoint after a fixed fine-tune of
+// two epochs whose last mini-batch is short (60 sentences, windows of 8).
+// amd64 only, as the other checkpoint digests: elsewhere the compiler may
+// fuse x*y+z.
+func TestTypeClassifierDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the checkpoint digest is recorded on amd64; the compiler may fuse x*y+z on %s", runtime.GOARCH)
+	}
+	ds := flowbench.Generate(flowbench.Genome, 42).Subsample(60, 0, 0, 7)
+	tok := tokenizer.Build(logparse.Corpus(ds.Train))
+	m := models.MustGet("distilbert-base-uncased").BuildClasses(tok.VocabSize(), NumTypeClasses)
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 2
+	TrainMulti(NewMultiClassifier(m, tok, NumTypeClasses), TypedExamples(ds.Train), cfg)
+	h := sha256.New()
+	if err := m.Save(h); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "c7a3416d3562799d0beb6bc7bf4f9438067d78fc29ac7d42870f08aa7ebdcff3"; got != want {
+		t.Errorf("3-class checkpoint SHA-256 %s, want %s", got, want)
 	}
 }
 
