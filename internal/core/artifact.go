@@ -327,6 +327,11 @@ func LoadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 	var det Detector
 	switch approach {
 	case SFT:
+		// The SFT detector serves normal/abnormal; a wider head (the
+		// anomaly-type task's) would panic on its first batch.
+		if k := model.Config.NumClasses; k != 2 {
+			return nil, nil, fmt.Errorf("core: SFT artifact has a %d-class head, want 2", k)
+		}
 		if err := loadWeights(); err != nil {
 			return nil, nil, err
 		}

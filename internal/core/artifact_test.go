@@ -17,6 +17,9 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
+	"repro/internal/models"
+	"repro/internal/sft"
+	"repro/internal/tokenizer"
 )
 
 // iclOnce shares one small trained ICL detector across artifact tests: it
@@ -204,6 +207,29 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSFTDetectorRejectsTypeHead: the SFT detector's batch path reads two
+// logits, so a classifier with the anomaly-type task's three-class head
+// panics there rather than answer from the first two, and an artifact that
+// carries one fails to load instead of reaching it.
+func TestSFTDetectorRejectsTypeHead(t *testing.T) {
+	tok := tokenizer.Build([]string{"a"})
+	m := models.MustGet("distilbert-base-uncased").BuildClasses(tok.VocabSize(), sft.NumTypeClasses)
+	det := NewSFTDetector(sft.NewClassifier(m, tok))
+	var buf bytes.Buffer
+	if err := SaveDetector(&buf, det, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadDetector(&buf); err == nil || !strings.Contains(err.Error(), "3-class head") {
+		t.Fatalf("loading a 3-class SFT artifact: err = %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 3-class classifier served a batch")
+		}
+	}()
+	det.DetectBatch([]string{"a"})
 }
 
 func TestSaveDetectorRejectsForeignImplementations(t *testing.T) {

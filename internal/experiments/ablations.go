@@ -119,10 +119,10 @@ func (l *Lab) ExtensionAnomalyTypes() *Table {
 		// binary-head checkpoints) and fine-tune directly.
 		spec := models.MustGet(name)
 		m := spec.BuildClasses(l.Tokenizer().VocabSize(), sft.NumTypeClasses)
-		c := sft.NewMultiClassifier(m, l.Tokenizer(), sft.NumTypeClasses)
+		c := sft.NewClassifier(m, l.Tokenizer())
 		cfg := l.sftConfig()
 		cfg.Epochs = maxInt(2, l.Scale.Epochs)
-		sft.TrainMulti(c, train, cfg)
+		sft.Train(c, train, nil, cfg)
 		mc := sft.EvaluateMulti(c, test)
 		t.Add(name, mc.Accuracy(),
 			mc.Recall(sft.ClassNormal), mc.Recall(sft.ClassCPU), mc.Recall(sft.ClassHDD))

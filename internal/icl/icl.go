@@ -4,11 +4,11 @@
 // ranking evaluation against unsupervised baselines (Table IV), and
 // chain-of-thought interpretability (Figure 13).
 //
-// LoRA fine-tuning runs the model's one forward on an nn.Tape, a prompt per
-// step. Every classification — the evaluations behind the paper's numbers
-// included — runs it untaped, as the detection service does: the few-shot
-// context's query-independent prefix is encoded once into a PromptCache, and
-// batches of query suffixes continue it (Detector.ClassifyBatchCachedWS).
+// LoRA fine-tuning takes a transformer.Trainer step per prompt. Every
+// classification — the paper's evaluations included — runs the model's one
+// forward untaped, as the detection service does: the few-shot context's
+// query-independent prefix is encoded once into a PromptCache, and batches
+// of query suffixes continue it (Detector.ClassifyBatchCachedWS).
 package icl
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/prompt"
 	"repro/internal/tensor"
 	"repro/internal/tokenizer"
@@ -319,10 +318,7 @@ func FineTune(d *Detector, train []flowbench.Job, cfg FineTuneConfig) FineTuneRe
 	}
 	rng := tensor.NewRNG(cfg.Seed)
 	res.TrainableParams, res.TotalParams = d.Model.ApplyLoRA(cfg.Rank, cfg.Alpha, cfg.Dropout, rng.Split())
-	opt := nn.NewAdamW(cfg.LR, 0)
-	ce := nn.NewSoftmaxCrossEntropy()
-	params := d.Model.Params()
-	tape := nn.NewTape()
+	tr := transformer.NewTrainer(d.Model, cfg.LR, 0, 1, 1)
 	tailStart := cfg.Steps * 9 / 10
 	var tail float64
 	tailN := 0
@@ -341,12 +337,7 @@ func FineTune(d *Detector, train []flowbench.Job, cfg FineTuneConfig) FineTuneRe
 			targets[i] = -1
 		}
 		targets[len(targets)-1] = ids[len(ids)-1] // supervise only the answer
-		logits := d.Model.ForwardLMTape([][]int{inputs}, tape)
-		loss, grad := ce.Loss(logits, targets)
-		d.Model.Backward(tape, grad)
-		tape.Reset()
-		nn.ClipGradNorm(params, 1.0)
-		opt.Step(params)
+		loss := tr.LM([][]int{inputs}, [][]int{targets})
 		if step >= tailStart {
 			tail += loss
 			tailN++

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
-	"repro/internal/nn"
 	"repro/internal/prompt"
 	"repro/internal/tensor"
 	"repro/internal/tokenizer"
@@ -163,10 +162,7 @@ func MLM(m *transformer.Model, tok *tokenizer.Tokenizer, corpus []string, opts O
 		panic("pretrain: empty corpus")
 	}
 	rng := tensor.NewRNG(opts.Seed)
-	opt := nn.NewAdamW(opts.LR, 0.01)
-	ce := nn.NewSoftmaxCrossEntropy()
-	params := m.Params()
-	tape := nn.NewTape()
+	tr := transformer.NewTrainer(m, opts.LR, 0.01, 1, 1)
 	return runSteps(opts.Steps, func(step int) float64 {
 		ids := tok.Encode(corpus[rng.Intn(len(corpus))], true)
 		if len(ids) > m.Config.MaxSeqLen {
@@ -199,13 +195,7 @@ func MLM(m *transformer.Model, tok *tokenizer.Tokenizer, corpus []string, opts O
 			targets[i] = ids[i]
 			input[i] = tokenizer.MASK
 		}
-		logits := m.ForwardLMTape([][]int{input}, tape)
-		loss, grad := ce.Loss(logits, targets)
-		m.Backward(tape, grad)
-		tape.Reset()
-		nn.ClipGradNorm(params, 1.0)
-		opt.Step(params)
-		return loss
+		return tr.LM([][]int{input}, [][]int{targets})
 	})
 }
 
@@ -219,10 +209,7 @@ func CLM(m *transformer.Model, tok *tokenizer.Tokenizer, corpus []string, opts O
 		panic("pretrain: empty corpus")
 	}
 	rng := tensor.NewRNG(opts.Seed)
-	opt := nn.NewAdamW(opts.LR, 0.01)
-	ce := nn.NewSoftmaxCrossEntropy()
-	params := m.Params()
-	tape := nn.NewTape()
+	tr := transformer.NewTrainer(m, opts.LR, 0.01, 1, 1)
 	return runSteps(opts.Steps, func(step int) float64 {
 		text := corpus[rng.Intn(len(corpus))]
 		ids := append([]int{tokenizer.BOS}, tok.Encode(text, false)...)
@@ -233,13 +220,7 @@ func CLM(m *transformer.Model, tok *tokenizer.Tokenizer, corpus []string, opts O
 		if len(ids) < 2 {
 			return 0
 		}
-		logits := m.ForwardLMTape([][]int{ids[:len(ids)-1]}, tape)
-		loss, grad := ce.Loss(logits, ids[1:])
-		m.Backward(tape, grad)
-		tape.Reset()
-		nn.ClipGradNorm(params, 1.0)
-		opt.Step(params)
-		return loss
+		return tr.LM([][]int{ids[:len(ids)-1]}, [][]int{ids[1:]})
 	})
 }
 

@@ -31,17 +31,6 @@ func TestTypedLabel(t *testing.T) {
 	}
 }
 
-func TestNewMultiClassifierChecksHead(t *testing.T) {
-	tok := tokenizer.Build([]string{"a"})
-	m := models.MustGet("distilbert-base-uncased").Build(tok.VocabSize()) // 2 classes
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for class mismatch")
-		}
-	}()
-	NewMultiClassifier(m, tok, 3)
-}
-
 // TestAnomalyTypeClassification trains the 3-way classifier and verifies it
 // separates CPU from HDD anomalies — the extension claim: the same SFT
 // machinery recovers the anomaly type, not just its presence.
@@ -53,11 +42,11 @@ func TestAnomalyTypeClassification(t *testing.T) {
 	corpus := logparse.Corpus(append(append([]flowbench.Job{}, ds.Train...), ds.Test...))
 	tok := tokenizer.Build(corpus)
 	m := models.MustGet("distilbert-base-uncased").BuildClasses(tok.VocabSize(), NumTypeClasses)
-	c := NewMultiClassifier(m, tok, NumTypeClasses)
+	c := NewClassifier(m, tok)
 
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 3
-	stats := TrainMulti(c, TypedExamples(ds.Train), cfg)
+	stats := Train(c, TypedExamples(ds.Train), nil, cfg)
 	if stats[len(stats)-1].TrainLoss >= stats[0].TrainLoss {
 		t.Fatalf("multi-class loss did not fall: %v -> %v",
 			stats[0].TrainLoss, stats[len(stats)-1].TrainLoss)
@@ -96,7 +85,7 @@ func TestTypeClassifierDigest(t *testing.T) {
 	m := models.MustGet("distilbert-base-uncased").BuildClasses(tok.VocabSize(), NumTypeClasses)
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 2
-	TrainMulti(NewMultiClassifier(m, tok, NumTypeClasses), TypedExamples(ds.Train), cfg)
+	Train(NewClassifier(m, tok), TypedExamples(ds.Train), nil, cfg)
 	h := sha256.New()
 	if err := m.Save(h); err != nil {
 		t.Fatal(err)
@@ -109,13 +98,27 @@ func TestTypeClassifierDigest(t *testing.T) {
 func TestTrainMultiRejectsBadLabel(t *testing.T) {
 	tok := tokenizer.Build([]string{"a"})
 	m := models.MustGet("distilbert-base-uncased").BuildClasses(tok.VocabSize(), 3)
-	c := NewMultiClassifier(m, tok, 3)
+	c := NewClassifier(m, tok)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for out-of-range label")
 		}
 	}()
-	TrainMulti(c, []Example{{Text: "a", Label: 7}}, TrainConfig{Epochs: 1})
+	Train(c, []Example{{Text: "a", Label: 7}}, nil, TrainConfig{Epochs: 1})
+}
+
+// TestPredictRejectsTypeClassifier: PredictBatchWS returns (normal,
+// abnormal) pairs from the first two logits, so a three-class classifier
+// must not reach it.
+func TestPredictRejectsTypeClassifier(t *testing.T) {
+	tok := tokenizer.Build([]string{"a"})
+	c := NewClassifier(models.MustGet("distilbert-base-uncased").BuildClasses(tok.VocabSize(), NumTypeClasses), tok)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 3-class classifier ran PredictBatchWS")
+		}
+	}()
+	c.PredictBatchWS([]string{"a"}, nil)
 }
 
 func TestMultiConfusionMetrics(t *testing.T) {

@@ -5,8 +5,8 @@
 // transfer learning (Figures 10/11), and the online/early detection analyses
 // of Figures 7/8.
 //
-// Training runs the model's one forward on an nn.Tape, a sentence per call,
-// accumulating a mini-batch's gradients across calls. Every prediction — the
+// Train fine-tunes binary and anomaly-type classifiers alike, one
+// transformer.Trainer step per mini-batch of sentences. Every prediction — the
 // evaluations behind the paper's numbers and head-only training's features
 // included — runs it untaped, as the detection service does
 // (Classifier.PredictBatchWS): chunks of sentences fan out over GOMAXPROCS
@@ -15,12 +15,12 @@
 package sft
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/tokenizer"
 	"repro/internal/transformer"
@@ -31,7 +31,7 @@ type Example struct {
 	// Text is the feature sentence (possibly a prefix, or empty for the
 	// debiasing probe).
 	Text string
-	// Label is 0 (normal) or 1 (abnormal).
+	// Label is the class: 0 (normal) or 1 (abnormal), or a TypedLabel.
 	Label int
 }
 
@@ -74,6 +74,9 @@ func NewClassifier(m *transformer.Model, tok *tokenizer.Tokenizer) *Classifier {
 // caller passes nil. The path reads the model without mutating it, so it is
 // safe to call concurrently.
 func (c *Classifier) PredictBatchWS(texts []string, ws *tensor.Workspace) ([]int, [][2]float32) {
+	if k := c.Model.Config.NumClasses; k != 2 {
+		panic(fmt.Sprintf("sft: PredictBatchWS serves a binary classifier, not a %d-class one", k))
+	}
 	if len(texts) == 0 {
 		return nil, nil
 	}
@@ -170,8 +173,9 @@ type EpochStats struct {
 }
 
 // Train fine-tunes the classifier on train, optionally tracking validation
-// scores, and returns per-epoch statistics. Training mutates c.Model in
-// place.
+// scores, and returns per-epoch statistics. Labels index the model's
+// Config.NumClasses classes: 0/1 for the binary task, TypedLabel for the
+// anomaly-type head. Training mutates c.Model in place.
 func Train(c *Classifier, train, val []Example, cfg TrainConfig) []EpochStats {
 	if cfg.Epochs <= 0 {
 		panic("sft: non-positive epochs")
@@ -182,45 +186,30 @@ func Train(c *Classifier, train, val []Example, cfg TrainConfig) []EpochStats {
 	data := make([]Example, 0, len(train)+len(cfg.Augment))
 	data = append(data, train...)
 	data = append(data, cfg.Augment...)
+	for _, ex := range data {
+		if k := c.Model.Config.NumClasses; ex.Label < 0 || ex.Label >= k {
+			panic(fmt.Sprintf("sft: label %d out of range for %d classes", ex.Label, k))
+		}
+	}
 	rng := tensor.NewRNG(cfg.Seed)
-	opt := nn.NewAdamW(cfg.LR, cfg.WeightDecay)
-	ce := nn.NewSoftmaxCrossEntropy()
-	params := c.Model.Params()
+	tr := transformer.NewTrainer(c.Model, cfg.LR, cfg.WeightDecay, cfg.ClipNorm, cfg.BatchSize)
 	stats := make([]EpochStats, 0, cfg.Epochs)
 	order := make([]int, len(data))
 	for i := range order {
 		order[i] = i
 	}
-	tape := nn.NewTape()
+	seqs, labels := make([][]int, 0, cfg.BatchSize), make([]int, 0, cfg.BatchSize)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		start := time.Now()
 		rng.Shuffle(order)
 		var totalLoss float64
-		pending := 0
-		invBatch := 1 / float32(cfg.BatchSize)
-		for _, idx := range order {
-			ex := data[idx]
-			ids := c.Tok.Encode(ex.Text, true)
-			logits := c.Model.ForwardClsTape([][]int{ids}, tape)
-			loss, grad := ce.Loss(logits, []int{ex.Label})
-			totalLoss += loss
-			tensor.Scale(grad, grad, invBatch)
-			c.Model.Backward(tape, grad)
-			tape.Reset()
-			pending++
-			if pending == cfg.BatchSize {
-				if cfg.ClipNorm > 0 {
-					nn.ClipGradNorm(params, cfg.ClipNorm)
-				}
-				opt.Step(params)
-				pending = 0
+		for lo := 0; lo < len(order); lo += cfg.BatchSize {
+			seqs, labels = seqs[:0], labels[:0]
+			for _, idx := range order[lo:min(lo+cfg.BatchSize, len(order))] {
+				seqs = append(seqs, c.Tok.Encode(data[idx].Text, true))
+				labels = append(labels, data[idx].Label)
 			}
-		}
-		if pending > 0 {
-			if cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(params, cfg.ClipNorm)
-			}
-			opt.Step(params)
+			totalLoss += tr.Cls(seqs, labels)
 		}
 		st := EpochStats{
 			Epoch:     epoch,

@@ -7,10 +7,10 @@
 // [ΣTᵢ, d_model] matrix plus offsets, the position-wise layers run once over
 // the packed matrix and attention per sequence — no padding. It reads only
 // the model's parameters, so serving calls share one model across
-// goroutines. Training runs the same forward on an nn.Tape
-// (ForwardClsTape, ForwardLMTape), which records what Model.Backward needs;
-// the trainers pass one sequence per call and accumulate a mini-batch's
-// gradients across calls.
+// goroutines. Training runs the same forward on an nn.Tape, which records
+// what the backward pass needs, inside Trainer (train.go): one sequence
+// per forward, a mini-batch's gradients accumulated across a window, one
+// optimizer step per window.
 package transformer
 
 import (

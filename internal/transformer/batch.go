@@ -8,7 +8,7 @@ import (
 // The forward.
 //
 // A batch of B token sequences is packed into one [ΣTᵢ, dModel] matrix plus
-// an offsets slice (tensor.Offsets layout), as FlashAttention's varlen
+// an offsets slice of B+1 row bounds, as FlashAttention's varlen
 // cu_seqlens. Position-wise layers — the six linear projections per block,
 // layer norms, and activations — then run once over the packed matrix
 // instead of B times, which is where the throughput win over per-sequence
@@ -50,8 +50,8 @@ import (
 // tree, under that tree's lock, so one trained model and one cache serve
 // concurrent calls from many goroutines (the property core.Server's workers,
 // core.DetectTraces and sft's evaluation fan-out rely on). Training runs it
-// on an nn.Tape (ForwardClsTape, ForwardLMTape), which turns dropout on and
-// records what Model.Backward needs.
+// on an nn.Tape (forwardClsTape, forwardLMTape, inside Trainer's step), which
+// turns dropout on and records what the backward pass needs.
 //
 // Every temporary — packed activations, per-sequence attention scores, even
 // the per-sequence view headers — is drawn from a tensor.Workspace arena:

@@ -117,13 +117,13 @@ func TestTapedForwardMatchesServed(t *testing.T) {
 		m := batchTestModel(causal)
 		seqs := batchTestSeqs(5, m.Config.VocabSize, m.Config.MaxSeqLen, 21)
 		tape := nn.NewTape()
-		if !sameBits(m.ForwardClsTape(seqs, tape).Data, m.ForwardClsBatchWS(seqs, nil).Data) {
+		if !sameBits(m.forwardClsTape(seqs, tape).Data, m.ForwardClsBatchWS(seqs, nil).Data) {
 			t.Fatalf("causal=%v: taped classification logits differ from served", causal)
 		}
 		if !causal {
 			continue
 		}
-		lm, served := m.ForwardLMTape(seqs, tape), m.nextTokenLogits(nil, seqs, nil, nil)
+		lm, served := m.forwardLMTape(seqs, tape), m.nextTokenLogits(nil, seqs, nil, nil)
 		at := 0
 		for i, ids := range seqs {
 			at += len(ids)

@@ -3,7 +3,6 @@ package transformer
 import (
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -17,31 +16,32 @@ func mistralConfig(vocab int) Config {
 	}
 }
 
-// BenchmarkTrainStep measures one optimizer step of each training recipe
-// on its taped forward and backward: cls is one sft.Train sequence (27
-// tokens, bert-base-uncased's shape), lm-lora one icl.FineTune prompt (~300
-// tokens, mistral's shape, LoRA on Wq/Wv, only the answer position
-// supervised). Both run at the registry models' dropout.
+// BenchmarkTrainStep measures one Trainer step of each training recipe, at
+// the values its trainer passes: cls is one sft.Train step (a window of
+// eight 27-token sentences at bert-base-uncased's shape, gradient clip 1,
+// weight decay 0.01), lm-lora one icl.FineTune step (a ~300-token prompt at
+// mistral's shape, LoRA on Wq/Wv, only the answer position supervised, clip
+// 1). Both run at the registry models' dropout.
 func BenchmarkTrainStep(b *testing.B) {
-	ids := func(n, vocab int) []int {
+	ids := func(n, vocab, seed int) []int {
 		out := make([]int, n)
 		for i := range out {
-			out[i] = (7*i + 3) % vocab
+			out[i] = (7*i + 3 + seed) % vocab
 		}
 		return out
 	}
 	b.Run("cls", func(b *testing.B) {
 		cfg := Config{Name: "bench", VocabSize: 300, MaxSeqLen: 64, DModel: 48, NumHeads: 4, NumLayers: 4, FFNDim: 96, Dropout: 0.1, NumClasses: 2}
 		m := New(cfg, tensor.NewRNG(3))
-		seq := [][]int{ids(27, cfg.VocabSize)}
-		opt, ce, params, tape := nn.NewAdamW(1e-3, 0.01), nn.NewSoftmaxCrossEntropy(), m.Params(), nn.NewTape()
+		seqs, labels := make([][]int, 8), make([]int, 8)
+		for i := range seqs {
+			seqs[i], labels[i] = ids(27, cfg.VocabSize, i), i%2
+		}
+		tr := NewTrainer(m, 1e-3, 0.01, 1, len(seqs))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, d := ce.Loss(m.ForwardClsTape(seq, tape), []int{i % 2})
-			m.Backward(tape, d)
-			tape.Reset()
-			opt.Step(params)
+			tr.Cls(seqs, labels)
 		}
 	})
 	b.Run("lm-lora", func(b *testing.B) {
@@ -49,21 +49,18 @@ func BenchmarkTrainStep(b *testing.B) {
 		cfg.Dropout = 0.1
 		m := New(cfg, tensor.NewRNG(4))
 		m.ApplyLoRA(8, 16, 0.05, tensor.NewRNG(5))
-		prompt := ids(300, cfg.VocabSize)
+		prompt := ids(300, cfg.VocabSize, 0)
 		targets := make([]int, len(prompt)-1)
 		for i := range targets {
 			targets[i] = -1
 		}
 		targets[len(targets)-1] = prompt[len(prompt)-1]
 		seq := [][]int{prompt[:len(prompt)-1]}
-		opt, ce, params, tape := nn.NewAdamW(2e-3, 0), nn.NewSoftmaxCrossEntropy(), m.Params(), nn.NewTape()
+		tr := NewTrainer(m, 2e-3, 0, 1, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, d := ce.Loss(m.ForwardLMTape(seq, tape), targets)
-			m.Backward(tape, d)
-			tape.Reset()
-			opt.Step(params)
+			tr.LM(seq, [][]int{targets})
 		}
 	})
 }

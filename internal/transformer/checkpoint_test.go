@@ -57,7 +57,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := [][]int{{2, 4, 6}}
-	if !m.ForwardLMTape(ids, nil).Equal(m2.ForwardLMTape(ids, nil)) {
+	if !m.forwardLMTape(ids, nil).Equal(m2.forwardLMTape(ids, nil)) {
 		t.Fatal("loaded model differs from saved model")
 	}
 }

@@ -118,31 +118,24 @@ func paramsFNV(params []*nn.Param) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// goldenTrain runs goldenTrainSteps single-sequence steps on m and returns its
-// parameters: classification steps, or with lm next-token steps. Every random
+// goldenTrain runs goldenTrainSteps single-sequence Trainer steps (no clip)
+// on m and returns its parameters: classification steps, or with lm
+// next-token steps. Every random
 // draw is seeded, so the run is deterministic.
 func goldenTrain(m *Model, lm bool) []*nn.Param {
 	seqs := goldenSeqs(m.Config.VocabSize)
-	opt := nn.NewAdamW(1e-3, 0.01)
-	loss := nn.NewSoftmaxCrossEntropy()
-	params := m.Params()
-	tape := nn.NewTape()
+	tr := NewTrainer(m, 1e-3, 0.01, 0, 1)
 	for step := 0; step < goldenTrainSteps; step++ {
 		ids := seqs[step%len(seqs)]
-		var dlogits *tensor.Matrix
 		if lm {
 			// Each position predicts the next token, the last one the first
 			// (so the 1-token sequence has a target too).
-			next := append(slices.Clone(ids[1:]), ids[0])
-			_, dlogits = loss.Loss(m.ForwardLMTape([][]int{ids}, tape), next)
+			tr.LM([][]int{ids}, [][]int{append(slices.Clone(ids[1:]), ids[0])})
 		} else {
-			_, dlogits = loss.Loss(m.ForwardClsTape([][]int{ids}, tape), []int{step % 2})
+			tr.Cls([][]int{ids}, []int{step % 2})
 		}
-		m.Backward(tape, dlogits)
-		tape.Reset()
-		opt.Step(params)
 	}
-	return params
+	return m.Params()
 }
 
 // goldenFrozenTrain hashes both frozen-weight runs of FrozenTrainFNV.

@@ -89,74 +89,6 @@ func New(cfg Config, rng *tensor.RNG) *Model {
 	return m
 }
 
-// modelRecord names the model's own tape record: the offsets after a
-// classification forward, for unpool; none after a language-model forward.
-const modelRecord = "Model"
-
-// ForwardClsTape is ForwardClsBatchWS recorded on tape for Backward, with
-// dropout live. The logits live in the tape's workspace, until its Reset.
-func (m *Model) ForwardClsTape(seqs [][]int, tape *nn.Tape) *tensor.Matrix {
-	ws := tape.WS()
-	pooled, offsets := m.pool(seqs, ws, tape)
-	logits := m.ClsHead.Forward(pooled, ws, tape)
-	tape.Push(modelRecord, offsets)
-	return logits
-}
-
-// ForwardLMTape returns language-model logits [ΣTᵢ, VocabSize] at every
-// position of the packed batch (masked-token for encoders, next-token for
-// decoders), recorded on tape like ForwardClsTape.
-func (m *Model) ForwardLMTape(seqs [][]int, tape *nn.Tape) *tensor.Matrix {
-	ws := tape.WS()
-	h, _ := m.encodeBatch(seqs, false, ws, tape)
-	logits := m.LMHead.Forward(h, ws, tape)
-	tape.Push(modelRecord, nil)
-	return logits
-}
-
-// Backward propagates dlogits, the loss gradient for the logits the last
-// ForwardClsTape or ForwardLMTape on tape returned, down to the embeddings,
-// accumulating every unfrozen parameter's gradient. Reset the tape after.
-func (m *Model) Backward(tape *nn.Tape, dlogits *tensor.Matrix) {
-	offsets, _ := tape.Pop(modelRecord)
-	var dh *tensor.Matrix
-	if offsets == nil {
-		dh = m.LMHead.Backward(tape, dlogits)
-	} else {
-		dh = m.unpool(offsets, m.ClsHead.Backward(tape, dlogits), tape.WS())
-	}
-	dh = m.FinalLN.Backward(tape, dh)
-	for i := len(m.Blocks) - 1; i >= 0; i-- {
-		dh = m.Blocks[i].backward(tape, dh)
-	}
-	// Token and positional embeddings both received the same upstream grad.
-	m.PosEmb.Backward(tape, dh)
-	m.TokEmb.Backward(tape, dh)
-}
-
-// unpool spreads each pooled row's gradient back over its sequence's
-// positions: evenly for an encoder's mean, onto the last position for a
-// decoder.
-func (m *Model) unpool(offsets []int, dPooled *tensor.Matrix, ws *tensor.Workspace) *tensor.Matrix {
-	dh := ws.GetZeroed(offsets[len(offsets)-1], m.Config.DModel)
-	for s := 0; s+1 < len(offsets); s++ {
-		lo, hi := offsets[s], offsets[s+1]
-		src := dPooled.Row(s)
-		if m.Config.Causal {
-			copy(dh.Row(hi-1), src)
-			continue
-		}
-		inv := 1 / float32(hi-lo)
-		for i := lo; i < hi; i++ {
-			row := dh.Row(i)
-			for j, v := range src {
-				row[j] = v * inv
-			}
-		}
-	}
-	return dh
-}
-
 // Params returns all parameters: backbone, LM head, and classification head.
 // Shared (ALBERT) blocks contribute their parameters once.
 func (m *Model) Params() []*nn.Param {

@@ -204,7 +204,7 @@ func TestQuantizedBackwardPanics(t *testing.T) {
 		}
 	}()
 	tape := nn.NewTape()
-	m.Backward(tape, m.ForwardClsTape([][]int{{1, 2, 3}}, tape))
+	m.backward(tape, m.forwardClsTape([][]int{{1, 2, 3}}, tape))
 }
 
 // TestQuantizeTwicePanics pins double quantization.

@@ -41,10 +41,10 @@ func TestTrainingSurvivesOutlierGradients(t *testing.T) {
 	opt := nn.NewAdamW(1e-3, 0.01)
 	params := m.Params()
 	tape := nn.NewTape()
-	logits := m.ForwardClsTape([][]int{{1, 2, 3}}, tape)
+	logits := m.forwardClsTape([][]int{{1, 2, 3}}, tape)
 	grad := tensor.New(logits.Rows, logits.Cols)
 	grad.Fill(1e8) // absurd upstream gradient
-	m.Backward(tape, grad)
+	m.backward(tape, grad)
 	nn.ClipGradNorm(params, 1.0)
 	opt.Step(params)
 	for _, p := range params {

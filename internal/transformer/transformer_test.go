@@ -160,7 +160,7 @@ func TestModelForwardClsShape(t *testing.T) {
 
 func TestModelForwardLMShape(t *testing.T) {
 	m := New(smallConfig(true), tensor.NewRNG(9))
-	logits := m.ForwardLMTape([][]int{{1, 2, 3}}, nn.NewTape())
+	logits := m.forwardLMTape([][]int{{1, 2, 3}}, nn.NewTape())
 	if logits.Rows != 3 || logits.Cols != 20 {
 		t.Fatalf("lm logits %dx%d, want 3x20", logits.Rows, logits.Cols)
 	}
@@ -189,19 +189,13 @@ func TestModelEmptySequencePanics(t *testing.T) {
 // token patterns and checks it fits.
 func TestModelLearnsTinyClassification(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(11))
-	ce := nn.NewSoftmaxCrossEntropy()
-	opt := nn.NewAdamW(3e-3, 0.01)
+	tr := NewTrainer(m, 3e-3, 0.01, 0, 1)
 	// Class 0: sequences of token 5; class 1: sequences of token 9.
 	examples := [][]int{{1, 5, 5, 5}, {1, 9, 9, 9}}
 	labels := []int{0, 1}
-	tape := nn.NewTape()
 	for epoch := 0; epoch < 60; epoch++ {
-		for i, ids := range examples {
-			logits := m.ForwardClsTape([][]int{ids}, tape)
-			_, grad := ce.Loss(logits, []int{labels[i]})
-			m.Backward(tape, grad)
-			tape.Reset()
-			opt.Step(m.Params())
+		for i := range examples {
+			tr.Cls(examples[i:i+1], labels[i:i+1])
 		}
 	}
 	correct := 0
@@ -221,17 +215,10 @@ func TestModelLearnsTinyClassification(t *testing.T) {
 func TestDecoderLearnsNextToken(t *testing.T) {
 	cfg := smallConfig(true)
 	m := New(cfg, tensor.NewRNG(12))
-	ce := nn.NewSoftmaxCrossEntropy()
-	opt := nn.NewAdamW(3e-3, 0.01)
+	tr := NewTrainer(m, 3e-3, 0.01, 0, 1)
 	seq := []int{2, 7, 3, 11, 5, 13}
-	tape := nn.NewTape()
 	for step := 0; step < 150; step++ {
-		logits := m.ForwardLMTape([][]int{seq[:len(seq)-1]}, tape)
-		targets := seq[1:]
-		_, grad := ce.Loss(logits, targets)
-		m.Backward(tape, grad)
-		tape.Reset()
-		opt.Step(m.Params())
+		tr.LM([][]int{seq[:len(seq)-1]}, [][]int{seq[1:]})
 	}
 	// Greedy decoding from the first two tokens must replay the rest.
 	got := append([]int(nil), seq[:2]...)
@@ -276,10 +263,10 @@ func TestSharedLayersParamCount(t *testing.T) {
 	}
 	// Shared model still runs and trains.
 	tape := nn.NewTape()
-	logits := shared.ForwardClsTape([][]int{{1, 2, 3}}, tape)
+	logits := shared.forwardClsTape([][]int{{1, 2, 3}}, tape)
 	ce := nn.NewSoftmaxCrossEntropy()
 	_, grad := ce.Loss(logits, []int{1})
-	shared.Backward(tape, grad)
+	shared.backward(tape, grad)
 	nn.NewAdamW(1e-3, 0).Step(shared.Params())
 }
 
@@ -289,10 +276,10 @@ func TestSharedLayersGradientAccumulation(t *testing.T) {
 	cfg.ShareLayers = true
 	m := New(cfg, tensor.NewRNG(17))
 	tape := nn.NewTape()
-	logits := m.ForwardClsTape([][]int{{1, 2, 3, 4}}, tape)
+	logits := m.forwardClsTape([][]int{{1, 2, 3, 4}}, tape)
 	ce := nn.NewSoftmaxCrossEntropy()
 	_, grad := ce.Loss(logits, []int{0})
-	m.Backward(tape, grad)
+	m.backward(tape, grad)
 	// The shared block's gradient accumulates contributions from all three
 	// layer applications; it must be nonzero.
 	var sum float64
@@ -313,8 +300,8 @@ func TestFreezeBackboneTrainingLeavesBackboneGradsZero(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(19))
 	m.FreezeBackbone()
 	tape := nn.NewTape()
-	_, grad := nn.NewSoftmaxCrossEntropy().Loss(m.ForwardClsTape([][]int{{1, 2, 3, 4}}, tape), []int{1})
-	m.Backward(tape, grad)
+	_, grad := nn.NewSoftmaxCrossEntropy().Loss(m.forwardClsTape([][]int{{1, 2, 3, 4}}, tape), []int{1})
+	m.backward(tape, grad)
 	head := map[*nn.Param]bool{}
 	for _, p := range m.ClsHead.Params() {
 		head[p] = true
@@ -358,10 +345,10 @@ func TestApplyLoRAFraction(t *testing.T) {
 	}
 	// Forward/backward still work through the adapters.
 	tape := nn.NewTape()
-	logits := m.ForwardLMTape([][]int{{1, 2, 3}}, tape)
+	logits := m.forwardLMTape([][]int{{1, 2, 3}}, tape)
 	ce := nn.NewSoftmaxCrossEntropy()
 	_, grad := ce.Loss(logits, []int{2, 3, 4})
-	m.Backward(tape, grad)
+	m.backward(tape, grad)
 	// Base weights frozen: optimizer must move only adapters.
 	before := m.Blocks[0].Attn.Wk.(*nn.Linear).Weight.W.Clone()
 	nn.NewAdamW(1e-2, 0).Step(m.Params())
@@ -377,7 +364,7 @@ func TestQuantize4BitModel(t *testing.T) {
 		t.Fatalf("quantization savings %d/%d", qb, fb)
 	}
 	// Quantized model still produces finite logits.
-	logits := m.ForwardLMTape([][]int{{1, 2, 3}}, nil)
+	logits := m.forwardLMTape([][]int{{1, 2, 3}}, nil)
 	for _, v := range logits.Data {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatal("quantized model produced non-finite logits")
