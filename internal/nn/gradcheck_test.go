@@ -176,19 +176,3 @@ func TestMSEGradcheck(t *testing.T) {
 		}
 	}
 }
-
-func TestBCEGradcheck(t *testing.T) {
-	logits := randomInput(5, 1, 15)
-	targets := []float32{0, 1, 1, 0, 1}
-	_, grad := BinaryCrossEntropyLogits(logits, targets)
-	for i := range logits.Data {
-		want := numericalGrad(&logits.Data[i], func() float64 {
-			l, _ := BinaryCrossEntropyLogits(logits, targets)
-			return l
-		})
-		got := float64(grad.Data[i])
-		if math.Abs(got-want) > 1e-2*(1+math.Abs(want)) {
-			t.Errorf("BCE grad[%d] = %v, want %v", i, got, want)
-		}
-	}
-}

@@ -76,24 +76,3 @@ func MSE(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
 	}
 	return total / n, grad
 }
-
-// BinaryCrossEntropyLogits computes mean BCE between sigmoid(logits) and
-// targets in {0,1}, with the gradient w.r.t. logits. Used by binary
-// classifier heads in baselines.
-func BinaryCrossEntropyLogits(logits *tensor.Matrix, targets []float32) (float64, *tensor.Matrix) {
-	if logits.Cols != 1 || logits.Rows != len(targets) {
-		panic("nn: BCE expects [n,1] logits matching targets")
-	}
-	grad := tensor.New(logits.Rows, 1)
-	var total float64
-	n := float64(len(targets))
-	for i, t := range targets {
-		z := float64(logits.Data[i])
-		// log(1+exp(-|z|)) + max(z,0) - z*t  (numerically stable)
-		loss := math.Max(z, 0) - z*float64(t) + math.Log1p(math.Exp(-math.Abs(z)))
-		total += loss
-		p := 1 / (1 + math.Exp(-z))
-		grad.Data[i] = float32((p - float64(t)) / n)
-	}
-	return total / n, grad
-}

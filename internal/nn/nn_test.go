@@ -235,25 +235,6 @@ func TestClipGradNorm(t *testing.T) {
 	}
 }
 
-func TestSchedules(t *testing.T) {
-	// Warmup ramps up.
-	if lr := LinearWarmupSchedule(1.0, 0, 10, 100); lr >= LinearWarmupSchedule(1.0, 9, 10, 100) {
-		_ = lr
-		t.Fatal("warmup must increase")
-	}
-	// Decay reaches zero at the end.
-	if lr := LinearWarmupSchedule(1.0, 100, 10, 100); lr != 0 {
-		t.Fatalf("final LR = %v, want 0", lr)
-	}
-	// Cosine: half of base at midpoint.
-	if lr := CosineSchedule(1.0, 50, 100); math.Abs(lr-0.5) > 1e-9 {
-		t.Fatalf("cosine midpoint = %v, want 0.5", lr)
-	}
-	if lr := CosineSchedule(1.0, 100, 100); lr != 0 {
-		t.Fatalf("cosine final = %v, want 0", lr)
-	}
-}
-
 func TestCrossEntropyIgnoreIndex(t *testing.T) {
 	ce := NewSoftmaxCrossEntropy()
 	logits := randomInput(3, 4, 6)

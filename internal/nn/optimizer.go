@@ -141,29 +141,3 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	}
 	return norm
 }
-
-// LinearWarmupSchedule returns the learning rate for a given step under
-// linear warmup followed by linear decay to zero at totalSteps — the standard
-// HuggingFace fine-tuning schedule.
-func LinearWarmupSchedule(base float64, step, warmup, totalSteps int) float64 {
-	if step < warmup && warmup > 0 {
-		return base * float64(step+1) / float64(warmup)
-	}
-	if totalSteps <= warmup {
-		return base
-	}
-	frac := float64(totalSteps-step) / float64(totalSteps-warmup)
-	if frac < 0 {
-		frac = 0
-	}
-	return base * frac
-}
-
-// CosineSchedule returns the learning rate for a given step under cosine
-// annealing from base to 0 over totalSteps.
-func CosineSchedule(base float64, step, totalSteps int) float64 {
-	if totalSteps <= 0 || step >= totalSteps {
-		return 0
-	}
-	return base * 0.5 * (1 + math.Cos(math.Pi*float64(step)/float64(totalSteps)))
-}

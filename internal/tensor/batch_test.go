@@ -2,16 +2,6 @@ package tensor
 
 import "testing"
 
-func TestOffsets(t *testing.T) {
-	got := Offsets([]int{3, 0, 2})
-	want := []int{0, 3, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("offsets = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRowViewAliases(t *testing.T) {
 	m := New(4, 3)
 	v := m.RowView(1, 3)
@@ -28,31 +18,6 @@ func TestRowViewAliases(t *testing.T) {
 		}
 	}()
 	m.RowView(2, 5)
-}
-
-func TestPackUnpackRoundTrip(t *testing.T) {
-	rng := NewRNG(1)
-	mats := []*Matrix{New(2, 4), New(3, 4), New(1, 4)}
-	for _, m := range mats {
-		Gaussian(m, 1, rng)
-	}
-	packed, offsets := PackRows(mats)
-	if packed.Rows != 6 || packed.Cols != 4 {
-		t.Fatalf("packed shape %dx%d", packed.Rows, packed.Cols)
-	}
-	views := UnpackRows(packed, offsets)
-	for i, v := range views {
-		if !v.Equal(mats[i]) {
-			t.Fatalf("segment %d does not round trip", i)
-		}
-	}
-}
-
-func TestPackRowsEmpty(t *testing.T) {
-	packed, offsets := PackRows(nil)
-	if packed.Rows != 0 || len(offsets) != 1 || offsets[0] != 0 {
-		t.Fatalf("empty pack = %v offsets %v", packed, offsets)
-	}
 }
 
 func TestMatMulBlockedMatchesMatMul(t *testing.T) {
