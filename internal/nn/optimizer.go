@@ -46,12 +46,6 @@ func (s *SGD) Step(params []*Param) {
 	}
 }
 
-// SetLR changes the learning rate.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR reports the current learning rate.
-func (s *SGD) LR() float64 { return s.lr }
-
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter), the
 // optimizer used for all transformer fine-tuning in this repository.
 type AdamW struct {
@@ -107,12 +101,6 @@ func (a *AdamW) Step(params []*Param) {
 		p.ZeroGrad()
 	}
 }
-
-// SetLR changes the learning rate.
-func (a *AdamW) SetLR(lr float64) { a.lr = lr }
-
-// LR reports the current learning rate.
-func (a *AdamW) LR() float64 { return a.lr }
 
 // ClipGradNorm rescales all non-frozen gradients so their global L2 norm is
 // at most maxNorm, returning the pre-clip norm.

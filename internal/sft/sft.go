@@ -8,10 +8,10 @@
 // Train fine-tunes binary and anomaly-type classifiers alike, one
 // transformer.Trainer step per mini-batch of sentences. Every prediction — the
 // evaluations behind the paper's numbers and head-only training's features
-// included — runs it untaped, as the detection service does
-// (Classifier.PredictBatchWS): chunks of sentences fan out over GOMAXPROCS
-// goroutines that share the one model, so what they score is exactly what
-// the service serves.
+// included — runs the model's one forward untaped, as the detection service
+// does (Classifier.PredictBatchWS): chunks of sentences fan out over
+// GOMAXPROCS goroutines that share the one model, so what they score is
+// exactly what the service serves.
 package sft
 
 import (
@@ -72,7 +72,7 @@ func NewClassifier(m *transformer.Model, tok *tokenizer.Tokenizer) *Classifier {
 // input order. Scratch comes from ws, which is used, not reset: a long-lived
 // inference worker resets its own arena between batches, and a one-shot
 // caller passes nil. The path reads the model without mutating it, so it is
-// safe to call concurrently.
+// safe to call concurrently. The classifier must be binary (NumClasses 2).
 func (c *Classifier) PredictBatchWS(texts []string, ws *tensor.Workspace) ([]int, [][2]float32) {
 	if k := c.Model.Config.NumClasses; k != 2 {
 		panic(fmt.Sprintf("sft: PredictBatchWS serves a binary classifier, not a %d-class one", k))
@@ -134,7 +134,7 @@ func predict(c *Classifier, texts []string) ([]int, [][2]float32) {
 type TrainConfig struct {
 	// Epochs is the number of passes over the training set.
 	Epochs int
-	// LR is the peak AdamW learning rate.
+	// LR is the AdamW learning rate, constant over training.
 	LR float64
 	// WeightDecay is the decoupled weight decay.
 	WeightDecay float64
@@ -175,7 +175,8 @@ type EpochStats struct {
 // Train fine-tunes the classifier on train, optionally tracking validation
 // scores, and returns per-epoch statistics. Labels index the model's
 // Config.NumClasses classes: 0/1 for the binary task, TypedLabel for the
-// anomaly-type head. Training mutates c.Model in place.
+// anomaly-type head, which takes no validation set (scoring is binary).
+// Training mutates c.Model in place.
 func Train(c *Classifier, train, val []Example, cfg TrainConfig) []EpochStats {
 	if cfg.Epochs <= 0 {
 		panic("sft: non-positive epochs")

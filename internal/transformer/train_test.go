@@ -8,8 +8,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// handTrain is the training loop every trainer wrote out before Trainer,
-// spelled out: per sequence a taped forward, cross-entropy, the gradient
+// handTrain is Trainer's recipe spelled out, the reference the test below
+// holds it to: per sequence a taped forward, cross-entropy, the gradient
 // scaled by 1/window and the backward pass; per window of sequences one clip
 // (none at clip 0) and one AdamW step. It returns each window's loss sum.
 func handTrain(m *Model, seqs, targets [][]int, lm bool, clip float64, window int) []float64 {
