@@ -107,20 +107,6 @@ func TestTrainMultiRejectsBadLabel(t *testing.T) {
 	Train(c, []Example{{Text: "a", Label: 7}}, nil, TrainConfig{Epochs: 1})
 }
 
-// TestPredictRejectsTypeClassifier: PredictBatchWS returns (normal,
-// abnormal) pairs from the first two logits, so a three-class classifier
-// must not reach it.
-func TestPredictRejectsTypeClassifier(t *testing.T) {
-	tok := tokenizer.Build([]string{"a"})
-	c := NewClassifier(models.MustGet("distilbert-base-uncased").BuildClasses(tok.VocabSize(), NumTypeClasses), tok)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a 3-class classifier ran PredictBatchWS")
-		}
-	}()
-	c.PredictBatchWS([]string{"a"}, nil)
-}
-
 func TestMultiConfusionMetrics(t *testing.T) {
 	mc := MultiConfusion{Classes: 3, Counts: [][]int{
 		{8, 1, 1},

@@ -120,8 +120,8 @@ func paramsFNV(params []*nn.Param) string {
 
 // goldenTrain runs goldenTrainSteps single-sequence Trainer steps (no clip)
 // on m and returns its parameters: classification steps, or with lm
-// next-token steps. Every random
-// draw is seeded, so the run is deterministic.
+// next-token steps. Every random draw is seeded, so the run is
+// deterministic.
 func goldenTrain(m *Model, lm bool) []*nn.Param {
 	seqs := goldenSeqs(m.Config.VocabSize)
 	tr := NewTrainer(m, 1e-3, 0.01, 0, 1)
