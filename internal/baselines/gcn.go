@@ -145,7 +145,7 @@ func TrainGCN(dag *flowbench.DAG, train []flowbench.Job, cfg GCNConfig) *GCN {
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, tg := range graphs {
 			logits := g.forward(tg, tape)
-			_, grad := ce.Loss(logits, Labels(tg.Jobs))
+			_, grad := ce.Loss(logits, Labels(tg.Jobs), nil)
 			g.backward(tg, tape, grad)
 			tape.Reset()
 			opt.Step(params)

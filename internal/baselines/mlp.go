@@ -61,7 +61,7 @@ func TrainMLP(train []flowbench.Job, cfg MLPConfig) *MLP {
 				yb[k] = y[idx]
 			}
 			logits := m.net.Forward(xb, tape.WS(), tape)
-			_, grad := ce.Loss(logits, yb)
+			_, grad := ce.Loss(logits, yb, nil)
 			m.net.Backward(tape, grad)
 			tape.Reset()
 			opt.Step(m.net.Params())

@@ -47,5 +47,7 @@ func FitCascade(det Detector, cfg cascade.Config, train []flowbench.Job) (*casca
 // larger than a served batch matters: a pooled workspace keeps the size of
 // the largest batch that used it, and serving workers take theirs from the
 // same pool, so 256-sentence calibration batches left arenas eight times a
-// served batch's size resident for the life of the process.
+// served batch's size resident for the life of the process. (An SFT
+// encoder's forward runs in fixed-size groups, so for it a chunk sizes
+// only the pooled output; an ICL decoder's packs the whole chunk.)
 const fitChunk = 32

@@ -301,9 +301,13 @@ func (e *engine) brownoutActive() bool { return e.brown.active() }
 // When the detector supports workspace-threaded batches (BatchWSDetector),
 // each worker owns one tensor.Workspace for its lifetime and every model
 // invocation reuses the worker's arena instead of allocating its temporaries,
-// so steady-state serving is allocation-free outside request plumbing. Other
-// workers hold none: a pooled workspace keeps the arena its last user grew,
-// and a worker that never uses it would pin that memory for its whole life.
+// so steady-state serving is allocation-free outside request plumbing. The
+// arena keeps the size the worker's batches grew it to: for an SFT encoder,
+// one fixed-size group of sentences plus a [MaxBatch, dModel] output, since
+// its forward runs a batch a group at a time; for an ICL decoder, its
+// largest chunk. Other workers hold none: a pooled workspace keeps the arena
+// its last user grew, and a worker that never uses it would pin that memory
+// for its whole life.
 func (e *engine) worker() {
 	defer e.wg.Done()
 	w := &batchWorker{e: e}

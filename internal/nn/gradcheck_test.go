@@ -146,11 +146,11 @@ func TestCrossEntropyGradcheck(t *testing.T) {
 	logits := randomInput(4, 3, 12)
 	targets := []int{0, 2, 1, 1}
 	ce := NewSoftmaxCrossEntropy()
-	_, grad := ce.Loss(logits, targets)
+	_, grad := ce.Loss(logits, targets, nil)
 	for k := 0; k < 6; k++ {
 		idx := (k * 5) % len(logits.Data)
 		want := numericalGrad(&logits.Data[idx], func() float64 {
-			l, _ := ce.Loss(logits, targets)
+			l, _ := ce.Loss(logits, targets, nil)
 			return l
 		})
 		got := float64(grad.Data[idx])

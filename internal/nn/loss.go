@@ -22,14 +22,18 @@ func NewSoftmaxCrossEntropy() *SoftmaxCrossEntropy {
 }
 
 // Loss returns (mean loss, dlogits). logits is [n, classes]; targets has
-// length n.
-func (s *SoftmaxCrossEntropy) Loss(logits *tensor.Matrix, targets []int) (float64, *tensor.Matrix) {
+// length n. The probabilities and the gradient are drawn from ws (a
+// trainer passes its tape's, so the gradient lives until the tape's Reset);
+// nil allocates them.
+func (s *SoftmaxCrossEntropy) Loss(logits *tensor.Matrix, targets []int, ws *tensor.Workspace) (float64, *tensor.Matrix) {
 	if len(targets) != logits.Rows {
 		panic("nn: cross-entropy targets length mismatch")
 	}
-	probs := logits.Clone()
+	probs := ws.Get(logits.Rows, logits.Cols)
+	copy(probs.Data, logits.Data)
 	tensor.RowSoftmax(probs)
-	grad := tensor.New(logits.Rows, logits.Cols)
+	// Zeroed: an ignored row's gradient is 0.
+	grad := ws.GetZeroed(logits.Rows, logits.Cols)
 	var total float64
 	count := 0
 	for i, t := range targets {

@@ -135,7 +135,7 @@ func TestSGDStepReducesLoss(t *testing.T) {
 	var first, last float64
 	for i := 0; i < 50; i++ {
 		logits := l.Forward(x, tape.WS(), tape)
-		loss, grad := ce.Loss(logits, targets)
+		loss, grad := ce.Loss(logits, targets, nil)
 		if i == 0 {
 			first = loss
 		}
@@ -170,7 +170,7 @@ func TestAdamWStepReducesLoss(t *testing.T) {
 	var first, last float64
 	for i := 0; i < 80; i++ {
 		logits := model.Forward(x, tape.WS(), tape)
-		loss, grad := ce.Loss(logits, targets)
+		loss, grad := ce.Loss(logits, targets, nil)
 		if i == 0 {
 			first = loss
 		}
@@ -194,7 +194,7 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 	opt := NewAdamW(0.1, 0)
 	tape := NewTape()
 	logits := l.Forward(x, tape.WS(), tape)
-	_, grad := ce.Loss(logits, []int{0, 1, 0, 1})
+	_, grad := ce.Loss(logits, []int{0, 1, 0, 1}, nil)
 	l.Backward(tape, grad)
 	opt.Step(l.Params())
 	if !l.Weight.W.Equal(before) {
@@ -238,7 +238,7 @@ func TestClipGradNorm(t *testing.T) {
 func TestCrossEntropyIgnoreIndex(t *testing.T) {
 	ce := NewSoftmaxCrossEntropy()
 	logits := randomInput(3, 4, 6)
-	loss, grad := ce.Loss(logits, []int{-1, 2, -1})
+	loss, grad := ce.Loss(logits, []int{-1, 2, -1}, nil)
 	// Only row 1 contributes.
 	for j := 0; j < 4; j++ {
 		if grad.At(0, j) != 0 || grad.At(2, j) != 0 {
@@ -249,7 +249,7 @@ func TestCrossEntropyIgnoreIndex(t *testing.T) {
 		t.Fatalf("loss = %v, want > 0", loss)
 	}
 	// All-ignored batch is a zero loss, not NaN.
-	loss, _ = ce.Loss(logits, []int{-1, -1, -1})
+	loss, _ = ce.Loss(logits, []int{-1, -1, -1}, nil)
 	if loss != 0 {
 		t.Fatalf("all-ignored loss = %v, want 0", loss)
 	}
@@ -258,7 +258,7 @@ func TestCrossEntropyIgnoreIndex(t *testing.T) {
 func TestCrossEntropyPerfectPrediction(t *testing.T) {
 	ce := NewSoftmaxCrossEntropy()
 	logits := tensor.NewFrom(1, 2, []float32{100, -100})
-	loss, _ := ce.Loss(logits, []int{0})
+	loss, _ := ce.Loss(logits, []int{0}, nil)
 	if loss > 1e-6 {
 		t.Fatalf("confident correct loss = %v, want ≈0", loss)
 	}

@@ -70,7 +70,7 @@ func TrainHeadOnly(c *Classifier, train []Example, cfg TrainConfig) []EpochStats
 				yb[k] = labels[idx]
 			}
 			logits := head.Forward(xb, tape.WS(), tape)
-			loss, grad := ce.Loss(logits, yb)
+			loss, grad := ce.Loss(logits, yb, nil)
 			total += loss * float64(hi-lo)
 			head.Backward(tape, grad)
 			tape.Reset()

@@ -138,8 +138,12 @@ func (m *Matrix) T() *Matrix {
 // through 1<<20 multiply-adds in about twenty. Measured with
 // BenchmarkServeShapes -cpu 1,2 (docs/PERFORMANCE.md, PR 14): every served
 // shape up to 32 rows × 96×192 or 32 queries × 352 keys was slower fanned out
-// over two cores than on one; the 1728-row packed-batch projections, from
-// 4·10⁶ multiply-adds up, are the shapes that gain.
+// over two cores than on one; projections from 4·10⁶ multiply-adds up gain.
+// An encoder's packed batch reaches kernels in groups of at most 128 rows
+// (transformer's groupRows), so at bert-base's width no projection of a
+// group fans out (the feed-forward's is 0.6·10⁶ multiply-adds); a monitor
+// chunk through the mistral decoder, some 660 packed rows at width 96,
+// fans out every projection.
 const parallelThreshold = 1 << 20
 
 // parallelWorth reports whether rows×workPerRow multiply-adds are enough

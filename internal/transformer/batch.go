@@ -16,6 +16,15 @@ import (
 // softmax must not mix positions across sequences. Every position-wise
 // kernel computes a row from that row alone, so packing moves no bit.
 //
+// Nor does cutting the batch: an untaped encoder forward — classification
+// and pooled features, what SFT serving and evaluation run — packs its
+// batch in groups of consecutive whole sequences of at most groupRows rows
+// and runs them one after another on one rewound arena (poolGroups), so a
+// worker's footprint is one group's rows plus the [B, dModel] output,
+// whatever the batch (TestGroupBoundariesMatchAlone,
+// TestEncoderFootprintIsBounded). The causal forwards pack the whole
+// batch, since the sharing below spans it.
+//
 // A row no caller reads is not computed either. An untaped causal forward
 // — next-token logits, a decoder's pooled features — reads only each
 // sequence's last position, and that position's hidden state after the
@@ -258,8 +267,9 @@ func (t prefixTree) keep(k, v *tensor.Matrix) {
 // block updates in place, drawing one sublayer's intermediates at a time
 // from one scratch arena: the child of the caller's workspace (of a pooled
 // one when the caller passes nil), kept for its life, so a worker's scratch
-// settles at the size of its largest batch however the packed row count
-// varies. What outlives a sublayer — the residual stream, the last block's
+// settles at the size of the largest packed batch it runs — one group, for
+// an encoder (poolGroups) — however the packed row count varies. What
+// outlives a sublayer — the residual stream, the last block's
 // gather, the normalized output — comes from the caller's workspace (plain
 // allocation for nil), never the scratch. A taped forward keeps every
 // block's intermediates for backward, in the tape's arena. tree is the
@@ -439,20 +449,78 @@ func (m *Model) PooledBatchWS(seqs [][]int, ws *tensor.Workspace) *tensor.Matrix
 	return pooled
 }
 
-// pool is PooledBatchWS, optionally on a tape, also returning the offsets.
+// pool is PooledBatchWS, optionally on a tape, also returning the offsets
+// (nil for an untaped encoder, whose pooling no backward pass undoes).
 // Untaped, a decoder's forward computes only the last rows, which are the
-// pooled vectors; a taped one computes every row for backward, and the last
-// are copied out.
+// pooled vectors, and an encoder's runs in groups (poolGroups); a taped one
+// computes every row for backward, and pools them.
 func (m *Model) pool(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (*tensor.Matrix, []int) {
 	last := m.Config.Causal && tape == nil
+	if tape == nil && !last {
+		return m.poolGroups(seqs, ws), nil
+	}
 	h, offsets := m.encodeBatch(seqs, last, ws, tape)
 	if last {
 		return h, offsets
 	}
 	pooled := ws.GetZeroed(len(seqs), m.Config.DModel)
+	m.poolInto(pooled, 0, h, offsets)
+	return pooled, offsets
+}
+
+// groupRows is how many packed rows an untaped encoder forward runs at once
+// (poolGroups): about four of bulk-sft's 29-token sentences. It is at least
+// the encoders' MaxSeqLen of 64, so a group holds two sequences or more, and
+// at bert-base's width no projection of a group is large enough to fan out
+// over goroutines. Chosen on bulk-sft's peak RSS against 256, 512 and the
+// whole batch (docs/PERFORMANCE.md).
+const groupRows = 128
+
+// poolGroups is an untaped encoder's pool: it runs the batch through
+// encodeBatch one group at a time — consecutive whole sequences whose rows,
+// after truncation to MaxSeqLen, fit groupRows, or one longer sequence
+// alone — each on the child of ws, rewound before the group starts, and
+// mean-pools each group into its rows of the [B, dModel] output, drawn
+// from ws. Attention never crosses a sequence and every other kernel
+// computes a row from that row alone, so grouping moves no bit
+// (TestGroupBoundariesMatchAlone); what it bounds is the arena, which holds
+// one group's rows plus the output, whatever the batch. With nil ws the
+// groups run on a pooled workspace and the output is heap-allocated.
+func (m *Model) poolGroups(seqs [][]int, ws *tensor.Workspace) *tensor.Matrix {
+	pooled := ws.GetZeroed(len(seqs), m.Config.DModel)
+	g := ws.Child()
+	if g == nil {
+		g = tensor.GetWorkspace()
+		defer tensor.PutWorkspace(g)
+	}
+	for lo, hi := 0, 0; lo < len(seqs); lo = hi {
+		hi, _ = m.group(seqs, lo)
+		g.Reset()
+		h, offsets := m.encodeBatch(seqs[lo:hi], false, g, nil)
+		m.poolInto(pooled, lo, h, offsets)
+	}
+	return pooled
+}
+
+// group returns the end of the group poolGroups runs from sequence lo,
+// seqs[lo:hi], and its packed rows.
+func (m *Model) group(seqs [][]int, lo int) (hi, rows int) {
+	n := func(ids []int) int { return min(len(ids), m.Config.MaxSeqLen) }
+	hi, rows = lo+1, n(seqs[lo])
+	for hi < len(seqs) && rows+n(seqs[hi]) <= groupRows {
+		rows += n(seqs[hi])
+		hi++
+	}
+	return hi, rows
+}
+
+// poolInto writes the pooled vector of each sequence s of the packed h into
+// row at+s of pooled, which must be zeroed: the mean of the sequence's rows
+// for an encoder, its last row for a decoder.
+func (m *Model) poolInto(pooled *tensor.Matrix, at int, h *tensor.Matrix, offsets []int) {
 	for s := 0; s+1 < len(offsets); s++ {
 		lo, hi := offsets[s], offsets[s+1]
-		pr := pooled.Row(s)
+		pr := pooled.Row(at + s)
 		if m.Config.Causal {
 			copy(pr, h.Row(hi-1))
 		} else {
@@ -464,7 +532,6 @@ func (m *Model) pool(seqs [][]int, ws *tensor.Workspace, tape *nn.Tape) (*tensor
 			}
 		}
 	}
-	return pooled, offsets
 }
 
 // lastRows gathers the row of each sequence's last position from the packed

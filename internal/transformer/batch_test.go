@@ -110,6 +110,64 @@ func TestForwardClsBatchTruncatesKeepingHead(t *testing.T) {
 	}
 }
 
+// TestGroupBoundariesMatchAlone runs 120 sequences, four at MaxSeqLen and
+// one truncated to it, through an encoder whose MaxSeqLen exceeds groupRows,
+// so the batch crosses many group boundaries and every full-length sequence
+// is a group alone (poolGroups). Each sequence's logits and pooled features
+// must equal its own forward's bit for bit, in fp32 and int8, on a held
+// workspace (twice, the second time over its dirty arenas) and on none.
+func TestGroupBoundariesMatchAlone(t *testing.T) {
+	cfg := Config{
+		Name: "groups", VocabSize: 120, MaxSeqLen: groupRows + 8, DModel: 32,
+		NumHeads: 4, NumLayers: 2, FFNDim: 64, NumClasses: 2,
+	}
+	rng := tensor.NewRNG(43)
+	seqs := make([][]int, 120)
+	for i := range seqs {
+		n := 1 + rng.Intn(40)
+		switch {
+		case i == 77:
+			n = cfg.MaxSeqLen + 5
+		case i%30 == 4:
+			n = cfg.MaxSeqLen
+		}
+		seqs[i] = make([]int, n)
+		for j := range seqs[i] {
+			seqs[i][j] = rng.Intn(cfg.VocabSize)
+		}
+	}
+	for _, precision := range []string{"fp32", "int8"} {
+		m := New(cfg, tensor.NewRNG(44))
+		if precision == "int8" {
+			m.QuantizeInt8(0)
+		}
+		groups := 0
+		for lo, hi := 0, 0; lo < len(seqs); lo = hi {
+			hi, _ = m.group(seqs, lo)
+			groups++
+		}
+		if groups < 10 {
+			t.Fatalf("%s: the batch runs in %d groups, want ≥ 10", precision, groups)
+		}
+		held := tensor.NewWorkspace()
+		for _, ws := range []*tensor.Workspace{nil, held, held} {
+			ws.Reset()
+			logits := m.ForwardClsBatchWS(seqs, ws)
+			ws.Reset()
+			pooled := m.PooledBatchWS(seqs, ws)
+			for i, ids := range seqs {
+				alone := [][]int{ids}
+				if !sameBits(logits.Row(i), m.ForwardClsBatchWS(alone, nil).Row(0)) {
+					t.Fatalf("%s held=%v seq %d: batch logits differ from the sequence's alone", precision, ws != nil, i)
+				}
+				if !sameBits(pooled.Row(i), m.PooledBatchWS(alone, nil).Row(0)) {
+					t.Fatalf("%s held=%v seq %d: batch pooled features differ from the sequence's alone", precision, ws != nil, i)
+				}
+			}
+		}
+	}
+}
+
 // TestTapedForwardMatchesServed: without dropout, the forward a trainer
 // records computes the logits serving returns, bit for bit.
 func TestTapedForwardMatchesServed(t *testing.T) {

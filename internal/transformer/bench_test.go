@@ -211,31 +211,46 @@ func benchDecode(b *testing.B, precision string, vocab, prefixLen int, chunks []
 }
 
 // BenchmarkEncodeBatch measures the packed batched encoder forward on a
-// reused worker-owned workspace (8 sequences × 48 tokens), the SFT serving
-// inner loop, and reports the bytes per packed row the workspace holds.
-// allocs/op should sit within a few allocations of zero.
+// reused worker-owned workspace, the SFT serving inner loop, and reports the
+// bytes per packed row the workspace holds. 8x48 is 8 sequences × 48 tokens
+// at a 96-wide model; bulk64 is bulk-sft's batch at bert-base-uncased's
+// shape, 64 sentences of 24–34 tokens (29 on average) over several groups
+// (poolGroups). At -cpu 1 allocs/op should sit within a few allocations of
+// zero; with more, each kernel fanned out over goroutines allocates.
 func BenchmarkEncodeBatch(b *testing.B) {
-	cfg := Config{
-		Name: "bench", VocabSize: 300, MaxSeqLen: 64, DModel: 96,
-		NumHeads: 4, NumLayers: 4, FFNDim: 192, NumClasses: 2,
-	}
-	m := New(cfg, tensor.NewRNG(8))
-	seqs := make([][]int, 8)
-	for s := range seqs {
-		seqs[s] = make([]int, 48)
-		for i := range seqs[s] {
-			seqs[s][i] = (s*48 + i) % 300
+	b.Run("8x48", func(b *testing.B) {
+		cfg := Config{
+			Name: "bench", VocabSize: 300, MaxSeqLen: 64, DModel: 96,
+			NumHeads: 4, NumLayers: 4, FFNDim: 192, NumClasses: 2,
 		}
-	}
+		seqs := make([][]int, 8)
+		for s := range seqs {
+			seqs[s] = make([]int, 48)
+			for i := range seqs[s] {
+				seqs[s][i] = (s*48 + i) % 300
+			}
+		}
+		benchEncode(b, New(cfg, tensor.NewRNG(8)), seqs)
+	})
+	b.Run("bulk64", func(b *testing.B) {
+		m := New(bertBaseConfig(), tensor.NewRNG(104))
+		benchEncode(b, m, sentenceBatch(64, m.Config.VocabSize))
+	})
+}
+
+// benchEncode times ForwardClsBatchWS of seqs on a held workspace, warmed
+// first, and reports the bytes the workspace holds per packed row.
+func benchEncode(b *testing.B, m *Model, seqs [][]int) {
 	ws := tensor.NewWorkspace()
-	m.ForwardClsBatchWS(seqs, ws) // warm the arena for this batch shape
+	m.ForwardClsBatchWS(seqs, ws)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws.Reset()
 		m.ForwardClsBatchWS(seqs, ws)
 	}
-	b.ReportMetric(float64(ws.Bytes())/float64(8*48), "arena_B/row")
+	offsets, _ := pack(seqs, false, nil, nil)
+	b.ReportMetric(float64(ws.Bytes())/float64(offsets[len(seqs)]), "arena_B/row")
 }
 
 // BenchmarkQuantizeInt8 measures converting a serving-scale decoder to the

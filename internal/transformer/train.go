@@ -37,7 +37,7 @@ func NewTrainer(m *Model, lr, weightDecay, clip float64, window int) *Trainer {
 // their class labels and returns the sum of the sequences' losses.
 func (t *Trainer) Cls(seqs [][]int, labels []int) float64 {
 	return t.step(len(seqs), func(i int) (float64, *tensor.Matrix) {
-		return t.ce.Loss(t.m.forwardClsTape(seqs[i:i+1], t.tape), labels[i:i+1])
+		return t.ce.Loss(t.m.forwardClsTape(seqs[i:i+1], t.tape), labels[i:i+1], t.tape.WS())
 	})
 }
 
@@ -46,7 +46,7 @@ func (t *Trainer) Cls(seqs [][]int, labels []int) float64 {
 // returns the sum of the sequences' losses.
 func (t *Trainer) LM(seqs, targets [][]int) float64 {
 	return t.step(len(seqs), func(i int) (float64, *tensor.Matrix) {
-		return t.ce.Loss(t.m.forwardLMTape(seqs[i:i+1], t.tape), targets[i])
+		return t.ce.Loss(t.m.forwardLMTape(seqs[i:i+1], t.tape), targets[i], t.tape.WS())
 	})
 }
 

@@ -24,7 +24,7 @@ func handTrain(m *Model, seqs, targets [][]int, lm bool, clip float64, window in
 			} else {
 				logits = m.forwardClsTape(seqs[i:i+1], tape)
 			}
-			loss, grad := ce.Loss(logits, targets[i])
+			loss, grad := ce.Loss(logits, targets[i], nil)
 			sum += loss
 			tensor.Scale(grad, grad, 1/float32(window))
 			m.backward(tape, grad)

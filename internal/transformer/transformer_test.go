@@ -265,7 +265,7 @@ func TestSharedLayersParamCount(t *testing.T) {
 	tape := nn.NewTape()
 	logits := shared.forwardClsTape([][]int{{1, 2, 3}}, tape)
 	ce := nn.NewSoftmaxCrossEntropy()
-	_, grad := ce.Loss(logits, []int{1})
+	_, grad := ce.Loss(logits, []int{1}, nil)
 	shared.backward(tape, grad)
 	nn.NewAdamW(1e-3, 0).Step(shared.Params())
 }
@@ -278,7 +278,7 @@ func TestSharedLayersGradientAccumulation(t *testing.T) {
 	tape := nn.NewTape()
 	logits := m.forwardClsTape([][]int{{1, 2, 3, 4}}, tape)
 	ce := nn.NewSoftmaxCrossEntropy()
-	_, grad := ce.Loss(logits, []int{0})
+	_, grad := ce.Loss(logits, []int{0}, nil)
 	m.backward(tape, grad)
 	// The shared block's gradient accumulates contributions from all three
 	// layer applications; it must be nonzero.
@@ -300,7 +300,7 @@ func TestFreezeBackboneTrainingLeavesBackboneGradsZero(t *testing.T) {
 	m := New(smallConfig(false), tensor.NewRNG(19))
 	m.FreezeBackbone()
 	tape := nn.NewTape()
-	_, grad := nn.NewSoftmaxCrossEntropy().Loss(m.forwardClsTape([][]int{{1, 2, 3, 4}}, tape), []int{1})
+	_, grad := nn.NewSoftmaxCrossEntropy().Loss(m.forwardClsTape([][]int{{1, 2, 3, 4}}, tape), []int{1}, nil)
 	m.backward(tape, grad)
 	head := map[*nn.Param]bool{}
 	for _, p := range m.ClsHead.Params() {
@@ -347,7 +347,7 @@ func TestApplyLoRAFraction(t *testing.T) {
 	tape := nn.NewTape()
 	logits := m.forwardLMTape([][]int{{1, 2, 3}}, tape)
 	ce := nn.NewSoftmaxCrossEntropy()
-	_, grad := ce.Loss(logits, []int{2, 3, 4})
+	_, grad := ce.Loss(logits, []int{2, 3, 4}, nil)
 	m.backward(tape, grad)
 	// Base weights frozen: optimizer must move only adapters.
 	before := m.Blocks[0].Attn.Wk.(*nn.Linear).Weight.W.Clone()

@@ -176,26 +176,24 @@ func TestSharedChunkArenasSettle(t *testing.T) {
 
 // TestForwardScratchIsOneSublayer pins what a held workspace keeps per
 // packed row once warmed: by a 64-sequence encoder batch at
-// bert-base-uncased's shape, and by a 32-line monitor chunk through the int8
-// decoder at mistral's, over a cached prefix. Each must stay under
-// checkFootprint's bound. A forward that kept two blocks' intermediates held 1.7 and
-// 1.9 times it.
+// bert-base-uncased's shape, in the child arena its groups run on, per row
+// of its largest group (poolGroups; the [B, dModel] output is
+// TestEncoderFootprintIsBounded's), and by a 32-line monitor chunk through
+// the int8 decoder at mistral's, over a cached prefix, per packed row. Each
+// must stay under checkFootprint's bound. A forward that kept two blocks'
+// intermediates held 1.7 and 1.9 times it.
 func TestForwardScratchIsOneSublayer(t *testing.T) {
-	enc := New(Config{
-		Name: "bert-base-uncased", VocabSize: 120, MaxSeqLen: 64, DModel: 48,
-		NumHeads: 4, NumLayers: 4, FFNDim: 96, NumClasses: 2,
-	}, tensor.NewRNG(104))
-	seqs := make([][]int, 64)
-	for s := range seqs {
-		seqs[s] = make([]int, 24+s%11) // 29 tokens on average, as a sentence
-		for i := range seqs[s] {
-			seqs[s][i] = (7*s + 3*i + 1) % enc.Config.VocabSize
-		}
-	}
+	enc := New(bertBaseConfig(), tensor.NewRNG(104))
+	seqs := sentenceBatch(64, enc.Config.VocabSize)
 	ws := tensor.NewWorkspace()
 	enc.ForwardClsBatchWS(seqs, ws)
-	offsets, _ := pack(seqs, false, nil, nil)
-	checkFootprint(t, "encoder", enc.Config, false, ws, offsets[len(seqs)], 24+10, 0)
+	rows := 0
+	for lo, hi := 0, 0; lo < len(seqs); lo = hi {
+		var n int
+		hi, n = enc.group(seqs, lo)
+		rows = max(rows, n)
+	}
+	checkFootprint(t, "encoder", enc.Config, false, ws.Child(), rows, 24+10, 0)
 
 	dec := New(mistralConfig(120), tensor.NewRNG(7))
 	dec.QuantizeInt8(0)
@@ -207,8 +205,53 @@ func TestForwardScratchIsOneSublayer(t *testing.T) {
 	lines := monitorSuffixes(32)
 	ws = tensor.NewWorkspace()
 	dec.ScoreChoiceBatchWithCacheWS(cache, lines, []int{10, 20}, ws)
-	offsets, _ = pack(lines, true, nil, nil)
+	offsets, _ := pack(lines, true, nil, nil)
 	checkFootprint(t, "int8 decoder", dec.Config, true, ws, offsets[len(lines)], len(lines[0]), len(prefix))
+}
+
+// TestEncoderFootprintIsBounded pins that an encoder's batch size does not
+// size a held workspace: after a 512-sentence batch the child arena the
+// groups run on holds no more than after a 64-sentence one, and the rest
+// of the workspace is the [B, dModel] output, with regrow's quarter.
+func TestEncoderFootprintIsBounded(t *testing.T) {
+	m := New(bertBaseConfig(), tensor.NewRNG(104))
+	ws := tensor.NewWorkspace()
+	groups := 0
+	for _, n := range []int{64, 512} {
+		ws.Reset()
+		m.ForwardClsBatchWS(sentenceBatch(n, m.Config.VocabSize), ws)
+		if n == 64 {
+			groups = ws.Child().Bytes()
+		} else if got := ws.Child().Bytes(); got > groups {
+			t.Errorf("after %d sentences the groups' arena holds %d bytes, after 64 it held %d", n, got, groups)
+		}
+		if out, most := ws.Bytes()-ws.Child().Bytes(), 4*(n+n/4)*m.Config.DModel; out > most {
+			t.Errorf("after %d sentences the workspace holds %d bytes besides the groups', want ≤ %d", n, out, most)
+		}
+	}
+}
+
+// bertBaseConfig is the SFT serving encoder's shape (models.Spec
+// "bert-base-uncased") at the served vocabulary of 120, spelled out because
+// internal/models imports this package.
+func bertBaseConfig() Config {
+	return Config{
+		Name: "bert-base-uncased", VocabSize: 120, MaxSeqLen: 64, DModel: 48,
+		NumHeads: 4, NumLayers: 4, FFNDim: 96, NumClasses: 2,
+	}
+}
+
+// sentenceBatch returns n log sentences' token ids: sequence s has 24+s%11
+// tokens, 29 on average.
+func sentenceBatch(n, vocab int) [][]int {
+	seqs := make([][]int, n)
+	for s := range seqs {
+		seqs[s] = make([]int, 24+s%11)
+		for i := range seqs[s] {
+			seqs[s][i] = (7*s + 3*i + 1) % vocab
+		}
+	}
+	return seqs
 }
 
 // checkFootprint fails t when ws holds more bytes per packed row than a
