@@ -122,6 +122,17 @@ func TestGatewayChaosEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The front keeps no memo: what it receives are its replicas' answers,
+	// the cascade gate's among them when a replica arms one, and those are
+	// not a function of the line's tokens. A replica keeps its own.
+	const noMemo = `repro_memo_entries{model="genome-sft"} 0` + "\n"
+	if !strings.Contains(metrics, noMemo) {
+		t.Errorf("the front memoizes:\n%s", metrics)
+	}
+	if strings.Contains(getText(t, urls[1]+"/metrics"), noMemo) {
+		t.Error("a surviving replica kept no memo of the lines it served")
+	}
+
 	// Phase 3 — post-window recovery: the survivors must serve the stream
 	// cleanly again, with tail latency back at the clean baseline.
 	post, err := scenario.Replay(ctx, s, rcfg)

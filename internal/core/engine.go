@@ -134,6 +134,7 @@ type engine struct {
 	stats    statsRecorder
 	gate     atomic.Pointer[cascade.Gate] // nil: cascade off
 	fallback atomic.Pointer[Detector]     // nil: no brownout tier
+	memo     *verdictMemo                 // nil: det is not tokenKeyed, or runs remotely
 	brown    brownout
 	jobs     chan *detectJob // the whole backlog: nothing waits anywhere else
 
@@ -158,6 +159,11 @@ func newEngine(name string, det Detector, cfg BatchConfig) *engine {
 		jobs: make(chan *detectJob, cfg.QueueDepth),
 	}
 	e.infer, e.usesWS = resolveInfer(det)
+	if _, remote := det.(FallibleDetector); !remote {
+		if _, ok := det.(tokenKeyed); ok {
+			e.memo = newVerdictMemo()
+		}
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -287,7 +293,9 @@ func (e *engine) retryAfter(depth int) time.Duration {
 }
 
 // snapshot renders the engine's serving counters as EngineStats.
-func (e *engine) snapshot() EngineStats { return e.stats.snapshot(len(e.jobs), e.brownoutActive()) }
+func (e *engine) snapshot() EngineStats {
+	return e.stats.snapshot(len(e.jobs), e.brownoutActive(), e.memo.entries())
+}
 
 // brownoutActive reports whether the degradation tier is currently engaged,
 // without folding in a queue-depth observation — the /readyz and /v1/models
@@ -353,19 +361,30 @@ type batchWorker struct {
 	ws *tensor.Workspace
 }
 
-// runBatch classifies the coalesced sentences in MaxBatch-sized chunks and
-// hands each job a private copy of its results, preserving input order.
-// Copying (rather than sub-slicing one shared backing array) keeps jobs from
-// aliasing each other's memory once their waiters take ownership. Jobs whose
-// caller already cancelled are skipped entirely — their sentences never
-// reach the model. A chunk the model fails fails every live job of the batch
-// with its error.
+// runBatch answers the coalesced jobs and hands each a private copy of its
+// results, in input order. Copying (rather than sub-slicing one shared
+// backing array) keeps jobs from aliasing each other's memory once their
+// waiters take ownership. Jobs whose caller already cancelled, or that
+// outstayed MaxQueueWait, are dropped first — their sentences never reach
+// the model. The live sentences then pass four steps, each answering what
+// it can so that less reaches the next:
 //
-// Identical sentences inside the coalesced batch are classified once:
-// production log streams are highly repetitive (a stuck job re-emitting the
-// same line, fleets of identical workers), so deduplication converts repeats
-// into near-free throughput. Detection is a pure function of the sentence
-// text, which makes the fan-back exact, not approximate.
+//  1. dedup: identical strings are answered once (production log streams
+//     repeat lines verbatim: a stuck job re-emitting one line, fleets of
+//     identical workers);
+//  2. the cascade gate, when armed, short-circuits each distinct string in
+//     its confident band to the gate's verdict;
+//  3. the token memo, when the detector is tokenKeyed: of the strings the
+//     gate passed, those that tokenize alike are answered once, and a token
+//     sequence an earlier batch answered is answered from the memo;
+//  4. the model call, in MaxBatch chunks, for what is left; the memo keeps
+//     its answers.
+//
+// Each step is a pure function of what it keys on — the string, the
+// string, the token sequence — so every fan-back is exact, and a line's
+// bits do not depend on the batch it rode in. The memo comes after the gate
+// because the gate is not a function of the tokens (memo.go). A chunk the
+// model fails fails every live job of the batch with its error.
 func (w *batchWorker) runBatch(batch []*detectJob) {
 	e := w.e
 	started := time.Now()
@@ -449,23 +468,19 @@ func (w *batchWorker) runBatch(batch []*detectJob) {
 		}
 		e.stats.cascadeGated(len(uniq), len(uniq)-len(run))
 	}
-	results := make([]Result, 0, len(run))
-	for lo := 0; lo < len(run); lo += e.cfg.MaxBatch {
-		out, err := e.infer(run[lo:min(lo+e.cfg.MaxBatch, len(run))], w.ws)
-		if err != nil {
-			// A model that refused the batch shed its requests, as admission
-			// control does: count them where /v1/models and /metrics look.
-			shed := errors.As(err, new(*OverloadedError))
-			for _, j := range live {
-				j.err = err
-				if shed {
-					e.stats.shedRequest()
-				}
-				close(j.done)
+	results, memoHits, err := w.model(run)
+	if err != nil {
+		// A model that refused the batch shed its requests, as admission
+		// control does: count them where /v1/models and /metrics look.
+		shed := errors.As(err, new(*OverloadedError))
+		for _, j := range live {
+			j.err = err
+			if shed {
+				e.stats.shedRequest()
 			}
-			return
+			close(j.done)
 		}
-		results = append(results, out...)
+		return
 	}
 	if gated != nil {
 		for k, i := range runIdx {
@@ -474,7 +489,7 @@ func (w *batchWorker) runBatch(batch []*detectJob) {
 		results = gated
 	}
 	if len(live) > 0 {
-		e.stats.ranBatch(live, started, total-len(uniq))
+		e.stats.ranBatch(live, started, total-len(uniq), memoHits)
 	}
 	if remap != nil {
 		expanded := make([]Result, total)
@@ -490,4 +505,69 @@ func (w *batchWorker) runBatch(batch []*detectJob) {
 		off += n
 		close(j.done)
 	}
+}
+
+// model answers run, the distinct sentences the gate passed, in input order.
+// Without a memo it is the model call. With one, run is collapsed by token
+// sequence, the memo answers the sequences it holds, and only the rest go to
+// the model, whose answers the memo then keeps; memoHits counts the
+// sentences of run answered without the model.
+func (w *batchWorker) model(run []string) (results []Result, memoHits int, err error) {
+	memo := w.e.memo
+	if memo == nil || len(run) == 0 {
+		results, err = w.infer(run)
+		return results, 0, err
+	}
+	// keys[u] is the u-th distinct token sequence of run and rep[u] its
+	// first sentence; owner[i] is sentence i's u.
+	owner := make([]int, len(run))
+	first := make(map[string]int, len(run))
+	keys := make([]string, 0, len(run))
+	rep := make([]string, 0, len(run))
+	var buf []byte
+	for i, s := range run {
+		buf = appendMemoKey(buf[:0], s)
+		u, seen := first[string(buf)]
+		if !seen {
+			u = len(keys)
+			k := string(buf)
+			first[k] = u
+			keys = append(keys, k)
+			rep = append(rep, s)
+		}
+		owner[i] = u
+	}
+	answers := make([]Result, len(keys))
+	miss := memo.lookup(keys, answers)
+	ask := make([]string, len(miss))
+	for m, u := range miss {
+		ask[m] = rep[u]
+	}
+	out, err := w.infer(ask)
+	if err != nil {
+		return nil, 0, err
+	}
+	for m, u := range miss {
+		answers[u] = out[m]
+	}
+	memo.insert(keys, answers, miss)
+	results = make([]Result, len(run))
+	for i, u := range owner {
+		results[i] = answers[u]
+	}
+	return results, len(run) - len(miss), nil
+}
+
+// infer runs sentences through the engine's model call in MaxBatch chunks.
+func (w *batchWorker) infer(sentences []string) ([]Result, error) {
+	e := w.e
+	results := make([]Result, 0, len(sentences))
+	for lo := 0; lo < len(sentences); lo += e.cfg.MaxBatch {
+		out, err := e.infer(sentences[lo:min(lo+e.cfg.MaxBatch, len(sentences))], w.ws)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, out...)
+	}
+	return results, nil
 }

@@ -29,9 +29,11 @@ import (
 
 // oracleChunks returns n monitor-shaped chunks of feature sentences drawn
 // from jobs. Each chunk holds fresh sentences; sentences that share their
-// leading fields with another of the chunk, at depths of 4 and 7 features;
-// heads that recur from the two chunks before, so a warm suffix tree lends
-// rows; a strict prefix of a sentence; an exact duplicate; a sentence whose
+// leading fields with another of the chunk, at depths of 4, 7 and 8
+// features, enough that the int8 ICL detector's suffix tree fills and
+// evicts by the 30th chunk even when the token memo answers every repeated
+// token sequence; heads that recur from the two chunks before, so a warm
+// suffix tree lends rows; a strict prefix of a sentence; an exact duplicate; a sentence whose
 // numerals carry a '+' (another string, the same tokens and gate features);
 // and upper-cased feature names, which tokenize alike but fail the gate's
 // parser. Two of the upper-cased lines share their first 64 bytes and
@@ -93,6 +95,26 @@ var (
 	oracleCases []oracleCase
 )
 
+var (
+	sftGateOnce sync.Once
+	sftGateV    *cascade.Gate
+)
+
+// sftGate returns a cascade gate fitted to the shared SFT test detector over
+// the Genome seed-9 training split, fitted once per test process.
+func sftGate(t *testing.T) *cascade.Gate {
+	t.Helper()
+	det, _ := detector(t)
+	sftGateOnce.Do(func() {
+		g, err := FitCascade(det, cascade.Config{}, flowbench.Generate(flowbench.Genome, 9).Train)
+		if err != nil {
+			panic(err)
+		}
+		sftGateV = g
+	})
+	return sftGateV
+}
+
 // oracleStream is the generated stream both setups serve.
 func oracleStream() [][]string {
 	return oracleChunks(flowbench.Generate(flowbench.Genome, 9).Test, 64)
@@ -104,13 +126,9 @@ func oracleStream() [][]string {
 func oracleFixture(t *testing.T) []oracleCase {
 	t.Helper()
 	sftDet, _ := detector(t)
+	gate := sftGate(t)
 	iclDet := iclDetectorForTest(t)
 	oracleOnce.Do(func() {
-		train := flowbench.Generate(flowbench.Genome, 9).Train
-		gate, err := FitCascade(sftDet, cascade.Config{}, train)
-		if err != nil {
-			panic(err)
-		}
 		int8Det, _, err := LoadDetector(bytes.NewReader(saveBytes(iclDet, nil)))
 		if err != nil {
 			panic(err)

@@ -34,6 +34,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Counter("repro_sentences_total", "sentences across accepted jobs", float64(st.Sentences), "model", m)
 		p.Counter("repro_batches_total", "coalesced batches executed", float64(st.Batches), "model", m)
 		p.Counter("repro_dedup_saved_total", "sentences answered by the dedup layer without a model invocation", float64(st.DedupSaved), "model", m)
+		p.Counter("repro_memo_hits_total", "gate-passed sentences the token memo answered without a model invocation", float64(st.MemoHits), "model", m)
+		p.Gauge("repro_memo_entries", "token sequences the verdict memo holds (0: the model does not memoize)", float64(st.MemoEntries), "model", m)
 		p.Counter("repro_shed_total", "requests refused by admission control or the queue-wait budget (429)", float64(st.Shed), "model", m)
 		p.Counter("repro_expired_total", "requests whose deadline passed while queued (504)", float64(st.Expired), "model", m)
 		p.Counter("repro_degraded_total", "sentences answered by the brownout fallback tier", float64(st.Degraded), "model", m)

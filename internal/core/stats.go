@@ -22,9 +22,17 @@ type EngineStats struct {
 	Requests  int64 `json:"requests"`
 	Sentences int64 `json:"sentences"`
 	// Batches counts coalesced batches executed; DedupSaved counts sentences
-	// the sentence-dedup layer answered without a model invocation.
+	// the sentence-dedup layer answered without a model invocation: repeats
+	// of an identical string within one batch.
 	Batches    int64 `json:"batches"`
 	DedupSaved int64 `json:"dedup_saved"`
+	// MemoHits counts distinct sentences the cascade gate passed that the
+	// token memo answered without a model invocation: their token sequence
+	// was answered earlier in the batch or held by the memo. MemoEntries is
+	// the number of token sequences the memo holds; both stay 0 for a model
+	// that does not memoize (a remote one, or a foreign Detector).
+	MemoHits    int64 `json:"memo_hits"`
+	MemoEntries int   `json:"memo_entries"`
 	// Shed counts requests refused by admission control, the queue-wait
 	// budget, or a model that refused their batch, as a fleet front's does
 	// when every replica it tried shed it (the 429 Retry-After path);
@@ -77,13 +85,14 @@ func (s *statsRecorder) enqueued(sentences, queueLen int) {
 }
 
 // ranBatch records one executed batch, which a worker began at started: each
-// live job's queue wait, the model time, and how many sentences deduplication
-// answered for free.
-func (s *statsRecorder) ranBatch(live []*detectJob, started time.Time, dedupSaved int) {
+// live job's queue wait, the model time, and how many sentences
+// deduplication and the token memo answered for free.
+func (s *statsRecorder) ranBatch(live []*detectJob, started time.Time, dedupSaved, memoHits int) {
 	compute := time.Since(started)
 	s.mu.Lock()
 	s.st.Batches++
 	s.st.DedupSaved += int64(dedupSaved)
+	s.st.MemoHits += int64(memoHits)
 	for _, j := range live {
 		s.st.queueWait.Observe(float64(started.Sub(j.enqueued)) / float64(time.Millisecond))
 	}
@@ -131,14 +140,16 @@ func (s *statsRecorder) computeP50() time.Duration {
 	return time.Duration(s.st.compute.Quantile(0.50) * float64(time.Millisecond))
 }
 
-// snapshot renders the recorder as EngineStats. queueLen and brownoutActive
-// are sampled by the caller (they live on the engine, not the recorder).
-func (s *statsRecorder) snapshot(queueLen int, brownoutActive bool) EngineStats {
+// snapshot renders the recorder as EngineStats. queueLen, brownoutActive
+// and memoEntries are sampled by the caller (they live on the engine, not
+// the recorder).
+func (s *statsRecorder) snapshot(queueLen int, brownoutActive bool, memoEntries int) EngineStats {
 	s.mu.Lock()
 	st := s.st
 	s.mu.Unlock()
 	st.QueueLen = queueLen
 	st.BrownoutActive = brownoutActive
+	st.MemoEntries = memoEntries
 	st.CascadePassed = st.CascadeEvaluated - st.CascadeShort
 	if st.Batches > 0 {
 		st.BatchOccupancy = float64(st.Sentences) / float64(st.Batches)

@@ -21,7 +21,13 @@
 // saturated replica is queued for, not ejected.
 //
 // The cascade gate stays on the replicas. It gates each sentence on its own,
-// so it answers the same on either side of the hop.
+// so it answers the same on either side of the hop. So does the token memo,
+// and the front does not memoize: core's engine memoizes a model verdict by
+// the line's token sequence, behind the gate, because the gate parses the
+// raw string and two lines with one token sequence can take different gate
+// routes. What a front receives is the replicas' answers, gate verdicts
+// among them, and those are not a function of the tokens. core keeps no memo
+// for a remote (FallibleDetector) model.
 //
 // The cost of the split: the front is the fleet's one stateful process, and a
 // front restart loses its trace windows as a replica restart did when the

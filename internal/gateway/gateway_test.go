@@ -774,6 +774,13 @@ func TestGatewayMetricsExposition(t *testing.T) {
 			t.Errorf("repro_gateway_%s = %v on a healthy fleet, want 0", name, v)
 		}
 	}
+	// The front's engine wraps remote detectors, whose answers include the
+	// replicas' gate verdicts: it keeps no memo.
+	for _, name := range []string{"repro_memo_entries", "repro_memo_hits_total"} {
+		if v := metricValue(t, text, name+`{model="default"}`); v != 0 {
+			t.Errorf("%s = %v on the front, want 0", name, v)
+		}
+	}
 	forwarded := 0.0
 	for _, r := range f {
 		forwarded += metricValue(t, text, fmt.Sprintf("repro_gateway_forwarded_total{replica=%q}", r.srv.URL))
