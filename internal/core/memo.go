@@ -132,6 +132,7 @@ func appendField(dst []byte, f string) []byte {
 			if b := tokenizer.NumBucket(v); b < 0 {
 				dst = appendToken(dst, "[UNK]")
 			} else {
+				// memoDict codes "<numB>" as "<num0>"'s code + B.
 				dst = append(dst, memoDict["<num0>"]+byte(b))
 			}
 		} else {
