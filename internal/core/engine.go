@@ -159,10 +159,9 @@ func newEngine(name string, det Detector, cfg BatchConfig) *engine {
 		jobs: make(chan *detectJob, cfg.QueueDepth),
 	}
 	e.infer, e.usesWS = resolveInfer(det)
-	if _, remote := det.(FallibleDetector); !remote {
-		if _, ok := det.(tokenKeyed); ok {
-			e.memo = newVerdictMemo()
-		}
+	_, remote := det.(FallibleDetector)
+	if _, ok := det.(tokenKeyed); ok && !remote {
+		e.memo = newVerdictMemo()
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)

@@ -173,7 +173,7 @@ func parseNumeral(f string) (float64, bool) {
 
 // memoCapacity is the number of token sequences one engine's memo holds.
 // Full, it holds about 0.5 MB: 4 096 keys of ~27 bytes, their slots and the
-// index (docs/PERFORMANCE.md, "PR 41").
+// index (docs/PERFORMANCE.md, "a token-keyed verdict memo").
 const memoCapacity = 4096
 
 // verdictMemo is a fixed-capacity map from memo keys to the model's Result
