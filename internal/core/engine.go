@@ -134,7 +134,7 @@ type engine struct {
 	stats    statsRecorder
 	gate     atomic.Pointer[cascade.Gate] // nil: cascade off
 	fallback atomic.Pointer[Detector]     // nil: no brownout tier
-	memo     *verdictMemo                 // nil: det is not tokenKeyed, or runs remotely
+	memo     *verdictMemo                 // nil: det is not tokenKeyed
 	brown    brownout
 	jobs     chan *detectJob // the whole backlog: nothing waits anywhere else
 
@@ -159,8 +159,7 @@ func newEngine(name string, det Detector, cfg BatchConfig) *engine {
 		jobs: make(chan *detectJob, cfg.QueueDepth),
 	}
 	e.infer, e.usesWS = resolveInfer(det)
-	_, remote := det.(FallibleDetector)
-	if _, ok := det.(tokenKeyed); ok && !remote {
+	if _, ok := det.(tokenKeyed); ok {
 		e.memo = newVerdictMemo()
 	}
 	for i := 0; i < cfg.Workers; i++ {

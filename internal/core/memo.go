@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/flowbench"
@@ -31,8 +30,8 @@ import (
 // function of tokenizer.Tokenize(sentence) alone: the built-in SFT and ICL
 // detectors, which encode exactly those tokens (the ICL prompt appends the
 // query after a space, so its tokens continue the prefix's). An engine
-// memoizes only these, and only when their call runs in process: a remote
-// detector's answers carry its replicas' gate verdicts.
+// memoizes only these. A fleet front's detector is not one of them: its
+// answers carry its replicas' gate verdicts.
 type tokenKeyed interface {
 	tokenKeyed()
 }
@@ -69,112 +68,23 @@ func appendToken(dst []byte, tok string) []byte {
 	return append(dst, tok...)
 }
 
-// appendMemoKey appends s's memo key to dst. ASCII text is tokenized here
-// as Tokenize does, without allocating; other text goes through Tokenize.
-// FuzzMemoKey holds the two paths to one answer.
+// appendMemoKey appends s's memo key to dst.
 func appendMemoKey(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 0x80 {
-			for _, tok := range tokenizer.Tokenize(s) {
-				dst = appendToken(dst, tok)
-			}
-			return dst
-		}
-	}
-	for i := 0; i < len(s); {
-		for i < len(s) && isASCIISpace(s[i]) {
-			i++
-		}
-		j := i
-		for j < len(s) && !isASCIISpace(s[j]) {
-			j++
-		}
-		if j > i {
-			dst = appendField(dst, s[i:j])
-		}
-		i = j
+	for _, tok := range tokenizer.Tokenize(s) {
+		dst = appendToken(dst, tok)
 	}
 	return dst
 }
 
-// isASCIISpace reports the ASCII bytes strings.Fields splits on.
-func isASCIISpace(c byte) bool {
-	switch c {
-	case ' ', '\t', '\n', '\v', '\f', '\r':
-		return true
-	}
-	return false
-}
-
-// isPunct is the tokenizer's punctuation set: a field's leading and
-// trailing punctuation bytes are tokens of their own.
-func isPunct(c byte) bool { return strings.IndexByte(",.:;?!()\"'", c) >= 0 }
-
-// appendField appends the codes of one whitespace-free ASCII field's
-// tokens: its leading punctuation, a numeral's sign and magnitude bucket or
-// the lowercased word, then its trailing punctuation.
-func appendField(dst []byte, f string) []byte {
-	for len(f) > 0 && isPunct(f[0]) {
-		dst = appendToken(dst, f[:1])
-		f = f[1:]
-	}
-	end := len(f)
-	for end > 0 && isPunct(f[end-1]) {
-		end--
-	}
-	f, trail := f[:end], f[end:]
-	if len(f) > 0 {
-		if v, ok := parseNumeral(f); ok {
-			if v < 0 {
-				dst = appendToken(dst, "-")
-				v = -v
-			}
-			if b := tokenizer.NumBucket(v); b < 0 {
-				dst = appendToken(dst, "[UNK]")
-			} else {
-				// memoDict codes "<numB>" as "<num0>"'s code + B.
-				dst = append(dst, memoDict["<num0>"]+byte(b))
-			}
-		} else {
-			// Lowercase the word into dst as a literal, then swap in its
-			// one-byte code if it has one.
-			at := len(dst)
-			dst = binary.AppendUvarint(append(dst, 0), uint64(len(f)))
-			word := len(dst)
-			for k := 0; k < len(f); k++ {
-				c := f[k]
-				if 'A' <= c && c <= 'Z' {
-					c += 'a' - 'A'
-				}
-				dst = append(dst, c)
-			}
-			if c, ok := memoDict[string(dst[word:])]; ok {
-				dst = append(dst[:at], c)
-			}
-		}
-	}
-	for k := 0; k < len(trail); k++ {
-		dst = appendToken(dst, trail[k:k+1])
-	}
-	return dst
-}
-
-// parseNumeral is strconv.ParseFloat for a field Tokenize would read as a
-// numeral, without the error ParseFloat allocates for a word: a field that
-// begins with a letter parses only as an infinity or a NaN.
-func parseNumeral(f string) (float64, bool) {
-	if c := f[0] | 0x20; 'a' <= c && c <= 'z' &&
-		!strings.EqualFold(f, "inf") && !strings.EqualFold(f, "infinity") && !strings.EqualFold(f, "nan") {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(f, 64)
-	return v, err == nil
-}
-
-// memoCapacity is the number of token sequences one engine's memo holds.
-// Full, it holds about 0.5 MB: 4 096 keys of ~27 bytes, their slots and the
-// index (docs/PERFORMANCE.md, "a token-keyed verdict memo").
-const memoCapacity = 4096
+// memoCapacity is the number of token sequences one engine's memo holds,
+// and memoMaxKey the longest key it keeps: a longer line is answered by the
+// model every time it arrives in a new batch. Full of Genome keys (~27
+// bytes) the memo holds about 0.5 MB, and at most about 1.5 MB whatever the
+// keys (docs/PERFORMANCE.md, "a token-keyed verdict memo").
+const (
+	memoCapacity = 4096
+	memoMaxKey   = 256
+)
 
 // verdictMemo is a fixed-capacity map from memo keys to the model's Result
 // with CLOCK eviction, as the suffix tree's (transformer/suffixtree.go). The
@@ -214,12 +124,16 @@ func (m *verdictMemo) lookup(keys []string, res []Result) (miss []int) {
 	return miss
 }
 
-// insert records res[i] under keys[i] for every i in idx. A key another
-// worker inserted meanwhile keeps its slot: both computed the same bits.
+// insert records res[i] under keys[i] for every i in idx whose key is at
+// most memoMaxKey bytes. A key another worker inserted meanwhile keeps its
+// slot: both computed the same bits.
 func (m *verdictMemo) insert(keys []string, res []Result, idx []int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, i := range idx {
+		if len(keys[i]) > memoMaxKey {
+			continue
+		}
 		if _, ok := m.index[keys[i]]; ok {
 			continue
 		}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
-	"repro/internal/tokenizer"
 )
 
 // sameResult reports whether two results carry the same label and score
@@ -102,21 +101,10 @@ func TestMemoKeepsGateRoutes(t *testing.T) {
 	}
 }
 
-// remoteSFT is an in-process SFT detector behind the FallibleDetector
-// interface, as a fleet front's remote detector is: it inherits the SFT
-// detector's tokenKeyed marker.
-type remoteSFT struct{ *sftDetector }
-
-func (d remoteSFT) TryDetectBatch(sentences []string) ([]Result, error) {
-	return d.DetectBatch(sentences), nil
-}
-
 // TestMemoCountsAndExposition serves lines that repeat exactly and lines
 // that only tokenize alike, and checks what the memo answered: an exact
 // repeat is dedup's, a token repeat — in the batch or after it — the memo's,
-// in EngineStats and on /metrics. A detector whose call is remote keeps no
-// memo, even one that is tokenKeyed: a fleet front receives its replicas'
-// gate verdicts, which are not a function of the tokens.
+// in EngineStats and on /metrics.
 func TestMemoCountsAndExposition(t *testing.T) {
 	det, ds := detector(t)
 	a, b := logparse.Sentence(ds.Test[0]), logparse.Sentence(ds.Test[1])
@@ -166,11 +154,36 @@ func TestMemoCountsAndExposition(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
 	}
+}
 
-	e := newEngine("front", remoteSFT{det.(*sftDetector)}, BatchConfig{Workers: 1})
-	defer e.Close()
-	if e.memo != nil {
-		t.Fatal("an engine over a remote detector keeps a memo")
+// TestMemoSkipsLongKeys serves a line whose key is longer than memoMaxKey in
+// two batches: the model answers it both times with the bits it gives the
+// line alone, and the memo keeps nothing, so no client can pin more than
+// memoCapacity × memoMaxKey bytes of keys.
+func TestMemoSkipsLongKeys(t *testing.T) {
+	det, ds := detector(t)
+	long := logparse.Sentence(ds.Test[0]) + " " + strings.Repeat("x", memoMaxKey)
+	if n := len(memoKey(long)); n <= memoMaxKey {
+		t.Fatalf("fixture key is %d bytes, not over %d", n, memoMaxKey)
+	}
+	want := det.DetectBatch([]string{long})[0]
+	srv := NewServerWith(det, BatchConfig{MaxBatch: 8, Workers: 1})
+	defer srv.Close()
+	for range 2 {
+		got, err := srv.DetectContext(context.Background(), []string{long})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got[0], want) {
+			t.Errorf("served %+v, alone %+v", got[0], want)
+		}
+	}
+	st, err := srv.Registry().Stats(DefaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.MemoHits != 0 || st.MemoEntries != 0 {
+		t.Fatalf("memo_hits %d, memo_entries %d after a long line twice; want 0, 0", st.MemoHits, st.MemoEntries)
 	}
 }
 
@@ -218,29 +231,3 @@ func TestVerdictMemoBounded(t *testing.T) {
 
 // memoKey is a sentence's whole memo key.
 func memoKey(s string) string { return string(appendMemoKey(nil, s)) }
-
-// FuzzMemoKey holds appendMemoKey's allocation-free tokenizer to
-// tokenizer.Tokenize: its key must equal the codes of Tokenize's tokens,
-// whatever the text.
-func FuzzMemoKey(f *testing.F) {
-	for _, s := range []string{
-		"wms_delay is 6.0 queue_delay is 22.0 runtime is 1234567",
-		"WMS_DELAY is 6.0, Queue_Delay is -0.0 (runtime) is +1e3 ...",
-		`"quoted" 'single' ?! ;: -5 - -x 1st 0x1P-2 0X1p-2 1_000 .5 5.`,
-		"inf -Inf +INFINITY nan NaN -nan infx in i n <num5> [UNK] [unk] is IS",
-		"\ttabs\nand\vfeeds\fand\rreturns  ",
-		"ünïcode Straße ǅ 6.0 nbsp\u0085nel K",
-		"", " ", ",", "((()))", "1e400 -1e400 1e-400 0.000001",
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		var want []byte
-		for _, tok := range tokenizer.Tokenize(s) {
-			want = appendToken(want, tok)
-		}
-		if got := appendMemoKey(nil, s); string(got) != string(want) {
-			t.Fatalf("key of %q is %q, its Tokenize tokens %q code as %q", s, got, tokenizer.Tokenize(s), want)
-		}
-	})
-}
