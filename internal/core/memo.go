@@ -79,7 +79,7 @@ func appendMemoKey(dst []byte, s string) []byte {
 // memoCapacity is the number of token sequences one engine's memo holds,
 // and memoMaxKey the longest key it keeps: a longer line is answered by the
 // model every time it arrives in a new batch. Full of Genome keys (~27
-// bytes) the memo holds about 0.5 MB, and at most about 1.5 MB whatever the
+// bytes) the memo holds about 0.5 MB, and at most about 1.4 MB whatever the
 // keys (docs/PERFORMANCE.md, "a token-keyed verdict memo").
 const (
 	memoCapacity = 4096

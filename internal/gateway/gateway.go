@@ -26,8 +26,8 @@
 // the line's token sequence, behind the gate, because the gate parses the
 // raw string and two lines with one token sequence can take different gate
 // routes. What a front receives is the replicas' answers, gate verdicts
-// among them, and those are not a function of the tokens. core keeps no memo
-// for a remote (FallibleDetector) model.
+// among them, and those are not a function of the tokens; core memoizes
+// only its own in-process SFT and ICL detectors.
 //
 // The cost of the split: the front is the fleet's one stateful process, and a
 // front restart loses its trace windows as a replica restart did when the
