@@ -2,6 +2,10 @@ package tokenizer
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -38,6 +42,64 @@ func FuzzLoad(f *testing.F) {
 		ids := tok.Encode("alpha 42 unseen-token", true)
 		if tok.Decode(ids) == "" {
 			t.Fatal("loaded vocabulary decodes a wrapped sentence to nothing")
+		}
+	})
+}
+
+// tokenizeReference is Tokenize as it was before it stopped allocating per
+// field: strings.Fields, strconv.ParseFloat on every field and
+// fmt.Sprintf for the bucket token. FuzzTokenizeMatchesReference holds the
+// two to one answer.
+func tokenizeReference(text string) []string {
+	var out []string
+	for _, f := range strings.Fields(strings.ToLower(text)) {
+		for len(f) > 0 && isPunct(f[0]) {
+			out = append(out, string(f[0]))
+			f = f[1:]
+		}
+		var trail []string
+		for len(f) > 0 && isPunct(f[len(f)-1]) {
+			trail = append([]string{string(f[len(f)-1])}, trail...)
+			f = f[:len(f)-1]
+		}
+		if len(f) > 0 {
+			if v, err := strconv.ParseFloat(f, 64); err == nil {
+				if v < 0 {
+					out = append(out, "-")
+					v = -v
+				}
+				if b := NumBucket(v); b < 0 {
+					out = append(out, "[UNK]")
+				} else {
+					out = append(out, fmt.Sprintf("<num%d>", b))
+				}
+			} else {
+				out = append(out, f)
+			}
+		}
+		out = append(out, trail...)
+	}
+	return out
+}
+
+// FuzzTokenizeMatchesReference holds Tokenize to tokenizeReference on any
+// text.
+func FuzzTokenizeMatchesReference(f *testing.F) {
+	for _, s := range []string{
+		"wms_delay is 6.0 queue_delay is 22.0 runtime is 1234567",
+		"WMS_DELAY is 6.0, Queue_Delay is -0.0 (runtime) is +1e3 ...",
+		`"quoted" 'single' ?! ;: -5 - -x 1st 0x1P-2 0X1p-2 1_000 0x1_0p0 .5 5.`,
+		"inf -Inf +INFINITY nan NaN -nan +nan infx infin in i n <num5> [UNK] is IS",
+		"\ttabs\nand\vfeeds\fand\rreturns  ",
+		"ünïcode Straße ǅ İnf 6.0 nbsp nel\u0085 K \xff\xfe bad",
+		"", " ", ",", "((()))", "1e400 -1e400 1e-400 0.000001",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := Tokenize(s), tokenizeReference(s)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", s, got, want)
 		}
 	})
 }

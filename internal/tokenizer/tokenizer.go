@@ -78,16 +78,25 @@ func NumToken(v float64) string {
 	if b < 0 {
 		return "[UNK]"
 	}
-	return fmt.Sprintf("<num%d>", b)
+	return numTokens[b]
 }
+
+// numTokens[b] is bucket b's token, "<numB>".
+var numTokens = func() (t [NumBuckets]string) {
+	for b := range t {
+		t[b] = "<num" + strconv.Itoa(b) + ">"
+	}
+	return t
+}()
 
 // Tokenize splits text into word tokens: lowercased whitespace-delimited
 // words, with trailing punctuation split off and numerals replaced by
-// magnitude buckets.
+// magnitude buckets. Beyond the result slice it allocates nothing for text
+// with no upper-case letter: the memo key and the encoder call it on every
+// served line.
 func Tokenize(text string) []string {
-	fields := strings.Fields(strings.ToLower(text))
 	var out []string
-	for _, f := range fields {
+	for f := range strings.FieldsSeq(strings.ToLower(text)) {
 		out = appendWordTokens(out, f)
 	}
 	return out
@@ -96,16 +105,16 @@ func Tokenize(text string) []string {
 func appendWordTokens(out []string, f string) []string {
 	// Split leading/trailing punctuation into standalone tokens.
 	for len(f) > 0 && isPunct(f[0]) {
-		out = append(out, string(f[0]))
+		out = append(out, f[:1])
 		f = f[1:]
 	}
-	var trail []string
-	for len(f) > 0 && isPunct(f[len(f)-1]) {
-		trail = append([]string{string(f[len(f)-1])}, trail...)
-		f = f[:len(f)-1]
+	end := len(f)
+	for end > 0 && isPunct(f[end-1]) {
+		end--
 	}
+	f, trail := f[:end], f[end:]
 	if len(f) > 0 {
-		if v, err := strconv.ParseFloat(f, 64); err == nil {
+		if v, ok := parseNumeral(f); ok {
 			if v < 0 {
 				out = append(out, "-")
 				v = -v
@@ -115,7 +124,21 @@ func appendWordTokens(out []string, f string) []string {
 			out = append(out, f)
 		}
 	}
-	return append(out, trail...)
+	for i := range len(trail) {
+		out = append(out, trail[i:i+1])
+	}
+	return out
+}
+
+// parseNumeral is strconv.ParseFloat for a lowercased field, without the
+// error ParseFloat allocates for a word: a field that begins with an ASCII
+// letter parses only as an infinity or a NaN.
+func parseNumeral(f string) (float64, bool) {
+	if c := f[0]; 'a' <= c && c <= 'z' && f != "inf" && f != "infinity" && f != "nan" {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(f, 64)
+	return v, err == nil
 }
 
 func isPunct(b byte) bool {
