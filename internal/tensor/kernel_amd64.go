@@ -29,3 +29,10 @@ func softmaxExpLanes(row *float32, n int, scale, maxv float32)
 
 //go:noescape
 func scaleLanes(row *float32, n int, s float32)
+
+// peakMulAdd and peakMaddubs are the ceilings BenchmarkPeak measures (fp32
+// multiply-add and int8 multiply-accumulate issue rate); nothing else calls
+// them.
+func peakMulAdd(n int)
+
+func peakMaddubs(n int)

@@ -204,3 +204,86 @@ dotfold:
 	DECQ    DX
 	JNZ     dotgroup
 	RET
+
+// func peakMulAdd(n int)
+//
+// The fp32 ceiling BenchmarkPeak measures: n rounds of seven independent
+// 256-bit VMULPS + VADDPS pairs, the instruction mix of the two microkernels
+// above (eight lanes, two flops a lane per pair). Only the seven
+// accumulators carry a dependence from round to round, so the loop is bound
+// by issue rate, not latency. All operands are zero: no denormal slows it.
+TEXT ·peakMulAdd(SB), NOSPLIT, $0-8
+	MOVQ   n+0(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+peakfp:
+	VMULPS Y0, Y0, Y8
+	VMULPS Y0, Y0, Y9
+	VMULPS Y0, Y0, Y10
+	VMULPS Y0, Y0, Y11
+	VMULPS Y0, Y0, Y12
+	VMULPS Y0, Y0, Y13
+	VMULPS Y0, Y0, Y14
+	VADDPS Y8, Y1, Y1
+	VADDPS Y9, Y2, Y2
+	VADDPS Y10, Y3, Y3
+	VADDPS Y11, Y4, Y4
+	VADDPS Y12, Y5, Y5
+	VADDPS Y13, Y6, Y6
+	VADDPS Y14, Y7, Y7
+	DECQ   CX
+	JNZ    peakfp
+	VZEROUPPER
+	RET
+
+// func peakMaddubs(n int)
+//
+// The int8 ceiling BenchmarkPeak measures: n rounds of six independent
+// VPMADDUBSW + VPMADDWD + VPADDD chains, the multiply-accumulate of an
+// unsigned by a signed byte vector into eight int32 sums (32 byte products,
+// so 64 integer operations, per chain). Only the six accumulators carry a
+// dependence from round to round. The bytes are all ones (255 as u8, -1 as
+// s8): each pair sums to -510, far from the i16 saturation VPMADDUBSW does.
+// The three are AVX2 on Y registers, so it runs only where useLanes.
+TEXT ·peakMaddubs(SB), NOSPLIT, $0-8
+	MOVQ     n+0(FP), CX
+	VPCMPEQB Y0, Y0, Y0
+	VPCMPEQW Y15, Y15, Y15
+	VPSRLW   $15, Y15, Y15     // sixteen int16 ones
+	VPXOR    Y7, Y7, Y7
+	VPXOR    Y8, Y8, Y8
+	VPXOR    Y9, Y9, Y9
+	VPXOR    Y10, Y10, Y10
+	VPXOR    Y11, Y11, Y11
+	VPXOR    Y12, Y12, Y12
+
+peakq8:
+	VPMADDUBSW Y0, Y0, Y1
+	VPMADDUBSW Y0, Y0, Y2
+	VPMADDUBSW Y0, Y0, Y3
+	VPMADDUBSW Y0, Y0, Y4
+	VPMADDUBSW Y0, Y0, Y5
+	VPMADDUBSW Y0, Y0, Y6
+	VPMADDWD   Y15, Y1, Y1
+	VPMADDWD   Y15, Y2, Y2
+	VPMADDWD   Y15, Y3, Y3
+	VPMADDWD   Y15, Y4, Y4
+	VPMADDWD   Y15, Y5, Y5
+	VPMADDWD   Y15, Y6, Y6
+	VPADDD     Y1, Y7, Y7
+	VPADDD     Y2, Y8, Y8
+	VPADDD     Y3, Y9, Y9
+	VPADDD     Y4, Y10, Y10
+	VPADDD     Y5, Y11, Y11
+	VPADDD     Y6, Y12, Y12
+	DECQ       CX
+	JNZ        peakq8
+	VZEROUPPER
+	RET

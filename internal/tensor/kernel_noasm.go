@@ -23,3 +23,7 @@ func softmaxExpLanes(row *float32, n int, scale, maxv float32) {
 }
 
 func scaleLanes(row *float32, n int, s float32) { panic("tensor: scaleLanes is amd64-only") }
+
+func peakMulAdd(n int) { panic("tensor: peakMulAdd is amd64-only") }
+
+func peakMaddubs(n int) { panic("tensor: peakMaddubs is amd64-only") }

@@ -260,7 +260,9 @@ func TestMatMulQ8Allocations(t *testing.T) {
 
 // BenchmarkMatMulQ8 vs BenchmarkMatMulBlockedFP32 compares the int8 kernel
 // against the fp32 cache-blocked kernel on the packed-batch shape the serving
-// path feeds them (tall activations against square weights).
+// path feeds them (tall activations against square weights). Each reports
+// frac_of_peak: its operations a second (two per multiply-add) over
+// BenchmarkPeak's matching ceiling at the same -cpu.
 func benchmarkQ8(b *testing.B, m, in, out int) {
 	x := randomMatrix(m, in, 1, 1)
 	w := randomMatrix(in, out, 2, 1)
@@ -273,6 +275,8 @@ func benchmarkQ8(b *testing.B, m, in, out int) {
 		ws.Reset()
 		MatMulQ8(dst, x, q, ws)
 	}
+	b.StopTimer()
+	reportFracOfPeak(b, peakInt8, 2*float64(m*in*out))
 }
 
 func benchmarkFP32(b *testing.B, m, in, out int) {
@@ -284,6 +288,8 @@ func benchmarkFP32(b *testing.B, m, in, out int) {
 	for i := 0; i < b.N; i++ {
 		MatMulBlocked(dst, x, w)
 	}
+	b.StopTimer()
+	reportFracOfPeak(b, peakFP32, 2*float64(m*in*out))
 }
 
 func BenchmarkMatMulQ8Tall(b *testing.B)   { benchmarkQ8(b, 512, 128, 128) }
