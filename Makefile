@@ -70,4 +70,5 @@ fuzz-smoke:
 	$(GO) test ./internal/metrics -run '^$$' -fuzz '^FuzzPromWriterLabels$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzKernelsMatchReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzElementwiseMatchReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzMatMulQ8MatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transformer -run '^$$' -fuzz '^FuzzSharedForward$$' -fuzztime $(FUZZTIME)

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -54,5 +55,46 @@ func FuzzElementwiseMatchReference(f *testing.F) {
 			c.raw = append(c.raw, binary.LittleEndian.Uint32(raw))
 		}
 		c.check(t)
+	})
+}
+
+// FuzzMatMulQ8MatchesReference lets the fuzzer pick the row count, In, Out,
+// the scale-block length, the input seed and whether the AVX routines run,
+// and holds MatMulQ8 (with and without a workspace) and MatMulQ8Pre to the
+// integer reference refMatMulQ8 bit for bit, each writing into a window of a
+// guard-filled array that must come back untouched outside the window.
+func FuzzMatMulQ8MatchesReference(f *testing.F) {
+	requireBitExactArch(f)
+	// rows, in, out, block, seed, avx
+	f.Add(uint8(1), uint16(96), uint16(96), uint16(64), uint64(1), true)
+	f.Add(uint8(32), uint16(96), uint16(192), uint16(64), uint64(2), true)
+	f.Add(uint8(27), uint16(192), uint16(96), uint16(64), uint64(3), false)
+	f.Add(uint8(5), uint16(48), uint16(7), uint16(64), uint64(4), true)
+	f.Add(uint8(3), uint16(50), uint16(5), uint16(17), uint64(5), true)
+	f.Add(uint8(2), uint16(33), uint16(1), uint16(8), uint64(6), true)
+	f.Add(uint8(4), uint16(80), uint16(13), uint16(16), uint64(7), true)
+	f.Add(uint8(0), uint16(16), uint16(4), uint16(64), uint64(8), true)
+	f.Fuzz(func(t *testing.T, rows uint8, in, out, block uint16, seed uint64, avx bool) {
+		m, n, o, blk := int(rows%40), 1+int(in%320), 1+int(out%200), 1+int(block%320)
+		defer func(was bool) { useAVX = was }(useAVX)
+		useAVX = avx && avxDetected
+		x := randomMatrix(m, n, seed, 1)
+		q := QuantizeInt8(randomMatrix(n, o, ^seed, 0.5), blk)
+		want := carve(m, o, int(seed%5), seed&8 != 0)
+		copy(want.m.Data, refMatMulQ8(x, q).Data)
+		ws := NewWorkspace()
+		for _, call := range []struct {
+			name string
+			run  func(dst *Matrix)
+		}{
+			{"MatMulQ8", func(dst *Matrix) { MatMulQ8(dst, x, q, nil) }},
+			{"MatMulQ8/ws", func(dst *Matrix) { MatMulQ8(dst, x, q, ws) }},
+			{"MatMulQ8Pre", func(dst *Matrix) { MatMulQ8Pre(dst, QuantizeRowsQ8(x, blk, ws), q) }},
+		} {
+			got := carve(m, o, int(seed%5), seed&8 != 0)
+			call.run(got.m)
+			requireSameBacking(t, fmt.Sprintf("%s rows=%d in=%d out=%d block=%d seed=%d avx=%v", call.name, m, n, o, blk, seed, useAVX),
+				got.backing, want.backing)
+		}
 	})
 }

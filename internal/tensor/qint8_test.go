@@ -306,3 +306,112 @@ func BenchmarkMatMulQ8Bert(b *testing.B)     { benchmarkQ8(b, 384, 48, 96) }
 func BenchmarkMatMulFP32Bert(b *testing.B)   { benchmarkFP32(b, 384, 48, 96) }
 func BenchmarkMatMulQ8Bert64(b *testing.B)   { benchmarkQ8(b, 384, 64, 128) }
 func BenchmarkMatMulFP32Bert64(b *testing.B) { benchmarkFP32(b, 384, 64, 128) }
+
+// TestMatMulQ8SaturationEdge runs the int8 kernel where a 16-bit pair sum of
+// byte products is largest: every weight and activation code is ±127, with
+// each channel's weight signs those of the activations (even channels) or
+// their opposite (odd channels), so every product is ±127·127 and every pair
+// of adjacent products sums to ±32 258, 509 short of int16's limit. A byte
+// multiply-add that offsets the activations to unsigned bytes instead (up to
+// 255·127 per product) saturates here. The shapes are the served In = 96 (a
+// full 64-block and a 32-long tail) and 192 (three full blocks); both paths
+// must match the integer reference bit for bit, and the reference must read
+// ±In, the exact dot product of ±1 rows.
+func TestMatMulQ8SaturationEdge(t *testing.T) {
+	requireBitExactArch(t)
+	defer func(was bool) { useAVX = was }(useAVX)
+	for _, in := range []int{96, 192} {
+		const rows, out = 3, 9
+		x := New(rows, in)
+		w := New(in, out)
+		for k := 0; k < in; k++ {
+			sign := float32(1)
+			if (k*7+k/5)%3 == 0 {
+				sign = -1
+			}
+			for i := 0; i < rows; i++ {
+				x.Set(i, k, sign)
+			}
+			for j := 0; j < out; j++ {
+				w.Set(k, j, sign*float32(1-2*(j%2)))
+			}
+		}
+		q := QuantizeInt8(w, QInt8Block)
+		for _, c := range q.Codes() {
+			if c != 127 && c != -127 {
+				t.Fatalf("In=%d: weight code %d, want ±127", in, c)
+			}
+		}
+		want := refMatMulQ8(x, q)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < out; j++ {
+				exact := float64(in * (1 - 2*(j%2)))
+				if got := float64(want.At(i, j)); math.Abs(got-exact) > 1e-3*float64(in) {
+					t.Fatalf("In=%d: reference [%d,%d] = %v, want ≈ %v", in, i, j, got, exact)
+				}
+			}
+		}
+		for _, avx := range kernelPaths() {
+			useAVX = avx
+			if got := MatMulQ8(nil, x, q, nil); !got.Equal(want) {
+				t.Fatalf("In=%d useAVX=%v: MatMulQ8 differs from the integer reference at the saturation edge", in, avx)
+			}
+			if got := MatMulQ8Pre(nil, QuantizeRowsQ8(x, q.Block, nil), q); !got.Equal(want) {
+				t.Fatalf("In=%d useAVX=%v: MatMulQ8Pre differs from the integer reference at the saturation edge", in, avx)
+			}
+		}
+	}
+}
+
+// TestMatMulQ8NonFiniteRows pins what an activation row holding NaN or ±Inf
+// computes. Quantizing such an element converts a NaN (x·inv for a NaN x, or
+// ∞·0 for an infinite one) to int32, which on amd64 yields MinInt32, and the
+// code is its low byte, 0. So a NaN element counts as a zero activation (the
+// row's scale comes from its finite elements: the absmax comparison is false
+// for NaN), an all-NaN row computes +0 everywhere, and an infinite element
+// makes the row's scale +Inf and every other code 0, so every output of its
+// row is 0·∞ = NaN.
+func TestMatMulQ8NonFiniteRows(t *testing.T) {
+	requireBitExactArch(t)
+	defer func(was bool) { useAVX = was }(useAVX)
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, in := range []int{96, 50} {
+		const out = 10
+		q := QuantizeInt8(randomMatrix(in, out, 31, 0.5), QInt8Block)
+		x := randomMatrix(6, in, 32, 1)
+		zeroed := x.Clone()
+		x.Set(0, 3, nan)
+		x.Set(0, in-1, nan)
+		zeroed.Set(0, 3, 0)
+		zeroed.Set(0, in-1, 0)
+		for k := 0; k < in; k++ {
+			x.Set(1, k, nan)
+			zeroed.Set(1, k, 0)
+		}
+		x.Set(2, in/2, inf)
+		x.Set(3, 0, -inf)
+		x.Set(4, 1, inf)
+		x.Set(4, 2, nan)
+		for _, avx := range kernelPaths() {
+			useAVX = avx
+			want := MatMulQ8(nil, zeroed, q, nil)
+			for _, got := range []*Matrix{MatMulQ8(nil, x, q, nil), MatMulQ8Pre(nil, QuantizeRowsQ8(x, q.Block, nil), q)} {
+				for j := 0; j < out; j++ {
+					for _, i := range []int{0, 1, 5} {
+						if math.Float32bits(got.At(i, j)) != math.Float32bits(want.At(i, j)) {
+							t.Fatalf("In=%d useAVX=%v: row %d col %d = %v, want %v (NaN elements count as zero)", in, avx, i, j, got.At(i, j), want.At(i, j))
+						}
+					}
+					if got.At(1, j) != 0 || math.Signbit(float64(got.At(1, j))) {
+						t.Fatalf("In=%d useAVX=%v: all-NaN row col %d = %v, want +0", in, avx, j, got.At(1, j))
+					}
+					for _, i := range []int{2, 3, 4} {
+						if v := got.At(i, j); v == v {
+							t.Fatalf("In=%d useAVX=%v: row %d with an infinite element col %d = %v, want NaN", in, avx, i, j, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
