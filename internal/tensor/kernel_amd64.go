@@ -30,6 +30,21 @@ func softmaxExpLanes(row *float32, n int, scale, maxv float32)
 //go:noescape
 func scaleLanes(row *float32, n int, s float32)
 
+// dotQ8Block8 is one scale block of the int8 matmul for eight output channels
+// at a time (qint8.go); AVX2, so it runs only where useLanes.
+//
+//go:noescape
+func dotQ8Block8(dr *float32, x, w *int8, in, n int, sc *float32, nb, groups int)
+
+// absmaxLanes and quantizeLanes are quantizeRowQ8's two passes over the first
+// multiple of 8 elements of a row, where useLanes.
+//
+//go:noescape
+func absmaxLanes(x *float32, n int) float32
+
+//go:noescape
+func quantizeLanes(xq *int8, x *float32, n int, inv float32)
+
 // peakMulAdd and peakMaddubs are the ceilings BenchmarkPeak measures (fp32
 // multiply-add and int8 multiply-accumulate issue rate); nothing else calls
 // them.

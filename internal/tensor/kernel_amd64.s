@@ -6,6 +6,13 @@
 // rounds once and would change results), in the same order per element as
 // the Go loops. The wrappers in kernel.go own every bound: each pointer
 // arrives from a slice already cut to the last element touched here.
+//
+// dotQ8Block8 is the int8 matmul's block step, under qint8.go's contract:
+// its integer sums are exact in any order, and its float epilogue keeps the
+// Go loop's multiply, then add, per channel; matMulQ8Row cuts its operands.
+// absmaxLanes and quantizeLanes are the activation quantizer's two passes,
+// element for element the Go loops of quantizeRowQ8, which cuts theirs.
+// peakMulAdd and peakMaddubs, at the end, are BenchmarkPeak's ceilings.
 
 // func cpuHasAVX() bool
 //
@@ -203,6 +210,264 @@ dotfold:
 	LEAQ    (BX)(R8*4), BX
 	DECQ    DX
 	JNZ     dotgroup
+	RET
+
+// func dotQ8Block8(dr *float32, x, w *int8, in, n int, sc *float32, nb, groups int)
+//
+// One scale block of the int8 matmul (qint8.go) for one activation row and
+// 8·groups output channels, eight at a time. With w_j = w + j·in, for
+// j < 8·groups:
+//
+//	dr[j] += float32(Σ_{k<n} x[k]·w_j[k]) · sc[j·nb]
+//
+// the multiply rounded, then the add. The integer sum is exact, whatever the
+// order its 32-code chunks and lanes are added in. Per chunk VPABSB gives |x|
+// as unsigned bytes, VPSIGNB moves x's sign onto each channel's w (zeroing it
+// where x is 0), and VPMADDUBSW adds adjacent |x|·(±w) products into int16
+// lanes: no code is -128, so a pair sum is at most 2·127·127 = 32 258 and
+// never saturates. VPMADDWD by ones widens the pairs to int32 and VPADDD adds
+// them to the channel's accumulator. After the block six VPHADDD and one
+// cross-half add fold the eight accumulators into the eight sums. n is a
+// positive multiple of 16 (a last 16 runs on X registers, whose VEX forms
+// zero the upper halves the 256-bit accumulate then adds); in and nb are
+// strides in elements; groups ≥ 1. AVX2: runs only where useLanes.
+//
+// Chunk k of channel c is at AX + c·in with AX = w + k: the eight offsets
+// are in, 2·in, 3·in, 4·in, 5·in, 6·in and 7·in, from R8 = in, R9 = 3·in,
+// R10 = 5·in and R11 = 7·in scaled by 1, 2 or 4.
+TEXT ·dotQ8Block8(SB), NOSPLIT, $0-64
+	MOVQ     dr+0(FP), DI
+	MOVQ     x+8(FP), SI
+	MOVQ     w+16(FP), BX
+	MOVQ     in+24(FP), R8
+	MOVQ     n+32(FP), CX
+	MOVQ     sc+40(FP), R12
+	MOVQ     nb+48(FP), R13
+	MOVQ     groups+56(FP), DX
+	SHLQ     $2, R13           // scale stride in bytes
+	ADDQ     CX, SI            // end of x
+	ADDQ     CX, BX            // end of channel 0's block
+	LEAQ     (R8)(R8*2), R9
+	LEAQ     (R8)(R8*4), R10
+	LEAQ     (R9)(R8*4), R11
+	VPCMPEQW Y15, Y15, Y15
+	VPSRLW   $15, Y15, Y15     // sixteen int16 ones
+
+q8group:
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	MOVQ  n+32(FP), CX
+	NEGQ  CX                   // chunk offset from the block's end, up to 0
+	CMPQ  CX, $-32
+	JG    q8half
+
+q8chunk:
+	LEAQ    (BX)(CX*1), AX
+	VMOVDQU (SI)(CX*1), Y0
+	VPABSB  Y0, Y1
+	VMOVDQU    (AX), Y2
+	VPSIGNB    Y0, Y2, Y2
+	VPMADDUBSW Y2, Y1, Y2
+	VPMADDWD   Y15, Y2, Y2
+	VPADDD     Y2, Y4, Y4
+	VMOVDQU    (AX)(R8*1), Y3
+	VPSIGNB    Y0, Y3, Y3
+	VPMADDUBSW Y3, Y1, Y3
+	VPMADDWD   Y15, Y3, Y3
+	VPADDD     Y3, Y5, Y5
+	VMOVDQU    (AX)(R8*2), Y12
+	VPSIGNB    Y0, Y12, Y12
+	VPMADDUBSW Y12, Y1, Y12
+	VPMADDWD   Y15, Y12, Y12
+	VPADDD     Y12, Y6, Y6
+	VMOVDQU    (AX)(R9*1), Y13
+	VPSIGNB    Y0, Y13, Y13
+	VPMADDUBSW Y13, Y1, Y13
+	VPMADDWD   Y15, Y13, Y13
+	VPADDD     Y13, Y7, Y7
+	VMOVDQU    (AX)(R8*4), Y2
+	VPSIGNB    Y0, Y2, Y2
+	VPMADDUBSW Y2, Y1, Y2
+	VPMADDWD   Y15, Y2, Y2
+	VPADDD     Y2, Y8, Y8
+	VMOVDQU    (AX)(R10*1), Y3
+	VPSIGNB    Y0, Y3, Y3
+	VPMADDUBSW Y3, Y1, Y3
+	VPMADDWD   Y15, Y3, Y3
+	VPADDD     Y3, Y9, Y9
+	VMOVDQU    (AX)(R9*2), Y12
+	VPSIGNB    Y0, Y12, Y12
+	VPMADDUBSW Y12, Y1, Y12
+	VPMADDWD   Y15, Y12, Y12
+	VPADDD     Y12, Y10, Y10
+	VMOVDQU    (AX)(R11*1), Y13
+	VPSIGNB    Y0, Y13, Y13
+	VPMADDUBSW Y13, Y1, Y13
+	VPMADDWD   Y15, Y13, Y13
+	VPADDD     Y13, Y11, Y11
+	ADDQ    $32, CX
+	CMPQ    CX, $-32
+	JLE     q8chunk
+
+q8half:
+	TESTQ   CX, CX
+	JGE     q8fold
+	LEAQ    (BX)(CX*1), AX
+	VMOVDQU (SI)(CX*1), X0
+	VPABSB  X0, X1
+	VMOVDQU    (AX), X2
+	VPSIGNB    X0, X2, X2
+	VPMADDUBSW X2, X1, X2
+	VPMADDWD   X15, X2, X2
+	VPADDD     Y2, Y4, Y4
+	VMOVDQU    (AX)(R8*1), X3
+	VPSIGNB    X0, X3, X3
+	VPMADDUBSW X3, X1, X3
+	VPMADDWD   X15, X3, X3
+	VPADDD     Y3, Y5, Y5
+	VMOVDQU    (AX)(R8*2), X12
+	VPSIGNB    X0, X12, X12
+	VPMADDUBSW X12, X1, X12
+	VPMADDWD   X15, X12, X12
+	VPADDD     Y12, Y6, Y6
+	VMOVDQU    (AX)(R9*1), X13
+	VPSIGNB    X0, X13, X13
+	VPMADDUBSW X13, X1, X13
+	VPMADDWD   X15, X13, X13
+	VPADDD     Y13, Y7, Y7
+	VMOVDQU    (AX)(R8*4), X2
+	VPSIGNB    X0, X2, X2
+	VPMADDUBSW X2, X1, X2
+	VPMADDWD   X15, X2, X2
+	VPADDD     Y2, Y8, Y8
+	VMOVDQU    (AX)(R10*1), X3
+	VPSIGNB    X0, X3, X3
+	VPMADDUBSW X3, X1, X3
+	VPMADDWD   X15, X3, X3
+	VPADDD     Y3, Y9, Y9
+	VMOVDQU    (AX)(R9*2), X12
+	VPSIGNB    X0, X12, X12
+	VPMADDUBSW X12, X1, X12
+	VPMADDWD   X15, X12, X12
+	VPADDD     Y12, Y10, Y10
+	VMOVDQU    (AX)(R11*1), X13
+	VPSIGNB    X0, X13, X13
+	VPMADDUBSW X13, X1, X13
+	VPMADDWD   X15, X13, X13
+	VPADDD     Y13, Y11, Y11
+
+q8fold:
+	VPHADDD    Y5, Y4, Y4      // per half: pair sums of channels 0, 1
+	VPHADDD    Y7, Y6, Y6      // of channels 2, 3
+	VPHADDD    Y6, Y4, Y4      // per half: a partial sum of channels 0-3
+	VPHADDD    Y9, Y8, Y8
+	VPHADDD    Y11, Y10, Y10
+	VPHADDD    Y10, Y8, Y8     // of channels 4-7
+	VPERM2I128 $0x20, Y8, Y4, Y2
+	VPERM2I128 $0x31, Y8, Y4, Y3
+	VPADDD     Y3, Y2, Y2      // the eight sums
+	VCVTDQ2PS  Y2, Y2
+	LEAQ       (R12)(R13*2), AX
+	LEAQ       (R12)(R13*4), CX
+	VMOVSS     (R12), X3       // the eight channels' scales, nb apart
+	VINSERTPS  $0x10, (R12)(R13*1), X3, X3
+	VINSERTPS  $0x20, (AX), X3, X3
+	VINSERTPS  $0x30, (AX)(R13*1), X3, X3
+	LEAQ       (CX)(R13*2), AX
+	VMOVSS     (CX), X12
+	VINSERTPS  $0x10, (CX)(R13*1), X12, X12
+	VINSERTPS  $0x20, (AX), X12, X12
+	VINSERTPS  $0x30, (AX)(R13*1), X12, X12
+	VINSERTF128 $1, X12, Y3, Y3
+	VMULPS     Y3, Y2, Y2
+	VADDPS     (DI), Y2, Y2
+	VMOVUPS    Y2, (DI)
+	ADDQ       $32, DI
+	LEAQ       (BX)(R8*8), BX
+	LEAQ       (R12)(R13*8), R12
+	DECQ       DX
+	JNZ        q8group
+	VZEROUPPER
+	RET
+
+// func absmaxLanes(x *float32, n int) float32
+//
+// The activation quantizer's row maximum of |x[k]| over k < n, eight lanes
+// at a time, from +0. |v| clears the sign bit, and VMAXPS with the running
+// maximum as its second source keeps it whenever v > max is false — for
+// NaN too — which is the Go loop's comparison; the maximum of non-NaN values
+// does not depend on the order they are taken in. n is a positive multiple
+// of 8. AVX: runs where useLanes, with the routine after it.
+TEXT ·absmaxLanes(SB), NOSPLIT, $0-20
+	MOVQ     x+0(FP), SI
+	MOVQ     n+8(FP), CX
+	VPCMPEQD Y1, Y1, Y1
+	VPSRLD   $1, Y1, Y1        // every bit but the sign
+	VXORPS   Y0, Y0, Y0
+	LEAQ     (SI)(CX*4), SI
+	NEGQ     CX
+
+absmax8:
+	VANDPS (SI)(CX*4), Y1, Y2
+	VMAXPS Y0, Y2, Y0          // v > max ? v : max
+	ADDQ   $8, CX
+	JNZ    absmax8
+	VEXTRACTF128 $1, Y0, X2
+	VMAXPS       X2, X0, X0
+	VPERMILPS    $0x0e, X0, X2
+	VMAXPS       X2, X0, X0
+	VPERMILPS    $0x01, X0, X2
+	VMAXPS       X2, X0, X0
+	VMOVSS       X0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func quantizeLanes(xq *int8, x *float32, n int, inv float32)
+//
+// The activation quantizer's codes, eight at a time: for k < n,
+//
+//	xq[k] = int8(int32(x[k]·inv + copysign(0.5, x[k]·inv)))
+//
+// roundToInt32's rounding, its multiply and add each rounded, VCVTTPS2DQ
+// truncating as Go's conversion does (and giving MinInt32 where Go's does:
+// NaN and out of range). The code is the int32's low byte: masked to 0–255,
+// the two unsigned-saturating packs cannot saturate and keep exactly that
+// byte. n is a positive multiple of 8. AVX2: runs only where useLanes.
+TEXT ·quantizeLanes(SB), NOSPLIT, $0-28
+	MOVQ         xq+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS inv+24(FP), Y0
+	VPCMPEQD     Y1, Y1, Y1
+	VPSRLD       $24, Y1, Y3   // the low byte of each int32
+	VPSLLD       $31, Y1, Y1   // the sign bit
+	MOVL         $0x3f000000, AX
+	VMOVD        AX, X2
+	VPBROADCASTD X2, Y2        // 0.5
+	LEAQ         (SI)(CX*4), SI
+	ADDQ         CX, DI
+	NEGQ         CX
+
+quant8:
+	VMULPS       (SI)(CX*4), Y0, Y4
+	VANDPS       Y1, Y4, Y5
+	VORPS        Y2, Y5, Y5
+	VADDPS       Y5, Y4, Y4
+	VCVTTPS2DQ   Y4, Y4
+	VPAND        Y3, Y4, Y4
+	VEXTRACTI128 $1, Y4, X5
+	VPACKUSDW    X5, X4, X4    // eight words, k ascending
+	VPACKUSWB    X4, X4, X4    // eight bytes, twice
+	VMOVQ        X4, (DI)(CX*1)
+	ADDQ         $8, CX
+	JNZ          quant8
+	VZEROUPPER
 	RET
 
 // func peakMulAdd(n int)

@@ -24,6 +24,16 @@ func softmaxExpLanes(row *float32, n int, scale, maxv float32) {
 
 func scaleLanes(row *float32, n int, s float32) { panic("tensor: scaleLanes is amd64-only") }
 
+func dotQ8Block8(dr *float32, x, w *int8, in, n int, sc *float32, nb, groups int) {
+	panic("tensor: dotQ8Block8 is amd64-only")
+}
+
+func absmaxLanes(x *float32, n int) float32 { panic("tensor: absmaxLanes is amd64-only") }
+
+func quantizeLanes(xq *int8, x *float32, n int, inv float32) {
+	panic("tensor: quantizeLanes is amd64-only")
+}
+
 func peakMulAdd(n int) { panic("tensor: peakMulAdd is amd64-only") }
 
 func peakMaddubs(n int) { panic("tensor: peakMaddubs is amd64-only") }

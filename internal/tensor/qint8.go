@@ -11,94 +11,78 @@ import (
 // every linear layer) in blockwise symmetric int8: along the reduction
 // dimension In, each run of Block values of one output channel shares a
 // float32 scale, and codes are round(w/scale) clamped to [-127, 127]. That is
-// the llama.cpp/BitsAndBytes-style storage; serialized it is ~4× smaller than
-// fp32 (1 byte per weight plus one float32 per block).
+// the llama.cpp/BitsAndBytes-style storage: 1 byte per weight plus one
+// float32 per block, ~4× smaller than fp32. The codes are held output-channel
+// major ([Out][In], channel j's run of In codes contiguous), which is both
+// the serialized layout (Codes) and the one the kernel reads.
 //
 // MatMulQ8 computes y = x·W without ever dequantizing W to float: activations
 // are quantized per row on the fly (dynamic symmetric int8, one scale per
-// row), the dot products run in integer arithmetic, and only the final
-// per-block partial sums are scaled back to float32 — the W8A8 dynamic scheme.
+// row), the dot products run in integer arithmetic, and only the per-block
+// sums are scaled back to float32 — the W8A8 dynamic scheme. For output
+// channel j of row i, with s_b the integer Σ x·w over block b:
 //
-// The compute layout is the interesting part. Pure Go has no SIMD, and a
-// scalar 32-bit integer multiply is no faster than a scalar float32 multiply
-// (on current x86 it is slower: IMUL issues on one port, MULSS on two). The
-// kernel instead packs THREE output channels into one uint64 — their
-// offset-encoded unsigned codes sit at bit offsets 0, 20, and 40 — so a
-// single 64-bit multiply by an activation byte produces three 16-bit products
-// that accumulate in parallel inside one register:
+//	f = +0; f += float32(s_b) · scale[j][b] for b ascending; y = f · sx[i]
 //
-//	acc += uint64(xu[k]) * packed[k]   // 3 MACs per multiply
+// each product and sum rounded on its own. The integer sums are exact, so
+// how they are computed — which products are added first, how many lanes —
+// moves no bit; only that float epilogue fixes the order.
 //
-// Field capacity bounds the run length: each 20-bit lane holds at most
-// 255·255·16 < 2²⁰, so lanes are drained into int32 accumulators every 16
-// steps (qFlush). Signedness is handled by offset encoding — codes are stored
-// as code+128 ∈ [1, 255], activations as code+128 likewise — and corrected
-// exactly afterwards:
-//
-//	Σ x·w = Σ xu·wu − 128·Σxu − 128·Σwu + 16384·n
-//
-// where Σwu per (channel, block) is precomputed at quantization time
-// (BlockAdj) and Σxu per (row, block) falls out of activation quantization.
-// All arithmetic is integer until the per-block scale multiply, so results
-// are exactly reproducible regardless of row partitioning across goroutines.
+// With useLanes the integer sums come from dotQ8Block8 (kernel_amd64.s), eight
+// output channels and 32 codes at a time. VPMADDUBSW multiplies unsigned by
+// signed bytes and adds adjacent products into saturating int16 lanes, so the
+// routine feeds it |x| (VPABSB) as the unsigned operand and w with x's sign
+// moved onto it (VPSIGNB) as the signed one: |x|·(sign(x)·w) = x·w, and since
+// no code is -128 every pair sum is at most 2·127·127 = 32 258 in magnitude,
+// inside int16 (TestMatMulQ8SaturationEdge sits on that edge). VPMADDWD by
+// ones widens the pairs to int32 and VPADDD accumulates. The routine takes
+// eight channels at a time over blocks whose length is a multiple of 16 —
+// all of every served shape; the plain Go integer loop over the same codes
+// takes the Out mod 8 channels left, any other block, and everything where
+// the CPU lacks AVX2. Both give the same sums,
+// so rows computed on either path, and any row partitioning across
+// goroutines, give the same bits.
 
 // QInt8Block is the default scale-block length along the reduction dimension.
 // 64 keeps the worst-case quantization range per scale tight (the accuracy
-// knob) while amortizing the per-block correction to ~2 ops per 64 MACs.
+// knob) while spreading each block's epilogue (fold the integer sums, convert,
+// scale, add) over 64 multiply-adds per channel.
 const QInt8Block = 64
 
-const (
-	// qLaneShift is the bit spacing of the three packed output channels.
-	qLaneShift = 20
-	qLaneMask  = 1<<qLaneShift - 1
-	// qFlush is how many packed multiply-accumulates fit before a 20-bit
-	// lane could overflow (255·255·16 = 1040400 < 2²⁰ = 1048576).
-	qFlush = 16
-)
-
-// QInt8Matrix is a weight matrix held in blockwise symmetric int8 form,
-// pre-packed for the three-channel SWAR kernel. Construct with QuantizeInt8
-// (from fp32 weights) or NewQInt8FromCodes (from serialized codes); treat as
-// read-only afterwards — one matrix can serve concurrent MatMulQ8 calls.
+// QInt8Matrix is a weight matrix held in blockwise symmetric int8 form.
+// Construct with QuantizeInt8 (from fp32 weights) or NewQInt8FromCodes (from
+// serialized codes); treat as read-only afterwards — one matrix can serve
+// concurrent MatMulQ8 calls.
 type QInt8Matrix struct {
 	// In, Out are the logical fp32 shape [In, Out] of the weight matrix.
 	In, Out int
 	// Block is the scale-block length along In.
 	Block int
-	// Packed holds offset-encoded codes (code+128), three output channels
-	// per word: channel 3t+f of the weight's column j lives in bits
-	// [20f, 20f+8) of Packed[t·In+k]. Lanes of channels beyond Out are zero.
-	Packed []uint64
 	// Scales holds the per-(channel, block) quantization scales, indexed
 	// [j·nBlocks + b].
 	Scales []float32
-	// BlockAdj holds 128·Σ(code+128) per (channel, block) — the precomputed
-	// weight half of the offset correction, same indexing as Scales.
-	BlockAdj []int32
+	// codes holds the int8 codes output-channel major: channel j's codes
+	// are codes[j·In:(j+1)·In]. No code is -128.
+	codes []int8
 }
 
 // Blocks returns the number of scale blocks along the reduction dimension.
 func (q *QInt8Matrix) Blocks() int { return (q.In + q.Block - 1) / q.Block }
 
-func (q *QInt8Matrix) triples() int { return (q.Out + 2) / 3 }
-
-// MemoryBytes reports the resident footprint of the packed compute form
-// (the three-channel packing spends 8 bytes per 3 weights, ~1.5× under fp32;
-// the serialized form — Codes plus Scales — is the ~4× smaller one).
-func (q *QInt8Matrix) MemoryBytes() int {
-	return 8*len(q.Packed) + 4*len(q.Scales) + 4*len(q.BlockAdj)
-}
+// MemoryBytes reports the resident footprint: the kernel computes from the
+// serialized form itself, so this is CodesBytes.
+func (q *QInt8Matrix) MemoryBytes() int { return q.CodesBytes() }
 
 // CodesBytes reports the serialized footprint: one byte per weight plus the
 // per-block scales.
-func (q *QInt8Matrix) CodesBytes() int { return q.In*q.Out + 4*len(q.Scales) }
+func (q *QInt8Matrix) CodesBytes() int { return len(q.codes) + 4*len(q.Scales) }
 
 // Float32Bytes reports the footprint of the unquantized form.
 func (q *QInt8Matrix) Float32Bytes() int { return 4 * q.In * q.Out }
 
 // String summarizes the quantized matrix.
 func (q *QInt8Matrix) String() string {
-	return fmt.Sprintf("QInt8Matrix(%dx%d, block=%d, %dB packed vs %dB fp32)",
+	return fmt.Sprintf("QInt8Matrix(%dx%d, block=%d, %dB vs %dB fp32)",
 		q.In, q.Out, q.Block, q.MemoryBytes(), q.Float32Bytes())
 }
 
@@ -122,13 +106,11 @@ func QuantizeInt8(w *Matrix, block int) *QInt8Matrix {
 	nb := (in + block - 1) / block
 	q := &QInt8Matrix{
 		In: in, Out: out, Block: block,
-		Packed:   make([]uint64, ((out+2)/3)*in),
-		Scales:   make([]float32, out*nb),
-		BlockAdj: make([]int32, out*nb),
+		Scales: make([]float32, out*nb),
+		codes:  make([]int8, out*in),
 	}
 	for j := 0; j < out; j++ {
-		prow := q.Packed[(j/3)*in : (j/3+1)*in]
-		shift := uint(j%3) * qLaneShift
+		crow := q.codes[j*in : (j+1)*in]
 		for b := 0; b < nb; b++ {
 			lo, hi := b*block, min(b*block+block, in)
 			var absmax float32
@@ -146,7 +128,6 @@ func QuantizeInt8(w *Matrix, block int) *QInt8Matrix {
 				scale = absmax / 127
 				inv = 127 / absmax
 			}
-			var usum int32
 			for k := lo; k < hi; k++ {
 				c := roundToInt32(w.Data[k*out+j] * inv)
 				if c > 127 {
@@ -154,35 +135,22 @@ func QuantizeInt8(w *Matrix, block int) *QInt8Matrix {
 				} else if c < -127 {
 					c = -127
 				}
-				u := c + 128
-				prow[k] |= uint64(u) << shift
-				usum += u
+				crow[k] = int8(c)
 			}
 			q.Scales[j*nb+b] = scale
-			q.BlockAdj[j*nb+b] = 128 * usum
 		}
 	}
 	return q
 }
 
-// Codes returns the raw int8 codes in output-channel-major order
+// Codes returns a copy of the raw int8 codes in output-channel-major order
 // ([Out][In]; channel j's codes are Codes()[j·In:(j+1)·In]) — the
-// serialization layout, unpacked from the compute form.
-func (q *QInt8Matrix) Codes() []int8 {
-	out := make([]int8, q.Out*q.In)
-	for j := 0; j < q.Out; j++ {
-		prow := q.Packed[(j/3)*q.In : (j/3+1)*q.In]
-		shift := uint(j%3) * qLaneShift
-		for k, p := range prow {
-			out[j*q.In+k] = int8(int32((p>>shift)&0xFF) - 128)
-		}
-	}
-	return out
-}
+// serialization layout.
+func (q *QInt8Matrix) Codes() []int8 { return append([]int8(nil), q.codes...) }
 
-// NewQInt8FromCodes rebuilds the packed compute form from serialized codes
+// NewQInt8FromCodes rebuilds a matrix from serialized codes
 // (output-channel-major, as returned by Codes) and per-(channel, block)
-// scales. Lengths must match the shape exactly.
+// scales, copying both. Lengths must match the shape exactly.
 func NewQInt8FromCodes(in, out, block int, codes []int8, scales []float32) (*QInt8Matrix, error) {
 	if in <= 0 || out <= 0 || block <= 0 {
 		return nil, fmt.Errorf("tensor: qint8 shape %dx%d block %d is invalid", in, out, block)
@@ -194,31 +162,16 @@ func NewQInt8FromCodes(in, out, block int, codes []int8, scales []float32) (*QIn
 	if len(scales) != out*nb {
 		return nil, fmt.Errorf("tensor: qint8 has %d scales, shape %dx%d block %d needs %d", len(scales), in, out, block, out*nb)
 	}
-	q := &QInt8Matrix{
-		In: in, Out: out, Block: block,
-		Packed:   make([]uint64, ((out+2)/3)*in),
-		Scales:   append([]float32(nil), scales...),
-		BlockAdj: make([]int32, out*nb),
-	}
-	for j := 0; j < out; j++ {
-		prow := q.Packed[(j/3)*in : (j/3+1)*in]
-		shift := uint(j%3) * qLaneShift
-		crow := codes[j*in : (j+1)*in]
-		for b := 0; b < nb; b++ {
-			lo, hi := b*block, min(b*block+block, in)
-			var usum int32
-			for k := lo; k < hi; k++ {
-				if crow[k] == -128 {
-					return nil, fmt.Errorf("tensor: qint8 code -128 at channel %d, row %d (corrupt stream?)", j, k)
-				}
-				u := int32(crow[k]) + 128
-				prow[k] |= uint64(u) << shift
-				usum += u
-			}
-			q.BlockAdj[j*nb+b] = 128 * usum
+	for i, c := range codes {
+		if c == -128 {
+			return nil, fmt.Errorf("tensor: qint8 code -128 at channel %d, row %d (corrupt stream?)", i/in, i%in)
 		}
 	}
-	return q, nil
+	return &QInt8Matrix{
+		In: in, Out: out, Block: block,
+		Scales: append([]float32(nil), scales...),
+		codes:  append([]int8(nil), codes...),
+	}, nil
 }
 
 // Dequantize reconstructs the fp32 weight matrix [In, Out] from the codes and
@@ -227,10 +180,7 @@ func (q *QInt8Matrix) Dequantize() *Matrix {
 	w := New(q.In, q.Out)
 	nb := q.Blocks()
 	for j := 0; j < q.Out; j++ {
-		prow := q.Packed[(j/3)*q.In : (j/3+1)*q.In]
-		shift := uint(j%3) * qLaneShift
-		for k, p := range prow {
-			code := int32((p>>shift)&0xFF) - 128
+		for k, code := range q.codes[j*q.In : (j+1)*q.In] {
 			w.Data[k*q.Out+j] = float32(code) * q.Scales[j*nb+k/q.Block]
 		}
 	}
@@ -239,10 +189,10 @@ func (q *QInt8Matrix) Dequantize() *Matrix {
 
 // MatMulQ8 computes x·W for int8-quantized W into dst (allocated if nil),
 // quantizing each activation row on the fly and accumulating in integers.
-// Scratch (quantized activations, row scales, per-row block corrections) is
-// drawn from ws; a nil workspace allocates. Row fan-out follows the same
-// GOMAXPROCS schedule as the fp32 kernels, and integer accumulation makes the
-// result independent of the partitioning.
+// Scratch (quantized activations and row scales) is drawn from ws; a nil
+// workspace allocates. Row fan-out follows the same GOMAXPROCS schedule as
+// the fp32 kernels, and integer accumulation makes the result independent of
+// the partitioning.
 func MatMulQ8(dst, x *Matrix, w *QInt8Matrix, ws *Workspace) *Matrix {
 	if x.Cols != w.In {
 		panic(fmt.Sprintf("tensor: matmulQ8 shape mismatch %dx%d × %dx%d", x.Rows, x.Cols, w.In, w.Out))
@@ -256,17 +206,15 @@ func MatMulQ8(dst, x *Matrix, w *QInt8Matrix, ws *Workspace) *Matrix {
 	if n == 0 {
 		return dst
 	}
-	nb := w.Blocks()
-	xu := ws.GetBytes(n * w.In)
+	xq := ws.GetInt8s(n * w.In)
 	sx := ws.Get(1, n)
-	adj := ws.GetInts(n * nb)
 	if !parallelWorth(n, w.In*w.Out) {
-		matMulQ8Rows(dst, x, w, xu, sx.Data, adj, 0, n)
+		matMulQ8Rows(dst, x, w, xq, sx.Data, 0, n)
 		return dst
 	}
 	//lint:ignore hotalloc one fan-out closure per matmul, amortized over the whole parallel row sweep
 	parallelRows(n, w.In*w.Out, func(lo, hi int) {
-		matMulQ8Rows(dst, x, w, xu, sx.Data, adj, lo, hi)
+		matMulQ8Rows(dst, x, w, xq, sx.Data, lo, hi)
 	})
 	return dst
 }
@@ -278,36 +226,32 @@ func MatMulQ8(dst, x *Matrix, w *QInt8Matrix, ws *Workspace) *Matrix {
 // valid until its workspace's next Reset.
 type QuantizedRows struct {
 	Rows, In, Block int
-	xu              []byte
+	xq              []int8
 	sx              []float32
-	adj             []int
 }
 
 // QuantizeRowsQ8 quantizes every row of x (dynamic symmetric, per-row scale)
-// against the given scale-block length (≤ 0 selects QInt8Block), drawing
-// buffers from ws (nil allocates).
+// for weights of the given scale-block length (≤ 0 selects QInt8Block),
+// drawing buffers from ws (nil allocates).
 func QuantizeRowsQ8(x *Matrix, block int, ws *Workspace) QuantizedRows {
 	if block <= 0 {
 		block = QInt8Block
 	}
 	n, in := x.Rows, x.Cols
-	nb := (in + block - 1) / block
 	qa := QuantizedRows{
 		Rows: n, In: in, Block: block,
-		xu:  ws.GetBytes(n * in),
-		sx:  ws.Get(1, n).Data,
-		adj: ws.GetInts(n * nb),
+		xq: ws.GetInt8s(n * in),
+		sx: ws.Get(1, n).Data,
 	}
 	for i := 0; i < n; i++ {
-		qa.sx[i] = quantizeRowQ8(x.Data[i*in:(i+1)*in], qa.xu[i*in:(i+1)*in], qa.adj[i*nb:(i+1)*nb], block)
+		qa.sx[i] = quantizeRowQ8(x.Data[i*in:(i+1)*in], qa.xq[i*in:(i+1)*in])
 	}
 	return qa
 }
 
 // MatMulQ8Pre is MatMulQ8 over pre-quantized activations: qa must have been
-// built with the same In and Block as w (the per-block correction layout
-// depends on both). Results are bitwise identical to MatMulQ8 on the
-// original rows.
+// built with the same In and Block as w. Results are bitwise identical to
+// MatMulQ8 on the original rows.
 func MatMulQ8Pre(dst *Matrix, qa QuantizedRows, w *QInt8Matrix) *Matrix {
 	if qa.In != w.In || qa.Block != w.Block {
 		panic(fmt.Sprintf("tensor: matmulQ8 prequantized rows are %d-wide block %d, weights want %d-wide block %d",
@@ -333,32 +277,40 @@ func MatMulQ8Pre(dst *Matrix, qa QuantizedRows, w *QInt8Matrix) *Matrix {
 }
 
 func matMulQ8PreRows(dst *Matrix, qa QuantizedRows, w *QInt8Matrix, lo, hi int) {
-	in, nb := qa.In, w.Blocks()
+	in := qa.In
 	for i := lo; i < hi; i++ {
-		matMulQ8Row(dst.Data[i*w.Out:(i+1)*w.Out], qa.xu[i*in:(i+1)*in], qa.adj[i*nb:(i+1)*nb], qa.sx[i], w)
+		matMulQ8Row(dst.Data[i*w.Out:(i+1)*w.Out], qa.xq[i*in:(i+1)*in], qa.sx[i], w)
 	}
 }
 
-func matMulQ8Rows(dst, x *Matrix, w *QInt8Matrix, xu []byte, sx []float32, adj []int, lo, hi int) {
+func matMulQ8Rows(dst, x *Matrix, w *QInt8Matrix, xq []int8, sx []float32, lo, hi int) {
 	in := w.In
-	nb := w.Blocks()
 	for i := lo; i < hi; i++ {
-		xrow := x.Data[i*in : (i+1)*in]
-		urow := xu[i*in : (i+1)*in]
-		radj := adj[i*nb : (i+1)*nb]
-		sx[i] = quantizeRowQ8(xrow, urow, radj, w.Block)
-		matMulQ8Row(dst.Data[i*w.Out:(i+1)*w.Out], urow, radj, sx[i], w)
+		xrow := xq[i*in : (i+1)*in]
+		sx[i] = quantizeRowQ8(x.Data[i*in:(i+1)*in], xrow)
+		matMulQ8Row(dst.Data[i*w.Out:(i+1)*w.Out], xrow, sx[i], w)
 	}
 }
 
 // quantizeRowQ8 performs dynamic symmetric per-row activation quantization:
-// xrow is encoded into offset codes (code+128) in urow, the per-scale-block
-// offset-correction terms land in radj, and the row's dequantization scale is
-// returned.
-func quantizeRowQ8(xrow []float32, urow []byte, radj []int, block int) float32 {
-	in := len(xrow)
+// xrow is encoded into int8 codes in xq and the row's dequantization scale is
+// returned. A code is the low byte of the rounded int32, so an element whose
+// scaled value is NaN — a NaN input, or any input of a row whose absmax is
+// +Inf — converts to MinInt32 on amd64 and codes as 0
+// (TestMatMulQ8NonFiniteRows). With useLanes the first multiple of 8
+// elements take both passes in absmaxLanes and quantizeLanes, the rest the
+// Go loops; per element the two compute the same.
+func quantizeRowQ8(xrow []float32, xq []int8) float32 {
+	xq = xq[:len(xrow)]
+	lanes := 0
+	if useLanes() {
+		lanes = len(xrow) &^ 7
+	}
 	var absmax float32
-	for _, v := range xrow {
+	if lanes > 0 {
+		absmax = absmaxLanes(&xrow[:lanes][0], lanes)
+	}
+	for _, v := range xrow[lanes:] {
 		// Branchless |v|: clear the sign bit rather than compare-and-negate.
 		v = math.Float32frombits(math.Float32bits(v) &^ 0x80000000)
 		if v > absmax {
@@ -370,135 +322,43 @@ func quantizeRowQ8(xrow []float32, urow []byte, radj []int, block int) float32 {
 		inv = 127 / absmax
 		scale = absmax / 127
 	}
-	for b := range radj {
-		klo, khi := b*block, min(b*block+block, in)
-		usum := 0
-		for k := klo; k < khi; k++ {
-			u := roundToInt32(xrow[k]*inv) + 128
-			urow[k] = byte(u)
-			usum += int(u)
-		}
-		radj[b] = usum*128 - 16384*(khi-klo)
+	if lanes > 0 {
+		quantizeLanes(&xq[:lanes][0], &xrow[:lanes][0], lanes, inv)
+	}
+	for k := lanes; k < len(xrow); k++ {
+		xq[k] = int8(roundToInt32(xrow[k] * inv))
 	}
 	return scale
 }
 
-// matMulQ8Row computes one output row of x·W from a quantized activation row.
-func matMulQ8Row(drow []float32, urow []byte, radj []int, sxi float32, w *QInt8Matrix) {
+// matMulQ8Row computes one output row of x·W from a quantized activation row:
+// the float epilogue of the header, accumulated in drow block by block, with
+// each block's integer sums from dotQ8Block8 (with useLanes, eight channels at
+// a time, for blocks whose length is a multiple of 16) or the Go loop.
+func matMulQ8Row(drow []float32, xq []int8, sx float32, w *QInt8Matrix) {
 	in, out, block := w.In, w.Out, w.Block
 	nb := w.Blocks()
-	nt := w.triples()
-	// Integer dots against the packed channel triples. Full triples run in
-	// pairs — six output channels per k-pass — so each activation byte
-	// load and each loop iteration feeds two packed multiplies (the two
-	// accumulator chains also pipeline the 3-cycle multiply latency).
-	pairs := out / 6
-	for p := 0; p < pairs; p++ {
-		t := 2 * p
-		p0 := w.Packed[t*in : (t+1)*in]
-		p1 := w.Packed[(t+1)*in : (t+2)*in]
-		j0 := t * 3
-		var f0, f1, f2, f3, f4, f5 float32
-		for b := 0; b < nb; b++ {
-			klo, khi := b*block, min(b*block+block, in)
-			var s0, s1, s2, s3, s4, s5 int32
-			for kk := klo; kk < khi; kk += qFlush {
-				var a0, a1 uint64
-				if kk+qFlush <= khi {
-					ur := urow[kk : kk+qFlush : kk+qFlush]
-					q0 := p0[kk : kk+qFlush : kk+qFlush]
-					q1 := p1[kk : kk+qFlush : kk+qFlush]
-					u0, u1, u2, u3 := uint64(ur[0]), uint64(ur[1]), uint64(ur[2]), uint64(ur[3])
-					u4, u5, u6, u7 := uint64(ur[4]), uint64(ur[5]), uint64(ur[6]), uint64(ur[7])
-					u8, u9, u10, u11 := uint64(ur[8]), uint64(ur[9]), uint64(ur[10]), uint64(ur[11])
-					u12, u13, u14, u15 := uint64(ur[12]), uint64(ur[13]), uint64(ur[14]), uint64(ur[15])
-					a0 = u0*q0[0] + u1*q0[1] + u2*q0[2] + u3*q0[3] +
-						u4*q0[4] + u5*q0[5] + u6*q0[6] + u7*q0[7] +
-						u8*q0[8] + u9*q0[9] + u10*q0[10] + u11*q0[11] +
-						u12*q0[12] + u13*q0[13] + u14*q0[14] + u15*q0[15]
-					a1 = u0*q1[0] + u1*q1[1] + u2*q1[2] + u3*q1[3] +
-						u4*q1[4] + u5*q1[5] + u6*q1[6] + u7*q1[7] +
-						u8*q1[8] + u9*q1[9] + u10*q1[10] + u11*q1[11] +
-						u12*q1[12] + u13*q1[13] + u14*q1[14] + u15*q1[15]
-				} else {
-					ur := urow[kk:khi]
-					q0 := p0[kk:khi]
-					q1 := p1[kk:khi]
-					for k2, uv := range ur {
-						u := uint64(uv)
-						a0 += u * q0[k2]
-						a1 += u * q1[k2]
-					}
-				}
-				s0 += int32(a0 & qLaneMask)
-				s1 += int32((a0 >> qLaneShift) & qLaneMask)
-				s2 += int32((a0 >> (2 * qLaneShift)) & qLaneMask)
-				s3 += int32(a1 & qLaneMask)
-				s4 += int32((a1 >> qLaneShift) & qLaneMask)
-				s5 += int32((a1 >> (2 * qLaneShift)) & qLaneMask)
-			}
-			a := int32(radj[b])
-			f0 += float32(s0-w.BlockAdj[j0*nb+b]-a) * w.Scales[j0*nb+b]
-			f1 += float32(s1-w.BlockAdj[(j0+1)*nb+b]-a) * w.Scales[(j0+1)*nb+b]
-			f2 += float32(s2-w.BlockAdj[(j0+2)*nb+b]-a) * w.Scales[(j0+2)*nb+b]
-			f3 += float32(s3-w.BlockAdj[(j0+3)*nb+b]-a) * w.Scales[(j0+3)*nb+b]
-			f4 += float32(s4-w.BlockAdj[(j0+4)*nb+b]-a) * w.Scales[(j0+4)*nb+b]
-			f5 += float32(s5-w.BlockAdj[(j0+5)*nb+b]-a) * w.Scales[(j0+5)*nb+b]
+	clear(drow)
+	lanes := useLanes()
+	for b := 0; b < nb; b++ {
+		klo, khi := b*block, min(b*block+block, in)
+		xb := xq[klo:khi]
+		j := 0
+		if g := out / 8; lanes && g > 0 && len(xb)%16 == 0 {
+			// Cut every operand to the last element the routine touches.
+			wb := w.codes[klo : (8*g-1)*in+khi]
+			sb := w.Scales[b : (8*g-1)*nb+b+1]
+			dotQ8Block8(&drow[:8*g][0], &xb[0], &wb[0], in, len(xb), &sb[0], nb, g)
+			j = 8 * g
 		}
-		drow[j0] = f0 * sxi
-		drow[j0+1] = f1 * sxi
-		drow[j0+2] = f2 * sxi
-		drow[j0+3] = f3 * sxi
-		drow[j0+4] = f4 * sxi
-		drow[j0+5] = f5 * sxi
-	}
-	// Remaining triples (including the Out % 3 remainder channels).
-	for t := 2 * pairs; t < nt; t++ {
-		prow := w.Packed[t*in : (t+1)*in]
-		j0 := t * 3
-		var f0, f1, f2 float32
-		for b := 0; b < nb; b++ {
-			klo, khi := b*block, min(b*block+block, in)
-			var s0, s1, s2 int32
-			for kk := klo; kk < khi; kk += qFlush {
-				var acc uint64
-				if kk+qFlush <= khi {
-					ur := urow[kk : kk+qFlush : kk+qFlush]
-					pr := prow[kk : kk+qFlush : kk+qFlush]
-					acc = uint64(ur[0])*pr[0] + uint64(ur[1])*pr[1] +
-						uint64(ur[2])*pr[2] + uint64(ur[3])*pr[3] +
-						uint64(ur[4])*pr[4] + uint64(ur[5])*pr[5] +
-						uint64(ur[6])*pr[6] + uint64(ur[7])*pr[7] +
-						uint64(ur[8])*pr[8] + uint64(ur[9])*pr[9] +
-						uint64(ur[10])*pr[10] + uint64(ur[11])*pr[11] +
-						uint64(ur[12])*pr[12] + uint64(ur[13])*pr[13] +
-						uint64(ur[14])*pr[14] + uint64(ur[15])*pr[15]
-				} else {
-					ur := urow[kk:khi]
-					pr := prow[kk:khi]
-					for k2, uv := range ur {
-						acc += uint64(uv) * pr[k2]
-					}
-				}
-				s0 += int32(acc & qLaneMask)
-				s1 += int32((acc >> qLaneShift) & qLaneMask)
-				s2 += int32((acc >> (2 * qLaneShift)) & qLaneMask)
+		for ; j < out; j++ {
+			wb := w.codes[j*in+klo : j*in+khi]
+			var s int32
+			for k, c := range wb {
+				s += int32(xb[k]) * int32(c)
 			}
-			a := int32(radj[b])
-			f0 += float32(s0-w.BlockAdj[j0*nb+b]-a) * w.Scales[j0*nb+b]
-			if j0+1 < out {
-				f1 += float32(s1-w.BlockAdj[(j0+1)*nb+b]-a) * w.Scales[(j0+1)*nb+b]
-			}
-			if j0+2 < out {
-				f2 += float32(s2-w.BlockAdj[(j0+2)*nb+b]-a) * w.Scales[(j0+2)*nb+b]
-			}
-		}
-		drow[j0] = f0 * sxi
-		if j0+1 < out {
-			drow[j0+1] = f1 * sxi
-		}
-		if j0+2 < out {
-			drow[j0+2] = f2 * sxi
+			drow[j] += float32(s) * w.Scales[j*nb+b]
 		}
 	}
+	scaleRow(drow, sx)
 }

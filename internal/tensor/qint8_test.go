@@ -56,28 +56,36 @@ func randomMatrix(rows, cols int, seed uint64, scale float32) *Matrix {
 	return m
 }
 
-// TestMatMulQ8MatchesReference pins the packed SWAR kernel to the naive
-// integer reference bitwise, across shapes that exercise every edge: rows/1,
-// Out % 3 remainders, In not a multiple of the block or of the 16-step flush,
-// and block lengths from sub-flush to whole-row.
+// TestMatMulQ8MatchesReference pins the int8 kernel to the naive integer
+// reference bitwise, on both paths, across shapes that exercise every edge:
+// one row, Out not a multiple of the eight channels the AVX2 routine takes at
+// a time (the Go loop finishes the rest), block lengths that are and are not
+// multiples of its 16-code step (the Go loop takes the latter), In not a
+// multiple of the block, and a block longer than In.
 func TestMatMulQ8MatchesReference(t *testing.T) {
 	shapes := []struct{ m, in, out, block int }{
-		{1, 16, 3, 16},
-		{3, 64, 96, 64},
-		{5, 96, 40, 64},  // Out % 3 == 1
-		{4, 80, 80, 64},  // Out % 3 == 2, In % 16 == 0 but In % 64 != 0
+		{1, 16, 3, 16},   // Out < 8: the Go loop only
+		{3, 64, 96, 64},  // one full block
+		{5, 96, 40, 64},  // a 64-block and a 32-tail
+		{4, 80, 80, 64},  // a 64-block and a 16-tail
 		{2, 50, 7, 17},   // nothing divides anything
 		{7, 33, 1, 8},    // single output channel
 		{1, 192, 2, 256}, // block larger than In (per-channel scales)
+		{2, 96, 10, 64},  // Out % 8 == 2
+		{3, 48, 8, 64},   // one 48-block: 32 codes, then 16
+		{2, 80, 17, 16},  // five 16-blocks, Out % 8 == 1
 	}
+	defer func(was bool) { useAVX = was }(useAVX)
 	for _, s := range shapes {
 		x := randomMatrix(s.m, s.in, uint64(s.m*1000+s.in), 1)
 		w := randomMatrix(s.in, s.out, uint64(s.out*7+3), 0.5)
 		q := QuantizeInt8(w, s.block)
-		got := MatMulQ8(nil, x, q, nil)
 		want := refMatMulQ8(x, q)
-		if !got.Equal(want) {
-			t.Fatalf("shape %+v: MatMulQ8 differs from integer reference", s)
+		for _, avx := range kernelPaths() {
+			useAVX = avx
+			if got := MatMulQ8(nil, x, q, nil); !got.Equal(want) {
+				t.Fatalf("shape %+v useAVX=%v: MatMulQ8 differs from integer reference", s, avx)
+			}
 		}
 	}
 }
@@ -125,8 +133,8 @@ func TestMatMulQ8Deterministic(t *testing.T) {
 	}
 }
 
-// TestQInt8CodesRoundTrip pins serialization: Codes + Scales rebuild an
-// identical compute form.
+// TestQInt8CodesRoundTrip pins serialization: Codes + Scales rebuild a
+// matrix with the same codes that computes the same bits.
 func TestQInt8CodesRoundTrip(t *testing.T) {
 	w := randomMatrix(80, 41, 9, 1)
 	q := QuantizeInt8(w, 32)
@@ -134,17 +142,13 @@ func TestQInt8CodesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rt.Packed) != len(q.Packed) {
-		t.Fatalf("packed length %d vs %d", len(rt.Packed), len(q.Packed))
+	codes, rtCodes := q.Codes(), rt.Codes()
+	if len(rtCodes) != len(codes) {
+		t.Fatalf("code count %d vs %d", len(rtCodes), len(codes))
 	}
-	for i, p := range q.Packed {
-		if rt.Packed[i] != p {
-			t.Fatalf("packed word %d differs after round trip", i)
-		}
-	}
-	for i, a := range q.BlockAdj {
-		if rt.BlockAdj[i] != a {
-			t.Fatalf("block adjustment %d differs after round trip", i)
+	for i, c := range codes {
+		if rtCodes[i] != c {
+			t.Fatalf("code %d differs after round trip", i)
 		}
 	}
 	x := randomMatrix(4, 80, 10, 1)
@@ -410,6 +414,56 @@ func TestMatMulQ8NonFiniteRows(t *testing.T) {
 							t.Fatalf("In=%d useAVX=%v: row %d with an infinite element col %d = %v, want NaN", in, avx, i, j, v)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuantizeRowQ8Paths holds the activation quantizer's lanes
+// (absmaxLanes, quantizeLanes) to its Go loops code for code and scale bit
+// for bit, on rows of every length up to 40 (so each lane count and tail)
+// holding NaN, ±Inf, ±0, subnormals, exact halves after scaling, and values
+// near float32's range, where the scaled value overflows int32 and the code
+// is the low byte of MinInt32.
+func TestQuantizeRowQ8Paths(t *testing.T) {
+	requireBitExactArch(t)
+	if !avxDetected || !hasAVX2 {
+		t.Skip("no AVX2 on this CPU/OS: the Go loops are the only path")
+	}
+	defer func(was bool) { useAVX = was }(useAVX)
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
+		math.SmallestNonzeroFloat32, -3e-39, 63.5, -63.5, 127, -1.5, math.MaxFloat32, -1e30, 2.5}
+	rng := NewRNG(41)
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 40; trial++ {
+			row := make([]float32, n)
+			for k := range row {
+				if rng.Float64() < 0.3 {
+					row[k] = specials[rng.Intn(len(specials))]
+				} else {
+					row[k] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4)))
+				}
+			}
+			// Some rows without the specials that make every code 0.
+			if trial%2 == 0 {
+				for k, v := range row {
+					if math.IsInf(float64(v), 0) || v == math.MaxFloat32 || v == -1e30 {
+						row[k] = 1
+					}
+				}
+			}
+			want, got := make([]int8, n), make([]int8, n)
+			useAVX = false
+			ws := quantizeRowQ8(row, want)
+			useAVX = true
+			gs := quantizeRowQ8(row, got)
+			if math.Float32bits(gs) != math.Float32bits(ws) {
+				t.Fatalf("n=%d row %v: lanes scale %v, Go loop %v", n, row, gs, ws)
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("n=%d row %v: lanes code[%d] = %d, Go loop %d", n, row, k, got[k], want[k])
 				}
 			}
 		}

@@ -359,12 +359,12 @@ func TestWorkspaceChildLivesWithTheParent(t *testing.T) {
 }
 
 // TestWorkspaceBytesCountsEverySlot pins Bytes: the capacity of every float,
-// int and byte slot, handed out or rewound, plus the child's.
+// int and int8 slot, handed out or rewound, plus the child's.
 func TestWorkspaceBytesCountsEverySlot(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Get(3, 4)
 	ws.GetInts(5)
-	ws.GetBytes(7)
+	ws.GetInt8s(7)
 	ws.RowView(ws.Get(1, 2), 0, 1)
 	ws.Reset()
 	ws.Child().Get(2, 2)

@@ -21,14 +21,14 @@ import (
 // A nil *Workspace is valid everywhere one is accepted and degrades to plain
 // allocation, so cold paths can pass nil instead of threading an arena.
 type Workspace struct {
-	bufs  []*Matrix
-	next  int
-	views []*Matrix
-	vnext int
-	ints  [][]int
-	inext int
-	bytes [][]byte
-	bnext int
+	bufs   []*Matrix
+	next   int
+	views  []*Matrix
+	vnext  int
+	ints   [][]int
+	inext  int
+	int8s  [][]int8
+	i8next int
 	// child is the arena Child hands out, kept for the workspace's life.
 	child *Workspace
 }
@@ -96,21 +96,21 @@ func (w *Workspace) GetInts(n int) []int {
 	return s[:n]
 }
 
-// GetBytes returns a length-n byte scratch slice with unspecified contents.
+// GetInt8s returns a length-n int8 scratch slice with unspecified contents.
 // The int8 inference path draws its quantized-activation buffers from here.
-func (w *Workspace) GetBytes(n int) []byte {
+func (w *Workspace) GetInt8s(n int) []int8 {
 	if w == nil {
-		return make([]byte, n)
+		return make([]int8, n)
 	}
-	if w.bnext == len(w.bytes) {
-		w.bytes = append(w.bytes, nil)
+	if w.i8next == len(w.int8s) {
+		w.int8s = append(w.int8s, nil)
 	}
-	s := w.bytes[w.bnext]
+	s := w.int8s[w.i8next]
 	if cap(s) < n {
-		s = make([]byte, n, regrow(cap(s), n))
-		w.bytes[w.bnext] = s
+		s = make([]int8, n, regrow(cap(s), n))
+		w.int8s[w.i8next] = s
 	}
-	w.bnext++
+	w.i8next++
 	return s[:n]
 }
 
@@ -163,7 +163,7 @@ func (w *Workspace) Reset() {
 	if w == nil {
 		return
 	}
-	w.next, w.vnext, w.inext, w.bnext = 0, 0, 0, 0
+	w.next, w.vnext, w.inext, w.i8next = 0, 0, 0, 0
 }
 
 // Child returns the workspace's child arena, created on first use and kept
@@ -181,7 +181,7 @@ func (w *Workspace) Child() *Workspace {
 }
 
 // Bytes returns the bytes the arena holds: the capacity of every float, int
-// and byte slot, handed out since the last Reset or not, and its child's.
+// and int8 slot, handed out since the last Reset or not, and its child's.
 // View headers are not counted. A nil workspace holds none.
 func (w *Workspace) Bytes() int {
 	if w == nil {
@@ -194,7 +194,7 @@ func (w *Workspace) Bytes() int {
 	for _, s := range w.ints {
 		n += bits.UintSize / 8 * cap(s)
 	}
-	for _, s := range w.bytes {
+	for _, s := range w.int8s {
 		n += cap(s)
 	}
 	return n + w.child.Bytes()
