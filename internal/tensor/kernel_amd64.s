@@ -212,6 +212,17 @@ dotfold:
 	JNZ     dotgroup
 	RET
 
+// 0, 1, …, 7 as int32: dotQ8Block8's scale offsets in units of nb·4 bytes.
+DATA iota8<>+0(SB)/4, $0
+DATA iota8<>+4(SB)/4, $1
+DATA iota8<>+8(SB)/4, $2
+DATA iota8<>+12(SB)/4, $3
+DATA iota8<>+16(SB)/4, $4
+DATA iota8<>+20(SB)/4, $5
+DATA iota8<>+24(SB)/4, $6
+DATA iota8<>+28(SB)/4, $7
+GLOBL iota8<>(SB), RODATA|NOPTR, $32
+
 // func dotQ8Block8(dr *float32, x, w *int8, in, n int, sc *float32, nb, groups int)
 //
 // One scale block of the int8 matmul (qint8.go) for one activation row and
@@ -227,7 +238,8 @@ dotfold:
 // lanes: no code is -128, so a pair sum is at most 2·127·127 = 32 258 and
 // never saturates. VPMADDWD by ones widens the pairs to int32 and VPADDD adds
 // them to the channel's accumulator. After the block six VPHADDD and one
-// cross-half add fold the eight accumulators into the eight sums. n is a
+// cross-half add fold the eight accumulators into the eight sums, and one
+// VPGATHERDPS loads their eight scales, nb apart. n is a
 // positive multiple of 16 (a last 16 runs on X registers, whose VEX forms
 // zero the upper halves the 256-bit accumulate then adds); in and nb are
 // strides in elements; groups ≥ 1. AVX2: runs only where useLanes.
@@ -252,6 +264,9 @@ TEXT ·dotQ8Block8(SB), NOSPLIT, $0-64
 	LEAQ     (R9)(R8*4), R11
 	VPCMPEQW Y15, Y15, Y15
 	VPSRLW   $15, Y15, Y15     // sixteen int16 ones
+	VMOVD        R13, X14
+	VPBROADCASTD X14, Y14
+	VPMULLD      iota8<>(SB), Y14, Y14 // channel c's scale at c·nb·4 bytes
 
 q8group:
 	VPXOR Y4, Y4, Y4
@@ -373,18 +388,8 @@ q8fold:
 	VPERM2I128 $0x31, Y8, Y4, Y3
 	VPADDD     Y3, Y2, Y2      // the eight sums
 	VCVTDQ2PS  Y2, Y2
-	LEAQ       (R12)(R13*2), AX
-	LEAQ       (R12)(R13*4), CX
-	VMOVSS     (R12), X3       // the eight channels' scales, nb apart
-	VINSERTPS  $0x10, (R12)(R13*1), X3, X3
-	VINSERTPS  $0x20, (AX), X3, X3
-	VINSERTPS  $0x30, (AX)(R13*1), X3, X3
-	LEAQ       (CX)(R13*2), AX
-	VMOVSS     (CX), X12
-	VINSERTPS  $0x10, (CX)(R13*1), X12, X12
-	VINSERTPS  $0x20, (AX), X12, X12
-	VINSERTPS  $0x30, (AX)(R13*1), X12, X12
-	VINSERTF128 $1, X12, Y3, Y3
+	VPCMPEQD   Y12, Y12, Y12   // gather every lane
+	VGATHERDPS Y12, (R12)(Y14*1), Y3 // the eight channels' scales
 	VMULPS     Y3, Y2, Y2
 	VADDPS     (DI), Y2, Y2
 	VMOVUPS    Y2, (DI)

@@ -339,7 +339,8 @@ func matMulQ8Row(drow []float32, xq []int8, sx float32, w *QInt8Matrix) {
 	in, out, block := w.In, w.Out, w.Block
 	nb := w.Blocks()
 	clear(drow)
-	lanes := useLanes()
+	// The routine gathers a block's eight scales at int32 byte offsets c·nb·4.
+	lanes := useLanes() && nb <= math.MaxInt32/32
 	for b := 0; b < nb; b++ {
 		klo, khi := b*block, min(b*block+block, in)
 		xb := xq[klo:khi]
