@@ -16,8 +16,8 @@ import (
 // one goroutine per P, so the ceiling scales with -cpu as the fanned-out
 // kernels do.
 
-// peakRounds is the loop count of one peak routine call: 4096 rounds are a
-// few microseconds, long enough to hide the call.
+// peakRounds is the loop count of one peak routine call: 4096 rounds take
+// about 10 µs, long enough to hide the call.
 const peakRounds = 4096
 
 type peakKind struct {
@@ -52,26 +52,32 @@ func BenchmarkPeak(b *testing.B) {
 	}
 }
 
+type ceilingKey struct {
+	kind  string
+	procs int
+}
+
 var (
 	ceilingMu sync.Mutex
-	ceilings  = map[[2]int]float64{}
+	ceilings  = map[ceilingKey]float64{}
 )
 
 // ceiling is k's peak in operations per second at the current GOMAXPROCS,
-// measured once per (kind, GOMAXPROCS) and kept: the best of five 10 ms runs
-// of one goroutine per P. It returns 0 where the CPU lacks the routine.
+// measured once per (kind, GOMAXPROCS) and kept: the best of five runs of
+// 1 000 calls (about 10 ms) on one goroutine per P. It returns 0 where the
+// CPU lacks the routine.
 func ceiling(k peakKind) float64 {
 	if !k.avail() {
 		return 0
 	}
 	procs := runtime.GOMAXPROCS(0)
-	key := [2]int{int(k.perRound), procs}
+	key := ceilingKey{k.name, procs}
 	ceilingMu.Lock()
 	defer ceilingMu.Unlock()
 	if c, ok := ceilings[key]; ok {
 		return c
 	}
-	const calls = 10 * time.Millisecond / (2 * time.Microsecond)
+	const calls = 1000
 	var best float64
 	for range 5 {
 		var wg sync.WaitGroup

@@ -39,9 +39,8 @@ import (
 // eight channels at a time over blocks whose length is a multiple of 16 —
 // all of every served shape; the plain Go integer loop over the same codes
 // takes the Out mod 8 channels left, any other block, and everything where
-// the CPU lacks AVX2. Both give the same sums,
-// so rows computed on either path, and any row partitioning across
-// goroutines, give the same bits.
+// the CPU lacks AVX2. Both give the same sums, so rows computed on either
+// path, and any row partitioning across goroutines, give the same bits.
 
 // QInt8Block is the default scale-block length along the reduction dimension.
 // 64 keeps the worst-case quantization range per scale tight (the accuracy
