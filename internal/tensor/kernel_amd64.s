@@ -239,14 +239,14 @@ GLOBL iota8<>(SB), RODATA|NOPTR, $32
 // never saturates. VPMADDWD by ones widens the pairs to int32 and VPADDD adds
 // them to the channel's accumulator. After the block six VPHADDD and one
 // cross-half add fold the eight accumulators into the eight sums, and one
-// VPGATHERDPS loads their eight scales, nb apart. n is a
-// positive multiple of 16 (a last 16 runs on X registers, whose VEX forms
-// zero the upper halves the 256-bit accumulate then adds); in and nb are
-// strides in elements; groups ≥ 1. AVX2: runs only where useLanes.
+// VGATHERDPS loads their eight scales, nb apart. n is a positive multiple
+// of 16 (a last 16 runs on X registers, whose VEX forms zero the upper
+// halves the 256-bit accumulate then adds); in and nb are strides in
+// elements; groups ≥ 1. AVX2: runs only where useLanes.
 //
-// Chunk k of channel c is at AX + c·in with AX = w + k: the eight offsets
-// are in, 2·in, 3·in, 4·in, 5·in, 6·in and 7·in, from R8 = in, R9 = 3·in,
-// R10 = 5·in and R11 = 7·in scaled by 1, 2 or 4.
+// Chunk k of channel c is at AX + c·in with AX = w + k: the seven nonzero
+// offsets in, 2·in, …, 7·in come from R8 = in, R9 = 3·in, R10 = 5·in and
+// R11 = 7·in scaled by 1, 2 or 4.
 TEXT ·dotQ8Block8(SB), NOSPLIT, $0-64
 	MOVQ     dr+0(FP), DI
 	MOVQ     x+8(FP), SI
