@@ -43,7 +43,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, err := lint.Run(nil, patterns...)
+	diags, err := lint.Run(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reprolint:", err)
 		os.Exit(2)

@@ -37,7 +37,7 @@ func FitMLPAE(train []flowbench.Job, cfg AEConfig) *MLPAE {
 	rng := tensor.NewRNG(cfg.Seed)
 	d := flowbench.NumFeatures
 	m := &MLPAE{
-		std: FitStandardizer(train),
+		std: fitStandardizer(train),
 		net: nn.NewSequential(
 			nn.NewLinear("mlpae.enc", d, cfg.Bottleneck, rng),
 			nn.NewTanh(),
@@ -92,13 +92,13 @@ func FitGCNAE(dag *flowbench.DAG, train []flowbench.Job, cfg AEConfig) *GCNAE {
 	rng := tensor.NewRNG(cfg.Seed)
 	d := flowbench.NumFeatures
 	g := &GCNAE{
-		std:  FitStandardizer(train),
+		std:  fitStandardizer(train),
 		enc1: newGCNLayer("gcnae.enc1", d, 16, rng),
 		act:  nn.NewReLU(),
 		enc2: newGCNLayer("gcnae.enc2", 16, cfg.Bottleneck, rng),
 		dec:  nn.NewLinear("gcnae.dec", cfg.Bottleneck, d, rng),
 	}
-	graphs := BuildTraceGraphs(dag, train)
+	graphs := buildTraceGraphs(dag, train)
 	opt := nn.NewAdamW(cfg.LR, 0)
 	params := g.params()
 	tape := nn.NewTape()
@@ -140,7 +140,7 @@ func (g *GCNAE) backward(adj *tensor.Matrix, tape *nn.Tape, grad *tensor.Matrix)
 // Score returns per-job reconstruction errors over trace graphs, aligned
 // with the input order.
 func (g *GCNAE) Score(dag *flowbench.DAG, jobs []flowbench.Job) []float64 {
-	graphs := BuildTraceGraphs(dag, jobs)
+	graphs := buildTraceGraphs(dag, jobs)
 	scores := make(map[[2]int]float64, len(jobs))
 	for _, tg := range graphs {
 		x := g.std.Matrix(tg.Jobs)
@@ -177,9 +177,9 @@ type AnomalyDAE struct {
 	embedDim int
 }
 
-// AnomalyDAEMemoryEstimate returns the bytes needed for the structure
+// anomalyDAEMemoryEstimate returns the bytes needed for the structure
 // decoder's dense n×n reconstruction (forward + gradient, float32).
-func AnomalyDAEMemoryEstimate(nodes int) uint64 {
+func anomalyDAEMemoryEstimate(nodes int) uint64 {
 	return 2 * 4 * uint64(nodes) * uint64(nodes)
 }
 
@@ -188,19 +188,19 @@ func AnomalyDAEMemoryEstimate(nodes int) uint64 {
 // would exceed memLimitBytes.
 func FitAnomalyDAE(dag *flowbench.DAG, train []flowbench.Job, cfg AEConfig, memLimitBytes uint64) (*AnomalyDAE, error) {
 	n := len(train)
-	if need := AnomalyDAEMemoryEstimate(n); need > memLimitBytes {
+	if need := anomalyDAEMemoryEstimate(n); need > memLimitBytes {
 		return nil, fmt.Errorf("anomalydae on %d nodes needs %d bytes (limit %d): %w", n, need, memLimitBytes, ErrOOM)
 	}
 	rng := tensor.NewRNG(cfg.Seed)
 	d := flowbench.NumFeatures
 	a := &AnomalyDAE{
-		std:      FitStandardizer(train),
+		std:      fitStandardizer(train),
 		enc:      newGCNLayer("adae.enc", d, 8, rng),
 		act:      nn.NewReLU(),
 		attr:     nn.NewLinear("adae.attr", 8, d, rng),
 		embedDim: 8,
 	}
-	graphs := BuildTraceGraphs(dag, train)
+	graphs := buildTraceGraphs(dag, train)
 	opt := nn.NewAdamW(cfg.LR, 0)
 	params := append(a.enc.params(), a.attr.Params()...)
 	tape := nn.NewTape()
@@ -237,7 +237,7 @@ func FitAnomalyDAE(dag *flowbench.DAG, train []flowbench.Job, cfg AEConfig, memL
 
 // Score returns combined structure+attribute reconstruction errors.
 func (a *AnomalyDAE) Score(dag *flowbench.DAG, jobs []flowbench.Job) []float64 {
-	graphs := BuildTraceGraphs(dag, jobs)
+	graphs := buildTraceGraphs(dag, jobs)
 	scores := make(map[[2]int]float64, len(jobs))
 	for _, tg := range graphs {
 		x := a.std.Matrix(tg.Jobs)

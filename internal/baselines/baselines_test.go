@@ -17,7 +17,7 @@ func testData(t *testing.T) *flowbench.Dataset {
 
 func TestStandardizerZeroMeanUnitVar(t *testing.T) {
 	ds := testData(t)
-	s := FitStandardizer(ds.Train)
+	s := fitStandardizer(ds.Train)
 	x := s.Matrix(ds.Train)
 	for j := 0; j < flowbench.NumFeatures; j++ {
 		var mean, varsum float64
@@ -37,7 +37,7 @@ func TestStandardizerZeroMeanUnitVar(t *testing.T) {
 }
 
 func TestStandardizerEmptyInput(t *testing.T) {
-	s := FitStandardizer(nil)
+	s := fitStandardizer(nil)
 	f := s.Transform(flowbench.Job{})
 	for _, v := range f {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
@@ -57,7 +57,7 @@ func TestMLPBeatsMajority(t *testing.T) {
 }
 
 func TestNormalizedAdjacencySymmetricRows(t *testing.T) {
-	adj := NormalizedAdjacency(3, [][2]int{{0, 1}, {1, 2}})
+	adj := normalizedAdjacency(3, [][2]int{{0, 1}, {1, 2}})
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if adj.At(i, j) != adj.At(j, i) {
@@ -66,7 +66,7 @@ func TestNormalizedAdjacencySymmetricRows(t *testing.T) {
 		}
 	}
 	// Isolated self-loop only node: Â[i][i] = 1 when degree is 1.
-	solo := NormalizedAdjacency(1, nil)
+	solo := normalizedAdjacency(1, nil)
 	if math.Abs(float64(solo.At(0, 0))-1) > 1e-6 {
 		t.Fatalf("singleton adjacency = %v", solo.At(0, 0))
 	}
@@ -74,7 +74,7 @@ func TestNormalizedAdjacencySymmetricRows(t *testing.T) {
 
 func TestBuildTraceGraphs(t *testing.T) {
 	ds := testData(t)
-	graphs := BuildTraceGraphs(ds.DAG, ds.Train)
+	graphs := buildTraceGraphs(ds.DAG, ds.Train)
 	total := 0
 	for _, g := range graphs {
 		total += len(g.Jobs)
@@ -218,11 +218,11 @@ func TestAnomalyDAESmallGraph(t *testing.T) {
 }
 
 func TestAnomalyDAEMemoryEstimateMonotone(t *testing.T) {
-	if AnomalyDAEMemoryEstimate(1000) >= AnomalyDAEMemoryEstimate(10000) {
+	if anomalyDAEMemoryEstimate(1000) >= anomalyDAEMemoryEstimate(10000) {
 		t.Fatal("memory estimate must grow with node count")
 	}
 	// 48k nodes ≈ 18 GB > A100's 40GB? No — but over our 8 GB guard.
-	if AnomalyDAEMemoryEstimate(48087) <= 8<<30 {
+	if anomalyDAEMemoryEstimate(48087) <= 8<<30 {
 		t.Fatal("full genome graph must exceed the 8 GB guard")
 	}
 }

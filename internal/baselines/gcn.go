@@ -36,9 +36,9 @@ func (g *gcnLayer) backward(adj *tensor.Matrix, tape *nn.Tape, dout *tensor.Matr
 
 func (g *gcnLayer) params() []*nn.Param { return g.lin.Params() }
 
-// NormalizedAdjacency builds Â = D^{-1/2}(A+I)D^{-1/2} over the undirected
+// normalizedAdjacency builds Â = D^{-1/2}(A+I)D^{-1/2} over the undirected
 // version of the edges among n nodes. Edges reference local indices.
-func NormalizedAdjacency(n int, edges [][2]int) *tensor.Matrix {
+func normalizedAdjacency(n int, edges [][2]int) *tensor.Matrix {
 	a := tensor.New(n, n)
 	for i := 0; i < n; i++ {
 		a.Set(i, i, 1)
@@ -71,10 +71,10 @@ type TraceGraph struct {
 	Adj  *tensor.Matrix
 }
 
-// BuildTraceGraphs groups jobs by trace and builds induced subgraphs of the
+// buildTraceGraphs groups jobs by trace and builds induced subgraphs of the
 // workflow DAG over the jobs present in each trace (splits are job-level, so
 // a split may hold only part of a trace).
-func BuildTraceGraphs(dag *flowbench.DAG, jobs []flowbench.Job) []TraceGraph {
+func buildTraceGraphs(dag *flowbench.DAG, jobs []flowbench.Job) []TraceGraph {
 	byTrace := flowbench.TraceJobs(jobs)
 	// Deterministic order over trace ids.
 	ids := make([]int, 0, len(byTrace))
@@ -101,7 +101,7 @@ func BuildTraceGraphs(dag *flowbench.DAG, jobs []flowbench.Job) []TraceGraph {
 				edges = append(edges, [2]int{u, v})
 			}
 		}
-		out = append(out, TraceGraph{Jobs: trace, Adj: NormalizedAdjacency(len(trace), edges)})
+		out = append(out, TraceGraph{Jobs: trace, Adj: normalizedAdjacency(len(trace), edges)})
 	}
 	return out
 }
@@ -131,13 +131,13 @@ func DefaultGCNConfig() GCNConfig { return GCNConfig{Hidden: 16, Epochs: 30, LR:
 func TrainGCN(dag *flowbench.DAG, train []flowbench.Job, cfg GCNConfig) *GCN {
 	rng := tensor.NewRNG(cfg.Seed)
 	g := &GCN{
-		std:  FitStandardizer(train),
+		std:  fitStandardizer(train),
 		l1:   newGCNLayer("gcn.l1", flowbench.NumFeatures, cfg.Hidden, rng),
 		l2:   newGCNLayer("gcn.l2", cfg.Hidden, cfg.Hidden, rng),
 		act:  nn.NewReLU(),
 		head: nn.NewLinear("gcn.head", cfg.Hidden, 2, rng),
 	}
-	graphs := BuildTraceGraphs(dag, train)
+	graphs := buildTraceGraphs(dag, train)
 	opt := nn.NewAdamW(cfg.LR, 1e-4)
 	ce := nn.NewSoftmaxCrossEntropy()
 	params := g.params()
@@ -180,7 +180,7 @@ func (g *GCN) backward(tg TraceGraph, tape *nn.Tape, grad *tensor.Matrix) {
 // Predict classifies all jobs grouped into trace graphs, returning labels
 // aligned with the input order.
 func (g *GCN) Predict(dag *flowbench.DAG, jobs []flowbench.Job) []int {
-	graphs := BuildTraceGraphs(dag, jobs)
+	graphs := buildTraceGraphs(dag, jobs)
 	pred := make(map[[2]int]int, len(jobs)) // (trace, node) → label
 	for _, tg := range graphs {
 		logits := g.forward(tg, nil)

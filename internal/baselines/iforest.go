@@ -36,7 +36,7 @@ func DefaultIForestConfig() IForestConfig { return IForestConfig{Trees: 100, Sub
 
 // FitIsolationForest builds the forest on (unlabeled) training jobs.
 func FitIsolationForest(train []flowbench.Job, cfg IForestConfig) *IsolationForest {
-	f := &IsolationForest{std: FitStandardizer(train), subsample: cfg.Subsample}
+	f := &IsolationForest{std: fitStandardizer(train), subsample: cfg.Subsample}
 	rng := tensor.NewRNG(cfg.Seed)
 	x := f.std.Matrix(train)
 	maxDepth := int(math.Ceil(math.Log2(float64(max(2, cfg.Subsample)))))

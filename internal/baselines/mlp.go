@@ -32,7 +32,7 @@ func DefaultMLPConfig() MLPConfig {
 func TrainMLP(train []flowbench.Job, cfg MLPConfig) *MLP {
 	rng := tensor.NewRNG(cfg.Seed)
 	m := &MLP{
-		std: FitStandardizer(train),
+		std: fitStandardizer(train),
 		net: nn.NewSequential(
 			nn.NewLinear("mlp.l1", flowbench.NumFeatures, cfg.Hidden, rng),
 			nn.NewReLU(),

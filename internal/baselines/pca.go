@@ -27,7 +27,7 @@ func FitPCA(train []flowbench.Job, k int, seed uint64) *PCADetector {
 	if k < 1 {
 		k = 1
 	}
-	p := &PCADetector{std: FitStandardizer(train)}
+	p := &PCADetector{std: fitStandardizer(train)}
 	x := p.std.Matrix(train)
 	// Covariance (features are already centered by the standardizer).
 	cov := tensor.TMatMul(nil, x, x)

@@ -9,7 +9,7 @@ import (
 
 // JobScorer is the interface the scenario load lab drives the seed baselines
 // through: a fitted detector that scores jobs with higher = more anomalous.
-// PCA and the isolation forest satisfy the Score half natively; Named wraps
+// PCA and the isolation forest satisfy the Score half natively; named wraps
 // them with the identifier used in report rows.
 type JobScorer interface {
 	Name() string
@@ -24,8 +24,8 @@ type namedScorer struct {
 func (n namedScorer) Name() string                         { return n.name }
 func (n namedScorer) Score(jobs []flowbench.Job) []float64 { return n.score(jobs) }
 
-// Named wraps any Score function as a JobScorer.
-func Named(name string, score func([]flowbench.Job) []float64) JobScorer {
+// named wraps any Score function as a JobScorer.
+func named(name string, score func([]flowbench.Job) []float64) JobScorer {
 	return namedScorer{name: name, score: score}
 }
 
@@ -38,17 +38,17 @@ func FitScorer(name string, train []flowbench.Job, seed uint64) (JobScorer, erro
 	switch name {
 	case "pca":
 		p := FitPCA(train, 4, seed)
-		return Named("pca", p.Score), nil
+		return named("pca", p.Score), nil
 	case "iforest":
 		cfg := DefaultIForestConfig()
 		cfg.Seed = seed
 		f := FitIsolationForest(train, cfg)
-		return Named("iforest", f.Score), nil
+		return named("iforest", f.Score), nil
 	case "mlpae":
 		cfg := DefaultAEConfig()
 		cfg.Seed = seed
 		m := FitMLPAE(train, cfg)
-		return Named("mlpae", m.Score), nil
+		return named("mlpae", m.Score), nil
 	}
 	return nil, fmt.Errorf("baselines: unknown scorer %q (want pca, iforest, or mlpae)", name)
 }

@@ -26,8 +26,8 @@ type Standardizer struct {
 	Std  [flowbench.NumFeatures]float64
 }
 
-// FitStandardizer estimates per-feature statistics from jobs.
-func FitStandardizer(jobs []flowbench.Job) *Standardizer {
+// fitStandardizer estimates per-feature statistics from jobs.
+func fitStandardizer(jobs []flowbench.Job) *Standardizer {
 	s := &Standardizer{}
 	if len(jobs) == 0 {
 		for i := range s.Std {

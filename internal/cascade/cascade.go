@@ -53,7 +53,7 @@ type Config struct {
 // would forfeit most of the cascade speedup.
 type Gate struct {
 	low       float64
-	high      float64
+	high      float64 // math.MaxFloat64 when calibration saw no negatives
 	scale     float64
 	recall    float64
 	positives int
@@ -219,10 +219,6 @@ func (g *Gate) Prob(score float64) float64 {
 
 // Low is the calibrated confident-normal threshold.
 func (g *Gate) Low() float64 { return g.low }
-
-// High is the calibrated confident-abnormal threshold (math.MaxFloat64 when
-// calibration saw no negatives).
-func (g *Gate) High() float64 { return g.high }
 
 // TargetRecall is the recall the gate was calibrated to.
 func (g *Gate) TargetRecall() float64 { return g.recall }

@@ -138,20 +138,20 @@ func TestFailOpenWithoutPositives(t *testing.T) {
 func TestAbnormalBand(t *testing.T) {
 	jobs, verdicts := calJobs(256, 16)
 	on := fitGate(t, Config{}, jobs, verdicts)
-	if on.High() == math.MaxFloat64 {
-		t.Fatal("default gate never calibrated High()")
+	if on.high == math.MaxFloat64 {
+		t.Fatal("default gate never calibrated its high threshold")
 	}
-	if on.High() < on.Low() {
-		t.Fatalf("High() %v < Low() %v", on.High(), on.Low())
+	if on.high < on.Low() {
+		t.Fatalf("high %v < Low() %v", on.high, on.Low())
 	}
-	if d := on.Decide(on.High()); d != ShortAbnormal {
-		t.Fatalf("score at High() decided %v, want ShortAbnormal", d)
+	if d := on.Decide(on.high); d != ShortAbnormal {
+		t.Fatalf("score at high decided %v, want ShortAbnormal", d)
 	}
 
 	allPos, allVerdicts := calJobs(64, 1) // every job flagged: no negatives
 	off := fitGate(t, Config{}, allPos, allVerdicts)
-	if off.High() != math.MaxFloat64 {
-		t.Fatalf("High() without negatives = %v, want math.MaxFloat64", off.High())
+	if off.high != math.MaxFloat64 {
+		t.Fatalf("high without negatives = %v, want math.MaxFloat64", off.high)
 	}
 	if d := off.Decide(1e300); d != PassThrough {
 		t.Fatalf("gate without negatives decided %v on an extreme score, want PassThrough", d)
@@ -162,7 +162,7 @@ func TestAbnormalBand(t *testing.T) {
 // evidence either way, so it must reach stage 2 regardless of where the
 // recall quantiles landed — the structural caps on both thresholds.
 func TestNGramUnseenPasses(t *testing.T) {
-	jobs, verdicts := calJobs(256, 2) // half the traffic flagged: High lands low
+	jobs, verdicts := calJobs(256, 2) // half the traffic flagged: high lands low
 	g := fitGate(t, Config{}, jobs, verdicts)
 	unseen := flowbench.Job{TaskType: "t"}
 	for k := range unseen.Features {
@@ -173,7 +173,7 @@ func TestNGramUnseenPasses(t *testing.T) {
 		t.Fatalf("unseen key scored %v, want 0.5", sc)
 	}
 	if d := g.Decide(sc); d != PassThrough {
-		t.Fatalf("unseen key decided %v, want PassThrough (low %v, high %v)", d, g.Low(), g.High())
+		t.Fatalf("unseen key decided %v, want PassThrough (low %v, high %v)", d, g.Low(), g.high)
 	}
 }
 

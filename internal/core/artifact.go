@@ -106,13 +106,13 @@ func applyLoRAShape(m *transformer.Model, rank int, scale float32) {
 	}
 }
 
-// SaveDetector writes det and an optional calibrated stage-1 gate to w as
+// saveDetector writes det and an optional calibrated stage-1 gate to w as
 // one detector artifact, so a trained cascade ships with the detector it was
 // calibrated against (thresholds are meaningless against any other model's
 // verdicts). A nil gate writes an empty cascade section. Only detectors
 // produced by this package (Train, NewSFTDetector, NewICLDetector,
-// LoadDetector) can be saved; foreign Detector implementations are rejected.
-func SaveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
+// loadDetector) can be saved; foreign Detector implementations are rejected.
+func saveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
 	var (
 		approach Approach
 		model    *transformer.Model
@@ -132,7 +132,7 @@ func SaveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
 		}
 		meta = im
 	default:
-		return fmt.Errorf("core: cannot save detector of type %T (not produced by core.Train or core.LoadDetector)", det)
+		return fmt.Errorf("core: cannot save detector of type %T (not produced by core.Train or core.LoadDetectorFile)", det)
 	}
 
 	precision := PrecisionFP32
@@ -202,7 +202,7 @@ func SaveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
 	return binary.Write(w, binary.LittleEndian, h.Sum32())
 }
 
-// LoadDetector reads a detector artifact written by SaveDetector and
+// loadDetector reads a detector artifact written by saveDetector and
 // reconstructs a ready-to-serve Detector: model rebuilt from the embedded
 // config (including LoRA structure for fine-tuned ICL detectors), weights
 // loaded bit-exactly, tokenizer restored, and — for ICL — the few-shot
@@ -213,11 +213,11 @@ func SaveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
 // nil for v1/v2 artifacts and v3 artifacts saved without one. A
 // present-but-invalid gate section — corrupt, or naming a stage-1 scorer this
 // build does not have — is an error, but the detector sections are intact:
-// LoadDetector then returns the detector with a nil gate alongside the
+// loadDetector then returns the detector with a nil gate alongside the
 // error. A caller that refits the gate (anomalyd -load … -cascade) or never
 // arms it (loadlab) may serve that detector; every other caller must fail
 // the load rather than serve without the gate the artifact carries.
-func LoadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
+func loadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 	h := crc32.NewIEEE()
 	tr := io.TeeReader(r, h)
 	var magic, version uint32
@@ -410,7 +410,7 @@ func validateArtifactConfig(cfg transformer.Config) error {
 	return nil
 }
 
-// SaveDetectorFile writes det and an optional gate (see SaveDetector) to
+// SaveDetectorFile writes det and an optional gate (see saveDetector) to
 // path atomically: the artifact lands under a temporary name first and is
 // renamed into place, so a reader (or a crash) never sees a half-written
 // artifact — the property a rolling restart that loads from a shared
@@ -428,7 +428,7 @@ func SaveDetectorFile(path string, det Detector, gate *cascade.Gate) error {
 		tmp.Close()
 		return err
 	}
-	if err := SaveDetector(tmp, det, gate); err != nil {
+	if err := saveDetector(tmp, det, gate); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -439,7 +439,7 @@ func SaveDetectorFile(path string, det Detector, gate *cascade.Gate) error {
 }
 
 // LoadDetectorFile reads a detector artifact from path along with the
-// calibrated stage-1 gate it carries (see LoadDetector, whose detector it
+// calibrated stage-1 gate it carries (see loadDetector, whose detector it
 // likewise returns alongside an error from the gate section alone).
 func LoadDetectorFile(path string) (Detector, *cascade.Gate, error) {
 	f, err := os.Open(path)
@@ -447,7 +447,7 @@ func LoadDetectorFile(path string) (Detector, *cascade.Gate, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	det, gate, err := LoadDetector(f)
+	det, gate, err := loadDetector(f)
 	if err != nil {
 		err = fmt.Errorf("%s: %w", path, err)
 	}

@@ -19,10 +19,10 @@ func TestArtifactCascadeRoundTrip(t *testing.T) {
 	gate := testCascadeGate(t, jobs, verdicts)
 
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, gate); err != nil {
+	if err := saveDetector(&buf, det, gate); err != nil {
 		t.Fatal(err)
 	}
-	loaded, got, err := LoadDetector(bytes.NewReader(buf.Bytes()))
+	loaded, got, err := loadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,16 +41,16 @@ func TestArtifactCascadeRoundTrip(t *testing.T) {
 	assertDetectorsBitwiseEqual(t, det, loaded, ds)
 }
 
-// TestArtifactNoGateRoundTrip: SaveDetector with a nil gate writes a v3
+// TestArtifactNoGateRoundTrip: saveDetector with a nil gate writes a v3
 // artifact with an empty cascade section, and loading reports no gate rather
 // than inventing one.
 func TestArtifactNoGateRoundTrip(t *testing.T) {
 	det, _ := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, nil); err != nil {
+	if err := saveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, gate, err := LoadDetector(bytes.NewReader(buf.Bytes()))
+	_, gate, err := loadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +160,12 @@ func TestArtifactBackCompat(t *testing.T) {
 	var buf bytes.Buffer
 	// Save WITH a gate: the downgrade drops the section, proving old layouts
 	// are read by structure, not by luck of an empty trailer.
-	if err := SaveDetector(&buf, det, gate); err != nil {
+	if err := saveDetector(&buf, det, gate); err != nil {
 		t.Fatal(err)
 	}
 	for _, version := range []uint32{1, 2} {
 		old := reencodeArtifact(t, buf.Bytes(), version, nil)
-		loaded, g, err := LoadDetector(bytes.NewReader(old))
+		loaded, g, err := loadDetector(bytes.NewReader(old))
 		if err != nil {
 			t.Fatalf("v%d artifact failed to load: %v", version, err)
 		}
@@ -186,7 +186,7 @@ func TestArtifactCorruptGateFailsLoad(t *testing.T) {
 	jobs, verdicts := cascadeTestJobs(64, 8)
 	gate := testCascadeGate(t, jobs, verdicts)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, gate); err != nil {
+	if err := saveDetector(&buf, det, gate); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -204,7 +204,7 @@ func TestArtifactCorruptGateFailsLoad(t *testing.T) {
 	}
 	for _, tc := range cases {
 		bad := reencodeArtifact(t, buf.Bytes(), ArtifactVersion, tc.mut)
-		loaded, g, err := LoadDetector(bytes.NewReader(bad))
+		loaded, g, err := loadDetector(bytes.NewReader(bad))
 		if err == nil {
 			t.Errorf("%s: corrupt gate loaded silently", tc.name)
 			continue

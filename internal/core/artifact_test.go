@@ -89,10 +89,10 @@ func assertDetectorsBitwiseEqual(t *testing.T, want, got Detector, ds *flowbench
 func TestArtifactRoundTripSFT(t *testing.T) {
 	det, ds := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, nil); err != nil {
+	if err := saveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadDetector(bytes.NewReader(buf.Bytes()))
+	loaded, _, err := loadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,10 @@ func TestArtifactRoundTripICL(t *testing.T) {
 	det := iclDetectorForTest(t)
 	_, ds := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, nil); err != nil {
+	if err := saveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadDetector(bytes.NewReader(buf.Bytes()))
+	loaded, _, err := loadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +124,18 @@ func TestArtifactRoundTripICL(t *testing.T) {
 func TestArtifactSecondGeneration(t *testing.T) {
 	det, ds := detector(t)
 	var gen1 bytes.Buffer
-	if err := SaveDetector(&gen1, det, nil); err != nil {
+	if err := saveDetector(&gen1, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded1, _, err := LoadDetector(bytes.NewReader(gen1.Bytes()))
+	loaded1, _, err := loadDetector(bytes.NewReader(gen1.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var gen2 bytes.Buffer
-	if err := SaveDetector(&gen2, loaded1, nil); err != nil {
+	if err := saveDetector(&gen2, loaded1, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded2, _, err := LoadDetector(bytes.NewReader(gen2.Bytes()))
+	loaded2, _, err := loadDetector(bytes.NewReader(gen2.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestArtifactFileRoundTrip(t *testing.T) {
 func TestArtifactRejectsCorruption(t *testing.T) {
 	det, _ := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, nil); err != nil {
+	if err := saveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -198,7 +198,7 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := LoadDetector(bytes.NewReader(tc.mutate(good)))
+			_, _, err := loadDetector(bytes.NewReader(tc.mutate(good)))
 			if err == nil {
 				t.Fatalf("%s: expected load error", tc.name)
 			}
@@ -218,10 +218,10 @@ func TestSFTDetectorRejectsTypeHead(t *testing.T) {
 	m := models.MustGet("distilbert-base-uncased").BuildClasses(tok.VocabSize(), sft.NumTypeClasses)
 	det := NewSFTDetector(sft.NewClassifier(m, tok))
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, nil); err != nil {
+	if err := saveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadDetector(&buf); err == nil || !strings.Contains(err.Error(), "3-class head") {
+	if _, _, err := loadDetector(&buf); err == nil || !strings.Contains(err.Error(), "3-class head") {
 		t.Fatalf("loading a 3-class SFT artifact: err = %v", err)
 	}
 	defer func() {
@@ -234,7 +234,7 @@ func TestSFTDetectorRejectsTypeHead(t *testing.T) {
 
 func TestSaveDetectorRejectsForeignImplementations(t *testing.T) {
 	var buf bytes.Buffer
-	err := SaveDetector(&buf, markDetector{}, nil)
+	err := saveDetector(&buf, markDetector{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "cannot save") {
 		t.Fatalf("err = %v", err)
 	}
@@ -246,10 +246,10 @@ func TestSaveDetectorRejectsForeignImplementations(t *testing.T) {
 func TestArtifactServesWithZeroTraining(t *testing.T) {
 	det, ds := detector(t)
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, nil); err != nil {
+	if err := saveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	loaded, _, err := LoadDetector(bytes.NewReader(buf.Bytes()))
+	loaded, _, err := loadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestSFTArtifactDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, nil); err != nil {
+	if err := saveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
 	const want = "55cdee5d3e0ff0e52d194ab9dd7439495516b183571983185486f243bfeec132"
@@ -321,7 +321,7 @@ func TestCascadeArtifactDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, gate); err != nil {
+	if err := saveDetector(&buf, det, gate); err != nil {
 		t.Fatal(err)
 	}
 	const want = "16fa4586813a3f9b1212f988fe75b29103a7d43604af76458d18a3342af26273"
@@ -351,7 +351,7 @@ func TestICLArtifactDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, nil); err != nil {
+	if err := saveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
 	const want = "5ed3d284348391e16a04c87663a97c927f10e01afe04de447fe81a7bcb32fe0f"

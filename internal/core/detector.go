@@ -233,7 +233,7 @@ func QuantizeDetector(det Detector) (Detector, error) {
 		d.det.Model.QuantizeInt8(0)
 		return NewICLDetector(d.det, d.examples), nil
 	default:
-		return nil, fmt.Errorf("core: cannot quantize detector of type %T (not produced by core.Train or core.LoadDetector)", det)
+		return nil, fmt.Errorf("core: cannot quantize detector of type %T (not produced by core.Train or core.LoadDetectorFile)", det)
 	}
 }
 

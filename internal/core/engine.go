@@ -12,9 +12,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrServerClosed is returned by detect and monitor calls after the serving
+// errServerClosed is returned by detect and monitor calls after the serving
 // engine (or the registry/server that owns it) has been closed.
-var ErrServerClosed = errors.New("core: server closed")
+var errServerClosed = errors.New("core: server closed")
 
 // BatchConfig tunes one served model's request-coalescing layer.
 type BatchConfig struct {
@@ -123,7 +123,7 @@ func (j *detectJob) wait() (results []Result, degraded bool, err error) {
 //
 // Lifecycle: newEngine starts the goroutines; Close drains queued jobs, waits
 // for in-flight batches to finish, and releases the workers. After Close,
-// submit fails with ErrServerClosed.
+// submit fails with errServerClosed.
 type engine struct {
 	name     string
 	det      Detector
@@ -195,7 +195,7 @@ func resolveInfer(det Detector) (infer inferFunc, usesWS bool) {
 }
 
 // Close drains queued requests, stops the inference workers, and fails
-// subsequent submit calls with ErrServerClosed. It blocks until every queued
+// subsequent submit calls with errServerClosed. It blocks until every queued
 // job and in-flight batch has completed — the drain Server.Close and
 // anomalyd's SIGTERM path rely on — and is idempotent.
 func (e *engine) Close() {
@@ -246,7 +246,7 @@ func (e *engine) submit(ctx context.Context, sentences []string) (*detectJob, er
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
-		return nil, ErrServerClosed
+		return nil, errServerClosed
 	}
 	// The send below blocks while e.mu is read-held on purpose: holding the
 	// RLock across the send is the shutdown handshake — Close takes the

@@ -313,7 +313,7 @@ func TestEngineBatchingRule(t *testing.T) {
 // TestEngineCloseDrainsInFlight pins Close's drain, which Server.Close and
 // anomalyd's SIGTERM shutdown rely on: a batch in flight when Close is called
 // returns its results, a job queued behind it is computed too, Close returns
-// only after both, and a submit after it fails with ErrServerClosed.
+// only after both, and a submit after it fails with errServerClosed.
 func TestEngineCloseDrainsInFlight(t *testing.T) {
 	g := newGatedEngine(t, BatchConfig{MaxBatch: 1, Workers: 1})
 	inFlight := g.hold("in flight")
@@ -342,8 +342,8 @@ func TestEngineCloseDrainsInFlight(t *testing.T) {
 	<-closed
 
 	g.finish(inFlight, queued)
-	if _, err := g.eng.submit(context.Background(), []string{"late"}); !errors.Is(err, ErrServerClosed) {
-		t.Fatalf("submit after Close = %v, want ErrServerClosed", err)
+	if _, err := g.eng.submit(context.Background(), []string{"late"}); !errors.Is(err, errServerClosed) {
+		t.Fatalf("submit after Close = %v, want errServerClosed", err)
 	}
 }
 

@@ -60,13 +60,13 @@ func FuzzLoadDetector(f *testing.F) {
 		tokBuf.Bytes(), []byte("{}"), nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		det, _, err := LoadDetector(bytes.NewReader(data))
+		det, _, err := loadDetector(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		// Anything the loader accepts must survive a save round-trip.
 		var out bytes.Buffer
-		if err := SaveDetector(&out, det, nil); err != nil {
+		if err := saveDetector(&out, det, nil); err != nil {
 			t.Fatalf("loaded detector cannot be re-saved: %v", err)
 		}
 	})

@@ -129,7 +129,7 @@ func oracleFixture(t *testing.T) []oracleCase {
 	gate := sftGate(t)
 	iclDet := iclDetectorForTest(t)
 	oracleOnce.Do(func() {
-		int8Det, _, err := LoadDetector(bytes.NewReader(saveBytes(iclDet, nil)))
+		int8Det, _, err := loadDetector(bytes.NewReader(saveBytes(iclDet, nil)))
 		if err != nil {
 			panic(err)
 		}
@@ -150,7 +150,7 @@ func oracleFixture(t *testing.T) []oracleCase {
 
 func saveBytes(det Detector, gate *cascade.Gate) []byte {
 	var art bytes.Buffer
-	if err := SaveDetector(&art, det, gate); err != nil {
+	if err := saveDetector(&art, det, gate); err != nil {
 		panic(err)
 	}
 	return art.Bytes()
@@ -161,7 +161,7 @@ func saveBytes(det Detector, gate *cascade.Gate) []byte {
 // artifact has one, and otherwise through a detector built for that line,
 // so an ICL reference's prompt cache is fresh.
 func referenceAnswers(art []byte, chunks [][]string) map[string]Result {
-	ref, gate, err := LoadDetector(bytes.NewReader(art))
+	ref, gate, err := loadDetector(bytes.NewReader(art))
 	if err != nil {
 		panic(err)
 	}
@@ -200,7 +200,7 @@ func referenceAnswers(art []byte, chunks [][]string) map[string]Result {
 // reference's answer for that line alone.
 func checkOracle(t *testing.T, c oracleCase, chunks [][]string) {
 	t.Helper()
-	det, gate, err := LoadDetector(bytes.NewReader(c.art))
+	det, gate, err := loadDetector(bytes.NewReader(c.art))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ import (
 	"repro/internal/logparse"
 )
 
-// ErrOverloaded is the sentinel all shed decisions wrap: matched with
+// errOverloaded is the sentinel all shed decisions wrap: matched with
 // errors.Is, carried with details by OverloadedError.
-var ErrOverloaded = errors.New("core: overloaded")
+var errOverloaded = errors.New("core: overloaded")
 
 // OverloadedError reports a request shed by admission control (the queue was
 // at its budgeted depth) or by the queue-wait budget (the job sat queued past
@@ -38,8 +38,8 @@ func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("core: overloaded, retry after %s", e.RetryAfter)
 }
 
-// Unwrap makes errors.Is(err, ErrOverloaded) match.
-func (e *OverloadedError) Unwrap() error { return ErrOverloaded }
+// Unwrap makes errors.Is(err, errOverloaded) match.
+func (e *OverloadedError) Unwrap() error { return errOverloaded }
 
 // brownout is the graceful-degradation state machine: a high/low watermark
 // hysteresis over observed queue depth. It engages when the depth has stayed

@@ -30,7 +30,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 
 	_, _, err := g.eng.DetectContext(context.Background(), []string{"s5"})
 	var oe *OverloadedError
-	if !errors.Is(err, ErrOverloaded) || !errors.As(err, &oe) {
+	if !errors.Is(err, errOverloaded) || !errors.As(err, &oe) {
 		t.Fatalf("sixth request err = %v, want *OverloadedError", err)
 	}
 	// No batch has finished, so the estimate is the cold 25ms per job over
@@ -223,7 +223,7 @@ func TestMaxQueueWaitSheds(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, _, err := eng.DetectContext(context.Background(), []string{fmt.Sprintf("s%d", i)})
-			if errors.Is(err, ErrOverloaded) {
+			if errors.Is(err, errOverloaded) {
 				shed.Add(1)
 			} else if err != nil {
 				t.Errorf("unexpected error: %v", err)

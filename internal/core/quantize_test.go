@@ -20,10 +20,10 @@ import (
 func loadedCopy(t *testing.T, det Detector) Detector {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := SaveDetector(&buf, det, nil); err != nil {
+	if err := saveDetector(&buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
-	copyDet, _, err := LoadDetector(bytes.NewReader(buf.Bytes()))
+	copyDet, _, err := loadDetector(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,18 +102,18 @@ func TestQuantizedParityICL(t *testing.T) {
 func TestQuantizedArtifactRoundTrip(t *testing.T) {
 	det, ds := detector(t)
 	var fp32Buf bytes.Buffer
-	if err := SaveDetector(&fp32Buf, det, nil); err != nil {
+	if err := saveDetector(&fp32Buf, det, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, q := quantizedPair(t, det)
 	var qBuf bytes.Buffer
-	if err := SaveDetector(&qBuf, q, nil); err != nil {
+	if err := saveDetector(&qBuf, q, nil); err != nil {
 		t.Fatal(err)
 	}
 	if qBuf.Len() >= fp32Buf.Len() {
 		t.Fatalf("int8 artifact %dB not smaller than fp32 %dB", qBuf.Len(), fp32Buf.Len())
 	}
-	loaded, _, err := LoadDetector(bytes.NewReader(qBuf.Bytes()))
+	loaded, _, err := loadDetector(bytes.NewReader(qBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func writeV1Artifact(t *testing.T, det Detector) []byte {
 func TestArtifactV1BackCompat(t *testing.T) {
 	det, ds := detector(t)
 	v1 := writeV1Artifact(t, det)
-	loaded, _, err := LoadDetector(bytes.NewReader(v1))
+	loaded, _, err := loadDetector(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatalf("v1 artifact rejected: %v", err)
 	}

@@ -14,9 +14,9 @@ import (
 // without a ?model= parameter route to when no explicit default is set.
 const DefaultModel = "default"
 
-// ErrUnknownModel is returned (wrapped with the requested name) when routing
+// errUnknownModel is returned (wrapped with the requested name) when routing
 // names a model the registry does not hold.
-var ErrUnknownModel = errors.New("core: unknown model")
+var errUnknownModel = errors.New("core: unknown model")
 
 // Registry holds named detectors, each served by its own engine: a
 // coalescing queue, a worker pool, and the model's trace tracker, stats,
@@ -51,7 +51,7 @@ func (r *Registry) Add(name string, det Detector, cfg BatchConfig) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return ErrServerClosed
+		return errServerClosed
 	}
 	if _, dup := r.models[name]; dup {
 		return fmt.Errorf("core: model %q already registered", name)
@@ -101,10 +101,10 @@ func (r *Registry) SetDefault(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return ErrServerClosed
+		return errServerClosed
 	}
 	if _, ok := r.models[name]; !ok {
-		return fmt.Errorf("%w %q", ErrUnknownModel, name)
+		return fmt.Errorf("%w %q", errUnknownModel, name)
 	}
 	r.def = name
 	return nil
@@ -263,7 +263,7 @@ func (r *Registry) ResetMonitor(name string) error {
 }
 
 // Close drains and stops every model's engine and fails subsequent lookups
-// with ErrServerClosed. Idempotent.
+// with errServerClosed. Idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -286,14 +286,14 @@ func (r *Registry) lookup(name string) (*engine, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.closed {
-		return nil, ErrServerClosed
+		return nil, errServerClosed
 	}
 	if name == "" {
 		name = r.def
 	}
 	e, ok := r.models[name]
 	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownModel, name)
+		return nil, fmt.Errorf("%w %q", errUnknownModel, name)
 	}
 	return e, nil
 }

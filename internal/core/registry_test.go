@@ -161,16 +161,16 @@ func TestServerModelsEndpoint(t *testing.T) {
 }
 
 // TestRegistryCloseFailsLookups pins what a closed registry answers: detect
-// calls and Add fail with ErrServerClosed, and Close is idempotent.
+// calls and Add fail with errServerClosed, and Close is idempotent.
 func TestRegistryCloseFailsLookups(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add("m", labelDetector{}, BatchConfig{})
 	s := NewServerRegistry(reg)
 	s.Close()
-	if _, err := s.DetectContext(context.Background(), []string{"a"}); err != ErrServerClosed {
-		t.Fatalf("DetectContext after close = %v, want ErrServerClosed", err)
+	if _, err := s.DetectContext(context.Background(), []string{"a"}); err != errServerClosed {
+		t.Fatalf("DetectContext after close = %v, want errServerClosed", err)
 	}
-	if err := reg.Add("late", labelDetector{}, BatchConfig{}); err != ErrServerClosed {
+	if err := reg.Add("late", labelDetector{}, BatchConfig{}); err != errServerClosed {
 		t.Fatalf("Add after close = %v", err)
 	}
 	s.Close() // idempotent

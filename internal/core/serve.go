@@ -30,7 +30,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, root http.Hand
 
 // Close drains queued requests, stops every model's inference workers,
 // terminates any open /v1/alerts streams, and fails subsequent detect and
-// monitor calls with ErrServerClosed. It is idempotent.
+// monitor calls with errServerClosed. It is idempotent.
 func (s *Server) Close() {
 	s.closeStreams()
 	s.reg.Close()
@@ -41,7 +41,7 @@ func (s *Server) Close() {
 // programmatic form of the HTTP endpoints, is safe for concurrent use, and
 // returns ctx.Err() as soon as ctx is done, whether the job is still queued
 // or in flight. Requests shed by admission control or the queue-wait budget
-// fail with an *OverloadedError (errors.Is ErrOverloaded) carrying a
+// fail with an *OverloadedError (errors.Is errOverloaded) carrying a
 // Retry-After estimate.
 func (s *Server) DetectContext(ctx context.Context, sentences []string) ([]Result, error) {
 	e, err := s.reg.lookup("")
@@ -74,7 +74,7 @@ func (s *Server) MonitorIngest(ctx context.Context, r io.Reader, strict bool, ex
 // traffic of workers, and a shed chunk ends the ingest with its
 // *OverloadedError. The model name is resolved once at the start, so a ""
 // stream stays on the model that was the default when it began; a chunk
-// submitted after the registry closed fails with ErrServerClosed.
+// submitted after the registry closed fails with errServerClosed.
 func (s *Server) MonitorIngestModel(ctx context.Context, model string, r io.Reader, strict bool, extra ...AlertSink) (MonitorReport, error) {
 	e, err := s.reg.lookup(model)
 	if err != nil {

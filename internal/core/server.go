@@ -178,7 +178,7 @@ func requestDeadline(r *http.Request, cfg BatchConfig) (time.Duration, error) {
 func errorStatus(h http.Header, err error) int {
 	var oe *OverloadedError
 	switch {
-	case errors.Is(err, ErrUnknownModel):
+	case errors.Is(err, errUnknownModel):
 		return http.StatusNotFound
 	case errors.As(err, &inputError{}):
 		return http.StatusBadRequest

@@ -166,7 +166,7 @@ func TestServerBatchErrors(t *testing.T) {
 }
 
 // TestServerClose checks shutdown semantics: Close is idempotent, and
-// subsequent requests fail with 503 / ErrServerClosed instead of hanging.
+// subsequent requests fail with 503 / errServerClosed instead of hanging.
 func TestServerClose(t *testing.T) {
 	det, ds := detector(t)
 	s := NewServer(det)
@@ -179,7 +179,7 @@ func TestServerClose(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // idempotent
-	if _, err := s.DetectContext(context.Background(), []string{sentence}); err != ErrServerClosed {
+	if _, err := s.DetectContext(context.Background(), []string{sentence}); err != errServerClosed {
 		t.Fatalf("Detect after Close: err = %v", err)
 	}
 	body, _ := json.Marshal(DetectRequest{Sentence: sentence})
@@ -360,7 +360,7 @@ func TestDetectContextPreCancelled(t *testing.T) {
 
 // TestServerCloseWithInflightDetectContext hammers Close against concurrent
 // DetectContext callers (some cancelling) under -race: every call must
-// return a result, a context error, or ErrServerClosed — never hang or
+// return a result, a context error, or errServerClosed — never hang or
 // panic.
 func TestServerCloseWithInflightDetectContext(t *testing.T) {
 	det := &countingDetector{delay: time.Millisecond}
@@ -385,7 +385,7 @@ func TestServerCloseWithInflightDetectContext(t *testing.T) {
 						t.Errorf("got %d results, want 2", len(res))
 						return
 					}
-				case err == ErrServerClosed, err == context.Canceled, err == context.DeadlineExceeded:
+				case err == errServerClosed, err == context.Canceled, err == context.DeadlineExceeded:
 				default:
 					t.Errorf("unexpected error %v", err)
 					return
@@ -574,7 +574,7 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 	case <-timeout:
 		t.Fatal("ListenAndServe never returned")
 	}
-	if _, err := s.DetectContext(context.Background(), []string{"after"}); err != ErrServerClosed {
-		t.Fatalf("detect after shutdown: %v, want ErrServerClosed", err)
+	if _, err := s.DetectContext(context.Background(), []string{"after"}); err != errServerClosed {
+		t.Fatalf("detect after shutdown: %v, want errServerClosed", err)
 	}
 }

@@ -137,8 +137,8 @@ func (s SinkFuncs) TraceFlagged(v TraceVerdict) {
 // traces) on unbounded streams.
 //
 // Each Observe updates the trace's counts and re-applies the policy, so at
-// any instant Verdicts() equals what DetectTraces would compute over the
-// jobs observed so far (given identical per-job results). The flag *event*
+// any instant the tracked verdicts equal what DetectTraces would compute over
+// the jobs observed so far (given identical per-job results). The flag *event*
 // (Observe's second return) latches: it fires once per tracked trace, the
 // moment the policy first trips, even if later normal jobs dilute the
 // fraction back under threshold. The latch lives with the trace's window
@@ -220,19 +220,6 @@ func (t *TraceTracker) Verdict(traceID int) (TraceVerdict, bool) {
 		return TraceVerdict{}, false
 	}
 	return el.Value.(*traceState).v, true
-}
-
-// Verdicts returns the verdicts of all tracked traces, ordered by trace id —
-// the online counterpart of DetectTraces' return.
-func (t *TraceTracker) Verdicts() []TraceVerdict {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceVerdict, 0, len(t.states))
-	for _, el := range t.states {
-		out = append(out, el.Value.(*traceState).v)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].TraceID < out[k].TraceID })
-	return out
 }
 
 // Len returns the number of actively tracked traces.

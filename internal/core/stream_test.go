@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"io"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,19 @@ import (
 	"repro/internal/logparse"
 	"repro/internal/tensor"
 )
+
+// trackedVerdicts returns the verdicts of all traces t still tracks, ordered
+// by trace id: the online counterpart of DetectTraces' return.
+func trackedVerdicts(t *TraceTracker) []TraceVerdict {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]TraceVerdict, 0, len(t.states))
+	for _, el := range t.states {
+		out = append(out, el.Value.(*traceState).v)
+	}
+	sort.Slice(out, func(i, k int) bool { return out[i].TraceID < out[k].TraceID })
+	return out
+}
 
 // hashDetector is a deterministic stub: the label depends only on the
 // sentence text, so the batched, workspace-threaded, and per-sentence paths
@@ -193,7 +207,7 @@ func TestMonitorOnlineTraceEquivalence(t *testing.T) {
 		if report.Processed != len(jobs) {
 			t.Fatalf("chunk=%d workers=%d: processed %d, want %d", cfg.ChunkSize, cfg.Workers, report.Processed, len(jobs))
 		}
-		got := tracker.Verdicts()
+		got := trackedVerdicts(tracker)
 		if len(got) != len(want) {
 			t.Fatalf("chunk=%d workers=%d: %d verdicts, want %d", cfg.ChunkSize, cfg.Workers, len(got), len(want))
 		}
@@ -223,7 +237,7 @@ func TestMonitorOnlineTraceEquivalenceTrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tracker.Verdicts()
+	got := trackedVerdicts(tracker)
 	if len(got) != len(want) {
 		t.Fatalf("%d online verdicts, want %d", len(got), len(want))
 	}
@@ -516,13 +530,13 @@ func TestMonitorChunkErrorEndsRun(t *testing.T) {
 		go s.Close() // blocks draining the held chunk; lookups fail from here on
 		waitFor(t, "the registry to close", func() bool {
 			_, err := s.reg.lookup("")
-			return errors.Is(err, ErrServerClosed)
+			return errors.Is(err, errServerClosed)
 		})
 		io.WriteString(pw, chunk(2))
 		close(det.release) // whenever the held chunk finishes, the second finds no registry
 		res := <-done
-		if !errors.Is(res.err, ErrServerClosed) {
-			t.Fatalf("err = %v, want ErrServerClosed", res.err)
+		if !errors.Is(res.err, errServerClosed) {
+			t.Fatalf("err = %v, want errServerClosed", res.err)
 		}
 		if res.report.Processed != 2 {
 			t.Fatalf("processed %d lines, want the 2 of the chunk admitted before the close", res.report.Processed)

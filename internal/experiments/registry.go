@@ -41,8 +41,8 @@ func All() []Def {
 	}
 }
 
-// IDs returns the sorted experiment identifiers.
-func IDs() []string {
+// ids returns the sorted experiment identifiers.
+func ids() []string {
 	defs := All()
 	out := make([]string, len(defs))
 	for i, d := range defs {
@@ -59,5 +59,5 @@ func Lookup(id string) (Def, error) {
 			return d, nil
 		}
 	}
-	return Def{}, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
+	return Def{}, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, ids())
 }

@@ -42,8 +42,8 @@ const (
 	Stall Kind = "stall"
 )
 
-// Kinds lists every failure mode, in the order specs accept them.
-var Kinds = []Kind{Latency, Error, Reset, Stall}
+// kinds lists every failure mode, in the order specs accept them.
+var kinds = []Kind{Latency, Error, Reset, Stall}
 
 // Window bounds when the injector is active, relative to Arm(). The zero
 // value means always armed.
@@ -59,7 +59,7 @@ type Config struct {
 	// Every injects a fault into every Nth matching request (default 5;
 	// 1 = every request).
 	Every int
-	// Kinds is the fault palette drawn from (default: all of Kinds).
+	// Kinds is the fault palette drawn from (default: every kind).
 	Kinds []Kind
 	// Latency is the added delay for Latency faults (default 150ms).
 	Latency time.Duration
@@ -80,7 +80,7 @@ func (c *Config) fill() {
 		c.Every = 5
 	}
 	if len(c.Kinds) == 0 {
-		c.Kinds = append([]Kind(nil), Kinds...)
+		c.Kinds = append([]Kind(nil), kinds...)
 	}
 	if c.Latency <= 0 {
 		c.Latency = 150 * time.Millisecond
@@ -263,7 +263,7 @@ func Parse(spec string) (Config, error) {
 			for _, name := range strings.Split(val, "+") {
 				k := Kind(name)
 				valid := false
-				for _, known := range Kinds {
+				for _, known := range kinds {
 					if k == known {
 						valid = true
 						break
@@ -316,8 +316,8 @@ func Parse(spec string) (Config, error) {
 }
 
 func kindNames() string {
-	names := make([]string, len(Kinds))
-	for i, k := range Kinds {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
 		names[i] = string(k)
 	}
 	sort.Strings(names)

@@ -59,27 +59,6 @@ type DAG struct {
 // NumNodes returns the node count.
 func (d *DAG) NumNodes() int { return len(d.Nodes) }
 
-// NumEdges returns the edge count.
-func (d *DAG) NumEdges() int { return len(d.Edges) }
-
-// Children returns an adjacency list of child indices per node.
-func (d *DAG) Children() [][]int {
-	out := make([][]int, len(d.Nodes))
-	for _, e := range d.Edges {
-		out[e[0]] = append(out[e[0]], e[1])
-	}
-	return out
-}
-
-// Parents returns an adjacency list of parent indices per node.
-func (d *DAG) Parents() [][]int {
-	out := make([][]int, len(d.Nodes))
-	for _, e := range d.Edges {
-		out[e[1]] = append(out[e[1]], e[0])
-	}
-	return out
-}
-
 // levelSpec describes one layer of a layered workflow DAG: count nodes of a
 // task type, each drawing fanIn edges from the previous layer (0 for source
 // layers, -1 for "all of previous layer").
@@ -160,9 +139,9 @@ func padEdges(d *DAG, target int, rng *tensor.RNG) {
 	})
 }
 
-// BuildDAG returns the workflow's DAG with the exact node/edge counts the
+// buildDAG returns the workflow's DAG with the exact node/edge counts the
 // paper reports: 1000 Genome 137/289, Montage 539/2838, Sales 165/581.
-func BuildDAG(wf Workflow) *DAG {
+func buildDAG(wf Workflow) *DAG {
 	rng := tensor.NewRNG(0xf10b + uint64(len(wf)))
 	var d *DAG
 	var targetEdges int
@@ -210,24 +189,4 @@ func BuildDAG(wf Workflow) *DAG {
 	}
 	padEdges(d, targetEdges, rng)
 	return d
-}
-
-// Validate checks DAG invariants: edges within range, forward-only by level,
-// no duplicates, and acyclic by construction.
-func (d *DAG) Validate() error {
-	seen := make(map[[2]int]bool, len(d.Edges))
-	for _, e := range d.Edges {
-		u, v := e[0], e[1]
-		if u < 0 || v < 0 || u >= len(d.Nodes) || v >= len(d.Nodes) {
-			return fmt.Errorf("flowbench: edge (%d,%d) out of range", u, v)
-		}
-		if d.Nodes[u].Level >= d.Nodes[v].Level {
-			return fmt.Errorf("flowbench: edge (%d,%d) not forward by level", u, v)
-		}
-		if seen[e] {
-			return fmt.Errorf("flowbench: duplicate edge (%d,%d)", u, v)
-		}
-		seen[e] = true
-	}
-	return nil
 }

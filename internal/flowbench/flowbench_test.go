@@ -1,12 +1,43 @@
 package flowbench
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/tensor"
 )
+
+// validateDAG checks d's invariants: edges within range, forward-only by
+// level, no duplicates, and so acyclic.
+func validateDAG(d *DAG) error {
+	seen := make(map[[2]int]bool, len(d.Edges))
+	for _, e := range d.Edges {
+		u, v := e[0], e[1]
+		if u < 0 || v < 0 || u >= len(d.Nodes) || v >= len(d.Nodes) {
+			return fmt.Errorf("flowbench: edge (%d,%d) out of range", u, v)
+		}
+		if d.Nodes[u].Level >= d.Nodes[v].Level {
+			return fmt.Errorf("flowbench: edge (%d,%d) not forward by level", u, v)
+		}
+		if seen[e] {
+			return fmt.Errorf("flowbench: duplicate edge (%d,%d)", u, v)
+		}
+		seen[e] = true
+	}
+	return nil
+}
+
+// traceTarget returns the number of traces Generate produces for wf; summed
+// over the three workflows this is Flow-Bench's 1211 execution traces.
+func traceTarget(wf Workflow) int {
+	total := 0
+	for _, s := range tableI[wf] {
+		total += s[0] + s[1]
+	}
+	return total / buildDAG(wf).NumNodes()
+}
 
 func TestDAGCountsMatchPaper(t *testing.T) {
 	want := map[Workflow][2]int{
@@ -15,21 +46,21 @@ func TestDAGCountsMatchPaper(t *testing.T) {
 		Sales:   {165, 581},
 	}
 	for wf, w := range want {
-		d := BuildDAG(wf)
-		if d.NumNodes() != w[0] || d.NumEdges() != w[1] {
+		d := buildDAG(wf)
+		if d.NumNodes() != w[0] || len(d.Edges) != w[1] {
 			t.Errorf("%s DAG = %d nodes / %d edges, want %d/%d",
-				wf, d.NumNodes(), d.NumEdges(), w[0], w[1])
+				wf, d.NumNodes(), len(d.Edges), w[0], w[1])
 		}
-		if err := d.Validate(); err != nil {
+		if err := validateDAG(d); err != nil {
 			t.Errorf("%s: %v", wf, err)
 		}
 	}
 }
 
 func TestDAGDeterministic(t *testing.T) {
-	d1 := BuildDAG(Genome)
-	d2 := BuildDAG(Genome)
-	if d1.NumEdges() != d2.NumEdges() {
+	d1 := buildDAG(Genome)
+	d2 := buildDAG(Genome)
+	if len(d1.Edges) != len(d2.Edges) {
 		t.Fatal("DAG construction not deterministic")
 	}
 	for i := range d1.Edges {
@@ -39,27 +70,13 @@ func TestDAGDeterministic(t *testing.T) {
 	}
 }
 
-func TestDAGAdjacency(t *testing.T) {
-	d := BuildDAG(Genome)
-	children := d.Children()
-	parents := d.Parents()
-	nc, np := 0, 0
-	for i := range d.Nodes {
-		nc += len(children[i])
-		np += len(parents[i])
-	}
-	if nc != d.NumEdges() || np != d.NumEdges() {
-		t.Fatalf("adjacency edge totals %d/%d, want %d", nc, np, d.NumEdges())
-	}
-}
-
 func TestBuildDAGUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for unknown workflow")
 		}
 	}()
-	BuildDAG(Workflow("bogus"))
+	buildDAG(Workflow("bogus"))
 }
 
 func TestBaselineFeaturesPositive(t *testing.T) {
@@ -157,7 +174,7 @@ func TestAnomalyClassPredicates(t *testing.T) {
 func TestGenerateMatchesTableI(t *testing.T) {
 	for _, wf := range Workflows {
 		ds := Generate(wf, 42)
-		spec := TableICounts(wf)
+		spec := tableI[wf]
 		stats := ds.Stats()
 		for s := range spec {
 			if stats[s].Normal != spec[s][0] || stats[s].Anomalous != spec[s][1] {
@@ -171,7 +188,7 @@ func TestGenerateMatchesTableI(t *testing.T) {
 func TestGenerateTraceCountTotals1211(t *testing.T) {
 	total := 0
 	for _, wf := range Workflows {
-		total += TraceTarget(wf)
+		total += traceTarget(wf)
 	}
 	if total != 1211 {
 		t.Fatalf("total traces = %d, want 1211 (Flow-Bench)", total)
@@ -221,8 +238,8 @@ func TestAnomaliesAreContiguousPerTrace(t *testing.T) {
 	ds := Generate(Genome, 3)
 	all := append(append(append([]Job{}, ds.Train...), ds.Val...), ds.Test...)
 	traces := TraceJobs(all)
-	if len(traces) != TraceTarget(Genome) {
-		t.Fatalf("trace count = %d, want %d", len(traces), TraceTarget(Genome))
+	if len(traces) != traceTarget(Genome) {
+		t.Fatalf("trace count = %d, want %d", len(traces), traceTarget(Genome))
 	}
 	for id, trace := range traces {
 		if len(trace) != ds.DAG.NumNodes() {
@@ -323,11 +340,11 @@ func TestDatasetJobsRecoversCompleteTraces(t *testing.T) {
 		t.Fatalf("Jobs() returned %d jobs, want %d", len(all), len(ds.Train)+len(ds.Val)+len(ds.Test))
 	}
 	// The splits shuffle jobs across traces; regrouping the full dataset must
-	// recover every execution intact: NumTraces traces, each with exactly one
+	// recover every execution intact: traceTarget traces, each with exactly one
 	// job per DAG node in node order.
 	byTrace := TraceJobs(all)
-	if len(byTrace) != ds.NumTraces() {
-		t.Fatalf("regrouped %d traces, want %d", len(byTrace), ds.NumTraces())
+	if len(byTrace) != traceTarget(Genome) {
+		t.Fatalf("regrouped %d traces, want %d", len(byTrace), traceTarget(Genome))
 	}
 	n := ds.DAG.NumNodes()
 	for id, trace := range byTrace {

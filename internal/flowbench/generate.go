@@ -52,33 +52,13 @@ func (ds *Dataset) Jobs() []Job {
 	return out
 }
 
-// NumTraces returns the number of workflow executions in the full dataset.
-func (ds *Dataset) NumTraces() int {
-	n := ds.DAG.NumNodes()
-	return (len(ds.Train) + len(ds.Val) + len(ds.Test)) / n
-}
-
-// TableICounts returns the paper's Table I specification for wf as
-// [split][normal, anomalous].
-func TableICounts(wf Workflow) [3][2]int { return tableI[wf] }
-
-// TraceTarget returns the number of traces Generate produces for wf; summed
-// over the three workflows this is Flow-Bench's 1211 execution traces.
-func TraceTarget(wf Workflow) int {
-	spec := tableI[wf]
-	total := 0
-	for _, s := range spec {
-		total += s[0] + s[1]
-	}
-	return total / BuildDAG(wf).NumNodes()
-}
-
-// Generate produces the full dataset for a workflow: TraceTarget(wf)
-// execution traces over the workflow DAG with CPU/HDD anomalies injected at
-// various points, split so each split's normal/anomalous counts equal Table
-// I exactly. Generation is deterministic in seed.
+// Generate produces the full dataset for a workflow: Table I's jobs laid out
+// as complete execution traces over the workflow DAG (1211 traces over the
+// three workflows), with CPU/HDD anomalies injected at various points, split
+// so each split's normal/anomalous counts equal Table I exactly. Generation
+// is deterministic in seed.
 func Generate(wf Workflow, seed uint64) *Dataset {
-	d := BuildDAG(wf)
+	d := buildDAG(wf)
 	spec, ok := tableI[wf]
 	if !ok {
 		panic(fmt.Sprintf("flowbench: unknown workflow %q", wf))

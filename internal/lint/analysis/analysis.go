@@ -67,9 +67,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
-// Diagnostics returns the findings reported so far, in report order.
-func (p *Pass) Diagnostics() []Diagnostic { return p.diagnostics }
-
 // Run applies each analyzer to the package described by (fset, files, pkg,
 // info) and returns the combined diagnostics.
 func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {

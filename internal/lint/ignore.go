@@ -26,8 +26,8 @@ import (
 // ApplyIgnores filters diags through the //lint:ignore directives found in
 // files: suppressed findings are dropped, and malformed or unused directives
 // are appended as diagnostics of the pseudo-analyzer "reprolint". It is the
-// directive half of RunPackage, exported so the linttest harness exercises
-// the exact pipeline the reprolint binary runs.
+// directive half of Run, exported so the linttest harness exercises the exact
+// pipeline the reprolint binary runs.
 func ApplyIgnores(fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) []analysis.Diagnostic {
 	var malformed []analysis.Diagnostic
 	dirs := parseDirectives(fset, files, func(d analysis.Diagnostic) {

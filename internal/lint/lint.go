@@ -35,37 +35,26 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-// Run loads patterns and applies analyzers to every matched package,
-// returning the surviving diagnostics (suppressions applied) sorted by
-// position. A nil analyzers slice means the full suite.
-func Run(analyzers []*analysis.Analyzer, patterns ...string) ([]analysis.Diagnostic, error) {
-	if analyzers == nil {
-		analyzers = Analyzers()
-	}
+// Run loads patterns, applies the full suite to every matched package and
+// filters each package's findings through its //lint:ignore directives,
+// returning the surviving diagnostics sorted by position. It always runs
+// every analyzer: a directive naming one that did not run would read as an
+// unused suppression.
+func Run(patterns ...string) ([]analysis.Diagnostic, error) {
 	pkgs, err := load.Load(patterns...)
 	if err != nil {
 		return nil, err
 	}
 	var out []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := RunPackage(analyzers, pkg)
+		diags, err := analysis.Run(Analyzers(), pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, diags...)
+		out = append(out, ApplyIgnores(pkg.Fset, pkg.Files, diags)...)
 	}
 	sortDiagnostics(out)
 	return out, nil
-}
-
-// RunPackage applies analyzers to one loaded package and filters the result
-// through the package's //lint:ignore directives.
-func RunPackage(analyzers []*analysis.Analyzer, pkg *load.Package) ([]analysis.Diagnostic, error) {
-	diags, err := analysis.Run(analyzers, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo)
-	if err != nil {
-		return nil, err
-	}
-	return ApplyIgnores(pkg.Fset, pkg.Files, diags), nil
 }
 
 func sortDiagnostics(diags []analysis.Diagnostic) {

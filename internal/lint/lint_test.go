@@ -38,7 +38,7 @@ func TestCtxflowFixture(t *testing.T) {
 // type-checking, directive filtering) over two declared-deterministic
 // packages and requires a clean bill.
 func TestSuiteClean(t *testing.T) {
-	diags, err := lint.Run(nil, "repro/internal/faults", "repro/internal/resilience")
+	diags, err := lint.Run("repro/internal/faults", "repro/internal/resilience")
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}

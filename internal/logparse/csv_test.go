@@ -9,7 +9,7 @@ import (
 
 func TestParseCSVRowRoundTrip(t *testing.T) {
 	j := sampleJob()
-	got, err := ParseCSVRow(CSVRow(j))
+	got, err := parseCSVRow(CSVRow(j))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func TestParseCSVRowErrors(t *testing.T) {
 		strings.Replace(CSVRow(sampleJob()), "cpu_2", "zz", 1), // bad anomaly
 	}
 	for _, c := range cases {
-		if _, err := ParseCSVRow(c); err == nil {
-			t.Errorf("ParseCSVRow(%q): expected error", c)
+		if _, err := parseCSVRow(c); err == nil {
+			t.Errorf("parseCSVRow(%q): expected error", c)
 		}
 	}
 }

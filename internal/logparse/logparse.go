@@ -267,8 +267,8 @@ func CSVRow(j flowbench.Job) string {
 	return strings.Join(cols, ",")
 }
 
-// ParseCSVRow parses one CSVRow-formatted line back into a Job.
-func ParseCSVRow(line string) (flowbench.Job, error) {
+// parseCSVRow parses one CSVRow-formatted line back into a Job.
+func parseCSVRow(line string) (flowbench.Job, error) {
 	var j flowbench.Job
 	cols := strings.Split(line, ",")
 	want := 4 + flowbench.NumFeatures + 2
@@ -333,7 +333,7 @@ func ReadCSV(r io.Reader) ([]flowbench.Job, error) {
 		if line == "" {
 			continue
 		}
-		j, err := ParseCSVRow(line)
+		j, err := parseCSVRow(line)
 		if err != nil {
 			return nil, fmt.Errorf("logparse: line %d: %w", lineNo, err)
 		}

@@ -75,9 +75,6 @@ func (c Confusion) String() string {
 	return fmt.Sprintf("acc=%.4f prec=%.4f rec=%.4f f1=%.4f", c.Accuracy(), c.Precision(), c.Recall(), c.F1())
 }
 
-// Accuracy is a convenience wrapper over NewConfusion(...).Accuracy().
-func Accuracy(labels, preds []int) float64 { return NewConfusion(labels, preds).Accuracy() }
-
 // ROCAUC computes the area under the ROC curve from anomaly scores (higher
 // score = more anomalous) via the rank-statistic (Mann–Whitney) formulation,
 // with midrank tie handling. Returns 0.5 when either class is empty.

@@ -183,7 +183,7 @@ func TestAccuracyBoundsProperty(t *testing.T) {
 			labels[i] = rng.Intn(2)
 			flipped[i] = 1 - labels[i]
 		}
-		return Accuracy(labels, labels) == 1 && Accuracy(labels, flipped) == 0
+		return NewConfusion(labels, labels).Accuracy() == 1 && NewConfusion(labels, flipped).Accuracy() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -69,25 +69,13 @@ var decoderSpecs = []Spec{
 	{Name: "llama2", Kind: Decoder, Layers: 6, DModel: 88, Heads: 4, FFN: 176, Dropout: 0.1, Seed: 203},
 }
 
-// EncoderSpecs returns the twelve encoder entries in presentation order.
-func EncoderSpecs() []Spec {
-	out := make([]Spec, len(encoderSpecs))
-	copy(out, encoderSpecs)
-	return out
-}
-
-// DecoderSpecs returns the three decoder entries in presentation order.
-func DecoderSpecs() []Spec {
-	out := make([]Spec, len(decoderSpecs))
-	copy(out, decoderSpecs)
-	return out
-}
-
 // Get looks up a spec by checkpoint name.
 func Get(name string) (Spec, bool) {
-	for _, s := range append(EncoderSpecs(), DecoderSpecs()...) {
-		if s.Name == name {
-			return s, true
+	for _, specs := range [][]Spec{encoderSpecs, decoderSpecs} {
+		for _, s := range specs {
+			if s.Name == name {
+				return s, true
+			}
 		}
 	}
 	return Spec{}, false

@@ -5,14 +5,14 @@ import (
 )
 
 func TestRegistryCompleteness(t *testing.T) {
-	if len(EncoderSpecs()) != 12 {
-		t.Fatalf("encoder zoo has %d entries, want 12 (Fig 4)", len(EncoderSpecs()))
+	if len(encoderSpecs) != 12 {
+		t.Fatalf("encoder zoo has %d entries, want 12 (Fig 4)", len(encoderSpecs))
 	}
-	if len(DecoderSpecs()) != 3 {
-		t.Fatalf("decoder zoo has %d entries, want 3 (Table III)", len(DecoderSpecs()))
+	if len(decoderSpecs) != 3 {
+		t.Fatalf("decoder zoo has %d entries, want 3 (Table III)", len(decoderSpecs))
 	}
 	names := map[string]bool{}
-	for _, s := range append(EncoderSpecs(), DecoderSpecs()...) {
+	for _, s := range append(append([]Spec(nil), encoderSpecs...), decoderSpecs...) {
 		if names[s.Name] {
 			t.Fatalf("duplicate model name %q", s.Name)
 		}

@@ -89,11 +89,6 @@ func TestLinearGradcheck(t *testing.T) {
 	checkLayerGradients(t, NewLinear("lin", 6, 4, rng), randomInput(3, 6, 2), 1e-2)
 }
 
-func TestLinearNoBiasGradcheck(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	checkLayerGradients(t, NewLinearNoBias("lin", 5, 3, rng), randomInput(2, 5, 3), 1e-2)
-}
-
 func TestLayerNormGradcheck(t *testing.T) {
 	checkLayerGradients(t, NewLayerNorm("ln", 8), randomInput(3, 8, 4), 2e-2)
 }

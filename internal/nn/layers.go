@@ -17,8 +17,8 @@ type LayerNorm struct {
 // NewLayerNorm returns a LayerNorm over dim features with gamma=1, beta=0.
 func NewLayerNorm(name string, dim int) *LayerNorm {
 	ln := &LayerNorm{
-		Gamma: NewParam(name+".gamma", 1, dim),
-		Beta:  NewParam(name+".beta", 1, dim),
+		Gamma: newParam(name+".gamma", 1, dim),
+		Beta:  newParam(name+".beta", 1, dim),
 		Eps:   1e-5,
 	}
 	ln.Gamma.W.Fill(1)
@@ -291,7 +291,7 @@ type Embedding struct {
 // NewEmbedding returns a vocab×dim embedding table with N(0, 0.02²) init
 // (the BERT/GPT convention).
 func NewEmbedding(name string, vocab, dim int, rng *tensor.RNG) *Embedding {
-	e := &Embedding{Table: NewParam(name, vocab, dim)}
+	e := &Embedding{Table: newParam(name, vocab, dim)}
 	tensor.Gaussian(e.Table.W, 0.02, rng)
 	return e
 }

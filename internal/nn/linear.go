@@ -9,23 +9,16 @@ import (
 // Linear is a fully connected layer computing y = xW + b.
 type Linear struct {
 	Weight *Param // [in, out]
-	Bias   *Param // [1, out]; nil when the layer has no bias
+	Bias   *Param // [1, out]
 }
 
 // NewLinear returns an in→out linear layer with Xavier-initialized weights
 // and zero bias.
 func NewLinear(name string, in, out int, rng *tensor.RNG) *Linear {
 	l := &Linear{
-		Weight: NewParam(name+".weight", in, out),
-		Bias:   NewParam(name+".bias", 1, out),
+		Weight: newParam(name+".weight", in, out),
+		Bias:   newParam(name+".bias", 1, out),
 	}
-	tensor.XavierInit(l.Weight.W, in, out, rng)
-	return l
-}
-
-// NewLinearNoBias returns an in→out linear layer without a bias term.
-func NewLinearNoBias(name string, in, out int, rng *tensor.RNG) *Linear {
-	l := &Linear{Weight: NewParam(name+".weight", in, out)}
 	tensor.XavierInit(l.Weight.W, in, out, rng)
 	return l
 }
@@ -43,10 +36,7 @@ func (l *Linear) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *Tape) *te
 	}
 	tape.Push(l.Weight.Name, nil, x)
 	y := tensor.MatMul(ws.Get(x.Rows, l.Out()), x, l.Weight.W)
-	if l.Bias != nil {
-		y = tensor.AddRowVec(y, y, l.Bias.W.Data)
-	}
-	return y
+	return tensor.AddRowVec(y, y, l.Bias.W.Data)
 }
 
 // Backward accumulates dW = xᵀ·dout and db = colsum(dout) into the gradients
@@ -57,7 +47,7 @@ func (l *Linear) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
 	if !l.Weight.Frozen {
 		tensor.AddScaled(l.Weight.Grad, tensor.TMatMul(ws.Get(l.In(), l.Out()), rec[0], dout), 1)
 	}
-	if l.Bias != nil && !l.Bias.Frozen {
+	if !l.Bias.Frozen {
 		for j, v := range tensor.ColSums(dout) {
 			l.Bias.Grad.Data[j] += v
 		}
@@ -67,9 +57,6 @@ func (l *Linear) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matrix {
 
 // Params returns the layer's parameters.
 func (l *Linear) Params() []*Param {
-	if l.Bias == nil {
-		return []*Param{l.Weight}
-	}
 	return []*Param{l.Weight, l.Bias}
 }
 
@@ -97,8 +84,8 @@ func NewLoRA(base *Linear, rank int, alpha float64, dropout float32, rng *tensor
 	FreezeAll(base.Params(), true)
 	l := &LoRALinear{
 		Base:    base,
-		A:       NewParam(base.Weight.Name+".lora_A", in, rank),
-		B:       NewParam(base.Weight.Name+".lora_B", rank, out),
+		A:       newParam(base.Weight.Name+".lora_A", in, rank),
+		B:       newParam(base.Weight.Name+".lora_B", rank, out),
 		Rank:    rank,
 		Scale:   float32(alpha / float64(rank)),
 		dropout: dropout,

@@ -213,7 +213,7 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 }
 
 func TestClipGradNorm(t *testing.T) {
-	p := NewParam("p", 1, 2)
+	p := newParam("p", 1, 2)
 	p.Grad.Data[0] = 3
 	p.Grad.Data[1] = 4
 	pre := ClipGradNorm([]*Param{p}, 1.0)
@@ -310,7 +310,7 @@ func TestQuantizeRoundTripError(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	m := tensor.New(32, 32)
 	tensor.Gaussian(m, 0.1, rng)
-	q := Quantize4Bit(m, 64)
+	q := quantize4Bit(m, 64)
 	deq := q.Dequantize()
 	if deq.Rows != 32 || deq.Cols != 32 {
 		t.Fatal("dequantize shape mismatch")
@@ -332,7 +332,7 @@ func TestQuantizeMemorySavings(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	m := tensor.New(128, 128)
 	tensor.Gaussian(m, 1, rng)
-	q := Quantize4Bit(m, 64)
+	q := quantize4Bit(m, 64)
 	ratio := float64(q.Float32Bytes()) / float64(q.MemoryBytes())
 	if ratio < 6 {
 		t.Fatalf("compression ratio = %v, want > 6x", ratio)
@@ -342,7 +342,7 @@ func TestQuantizeMemorySavings(t *testing.T) {
 func TestQuantizeConstantBlock(t *testing.T) {
 	m := tensor.New(4, 4)
 	m.Fill(3.5)
-	q := Quantize4Bit(m, 8)
+	q := quantize4Bit(m, 8)
 	deq := q.Dequantize()
 	for _, v := range deq.Data {
 		if v != 3.5 {
@@ -374,7 +374,7 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 		cols := 1 + rng.Intn(16)
 		m := tensor.New(rows, cols)
 		tensor.Gaussian(m, 1, rng)
-		q := Quantize4Bit(m, 16)
+		q := quantize4Bit(m, 16)
 		deq := q.Dequantize()
 		for i := range m.Data {
 			b := i / q.BlockSize
@@ -395,7 +395,7 @@ func BenchmarkQuantize4Bit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Quantize4Bit(m, DefaultQuantBlock)
+		quantize4Bit(m, DefaultQuantBlock)
 	}
 }
 

@@ -30,8 +30,8 @@ type Param struct {
 	Frozen bool
 }
 
-// NewParam allocates a named rows×cols parameter with a zeroed gradient.
-func NewParam(name string, rows, cols int) *Param {
+// newParam allocates a named rows×cols parameter with a zeroed gradient.
+func newParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, W: tensor.New(rows, cols), Grad: tensor.New(rows, cols)}
 }
 

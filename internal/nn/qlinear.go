@@ -28,7 +28,7 @@ type QuantizedLinear struct {
 	Name string
 	// W holds the packed int8 weights.
 	W *tensor.QInt8Matrix
-	// Bias is the fp32 bias Param; nil when the layer has no bias.
+	// Bias is the fp32 bias Param.
 	Bias *Param
 }
 
@@ -60,10 +60,7 @@ func (l *QuantizedLinear) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *
 		panic(fmt.Sprintf("nn: %s forward input dim %d, want %d", l.Name, x.Cols, l.In()))
 	}
 	y := tensor.MatMulQ8(ws.Get(x.Rows, l.Out()), x, l.W, ws)
-	if l.Bias != nil {
-		y = tensor.AddRowVec(y, y, l.Bias.W.Data)
-	}
-	return y
+	return tensor.AddRowVec(y, y, l.Bias.W.Data)
 }
 
 // InferQuantized computes xW + b from activations quantized once by the
@@ -74,10 +71,7 @@ func (l *QuantizedLinear) Forward(x *tensor.Matrix, ws *tensor.Workspace, tape *
 // Forward on the original rows.
 func (l *QuantizedLinear) InferQuantized(qa tensor.QuantizedRows, wsOut *tensor.Workspace) *tensor.Matrix {
 	y := tensor.MatMulQ8Pre(wsOut.Get(qa.Rows, l.Out()), qa, l.W)
-	if l.Bias != nil {
-		y = tensor.AddRowVec(y, y, l.Bias.W.Data)
-	}
-	return y
+	return tensor.AddRowVec(y, y, l.Bias.W.Data)
 }
 
 // Backward panics: int8 weights are not trainable.
@@ -88,9 +82,6 @@ func (l *QuantizedLinear) Backward(tape *Tape, dout *tensor.Matrix) *tensor.Matr
 // Params returns the fp32 bias (frozen or not, the optimizer has nothing else
 // to update here); the int8 weights are deliberately not Params.
 func (l *QuantizedLinear) Params() []*Param {
-	if l.Bias == nil {
-		return nil
-	}
 	return []*Param{l.Bias}
 }
 

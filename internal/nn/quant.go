@@ -22,9 +22,9 @@ type QuantizedTensor struct {
 // DefaultQuantBlock is the block size used when quantizing linear layers.
 const DefaultQuantBlock = 64
 
-// Quantize4Bit converts m to 4-bit block-quantized form. Each block's range
+// quantize4Bit converts m to 4-bit block-quantized form. Each block's range
 // [min,max] is mapped linearly onto the 16 available codes.
-func Quantize4Bit(m *tensor.Matrix, blockSize int) *QuantizedTensor {
+func quantize4Bit(m *tensor.Matrix, blockSize int) *QuantizedTensor {
 	if blockSize <= 0 {
 		panic("nn: non-positive quantization block size")
 	}
@@ -107,7 +107,7 @@ func (q *QuantizedTensor) Float32Bytes() int { return 4 * q.Rows * q.Cols }
 // parameters are frozen afterwards: 4-bit base weights are not trainable,
 // which is why the paper pairs quantization with LoRA.
 func QuantizeLinear(l *Linear, blockSize int) (*QuantizedTensor, float64) {
-	q := Quantize4Bit(l.Weight.W, blockSize)
+	q := quantize4Bit(l.Weight.W, blockSize)
 	deq := q.Dequantize()
 	var sq float64
 	for i, v := range l.Weight.W.Data {

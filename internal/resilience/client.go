@@ -110,7 +110,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	bo := NewBackoff(pol)
+	bo := newBackoff(pol)
 
 	if c.Budget != nil {
 		c.Budget.Attempt()

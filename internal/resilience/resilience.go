@@ -56,7 +56,7 @@ type Backoff struct {
 }
 
 // NewBackoff starts a fresh delay sequence.
-func NewBackoff(p Policy) *Backoff {
+func newBackoff(p Policy) *Backoff {
 	if p.Multiplier < 1 {
 		p.Multiplier = 2
 	}
@@ -138,13 +138,6 @@ func (b *Budget) Withdraw() bool {
 	}
 	b.tokens--
 	return true
-}
-
-// Tokens returns the current balance (tests and telemetry).
-func (b *Budget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
 }
 
 // BreakerState is the circuit breaker's position.

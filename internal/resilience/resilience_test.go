@@ -14,7 +14,7 @@ import (
 // under a fixed seed.
 func TestBackoffSchedule(t *testing.T) {
 	p := Policy{MaxAttempts: 5, Base: 100 * time.Millisecond, Max: 500 * time.Millisecond, Multiplier: 2, Seed: 3}
-	b := NewBackoff(p)
+	b := newBackoff(p)
 	var delays []time.Duration
 	for {
 		d, ok := b.Next(0)
@@ -35,7 +35,7 @@ func TestBackoffSchedule(t *testing.T) {
 
 	// Jitter stays within the proportional band and repeats under the seed.
 	p.Jitter = 0.2
-	j1, j2 := NewBackoff(p), NewBackoff(p)
+	j1, j2 := newBackoff(p), newBackoff(p)
 	for i := 0; ; i++ {
 		d1, ok1 := j1.Next(0)
 		d2, ok2 := j2.Next(0)
@@ -63,7 +63,7 @@ func TestBackoffSchedule(t *testing.T) {
 // TestBackoffHonorsHint checks that a server Retry-After hint replaces the
 // schedule's own delay.
 func TestBackoffHonorsHint(t *testing.T) {
-	b := NewBackoff(Policy{MaxAttempts: 3, Base: 10 * time.Millisecond, Max: 5 * time.Second, Multiplier: 2})
+	b := newBackoff(Policy{MaxAttempts: 3, Base: 10 * time.Millisecond, Max: 5 * time.Second, Multiplier: 2})
 	d, ok := b.Next(1300 * time.Millisecond)
 	if !ok || d != 1300*time.Millisecond {
 		t.Fatalf("hinted delay = %s, want 1.3s", d)
@@ -103,7 +103,7 @@ func TestBudgetSelfLimits(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		b.Attempt()
 	}
-	if got := b.Tokens(); got != 10 {
+	if got := b.tokens; got != 10 {
 		t.Fatalf("tokens = %v, want cap 10", got)
 	}
 }

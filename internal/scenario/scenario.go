@@ -17,15 +17,11 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 	"repro/internal/tensor"
@@ -103,8 +99,8 @@ func All() []Def {
 	}
 }
 
-// Names returns the scenario names in All order.
-func Names() []string {
+// names returns the scenario names in All order.
+func names() []string {
 	defs := All()
 	out := make([]string, len(defs))
 	for i, d := range defs {
@@ -120,7 +116,7 @@ func Lookup(name string) (Def, error) {
 			return d, nil
 		}
 	}
-	return Def{}, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
+	return Def{}, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, names())
 }
 
 // Generate produces the scenario's stream for cfg. Identical (name, cfg)
@@ -129,15 +125,6 @@ func (d Def) Generate(cfg Config) *Stream {
 	g := newGen(d.Name, cfg)
 	d.gen(g)
 	return g.stream()
-}
-
-// Labels returns the per-event ground-truth labels (0 normal, 1 anomalous).
-func (s *Stream) Labels() []int {
-	out := make([]int, len(s.Events))
-	for i, ev := range s.Events {
-		out[i] = ev.Job.Label
-	}
-	return out
 }
 
 // Sentences renders every event as the parsed feature sentence the detection
@@ -168,40 +155,6 @@ func (s *Stream) AnomalyRate() float64 {
 		n += ev.Job.Label
 	}
 	return float64(n) / float64(len(s.Events))
-}
-
-// TraceTruth applies policy to the ground-truth labels of the events each
-// trace actually emitted, answering "would this trace be flagged under
-// perfect per-line detection?" — the reference the lab scores trace verdicts
-// against. Keys are trace IDs present in the stream.
-func (s *Stream) TraceTruth(policy core.TracePolicy) map[int]bool {
-	jobs := make(map[int]int)
-	anom := make(map[int]int)
-	for _, ev := range s.Events {
-		jobs[ev.Job.TraceID]++
-		anom[ev.Job.TraceID] += ev.Job.Label
-	}
-	out := make(map[int]bool, len(jobs))
-	for id, n := range jobs {
-		out[id] = policy.Flagged(n, anom[id])
-	}
-	return out
-}
-
-// Hash returns a SHA-256 digest of the stream's canonical serialization
-// (arrival offset, line, label per event) — the quantity the golden-file
-// determinism tests pin.
-func (s *Stream) Hash() string {
-	h := sha256.New()
-	for _, ev := range s.Events {
-		h.Write([]byte(strconv.FormatInt(int64(ev.At), 10)))
-		h.Write([]byte{'\t'})
-		h.Write([]byte(ev.Line))
-		h.Write([]byte{'\t'})
-		h.Write([]byte(strconv.Itoa(ev.Job.Label)))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // gen is the shared generator state scenario functions build streams with.

@@ -62,8 +62,8 @@ func TestLookup(t *testing.T) {
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("Lookup(nope): expected error")
 	}
-	if len(Names()) != len(All()) {
-		t.Error("Names/All length mismatch")
+	if len(names()) != len(All()) {
+		t.Error("names/All length mismatch")
 	}
 }
 
@@ -144,10 +144,28 @@ func TestLineHeavyTouchesMoreTraces(t *testing.T) {
 	}
 }
 
+// traceTruth applies policy to the ground-truth labels of the events each
+// trace in s actually emitted, answering "would this trace be flagged under
+// perfect per-line detection?" — the reference trace verdicts are checked
+// against. Keys are trace IDs present in the stream.
+func traceTruth(s *Stream, policy core.TracePolicy) map[int]bool {
+	jobs := make(map[int]int)
+	anom := make(map[int]int)
+	for _, ev := range s.Events {
+		jobs[ev.Job.TraceID]++
+		anom[ev.Job.TraceID] += ev.Job.Label
+	}
+	out := make(map[int]bool, len(jobs))
+	for id, n := range jobs {
+		out[id] = policy.Flagged(n, anom[id])
+	}
+	return out
+}
+
 func TestTraceTruthUsesPolicy(t *testing.T) {
 	d, _ := Lookup("steady")
 	s := d.Generate(tinyCfg())
-	truth := s.TraceTruth(core.DefaultTracePolicy())
+	truth := traceTruth(s, core.DefaultTracePolicy())
 	if len(truth) == 0 {
 		t.Fatal("no traces in truth map")
 	}
@@ -161,7 +179,7 @@ func TestTraceTruthUsesPolicy(t *testing.T) {
 		t.Errorf("degenerate trace truth: %d/%d flagged", flagged, len(truth))
 	}
 	// Strict policy flags nothing.
-	none := s.TraceTruth(core.TracePolicy{MinAnomalous: 1 << 30, MinFraction: 1})
+	none := traceTruth(s, core.TracePolicy{MinAnomalous: 1 << 30, MinFraction: 1})
 	for id, v := range none {
 		if v {
 			t.Fatalf("trace %d flagged under impossible policy", id)

@@ -27,7 +27,7 @@ func TestTrackerFlagLatchUnderBursty(t *testing.T) {
 			t.Errorf("trace %d flag fired %d times, want latch-once", id, n)
 		}
 	}
-	truth := s.TraceTruth(policy)
+	truth := traceTruth(s, policy)
 	for id, flagged := range truth {
 		if flagged != (fired[id] == 1) {
 			t.Errorf("trace %d: tracker flagged=%v, truth=%v", id, fired[id] == 1, flagged)

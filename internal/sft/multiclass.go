@@ -12,7 +12,7 @@ import (
 // can recover the type — which tells an operator *what* to fix, not just
 // that something is wrong.
 
-// Type-class indices for TypedLabel.
+// Type-class indices of the anomaly-type task.
 const (
 	ClassNormal = 0
 	ClassCPU    = 1
@@ -21,11 +21,8 @@ const (
 	NumTypeClasses = 3
 )
 
-// TypeClassNames names the three classes.
-var TypeClassNames = []string{"normal", "cpu", "hdd"}
-
-// TypedLabel maps a job to its anomaly-type class.
-func TypedLabel(j flowbench.Job) int {
+// typedLabel maps a job to its anomaly-type class.
+func typedLabel(j flowbench.Job) int {
 	switch {
 	case j.Anomaly.IsCPU():
 		return ClassCPU
@@ -40,7 +37,7 @@ func TypedLabel(j flowbench.Job) int {
 func TypedExamples(jobs []flowbench.Job) []Example {
 	out := make([]Example, len(jobs))
 	for i, j := range jobs {
-		out[i] = Example{Text: logparse.Sentence(j), Label: TypedLabel(j)}
+		out[i] = Example{Text: logparse.Sentence(j), Label: typedLabel(j)}
 	}
 	return out
 }

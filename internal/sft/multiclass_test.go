@@ -25,8 +25,8 @@ func TestTypedLabel(t *testing.T) {
 		{flowbench.HDD10, ClassHDD},
 	}
 	for _, c := range cases {
-		if got := TypedLabel(flowbench.Job{Anomaly: c.anomaly}); got != c.want {
-			t.Fatalf("TypedLabel(%v) = %d, want %d", c.anomaly, got, c.want)
+		if got := typedLabel(flowbench.Job{Anomaly: c.anomaly}); got != c.want {
+			t.Fatalf("typedLabel(%v) = %d, want %d", c.anomaly, got, c.want)
 		}
 	}
 }

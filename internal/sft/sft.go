@@ -31,7 +31,8 @@ type Example struct {
 	// Text is the feature sentence (possibly a prefix, or empty for the
 	// debiasing probe).
 	Text string
-	// Label is the class: 0 (normal) or 1 (abnormal), or a TypedLabel.
+	// Label is the class: 0 (normal) or 1 (abnormal), or an anomaly-type
+	// class (ClassNormal, ClassCPU, ClassHDD).
 	Label int
 }
 
@@ -174,8 +175,8 @@ type EpochStats struct {
 
 // Train fine-tunes the classifier on train, optionally tracking validation
 // scores, and returns per-epoch statistics. Labels index the model's
-// Config.NumClasses classes: 0/1 for the binary task, TypedLabel for the
-// anomaly-type head, which takes no validation set (scoring is binary).
+// Config.NumClasses classes: 0/1 for the binary task, the Class* indices for
+// the anomaly-type head, which takes no validation set (scoring is binary).
 // Training mutates c.Model in place.
 func Train(c *Classifier, train, val []Example, cfg TrainConfig) []EpochStats {
 	if cfg.Epochs <= 0 {
@@ -218,7 +219,7 @@ func Train(c *Classifier, train, val []Example, cfg TrainConfig) []EpochStats {
 			Duration:  time.Since(start),
 		}
 		if cfg.ValEvery > 0 && (epoch%cfg.ValEvery == cfg.ValEvery-1 || epoch == cfg.Epochs-1) && len(val) > 0 {
-			st.Val = metrics.FromConfusion(EvaluateExamples(c, val))
+			st.Val = metrics.FromConfusion(evaluateExamples(c, val))
 			st.HasVal = true
 		}
 		stats = append(stats, st)
@@ -258,8 +259,8 @@ func shouldStop(stats []EpochStats, patience int) bool {
 	return since >= patience
 }
 
-// EvaluateExamples scores the classifier on labeled sentences.
-func EvaluateExamples(c *Classifier, examples []Example) metrics.Confusion {
+// evaluateExamples scores the classifier on labeled sentences.
+func evaluateExamples(c *Classifier, examples []Example) metrics.Confusion {
 	labels := make([]int, len(examples))
 	texts := make([]string, len(examples))
 	for i, ex := range examples {
@@ -271,7 +272,7 @@ func EvaluateExamples(c *Classifier, examples []Example) metrics.Confusion {
 
 // Evaluate scores the classifier on a job set.
 func Evaluate(c *Classifier, jobs []flowbench.Job) metrics.Confusion {
-	return EvaluateExamples(c, JobExamples(jobs))
+	return evaluateExamples(c, JobExamples(jobs))
 }
 
 // BiasProbe predicts the empty sentence and returns the (normal, abnormal)

@@ -303,7 +303,7 @@ func pinRandomShapes(t *testing.T) {
 
 // ---- exp / tanh / fused softmax ----
 
-// refExpFast32 is ExpFast32 as it stood before the polynomial core was split
+// refExpFast32 is expFast32 as it stood before the polynomial core was split
 // out for inlining: same operations, same order.
 func refExpFast32(x float32) float32 {
 	if x != x {
@@ -392,7 +392,7 @@ func refScaledMaskedRowSoftmax(m *Matrix, scale float32, past int, causal bool) 
 }
 
 // checkExpTanhBits holds the four consumers of the exp polynomial to their
-// references on one buffer of inputs: ExpFast32 and TanhFast32 one value at
+// references on one buffer of inputs: expFast32 and TanhFast32 one value at
 // a time, GELU over the whole buffer, and the fused softmax's exponential
 // pass over the buffer's non-positive mirror (−|x|, NaN kept; scale 1 and
 // row maximum 0 leave the argument as it is), which is the domain that pass
@@ -400,8 +400,8 @@ func refScaledMaskedRowSoftmax(m *Matrix, scale float32, past int, causal bool) 
 func checkExpTanhBits(t *testing.T, xs []float32) {
 	t.Helper()
 	for _, x := range xs {
-		if got, want := ExpFast32(x), refExpFast32(x); canonBits(got) != canonBits(want) {
-			t.Fatalf("ExpFast32(%08x = %v) = %08x, want %08x", math.Float32bits(x), x, math.Float32bits(got), math.Float32bits(want))
+		if got, want := expFast32(x), refExpFast32(x); canonBits(got) != canonBits(want) {
+			t.Fatalf("expFast32(%08x = %v) = %08x, want %08x", math.Float32bits(x), x, math.Float32bits(got), math.Float32bits(want))
 		}
 		if got, want := TanhFast32(x), refTanhFast32(x); canonBits(got) != canonBits(want) {
 			t.Fatalf("TanhFast32(%08x = %v) = %08x, want %08x", math.Float32bits(x), x, math.Float32bits(got), math.Float32bits(want))
@@ -431,7 +431,7 @@ func checkExpTanhBits(t *testing.T, xs []float32) {
 
 // TestExpTanhFast32MatchReferenceBits walks every 257th float32 bit pattern
 // (≈16.7 M values: every exponent, both signs, NaNs, infinities, denormals)
-// through ExpFast32, TanhFast32, GELU and the softmax's exponential pass and
+// through expFast32, TanhFast32, GELU and the softmax's exponential pass and
 // their reference copies, on both kernel paths. The buffer length is odd so
 // that the lanes' masked tail sees the sweep too.
 func TestExpTanhFast32MatchReferenceBits(t *testing.T) {

@@ -289,16 +289,6 @@ func Add(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// Sub computes a-b element-wise into dst (allocated if nil).
-func Sub(dst, a, b *Matrix) *Matrix {
-	checkSameShape("sub", a, b)
-	dst = ensureLike(dst, a)
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
-	}
-	return dst
-}
-
 // Mul computes the Hadamard product a⊙b into dst (allocated if nil).
 func Mul(dst, a, b *Matrix) *Matrix {
 	checkSameShape("mul", a, b)
@@ -386,32 +376,6 @@ func softmaxInPlace(row []float32) {
 
 // Softmax applies a numerically stable softmax to a single vector in place.
 func Softmax(v []float32) { softmaxInPlace(v) }
-
-// Norm2 returns the Frobenius norm of m.
-func Norm2(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-// Sum returns the sum of all elements of m.
-func Sum(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the mean of all elements of m, or 0 for an empty matrix.
-func Mean(m *Matrix) float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return Sum(m) / float64(len(m.Data))
-}
 
 // ArgMax returns the index of the largest element of v, breaking ties toward
 // the lowest index. Panics on an empty slice.

@@ -195,9 +195,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Add(nil, a, b); !got.Equal(NewFrom(1, 3, []float32{5, 7, 9})) {
 		t.Fatalf("Add = %v", got.Data)
 	}
-	if got := Sub(nil, a, b); !got.Equal(NewFrom(1, 3, []float32{-3, -3, -3})) {
-		t.Fatalf("Sub = %v", got.Data)
-	}
 	if got := Mul(nil, a, b); !got.Equal(NewFrom(1, 3, []float32{4, 10, 18})) {
 		t.Fatalf("Mul = %v", got.Data)
 	}
@@ -266,22 +263,6 @@ func TestArgMax(t *testing.T) {
 	}
 	if got := ArgMax([]float32{2, 2}); got != 0 {
 		t.Fatalf("ArgMax tie = %d, want 0 (first)", got)
-	}
-}
-
-func TestNorm2SumMean(t *testing.T) {
-	m := NewFrom(1, 2, []float32{3, 4})
-	if got := Norm2(m); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
-	if got := Sum(m); got != 7 {
-		t.Fatalf("Sum = %v, want 7", got)
-	}
-	if got := Mean(m); got != 3.5 {
-		t.Fatalf("Mean = %v, want 3.5", got)
-	}
-	if got := Mean(New(0, 0)); got != 0 {
-		t.Fatalf("Mean of empty = %v, want 0", got)
 	}
 }
 

@@ -89,7 +89,7 @@ func TMatMulStrided(dst *Matrix, doff int, a *Matrix, b *Matrix, boff, w int) {
 
 // ScaledMaskedRowSoftmax fuses the three per-row passes of attention-score
 // normalization — scale by `scale`, causal masking, softmax — into one kernel
-// using the float32 fast exponential (ExpFast32).
+// using the float32 fast exponential (expReduce).
 //
 // Row i's valid window is columns [0, lim) with lim = past+i+1 when causal
 // (the row's query position attends all `past` cached keys plus current keys
@@ -152,10 +152,11 @@ func softmaxExp(row []float32, scale, maxv float32) {
 		return
 	}
 	for j, v := range row {
-		// scale·v − max is never positive: of ExpFast32's range checks only
-		// the underflow one can trigger, the rounding offset is always −0.5,
-		// and the rest inlines. The test is written so that a NaN score falls
-		// through and poisons its row, as it does through ExpFast32.
+		// scale·v − max is never positive: of a full exponential's range
+		// checks (NaN, underflow, overflow) only the underflow one can
+		// trigger, the rounding offset is always −0.5, and the rest inlines.
+		// The test is written so that a NaN score falls through expReduce
+		// and poisons its row.
 		var e float32
 		if x := scale*v - maxv; !(x <= expUnderflow) {
 			p, n := expReduce(x, -0.5)
@@ -189,36 +190,14 @@ const (
 	expLn2Lo float32 = 1.4286067653e-06
 )
 
-// ExpFast32 approximates e^x in pure float32 arithmetic. Inputs below the
-// float32 normal range (including -Inf, the conventional masked-score value)
-// return exactly 0; inputs above the representable range return +Inf.
-func ExpFast32(x float32) float32 {
-	if x != x { // NaN propagates
-		return x
-	}
-	if x <= expUnderflow {
-		return 0
-	}
-	if x >= 88.72283 {
-		return float32(math.Inf(1))
-	}
-	p, n := expReduce(x, signedHalf(x))
-	if n >= 128 {
-		// 2^n is not encodable as a float32 exponent, but p·2^n may still be
-		// finite (x up to ln(MaxFloat32) ≈ 88.72): scale by 2^127, then by 2.
-		return p * math.Float32frombits(254<<23) * 2
-	}
-	return p * pow2(n)
-}
-
 // expUnderflow is the largest input whose exponential is flushed to exactly 0.
 const expUnderflow = -87.33655
 
-// expReduce is ExpFast32's range reduction and polynomial: e^x = p·2^n for a
-// finite x in (expUnderflow, 88.72283), with n < 128 below x ≈ 88.37. It
-// holds no range handling so that it inlines into callers that have already
-// bounded x (the fused softmax, TanhFast32) — same operations in the same
-// order as ExpFast32, so the same bits.
+// expReduce is the fast exponential's range reduction and polynomial:
+// e^x = p·2^n for a finite x in (expUnderflow, 88.72283), with n < 128 below
+// x ≈ 88.37. It holds no range handling so that it inlines into callers that
+// have already bounded x (the fused softmax, TanhFast32); the tests wrap it
+// in that handling as expFast32 to pin its error against math.Exp.
 //
 // half is 0.5 with x's sign, so that n = trunc(x·log₂e + half) rounds half
 // away from zero: signedHalf(x) in general, the constant where the caller
@@ -244,7 +223,7 @@ func pow2(n int32) float32 { return math.Float32frombits(uint32(n+127) << 23) }
 
 // TanhFast32 approximates tanh(x) in pure float32 arithmetic via the fast
 // exponential: tanh(x) = (e^{2x} − 1)/(e^{2x} + 1). Relative error tracks
-// ExpFast32's (~1e-6, pinned by TestTanhFast32Tolerance); |x| ≥ 10 saturates
+// the fast exponential's (~1e-6, pinned by TestTanhFast32Tolerance); |x| ≥ 10 saturates
 // to ±1 exactly (float32 tanh rounds to ±1 from |x| ≈ 9.01). It replaces
 // float64 math.Tanh in the GELU activation, where the conversion round trip
 // and float64 exp dominated the activation's cost.
@@ -258,7 +237,7 @@ func TanhFast32(x float32) float32 {
 	if x <= -10 {
 		return -1
 	}
-	// |2x| < 20 needs none of ExpFast32's range handling.
+	// |2x| < 20 needs none of the exponential's range handling.
 	p, n := expReduce(2*x, signedHalf(x))
 	e := p * pow2(n)
 	return (e - 1) / (e + 1)

@@ -188,6 +188,29 @@ func TestScaledMaskedRowSoftmaxZeroWidth(t *testing.T) {
 	}
 }
 
+// expFast32 approximates e^x in pure float32 arithmetic: expReduce wrapped in
+// the range handling its served callers do without. Inputs below the float32
+// normal range (including -Inf, the conventional masked-score value) return
+// exactly 0; inputs above the representable range return +Inf.
+func expFast32(x float32) float32 {
+	if x != x { // NaN propagates
+		return x
+	}
+	if x <= expUnderflow {
+		return 0
+	}
+	if x >= 88.72283 {
+		return float32(math.Inf(1))
+	}
+	p, n := expReduce(x, signedHalf(x))
+	if n >= 128 {
+		// 2^n is not encodable as a float32 exponent, but p·2^n may still be
+		// finite (x up to ln(MaxFloat32) ≈ 88.72): scale by 2^127, then by 2.
+		return p * math.Float32frombits(254<<23) * 2
+	}
+	return p * pow2(n)
+}
+
 // TestExpFast32Tolerance pins the fast exponential's error budget: over the
 // softmax-relevant domain (arguments ≤ 0 after max subtraction) and a wide
 // general range, the relative error against float64 math.Exp stays under
@@ -195,13 +218,13 @@ func TestScaledMaskedRowSoftmaxZeroWidth(t *testing.T) {
 func TestExpFast32Tolerance(t *testing.T) {
 	const relTol = 1e-6
 	check := func(x float32) {
-		got := float64(ExpFast32(x))
+		got := float64(expFast32(x))
 		want := math.Exp(float64(x))
 		if want == 0 {
 			return
 		}
 		if rel := math.Abs(got-want) / want; rel > relTol {
-			t.Fatalf("ExpFast32(%v) = %v, want %v (rel err %.3g)", x, got, want, rel)
+			t.Fatalf("expFast32(%v) = %v, want %v (rel err %.3g)", x, got, want, rel)
 		}
 	}
 	rng := NewRNG(13)
@@ -213,16 +236,16 @@ func TestExpFast32Tolerance(t *testing.T) {
 	for _, x := range []float32{0, -0.5, 0.5, 1, -1, -87, 88, 88.5, 88.72, 1e-10, -1e-10} {
 		check(x)
 	}
-	if ExpFast32(float32(math.Inf(-1))) != 0 {
-		t.Fatal("ExpFast32(-Inf) != 0")
+	if expFast32(float32(math.Inf(-1))) != 0 {
+		t.Fatal("expFast32(-Inf) != 0")
 	}
-	if !math.IsInf(float64(ExpFast32(float32(math.Inf(1)))), 1) {
-		t.Fatal("ExpFast32(+Inf) != +Inf")
+	if !math.IsInf(float64(expFast32(float32(math.Inf(1)))), 1) {
+		t.Fatal("expFast32(+Inf) != +Inf")
 	}
-	if v := ExpFast32(float32(math.NaN())); v == v {
-		t.Fatal("ExpFast32(NaN) did not propagate NaN")
+	if v := expFast32(float32(math.NaN())); v == v {
+		t.Fatal("expFast32(NaN) did not propagate NaN")
 	}
-	if ExpFast32(-200) != 0 {
+	if expFast32(-200) != 0 {
 		t.Fatal("deep underflow must return 0")
 	}
 }

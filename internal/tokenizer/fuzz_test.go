@@ -11,7 +11,7 @@ import (
 
 // FuzzLoad drives the vocabulary reader with arbitrary bytes. Accepted
 // vocabularies must round-trip (save, reload, same vocabulary) and must
-// tokenize without panicking — the properties LoadDetector relies on when it
+// tokenize without panicking — the properties core's artifact loader relies on when it
 // embeds a vocabulary section inside a model artifact.
 func FuzzLoad(f *testing.F) {
 	var buf bytes.Buffer

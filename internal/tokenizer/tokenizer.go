@@ -49,7 +49,7 @@ type Tokenizer struct {
 }
 
 // NumBucket returns the magnitude-bucket index in [0, NumBuckets) for a
-// numeric value, or -1 for NaN/Inf (which NumToken renders as [UNK]). This is
+// numeric value, or -1 for NaN/Inf (which numToken renders as [UNK]). This is
 // the exact discretization the transformer sees for every numeral, exported
 // so stage-1 cascade scoring (internal/cascade) can key on the same view of a
 // job that stage 2 classifies. Alloc-free.
@@ -70,10 +70,10 @@ func NumBucket(v float64) int {
 	return b
 }
 
-// NumToken returns the magnitude-bucket token for a numeric value.
+// numToken returns the magnitude-bucket token for a numeric value.
 // Negative values share the bucket of their magnitude with a sign prefix
 // handled as a separate "-" token by Tokenize; v here is the absolute value.
-func NumToken(v float64) string {
+func numToken(v float64) string {
 	b := NumBucket(v)
 	if b < 0 {
 		return "[UNK]"
@@ -119,7 +119,7 @@ func appendWordTokens(out []string, f string) []string {
 				out = append(out, "-")
 				v = -v
 			}
-			out = append(out, NumToken(v))
+			out = append(out, numToken(v))
 		} else {
 			out = append(out, f)
 		}

@@ -52,7 +52,7 @@ func TestNumTokenMonotone(t *testing.T) {
 	// Magnitude buckets must be monotone in |v|.
 	prev := -1
 	for _, v := range []float64{0, 0.5, 1, 3, 10, 30, 100, 1000, 1e6, 1e12} {
-		tok := NumToken(v)
+		tok := numToken(v)
 		var b int
 		if _, err := sscanfBucket(tok, &b); err != nil {
 			t.Fatalf("bad bucket token %q", tok)
@@ -74,23 +74,23 @@ func sscanfBucket(tok string, b *int) (int, error) {
 func TestNumTokenDistinguishesAnomalyScale(t *testing.T) {
 	// The CPU anomaly roughly doubles runtimes; the buckets must separate
 	// e.g. 970 from 1775 (Fig 13's normal vs abnormal runtime means).
-	if NumToken(970) == NumToken(1775) {
+	if numToken(970) == numToken(1775) {
 		t.Fatal("bucket resolution too coarse to detect 2x anomalies")
 	}
 }
 
 func TestNumTokenSpecialValues(t *testing.T) {
-	if NumToken(math.NaN()) != "[UNK]" {
+	if numToken(math.NaN()) != "[UNK]" {
 		t.Fatal("NaN must map to UNK")
 	}
-	if NumToken(math.Inf(1)) != "[UNK]" {
+	if numToken(math.Inf(1)) != "[UNK]" {
 		t.Fatal("Inf must map to UNK")
 	}
-	if NumToken(0) != "<num0>" {
-		t.Fatalf("NumToken(0) = %v", NumToken(0))
+	if numToken(0) != "<num0>" {
+		t.Fatalf("numToken(0) = %v", numToken(0))
 	}
 	// Huge values clamp to the top bucket rather than overflowing.
-	if NumToken(1e300) != NumToken(1e299) {
+	if numToken(1e300) != numToken(1e299) {
 		t.Fatal("huge values must clamp to the top bucket")
 	}
 }

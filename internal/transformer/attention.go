@@ -38,9 +38,9 @@ type MultiHeadAttention struct {
 // the offsets and the q/k/v projections.
 const probsRecord, attentionRecord = "MultiHeadAttention.probs", "MultiHeadAttention"
 
-// NewMultiHeadAttention constructs an attention layer. dModel must be
+// newMultiHeadAttention constructs an attention layer. dModel must be
 // divisible by numHeads.
-func NewMultiHeadAttention(name string, dModel, numHeads int, causal bool, rng *tensor.RNG) *MultiHeadAttention {
+func newMultiHeadAttention(name string, dModel, numHeads int, causal bool, rng *tensor.RNG) *MultiHeadAttention {
 	if dModel%numHeads != 0 {
 		panic("transformer: dModel must be divisible by numHeads")
 	}

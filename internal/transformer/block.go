@@ -27,11 +27,11 @@ type Block struct {
 	dropF *nn.Dropout
 }
 
-// NewBlock builds a transformer block with the given dimensions.
-func NewBlock(name string, dModel, numHeads, ffnDim int, causal bool, dropout float32, rng *tensor.RNG) *Block {
+// newBlock builds a transformer block with the given dimensions.
+func newBlock(name string, dModel, numHeads, ffnDim int, causal bool, dropout float32, rng *tensor.RNG) *Block {
 	return &Block{
 		LN1:   nn.NewLayerNorm(name+".ln1", dModel),
-		Attn:  NewMultiHeadAttention(name+".attn", dModel, numHeads, causal, rng),
+		Attn:  newMultiHeadAttention(name+".attn", dModel, numHeads, causal, rng),
 		LN2:   nn.NewLayerNorm(name+".ln2", dModel),
 		FF1:   nn.NewLinear(name+".ff1", dModel, ffnDim, rng),
 		Act:   nn.NewGELU(),

@@ -73,7 +73,7 @@ func New(cfg Config, rng *tensor.RNG) *Model {
 		// The layers hold no activations, so every block runs base's. Each
 		// keeps its own dropout streams, and its own attention struct, whose
 		// projection slots quantization rewrites block by block.
-		base := NewBlock(fmt.Sprintf("%s.block", cfg.Name), cfg.DModel, cfg.NumHeads, cfg.FFNDim, cfg.Causal, cfg.Dropout, rng)
+		base := newBlock(fmt.Sprintf("%s.block", cfg.Name), cfg.DModel, cfg.NumHeads, cfg.FFNDim, cfg.Causal, cfg.Dropout, rng)
 		m.Blocks = append(m.Blocks, base)
 		for i := 1; i < cfg.NumLayers; i++ {
 			b, attn := *base, *base.Attn
@@ -83,7 +83,7 @@ func New(cfg Config, rng *tensor.RNG) *Model {
 		}
 	} else {
 		for i := 0; i < cfg.NumLayers; i++ {
-			m.Blocks = append(m.Blocks, NewBlock(fmt.Sprintf("%s.block%d", cfg.Name, i), cfg.DModel, cfg.NumHeads, cfg.FFNDim, cfg.Causal, cfg.Dropout, rng))
+			m.Blocks = append(m.Blocks, newBlock(fmt.Sprintf("%s.block%d", cfg.Name, i), cfg.DModel, cfg.NumHeads, cfg.FFNDim, cfg.Causal, cfg.Dropout, rng))
 		}
 	}
 	return m
@@ -121,9 +121,6 @@ func (m *Model) FreezeBackbone() {
 	nn.FreezeAll(m.Params(), true)
 	nn.FreezeAll(m.ClsHead.Params(), false)
 }
-
-// Unfreeze makes every parameter trainable again.
-func (m *Model) Unfreeze() { nn.FreezeAll(m.Params(), false) }
 
 // linears returns every Linear in the model, including those inside
 // attention layers (for quantization sweeps). LoRA-wrapped and int8-quantized

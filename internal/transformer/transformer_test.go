@@ -25,7 +25,7 @@ func smallConfig(causal bool) Config {
 
 func TestAttentionShapes(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	a := NewMultiHeadAttention("a", 8, 2, false, rng)
+	a := newMultiHeadAttention("a", 8, 2, false, rng)
 	x := tensor.New(5, 8)
 	tensor.Gaussian(x, 1, rng)
 	y := attend(a, x, nil)
@@ -40,7 +40,7 @@ func TestAttentionBadHeadsPanics(t *testing.T) {
 			t.Fatal("expected panic for dModel % heads != 0")
 		}
 	}()
-	NewMultiHeadAttention("a", 8, 3, false, tensor.NewRNG(1))
+	newMultiHeadAttention("a", 8, 3, false, tensor.NewRNG(1))
 }
 
 // TestCausalMaskBlocksFuture verifies that changing a future token does not
@@ -49,7 +49,7 @@ func TestAttentionBadHeadsPanics(t *testing.T) {
 func TestCausalMaskBlocksFuture(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	for _, causal := range []bool{true, false} {
-		a := NewMultiHeadAttention("a", 8, 2, causal, rng)
+		a := newMultiHeadAttention("a", 8, 2, causal, rng)
 		x := tensor.New(4, 8)
 		tensor.Gaussian(x, 1, tensor.NewRNG(3))
 		y1 := attend(a, x, nil)
@@ -80,7 +80,7 @@ func TestCausalMaskBlocksFuture(t *testing.T) {
 func TestAttentionGradcheck(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	for _, causal := range []bool{false, true} {
-		a := NewMultiHeadAttention("a", 8, 2, causal, rng)
+		a := newMultiHeadAttention("a", 8, 2, causal, rng)
 		x := tensor.New(4, 8)
 		tensor.Gaussian(x, 1, tensor.NewRNG(5))
 		dout := tensor.New(4, 8)
@@ -134,7 +134,7 @@ func TestAttentionGradcheck(t *testing.T) {
 
 func TestBlockForwardBackwardShapes(t *testing.T) {
 	rng := tensor.NewRNG(7)
-	b := NewBlock("b", 8, 2, 16, false, 0, rng)
+	b := newBlock("b", 8, 2, 16, false, 0, rng)
 	x := tensor.New(5, 8)
 	tensor.Gaussian(x, 1, rng)
 	tape := nn.NewTape()
@@ -328,10 +328,6 @@ func TestFreezeBackbone(t *testing.T) {
 	want := nn.ParamCount(m.ClsHead.Params())
 	if trainable != want {
 		t.Fatalf("trainable = %d, want cls head only = %d", trainable, want)
-	}
-	m.Unfreeze()
-	if nn.TrainableCount(ps) != nn.ParamCount(ps) {
-		t.Fatal("Unfreeze must restore all params")
 	}
 }
 

@@ -46,7 +46,7 @@ func referenceAttentionForward(a *MultiHeadAttention, x *tensor.Matrix) *tensor.
 func TestStridedAttentionMatchesCopyingBitwise(t *testing.T) {
 	for _, causal := range []bool{false, true} {
 		rng := tensor.NewRNG(91)
-		a := NewMultiHeadAttention("strided", 32, 4, causal, rng)
+		a := newMultiHeadAttention("strided", 32, 4, causal, rng)
 		x := tensor.New(7, 32)
 		tensor.Gaussian(x, 1, rng)
 
