@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/flowbench"
@@ -16,7 +17,7 @@ import (
 )
 
 // TestChaosReplayEndToEnd is the overload acceptance gate: the trained
-// detector serves behind admission control and a brownout fallback, a clean
+// detector serves behind admission control and a brownout tier, a clean
 // replay establishes the latency baseline, then the identical stream is
 // replayed through a deterministic fault campaign with client retries on.
 // The run must keep the failure rate bounded, recover its p99 after the
@@ -28,7 +29,7 @@ func TestChaosReplayEndToEnd(t *testing.T) {
 	}
 	det := e2eDetector(t)
 	ds := flowbench.Generate(flowbench.Genome, 42)
-	fb, err := core.FitFallback(ds.Train, 42)
+	gate, err := core.FitCascade(det, cascade.Config{}, ds.Train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestChaosReplayEndToEnd(t *testing.T) {
 	if err := reg.Add("genome-sft", det, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.SetFallback("genome-sft", fb); err != nil {
+	if err := reg.SetCascade("genome-sft", gate); err != nil {
 		t.Fatal(err)
 	}
 	srv := core.NewServerRegistry(reg)

@@ -30,19 +30,22 @@
 // answered 429 with Retry-After / Retry-After-Ms), -max-queue-wait sheds
 // stale queued work at dequeue, -deadline enforces a server-side request
 // deadline (clients override per request with ?deadline_ms=), and -brownout
-// degrades batch detection to a calibrated PCA baseline under sustained
+// answers detection from each model's cascade gate alone under sustained
 // saturation (responses carry "degraded": true). -faults arms a deterministic
 // fault-injection campaign (see internal/faults) for chaos drills; see
 // docs/RELIABILITY.md.
 //
 // -cascade arms two-stage inference: a calibrated cheap scorer (ngram, a
 // supervised count table over the tokenizer's magnitude buckets)
-// short-circuits confident lines in front of the transformer, always on
-// (unlike brownout, which only engages under saturation). -cascade-recall
-// sets the calibration target (default 0.995); per-model gating counters
-// appear under "stats" in GET /v1/models. Gates fitted at training time
-// travel inside the artifact (-train-out -cascade) and re-arm automatically
-// on -load; -load with -cascade refits them. See docs/PERFORMANCE.md.
+// short-circuits confident lines in front of the transformer, always on.
+// -cascade-recall sets the calibration target (default 0.995); per-model
+// gating counters appear under "stats" in GET /v1/models. Gates fitted at
+// training time travel inside the artifact (-train-out -cascade) and re-arm
+// automatically on -load; -load with -cascade refits them. The gate is also
+// the brownout tier, so -brownout fits one, as -cascade does, for every model
+// that has none — which turns the cascade on for normal traffic too (it is
+// calibrated to keep ≥99% of verdicts in agreement with transformer-only
+// serving). See docs/PERFORMANCE.md.
 //
 // With -load the daemon performs zero training steps at boot: each artifact
 // (written by -train-out) is loaded into the model registry under its name
@@ -61,6 +64,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -100,7 +104,7 @@ func main() {
 		shedDepth    = flag.Int("shed-depth", 0, "admission-control queue depth: enqueues beyond it are shed with 429 + Retry-After (0 = off)")
 		maxQueueWait = flag.Duration("max-queue-wait", 0, "shed queued requests older than this at dequeue (0 = off)")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline, overridable per request via ?deadline_ms (0 = none)")
-		brownout     = flag.Int("brownout", 0, "queue depth that engages brownout: /v1/detect/batch answers degraded from a calibrated PCA baseline until load recedes (0 = off)")
+		brownout     = flag.Int("brownout", 0, "queue depth that engages brownout: detection answers degraded from the model's cascade gate until load recedes; arms a gate (as -cascade) on every model without one (0 = off)")
 		brownHold    = flag.Duration("brownout-hold", 0, "how long the queue must stay saturated before brownout engages (0 = default 250ms)")
 		faultsSpec   = flag.String("faults", "", `fault-injection campaign armed at listen, e.g. "seed=7,every=5,kinds=latency+error,window=10s:30s,path=/v1/" — chaos drills only`)
 		cascOn       = flag.Bool("cascade", false, "two-stage inference: a calibrated ngram stage-1 scorer short-circuits confident lines before the transformer")
@@ -207,49 +211,32 @@ func main() {
 
 	// Cascade arming: an explicit -cascade fits fresh gates against each
 	// served detector's own verdicts on the training split; otherwise any
-	// gate that traveled inside a v3 artifact re-arms as saved.
-	if *cascOn {
-		ds := flowbench.Generate(flowbench.Workflow(*workflow), *seed)
-		ccfg := cascade.Config{TargetRecall: *cascRecall}
-		for _, name := range reg.Names() {
-			g, err := core.FitCascade(dets[name], ccfg, ds.Train)
-			if err != nil {
+	// gate that traveled inside a v3 artifact re-arms as saved. The gate is
+	// also the model's brownout tier, so -brownout fits one, as -cascade
+	// would, for every model that would otherwise have none.
+	var ds *flowbench.Dataset
+	for _, name := range reg.Names() {
+		g, from := gates[name], "artifact"
+		if *cascOn || (g == nil && *brownout > 0) {
+			if ds == nil {
+				ds = flowbench.Generate(flowbench.Workflow(*workflow), *seed)
+			}
+			var err error
+			if g, err = core.FitCascade(dets[name], cascade.Config{TargetRecall: *cascRecall}, ds.Train); err != nil {
 				log.Fatal("anomalyd: ", err)
 			}
-			if err := reg.SetCascade(name, g); err != nil {
-				log.Fatal("anomalyd: ", err)
-			}
-			log.Printf("cascade armed on %s: ngram gate, target recall %.3f (%d calibration positives)",
-				name, g.TargetRecall(), g.Positives())
+			from = fmt.Sprintf("fit, %d calibration positives", g.Positives())
 		}
-	} else {
-		for name, g := range gates {
-			if g == nil {
-				continue
-			}
-			if err := reg.SetCascade(name, g); err != nil {
-				log.Fatal("anomalyd: ", err)
-			}
-			log.Printf("cascade armed on %s from artifact: ngram gate, target recall %.3f",
-				name, g.TargetRecall())
+		if g == nil {
+			continue
 		}
-	}
-
-	// Brownout needs somewhere to degrade to: one cheap calibrated baseline,
-	// fitted on the training workflow's synthetic split, shared by every
-	// served model (scoring is read-only).
-	if *brownout > 0 {
-		ds := flowbench.Generate(flowbench.Workflow(*workflow), *seed)
-		fb, err := core.FitFallback(ds.Train, *seed)
-		if err != nil {
+		if err := reg.SetCascade(name, g); err != nil {
 			log.Fatal("anomalyd: ", err)
 		}
-		for _, name := range reg.Names() {
-			if err := reg.SetFallback(name, fb); err != nil {
-				log.Fatal("anomalyd: ", err)
-			}
-		}
-		log.Printf("brownout armed: degrade to pca baseline at queue depth %d", *brownout)
+		log.Printf("cascade armed on %s: ngram gate, target recall %.3f (%s)", name, g.TargetRecall(), from)
+	}
+	if *brownout > 0 {
+		log.Printf("brownout armed: degrade to the cascade gate at queue depth %d", *brownout)
 	}
 
 	// Signals are only captured once there is something to wind down.

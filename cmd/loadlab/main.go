@@ -20,7 +20,8 @@
 // backpressure. The dark baselines (PCA, isolation forest, MLP autoencoder)
 // score the same event streams in-process as cheap comparison rows, and
 // -cascade replays each scenario a second time with the calibrated stage-1
-// gate armed so cascade off/on land as paired rows.
+// gate armed so cascade off/on land as paired rows. The gate is also the
+// brownout tier, so -brownout fits it and keeps it armed for every replay.
 package main
 
 import (
@@ -83,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		chaos     = fs.Bool("chaos", false, "replay every scenario as its chaos variant: deterministic faults during the middle third of the schedule (in-process only)")
 		shedDepth = fs.Int("shed-depth", 0, "admission-control queue depth; enqueues beyond it are shed with 429 (0 = off, in-process)")
 		deadline  = fs.Int("deadline-ms", 0, "server-side default request deadline in milliseconds (0 = none, in-process)")
-		brownout  = fs.Int("brownout", 0, "queue depth that engages brownout degradation to a calibrated PCA baseline (0 = off, in-process)")
+		brownout  = fs.Int("brownout", 0, "queue depth that engages brownout: detection answers degraded from a cascade gate fitted and armed for every replay (0 = off, in-process; not with -cascade or -gateway)")
 		brownHold = fs.Duration("brownout-hold", 0, "how long the queue must stay saturated before brownout engages (0 = server default 250ms; compressed replays need a hold matched to their timescale)")
 		retries   = fs.Bool("retries", false, "send replay requests through the resilience retry client (backoff, budget, Retry-After)")
 		cascOn    = fs.Bool("cascade", false, "two-stage inference drill: replay each non-chaos scenario twice, ngram stage-1 gate off then on, as paired report rows (in-process only)")
@@ -112,6 +113,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *gatewayN > 0 && *cascOn {
 		return fmt.Errorf("-gateway and -cascade both pair rows against the base replay; run them separately")
+	}
+	// -brownout arms a gate for the base replay, which -cascade and -gateway
+	// each pair against a replay without one.
+	if *brownout > 0 && (*cascOn || *gatewayN > 0) {
+		return fmt.Errorf("-brownout arms the cascade gate its tier answers from, but -cascade and -gateway pair rows against a base replay without one; run them separately")
 	}
 
 	defs, chaosSet, err := pickScenarios(*names)
@@ -186,18 +192,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err := reg.Add(core.DefaultModel, det, bcfg); err != nil {
 			return err
 		}
-		if *brownout > 0 {
-			ds := flowbench.Generate(cfg.Workflow, cfg.Seed)
-			fb, err := core.FitFallback(ds.Train, cfg.Seed)
-			if err != nil {
-				return err
-			}
-			if err := reg.SetFallback(core.DefaultModel, fb); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "brownout fallback fitted (pca, engages at queue depth %d)\n", *brownout)
-		}
-		if *cascOn {
+		if *cascOn || *brownout > 0 {
 			ds := flowbench.Generate(cfg.Workflow, cfg.Seed)
 			g, err := core.FitCascade(det, cascade.Config{TargetRecall: *cascRec}, ds.Train)
 			if err != nil {
@@ -205,11 +200,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintf(stderr, "cascade calibrated: ngram gate, target recall %.3f (%d calibration positives)\n",
 				g.TargetRecall(), g.Positives())
-			cascadeArm = func(on bool) error {
-				if on {
-					return reg.SetCascade(core.DefaultModel, g)
+			if *brownout > 0 {
+				// The gate is the brownout tier: armed for every replay.
+				if err := reg.SetCascade(core.DefaultModel, g); err != nil {
+					return err
 				}
-				return reg.SetCascade(core.DefaultModel, nil)
+				fmt.Fprintf(stderr, "brownout armed: degrade to the cascade gate at queue depth %d\n", *brownout)
+			} else {
+				cascadeArm = func(on bool) error {
+					if on {
+						return reg.SetCascade(core.DefaultModel, g)
+					}
+					return reg.SetCascade(core.DefaultModel, nil)
+				}
 			}
 		}
 		monReset = func() error { return reg.ResetMonitor(core.DefaultModel) }

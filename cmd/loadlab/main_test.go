@@ -329,3 +329,20 @@ func TestRunRejectsStrayArguments(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsBrownoutWithPairedRows: -brownout arms the gate its tier
+// answers from on the base replay, while -cascade and -gateway each pair
+// rows against a base replay without one, so both pairs fail before any
+// training.
+func TestRunRejectsBrownoutWithPairedRows(t *testing.T) {
+	for _, args := range [][]string{
+		{"-brownout", "48", "-cascade"},
+		{"-brownout", "48", "-gateway", "3"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-brownout") {
+			t.Errorf("%q: err = %v, want a refusal naming -brownout", args, err)
+		}
+	}
+}

@@ -32,8 +32,7 @@ func named(name string, score func([]flowbench.Job) []float64) JobScorer {
 // FitScorer fits the named seed baseline on train. Supported names: "pca",
 // "iforest", "mlpae" (the Table IV MLP autoencoder). These are the cheap
 // unsupervised comparison detectors the load lab reports next to the
-// transformer; pca doubles as the brownout tier's fallback
-// (core.FitFallback).
+// transformer.
 func FitScorer(name string, train []flowbench.Job, seed uint64) (JobScorer, error) {
 	switch name {
 	case "pca":

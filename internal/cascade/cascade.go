@@ -208,9 +208,24 @@ func (g *Gate) Decide(score float64) Decision {
 	return PassThrough
 }
 
+// Majority is the gate's verdict on its own, with no stage 2 behind it —
+// what a model's brownout tier answers: 1 when the line's key was flagged by
+// stage 2 at least as often as not during calibration, so a key with no
+// calibration evidence (scoring exactly the unseen ½) is flagged too. Since
+// Fit caps Low at ½ and raises High above it, Majority agrees with Decide on
+// both short-circuit bands.
+//
+//repro:hotpath
+func (g *Gate) Majority(score float64) int {
+	if score >= ngramUnseen {
+		return 1
+	}
+	return 0
+}
+
 // Prob maps a stage-1 score to the logistic pseudo-probability reported on
-// short-circuited verdicts — the same shape the brownout tier reports, so
-// clients see comparable scores from both cheap paths.
+// short-circuited verdicts. It crosses ½ at Low; the brownout tier reports
+// the score itself, the key's smoothed positive rate.
 //
 //repro:hotpath
 func (g *Gate) Prob(score float64) float64 {

@@ -194,6 +194,10 @@ func TestDecideBands(t *testing.T) {
 	if !(g.Prob(g.Low()-g.scale) < 0.5 && g.Prob(g.Low()+g.scale) > 0.5) {
 		t.Error("Prob not monotone around Low")
 	}
+	// Majority, the brownout tier's rule, splits at the unseen score.
+	if g.Majority(ngramUnseen) != 1 || g.Majority(math.Nextafter(ngramUnseen, 0)) != 0 {
+		t.Error("Majority does not split at the unseen score")
+	}
 }
 
 // TestParamsRoundTrip: export → rebuild must preserve every score and routing

@@ -1,10 +1,10 @@
 package core
 
-// Two-stage cascade inference for the detection hot path. The brownout tier
-// (overload.go) answers traffic with a cheap PCA baseline only under
-// sustained saturation; the cascade runs a calibrated cheap scorer — a
-// supervised n-gram over the tokenizer's magnitude buckets — as an
-// always-on *first stage* in front of the transformer. The calibrated gate
+// Two-stage cascade inference for the detection hot path. The cascade runs a
+// calibrated cheap scorer — a supervised n-gram over the tokenizer's
+// magnitude buckets — as an always-on *first stage* in front of the
+// transformer; under sustained saturation the same gate is the brownout tier
+// (overload.go), answering every line alone. The calibrated gate
 // (internal/cascade) short-circuits confident lines to a verdict inside
 // runBatch — the one place, which monitor chunks pass through like every
 // detect request — so only the uncertain band pays full encoder cost,

@@ -55,8 +55,8 @@ type BatchConfig struct {
 	DefaultDeadline time.Duration
 	// BrownoutDepth engages the graceful-degradation tier: when the queue
 	// has stayed at or above this depth for BrownoutHold and the model has
-	// a fallback detector (Registry.SetFallback), detect traffic is answered
-	// by the cheap tier (degraded:true) until the queue drains to
+	// a cascade gate (Registry.SetCascade), detect traffic is answered by
+	// the gate alone (degraded:true) until the queue drains to
 	// BrownoutDepth/2. Zero disables brownout.
 	BrownoutDepth int
 	// BrownoutHold is how long the queue must stay saturated before the
@@ -95,7 +95,7 @@ type detectJob struct {
 	sentences []string
 	enqueued  time.Time // when the job entered the queue (stage-latency stats)
 	results   []Result
-	degraded  bool  // the brownout fallback answered, not the primary model
+	degraded  bool  // the brownout tier answered, not the primary model
 	err       error // set before done closes when the job was skipped
 	done      chan struct{}
 }
@@ -117,26 +117,25 @@ func (j *detectJob) wait() (results []Result, degraded bool, err error) {
 
 // engine is one served model: a job queue and a pool of workers that form
 // their own batches from it and own tensor workspaces, plus the serving state
-// of the model — its name, trace tracker, stats, cascade gate and brownout
-// fallback. A Registry slot is its engine; MonitorWith runs an unnamed one for
-// the length of a run.
+// of the model — its name, trace tracker, stats, cascade gate (also its
+// brownout tier) and brownout state. A Registry slot is its engine;
+// MonitorWith runs an unnamed one for the length of a run.
 //
 // Lifecycle: newEngine starts the goroutines; Close drains queued jobs, waits
 // for in-flight batches to finish, and releases the workers. After Close,
 // submit fails with errServerClosed.
 type engine struct {
-	name     string
-	det      Detector
-	infer    inferFunc // det's batch call, resolved once
-	usesWS   bool      // infer draws on the calling worker's workspace
-	cfg      BatchConfig
-	tracker  *TraceTracker // the model's online trace windows, across monitor ingests
-	stats    statsRecorder
-	gate     atomic.Pointer[cascade.Gate] // nil: cascade off
-	fallback atomic.Pointer[Detector]     // nil: no brownout tier
-	memo     *verdictMemo                 // nil: det is not tokenKeyed
-	brown    brownout
-	jobs     chan *detectJob // the whole backlog: nothing waits anywhere else
+	name    string
+	det     Detector
+	infer   inferFunc // det's batch call, resolved once
+	usesWS  bool      // infer draws on the calling worker's workspace
+	cfg     BatchConfig
+	tracker *TraceTracker // the model's online trace windows, across monitor ingests
+	stats   statsRecorder
+	gate    atomic.Pointer[cascade.Gate] // nil: cascade off, no brownout tier
+	memo    *verdictMemo                 // nil: det is not tokenKeyed
+	brown   brownout
+	jobs    chan *detectJob // the whole backlog: nothing waits anywhere else
 
 	mu     sync.RWMutex // guards closed vs. enqueue
 	closed bool
@@ -216,12 +215,13 @@ func (e *engine) Close() {
 // been cancelled instead of computing results nobody will read.
 //
 // Overload handling happens here, before any work is queued. When the model
-// has a brownout fallback and sustained saturation has engaged it, the
-// request is answered by the cheap tier immediately (an already-done job
-// marked degraded) without touching the queue. Otherwise, if the queue already
-// holds ShedQueueDepth jobs, the request is shed with an OverloadedError
-// carrying a Retry-After estimate — the 429 path — rather than deepening a
-// backlog the workers cannot drain.
+// has a cascade gate and sustained saturation has engaged the brownout tier,
+// the request is answered by the gate alone immediately (an already-done job
+// marked degraded) without touching the queue. The watermark is checked
+// before the clock is read, so a model without one pays no time.Now here.
+// Otherwise, if the queue already holds ShedQueueDepth jobs, the request is
+// shed with an OverloadedError carrying a Retry-After estimate — the 429
+// path — rather than deepening a backlog the workers cannot drain.
 func (e *engine) submit(ctx context.Context, sentences []string) (*detectJob, error) {
 	j := &detectJob{ctx: ctx, sentences: sentences, done: make(chan struct{})}
 	if len(sentences) == 0 {
@@ -232,8 +232,8 @@ func (e *engine) submit(ctx context.Context, sentences []string) (*detectJob, er
 		return nil, err
 	}
 	depth := len(e.jobs)
-	if fb := e.fallback.Load(); fb != nil && e.brown.observe(depth, time.Now()) {
-		j.results, j.degraded = (*fb).DetectBatch(sentences), true
+	if g := e.gate.Load(); g != nil && e.brown.high > 0 && e.brown.observe(depth, time.Now()) {
+		j.results, j.degraded = gateAnswers(g, sentences), true
 		e.stats.degradedServed(len(sentences))
 		close(j.done)
 		return j, nil

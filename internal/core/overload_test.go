@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 )
@@ -277,7 +278,7 @@ func TestBrownoutStateMachine(t *testing.T) {
 	}
 }
 
-// TestBrownoutServesDegraded drives a saturated engine with a fallback
+// TestBrownoutServesDegraded drives a saturated engine with a cascade gate
 // installed and checks that traffic flips to the degraded tier (marked
 // degraded, counted in stats) and recovers after the queue drains.
 func TestBrownoutServesDegraded(t *testing.T) {
@@ -291,9 +292,11 @@ func TestBrownoutServesDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	if err := reg.SetFallback("m", labelDetector{label: 1}); err != nil {
+	jobs, verdicts := cascadeTestJobs(128, 8)
+	if err := reg.SetCascade("m", testCascadeGate(t, jobs, verdicts)); err != nil {
 		t.Fatal(err)
 	}
+	probe := logparse.Sentence(jobs[0]) // a key the gate saw flagged
 	eng, _ := reg.lookup("m")
 
 	// Build a sustained backlog against the blocked worker.
@@ -315,14 +318,14 @@ func TestBrownoutServesDegraded(t *testing.T) {
 		// Probes before the tier engages enqueue against the blocked worker
 		// and would wait forever; a short context bounds each observation.
 		pctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		res, degraded, err := eng.DetectContext(pctx, []string{"probe"})
+		res, degraded, err := eng.DetectContext(pctx, []string{probe})
 		cancel()
 		if err != nil {
 			continue // timed out in queue: tier not engaged yet
 		}
 		if degraded {
 			if len(res) != 1 || res[0].Label != 1 {
-				t.Fatalf("degraded result not from fallback: %+v", res)
+				t.Fatalf("degraded result not from the gate: %+v", res)
 			}
 			sawDegraded = true
 		}
@@ -341,7 +344,7 @@ func TestBrownoutServesDegraded(t *testing.T) {
 	wg.Wait()
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		_, degraded, err := eng.DetectContext(context.Background(), []string{"probe"})
+		_, degraded, err := eng.DetectContext(context.Background(), []string{probe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,54 +361,73 @@ func TestBrownoutServesDegraded(t *testing.T) {
 	}
 }
 
-// TestFitFallbackScoresSentences round-trips the brownout tier: fit the
-// calibrated baseline on Flow-Bench training data and check the sentence path
-// (parse → score → threshold) agrees with the direct job path.
-func TestFitFallbackScoresSentences(t *testing.T) {
-	ds := flowbench.Generate(flowbench.Genome, 7)
-	train := ds.Train[:600]
-	det, err := FitFallback(train, 7)
-	if err != nil {
-		t.Fatal(err)
+// TestBrownoutAnswersFromGate pins what the brownout tier answers: each
+// parsed line the gate's majority verdict on its key (the pre-filter's label
+// on both confident bands, flagged on a key with no calibration evidence)
+// scored with the key's rate, and an unparseable line {0, 0}. A model with
+// the watermark armed but no gate never degrades: it queues and sheds as
+// without the watermark.
+func TestBrownoutAnswersFromGate(t *testing.T) {
+	// Enough negatives that High lands below the anomalies' rate: the
+	// confident-abnormal band is populated.
+	jobs, verdicts := cascadeTestJobs(512, 8)
+	gate := testCascadeGate(t, jobs, verdicts)
+	unseen := jobs[1]
+	for k := range unseen.Features {
+		unseen.Features[k] = 1e9
 	}
-	if det.Approach() != ApproachBaseline {
-		t.Fatalf("approach = %q, want %q", det.Approach(), ApproachBaseline)
+	lines := []string{
+		logparse.Sentence(jobs[1]), // confident normal
+		logparse.Sentence(jobs[0]), // confident abnormal
+		logparse.Sentence(unseen),  // no evidence: passes to stage 2
+		"not a feature sentence",
 	}
-	jobs := ds.Test[:200]
-	sentences := make([]string, len(jobs))
-	for i, j := range jobs {
-		sentences[i] = logparse.Sentence(j)
+	wantRoute := []cascade.Decision{cascade.ShortNormal, cascade.ShortAbnormal, cascade.PassThrough}
+	wantLabel := []int{0, 1, 1, 0}
+
+	// A 1ns hold engages the tier on the second observation at depth >= 2.
+	cfg := BatchConfig{MaxBatch: 1, Workers: 1, QueueDepth: 64, ShedQueueDepth: 3, BrownoutDepth: 2, BrownoutHold: time.Nanosecond}
+	g := newGatedEngine(t, cfg)
+	g.eng.gate.Store(gate)
+	// One running batch and two queued keep the depth above the low
+	// watermark (1), so the engaged tier stays on for the probe.
+	held := append([]pendingDetect{g.hold("s0")}, g.singles("s1", "s2")...)
+	g.eng.brown.mu.Lock()
+	g.eng.brown.engaged = true
+	g.eng.brown.mu.Unlock()
+	res, degraded, err := g.eng.DetectContext(context.Background(), lines)
+	if err != nil || !degraded {
+		t.Fatalf("engaged tier: degraded %v, err %v", degraded, err)
 	}
-	res := det.DetectBatch(sentences)
-	if len(res) != len(jobs) {
-		t.Fatalf("results = %d, want %d", len(res), len(jobs))
-	}
-	flagged := 0
 	for i, r := range res {
-		if r.Score <= 0 || r.Score >= 1 {
-			t.Fatalf("score %v outside (0, 1)", r.Score)
+		want := Result{Label: wantLabel[i]}
+		if score, ok := gate.ScoreSentence(lines[i]); ok {
+			if route := gate.Decide(score); route != wantRoute[i] {
+				t.Fatalf("line %d takes route %d, want %d", i, route, wantRoute[i])
+			}
+			want.Score = score
 		}
-		// Compare against the job the sentence actually encodes (FormatValue
-		// rounds, so the original job can sit on the other side of the
-		// threshold for borderline scores).
-		parsed, err := logparse.ParseSentence(sentences[i])
-		if err != nil {
-			t.Fatal(err)
+		if r != want {
+			t.Errorf("line %d (%q): %+v, want %+v", i, lines[i], r, want)
 		}
-		direct := det.DetectJob(parsed)
-		if direct.Label != r.Label {
-			t.Fatalf("sentence path label %d != job path label %d at %d", r.Label, direct.Label, i)
-		}
-		flagged += r.Label
 	}
-	if flagged == 0 || flagged == len(jobs) {
-		t.Fatalf("degenerate fallback: flagged %d of %d", flagged, len(jobs))
+	if st := g.stats(); st.Degraded != int64(len(lines)) {
+		t.Errorf("degraded = %d, want %d", st.Degraded, len(lines))
 	}
-	// Unparseable input answers "normal, zero confidence", never an error.
-	junk := det.DetectBatch([]string{"not a feature sentence"})
-	if junk[0].Label != 0 || junk[0].Score != 0 {
-		t.Fatalf("junk sentence result = %+v, want zero result", junk[0])
+	g.finish(held...)
+
+	// No gate: the same watermark, passed twice (s3 and s4 arrive at depth
+	// 2 and 3), only queues and sheds.
+	ng := newGatedEngine(t, cfg)
+	queued := append([]pendingDetect{ng.hold("s0")}, ng.singles("s1", "s2", "s3")...)
+	_, _, err = ng.eng.DetectContext(context.Background(), []string{"s4"})
+	if !errors.Is(err, errOverloaded) {
+		t.Fatalf("request past the shed depth: err = %v, want overloaded", err)
 	}
+	if st := ng.stats(); st.Degraded != 0 || st.Shed != 1 || ng.eng.brownoutActive() {
+		t.Fatalf("gateless model degraded: %+v, brownout active %v", st, ng.eng.brownoutActive())
+	}
+	ng.finish(queued...)
 }
 
 // TestReadyzReflectsSaturation pins the liveness/readiness split: /healthz

@@ -38,7 +38,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("repro_memo_entries", "token sequences the verdict memo holds (0: the model does not memoize)", float64(st.MemoEntries), "model", m)
 		p.Counter("repro_shed_total", "requests refused by admission control or the queue-wait budget (429)", float64(st.Shed), "model", m)
 		p.Counter("repro_expired_total", "requests whose deadline passed while queued (504)", float64(st.Expired), "model", m)
-		p.Counter("repro_degraded_total", "sentences answered by the brownout fallback tier", float64(st.Degraded), "model", m)
+		p.Counter("repro_degraded_total", "sentences answered by the brownout tier", float64(st.Degraded), "model", m)
 		p.Gauge("repro_brownout_active", "1 while the brownout tier is engaged", boolGauge(st.BrownoutActive), "model", m)
 		p.Counter("repro_cascade_evaluated_total", "unique sentences the stage-1 gate scored", float64(st.CascadeEvaluated), "model", m)
 		p.Counter("repro_cascade_short_circuited_total", "sentences the gate answered without the transformer", float64(st.CascadeShort), "model", m)

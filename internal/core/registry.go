@@ -19,10 +19,11 @@ const DefaultModel = "default"
 var errUnknownModel = errors.New("core: unknown model")
 
 // Registry holds named detectors, each served by its own engine: a
-// coalescing queue, a worker pool, and the model's trace tracker, stats,
-// cascade gate and brownout fallback. The HTTP layer resolves ?model= names
-// here. A model's weights are fixed for the life of its engine; replacing
-// them is a rolling restart of the replica (anomalyd -load).
+// coalescing queue, a worker pool, and the model's trace tracker, stats and
+// cascade gate, which is also its brownout tier. The HTTP layer resolves
+// ?model= names here. A model's weights are fixed for the life of its
+// engine; replacing them is a rolling restart of the replica (anomalyd
+// -load).
 //
 // All methods are safe for concurrent use.
 type Registry struct {
@@ -63,30 +64,14 @@ func (r *Registry) Add(name string, det Detector, cfg BatchConfig) error {
 	return nil
 }
 
-// SetFallback installs (or, with nil, removes) the brownout fallback detector
-// for name ("" = default model). It takes effect on the next request, and
-// engages only when the model's BrownoutDepth watermark is configured and the
-// queue stays saturated past BrownoutHold.
-func (r *Registry) SetFallback(name string, det Detector) error {
-	e, err := r.lookup(name)
-	if err != nil {
-		return err
-	}
-	var fb *Detector
-	if det != nil {
-		fb = &det
-	}
-	e.fallback.Store(fb)
-	return nil
-}
-
 // SetCascade installs (or, with nil, removes) the calibrated stage-1 cascade
 // gate for name ("" = default model). It takes effect on the next coalesced
-// batch, and its counters reset with the model's stats. Unlike the brownout
-// fallback — which replaces the transformer wholesale under sustained
-// saturation — the cascade is always on, short-circuiting only the
-// confidently-normal band while everything uncertain still reaches the
-// transformer.
+// batch, and its counters reset with the model's stats. The cascade is
+// always on, short-circuiting only the confident bands while everything
+// uncertain still reaches the transformer. The same gate is the model's
+// brownout tier: when BrownoutDepth is set and the queue stays saturated
+// past BrownoutHold, it answers every line alone (gateAnswers). A model
+// without a gate never degrades.
 func (r *Registry) SetCascade(name string, g *cascade.Gate) error {
 	e, err := r.lookup(name)
 	if err != nil {
@@ -142,9 +127,8 @@ type ModelInfo struct {
 	// QueueDepth is the engine's queue capacity; ShedQueueDepth the admission
 	// budget (0: shedding disabled). Together with Stats.QueueLen they give
 	// probes and the fleet front a per-model saturation fraction.
-	QueueDepth     int  `json:"queue_depth"`
-	ShedQueueDepth int  `json:"shed_queue_depth,omitempty"`
-	HasFallback    bool `json:"has_fallback,omitempty"`
+	QueueDepth     int `json:"queue_depth"`
+	ShedQueueDepth int `json:"shed_queue_depth,omitempty"`
 	// HasCascade reports whether a stage-1 gate is installed.
 	HasCascade bool `json:"has_cascade,omitempty"`
 	// Stats is the model's serving-counter snapshot: queue depth and
@@ -169,7 +153,6 @@ func (r *Registry) Info() []ModelInfo {
 			ActiveTraces:   e.tracker.Len(),
 			QueueDepth:     e.cfg.QueueDepth,
 			ShedQueueDepth: e.cfg.ShedQueueDepth,
-			HasFallback:    e.fallback.Load() != nil,
 			HasCascade:     e.gate.Load() != nil,
 			Stats:          e.snapshot(),
 		})

@@ -40,7 +40,7 @@ type EngineStats struct {
 	// dequeue without compute.
 	Shed    int64 `json:"shed"`
 	Expired int64 `json:"expired"`
-	// Degraded counts sentences answered by the brownout fallback tier;
+	// Degraded counts sentences answered by the brownout tier;
 	// BrownoutActive reports whether that tier is engaged right now.
 	Degraded       int64 `json:"degraded"`
 	BrownoutActive bool  `json:"brownout_active"`
@@ -116,7 +116,7 @@ func (s *statsRecorder) expiredRequest() {
 	s.mu.Unlock()
 }
 
-// degradedServed counts sentences answered by the brownout fallback tier.
+// degradedServed counts sentences answered by the brownout tier.
 func (s *statsRecorder) degradedServed(sentences int) {
 	s.mu.Lock()
 	s.st.Degraded += int64(sentences)

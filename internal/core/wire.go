@@ -27,7 +27,7 @@ type BatchRequest struct {
 }
 
 // BatchResponse holds per-sentence outcomes in input order. Degraded is true
-// when the brownout tier (the calibrated baseline scorer, not the primary
+// when the brownout tier (the model's cascade gate alone, not the primary
 // model) produced the results — a cheap answer under saturation instead of a
 // timeout.
 type BatchResponse struct {

@@ -13,12 +13,13 @@
 // with the replicas' summed Workers, so a front worker is a replica worker
 // slot. Each batch a front worker forms goes to one replica (pool.detect):
 // the least-outstanding one whose breaker admits it, hedged against the next,
-// with retries and hedges drawing on one budget. A replica's 429, or an
-// answer from its brownout tier, moves the batch on; the front's own
-// brownout slot is the fleet's degraded tier. Only a transport error, a 5xx
-// or a forward unanswered after attemptTimeout counts against a replica's
-// breaker, and only an open breaker takes a replica out of routing: a
-// saturated replica is queued for, not ejected.
+// with retries and hedges drawing on one budget. A replica's 429, or a
+// degraded answer from its brownout tier, moves the batch on, and a batch
+// that every replica refused becomes a 429: the front sets no BrownoutDepth
+// and holds no gate, so it never answers degraded itself. Only a transport
+// error, a 5xx or a forward unanswered after attemptTimeout counts against a
+// replica's breaker, and only an open breaker takes a replica out of
+// routing: a saturated replica is queued for, not ejected.
 //
 // The cascade gate stays on the replicas. It gates each sentence on its own,
 // so it answers the same on either side of the hop. So does the token memo,

@@ -142,7 +142,7 @@ type Result struct {
 	ClientP99Ms float64
 	// Failures splits Errors by cause.
 	Failures Failures
-	// DegradedReqs counts requests answered by the brownout fallback
+	// DegradedReqs counts requests answered by the brownout tier
 	// (degraded:true in the batch response).
 	DegradedReqs int
 	// Phases is set when ReplayConfig.FaultWindow was given: p99 before,
