@@ -1,17 +1,19 @@
 #include "textflag.h"
 
 // Eight float32 lanes under the two elementwise consumers of expReduce: GELU
-// and the fused softmax's exponential pass (plus that softmax's final
-// scaling pass). kernel.go is the contract; per lane every instruction below
-// is one operation of the Go expression it stands for, in the same order —
-// rounded multiplies and rounded adds, never a fused multiply-add — so a lane
-// holds the bits the Go loop would have produced for that element. Nothing
-// here crosses lanes: the softmax's row maximum and row sum are reductions
-// and stay in Go.
+// and the fused softmax's exponential pass (plus that softmax's row maximum
+// and final scaling pass, and the add under Add and AddRowVec). kernel.go is
+// the contract; per lane every instruction below is one operation of the Go
+// expression it stands for, in the same order — rounded multiplies and
+// rounded adds, never a fused multiply-add — so a lane holds the bits the Go
+// loop would have produced for that element. Only rowMaxLanes crosses lanes,
+// in a maximum, whose value does not depend on the order it is taken in; the
+// softmax's row sum stays in Go.
 //
 // VPADDD and VPSLLD on Y registers are AVX2, so these routines run only when
-// useLanes (useAVX and CPUID leaf 7 EBX bit 5). The wrappers in strided.go
-// own every bound: n ≥ 1 elements, pointers from slices cut to n. The
+// useLanes (useAVX and CPUID leaf 7 EBX bit 5); rowMaxLanes and addLanes
+// need only AVX, and go with the rest. The wrappers in strided.go and
+// matrix.go own every bound: n ≥ 1 elements, pointers from slices cut to n. The
 // n mod 8 tail is loaded and stored under a VMASKMOVPS mask, which neither
 // reads nor writes (nor faults on) the lanes it leaves out; they compute on
 // zeros and are dropped.
@@ -238,6 +240,67 @@ softdone:
 	VZEROUPPER
 	RET
 
+// func rowMaxLanes(row *float32, n int, scale float32) float32
+//
+// The fused softmax's row maximum: the largest scale·row[j] over j < n, found
+// from scale·row[0] as rowMax's Go loop finds it; n ≥ 1. Two accumulators of
+// eight lanes start at scale·row[0], and VMAXPS with an accumulator as its
+// second source keeps it whenever sv > max is false, for a NaN sv too: so a
+// NaN in row[0] holds every lane and is the result, and any other NaN is
+// skipped, as in the Go loop. Of non-NaN values the maximum does not depend
+// on the order they are taken in, but for which of +0 and −0 survives a tie;
+// scale·v − maxv is the same either way unless scale·v is itself a zero, and
+// then e^(±0) is 1 both ways. The tail's masked-out lanes are replaced by the
+// accumulator they are compared with.
+TEXT ·rowMaxLanes(SB), NOSPLIT, $0-28
+	MOVQ         row+0(FP), SI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSS scale+16(FP), Y6
+	VBROADCASTSS (SI), Y0
+	VMULPS       Y6, Y0, Y0    // scale·row[0]
+	VMOVAPS      Y0, Y1
+	CMPQ         CX, $16
+	JLT          max8
+
+max16:
+	VMULPS (SI), Y6, Y2
+	VMAXPS Y0, Y2, Y0          // sv > max ? sv : max
+	VMULPS 32(SI), Y6, Y3
+	VMAXPS Y1, Y3, Y1
+	ADDQ   $64, SI
+	SUBQ   $16, CX
+	CMPQ   CX, $16
+	JGE    max16
+
+max8:
+	CMPQ   CX, $8
+	JLT    maxtail
+	VMULPS (SI), Y6, Y2
+	VMAXPS Y0, Y2, Y0
+	ADDQ   $32, SI
+	SUBQ   $8, CX
+
+maxtail:
+	TESTQ CX, CX
+	JZ    maxfold
+	TAILMASK
+	VMASKMOVPS (SI), Y15, Y2
+	VMULPS     Y6, Y2, Y2
+	VBLENDVPS  Y15, Y2, Y0, Y2 // lanes past the row: the accumulator itself
+	VMAXPS     Y0, Y2, Y0
+
+maxfold:
+	VMAXPS       Y0, Y1, Y0
+	VEXTRACTF128 $1, Y0, X2
+	VMAXPS       X0, X2, X0
+	VPERMILPS    $0x0e, X0, X2
+	VMAXPS       X0, X2, X0
+	VPERMILPS    $0x01, X0, X2
+	VMAXPS       X0, X2, X0
+	VMOVSS       X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
 // func scaleLanes(row *float32, n int, s float32)
 //
 // row[j] *= s in place for j < n; n ≥ 1.
@@ -265,5 +328,41 @@ scaletail:
 	VMASKMOVPS Y0, Y15, (DI)
 
 scaledone:
+	VZEROUPPER
+	RET
+
+// func addLanes(dst, a, b *float32, n int)
+//
+// dst[j] = a[j] + b[j] for j < n; n ≥ 1. dst may be a or b. a is the first
+// source of every add, as it is the first operand of Go's a[j] + b[j].
+TEXT ·addLanes(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	CMPQ CX, $8
+	JLT  addtail
+
+add8:
+	VMOVUPS (SI), Y0
+	VADDPS  (BX), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, BX
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     add8
+
+addtail:
+	TESTQ CX, CX
+	JZ    adddone
+	TAILMASK
+	VMASKMOVPS (SI), Y15, Y0
+	VMASKMOVPS (BX), Y15, Y1
+	VADDPS     Y1, Y0, Y0
+	VMASKMOVPS Y0, Y15, (DI)
+
+adddone:
 	VZEROUPPER
 	RET

@@ -25,22 +25,27 @@ package tensor
 // implementation off amd64 and on CPUs without AVX, and the reference the
 // assembly is tested against.
 //
-// The elementwise kernels in strided.go — GELU, and the fused softmax's
-// exponential and scaling passes — are under the same contract with nothing
-// to reorder: an output element is one fixed expression of its own input
-// (geluScalar; expReduce, then p·pow2(n), or 0 at and below expUnderflow;
-// v·s), each multiply, add, subtract and divide rounded on its own in the
-// order Go evaluates the expression, the float-to-int conversion truncating.
-// The Go loops branch per element on the range checks (|u| ≥ 10, x ≤
-// expUnderflow, NaN); the lanes of exp_amd64.s compute every element through
-// the polynomial and then select, which is the same value element by element.
-// What is not elementwise in that softmax — the row maximum and the
-// left-to-right row sum — is a reduction, which lanes would fold in another
-// order, and stays one scalar Go loop on every path.
+// The elementwise kernels — GELU and the fused softmax's exponential and
+// scaling passes in strided.go, the add under Add and AddRowVec in
+// matrix.go — are under the same contract with nothing to reorder: an output
+// element is one fixed expression of its own input (geluScalar; expReduce,
+// then p·pow2(n), or 0 at and below expUnderflow; v·s; a+b), each multiply,
+// add, subtract and divide rounded on its own in the order Go evaluates the
+// expression, the float-to-int conversion truncating. The Go loops branch
+// per element on the range checks (|u| ≥ 10, x ≤ expUnderflow, NaN); the
+// lanes of exp_amd64.s compute every element through the polynomial and then
+// select, which is the same value element by element. The softmax's two
+// reductions keep the bits of the scalar loops that define them without
+// keeping their order of work. The row maximum (rowMax) does not depend on
+// the order its values are taken in, so lanes take it, under the loop's NaN
+// rule; a tie between +0 and −0 moves no output bit. The row sum (rowSums)
+// stays one left-to-right chain of adds per row on every path: lanes would
+// fold it in another order, so four rows' chains run side by side instead.
 
-// useLanes routes GELU and the fused softmax's elementwise passes to the
-// eight-lane routines in exp_amd64.s: useAVX, and AVX2 for the 256-bit
-// integer add and shift that build 2^n. The Go loops are the only other path.
+// useLanes routes GELU, the fused softmax's row maximum and elementwise
+// passes, and the adds to the eight-lane routines in exp_amd64.s: useAVX,
+// and AVX2 for the 256-bit integer add and shift that build 2^n. The Go
+// loops are the only other path.
 func useLanes() bool { return useAVX && hasAVX2 }
 
 // axpyRowBlock is how many output rows the axpy-form kernel carries through

@@ -30,6 +30,12 @@ func softmaxExpLanes(row *float32, n int, scale, maxv float32)
 //go:noescape
 func scaleLanes(row *float32, n int, s float32)
 
+//go:noescape
+func rowMaxLanes(row *float32, n int, scale float32) float32
+
+//go:noescape
+func addLanes(dst, a, b *float32, n int)
+
 // dotQ8Block8 is one scale block of the int8 matmul for eight output channels
 // at a time (qint8.go); AVX2, so it runs only where useLanes.
 //

@@ -289,9 +289,8 @@ func (c elementwiseCase) String() string {
 		c.rows, c.cols, c.scale, c.past, c.causal, c.atEnd, c.special, len(c.raw), c.seed)
 }
 
-func (c elementwiseCase) check(t testing.TB) {
-	t.Helper()
-	defer func(was bool) { useAVX = was }(useAVX)
+// input is the case's rows×cols input, carved from a guard-filled array.
+func (c elementwiseCase) input() carved {
 	rng := NewRNG(c.seed)
 	edges := elementwiseEdges
 	in := carve(c.rows, c.cols, 1+rng.Intn(8), c.atEnd)
@@ -327,6 +326,13 @@ func (c elementwiseCase) check(t testing.TB) {
 		}
 		in.m.Set(3, c.cols/2, float32(math.NaN()))
 	}
+	return in
+}
+
+func (c elementwiseCase) check(t testing.TB) {
+	t.Helper()
+	defer func(was bool) { useAVX = was }(useAVX)
+	in := c.input()
 	// eachPath runs kernel on a fresh copy of the input (and a guard-filled
 	// destination) once per implementation; ref did the same to want.
 	eachPath := func(name string, want carved, inPlace bool, kernel func(dst, src *Matrix)) {
@@ -362,6 +368,14 @@ func (c elementwiseCase) check(t testing.TB) {
 				maxv = sv
 			}
 		}
+		// rowMax finds the same maximum, NaN in the first element and all;
+		// of +0 and −0 it may keep either.
+		for _, avx := range kernelPaths() {
+			useAVX = avx
+			if got := rowMax(in.m.Data, c.scale); got != maxv && (got == got || maxv == maxv) {
+				t.Fatalf("rowMax avx=%v %v = %v, want %v", avx, c, got, maxv)
+			}
+		}
 		for i, v := range in.m.Data {
 			want.m.Data[i] = refExpFast32(c.scale*v - maxv)
 		}
@@ -371,6 +385,35 @@ func (c elementwiseCase) check(t testing.TB) {
 		want.m.Data[i] = v * c.scale
 	}
 	eachPath("scaleRow", want, true, func(dst, _ *Matrix) { scaleRow(dst.Data, c.scale) })
+
+	// The adds, against a second operand that is the input reversed and a
+	// row vector of every seventh input, both untouched by the kernels. In
+	// place, the destination is either operand, as the residual adds have it.
+	n := len(in.m.Data)
+	other, vec := carve(c.rows, c.cols, in.lead+1, c.atEnd), carve(1, c.cols, 2, c.atEnd)
+	for i := range other.m.Data {
+		other.m.Data[i] = in.m.Data[n-1-i]
+	}
+	for j := range vec.m.Data {
+		vec.m.Data[j] = 1 // rows of none: never read
+		if n > 0 {
+			vec.m.Data[j] = in.m.Data[7*j%n]
+		}
+	}
+	otherWas, vecWas := other.clone(), vec.clone()
+	for i, v := range in.m.Data {
+		want.m.Data[i] = v + other.m.Data[i]
+	}
+	eachPath("Add", want, false, func(dst, src *Matrix) { Add(dst, src, other.m) })
+	eachPath("Add in place", want, true, func(dst, _ *Matrix) { Add(dst, dst, other.m) })
+	eachPath("Add in place of b", want, true, func(dst, _ *Matrix) { Add(dst, other.m, dst) })
+	for i, v := range in.m.Data {
+		want.m.Data[i] = v + vec.m.Data[i%c.cols]
+	}
+	eachPath("AddRowVec", want, false, func(dst, src *Matrix) { AddRowVec(dst, src, vec.m.Data) })
+	eachPath("AddRowVec in place", want, true, func(dst, _ *Matrix) { AddRowVec(dst, dst, vec.m.Data) })
+	requireSameBacking(t, fmt.Sprintf("Add operand %v", c), other.backing, otherWas.backing)
+	requireSameBacking(t, fmt.Sprintf("AddRowVec vector %v", c), vec.backing, vecWas.backing)
 
 	want = in.clone()
 	if c.cols > 0 {
@@ -383,14 +426,16 @@ func (c elementwiseCase) check(t testing.TB) {
 
 // TestElementwiseEdgeShapes walks the elementwise kernels over every row
 // width up to two lane groups and around three, the served 27 and 352 (three
-// full groups and a masked one; a whole number of groups) and 353, unmasked
-// and under causal masks with no cached keys and with 320, with the special
-// rows and edge values of elementwiseCase, carved from the middle and from
-// the very end of a guard-filled array.
+// full groups and a masked one; a whole number of groups), 353 and 260,
+// unmasked and under causal masks with no cached keys and with 320, with the
+// special rows and edge values of elementwiseCase, carved from the middle and
+// from the very end of a guard-filled array. The served ICL score matrix is
+// pinned as it is issued: 29 suffix rows over a 231-key cached prefix, 260
+// wide, causal, at mistral's scale 1/√24.
 func TestElementwiseEdgeShapes(t *testing.T) {
 	requireBitExactArch(t)
 	seed := uint64(1)
-	for _, cols := range append(append([]int(nil), edgeWidths...), 27, 352, 353) {
+	for _, cols := range append(append([]int(nil), edgeWidths...), 27, 352, 353, 260) {
 		for _, rows := range []int{1, 2, 5, 34} {
 			for flags := 0; flags < 8; flags++ {
 				c := elementwiseCase{rows: rows, cols: cols, scale: 1, causal: flags&3 != 0, atEnd: flags&4 != 0, special: true, seed: seed}
@@ -406,7 +451,66 @@ func TestElementwiseEdgeShapes(t *testing.T) {
 			}
 		}
 	}
+	for _, atEnd := range []bool{false, true} {
+		elementwiseCase{rows: 29, cols: 260, past: 231, scale: 0.20412415, causal: true, atEnd: atEnd, special: true, seed: seed}.check(t)
+		seed++
+	}
 	// No rows at all, and rows of no columns.
 	elementwiseCase{rows: 0, cols: 8, scale: 1, seed: seed}.check(t)
 	elementwiseCase{rows: 3, cols: 0, scale: 1, causal: true, atEnd: true, seed: seed + 1}.check(t)
+}
+
+// TestSoftmaxRowsMatchRowAlone holds every row of the fused softmax to the
+// same row computed alone, as a one-row matrix whose causal offset puts its
+// window where the row's was. The kernel sums rows four at a time from the
+// start of its range, so a row's bits must not depend on the group it lands
+// in: ranges start at every lo from 0 to 4 and split at every row, over
+// unmasked rows and causal windows one column wider each row, from no cached
+// keys, from a few (clipped at the width part way down) and from the served
+// cached prefix, with the special rows of elementwiseCase.
+func TestSoftmaxRowsMatchRowAlone(t *testing.T) {
+	requireBitExactArch(t)
+	defer func(was bool) { useAVX = was }(useAVX)
+	seed := uint64(1)
+	for _, avx := range kernelPaths() {
+		useAVX = avx
+		for _, cols := range []int{1, 3, 8, 9, 27, 260} {
+			for _, rows := range []int{1, 2, 3, 4, 5, 7, 9, 13} {
+				for mode := 0; mode < 4; mode++ {
+					c := elementwiseCase{rows: rows, cols: cols, scale: 1, causal: mode > 0, special: true, seed: seed}
+					switch mode {
+					case 2:
+						c.past = 3
+					case 3:
+						c.past, c.scale = max(cols-rows, 1), 0.20412415
+					}
+					checkRowsAlone(t, c, avx)
+					seed++
+				}
+			}
+		}
+	}
+}
+
+func checkRowsAlone(t *testing.T, c elementwiseCase, avx bool) {
+	t.Helper()
+	in := c.input()
+	want := in.clone()
+	for i := 0; i < c.rows; i++ {
+		row := &Matrix{Rows: 1, Cols: c.cols, Data: want.m.Row(i)}
+		scaledMaskedRowSoftmaxRows(row, c.scale, c.past+i, c.causal, 0, 1)
+	}
+	// Rows before lo keep their input.
+	for lo := 0; lo <= min(4, c.rows); lo++ {
+		got, wantLo := in.clone(), in.clone()
+		copy(wantLo.m.Data[lo*c.cols:], want.m.Data[lo*c.cols:])
+		scaledMaskedRowSoftmaxRows(got.m, c.scale, c.past, c.causal, lo, c.rows)
+		requireSameBacking(t, fmt.Sprintf("rows [%d,%d) avx=%v %v", lo, c.rows, avx, c), got.backing, wantLo.backing)
+	}
+	for k := 0; k <= c.rows; k++ {
+		got := in.clone()
+		scaledMaskedRowSoftmaxRows(got.m, c.scale, c.past, c.causal, 0, k)
+		scaledMaskedRowSoftmaxRows(got.m, c.scale, c.past, c.causal, k, c.rows)
+		requireSameBacking(t, fmt.Sprintf("rows [0,%d)+[%d,%d) avx=%v %v", k, k, c.rows, avx, c), got.backing, want.backing)
+	}
 }

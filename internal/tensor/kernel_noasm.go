@@ -24,6 +24,12 @@ func softmaxExpLanes(row *float32, n int, scale, maxv float32) {
 
 func scaleLanes(row *float32, n int, s float32) { panic("tensor: scaleLanes is amd64-only") }
 
+func rowMaxLanes(row *float32, n int, scale float32) float32 {
+	panic("tensor: rowMaxLanes is amd64-only")
+}
+
+func addLanes(dst, a, b *float32, n int) { panic("tensor: addLanes is amd64-only") }
+
 func dotQ8Block8(dr *float32, x, w *int8, in, n int, sc *float32, nb, groups int) {
 	panic("tensor: dotQ8Block8 is amd64-only")
 }

@@ -283,9 +283,7 @@ func mustNotAlias(op string, dst, a, b *Matrix) {
 func Add(dst, a, b *Matrix) *Matrix {
 	checkSameShape("add", a, b)
 	dst = ensureLike(dst, a)
-	for i, v := range a.Data {
-		dst.Data[i] = v + b.Data[i]
-	}
+	addRow(dst.Data, a.Data, b.Data)
 	return dst
 }
 
@@ -323,13 +321,28 @@ func AddRowVec(dst, a *Matrix, v []float32) *Matrix {
 	}
 	dst = ensureLike(dst, a)
 	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		dr := dst.Row(i)
-		for j, x := range ar {
-			dr[j] = x + v[j]
-		}
+		addRow(dst.Row(i), a.Row(i), v)
 	}
 	return dst
+}
+
+// addRow sets dst[j] = a[j] + b[j] over a, which dst and b are at least as
+// long as: Add's and AddRowVec's one loop, and addLanes with useLanes. The
+// assembly has no preemption point, so a whole matrix goes down 4096
+// elements a call.
+func addRow(dst, a, b []float32) {
+	if useLanes() {
+		for len(a) > 0 {
+			n := min(len(a), 4096)
+			addLanes(&dst[:n][0], &a[0], &b[:n][0], n)
+			dst, a, b = dst[n:], a[n:], b[n:]
+		}
+		return
+	}
+	dst, b = dst[:len(a)], b[:len(a)]
+	for j, x := range a {
+		dst[j] = x + b[j]
+	}
 }
 
 // ColSums returns the per-column sums of m as a length-Cols slice. Used for

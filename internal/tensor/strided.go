@@ -115,30 +115,73 @@ func scaledMaskedRowSoftmaxRows(m *Matrix, scale float32, past int, causal bool,
 	if m.Cols == 0 {
 		return // an r×0 matrix has no scores: nothing to read a row maximum from
 	}
-	for i := lo; i < hi; i++ {
-		row := m.Row(i)
-		lim := m.Cols
-		if causal && past+i+1 < lim {
-			lim = past + i + 1
-		}
-		valid := row[:lim]
-		maxv := scale * valid[0]
-		for _, v := range valid[1:] {
-			if sv := scale * v; sv > maxv {
-				maxv = sv
+	// Rows go four at a time from lo, so that their sums can be interleaved.
+	// Every output row is a function of its own scores alone, whatever the
+	// group it falls in (TestSoftmaxRowsMatchRowAlone).
+	for i := lo; i < hi; i += 4 {
+		var valid [4][]float32
+		n := min(4, hi-i)
+		for r := 0; r < n; r++ {
+			lim := m.Cols
+			if causal && past+i+r+1 < lim {
+				lim = past + i + r + 1
 			}
+			valid[r] = m.Row(i + r)[:lim]
+			softmaxExp(valid[r], scale, rowMax(valid[r], scale))
 		}
-		softmaxExp(valid, scale, maxv)
-		// The row maximum above and this sum are reductions, and stay scalar
-		// and left to right whichever way the elementwise passes around them
-		// run: lanes would fold them in a different order.
-		var sum float32
-		for _, e := range valid {
-			sum += e
+		sums := rowSums(&valid, n)
+		for r := 0; r < n; r++ {
+			scaleRow(valid[r], 1/sums[r])
+			clear(m.Row(i + r)[len(valid[r]):])
 		}
-		scaleRow(valid, 1/sum)
-		clear(row[lim:])
 	}
+}
+
+// rowMax is the fused softmax's row maximum: the largest scale·v over a
+// non-empty row, from scale·row[0] up by >, so that a NaN in row[0] is the
+// result and any later NaN is skipped. With useLanes it is rowMaxLanes, whose
+// lanes keep that rule.
+func rowMax(row []float32, scale float32) float32 {
+	if useLanes() {
+		return rowMaxLanes(&row[0], len(row), scale)
+	}
+	maxv := scale * row[0]
+	for _, v := range row[1:] {
+		if sv := scale * v; sv > maxv {
+			maxv = sv
+		}
+	}
+	return maxv
+}
+
+// rowSums returns the sum of each of the first n rows, each added left to
+// right from +0: the order a single row's loop adds in, so the bits are that
+// loop's. A lone chain of adds waits on each add's latency; four rows' chains
+// step through their common length together, so the four run side by side,
+// and each row then finishes its own tail. A causal window is one column
+// wider each row, so the tails are at most three columns.
+func rowSums(rows *[4][]float32, n int) (sums [4]float32) {
+	common := 0
+	if n == 4 {
+		common = min(len(rows[0]), len(rows[1]), len(rows[2]), len(rows[3]))
+		a, b, c, d := rows[0][:common], rows[1][:common], rows[2][:common], rows[3][:common]
+		var s0, s1, s2, s3 float32
+		for j, v := range a {
+			s0 += v
+			s1 += b[j]
+			s2 += c[j]
+			s3 += d[j]
+		}
+		sums = [4]float32{s0, s1, s2, s3}
+	}
+	for r := 0; r < n; r++ {
+		s := sums[r]
+		for _, v := range rows[r][common:] {
+			s += v
+		}
+		sums[r] = s
+	}
+	return sums
 }
 
 // softmaxExp is the fused softmax's exponential pass over one row's valid

@@ -1,6 +1,8 @@
 package transformer
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tensor"
@@ -83,8 +85,9 @@ func BenchmarkTrainStep(b *testing.B) {
 // (monitorChunk) through one cache, as the monitor does, and reports the
 // share of suffix rows computed once the suffix tree lends what earlier
 // chunks shared, and the bytes per packed row a held workspace settles at
-// over the stream. allocs/op should sit within a few allocations of zero
-// (only returned results allocate).
+// over the stream. chunk32stream2w is that stream decoded by two goroutines
+// on the one cache (benchDecodeTwoWorkers). allocs/op should sit within a
+// few allocations of zero (only returned results allocate).
 func BenchmarkKVCacheDecode(b *testing.B) {
 	for _, precision := range []string{"fp32", "int8"} {
 		b.Run(precision, func(b *testing.B) {
@@ -127,6 +130,15 @@ func BenchmarkKVCacheDecode(b *testing.B) {
 			})
 		}
 	})
+	b.Run("chunk32stream2w", func(b *testing.B) {
+		chunks := make([][][]int, 64)
+		for k := range chunks {
+			chunks[k] = monitorChunk(k, 32)
+		}
+		b.Run("int8", func(b *testing.B) {
+			benchDecodeTwoWorkers(b, "int8", 120, 230, chunks)
+		})
+	})
 }
 
 // monitorSuffixes returns n ICL query suffixes shaped like the streaming
@@ -165,15 +177,7 @@ func monitorSuffixes(n int) [][]int {
 // than one chunk reports the share of suffix rows the timed iterations
 // computed as computed_rows.
 func benchDecode(b *testing.B, precision string, vocab, prefixLen int, chunks [][][]int, fresh bool) {
-	m := New(mistralConfig(vocab), tensor.NewRNG(7))
-	if precision == "int8" {
-		m.QuantizeInt8(0)
-	}
-	prefix := make([]int, prefixLen)
-	for i := range prefix {
-		prefix[i] = i % vocab
-	}
-	cache := m.InferKVCache(prefix)
+	m, cache := decodeModel(precision, vocab, prefixLen)
 	choices := []int{10, 20}
 	decode := func(suffixes [][]int) {
 		ws := tensor.GetWorkspace()
@@ -211,6 +215,51 @@ func benchDecode(b *testing.B, precision string, vocab, prefixLen int, chunks []
 		}
 		b.ReportMetric(float64(ws.Bytes())/float64(most), "arena_B/row")
 	}
+}
+
+// decodeModel is benchDecode's mistral-shaped decoder, quantized for int8,
+// and the cache of a prefixLen-token prefix.
+func decodeModel(precision string, vocab, prefixLen int) (*Model, *KVCache) {
+	m := New(mistralConfig(vocab), tensor.NewRNG(7))
+	if precision == "int8" {
+		m.QuantizeInt8(0)
+	}
+	prefix := make([]int, prefixLen)
+	for i := range prefix {
+		prefix[i] = i % vocab
+	}
+	return m, m.InferKVCache(prefix)
+}
+
+// benchDecodeTwoWorkers decodes chunks from two goroutines on one cache, as
+// two engine workers serving one model do: each takes the next chunk of the
+// stream in turn and runs it on a workspace it holds and resets. A pass over
+// the chunks warms both workspaces and the suffix tree first. ns/op is the
+// wall time per chunk, so where the two workers' kernels do not contend for
+// cores it is half a lone worker's.
+func benchDecodeTwoWorkers(b *testing.B, precision string, vocab, prefixLen int, chunks [][][]int) {
+	m, cache := decodeModel(precision, vocab, prefixLen)
+	choices := []int{10, 20}
+	wss := [2]*tensor.Workspace{tensor.NewWorkspace(), tensor.NewWorkspace()}
+	run := func(n int) {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for _, ws := range wss {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+					ws.Reset()
+					m.ScoreChoiceBatchWithCacheWS(cache, chunks[i%len(chunks)], choices, ws)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	run(len(chunks))
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
 }
 
 // BenchmarkEncodeBatch measures the packed batched encoder forward on a
