@@ -13,10 +13,10 @@
 // VPADDD and VPSLLD on Y registers are AVX2, so these routines run only when
 // useLanes (useAVX and CPUID leaf 7 EBX bit 5); rowMaxLanes and addLanes
 // need only AVX, and go with the rest. The wrappers in strided.go and
-// matrix.go own every bound: n ≥ 1 elements, pointers from slices cut to n. The
-// n mod 8 tail is loaded and stored under a VMASKMOVPS mask, which neither
-// reads nor writes (nor faults on) the lanes it leaves out; they compute on
-// zeros and are dropped.
+// matrix.go own every bound: n ≥ 1 elements, pointers from slices cut to n.
+// The n mod 8 tail is loaded and stored under a VMASKMOVPS mask, which
+// neither reads nor writes (nor faults on) the lanes it leaves out; they
+// compute on zeros and are dropped.
 
 // Every constant is eight copies of one float32 (or int32) bit pattern, so
 // that it can be an instruction's 256-bit memory operand.

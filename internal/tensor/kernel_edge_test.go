@@ -465,9 +465,10 @@ func TestElementwiseEdgeShapes(t *testing.T) {
 // window where the row's was. The kernel sums rows four at a time from the
 // start of its range, so a row's bits must not depend on the group it lands
 // in: ranges start at every lo from 0 to 4 and split at every row, over
-// unmasked rows and causal windows one column wider each row, from no cached
-// keys, from a few (clipped at the width part way down) and from the served
-// cached prefix, with the special rows of elementwiseCase.
+// unmasked rows and causal windows one column wider each row: from no cached
+// keys, from three (clipped at the width part way down), and from as many as
+// leave the last row the whole width, as the served prefix does; all with the
+// special rows of elementwiseCase.
 func TestSoftmaxRowsMatchRowAlone(t *testing.T) {
 	requireBitExactArch(t)
 	defer func(was bool) { useAVX = was }(useAVX)
