@@ -142,7 +142,7 @@ func main() {
 			}
 			// int8 artifacts come back quantized already; -quantize converts
 			// fp32 artifacts at load so mixed fleets can be forced to int8.
-			if *quantize && core.DetectorPrecision(det) != core.PrecisionInt8 {
+			if *quantize && det.Precision() != core.PrecisionInt8 {
 				if det, err = core.QuantizeDetector(det); err != nil {
 					log.Fatal("anomalyd: ", err)
 				}
@@ -152,7 +152,7 @@ func main() {
 			}
 			dets[name], gates[name] = det, gate
 			log.Printf("loaded %s (%s, %s) from %s in %s",
-				name, det.Approach(), core.DetectorPrecision(det), path, time.Since(start).Round(time.Millisecond))
+				name, det.Approach(), det.Precision(), path, time.Since(start).Round(time.Millisecond))
 		}
 	default:
 		// Training modes: -train-out saves and exits; otherwise the trained

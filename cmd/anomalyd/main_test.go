@@ -56,7 +56,7 @@ func TestTrainOutArtifacts(t *testing.T) {
 			if got := det.Approach(); got != c.approach {
 				t.Errorf("artifact approach %s, want %s", got, c.approach)
 			}
-			if got := core.DetectorPrecision(det); got != c.want {
+			if got := det.Precision(); got != c.want {
 				t.Errorf("artifact precision %s, want %s", got, c.want)
 			}
 			if gate != nil {

@@ -685,7 +685,7 @@ func buildDetector(stderr io.Writer, load string, quantize bool, opts core.Optio
 		if err != nil {
 			fmt.Fprintf(stderr, "ignoring the artifact's cascade gate: %v\n", err)
 		}
-		if quantize && core.DetectorPrecision(det) != core.PrecisionInt8 {
+		if quantize && det.Precision() != core.PrecisionInt8 {
 			if det, err = core.QuantizeDetector(det); err != nil {
 				return nil, "", err
 			}

@@ -127,8 +127,8 @@ func TestPipelineDetectorAgreement(t *testing.T) {
 	ds := flowbench.Generate(flowbench.Genome, 11).Subsample(10, 10, 50, 12)
 	// The detector must be deterministic across repeated calls.
 	for _, j := range ds.Test[:10] {
-		a := det.DetectJob(j)
-		b := det.DetectJob(j)
+		a := det.DetectSentence(logparse.Sentence(j))
+		b := det.DetectSentence(logparse.Sentence(j))
 		if a != b {
 			t.Fatal("detector not deterministic")
 		}

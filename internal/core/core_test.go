@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
+	"repro/internal/metrics"
 )
 
 // trainedOnce shares one small SFT detector across tests (training is the
@@ -33,6 +34,12 @@ var (
 // weights trained by pre-change code.
 const testArtifactPath = "testdata/cache/sft-distilbert-tiny.artifact"
 
+// sftTestOptions trains the shared test detector.
+var sftTestOptions = Options{
+	Approach: SFT, Model: "distilbert-base-uncased",
+	TrainSize: 400, PretrainSteps: 120, Epochs: 2, Seed: 9,
+}
+
 func detector(t *testing.T) (Detector, *flowbench.Dataset) {
 	t.Helper()
 	once.Do(func() {
@@ -44,10 +51,7 @@ func detector(t *testing.T) (Detector, *flowbench.Dataset) {
 				return
 			}
 		}
-		det, report, err := Train(Options{
-			Approach: SFT, Model: "distilbert-base-uncased",
-			TrainSize: 400, PretrainSteps: 120, Epochs: 2, Seed: 9,
-		})
+		det, report, err := Train(sftTestOptions)
 		if err != nil {
 			panic(err)
 		}
@@ -81,12 +85,33 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// checkTestReport checks that report.Test is the confusion matrix of
+// det.DetectSentence run job by job over the test split Train(opts) scored.
+func checkTestReport(t *testing.T, det Detector, report *TrainReport, opts Options) {
+	t.Helper()
+	opts.fill() // Train accepted opts
+	test := flowbench.Generate(opts.Workflow, opts.Seed).Subsample(opts.TrainSize, 200, 300, opts.Seed+1).Test
+	labels, preds := make([]int, len(test)), make([]int, len(test))
+	for i, j := range test {
+		labels[i], preds[i] = j.Label, det.DetectSentence(logparse.Sentence(j)).Label
+	}
+	if want := metrics.NewConfusion(labels, preds); report.Test != want {
+		t.Fatalf("report.Test = %#v, job-by-job DetectSentence gives %#v", report.Test, want)
+	}
+}
+
+// TestTrainSFTEndToEnd trains rather than calling detector, which may load
+// the cached artifact and so have no report.
 func TestTrainSFTEndToEnd(t *testing.T) {
-	det, ds := detector(t)
+	det, report, err := Train(sftTestOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if det.Approach() != SFT {
 		t.Fatal("approach mismatch")
 	}
-	res := det.DetectJob(ds.Test[0])
+	checkTestReport(t, det, report, sftTestOptions)
+	res := det.DetectSentence("runtime is 50.0")
 	if res.Label != 0 && res.Label != 1 {
 		t.Fatalf("label = %d", res.Label)
 	}
@@ -99,10 +124,11 @@ func TestTrainSFTEndToEnd(t *testing.T) {
 }
 
 func TestTrainICLEndToEnd(t *testing.T) {
-	det, report, err := Train(Options{
+	opts := Options{
 		Approach: ICL, Model: "gpt2",
 		TrainSize: 200, PretrainSteps: 100, Shots: 3, LoRASteps: 40, Seed: 9,
-	})
+	}
+	det, report, err := Train(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +138,7 @@ func TestTrainICLEndToEnd(t *testing.T) {
 	if report.Params == 0 || report.VocabSize == 0 {
 		t.Fatalf("report = %+v", report)
 	}
+	checkTestReport(t, det, report, opts)
 	res := det.DetectSentence("runtime is 50.0")
 	if res.Label != 0 && res.Label != 1 {
 		t.Fatalf("label = %d", res.Label)

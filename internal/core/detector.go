@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/flowbench"
 	"repro/internal/icl"
-	"repro/internal/logparse"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/pretrain"
@@ -45,22 +44,6 @@ const (
 	PrecisionInt8 Precision = "int8"
 )
 
-// PrecisionReporter is optionally implemented by detectors that know their
-// weight precision. Detectors that do not implement it (foreign Detector
-// implementations, test stubs) are reported as fp32.
-type PrecisionReporter interface {
-	Precision() Precision
-}
-
-// DetectorPrecision reports det's serving precision, defaulting to fp32 for
-// detectors that do not implement PrecisionReporter.
-func DetectorPrecision(det Detector) Precision {
-	if pr, ok := det.(PrecisionReporter); ok {
-		return pr.Precision()
-	}
-	return PrecisionFP32
-}
-
 // Result is a single detection outcome.
 type Result struct {
 	// Label is 0 (normal) or 1 (abnormal).
@@ -77,43 +60,36 @@ func (r Result) String() string {
 	return fmt.Sprintf("label: LABEL_%d, score: %.4f", r.Label, r.Score)
 }
 
-// BatchWSDetector is implemented by detectors whose batched path can run on
-// a caller-owned tensor.Workspace scratch arena. Long-lived inference
-// workers (core.Server's pool) hold one workspace each and reset it between
-// batches, making steady-state detection allocation-free; one workspace must
-// never be shared by concurrent DetectBatchWS calls.
-type BatchWSDetector interface {
-	// DetectBatchWS is DetectBatch drawing scratch buffers from ws. The
-	// workspace is used, not reset: the caller resets it between batches.
-	DetectBatchWS(sentences []string, ws *tensor.Workspace) []Result
-}
-
-// FallibleDetector is implemented by detectors whose batch call can fail: a
-// model served by another process (internal/gateway's remote detectors). The
-// serving engine calls TryDetectBatch in place of DetectBatch, and an error
-// fails every request of the batch with it — an *OverloadedError as a shed.
-// There is no context: one batch serves several callers, so the detector runs
-// it under a context of its own.
-type FallibleDetector interface {
-	TryDetectBatch(sentences []string) ([]Result, error)
-}
-
-// Detector is the unified detection interface implemented by both
-// approaches.
-type Detector interface {
-	// DetectSentence classifies a parsed feature sentence (Fig 2 format).
-	// Both built-in detectors delegate to DetectBatch with a batch of one,
-	// so DetectSentence is as concurrency-safe as DetectBatch.
-	DetectSentence(sentence string) Result
-	// DetectBatch classifies a batch of sentences in one packed forward
-	// pass, returning results in input order. The batched path reads the
-	// model without mutating layer state, so DetectBatch is safe to call
-	// from concurrent goroutines.
-	DetectBatch(sentences []string) []Result
-	// DetectJob classifies a job record.
-	DetectJob(j flowbench.Job) Result
+// Model is what the serving engine sees of a served model: one call that
+// answers a batch, and the two facts /v1/models reports. Both built-in
+// detectors are Models, and so is a fleet front's remote model
+// (internal/gateway), which computes in another process.
+type Model interface {
+	// Detect classifies sentences and returns their results in input order.
+	// Scratch buffers come from ws, which Detect uses but does not reset: the
+	// caller resets it between calls and never shares it between concurrent
+	// calls. A nil ws draws a pooled arena. An in-process model never returns
+	// an error. A remote model ignores ws, and its error fails every request
+	// of the batch with it — an *OverloadedError as a shed. There is no
+	// context: one batch serves several callers, so a remote model runs it
+	// under a context of its own.
+	Detect(sentences []string, ws *tensor.Workspace) ([]Result, error)
 	// Approach identifies the underlying method.
 	Approach() Approach
+	// Precision names the weight format the model serves with.
+	Precision() Precision
+}
+
+// Detector is an in-process Model, implemented by both approaches, with two
+// conveniences that cannot fail. The batched path reads the model without
+// mutating layer state, so both are safe to call from concurrent goroutines.
+type Detector interface {
+	Model
+	// DetectBatch is Detect on a pooled arena.
+	DetectBatch(sentences []string) []Result
+	// DetectSentence classifies a parsed feature sentence (Fig 2 format): a
+	// DetectBatch of one.
+	DetectSentence(sentence string) Result
 }
 
 // sftDetector adapts an sft.Classifier.
@@ -124,26 +100,22 @@ type sftDetector struct {
 // NewSFTDetector wraps a fine-tuned classifier as a Detector.
 func NewSFTDetector(clf *sft.Classifier) Detector { return &sftDetector{clf: clf} }
 
-func (d *sftDetector) DetectSentence(sentence string) Result {
-	// Delegate to the batch path (batch of 1): the untaped forward reads
-	// only the model's parameters, so a registry-held detector is safe to
-	// call from any handler goroutine.
-	return d.DetectBatch([]string{sentence})[0]
+func (d *sftDetector) Detect(sentences []string, ws *tensor.Workspace) ([]Result, error) {
+	if ws == nil {
+		ws = tensor.GetWorkspace()
+		defer tensor.PutWorkspace(ws)
+	}
+	labels, probs := d.clf.PredictBatchWS(sentences, ws)
+	return toResults(labels, probs), nil
 }
 
 func (d *sftDetector) DetectBatch(sentences []string) []Result {
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	return d.DetectBatchWS(sentences, ws)
+	res, _ := d.Detect(sentences, nil) // an in-process model never fails
+	return res
 }
 
-func (d *sftDetector) DetectBatchWS(sentences []string, ws *tensor.Workspace) []Result {
-	labels, probs := d.clf.PredictBatchWS(sentences, ws)
-	return toResults(labels, probs)
-}
-
-func (d *sftDetector) DetectJob(j flowbench.Job) Result {
-	return d.DetectSentence(logparse.Sentence(j))
+func (d *sftDetector) DetectSentence(sentence string) Result {
+	return d.DetectBatch([]string{sentence})[0]
 }
 
 func (d *sftDetector) Approach() Approach { return SFT }
@@ -156,8 +128,8 @@ func (d *sftDetector) Precision() Precision {
 }
 
 // iclDetector adapts an icl.Detector with a fixed few-shot context. The
-// context's KV cache is built lazily on first batched use and shared by all
-// subsequent (possibly concurrent) DetectBatch calls.
+// context's KV cache is built lazily on first use and shared by all
+// subsequent (possibly concurrent) Detect calls.
 type iclDetector struct {
 	det      *icl.Detector
 	examples []prompt.Example
@@ -172,24 +144,24 @@ func NewICLDetector(det *icl.Detector, examples []prompt.Example) Detector {
 	return &iclDetector{det: det, examples: examples}
 }
 
-func (d *iclDetector) DetectSentence(sentence string) Result {
-	// Batch of 1 through the cached path: concurrency-safe (it reads the
-	// model, and the prompt cache guards its suffix tree with its own
-	// lock), and it reuses the shared prompt-prefix KV cache.
-	return d.DetectBatch([]string{sentence})[0]
-}
-
-func (d *iclDetector) DetectBatch(sentences []string) []Result {
-	ws := tensor.GetWorkspace()
-	defer tensor.PutWorkspace(ws)
-	return d.DetectBatchWS(sentences, ws)
-}
-
-func (d *iclDetector) DetectBatchWS(sentences []string, ws *tensor.Workspace) []Result {
+func (d *iclDetector) Detect(sentences []string, ws *tensor.Workspace) ([]Result, error) {
+	if ws == nil {
+		ws = tensor.GetWorkspace()
+		defer tensor.PutWorkspace(ws)
+	}
 	//lint:ignore hotalloc the closure escapes only on the first-call init; Once.Do's fast path keeps it on the stack
 	d.cacheOnce.Do(func() { d.cache = d.det.NewPromptCache(d.examples) })
 	labels, probs := d.det.ClassifyBatchCachedWS(d.cache, sentences, ws)
-	return toResults(labels, probs)
+	return toResults(labels, probs), nil
+}
+
+func (d *iclDetector) DetectBatch(sentences []string) []Result {
+	res, _ := d.Detect(sentences, nil) // an in-process model never fails
+	return res
+}
+
+func (d *iclDetector) DetectSentence(sentence string) Result {
+	return d.DetectBatch([]string{sentence})[0]
 }
 
 // toResults pairs predicted labels with their abnormal-class probabilities.
@@ -199,10 +171,6 @@ func toResults(labels []int, probs [][2]float32) []Result {
 		out[i] = Result{Label: labels[i], Score: float64(probs[i][1])}
 	}
 	return out
-}
-
-func (d *iclDetector) DetectJob(j flowbench.Job) Result {
-	return d.DetectSentence(logparse.Sentence(j))
 }
 
 func (d *iclDetector) Approach() Approach { return ICL }
@@ -222,7 +190,7 @@ func (d *iclDetector) Precision() Precision {
 // serving traffic; the input detector must not be used afterwards. Detectors
 // not produced by this package are rejected, as are already-quantized ones.
 func QuantizeDetector(det Detector) (Detector, error) {
-	if DetectorPrecision(det) == PrecisionInt8 {
+	if det.Precision() == PrecisionInt8 {
 		return nil, fmt.Errorf("core: detector is already int8-quantized")
 	}
 	switch d := det.(type) {
@@ -356,13 +324,11 @@ func Train(opts Options) (Detector, *TrainReport, error) {
 	}
 
 	labels := make([]int, len(ds.Test))
-	preds := make([]int, len(ds.Test))
 	for i, j := range ds.Test {
 		labels[i] = j.Label
-		preds[i] = det.DetectJob(j).Label
 	}
 	report := &TrainReport{
-		Test:      metrics.NewConfusion(labels, preds),
+		Test:      metrics.NewConfusion(labels, detectLabels(det, ds.Test)),
 		Params:    model.ParamCount(),
 		VocabSize: tok.VocabSize(),
 	}

@@ -126,14 +126,12 @@ func (j *detectJob) wait() (results []Result, degraded bool, err error) {
 // submit fails with errServerClosed.
 type engine struct {
 	name    string
-	det     Detector
-	infer   inferFunc // det's batch call, resolved once
-	usesWS  bool      // infer draws on the calling worker's workspace
+	model   Model
 	cfg     BatchConfig
 	tracker *TraceTracker // the model's online trace windows, across monitor ingests
 	stats   statsRecorder
 	gate    atomic.Pointer[cascade.Gate] // nil: cascade off, no brownout tier
-	memo    *verdictMemo                 // nil: det is not tokenKeyed
+	memo    *verdictMemo                 // nil: model is not tokenKeyed
 	brown   brownout
 	jobs    chan *detectJob // the whole backlog: nothing waits anywhere else
 
@@ -142,12 +140,12 @@ type engine struct {
 	wg     sync.WaitGroup
 }
 
-// newEngine fills cfg's defaults and starts the worker pool for det.
-func newEngine(name string, det Detector, cfg BatchConfig) *engine {
+// newEngine fills cfg's defaults and starts the worker pool for m.
+func newEngine(name string, m Model, cfg BatchConfig) *engine {
 	cfg.fill()
 	e := &engine{
 		name:    name,
-		det:     det,
+		model:   m,
 		cfg:     cfg,
 		tracker: NewTraceTracker(DefaultTracePolicy(), 0),
 		brown: brownout{
@@ -157,8 +155,7 @@ func newEngine(name string, det Detector, cfg BatchConfig) *engine {
 		},
 		jobs: make(chan *detectJob, cfg.QueueDepth),
 	}
-	e.infer, e.usesWS = resolveInfer(det)
-	if _, ok := det.(tokenKeyed); ok {
+	if _, ok := m.(tokenKeyed); ok {
 		e.memo = newVerdictMemo()
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -166,31 +163,6 @@ func newEngine(name string, det Detector, cfg BatchConfig) *engine {
 		go e.worker()
 	}
 	return e
-}
-
-// inferFunc is the engine's one model call: a chunk of at most MaxBatch
-// sentences in, their results in input order out, scratch drawn from the
-// calling worker's workspace.
-type inferFunc func(sentences []string, ws *tensor.Workspace) ([]Result, error)
-
-// resolveInfer picks det's batch call once, so the batch runner never
-// branches on the detector, and reports whether that call uses the worker's
-// workspace. A FallibleDetector's call is used as is; an in-process detector
-// cannot fail, and runs on the worker's workspace (reset per chunk, bounding
-// the arena to one chunk's scratch) when it accepts one.
-func resolveInfer(det Detector) (infer inferFunc, usesWS bool) {
-	switch d := det.(type) {
-	case FallibleDetector:
-		return func(sentences []string, _ *tensor.Workspace) ([]Result, error) { return d.TryDetectBatch(sentences) }, false
-	case BatchWSDetector:
-		return func(sentences []string, ws *tensor.Workspace) ([]Result, error) {
-			ws.Reset()
-			return d.DetectBatchWS(sentences, ws), nil
-		}, true
-	}
-	return func(sentences []string, _ *tensor.Workspace) ([]Result, error) {
-		return det.DetectBatch(sentences), nil
-	}, false
 }
 
 // Close drains queued requests, stops the inference workers, and fails
@@ -304,23 +276,18 @@ func (e *engine) brownoutActive() bool { return e.brown.active() }
 // forms a batch around it from whatever else is already waiting, and runs it —
 // so an idle pool answers a lone request at once, and only while every worker
 // is busy does the queue accumulate, to be taken whole by the next one free.
-// When the detector supports workspace-threaded batches (BatchWSDetector),
-// each worker owns one tensor.Workspace for its lifetime and every model
-// invocation reuses the worker's arena instead of allocating its temporaries,
-// so steady-state serving is allocation-free outside request plumbing. The
-// arena keeps the size the worker's batches grew it to: for an SFT encoder,
-// one fixed-size group of sentences plus a [MaxBatch, dModel] output, since
-// its forward runs a batch a group at a time; for an ICL decoder, its
-// largest chunk. Other workers hold none: a pooled workspace keeps the arena
-// its last user grew, and a worker that never uses it would pin that memory
-// for its whole life.
+// Each worker owns a fresh tensor.Workspace for its lifetime, rewound before
+// every model call, so an in-process model reuses the worker's arena instead
+// of allocating its temporaries and steady-state serving is allocation-free
+// outside request plumbing. The arena keeps the size the worker's batches
+// grew it to: for an SFT encoder, one fixed-size group of sentences plus a
+// [MaxBatch, dModel] output, since its forward runs a batch a group at a
+// time; for an ICL decoder, its largest chunk. It is never drawn from the
+// workspace pool, which keeps the arena its last user grew, so the worker of
+// a remote model, which never touches its arena, holds an empty one.
 func (e *engine) worker() {
 	defer e.wg.Done()
-	w := &batchWorker{e: e}
-	if e.usesWS {
-		w.ws = tensor.GetWorkspace()
-		defer tensor.PutWorkspace(w.ws)
-	}
+	w := &batchWorker{e: e, ws: tensor.NewWorkspace()}
 	for job := range e.jobs {
 		w.runBatch(e.fill(job))
 	}
@@ -556,12 +523,14 @@ func (w *batchWorker) model(run []string) (results []Result, memoHits int, err e
 	return results, len(run) - len(miss), nil
 }
 
-// infer runs sentences through the engine's model call in MaxBatch chunks.
+// infer runs sentences through the model in MaxBatch chunks, each on the
+// worker's rewound arena, which bounds the arena to one chunk's scratch.
 func (w *batchWorker) infer(sentences []string) ([]Result, error) {
 	e := w.e
 	results := make([]Result, 0, len(sentences))
 	for lo := 0; lo < len(sentences); lo += e.cfg.MaxBatch {
-		out, err := e.infer(sentences[lo:min(lo+e.cfg.MaxBatch, len(sentences))], w.ws)
+		w.ws.Reset()
+		out, err := e.model.Detect(sentences[lo:min(lo+e.cfg.MaxBatch, len(sentences))], w.ws)
 		if err != nil {
 			return nil, err
 		}

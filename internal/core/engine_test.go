@@ -27,16 +27,11 @@ type dedupDetector struct {
 	batches [][]string
 }
 
-func (d *dedupDetector) DetectBatch(ss []string) []Result {
+func (d *dedupDetector) Detect(ss []string, ws *tensor.Workspace) ([]Result, error) {
 	d.mu.Lock()
 	d.batches = append(d.batches, append([]string(nil), ss...))
 	d.mu.Unlock()
-	return d.hashDetector.DetectBatch(ss)
-}
-
-// DetectBatchWS must record too: engine workers prefer the workspace path.
-func (d *dedupDetector) DetectBatchWS(ss []string, _ *tensor.Workspace) []Result {
-	return d.DetectBatch(ss)
+	return d.hashDetector.Detect(ss, ws)
 }
 
 func (d *dedupDetector) seen() []string {
@@ -102,14 +97,10 @@ func newGateDetector() *gateDetector {
 	return &gateDetector{entered: make(chan []string, 64), release: make(chan struct{})}
 }
 
-func (d *gateDetector) DetectBatch(ss []string) []Result {
+func (d *gateDetector) Detect(ss []string, ws *tensor.Workspace) ([]Result, error) {
 	d.entered <- append([]string(nil), ss...)
 	<-d.release
-	return d.hashDetector.DetectBatch(ss)
-}
-
-func (d *gateDetector) DetectBatchWS(ss []string, _ *tensor.Workspace) []Result {
-	return d.DetectBatch(ss)
+	return d.hashDetector.Detect(ss, ws)
 }
 
 // DetectContext is submit then wait — what the detect handlers do once they
@@ -382,24 +373,19 @@ func TestRunBatchDedupSingleSentence(t *testing.T) {
 }
 
 // fallibleDetector fails, with err, every batch whose first sentence starts
-// with prefix ("" fails them all) — through the error path a FallibleDetector
-// has: the engine must never call its error-less DetectBatch.
+// with prefix ("" fails them all), as a remote model does.
 type fallibleDetector struct {
 	*gateDetector
 	err    error
 	prefix string
 }
 
-func (d fallibleDetector) TryDetectBatch(ss []string) ([]Result, error) {
-	res := d.gateDetector.DetectBatch(ss)
+func (d fallibleDetector) Detect(ss []string, ws *tensor.Workspace) ([]Result, error) {
+	res, _ := d.gateDetector.Detect(ss, ws)
 	if strings.HasPrefix(ss[0], d.prefix) {
 		return nil, d.err
 	}
 	return res, nil
-}
-
-func (fallibleDetector) DetectBatch([]string) []Result {
-	panic("the engine called a FallibleDetector's DetectBatch")
 }
 
 // TestEngineModelErrorFailsBatch pins the engine's one error path: a batch

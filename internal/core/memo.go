@@ -30,7 +30,7 @@ import (
 // function of tokenizer.Tokenize(sentence) alone: the built-in SFT and ICL
 // detectors, which encode exactly those tokens (the ICL prompt appends the
 // query after a space, so its tokens continue the prefix's). An engine
-// memoizes only these. A fleet front's detector is not one of them: its
+// memoizes only these. A fleet front's model is not one of them: its
 // answers carry its replicas' gate verdicts.
 type tokenKeyed interface {
 	tokenKeyed()

@@ -77,11 +77,11 @@ func assertQuantizedParity(t *testing.T, fp32, int8Det Detector, ds *flowbench.D
 func TestQuantizedParitySFT(t *testing.T) {
 	det, ds := detector(t)
 	fp32, q := quantizedPair(t, det)
-	if DetectorPrecision(fp32) != PrecisionFP32 {
-		t.Fatalf("trained detector reports %q", DetectorPrecision(fp32))
+	if fp32.Precision() != PrecisionFP32 {
+		t.Fatalf("trained detector reports %q", fp32.Precision())
 	}
-	if DetectorPrecision(q) != PrecisionInt8 {
-		t.Fatalf("quantized detector reports %q", DetectorPrecision(q))
+	if q.Precision() != PrecisionInt8 {
+		t.Fatalf("quantized detector reports %q", q.Precision())
 	}
 	assertQuantizedParity(t, fp32, q, ds)
 }
@@ -90,8 +90,8 @@ func TestQuantizedParityICL(t *testing.T) {
 	det := iclDetectorForTest(t)
 	_, ds := detector(t)
 	fp32, q := quantizedPair(t, det)
-	if DetectorPrecision(q) != PrecisionInt8 {
-		t.Fatalf("quantized detector reports %q", DetectorPrecision(q))
+	if q.Precision() != PrecisionInt8 {
+		t.Fatalf("quantized detector reports %q", q.Precision())
 	}
 	assertQuantizedParity(t, fp32, q, ds)
 }
@@ -117,8 +117,8 @@ func TestQuantizedArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if DetectorPrecision(loaded) != PrecisionInt8 {
-		t.Fatalf("loaded artifact reports %q", DetectorPrecision(loaded))
+	if loaded.Precision() != PrecisionInt8 {
+		t.Fatalf("loaded artifact reports %q", loaded.Precision())
 	}
 	assertDetectorsBitwiseEqual(t, q, loaded, ds)
 }
@@ -131,8 +131,8 @@ func TestQuantizedArtifactRoundTripICL(t *testing.T) {
 	_, ds := detector(t)
 	_, q := quantizedPair(t, det)
 	loaded := loadedCopy(t, q)
-	if DetectorPrecision(loaded) != PrecisionInt8 {
-		t.Fatalf("loaded artifact reports %q", DetectorPrecision(loaded))
+	if loaded.Precision() != PrecisionInt8 {
+		t.Fatalf("loaded artifact reports %q", loaded.Precision())
 	}
 	assertDetectorsBitwiseEqual(t, q, loaded, ds)
 }
@@ -199,8 +199,8 @@ func TestArtifactV1BackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v1 artifact rejected: %v", err)
 	}
-	if DetectorPrecision(loaded) != PrecisionFP32 {
-		t.Fatalf("v1 artifact reports %q", DetectorPrecision(loaded))
+	if loaded.Precision() != PrecisionFP32 {
+		t.Fatalf("v1 artifact reports %q", loaded.Precision())
 	}
 	assertDetectorsBitwiseEqual(t, det, loaded, ds)
 }

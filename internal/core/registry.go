@@ -39,15 +39,15 @@ func NewRegistry() *Registry {
 	return &Registry{models: make(map[string]*engine)}
 }
 
-// Add registers det under name and starts its engine. The first model added
+// Add registers m under name and starts its engine. The first model added
 // becomes the default route. Adding an existing name or an empty name is an
 // error.
-func (r *Registry) Add(name string, det Detector, cfg BatchConfig) error {
+func (r *Registry) Add(name string, m Model, cfg BatchConfig) error {
 	if name == "" {
 		return errors.New("core: model name must not be empty")
 	}
-	if det == nil {
-		return fmt.Errorf("core: model %q: nil detector", name)
+	if m == nil {
+		return fmt.Errorf("core: model %q: nil model", name)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -57,7 +57,7 @@ func (r *Registry) Add(name string, det Detector, cfg BatchConfig) error {
 	if _, dup := r.models[name]; dup {
 		return fmt.Errorf("core: model %q already registered", name)
 	}
-	r.models[name] = newEngine(name, det, cfg)
+	r.models[name] = newEngine(name, m, cfg)
 	if r.def == "" {
 		r.def = name
 	}
@@ -144,8 +144,8 @@ func (r *Registry) Info() []ModelInfo {
 	for _, e := range r.models {
 		out = append(out, ModelInfo{
 			Name:           e.name,
-			Approach:       e.det.Approach(),
-			Precision:      DetectorPrecision(e.det),
+			Approach:       e.model.Approach(),
+			Precision:      e.model.Precision(),
 			Default:        e.name == r.def,
 			MaxBatch:       e.cfg.MaxBatch,
 			Workers:        e.cfg.Workers,

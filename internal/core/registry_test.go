@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/flowbench"
 	"repro/internal/logparse"
+	"repro/internal/tensor"
 )
 
 // labelDetector is a fast stub whose every result carries a fixed label and
@@ -20,23 +20,12 @@ type labelDetector struct {
 	score float64
 }
 
-func (d labelDetector) DetectSentence(string) Result {
-	return Result{Label: d.label, Score: d.score}
+func (d labelDetector) Detect(ss []string, _ *tensor.Workspace) ([]Result, error) {
+	return resultsOf(ss, func(string) Result { return Result{Label: d.label, Score: d.score} }), nil
 }
 
-func (d labelDetector) DetectBatch(ss []string) []Result {
-	out := make([]Result, len(ss))
-	for i := range out {
-		out[i] = Result{Label: d.label, Score: d.score}
-	}
-	return out
-}
-
-func (d labelDetector) DetectJob(flowbench.Job) Result {
-	return Result{Label: d.label, Score: d.score}
-}
-
-func (d labelDetector) Approach() Approach { return SFT }
+func (d labelDetector) Approach() Approach   { return SFT }
+func (d labelDetector) Precision() Precision { return PrecisionFP32 }
 
 func TestRegistryAddAndNames(t *testing.T) {
 	reg := NewRegistry()

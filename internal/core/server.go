@@ -52,15 +52,15 @@ type Server struct {
 	streamsOnce sync.Once
 }
 
-// NewServer wraps a single detector in an HTTP handler with the default
+// NewServer wraps a single model in an HTTP handler with the default
 // batching configuration, registered under DefaultModel.
-func NewServer(det Detector) *Server { return NewServerWith(det, BatchConfig{}) }
+func NewServer(m Model) *Server { return NewServerWith(m, BatchConfig{}) }
 
-// NewServerWith wraps a single detector with an explicit batching
+// NewServerWith wraps a single model with an explicit batching
 // configuration and starts its inference workers. Call Close to stop them.
-func NewServerWith(det Detector, cfg BatchConfig) *Server {
+func NewServerWith(m Model, cfg BatchConfig) *Server {
 	reg := NewRegistry()
-	if err := reg.Add(DefaultModel, det, cfg); err != nil {
+	if err := reg.Add(DefaultModel, m, cfg); err != nil {
 		panic(err) // fresh registry, fixed name: cannot fail
 	}
 	return NewServerRegistry(reg)

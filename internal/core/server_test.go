@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/flowbench"
 	"repro/internal/logparse"
 	"repro/internal/tensor"
 )
@@ -220,25 +219,20 @@ func TestHealthReportsBatching(t *testing.T) {
 	}
 }
 
-// wsProbeDetector is a stub BatchWSDetector that stamps a per-call token
-// into workspace scratch and re-reads it after simulated work. If the server
-// ever handed one workspace to two concurrent batches, the re-read (or the
-// race detector) catches it.
+// wsProbeDetector is a stub Model that stamps a per-call token into
+// workspace scratch and re-reads it after simulated work. If the server ever
+// handed one workspace to two concurrent batches, the re-read (or the race
+// detector) catches it.
 type wsProbeDetector struct {
 	mu    sync.Mutex
 	calls int
 	fails int
 }
 
-func (d *wsProbeDetector) DetectSentence(string) Result     { return Result{} }
-func (d *wsProbeDetector) DetectJob(j flowbench.Job) Result { return Result{} }
-func (d *wsProbeDetector) Approach() Approach               { return SFT }
+func (d *wsProbeDetector) Approach() Approach   { return SFT }
+func (d *wsProbeDetector) Precision() Precision { return PrecisionFP32 }
 
-func (d *wsProbeDetector) DetectBatch(sentences []string) []Result {
-	return make([]Result, len(sentences))
-}
-
-func (d *wsProbeDetector) DetectBatchWS(sentences []string, ws *tensor.Workspace) []Result {
+func (d *wsProbeDetector) Detect(sentences []string, ws *tensor.Workspace) ([]Result, error) {
 	d.mu.Lock()
 	d.calls++
 	token := float32(d.calls)
@@ -256,15 +250,12 @@ func (d *wsProbeDetector) DetectBatchWS(sentences []string, ws *tensor.Workspace
 			break
 		}
 	}
-	return make([]Result, len(sentences))
+	return make([]Result, len(sentences)), nil
 }
 
-// TestServerWorkersOwnWorkspaces hammers a multi-worker server under -race:
-// every model invocation must see a workspace exclusively its own.
-func TestServerWorkersOwnWorkspaces(t *testing.T) {
-	det := &wsProbeDetector{}
-	s := NewServerWith(det, BatchConfig{MaxBatch: 2, Workers: 4})
-	defer s.Close()
+// hammer sends 160 three-sentence detects to s from 8 goroutines.
+func hammer(t *testing.T, s *Server) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -279,6 +270,15 @@ func TestServerWorkersOwnWorkspaces(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestServerWorkersOwnWorkspaces hammers a multi-worker server under -race:
+// every model invocation must see a workspace exclusively its own.
+func TestServerWorkersOwnWorkspaces(t *testing.T) {
+	det := &wsProbeDetector{}
+	s := NewServerWith(det, BatchConfig{MaxBatch: 2, Workers: 4})
+	defer s.Close()
+	hammer(t, s)
 	det.mu.Lock()
 	defer det.mu.Unlock()
 	if det.calls == 0 {
@@ -286,6 +286,51 @@ func TestServerWorkersOwnWorkspaces(t *testing.T) {
 	}
 	if det.fails != 0 {
 		t.Fatalf("%d batches observed another batch's workspace writes", det.fails)
+	}
+}
+
+// arenaProbe is a Model that ignores its workspace, as a remote model does,
+// and records the bytes each one it is handed holds.
+type arenaProbe struct {
+	hashDetector
+	mu    sync.Mutex
+	bytes []int
+}
+
+func (d *arenaProbe) Detect(ss []string, ws *tensor.Workspace) ([]Result, error) {
+	d.mu.Lock()
+	d.bytes = append(d.bytes, ws.Bytes())
+	d.mu.Unlock()
+	return d.hashDetector.Detect(ss, ws)
+}
+
+// TestEngineWorkersTakeNoPooledArena pins that a worker's arena is fresh, not
+// drawn from the workspace pool: with grown workspaces waiting there, a model
+// that never touches its arena is handed empty ones on every call. A pooled
+// arena keeps the size its last user grew it to, and a worker would pin that
+// for its whole life.
+func TestEngineWorkersTakeNoPooledArena(t *testing.T) {
+	grown := make([]*tensor.Workspace, 8)
+	for i := range grown {
+		grown[i] = tensor.GetWorkspace()
+		grown[i].Get(256, 256)
+	}
+	for _, ws := range grown {
+		tensor.PutWorkspace(ws)
+	}
+	det := &arenaProbe{}
+	s := NewServerWith(det, BatchConfig{MaxBatch: 2, Workers: 2})
+	defer s.Close()
+	hammer(t, s)
+	det.mu.Lock()
+	defer det.mu.Unlock()
+	if len(det.bytes) == 0 {
+		t.Fatal("the model was never called")
+	}
+	for i, n := range det.bytes {
+		if n != 0 {
+			t.Fatalf("call %d of %d was handed an arena holding %d bytes; want a fresh one", i, len(det.bytes), n)
+		}
 	}
 }
 
@@ -311,14 +356,11 @@ func (d *countingDetector) record(ss []string) []Result {
 	return out
 }
 
-func (d *countingDetector) DetectSentence(s string) Result {
-	return d.record([]string{s})[0]
+func (d *countingDetector) Detect(ss []string, _ *tensor.Workspace) ([]Result, error) {
+	return d.record(ss), nil
 }
-func (d *countingDetector) DetectBatch(ss []string) []Result { return d.record(ss) }
-func (d *countingDetector) DetectJob(j flowbench.Job) Result {
-	return d.DetectSentence(logparse.Sentence(j))
-}
-func (d *countingDetector) Approach() Approach { return SFT }
+func (d *countingDetector) Approach() Approach   { return SFT }
+func (d *countingDetector) Precision() Precision { return PrecisionFP32 }
 
 func (d *countingDetector) sentences() []string {
 	d.mu.Lock()

@@ -30,7 +30,7 @@ type EngineStats struct {
 	// token memo answered without a model invocation: their token sequence
 	// was answered earlier in the batch or held by the memo. MemoEntries is
 	// the number of token sequences the memo holds; both stay 0 for a model
-	// that does not memoize (a remote one, or a foreign Detector).
+	// that does not memoize (a remote one, or a foreign Model).
 	MemoHits    int64 `json:"memo_hits"`
 	MemoEntries int   `json:"memo_entries"`
 	// Shed counts requests refused by admission control, the queue-wait

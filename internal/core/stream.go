@@ -368,7 +368,7 @@ type monitorChunk struct {
 // system appends to a log, MonitorWith tails it.
 //
 // The loop runs over a serving engine of its own (Workers workers,
-// ChunkSize-sentence batches of d) that lives for the run. Inference is
+// ChunkSize-sentence batches of m) that lives for the run. Inference is
 // therefore the serving path's, not a copy of it: repeated lines in a chunk
 // reach the model once, cfg.Gate gates as a served model's cascade does, and
 // the report's cascade counters are that engine's, counting unique lines as
@@ -378,14 +378,14 @@ type monitorChunk struct {
 // ctx.Err() are returned. In strict mode the first malformed line aborts
 // with an error naming its line number; otherwise malformed lines are
 // skipped and counted.
-func MonitorWith(ctx context.Context, d Detector, r io.Reader, cfg MonitorConfig) (MonitorReport, error) {
+func MonitorWith(ctx context.Context, m Model, r io.Reader, cfg MonitorConfig) (MonitorReport, error) {
 	if err := ctx.Err(); err != nil {
 		return MonitorReport{}, err
 	}
 	cfg.fill()
 	// QueueDepth Workers: with the loop's own in-flight bound that is one
 	// chunk running and one waiting per worker, and the reader blocks beyond.
-	eng := newEngine("", d, BatchConfig{MaxBatch: cfg.ChunkSize, Workers: cfg.Workers, QueueDepth: cfg.Workers})
+	eng := newEngine("", m, BatchConfig{MaxBatch: cfg.ChunkSize, Workers: cfg.Workers, QueueDepth: cfg.Workers})
 	defer eng.Close()
 	eng.gate.Store(cfg.Gate)
 	if cfg.Tracker == nil {

@@ -43,21 +43,22 @@ func hashResult(s string) Result {
 	return Result{Label: 0, Score: 0.1}
 }
 
-func (hashDetector) DetectSentence(s string) Result { return hashResult(s) }
-func (hashDetector) DetectBatch(ss []string) []Result {
+// resultsOf answers each sentence with f.
+func resultsOf(ss []string, f func(string) Result) []Result {
 	out := make([]Result, len(ss))
 	for i, s := range ss {
-		out[i] = hashResult(s)
+		out[i] = f(s)
 	}
 	return out
 }
-func (hashDetector) DetectBatchWS(ss []string, _ *tensor.Workspace) []Result {
-	return hashDetector{}.DetectBatch(ss)
+
+func (hashDetector) Detect(ss []string, _ *tensor.Workspace) ([]Result, error) {
+	return resultsOf(ss, hashResult), nil
 }
-func (d hashDetector) DetectJob(j flowbench.Job) Result {
-	return d.DetectSentence(logparse.Sentence(j))
-}
-func (hashDetector) Approach() Approach { return SFT }
+func (hashDetector) DetectBatch(ss []string) []Result { return resultsOf(ss, hashResult) }
+func (hashDetector) DetectSentence(s string) Result   { return hashResult(s) }
+func (hashDetector) Approach() Approach               { return SFT }
+func (hashDetector) Precision() Precision             { return PrecisionFP32 }
 
 // streamJob builds a synthetic but parseable job. abnormal jobs carry the
 // marker value 666 that markDetector keys on.
@@ -82,20 +83,11 @@ func markResult(s string) Result {
 	return Result{Label: 0, Score: 0.01}
 }
 
-func (markDetector) DetectSentence(s string) Result { return markResult(s) }
-func (markDetector) DetectBatch(ss []string) []Result {
-	out := make([]Result, len(ss))
-	for i, s := range ss {
-		out[i] = markResult(s)
-	}
-	return out
+func (markDetector) Detect(ss []string, _ *tensor.Workspace) ([]Result, error) {
+	return resultsOf(ss, markResult), nil
 }
-func (markDetector) DetectBatchWS(ss []string, _ *tensor.Workspace) []Result {
-	return markDetector{}.DetectBatch(ss)
-}
-func (d markDetector) DetectJob(j flowbench.Job) Result {
-	return d.DetectSentence(logparse.Sentence(j))
-}
+func (markDetector) DetectBatch(ss []string) []Result { return resultsOf(ss, markResult) }
+func (markDetector) DetectSentence(s string) Result   { return markResult(s) }
 
 func logOf(jobs []flowbench.Job) string {
 	var sb strings.Builder

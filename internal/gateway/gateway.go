@@ -1,6 +1,6 @@
 // Package gateway is the replicated-serving tier over N anomalyd replicas
-// (ROADMAP item 9): a front core.Server whose every model is a remote
-// detector. The front runs the single-node serving code once — dedup,
+// (ROADMAP item 9): a front core.Server whose every model the replicas
+// compute. The front runs the single-node serving code once — dedup,
 // admission, deadlines, the monitor loop and its TraceTracker, SSE,
 // /v1/models and /metrics — and the replicas are stateless batch compute
 // behind /v1/detect/batch. Every line of a trace meets one tracker, the
@@ -52,9 +52,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flowbench"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
+	"repro/internal/tensor"
 )
 
 // Config names the fleet. Everything else is read from the replicas or fixed
@@ -90,7 +90,7 @@ const (
 	maxBody = 32 << 20
 )
 
-// Gateway is the fleet front: a core.Server over remote detectors. Serve it
+// Gateway is the fleet front: a core.Server over remote models. Serve it
 // like any http.Handler; Close drains it.
 type Gateway struct {
 	*core.Server
@@ -245,19 +245,23 @@ func (p *pool) order() []*replica {
 	return out
 }
 
-// detect sends one batch of n sentences to the fleet: to at most maxAttempts
+// detect sends one batch of sentences to the fleet: to at most maxAttempts
 // replicas in preference order, each one at most once. An attempt is hedged
 // after delay against the next replica, and every attempt after the first
 // draws on the retry budget. When every replica tried refused the batch, it
 // fails with a *core.OverloadedError carrying the smallest Retry-After hint;
 // otherwise with the last attempt's error.
-func (p *pool) detect(uri string, body []byte, n int, delay time.Duration) ([]core.Result, error) {
+func (p *pool) detect(uri string, sentences []string, delay time.Duration) ([]core.Result, error) {
+	body, err := json.Marshal(core.BatchRequest{Sentences: sentences})
+	if err != nil {
+		return nil, err
+	}
+	n := len(sentences)
 	p.budget.Attempt()
 	order := p.order()
 	send := func(rep *replica) func(context.Context) ([]core.Result, error) {
 		return func(ctx context.Context) ([]core.Result, error) { return p.forwardOnce(ctx, rep, uri, body, n) }
 	}
-	var err error
 	refusedAll, hint := true, time.Duration(0)
 	for i, tries := 0, min(maxAttempts, len(order)); i < tries; i++ {
 		if i > 0 {
@@ -387,9 +391,8 @@ func (p *pool) exposition(models []core.ModelInfo) []byte {
 	return w.Bytes()
 }
 
-// remote is one front model computed by the fleet. The front's engine calls
-// its TryDetectBatch for every batch; nothing in serving reaches the
-// error-less Detector methods, which exist for the interface and panic.
+// remote is one front model computed by the fleet: the front's engine calls
+// its Detect for every batch, and it ignores the worker's arena.
 type remote struct {
 	pool      *pool
 	reg       *core.Registry // the front's: its compute p99 is the hedge delay
@@ -399,12 +402,8 @@ type remote struct {
 	precision core.Precision
 }
 
-func (d *remote) TryDetectBatch(sentences []string) ([]core.Result, error) {
-	body, err := json.Marshal(core.BatchRequest{Sentences: sentences})
-	if err != nil {
-		return nil, err
-	}
-	return d.pool.detect(d.uri, body, len(sentences), d.hedgeDelay())
+func (d *remote) Detect(sentences []string, _ *tensor.Workspace) ([]core.Result, error) {
+	return d.pool.detect(d.uri, sentences, d.hedgeDelay())
 }
 
 // hedgeDelay is when a slow forward grows its hedge: the front engine's
@@ -422,9 +421,3 @@ func (d *remote) hedgeDelay() time.Duration {
 
 func (d *remote) Approach() core.Approach   { return d.approach }
 func (d *remote) Precision() core.Precision { return d.precision }
-
-const errorless = "gateway: a remote detector's error-less method was called; the serving engine calls TryDetectBatch"
-
-func (d *remote) DetectBatch([]string) []core.Result  { panic(errorless) }
-func (d *remote) DetectSentence(string) core.Result   { panic(errorless) }
-func (d *remote) DetectJob(flowbench.Job) core.Result { panic(errorless) }

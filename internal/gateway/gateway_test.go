@@ -19,32 +19,26 @@ import (
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 	"repro/internal/resilience"
+	"repro/internal/tensor"
 )
 
 // markDetector is the replicas' model: it flags exactly the sentences of the
 // jobs streamJob marks abnormal, so a verdict is a pure function of its line.
 type markDetector struct{}
 
-func (markDetector) DetectSentence(s string) core.Result {
-	if strings.Contains(s, " is 666.0") {
-		return core.Result{Label: 1, Score: 0.99}
-	}
-	return core.Result{Label: 0, Score: 0.01}
-}
-
-func (d markDetector) DetectBatch(ss []string) []core.Result {
+func (markDetector) Detect(ss []string, _ *tensor.Workspace) ([]core.Result, error) {
 	out := make([]core.Result, len(ss))
 	for i, s := range ss {
-		out[i] = d.DetectSentence(s)
+		out[i] = core.Result{Label: 0, Score: 0.01}
+		if strings.Contains(s, " is 666.0") {
+			out[i] = core.Result{Label: 1, Score: 0.99}
+		}
 	}
-	return out
+	return out, nil
 }
 
-func (d markDetector) DetectJob(j flowbench.Job) core.Result {
-	return d.DetectSentence(logparse.Sentence(j))
-}
-
-func (markDetector) Approach() core.Approach { return core.SFT }
+func (markDetector) Approach() core.Approach   { return core.SFT }
+func (markDetector) Precision() core.Precision { return core.PrecisionFP32 }
 
 // streamJob builds a parseable job, distinct per node; abnormal jobs carry
 // the value markDetector flags.
@@ -774,7 +768,7 @@ func TestGatewayMetricsExposition(t *testing.T) {
 			t.Errorf("repro_gateway_%s = %v on a healthy fleet, want 0", name, v)
 		}
 	}
-	// The front's engine wraps remote detectors, whose answers include the
+	// The front's engine wraps remote models, whose answers include the
 	// replicas' gate verdicts: it keeps no memo.
 	for _, name := range []string{"repro_memo_entries", "repro_memo_hits_total"} {
 		if v := metricValue(t, text, name+`{model="default"}`); v != 0 {
@@ -790,37 +784,6 @@ func TestGatewayMetricsExposition(t *testing.T) {
 	}
 	if want := float64(f[0].batches.Load() + f[1].batches.Load()); forwarded != want || forwarded < 2 {
 		t.Errorf("forwarded_total sums to %v, replicas answered %v batches", forwarded, want)
-	}
-}
-
-// TestRemoteErrorlessMethodsUnreached pins that serving calls a remote
-// detector's TryDetectBatch only: its error-less Detector methods panic, and
-// detect, batch and monitor traffic through the front never reaches them.
-func TestRemoteErrorlessMethodsUnreached(t *testing.T) {
-	_, srv := newFront(t, Config{}, fleet(t, 1)...)
-	if status, _, body := post(t, srv.URL+"/v1/detect", "application/json", fmt.Sprintf(`{"sentence":%q}`, sentence(1))); status != http.StatusOK {
-		t.Fatalf("detect: status %d, %s", status, body)
-	}
-	detect(t, srv.URL, sentence(2))
-	if status, mr := monitor(t, srv.URL, monitorLog(10, 2)); status != http.StatusOK || mr.Processed != 10 {
-		t.Fatalf("monitor: status %d, report %+v", status, mr)
-	}
-
-	// The type New registers for every fleet model.
-	var det core.Detector = &remote{}
-	for name, call := range map[string]func(){
-		"DetectBatch":    func() { det.DetectBatch([]string{"x"}) },
-		"DetectSentence": func() { det.DetectSentence("x") },
-		"DetectJob":      func() { det.DetectJob(flowbench.Job{}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s returned; the pin above would prove nothing", name)
-				}
-			}()
-			call()
-		}()
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flowbench"
 	"repro/internal/logparse"
+	"repro/internal/tensor"
 )
 
 // oracleDetector answers with the stream's own ground truth: a perfect
@@ -31,26 +31,19 @@ func newOracle(streams ...*Stream) *oracleDetector {
 	return o
 }
 
-func (o *oracleDetector) DetectSentence(s string) core.Result {
-	if o.labels[s] == 1 {
-		return core.Result{Label: 1, Score: 0.9}
-	}
-	return core.Result{Label: 0, Score: 0.1}
-}
-
-func (o *oracleDetector) DetectBatch(ss []string) []core.Result {
+func (o *oracleDetector) Detect(ss []string, _ *tensor.Workspace) ([]core.Result, error) {
 	out := make([]core.Result, len(ss))
 	for i, s := range ss {
-		out[i] = o.DetectSentence(s)
+		out[i] = core.Result{Label: 0, Score: 0.1}
+		if o.labels[s] == 1 {
+			out[i] = core.Result{Label: 1, Score: 0.9}
+		}
 	}
-	return out
+	return out, nil
 }
 
-func (o *oracleDetector) DetectJob(j flowbench.Job) core.Result {
-	return o.DetectSentence(logparse.Sentence(j))
-}
-
-func (o *oracleDetector) Approach() core.Approach { return core.SFT }
+func (o *oracleDetector) Approach() core.Approach   { return core.SFT }
+func (o *oracleDetector) Precision() core.Precision { return core.PrecisionFP32 }
 
 func replayCfg(url string) ReplayConfig {
 	return ReplayConfig{BaseURL: url, Speed: 1000, Timeout: 10 * time.Second}

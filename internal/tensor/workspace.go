@@ -203,8 +203,9 @@ func (w *Workspace) Bytes() int {
 var workspacePool = sync.Pool{New: func() any { return &Workspace{} }}
 
 // GetWorkspace borrows a workspace from the package pool. Pair it with
-// PutWorkspace (typically via defer); long-lived owners such as server
-// workers may hold one for many Reset cycles before returning it.
+// PutWorkspace (typically via defer). A long-lived owner, such as a
+// core.Server inference worker, makes its own with NewWorkspace instead: a
+// pooled workspace keeps the arena its last user grew.
 func GetWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
 
 // PutWorkspace resets w and returns it to the pool. w must not be used after.
