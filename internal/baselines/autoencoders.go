@@ -14,7 +14,7 @@ import (
 // of Table IV: jobs are scored by feature reconstruction error through a
 // bottleneck.
 type MLPAE struct {
-	std *Standardizer
+	std *standardizer
 	net *nn.Sequential
 }
 
@@ -80,7 +80,7 @@ func (m *MLPAE) Score(jobs []flowbench.Job) []float64 {
 // attribute reconstruction, the "GCNAE" row of Table IV: a GCN encoder over
 // each trace graph with a linear decoder back to node features.
 type GCNAE struct {
-	std  *Standardizer
+	std  *standardizer
 	enc1 *gcnLayer
 	act  *nn.ReLU
 	enc2 *gcnLayer
@@ -169,7 +169,7 @@ var ErrOOM = errors.New("baselines: estimated memory exceeds limit")
 // reports OOM on an A100-40GB. FitAnomalyDAE estimates that requirement up
 // front and returns ErrOOM when it exceeds memLimitBytes.
 type AnomalyDAE struct {
-	std  *Standardizer
+	std  *standardizer
 	enc  *gcnLayer
 	act  *nn.ReLU
 	attr *nn.Linear // attribute decoder from embeddings

@@ -38,7 +38,7 @@ func TestStandardizerZeroMeanUnitVar(t *testing.T) {
 
 func TestStandardizerEmptyInput(t *testing.T) {
 	s := fitStandardizer(nil)
-	f := s.Transform(flowbench.Job{})
+	f := s.transform(flowbench.Job{})
 	for _, v := range f {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatal("empty-fit standardizer produced non-finite output")

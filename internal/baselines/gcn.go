@@ -64,9 +64,9 @@ func normalizedAdjacency(n int, edges [][2]int) *tensor.Matrix {
 	return a
 }
 
-// TraceGraph is one workflow execution as a graph: node features, labels,
+// traceGraph is one workflow execution as a graph: node features, labels,
 // and the induced normalized adjacency over the jobs present.
-type TraceGraph struct {
+type traceGraph struct {
 	Jobs []flowbench.Job
 	Adj  *tensor.Matrix
 }
@@ -74,7 +74,7 @@ type TraceGraph struct {
 // buildTraceGraphs groups jobs by trace and builds induced subgraphs of the
 // workflow DAG over the jobs present in each trace (splits are job-level, so
 // a split may hold only part of a trace).
-func buildTraceGraphs(dag *flowbench.DAG, jobs []flowbench.Job) []TraceGraph {
+func buildTraceGraphs(dag *flowbench.DAG, jobs []flowbench.Job) []traceGraph {
 	byTrace := flowbench.TraceJobs(jobs)
 	// Deterministic order over trace ids.
 	ids := make([]int, 0, len(byTrace))
@@ -86,7 +86,7 @@ func buildTraceGraphs(dag *flowbench.DAG, jobs []flowbench.Job) []TraceGraph {
 			ids[k], ids[k-1] = ids[k-1], ids[k]
 		}
 	}
-	var out []TraceGraph
+	var out []traceGraph
 	for _, id := range ids {
 		trace := byTrace[id]
 		local := make(map[int]int, len(trace))
@@ -101,7 +101,7 @@ func buildTraceGraphs(dag *flowbench.DAG, jobs []flowbench.Job) []TraceGraph {
 				edges = append(edges, [2]int{u, v})
 			}
 		}
-		out = append(out, TraceGraph{Jobs: trace, Adj: normalizedAdjacency(len(trace), edges)})
+		out = append(out, traceGraph{Jobs: trace, Adj: normalizedAdjacency(len(trace), edges)})
 	}
 	return out
 }
@@ -110,7 +110,7 @@ func buildTraceGraphs(dag *flowbench.DAG, jobs []flowbench.Job) []TraceGraph {
 // the paper's reference [30]): two graph-convolution layers over trace
 // graphs with a per-node classification head.
 type GCN struct {
-	std    *Standardizer
+	std    *standardizer
 	l1, l2 *gcnLayer
 	act    *nn.ReLU
 	head   *nn.Linear
@@ -162,7 +162,7 @@ func (g *GCN) params() []*nn.Param {
 	return out
 }
 
-func (g *GCN) forward(tg TraceGraph, tape *nn.Tape) *tensor.Matrix {
+func (g *GCN) forward(tg traceGraph, tape *nn.Tape) *tensor.Matrix {
 	h := g.std.Matrix(tg.Jobs)
 	h = g.l1.forward(tg.Adj, h, tape)
 	h = g.act.Forward(h, tape.WS(), tape)
@@ -170,16 +170,16 @@ func (g *GCN) forward(tg TraceGraph, tape *nn.Tape) *tensor.Matrix {
 	return g.head.Forward(h, tape.WS(), tape)
 }
 
-func (g *GCN) backward(tg TraceGraph, tape *nn.Tape, grad *tensor.Matrix) {
+func (g *GCN) backward(tg traceGraph, tape *nn.Tape, grad *tensor.Matrix) {
 	d := g.head.Backward(tape, grad)
 	d = g.l2.backward(tg.Adj, tape, d)
 	d = g.act.Backward(tape, d)
 	g.l1.backward(tg.Adj, tape, d)
 }
 
-// Predict classifies all jobs grouped into trace graphs, returning labels
+// predict classifies all jobs grouped into trace graphs, returning labels
 // aligned with the input order.
-func (g *GCN) Predict(dag *flowbench.DAG, jobs []flowbench.Job) []int {
+func (g *GCN) predict(dag *flowbench.DAG, jobs []flowbench.Job) []int {
 	graphs := buildTraceGraphs(dag, jobs)
 	pred := make(map[[2]int]int, len(jobs)) // (trace, node) → label
 	for _, tg := range graphs {
@@ -197,5 +197,5 @@ func (g *GCN) Predict(dag *flowbench.DAG, jobs []flowbench.Job) []int {
 
 // Evaluate scores the GCN on jobs.
 func (g *GCN) Evaluate(dag *flowbench.DAG, jobs []flowbench.Job) metrics.Confusion {
-	return metrics.NewConfusion(Labels(jobs), g.Predict(dag, jobs))
+	return metrics.NewConfusion(Labels(jobs), g.predict(dag, jobs))
 }

@@ -11,7 +11,7 @@ import (
 // the "IF" row of Table IV: an ensemble of random isolation trees whose
 // average path length scores how easily a point is isolated.
 type IsolationForest struct {
-	std       *Standardizer
+	std       *standardizer
 	trees     []*iNode
 	subsample int
 }
@@ -121,18 +121,4 @@ func (f *IsolationForest) Score(jobs []flowbench.Job) []float64 {
 		out[i] = math.Pow(2, -mean/c)
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -10,7 +10,7 @@ import (
 // MLP is the supervised multi-layer-perceptron baseline of Figure 4: two
 // hidden ReLU layers over standardized job features with a softmax output.
 type MLP struct {
-	std *Standardizer
+	std *standardizer
 	net *nn.Sequential
 }
 
@@ -70,8 +70,8 @@ func TrainMLP(train []flowbench.Job, cfg MLPConfig) *MLP {
 	return m
 }
 
-// Predict classifies jobs, returning 0/1 labels.
-func (m *MLP) Predict(jobs []flowbench.Job) []int {
+// predict classifies jobs, returning 0/1 labels.
+func (m *MLP) predict(jobs []flowbench.Job) []int {
 	x := m.std.Matrix(jobs)
 	logits := m.net.Forward(x, nil, nil)
 	out := make([]int, len(jobs))
@@ -83,5 +83,5 @@ func (m *MLP) Predict(jobs []flowbench.Job) []int {
 
 // Evaluate scores the MLP on jobs.
 func (m *MLP) Evaluate(jobs []flowbench.Job) metrics.Confusion {
-	return metrics.NewConfusion(Labels(jobs), m.Predict(jobs))
+	return metrics.NewConfusion(Labels(jobs), m.predict(jobs))
 }

@@ -12,7 +12,7 @@ import (
 // reconstruction error from the top-k principal components of the training
 // distribution.
 type PCADetector struct {
-	std        *Standardizer
+	std        *standardizer
 	components *tensor.Matrix // [k, d] row-wise principal directions
 }
 

@@ -17,18 +17,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// Standardizer transforms raw job features into z-scored log-space values.
+// standardizer transforms raw job features into z-scored log-space values.
 // Workflow features are heavy-tailed (lognormal durations, byte counts), so
 // features are log1p-transformed before centering — the preprocessing used
 // by the Flow-Bench reference pipelines.
-type Standardizer struct {
+type standardizer struct {
 	Mean [flowbench.NumFeatures]float64
 	Std  [flowbench.NumFeatures]float64
 }
 
 // fitStandardizer estimates per-feature statistics from jobs.
-func fitStandardizer(jobs []flowbench.Job) *Standardizer {
-	s := &Standardizer{}
+func fitStandardizer(jobs []flowbench.Job) *standardizer {
+	s := &standardizer{}
 	if len(jobs) == 0 {
 		for i := range s.Std {
 			s.Std[i] = 1
@@ -59,8 +59,8 @@ func fitStandardizer(jobs []flowbench.Job) *Standardizer {
 	return s
 }
 
-// Transform returns the standardized feature vector of one job.
-func (s *Standardizer) Transform(j flowbench.Job) [flowbench.NumFeatures]float32 {
+// transform returns the standardized feature vector of one job.
+func (s *standardizer) transform(j flowbench.Job) [flowbench.NumFeatures]float32 {
 	var out [flowbench.NumFeatures]float32
 	for i, v := range j.Features {
 		out[i] = float32((math.Log1p(v) - s.Mean[i]) / s.Std[i])
@@ -70,10 +70,10 @@ func (s *Standardizer) Transform(j flowbench.Job) [flowbench.NumFeatures]float32
 
 // Matrix stacks the standardized features of jobs into an n×NumFeatures
 // matrix.
-func (s *Standardizer) Matrix(jobs []flowbench.Job) *tensor.Matrix {
+func (s *standardizer) Matrix(jobs []flowbench.Job) *tensor.Matrix {
 	m := tensor.New(len(jobs), flowbench.NumFeatures)
 	for r, j := range jobs {
-		f := s.Transform(j)
+		f := s.transform(j)
 		copy(m.Row(r), f[:])
 	}
 	return m

@@ -10,7 +10,7 @@ import (
 
 // handleAlerts is GET /v1/alerts: a Server-Sent Events stream of detection
 // alerts (`event: alert`, AlertEvent data) and trace verdicts
-// (`event: trace`, TraceEvent data) from monitor ingest. The stream ends
+// (`event: trace`, traceEvent data) from monitor ingest. The stream ends
 // when the client disconnects or the server shuts its streams. A HEAD gets
 // the stream's headers and no stream.
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
@@ -143,7 +143,7 @@ func (b busSink) Alert(a Alert) {
 }
 
 func (b busSink) TraceFlagged(v TraceVerdict) {
-	b.bus.publish("trace", TraceEvent{
+	b.bus.publish("trace", traceEvent{
 		Model:     b.model,
 		Trace:     v.TraceID,
 		Jobs:      v.Jobs,

@@ -55,10 +55,10 @@ const (
 	// artifactMagic identifies a detector artifact ("WFDA": workflow
 	// detector artifact).
 	artifactMagic = uint32(0x57464441)
-	// ArtifactVersion is the artifact format version this build writes.
+	// artifactVersion is the artifact format version this build writes.
 	// Versions 1 (fp32-only) and 2 (no cascade section) are still read;
-	// versions above ArtifactVersion are rejected at load.
-	ArtifactVersion = uint32(3)
+	// versions above artifactVersion are rejected at load.
+	artifactVersion = uint32(3)
 	// artifactMinVersion is the oldest format this build still reads.
 	artifactMinVersion = uint32(1)
 	// maxSectionBytes bounds one artifact section (the weights of the
@@ -141,7 +141,7 @@ func saveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
 	}
 	h := crc32.NewIEEE()
 	mw := io.MultiWriter(w, h)
-	for _, v := range []uint32{artifactMagic, ArtifactVersion} {
+	for _, v := range []uint32{artifactMagic, artifactVersion} {
 		if err := binary.Write(mw, binary.LittleEndian, v); err != nil {
 			return err
 		}
@@ -230,9 +230,9 @@ func loadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 	if err := binary.Read(tr, binary.LittleEndian, &version); err != nil {
 		return nil, nil, fmt.Errorf("core: reading artifact version: %w", err)
 	}
-	if version < artifactMinVersion || version > ArtifactVersion {
+	if version < artifactMinVersion || version > artifactVersion {
 		return nil, nil, fmt.Errorf("core: detector artifact format v%d; this build reads v%d–v%d",
-			version, artifactMinVersion, ArtifactVersion)
+			version, artifactMinVersion, artifactVersion)
 	}
 	approachBytes, err := readSection(tr, "approach")
 	if err != nil {

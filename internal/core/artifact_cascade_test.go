@@ -95,8 +95,8 @@ func reencodeArtifact(t *testing.T, art []byte, version uint32, mutateGate func(
 	if err := binary.Read(r, binary.LittleEndian, &ver); err != nil {
 		t.Fatal(err)
 	}
-	if ver != ArtifactVersion {
-		t.Fatalf("fixture artifact is v%d, want v%d", ver, ArtifactVersion)
+	if ver != artifactVersion {
+		t.Fatalf("fixture artifact is v%d, want v%d", ver, artifactVersion)
 	}
 	readSec := func() []byte {
 		var n uint32
@@ -203,7 +203,7 @@ func TestArtifactCorruptGateFailsLoad(t *testing.T) {
 		}, `scorer "pca", but this build has only "ngram"; refit the gate with anomalyd -load <artifact> -cascade`},
 	}
 	for _, tc := range cases {
-		bad := reencodeArtifact(t, buf.Bytes(), ArtifactVersion, tc.mut)
+		bad := reencodeArtifact(t, buf.Bytes(), artifactVersion, tc.mut)
 		loaded, g, err := loadDetector(bytes.NewReader(bad))
 		if err == nil {
 			t.Errorf("%s: corrupt gate loaded silently", tc.name)

@@ -192,7 +192,7 @@ func TestMonitorStream(t *testing.T) {
 		t.Fatalf("malformed = %d, want 0", report.Malformed)
 	}
 	for _, a := range alerts {
-		if !a.Result.Abnormal() {
+		if !a.Result.abnormal() {
 			t.Fatal("alert for normal result")
 		}
 	}

@@ -52,8 +52,8 @@ type Result struct {
 	Score float64
 }
 
-// Abnormal reports whether the result flags an anomaly.
-func (r Result) Abnormal() bool { return r.Label == 1 }
+// abnormal reports whether the result flags an anomaly.
+func (r Result) abnormal() bool { return r.Label == 1 }
 
 // String renders the result like the paper's online-detection figure.
 func (r Result) String() string {

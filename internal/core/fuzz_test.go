@@ -20,7 +20,7 @@ func artifactBytes(sections ...[]byte) []byte {
 	h := crc32.NewIEEE()
 	mw := io.MultiWriter(&buf, h)
 	binary.Write(mw, binary.LittleEndian, artifactMagic)
-	binary.Write(mw, binary.LittleEndian, ArtifactVersion)
+	binary.Write(mw, binary.LittleEndian, artifactVersion)
 	for _, s := range sections {
 		binary.Write(mw, binary.LittleEndian, uint32(len(s)))
 		mw.Write(s)

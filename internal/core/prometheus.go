@@ -17,7 +17,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.instance != "" {
 		p.Gauge("repro_instance_info", "replica identity; the instance label carries anomalyd -instance", 1, "instance", s.instance)
 	}
-	readiness, ready := s.reg.Readiness()
+	readiness, ready := s.reg.readiness()
 	p.Gauge("repro_ready", "1 when every model is ready (the /readyz verdict)", boolGauge(ready))
 	for _, mr := range readiness {
 		p.Gauge("repro_model_saturation", "queue depth over admission capacity, per model", mr.Saturation, "model", mr.Name)

@@ -171,12 +171,12 @@ func (r *Registry) Stats(name string) (EngineStats, error) {
 	return e.snapshot(), nil
 }
 
-// ModelReadiness is one model's saturation view for /readyz: a model is not
+// modelReadiness is one model's saturation view for /readyz: a model is not
 // ready when its queue is at the shed threshold (or full, if shedding is off)
 // or its brownout tier is engaged — the signals an external load balancer can
 // use to take a hot replica out of rotation before requests start failing.
 // The fleet front does not read them: it queues for a saturated replica.
-type ModelReadiness struct {
+type modelReadiness struct {
 	Name       string  `json:"name"`
 	QueueLen   int     `json:"queue_len"`
 	QueueCap   int     `json:"queue_cap"`
@@ -185,11 +185,11 @@ type ModelReadiness struct {
 	Ready      bool    `json:"ready"`
 }
 
-// Readiness reports per-model saturation, sorted by name. The second return
+// readiness reports per-model saturation, sorted by name. The second return
 // is true only when every model is ready.
-func (r *Registry) Readiness() ([]ModelReadiness, bool) {
+func (r *Registry) readiness() ([]modelReadiness, bool) {
 	r.mu.RLock()
-	out := make([]ModelReadiness, 0, len(r.models))
+	out := make([]modelReadiness, 0, len(r.models))
 	allReady := true
 	for _, e := range r.models {
 		cap := e.cfg.QueueDepth
@@ -197,7 +197,7 @@ func (r *Registry) Readiness() ([]ModelReadiness, bool) {
 			cap = s
 		}
 		depth := len(e.jobs)
-		mr := ModelReadiness{
+		mr := modelReadiness{
 			Name:     e.name,
 			QueueLen: depth,
 			QueueCap: cap,

@@ -125,7 +125,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // A live-but-saturated replica answers 503 here while still answering 200 on
 // /healthz, so orchestrators stop routing to it without restarting it.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	models, ready := s.reg.Readiness()
+	models, ready := s.reg.readiness()
 	status := http.StatusOK
 	if !ready {
 		status = http.StatusServiceUnavailable

@@ -113,7 +113,7 @@ func TestMonitorEndpointAndSSE(t *testing.T) {
 		t.Fatalf("alert event = %+v", ae)
 	}
 	trace := waitEvent(t, events, "trace")
-	var te TraceEvent
+	var te traceEvent
 	if err := json.Unmarshal([]byte(trace.data), &te); err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func DetectTraces(d Detector, jobs []flowbench.Job, policy TracePolicy) []TraceV
 		}
 		v := TraceVerdict{TraceID: ids[i], Jobs: len(trace)}
 		for _, r := range d.DetectBatch(sentences) {
-			if r.Abnormal() {
+			if r.abnormal() {
 				v.Anomalous++
 			}
 		}
@@ -442,14 +442,14 @@ func monitor(ctx context.Context, submit func(context.Context, []string) (*detec
 			for i, res := range results {
 				report.Processed++
 				job := c.jobs[i]
-				if res.Abnormal() {
+				if res.abnormal() {
 					report.Alerts++
 					a := Alert{Line: c.lines[i], Job: job, Result: res}
 					for _, s := range cfg.Sinks {
 						s.Alert(a)
 					}
 				}
-				v, newly := tracker.Observe(job.TraceID, res.Abnormal())
+				v, newly := tracker.Observe(job.TraceID, res.abnormal())
 				if newly {
 					report.FlaggedTraces++
 					for _, s := range cfg.Sinks {

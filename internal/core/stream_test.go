@@ -438,7 +438,7 @@ func TestMonitorDedupsRepeats(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		j := distinct[(i*5)%len(distinct)]
 		jobs = append(jobs, j)
-		if hashResult(logparse.Sentence(j)).Abnormal() {
+		if hashResult(logparse.Sentence(j)).abnormal() {
 			wantAlerts++
 		}
 	}

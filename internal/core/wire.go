@@ -85,9 +85,9 @@ type AlertEvent struct {
 	Result DetectResponse `json:"result"`
 }
 
-// TraceEvent is the SSE wire form of a trace-flagged verdict
+// traceEvent is the SSE wire form of a trace-flagged verdict
 // (`event: trace`).
-type TraceEvent struct {
+type traceEvent struct {
 	Model     string  `json:"model"`
 	Trace     int     `json:"trace"`
 	Jobs      int     `json:"jobs"`
@@ -115,13 +115,13 @@ type healthResponse struct {
 // this replica out of rotation while it drains.
 type readyResponse struct {
 	Ready  bool             `json:"ready"`
-	Models []ModelReadiness `json:"models"`
+	Models []modelReadiness `json:"models"`
 }
 
 // toResponse is a Result's wire form.
 func toResponse(res Result) DetectResponse {
 	category := logparse.LabelNormal
-	if res.Abnormal() {
+	if res.abnormal() {
 		category = logparse.LabelAbnormal
 	}
 	return DetectResponse{Label: res.Label, Category: category, Score: res.Score}

@@ -14,11 +14,11 @@ import (
 // the paper adopts without sweeping (pre-training budget, LoRA rank,
 // quantization, debiasing) and measures its effect at repository scale.
 
-// AblationPretrain measures SFT test accuracy as a function of the MLM
+// ablationPretrain measures SFT test accuracy as a function of the MLM
 // pre-training budget — the "reduced training time and resources" claim of
 // Section III-A made quantitative. Steps=0 is training from scratch, the
 // regime the paper argues against.
-func (l *Lab) AblationPretrain() *Table {
+func (l *Lab) ablationPretrain() *Table {
 	t := &Table{
 		ID:     "abl-pretrain",
 		Title:  "Ablation: SFT accuracy vs MLM pre-training budget",
@@ -34,7 +34,7 @@ func (l *Lab) AblationPretrain() *Table {
 		if steps == 0 {
 			sub.Scale.PretrainSteps = 1 // 1 step ≈ scratch; 0 would panic
 		}
-		c := sft.NewClassifier(sub.Pretrained("bert-base-uncased"), sub.Tokenizer())
+		c := sft.NewClassifier(sub.pretrained("bert-base-uncased"), sub.Tokenizer())
 		cfg := l.sftConfig()
 		sft.Train(c, train, nil, cfg)
 		t.Add(steps, sft.Evaluate(c, ds.Test).Accuracy())
@@ -42,10 +42,10 @@ func (l *Lab) AblationPretrain() *Table {
 	return t
 }
 
-// AblationLoRARank sweeps the LoRA rank, reporting the trainable-parameter
+// ablationLoRARank sweeps the LoRA rank, reporting the trainable-parameter
 // share and few-shot accuracy after fine-tuning — the knob the paper fixes
 // at 64 without justification.
-func (l *Lab) AblationLoRARank() *Table {
+func (l *Lab) ablationLoRARank() *Table {
 	t := &Table{
 		ID:     "abl-lora-rank",
 		Title:  "Ablation: LoRA rank vs trainable share and accuracy",
@@ -68,10 +68,10 @@ func (l *Lab) AblationLoRARank() *Table {
 	return t
 }
 
-// AblationQuantization compares LoRA fine-tuning over full-precision vs
+// ablationQuantization compares LoRA fine-tuning over full-precision vs
 // 4-bit quantized base weights: the accuracy cost of the 8× memory saving
 // the paper takes from BitsAndBytes.
-func (l *Lab) AblationQuantization() *Table {
+func (l *Lab) ablationQuantization() *Table {
 	t := &Table{
 		ID:     "abl-quant",
 		Title:  "Ablation: 4-bit base quantization vs full precision",
@@ -83,7 +83,7 @@ func (l *Lab) AblationQuantization() *Table {
 	for _, name := range []string{"gpt2", "mistral"} {
 		// Footprints of the model's linear layers in both precisions,
 		// measured on a throwaway clone.
-		quantBytes, fp32Bytes := l.Pretrained(name).Quantize4Bit()
+		quantBytes, fp32Bytes := l.pretrained(name).Quantize4Bit()
 		for _, quant := range []bool{false, true} {
 			d := l.newDetector(name)
 			cfg := l.iclFTConfig()
@@ -100,12 +100,12 @@ func (l *Lab) AblationQuantization() *Table {
 	return t
 }
 
-// ExtensionAnomalyTypes runs the repository's extension task: 3-way
+// extensionAnomalyTypes runs the repository's extension task: 3-way
 // classification of normal vs CPU-capped vs HDD-throttled jobs, reporting
 // overall accuracy and per-class recall. The paper stops at binary
 // detection; Flow-Bench's templates carry the type labels that make this
 // possible.
-func (l *Lab) ExtensionAnomalyTypes() *Table {
+func (l *Lab) extensionAnomalyTypes() *Table {
 	t := &Table{
 		ID:     "ext-types",
 		Title:  "Extension: anomaly-type classification (normal/cpu/hdd)",
@@ -121,7 +121,7 @@ func (l *Lab) ExtensionAnomalyTypes() *Table {
 		m := spec.BuildClasses(l.Tokenizer().VocabSize(), sft.NumTypeClasses)
 		c := sft.NewClassifier(m, l.Tokenizer())
 		cfg := l.sftConfig()
-		cfg.Epochs = maxInt(2, l.Scale.Epochs)
+		cfg.Epochs = max(2, l.Scale.Epochs)
 		sft.Train(c, train, nil, cfg)
 		mc := sft.EvaluateMulti(c, test)
 		t.Add(name, mc.Accuracy(),
@@ -130,9 +130,9 @@ func (l *Lab) ExtensionAnomalyTypes() *Table {
 	return t
 }
 
-// AblationDebias measures what the Figure 9 debiasing augmentation costs (or
+// ablationDebias measures what the Figure 9 debiasing augmentation costs (or
 // buys) in test accuracy, alongside the bias gap it removes.
-func (l *Lab) AblationDebias() *Table {
+func (l *Lab) ablationDebias() *Table {
 	t := &Table{
 		ID:     "abl-debias",
 		Title:  "Ablation: debias augmentation vs accuracy and bias gap",

@@ -48,7 +48,7 @@ func TestAblationDebiasTiny(t *testing.T) {
 		t.Skip("ablation training run skipped in -short")
 	}
 	l := NewLab(tiny())
-	tab := l.AblationDebias()
+	tab := l.ablationDebias()
 	if tab.ID != "abl-debias" {
 		t.Fatalf("table ID %q", tab.ID)
 	}
@@ -93,7 +93,7 @@ func TestExtensionAnomalyTypesTiny(t *testing.T) {
 	}
 	sc := tiny()
 	l := NewLab(sc)
-	tab := l.ExtensionAnomalyTypes()
+	tab := l.extensionAnomalyTypes()
 	if tab.ID != "ext-types" {
 		t.Fatalf("table ID %q", tab.ID)
 	}

@@ -58,10 +58,10 @@ func TestLabDatasetCaching(t *testing.T) {
 
 func TestLabPretrainedCloning(t *testing.T) {
 	l := NewLab(tiny())
-	a := l.Pretrained("distilbert-base-uncased")
-	b := l.Pretrained("distilbert-base-uncased")
+	a := l.pretrained("distilbert-base-uncased")
+	b := l.pretrained("distilbert-base-uncased")
 	if a == b {
-		t.Fatal("Pretrained must return clones, not the cached model")
+		t.Fatal("pretrained must return clones, not the cached model")
 	}
 	// Clones carry identical weights.
 	ids := [][]int{{1, 2, 3}}
@@ -70,7 +70,7 @@ func TestLabPretrainedCloning(t *testing.T) {
 	}
 	// Mutating one clone must not leak into subsequent clones.
 	a.ClsHead.Weight.W.Data[0] += 10
-	c := l.Pretrained("distilbert-base-uncased")
+	c := l.pretrained("distilbert-base-uncased")
 	if a.ForwardClsBatchWS(ids, nil).Equal(c.ForwardClsBatchWS(ids, nil)) {
 		t.Fatal("mutation leaked into cache")
 	}
@@ -95,7 +95,7 @@ func TestTableFormatting(t *testing.T) {
 
 func TestTable1MatchesPaper(t *testing.T) {
 	l := NewLab(tiny())
-	tab := l.Table1()
+	tab := l.table1()
 	if len(tab.Rows) != 9 {
 		t.Fatalf("table1 has %d rows, want 9", len(tab.Rows))
 	}
@@ -113,7 +113,7 @@ func TestFigure4ShapeAndDirection(t *testing.T) {
 		t.Skip("training experiment")
 	}
 	l := NewLab(tiny())
-	tab := l.Figure4()
+	tab := l.figure4()
 	if len(tab.Rows) != 14 { // 12 encoders + MLP + GNN
 		t.Fatalf("fig4 rows = %d", len(tab.Rows))
 	}
@@ -139,7 +139,7 @@ func TestFigure7Timeline(t *testing.T) {
 		t.Skip("training experiment")
 	}
 	l := NewLab(tiny())
-	tab := l.Figure7()
+	tab := l.figure7()
 	if len(tab.Rows) != flowbench.NumFeatures {
 		t.Fatalf("fig7 rows = %d", len(tab.Rows))
 	}
@@ -153,7 +153,7 @@ func TestTable4ContainsOOMRow(t *testing.T) {
 		t.Skip("training experiment")
 	}
 	l := NewLab(tiny())
-	tab := l.Table4()
+	tab := l.table4()
 	found := false
 	for _, row := range tab.Rows {
 		if row[0] == "AnomalyDAE" {
@@ -177,7 +177,7 @@ func TestFigure13ProducesReasoning(t *testing.T) {
 		t.Skip("training experiment")
 	}
 	l := NewLab(tiny())
-	tab := l.Figure13()
+	tab := l.figure13()
 	if len(tab.Notes) < 2 {
 		t.Fatal("fig13 missing prompt/output notes")
 	}

@@ -13,7 +13,7 @@ import (
 // newDetector builds an ICL detector from a pre-trained decoder checkpoint
 // clone.
 func (l *Lab) newDetector(model string) *icl.Detector {
-	return icl.NewDetector(l.Pretrained(model), l.Tokenizer())
+	return icl.NewDetector(l.pretrained(model), l.Tokenizer())
 }
 
 // iclTest returns the capped query set for ICL evaluation.
@@ -36,10 +36,10 @@ func (l *Lab) iclFTConfig() icl.FineTuneConfig {
 // decoderOrder lists the Table III models.
 func decoderOrder() []string { return []string{"gpt2", "mistral", "llama2"} }
 
-// Table3 regenerates Table III: few-shot ICL accuracy on 1000 Genome for
+// table3 regenerates Table III: few-shot ICL accuracy on 1000 Genome for
 // each decoder, with and without quantized LoRA fine-tuning, across the
 // three example mixes, plus the LoRA parameter-efficiency columns.
-func (l *Lab) Table3() *Table {
+func (l *Lab) table3() *Table {
 	t := &Table{
 		ID:    "table3",
 		Title: "ICL accuracy with LoRA fine-tuning (Table III)",
@@ -78,10 +78,10 @@ func (l *Lab) Table3() *Table {
 	return t
 }
 
-// Figure12 regenerates Figure 12: accuracy versus the number of prompt
+// figure12 regenerates Figure 12: accuracy versus the number of prompt
 // examples for every decoder and example mix (pre-trained models, no
 // fine-tuning).
-func (l *Lab) Figure12() *Table {
+func (l *Lab) figure12() *Table {
 	t := &Table{
 		ID:     "fig12",
 		Title:  "Accuracy vs number of examples in prompt (Figure 12)",
@@ -103,10 +103,10 @@ func (l *Lab) Figure12() *Table {
 	return t
 }
 
-// Table4 regenerates Table IV: zero-shot LLMs (with and without LoRA
+// table4 regenerates Table IV: zero-shot LLMs (with and without LoRA
 // fine-tuning) against unsupervised detectors on ROC-AUC, average precision,
 // and precision@k over 1000 Genome.
-func (l *Lab) Table4() *Table {
+func (l *Lab) table4() *Table {
 	t := &Table{
 		ID:     "table4",
 		Title:  "Zero-shot learning vs unsupervised learning (Table IV)",
@@ -153,9 +153,9 @@ func (l *Lab) Table4() *Table {
 	return t
 }
 
-// Figure13 regenerates Figure 13: a chain-of-thought classification of a
+// figure13 regenerates Figure 13: a chain-of-thought classification of a
 // single job, with the step-by-step reasoning in the table notes.
-func (l *Lab) Figure13() *Table {
+func (l *Lab) figure13() *Table {
 	t := &Table{
 		ID:     "fig13",
 		Title:  "Chain-of-Thought interpretability (Figure 13)",
@@ -180,10 +180,10 @@ func (l *Lab) Figure13() *Table {
 	return t
 }
 
-// Figure14 regenerates Figure 14: the 3×3 ICL transfer matrix — LoRA
+// figure14 regenerates Figure 14: the 3×3 ICL transfer matrix — LoRA
 // fine-tune Mistral on one workflow, then evaluate on each workflow with 10
 // in-prompt examples drawn from the evaluation workflow.
-func (l *Lab) Figure14() *Table {
+func (l *Lab) figure14() *Table {
 	t := &Table{
 		ID:     "fig14",
 		Title:  "ICL transfer matrix, mistral (Figure 14)",

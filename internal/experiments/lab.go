@@ -85,19 +85,19 @@ func Standard() Scale {
 type Lab struct {
 	Scale Scale
 
-	mu         sync.Mutex
-	datasets   map[flowbench.Workflow]*flowbench.Dataset
-	corpus     []string
-	tok        *tokenizer.Tokenizer
-	pretrained map[string]*transformer.Model
+	mu          sync.Mutex
+	datasets    map[flowbench.Workflow]*flowbench.Dataset
+	corpus      []string
+	tok         *tokenizer.Tokenizer
+	checkpoints map[string]*transformer.Model
 }
 
 // NewLab builds a lab at the given scale.
 func NewLab(scale Scale) *Lab {
 	return &Lab{
-		Scale:      scale,
-		datasets:   make(map[flowbench.Workflow]*flowbench.Dataset),
-		pretrained: make(map[string]*transformer.Model),
+		Scale:       scale,
+		datasets:    make(map[flowbench.Workflow]*flowbench.Dataset),
+		checkpoints: make(map[string]*transformer.Model),
 	}
 }
 
@@ -152,13 +152,13 @@ func (l *Lab) Corpus() []string {
 	return l.corpus
 }
 
-// Pretrained returns a fresh clone of the named model's pre-trained
+// pretrained returns a fresh clone of the named model's pre-trained
 // checkpoint, pre-training it on first use (pretrain.Run: MLM for encoders,
 // CLM for decoders).
-func (l *Lab) Pretrained(name string) *transformer.Model {
+func (l *Lab) pretrained(name string) *transformer.Model {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if m, ok := l.pretrained[name]; ok {
+	if m, ok := l.checkpoints[name]; ok {
 		return m.Clone()
 	}
 	l.ensureTokenizerLocked()
@@ -172,7 +172,7 @@ func (l *Lab) Pretrained(name string) *transformer.Model {
 		opts.Steps *= 4
 	}
 	pretrain.Run(m, l.tok, l.corpus, opts)
-	l.pretrained[name] = m
+	l.checkpoints[name] = m
 	return m.Clone()
 }
 
@@ -239,11 +239,4 @@ func (t *Table) String() string {
 		fmt.Fprintf(&sb, "note: %s\n", n)
 	}
 	return sb.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

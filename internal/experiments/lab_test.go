@@ -29,7 +29,7 @@ func TestLabCheckpointDigest(t *testing.T) {
 		{"mistral", "7f2d45edcd8f0bcdf2dd6472c2b1fb5ae5c656c03d61e3fb970dcf1663062450"},
 	} {
 		h := sha256.New()
-		if err := lab.Pretrained(c.model).Save(h); err != nil {
+		if err := lab.pretrained(c.model).Save(h); err != nil {
 			t.Fatal(err)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {

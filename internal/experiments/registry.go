@@ -18,26 +18,26 @@ type Def struct {
 // All lists every experiment in the paper's presentation order.
 func All() []Def {
 	return []Def{
-		{"table1", "Table I — dataset statistics", (*Lab).Table1},
-		{"fig4", "Figure 4 — pretrain vs SFT accuracy", (*Lab).Figure4},
-		{"fig5", "Figure 5 — training time vs parameters", (*Lab).Figure5},
-		{"fig6", "Figure 6 — validation scores vs epochs", (*Lab).Figure6},
-		{"fig7", "Figure 7 — online detection example", (*Lab).Figure7},
-		{"fig8", "Figure 8 — early detection histogram", (*Lab).Figure8},
-		{"fig9", "Figure 9 — debiasing augmentation", (*Lab).Figure9},
-		{"fig10", "Figure 10 — SFT transfer matrix", (*Lab).Figure10},
-		{"fig11", "Figure 11 — transfer fine-tuning curve", (*Lab).Figure11},
-		{"table2", "Table II — parameter freezing", (*Lab).Table2},
-		{"table3", "Table III — ICL with LoRA", (*Lab).Table3},
-		{"fig12", "Figure 12 — examples in prompt", (*Lab).Figure12},
-		{"table4", "Table IV — zero-shot vs unsupervised", (*Lab).Table4},
-		{"fig13", "Figure 13 — chain-of-thought", (*Lab).Figure13},
-		{"fig14", "Figure 14 — ICL transfer matrix", (*Lab).Figure14},
-		{"abl-pretrain", "Ablation — SFT accuracy vs pre-training budget", (*Lab).AblationPretrain},
-		{"abl-lora-rank", "Ablation — LoRA rank sweep", (*Lab).AblationLoRARank},
-		{"abl-quant", "Ablation — 4-bit quantization vs fp32", (*Lab).AblationQuantization},
-		{"abl-debias", "Ablation — debias augmentation cost", (*Lab).AblationDebias},
-		{"ext-types", "Extension — anomaly-type classification", (*Lab).ExtensionAnomalyTypes},
+		{"table1", "Table I — dataset statistics", (*Lab).table1},
+		{"fig4", "Figure 4 — pretrain vs SFT accuracy", (*Lab).figure4},
+		{"fig5", "Figure 5 — training time vs parameters", (*Lab).figure5},
+		{"fig6", "Figure 6 — validation scores vs epochs", (*Lab).figure6},
+		{"fig7", "Figure 7 — online detection example", (*Lab).figure7},
+		{"fig8", "Figure 8 — early detection histogram", (*Lab).figure8},
+		{"fig9", "Figure 9 — debiasing augmentation", (*Lab).figure9},
+		{"fig10", "Figure 10 — SFT transfer matrix", (*Lab).figure10},
+		{"fig11", "Figure 11 — transfer fine-tuning curve", (*Lab).figure11},
+		{"table2", "Table II — parameter freezing", (*Lab).table2},
+		{"table3", "Table III — ICL with LoRA", (*Lab).table3},
+		{"fig12", "Figure 12 — examples in prompt", (*Lab).figure12},
+		{"table4", "Table IV — zero-shot vs unsupervised", (*Lab).table4},
+		{"fig13", "Figure 13 — chain-of-thought", (*Lab).figure13},
+		{"fig14", "Figure 14 — ICL transfer matrix", (*Lab).figure14},
+		{"abl-pretrain", "Ablation — SFT accuracy vs pre-training budget", (*Lab).ablationPretrain},
+		{"abl-lora-rank", "Ablation — LoRA rank sweep", (*Lab).ablationLoRARank},
+		{"abl-quant", "Ablation — 4-bit quantization vs fp32", (*Lab).ablationQuantization},
+		{"abl-debias", "Ablation — debias augmentation cost", (*Lab).ablationDebias},
+		{"ext-types", "Extension — anomaly-type classification", (*Lab).extensionAnomalyTypes},
 	}
 }
 

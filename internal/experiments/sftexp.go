@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -11,9 +12,9 @@ import (
 	"repro/internal/sft"
 )
 
-// Table1 regenerates Table I: dataset statistics per workflow and split at
+// table1 regenerates Table I: dataset statistics per workflow and split at
 // full Flow-Bench scale (independent of the lab's subsampling).
-func (l *Lab) Table1() *Table {
+func (l *Lab) table1() *Table {
 	t := &Table{
 		ID:     "table1",
 		Title:  "Dataset statistics (Table I)",
@@ -32,7 +33,7 @@ func (l *Lab) Table1() *Table {
 // newClassifier builds a fine-tunable classifier from a pre-trained
 // checkpoint clone.
 func (l *Lab) newClassifier(model string) *sft.Classifier {
-	return sft.NewClassifier(l.Pretrained(model), l.Tokenizer())
+	return sft.NewClassifier(l.pretrained(model), l.Tokenizer())
 }
 
 // sftConfig is the default fine-tuning recipe at lab scale.
@@ -43,10 +44,10 @@ func (l *Lab) sftConfig() sft.TrainConfig {
 	return cfg
 }
 
-// Figure4 regenerates Figure 4: test accuracy of every encoder before
+// figure4 regenerates Figure 4: test accuracy of every encoder before
 // (pre-trained backbone, untrained head) and after SFT on 1000 Genome, with
 // the MLP and GNN baselines.
-func (l *Lab) Figure4() *Table {
+func (l *Lab) figure4() *Table {
 	t := &Table{
 		ID:     "fig4",
 		Title:  "Pre-trained vs SFT accuracy on 1000 Genome (Figure 4)",
@@ -68,9 +69,9 @@ func (l *Lab) Figure4() *Table {
 	return t
 }
 
-// Figure5 regenerates Figure 5: SFT wall-clock training time versus
+// figure5 regenerates Figure 5: SFT wall-clock training time versus
 // parameter count for every encoder on 1000 Genome.
-func (l *Lab) Figure5() *Table {
+func (l *Lab) figure5() *Table {
 	t := &Table{
 		ID:     "fig5",
 		Title:  "Training time vs number of parameters (Figure 5)",
@@ -89,9 +90,9 @@ func (l *Lab) Figure5() *Table {
 	return t
 }
 
-// Figure6 regenerates Figure 6: validation accuracy/precision/recall/F1
+// figure6 regenerates Figure 6: validation accuracy/precision/recall/F1
 // across a long fine-tuning run on 1000 Genome.
-func (l *Lab) Figure6() *Table {
+func (l *Lab) figure6() *Table {
 	t := &Table{
 		ID:     "fig6",
 		Title:  "Validation scores vs SFT epoch (Figure 6)",
@@ -111,9 +112,9 @@ func (l *Lab) Figure6() *Table {
 	return t
 }
 
-// Figure7 regenerates Figure 7: an online-detection timeline over one
+// figure7 regenerates Figure 7: an online-detection timeline over one
 // anomalous test job, prefix by prefix.
-func (l *Lab) Figure7() *Table {
+func (l *Lab) figure7() *Table {
 	t := &Table{
 		ID:     "fig7",
 		Title:  "Online detection example (Figure 7)",
@@ -143,9 +144,9 @@ func (l *Lab) Figure7() *Table {
 	return t
 }
 
-// Figure8 regenerates Figure 8: the early-detection histogram — how many
+// figure8 regenerates Figure 8: the early-detection histogram — how many
 // test jobs are first classified correctly at each feature prefix.
-func (l *Lab) Figure8() *Table {
+func (l *Lab) figure8() *Table {
 	t := &Table{
 		ID:     "fig8",
 		Title:  "Early detection histogram (Figure 8)",
@@ -170,10 +171,10 @@ func (l *Lab) trainedGenomeClassifier() *sft.Classifier {
 	return c
 }
 
-// Figure9 regenerates Figure 9: the empty-input prediction probe across
+// figure9 regenerates Figure 9: the empty-input prediction probe across
 // encoders, averaged over independent fine-tuning runs, with and without
 // the label-balanced empty-sentence augmentation.
-func (l *Lab) Figure9() *Table {
+func (l *Lab) figure9() *Table {
 	t := &Table{
 		ID:    "fig9",
 		Title: "Empty-string bias before/after debias augmentation (Figure 9)",
@@ -188,7 +189,7 @@ func (l *Lab) Figure9() *Table {
 		var pN, pA, gapPlain, gapAug float64
 		for run := 0; run < l.Scale.Runs; run++ {
 			cfg := l.sftConfig()
-			cfg.Epochs = maxInt(2, l.Scale.Epochs)
+			cfg.Epochs = max(2, l.Scale.Epochs)
 			cfg.Seed = l.Scale.Seed + uint64(run)*31
 
 			c := l.newClassifier(spec)
@@ -196,13 +197,13 @@ func (l *Lab) Figure9() *Table {
 			probe := sft.BiasProbe(c)
 			pN += float64(probe[0])
 			pA += float64(probe[1])
-			gapPlain += absf(float64(probe[0] - probe[1]))
+			gapPlain += math.Abs(float64(probe[0] - probe[1]))
 
 			c2 := l.newClassifier(spec)
 			cfg.Augment = sft.DebiasAugmentation(80)
 			sft.Train(c2, examples, nil, cfg)
 			probe2 := sft.BiasProbe(c2)
-			gapAug += absf(float64(probe2[0] - probe2[1]))
+			gapAug += math.Abs(float64(probe2[0] - probe2[1]))
 		}
 		runs := float64(l.Scale.Runs)
 		t.Add(spec, pN/runs, pA/runs, gapPlain/runs, gapAug/runs)
@@ -210,9 +211,9 @@ func (l *Lab) Figure9() *Table {
 	return t
 }
 
-// Figure10 regenerates Figure 10: the 3×3 SFT transfer matrix — train
+// figure10 regenerates Figure 10: the 3×3 SFT transfer matrix — train
 // bert-base-uncased on one workflow, evaluate on every workflow's test set.
-func (l *Lab) Figure10() *Table {
+func (l *Lab) figure10() *Table {
 	t := &Table{
 		ID:     "fig10",
 		Title:  "SFT transfer matrix, bert-base-uncased (Figure 10)",
@@ -230,9 +231,9 @@ func (l *Lab) Figure10() *Table {
 	return t
 }
 
-// Figure11 regenerates Figure 11: accuracy on Montage of a genome-trained
+// figure11 regenerates Figure 11: accuracy on Montage of a genome-trained
 // model after fine-tuning on increasing fractions of Montage training data.
-func (l *Lab) Figure11() *Table {
+func (l *Lab) figure11() *Table {
 	t := &Table{
 		ID:     "fig11",
 		Title:  "Transfer fine-tuning on target-domain data (Figure 11)",
@@ -247,7 +248,7 @@ func (l *Lab) Figure11() *Table {
 		n := len(montage.Train) * pct / 100
 		if n > 0 {
 			cfg := l.sftConfig()
-			cfg.Epochs = maxInt(1, l.Scale.Epochs-1)
+			cfg.Epochs = max(1, l.Scale.Epochs-1)
 			sft.Train(c, sft.JobExamples(montage.Train[:n]), nil, cfg)
 		}
 		t.Add(pct, sft.Evaluate(c, montage.Test).Accuracy())
@@ -255,10 +256,10 @@ func (l *Lab) Figure11() *Table {
 	return t
 }
 
-// Table2 regenerates Table II: catastrophic forgetting under sequential
+// table2 regenerates Table II: catastrophic forgetting under sequential
 // fine-tuning (D1 = 1000 Genome, D2 = Montage) and its mitigation by
 // freezing everything but the final linear head.
-func (l *Lab) Table2() *Table {
+func (l *Lab) table2() *Table {
 	t := &Table{
 		ID:     "table2",
 		Title:  "Freezing parameters vs catastrophic forgetting (Table II)",
@@ -316,18 +317,4 @@ func modelsEncoderOrder() []string {
 		"roberta-base", "roberta-large",
 		"xlnet-base-cased", "xlnet-large-cased",
 	}
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

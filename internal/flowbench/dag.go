@@ -56,9 +56,6 @@ type DAG struct {
 	Edges    [][2]int
 }
 
-// NumNodes returns the node count.
-func (d *DAG) NumNodes() int { return len(d.Nodes) }
-
 // levelSpec describes one layer of a layered workflow DAG: count nodes of a
 // task type, each drawing fanIn edges from the previous layer (0 for source
 // layers, -1 for "all of previous layer").

@@ -36,7 +36,7 @@ func traceTarget(wf Workflow) int {
 	for _, s := range tableI[wf] {
 		total += s[0] + s[1]
 	}
-	return total / buildDAG(wf).NumNodes()
+	return total / len(buildDAG(wf).Nodes)
 }
 
 func TestDAGCountsMatchPaper(t *testing.T) {
@@ -47,9 +47,9 @@ func TestDAGCountsMatchPaper(t *testing.T) {
 	}
 	for wf, w := range want {
 		d := buildDAG(wf)
-		if d.NumNodes() != w[0] || len(d.Edges) != w[1] {
+		if len(d.Nodes) != w[0] || len(d.Edges) != w[1] {
 			t.Errorf("%s DAG = %d nodes / %d edges, want %d/%d",
-				wf, d.NumNodes(), len(d.Edges), w[0], w[1])
+				wf, len(d.Nodes), len(d.Edges), w[0], w[1])
 		}
 		if err := validateDAG(d); err != nil {
 			t.Errorf("%s: %v", wf, err)
@@ -225,7 +225,7 @@ func TestGeneratedJobsConsistent(t *testing.T) {
 		if j.Label == 1 && j.Anomaly == None {
 			t.Fatal("anomalous job missing anomaly class")
 		}
-		if j.NodeIndex < 0 || j.NodeIndex >= ds.DAG.NumNodes() {
+		if j.NodeIndex < 0 || j.NodeIndex >= len(ds.DAG.Nodes) {
 			t.Fatal("node index out of range")
 		}
 		if j.TaskType != ds.DAG.Nodes[j.NodeIndex].TaskType {
@@ -242,8 +242,8 @@ func TestAnomaliesAreContiguousPerTrace(t *testing.T) {
 		t.Fatalf("trace count = %d, want %d", len(traces), traceTarget(Genome))
 	}
 	for id, trace := range traces {
-		if len(trace) != ds.DAG.NumNodes() {
-			t.Fatalf("trace %d has %d jobs, want %d", id, len(trace), ds.DAG.NumNodes())
+		if len(trace) != len(ds.DAG.Nodes) {
+			t.Fatalf("trace %d has %d jobs, want %d", id, len(trace), len(ds.DAG.Nodes))
 		}
 		// Single contiguous anomalous segment (or none), one class per trace.
 		segStarts := 0
@@ -346,7 +346,7 @@ func TestDatasetJobsRecoversCompleteTraces(t *testing.T) {
 	if len(byTrace) != traceTarget(Genome) {
 		t.Fatalf("regrouped %d traces, want %d", len(byTrace), traceTarget(Genome))
 	}
-	n := ds.DAG.NumNodes()
+	n := len(ds.DAG.Nodes)
 	for id, trace := range byTrace {
 		if len(trace) != n {
 			t.Fatalf("trace %d has %d jobs, want %d", id, len(trace), n)

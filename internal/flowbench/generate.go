@@ -63,7 +63,7 @@ func Generate(wf Workflow, seed uint64) *Dataset {
 	if !ok {
 		panic(fmt.Sprintf("flowbench: unknown workflow %q", wf))
 	}
-	n := d.NumNodes()
+	n := len(d.Nodes)
 	totalJobs, totalAnom := 0, 0
 	for _, s := range spec {
 		totalJobs += s[0] + s[1]

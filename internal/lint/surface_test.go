@@ -31,6 +31,15 @@ import (
 //   - R2: an exported func or package-level var that no other package names
 //     is package-local: unexport it. A same-directory package x_test counts
 //     as another package.
+//   - R3: the same for an exported type or const, or an exported method of
+//     an exported type (with R1's interface exemption). Two exemptions keep
+//     the API spellable: a type stays exported when it is reachable from an
+//     exported name another package's non-test code names, through pointers,
+//     slices, maps, arrays, chans, signatures, interface methods and the
+//     exported fields of types already reached (a test calling a constructor
+//     does not make its result type API); a const stays exported when
+//     another package names a const of its parenthesized const (...) block,
+//     so no enumeration is split.
 //
 // Uses come from every module in the tree (the root one and bench/): non-test
 // uses from the type-checked sources, test uses from the selectors of every
@@ -43,7 +52,7 @@ import (
 // surface, lower it in the same diff; when a change must add surface, raise
 // it there too, so the addition is a reviewed act (docs/STATIC_ANALYSIS.md).
 func TestExportedSurface(t *testing.T) {
-	const pinned = 647
+	const pinned = 600
 	s := scanSurface(t, filepath.Join("..", ".."))
 	for _, f := range s.findings {
 		t.Error(f)
@@ -66,25 +75,28 @@ func TestExportedSurfaceFixture(t *testing.T) {
 		"R1 surface/internal/lib.OnlyOwnTest",
 		"R1 surface/internal/lib.T.Dead",
 		"R2 surface/internal/lib.Local",
+		"R3 surface/internal/lib.Hidden",
+		"R3 surface/internal/lib.Lone",
+		"R3 surface/internal/lib.T.Own",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("findings:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
-	if s.count != 15 {
-		t.Errorf("counted %d exported names, want 15", s.count)
+	if s.count != 22 {
+		t.Errorf("counted %d exported names, want 22", s.count)
 	}
 }
 
-// surfaceFinding is one R1 or R2 report.
+// surfaceFinding is one R1, R2 or R3 report.
 type surfaceFinding struct {
-	rule string // "R1" or "R2"
+	rule string // "R1", "R2" or "R3"
 	name string // import path, then the name or Type.Method
 	pos  token.Position
 }
 
 func (f surfaceFinding) String() string {
 	what := "named by nothing but its own package's tests: delete it, or move it into a _test.go file"
-	if f.rule == "R2" {
+	if f.rule != "R1" {
 		what = "named by no other package: unexport it"
 	}
 	return fmt.Sprintf("%s: %s %s %s", f.pos, f.rule, f.name, what)
@@ -107,8 +119,8 @@ type surfaceDecl struct {
 type testUser struct{ dir, pkg string }
 
 // scanSurface loads every module under root (root itself and each nested
-// go.mod outside testdata), parses every _test.go file, and applies R1 and
-// R2 to the exported names of root's packages under internal/.
+// go.mod outside testdata), parses every _test.go file, and applies R1, R2
+// and R3 to the exported names of root's packages under internal/.
 func scanSurface(t *testing.T, root string) surfaceScan {
 	t.Helper()
 	root, err := filepath.Abs(root)
@@ -235,19 +247,42 @@ func scanSurface(t *testing.T, root string) surfaceScan {
 	s.count = len(decls)
 
 	exempt := interfaceMethods(all)
+	// named reports whether a package other than d's own names d.
+	named := func(d surfaceDecl) bool {
+		if d.method {
+			return outsidePackage(used[d.key], d.pkg.ImportPath) || otherPackage(testSels[d.obj.Name()], d.pkg)
+		}
+		return outsidePackage(used[d.key], d.pkg.ImportPath) || otherPackage(testUses[d.key], d.pkg)
+	}
+	// R3's exemptions: the consts of an enumeration another package names,
+	// and the types reachable from what another package's code names.
+	keep := make(map[string]bool)
+	var roots []types.Type
+	for _, d := range decls {
+		keep[d.key] = named(d)
+		if outsidePackage(used[d.key], d.pkg.ImportPath) {
+			roots = append(roots, d.obj.Type())
+		}
+	}
+	reachable(roots, keep)
+	for _, p := range own {
+		enumerations(p, keep)
+	}
 	for _, d := range decls {
 		_, fn := d.obj.(*types.Func)
 		_, v := d.obj.(*types.Var)
 		var rule string
 		switch {
-		case d.method:
-			if len(used[d.key]) == 0 && !exempt[d.key] && !otherDir(testSels[d.obj.Name()], d.pkg.Dir) {
-				rule = "R1"
-			}
-		case len(used[d.key]) == 0 && !otherDir(testUses[d.key], d.pkg.Dir):
+		case d.method && exempt[d.key]:
+		case d.method && len(used[d.key]) == 0 && !otherDir(testSels[d.obj.Name()], d.pkg.Dir):
 			rule = "R1"
-		case (fn || v) && !outsidePackage(used[d.key], d.pkg.ImportPath) && !otherPackage(testUses[d.key], d.pkg):
+		case !d.method && len(used[d.key]) == 0 && !otherDir(testUses[d.key], d.pkg.Dir):
+			rule = "R1"
+		case named(d):
+		case !d.method && (fn || v):
 			rule = "R2"
+		case !keep[d.key]:
+			rule = "R3"
 		}
 		if rule != "" {
 			s.findings = append(s.findings, surfaceFinding{rule: rule, name: d.key, pos: d.pkg.Fset.Position(d.obj.Pos())})
@@ -288,6 +323,93 @@ func surfaceKey(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// reachable adds to keep the key of every named type reachable from roots
+// through pointers, slices, maps, arrays, chans, signatures, type arguments,
+// interface methods and exported struct fields: the types a caller of an
+// exported name must be able to spell.
+func reachable(roots []types.Type, keep map[string]bool) {
+	seen := make(map[types.Type]bool)
+	var walk func(types.Type)
+	walk = func(t types.Type) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Alias:
+			walk(types.Unalias(t))
+		case *types.Named:
+			if k := surfaceKey(t.Obj()); k != "" {
+				keep[k] = true
+			}
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				walk(t.TypeArgs().At(i))
+			}
+			walk(t.Underlying())
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Chan:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Signature:
+			walk(t.Params())
+			walk(t.Results())
+		case *types.Tuple:
+			for i := 0; i < t.Len(); i++ {
+				walk(t.At(i).Type())
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if f := t.Field(i); f.Exported() {
+					walk(f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				if m := t.Method(i); m.Exported() {
+					walk(m.Type())
+				}
+			}
+		}
+	}
+	for _, t := range roots {
+		walk(t)
+	}
+}
+
+// enumerations adds to keep the key of every const in a parenthesized
+// const (...) block of p when keep already holds one of the block's consts.
+func enumerations(p *load.Package, keep map[string]bool) {
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST || !gd.Lparen.IsValid() {
+				continue
+			}
+			var keys []string
+			used := false
+			for _, spec := range gd.Specs {
+				for _, id := range spec.(*ast.ValueSpec).Names {
+					k := surfaceKey(p.TypesInfo.Defs[id])
+					keys = append(keys, k)
+					used = used || keep[k]
+				}
+			}
+			if used {
+				for _, k := range keys {
+					keep[k] = true
+				}
+			}
+		}
+	}
 }
 
 // interfaceMethods returns the keys of every method some named type in pkgs

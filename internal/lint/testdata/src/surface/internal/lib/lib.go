@@ -44,6 +44,32 @@ func (T) Dead() int { return 0 }
 // Probe is named only by another package's test: clean.
 func (T) Probe() int { return 0 }
 
+// Own is called only by this package: R3.
+func (T) Own() int { return 0 }
+
+// Hidden is a type only this package names: R3.
+type Hidden struct{ N int }
+
+// Reached is named by no other package, but it is Make's result: clean.
+type Reached struct{ N int }
+
+// Make is called by another package: clean.
+func Make() Reached {
+	h := Hidden{N: Lone + ModeB}
+	return Reached{N: h.N + T{}.Own()}
+}
+
+// Lone is a const only this package names: R3.
+const Lone = 3
+
+// The modes are an enumeration.
+const (
+	// ModeA is named by another package: clean.
+	ModeA = iota
+	// ModeB is named only by this package, in ModeA's block: clean.
+	ModeB
+)
+
 // E is an error wrapping nothing.
 type E struct{}
 

@@ -5,5 +5,5 @@ import "surface/internal/lib"
 
 // Use names lib's live surface.
 func Use() (int, error) {
-	return lib.Total(lib.T{}), lib.E{}
+	return lib.Total(lib.T{}) + lib.Make().N + lib.ModeA, lib.E{}
 }

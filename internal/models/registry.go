@@ -90,12 +90,12 @@ func MustGet(name string) Spec {
 	return s
 }
 
-// EncoderMaxSeq and DecoderMaxSeq are the context lengths models are built
+// encoderMaxSeq and decoderMaxSeq are the context lengths models are built
 // with: encoders see single job sentences; decoders see multi-example ICL
 // prompts.
 const (
-	EncoderMaxSeq = 64
-	DecoderMaxSeq = 512
+	encoderMaxSeq = 64
+	decoderMaxSeq = 512
 )
 
 // Build instantiates a randomly initialized model for the spec over a
@@ -109,10 +109,10 @@ func (s Spec) Build(vocabSize int) *transformer.Model {
 // BuildClasses is Build with a K-way classification head, used by the
 // anomaly-type extension (normal / CPU / HDD).
 func (s Spec) BuildClasses(vocabSize, numClasses int) *transformer.Model {
-	maxSeq := EncoderMaxSeq
+	maxSeq := encoderMaxSeq
 	causal := false
 	if s.Kind == Decoder {
-		maxSeq = DecoderMaxSeq
+		maxSeq = decoderMaxSeq
 		causal = true
 	}
 	cfg := transformer.Config{

@@ -68,14 +68,14 @@ func TestBuildKinds(t *testing.T) {
 	if enc.Config.Causal {
 		t.Fatal("encoder must not be causal")
 	}
-	if enc.Config.MaxSeqLen != EncoderMaxSeq {
+	if enc.Config.MaxSeqLen != encoderMaxSeq {
 		t.Fatalf("encoder max seq = %d", enc.Config.MaxSeqLen)
 	}
 	dec := MustGet("gpt2").Build(100)
 	if !dec.Config.Causal {
 		t.Fatal("decoder must be causal")
 	}
-	if dec.Config.MaxSeqLen != DecoderMaxSeq {
+	if dec.Config.MaxSeqLen != decoderMaxSeq {
 		t.Fatalf("decoder max seq = %d", dec.Config.MaxSeqLen)
 	}
 }

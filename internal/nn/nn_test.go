@@ -124,31 +124,6 @@ func TestEmbeddingForwardBackward(t *testing.T) {
 	}
 }
 
-func TestSGDStepReducesLoss(t *testing.T) {
-	rng := tensor.NewRNG(6)
-	l := NewLinear("l", 3, 2, rng)
-	x := randomInput(8, 3, 3)
-	targets := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	ce := NewSoftmaxCrossEntropy()
-	opt := NewSGD(0.1, 0.9)
-	tape := NewTape()
-	var first, last float64
-	for i := 0; i < 50; i++ {
-		logits := l.Forward(x, tape.WS(), tape)
-		loss, grad := ce.Loss(logits, targets, nil)
-		if i == 0 {
-			first = loss
-		}
-		last = loss
-		l.Backward(tape, grad)
-		tape.Reset()
-		opt.Step(l.Params())
-	}
-	if last >= first {
-		t.Fatalf("SGD did not reduce loss: %v -> %v", first, last)
-	}
-}
-
 func TestAdamWStepReducesLoss(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	model := NewSequential(

@@ -6,46 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	lr       float64
-	Momentum float64
-
-	velocity map[*Param]*tensor.Matrix
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and momentum
-// (0 disables momentum).
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{lr: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step applies v = μv - lr·g; w += v (or plain w -= lr·g when μ=0).
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if p.Frozen {
-			p.ZeroGrad()
-			continue
-		}
-		if s.Momentum == 0 {
-			tensor.AddScaled(p.W, p.Grad, float32(-s.lr))
-		} else {
-			v := s.velocity[p]
-			if v == nil {
-				v = tensor.New(p.W.Rows, p.W.Cols)
-				s.velocity[p] = v
-			}
-			mu := float32(s.Momentum)
-			lr := float32(s.lr)
-			for i := range v.Data {
-				v.Data[i] = mu*v.Data[i] - lr*p.Grad.Data[i]
-				p.W.Data[i] += v.Data[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter), the
 // optimizer used for all transformer fine-tuning in this repository.
 type AdamW struct {
@@ -75,7 +35,7 @@ func (a *AdamW) Step(params []*Param) {
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
 		if p.Frozen {
-			p.ZeroGrad()
+			p.zeroGrad()
 			continue
 		}
 		m := a.m[p]
@@ -98,7 +58,7 @@ func (a *AdamW) Step(params []*Param) {
 			vhat := v.Data[i] * ibc2
 			p.W.Data[i] -= lr * (mhat/(float32(math.Sqrt(float64(vhat)))+eps) + wd*p.W.Data[i])
 		}
-		p.ZeroGrad()
+		p.zeroGrad()
 	}
 }
 

@@ -35,11 +35,8 @@ func newParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, W: tensor.New(rows, cols), Grad: tensor.New(rows, cols)}
 }
 
-// Size returns the number of scalar elements in the parameter.
-func (p *Param) Size() int { return len(p.W.Data) }
-
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// zeroGrad clears the accumulated gradient.
+func (p *Param) zeroGrad() { p.Grad.Zero() }
 
 // Layer is a differentiable matrix-to-matrix transformation.
 //
@@ -58,7 +55,7 @@ type Layer interface {
 func ParamCount(params []*Param) int {
 	n := 0
 	for _, p := range params {
-		n += p.Size()
+		n += len(p.W.Data)
 	}
 	return n
 }
@@ -68,7 +65,7 @@ func TrainableCount(params []*Param) int {
 	n := 0
 	for _, p := range params {
 		if !p.Frozen {
-			n += p.Size()
+			n += len(p.W.Data)
 		}
 	}
 	return n
@@ -77,7 +74,7 @@ func TrainableCount(params []*Param) int {
 // ZeroGrads clears every gradient in params.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
-		p.ZeroGrad()
+		p.zeroGrad()
 	}
 }
 

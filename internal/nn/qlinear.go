@@ -33,9 +33,9 @@ type QuantizedLinear struct {
 }
 
 // QuantizeLinearInt8 converts l to an int8 inference layer with the given
-// scale-block length (≤ 0 selects tensor.QInt8Block). The returned layer
-// shares l's bias Param; l's fp32 weight matrix is left untouched for the
-// caller to drop.
+// scale-block length (≤ 0 selects the default 64-code block). The returned
+// layer shares l's bias Param; l's fp32 weight matrix is left untouched for
+// the caller to drop.
 func QuantizeLinearInt8(l *Linear, block int) *QuantizedLinear {
 	return &QuantizedLinear{
 		Name: l.Weight.Name,

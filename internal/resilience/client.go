@@ -45,12 +45,6 @@ type Client struct {
 	BreakerOpen  atomic.Int64
 }
 
-// RetryAfterHint extracts a response's server-side drain estimate —
-// Retry-After-Ms (milliseconds) over RFC 9110 Retry-After (whole seconds) —
-// or zero. Exported for the gateway, which passes the smallest hint of the
-// replicas that refused a batch on to its own client.
-func RetryAfterHint(resp *http.Response) time.Duration { return retryAfterHint(resp) }
-
 // SetRetryAfter writes a 429's two retry headers, the pair RetryAfterHint
 // reads: Retry-After in whole seconds, rounded up and at least 1 (RFC 9110),
 // and Retry-After-Ms with the exact milliseconds, for clients that can back
@@ -74,11 +68,13 @@ func retryableStatus(code int) bool {
 	return false
 }
 
-// retryAfterHint extracts the server's drain estimate: Retry-After-Ms
-// (milliseconds, the sub-second channel SetRetryAfter writes) wins over the
-// RFC 9110 Retry-After in whole seconds, which SetRetryAfter rounds up to at
-// least 1 — so a present Retry-After-Ms of 0 means zero, not the 1s beside it.
-func retryAfterHint(resp *http.Response) time.Duration {
+// RetryAfterHint extracts a response's server-side drain estimate, or zero:
+// Retry-After-Ms (milliseconds, the sub-second channel SetRetryAfter writes)
+// wins over the RFC 9110 Retry-After in whole seconds, which SetRetryAfter
+// rounds up to at least 1 — so a present Retry-After-Ms of 0 means zero, not
+// the 1s beside it. Client.Do backs off by it; the gateway passes the smallest
+// hint of the replicas that refused a batch on to its own client.
+func RetryAfterHint(resp *http.Response) time.Duration {
 	if v := resp.Header.Get("Retry-After-Ms"); v != "" {
 		if ms, err := strconv.Atoi(v); err == nil && ms >= 0 {
 			return time.Duration(ms) * time.Millisecond
@@ -140,7 +136,7 @@ func (c *Client) Do(req *http.Request) (*http.Response, error) {
 		}
 		var hint time.Duration
 		if err == nil {
-			hint = retryAfterHint(resp)
+			hint = RetryAfterHint(resp)
 		}
 		delay, ok := bo.Next(hint)
 		if !ok {

@@ -46,21 +46,21 @@ func DefaultPolicy(seed uint64) Policy {
 	return Policy{MaxAttempts: 4, Base: 50 * time.Millisecond, Max: 2 * time.Second, Multiplier: 2, Jitter: 0.2, Seed: seed}
 }
 
-// Backoff is the stateful delay sequence of one Policy. Not safe for
+// backoff is the stateful delay sequence of one Policy. Not safe for
 // concurrent use; each request (or each worker) takes its own.
-type Backoff struct {
+type backoff struct {
 	p    Policy
 	rng  *tensor.RNG
 	next time.Duration
 	try  int
 }
 
-// NewBackoff starts a fresh delay sequence.
-func newBackoff(p Policy) *Backoff {
+// newBackoff starts a fresh delay sequence.
+func newBackoff(p Policy) *backoff {
 	if p.Multiplier < 1 {
 		p.Multiplier = 2
 	}
-	return &Backoff{p: p, rng: tensor.NewRNG(p.Seed ^ 0xb0ffed), next: p.Base}
+	return &backoff{p: p, rng: tensor.NewRNG(p.Seed ^ 0xb0ffed), next: p.Base}
 }
 
 // Next returns the delay before the upcoming retry and whether a retry is
@@ -68,7 +68,7 @@ func newBackoff(p Policy) *Backoff {
 // server knows its backlog better than any client-side schedule, so a hint
 // replaces the exponential delay (jitter still applies — synchronized
 // hint-followers are a herd too).
-func (b *Backoff) Next(hint time.Duration) (time.Duration, bool) {
+func (b *backoff) Next(hint time.Duration) (time.Duration, bool) {
 	b.try++
 	if b.try >= b.p.MaxAttempts {
 		return 0, false

@@ -12,10 +12,10 @@ import "fmt"
 // inference gets its throughput: one large matmul amortizes goroutine fan-out
 // and streams the weight matrix through cache once instead of B times.
 
-// RowView returns a matrix aliasing rows [lo, hi) of m — no data is copied,
+// rowView returns a matrix aliasing rows [lo, hi) of m — no data is copied,
 // so writes through the view mutate m. Used to address one sequence of a
 // packed batch.
-func (m *Matrix) RowView(lo, hi int) *Matrix {
+func (m *Matrix) rowView(lo, hi int) *Matrix {
 	if lo < 0 || hi < lo || hi > m.Rows {
 		panic(fmt.Sprintf("tensor: row view [%d,%d) of %d rows", lo, hi, m.Rows))
 	}

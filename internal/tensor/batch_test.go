@@ -4,7 +4,7 @@ import "testing"
 
 func TestRowViewAliases(t *testing.T) {
 	m := New(4, 3)
-	v := m.RowView(1, 3)
+	v := m.rowView(1, 3)
 	if v.Rows != 2 || v.Cols != 3 {
 		t.Fatalf("view shape %dx%d", v.Rows, v.Cols)
 	}
@@ -17,7 +17,7 @@ func TestRowViewAliases(t *testing.T) {
 			t.Fatal("expected panic for out-of-range view")
 		}
 	}()
-	m.RowView(2, 5)
+	m.rowView(2, 5)
 }
 
 func TestMatMulBlockedMatchesMatMul(t *testing.T) {

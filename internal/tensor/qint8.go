@@ -42,11 +42,11 @@ import (
 // the CPU lacks AVX2. Both give the same sums, so rows computed on either
 // path, and any row partitioning across goroutines, give the same bits.
 
-// QInt8Block is the default scale-block length along the reduction dimension.
+// qInt8Block is the default scale-block length along the reduction dimension.
 // 64 keeps the worst-case quantization range per scale tight (the accuracy
 // knob) while spreading each block's epilogue (fold the integer sums, convert,
 // scale, add) over 64 multiply-adds per channel.
-const QInt8Block = 64
+const qInt8Block = 64
 
 // QInt8Matrix is a weight matrix held in blockwise symmetric int8 form.
 // Construct with QuantizeInt8 (from fp32 weights) or NewQInt8FromCodes (from
@@ -95,11 +95,11 @@ func roundToInt32(f float32) int32 {
 }
 
 // QuantizeInt8 converts w [In, Out] to blockwise symmetric int8 form with the
-// given scale-block length (≤ 0 selects QInt8Block). An all-zero block gets
+// given scale-block length (≤ 0 selects qInt8Block). An all-zero block gets
 // scale 0 and all-zero codes, which dequantizes and computes exactly to zero.
 func QuantizeInt8(w *Matrix, block int) *QInt8Matrix {
 	if block <= 0 {
-		block = QInt8Block
+		block = qInt8Block
 	}
 	in, out := w.Rows, w.Cols
 	nb := (in + block - 1) / block
@@ -205,7 +205,7 @@ func MatMulQ8(dst, x *Matrix, w *QInt8Matrix, ws *Workspace) *Matrix {
 	if n == 0 {
 		return dst
 	}
-	xq := ws.GetInt8s(n * w.In)
+	xq := ws.getInt8s(n * w.In)
 	sx := ws.Get(1, n)
 	if !parallelWorth(n, w.In*w.Out) {
 		matMulQ8Rows(dst, x, w, xq, sx.Data, 0, n)
@@ -230,16 +230,16 @@ type QuantizedRows struct {
 }
 
 // QuantizeRowsQ8 quantizes every row of x (dynamic symmetric, per-row scale)
-// for weights of the given scale-block length (≤ 0 selects QInt8Block),
+// for weights of the given scale-block length (≤ 0 selects qInt8Block),
 // drawing buffers from ws (nil allocates).
 func QuantizeRowsQ8(x *Matrix, block int, ws *Workspace) QuantizedRows {
 	if block <= 0 {
-		block = QInt8Block
+		block = qInt8Block
 	}
 	n, in := x.Rows, x.Cols
 	qa := QuantizedRows{
 		Rows: n, In: in, Block: block,
-		xq: ws.GetInt8s(n * in),
+		xq: ws.getInt8s(n * in),
 		sx: ws.Get(1, n).Data,
 	}
 	for i := 0; i < n; i++ {

@@ -96,7 +96,7 @@ func TestMatMulQ8MatchesReference(t *testing.T) {
 func TestMatMulQ8ApproximatesFP32(t *testing.T) {
 	x := randomMatrix(16, 96, 1, 1)
 	w := randomMatrix(96, 96, 2, 0.5)
-	q := QuantizeInt8(w, QInt8Block)
+	q := QuantizeInt8(w, qInt8Block)
 	got := MatMulQ8(nil, x, q, nil)
 	want := MatMul(nil, x, w)
 	var maxErr, maxAbs float64
@@ -121,7 +121,7 @@ func TestMatMulQ8ApproximatesFP32(t *testing.T) {
 func TestMatMulQ8Deterministic(t *testing.T) {
 	x := randomMatrix(64, 128, 3, 1)
 	w := randomMatrix(128, 96, 4, 1)
-	q := QuantizeInt8(w, QInt8Block)
+	q := QuantizeInt8(w, qInt8Block)
 	base := MatMulQ8(nil, x, q, nil)
 	ws := NewWorkspace()
 	for rep := 0; rep < 3; rep++ {
@@ -183,7 +183,7 @@ func TestQInt8FromCodesValidation(t *testing.T) {
 // scale step per element.
 func TestQInt8Dequantize(t *testing.T) {
 	w := randomMatrix(96, 40, 12, 1)
-	q := QuantizeInt8(w, QInt8Block)
+	q := QuantizeInt8(w, qInt8Block)
 	deq := q.Dequantize()
 	nb := q.Blocks()
 	for k := 0; k < q.In; k++ {
@@ -245,7 +245,7 @@ func TestMatMulQ8Allocations(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	w := randomMatrix(96, 48, 21, 1)
-	q := QuantizeInt8(w, QInt8Block)
+	q := QuantizeInt8(w, qInt8Block)
 	decode := randomMatrix(1, 96, 22, 1)
 	batch := randomMatrix(3, 96, 23, 1)
 	ws := NewWorkspace()
@@ -270,7 +270,7 @@ func TestMatMulQ8Allocations(t *testing.T) {
 func benchmarkQ8(b *testing.B, m, in, out int) {
 	x := randomMatrix(m, in, 1, 1)
 	w := randomMatrix(in, out, 2, 1)
-	q := QuantizeInt8(w, QInt8Block)
+	q := QuantizeInt8(w, qInt8Block)
 	ws := NewWorkspace()
 	dst := New(m, out)
 	b.ReportAllocs()
@@ -340,7 +340,7 @@ func TestMatMulQ8SaturationEdge(t *testing.T) {
 				w.Set(k, j, sign*float32(1-2*(j%2)))
 			}
 		}
-		q := QuantizeInt8(w, QInt8Block)
+		q := QuantizeInt8(w, qInt8Block)
 		for _, c := range q.Codes() {
 			if c != 127 && c != -127 {
 				t.Fatalf("In=%d: weight code %d, want ±127", in, c)
@@ -381,7 +381,7 @@ func TestMatMulQ8NonFiniteRows(t *testing.T) {
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	for _, in := range []int{96, 50} {
 		const out = 10
-		q := QuantizeInt8(randomMatrix(in, out, 31, 0.5), QInt8Block)
+		q := QuantizeInt8(randomMatrix(in, out, 31, 0.5), qInt8Block)
 		x := randomMatrix(6, in, 32, 1)
 		zeroed := x.Clone()
 		x.Set(0, 3, nan)

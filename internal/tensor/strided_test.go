@@ -387,7 +387,7 @@ func TestWorkspaceBytesCountsEverySlot(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Get(3, 4)
 	ws.GetInts(5)
-	ws.GetInt8s(7)
+	ws.getInt8s(7)
 	ws.RowView(ws.Get(1, 2), 0, 1)
 	ws.Reset()
 	ws.Child().Get(2, 2)

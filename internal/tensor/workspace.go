@@ -96,9 +96,9 @@ func (w *Workspace) GetInts(n int) []int {
 	return s[:n]
 }
 
-// GetInt8s returns a length-n int8 scratch slice with unspecified contents.
+// getInt8s returns a length-n int8 scratch slice with unspecified contents.
 // The int8 inference path draws its quantized-activation buffers from here.
-func (w *Workspace) GetInt8s(n int) []int8 {
+func (w *Workspace) getInt8s(n int) []int8 {
 	if w == nil {
 		return make([]int8, n)
 	}
@@ -115,11 +115,11 @@ func (w *Workspace) GetInt8s(n int) []int8 {
 }
 
 // RowView returns a matrix header aliasing rows [lo, hi) of m, like
-// Matrix.RowView but with the header itself drawn from the arena so repeated
+// Matrix.rowView but with the header itself drawn from the arena so repeated
 // per-sequence views allocate nothing.
 func (w *Workspace) RowView(m *Matrix, lo, hi int) *Matrix {
 	if w == nil {
-		return m.RowView(lo, hi)
+		return m.rowView(lo, hi)
 	}
 	if lo < 0 || hi < lo || hi > m.Rows {
 		panic("tensor: workspace row view out of range")

@@ -194,8 +194,8 @@ func (t *Tokenizer) ID(tok string) int {
 	return UNK
 }
 
-// Word returns the surface form of id.
-func (t *Tokenizer) Word(id int) string {
+// word returns the surface form of id.
+func (t *Tokenizer) word(id int) string {
 	if id < 0 || id >= len(t.words) {
 		return "[UNK]"
 	}
@@ -229,7 +229,7 @@ func (t *Tokenizer) Decode(ids []int) string {
 		if i > 0 && sb.Len() > 0 {
 			sb.WriteByte(' ')
 		}
-		sb.WriteString(t.Word(id))
+		sb.WriteString(t.word(id))
 	}
 	return sb.String()
 }

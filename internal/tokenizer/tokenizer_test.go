@@ -103,7 +103,7 @@ func TestBuildVocabDeterministic(t *testing.T) {
 		t.Fatal("vocab size depends on corpus order")
 	}
 	for i := 0; i < t1.VocabSize(); i++ {
-		if t1.Word(i) != t2.Word(i) {
+		if t1.word(i) != t2.word(i) {
 			t.Fatal("vocab order depends on corpus order")
 		}
 	}
@@ -219,8 +219,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("vocab size %d, want %d", got.VocabSize(), tk.VocabSize())
 	}
 	for id := 0; id < tk.VocabSize(); id++ {
-		if got.Word(id) != tk.Word(id) {
-			t.Fatalf("word %d = %q, want %q (vocabulary order not preserved)", id, got.Word(id), tk.Word(id))
+		if got.word(id) != tk.word(id) {
+			t.Fatalf("word %d = %q, want %q (vocabulary order not preserved)", id, got.word(id), tk.word(id))
 		}
 	}
 	for i, tok := range []string{"[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[BOS]", "[EOS]"} {

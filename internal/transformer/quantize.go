@@ -70,8 +70,8 @@ func (m *Model) quantSlots() []quantSlot {
 // adapters (if any) are merged into their bases, then every attention
 // projection, feed-forward layer, and the LM head is replaced by an
 // nn.QuantizedLinear with the given scale-block length (≤ 0 selects
-// tensor.QInt8Block). Shared-layer (ALBERT) models quantize each shared
-// projection once and install the same quantized layer in every block.
+// the default 64-code block). Shared-layer (ALBERT) models quantize each
+// shared projection once and install the same quantized layer in every block.
 //
 // The model afterwards serves inference only: a taped forward through the
 // quantized projections panics. Quantizing twice panics.
@@ -114,9 +114,9 @@ func (m *Model) IsQuantized() bool {
 	return ok
 }
 
-// QuantizedLinears returns the distinct int8 projections in canonical slot
+// quantizedLinears returns the distinct int8 projections in canonical slot
 // order (shared layers once), or nil for an fp32 model.
-func (m *Model) QuantizedLinears() []*nn.QuantizedLinear {
+func (m *Model) quantizedLinears() []*nn.QuantizedLinear {
 	var out []*nn.QuantizedLinear
 	seen := make(map[*nn.QuantizedLinear]bool)
 	for _, s := range m.quantSlots() {
@@ -136,7 +136,7 @@ const quantizedMagic = uint32(0x57465138)
 // biases, classification head — travels through Save as usual; the two
 // streams together round-trip a quantized model exactly.
 func (m *Model) SaveQuantized(w io.Writer) error {
-	qs := m.QuantizedLinears()
+	qs := m.quantizedLinears()
 	if len(qs) == 0 {
 		return fmt.Errorf("transformer: SaveQuantized on a model with no int8 layers")
 	}
