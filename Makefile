@@ -1,7 +1,8 @@
 # CI-style entry points. `make check` is the full gate: formatting, vet,
 # build, tests — the tier-1 verify plus hygiene — then reprolint and the
 # bench/ module's own vet and unit tests. The smoke-scale replays (plain,
-# cascade, chaos, gateway) are TestRunSmoke's four rows in cmd/loadlab, so
+# cascade, chaos, gateway, gateway-kill) are TestRunSmoke's five rows in
+# cmd/loadlab, so
 # `test` runs them; timed measurement is bench/run.sh (bench/README.md).
 
 GO ?= go

@@ -10,10 +10,11 @@
 //	loadlab -scenarios chaos-bursty -retries  # fault-injected replay, client retries
 //	loadlab -chaos -shed-depth 64 -brownout 48 -deadline-ms 250  # full overload drill
 //	loadlab -cascade                          # paired rows per scenario: cascade off, then on
+//	loadlab -speed 2 -gateway 3 -gateway-kill # single node vs a fleet that loses a replica mid-replay
 //
 // Each scenario (see docs/SCENARIOS.md) is generated from a name + seed and
 // is byte-identical across runs, so reports diff meaningfully across commits
-// (TestRunSmoke pins the deterministic columns of four seconds-scale
+// (TestRunSmoke pins the deterministic columns of five seconds-scale
 // configurations). The replay is open-loop over real HTTP: requests fire
 // at their scheduled instants whether or not the server keeps up, so
 // queueing appears in the measurements instead of being absorbed by client
@@ -29,11 +30,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -90,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cascOn    = fs.Bool("cascade", false, "two-stage inference drill: replay each non-chaos scenario twice, ngram stage-1 gate off then on, as paired report rows (in-process only)")
 		cascRec   = fs.Float64("cascade-recall", cascade.DefaultTargetRecall, "cascade calibration target recall")
 		gatewayN  = fs.Int("gateway", 0, "replicated-serving drill: boot N in-process replicas behind an anomalygw gateway and replay each non-chaos scenario against it too, as paired single-node vs fleet rows (in-process only, N >= 2)")
-		gwKill    = fs.Bool("gateway-kill", false, "with -gateway: blackhole one replica for the middle third of each gateway replay, exercising its breaker opening and its half-open re-admission")
+		gwKill    = fs.Bool("gateway-kill", false, "with -gateway: reset every forward to the first replica for the middle third of each fleet replay, exercising its breaker opening and its half-open re-admission")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -142,30 +145,37 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// Resolve the server under test: a remote daemon, a loaded artifact, or
-	// a detector trained right here.
+	// a detector trained right here. targets are what each scenario replays
+	// against, the single node first.
 	baseURL := *addr
 	if baseURL != "" && !strings.Contains(baseURL, "://") {
 		baseURL = "http://" + baseURL
 	}
 	label := *detName
-	var cleanup func()
-	var gate *faultGate
-	// cascadeArm toggles the in-process model's stage-1 gate between the
-	// paired off/on replays; nil when -cascade is off.
-	var cascadeArm func(on bool) error
-	// monReset clears the in-process model's trace tracker before each
-	// monitor replay, so repeated ingests of the same stream (the cascade
-	// off/on pair, or the same scenario across runs) report comparable
-	// flagged-trace counts instead of latch-suppressed zeros; nil against a
-	// remote server.
-	var monReset func() error
-	// Gateway drill state (nil/empty unless -gateway N): the fleet's base
-	// URL, the front's tracker reset, and the blackhole switch for -gateway-kill.
-	var gwURL string
-	var gwReset func() error
-	var gwKiller *killGate
 	remote := baseURL != ""
-	if baseURL == "" {
+	var targets []target
+	// stops shuts down what the in-process boot started, in reverse order.
+	var stops []func()
+	defer func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
+		}
+	}()
+	if remote {
+		if len(chaosSet) > 0 {
+			return fmt.Errorf("chaos replays need the in-process server (faults are injected into its handler); drop -addr or use anomalyd -faults")
+		}
+		if *cascOn {
+			return fmt.Errorf("-cascade pairs off/on replays by toggling the in-process model's gate; drop -addr (a remote anomalyd arms its own cascade with -cascade)")
+		}
+		if *gatewayN > 0 {
+			return fmt.Errorf("-gateway boots its fleet in-process; drop -addr (a remote fleet is driven by pointing -addr at anomalygw)")
+		}
+		if label == "" {
+			label = "remote"
+		}
+		targets = []target{{url: baseURL}}
+	} else {
 		det, defLabel, err := buildDetector(stderr, *load, *quantize, core.Options{
 			Approach:      core.SFT,
 			Workflow:      cfg.Workflow,
@@ -188,89 +198,82 @@ func run(args []string, stdout, stderr io.Writer) error {
 			BrownoutDepth:   *brownout,
 			BrownoutHold:    *brownHold,
 		}
-		reg := core.NewRegistry()
-		if err := reg.Add(core.DefaultModel, det, bcfg); err != nil {
+		reg, gate, url, err := bootNode(det, bcfg, "", &stops)
+		if err != nil {
 			return err
 		}
+		fmt.Fprintf(stderr, "serving %s in-process at %s\n", label, url)
+		var cascadeGate *cascade.Gate
 		if *cascOn || *brownout > 0 {
 			ds := flowbench.Generate(cfg.Workflow, cfg.Seed)
-			g, err := core.FitCascade(det, cascade.Config{TargetRecall: *cascRec}, ds.Train)
+			cascadeGate, err = core.FitCascade(det, cascade.Config{TargetRecall: *cascRec}, ds.Train)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(stderr, "cascade calibrated: ngram gate, target recall %.3f (%d calibration positives)\n",
-				g.TargetRecall(), g.Positives())
+				cascadeGate.TargetRecall(), cascadeGate.Positives())
 			if *brownout > 0 {
 				// The gate is the brownout tier: armed for every replay.
-				if err := reg.SetCascade(core.DefaultModel, g); err != nil {
+				if err := reg.SetCascade(core.DefaultModel, cascadeGate); err != nil {
 					return err
 				}
 				fmt.Fprintf(stderr, "brownout armed: degrade to the cascade gate at queue depth %d\n", *brownout)
-			} else {
-				cascadeArm = func(on bool) error {
-					if on {
-						return reg.SetCascade(core.DefaultModel, g)
-					}
-					return reg.SetCascade(core.DefaultModel, nil)
-				}
 			}
 		}
-		monReset = func() error { return reg.ResetMonitor(core.DefaultModel) }
-		srv := core.NewServerRegistry(reg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			srv.Close()
-			return err
+		targets = append(targets, target{
+			url: url, reg: reg, gate: gate,
+			campaign: func(s *scenario.Stream) (faults.Config, bool) {
+				return scenario.ChaosPlan(s, *speed, *seed), chaosSet[s.Name]
+			},
+		})
+		if *cascOn {
+			// The same stream again with the stage-1 gate armed, so report
+			// rows diff off vs on directly.
+			targets = append(targets, target{
+				suffix: "+cascade", url: url, reg: reg, cascade: cascadeGate,
+				columns: cascadeAgreement,
+			})
 		}
-		gate = &faultGate{next: srv}
-		hsrv := &http.Server{Handler: gate}
-		go hsrv.Serve(ln)
-		baseURL = "http://" + ln.Addr().String()
-		cleanup = func() {
-			hsrv.Close()
-			srv.Close()
-		}
-		fmt.Fprintf(stderr, "serving %s in-process at %s\n", label, baseURL)
 		if *gatewayN > 0 {
-			var gwCleanup func()
-			gwURL, gwReset, gwKiller, gwCleanup, err = bootGatewayFleet(det, bcfg, *gatewayN, *gwKill)
+			// The same stream against the replicated fleet, so report rows
+			// diff single-node vs gateway directly (throughput and tail
+			// latency at the same error budget).
+			gwURL, gwReg, victim, err := bootFleet(det, bcfg, *gatewayN, &stops)
 			if err != nil {
-				cleanup()
 				return err
 			}
-			prev := cleanup
-			cleanup = func() {
-				gwCleanup()
-				prev()
-			}
 			fmt.Fprintf(stderr, "gateway fleet: %d replicas behind %s\n", *gatewayN, gwURL)
+			fleet := target{
+				suffix: "+gw", url: gwURL, reg: gwReg, gate: victim,
+				columns: func(_ *scenario.Stream, _, res *scenario.Result) map[string]float64 {
+					cols := map[string]float64{
+						"replicas":   float64(*gatewayN),
+						"error_rate": float64(res.Errors) / float64(res.Requests),
+					}
+					if *gwKill {
+						cols["replica_killed"] = 1
+					}
+					return cols
+				},
+			}
+			if *gwKill {
+				// Every forward to the victim is reset during the chaos
+				// plan's window, the middle third of the compressed schedule.
+				fleet.campaign = func(s *scenario.Stream) (faults.Config, bool) {
+					return faults.Config{
+						Seed: *seed, Every: 1, Kinds: []faults.Kind{faults.Reset},
+						Window: scenario.ChaosPlan(s, *speed, *seed).Window,
+					}, true
+				}
+			}
+			targets = append(targets, fleet)
 		}
-	} else {
-		if len(chaosSet) > 0 {
-			return fmt.Errorf("chaos replays need the in-process server (faults are injected into its handler); drop -addr or use anomalyd -faults")
-		}
-		if *cascOn {
-			return fmt.Errorf("-cascade pairs off/on replays by toggling the in-process model's gate; drop -addr (a remote anomalyd arms its own cascade with -cascade)")
-		}
-		if *gatewayN > 0 {
-			return fmt.Errorf("-gateway boots its fleet in-process; drop -addr (a remote fleet is driven by pointing -addr at anomalygw)")
-		}
-		if label == "" {
-			label = "remote"
-		}
-	}
-	if cleanup != nil {
-		defer cleanup()
 	}
 
 	// Seed baselines are fitted once on the workflow's training split and
 	// calibrated so their predicted-positive rate matches the training
 	// contamination — then they score every scenario's events in-process.
-	type fitted struct {
-		scorer baselines.JobScorer
-		cutoff float64
-	}
-	var fits []fitted
+	var fits []func(*scenario.Stream) scenario.BenchEntry
 	if *baseNames != "none" && *baseNames != "" {
 		ds := flowbench.Generate(cfg.Workflow, cfg.Seed)
 		for _, name := range strings.Split(*baseNames, ",") {
@@ -279,64 +282,86 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return err
 			}
 			cut := baselines.CalibrateThreshold(sc.Score(ds.Train), baselines.AnomalyRate(ds.Train))
-			fits = append(fits, fitted{scorer: sc, cutoff: cut})
+			fits = append(fits, func(s *scenario.Stream) scenario.BenchEntry { return baselineEntry(s, sc, cut) })
 		}
 	}
 
-	rcfg := scenario.ReplayConfig{BaseURL: baseURL, Speed: *speed}
 	ctx := context.Background()
 	report := &scenario.BenchReport{
 		Recorded: time.Now().UTC().Format(time.RFC3339),
 		CPU:      cpuModel(),
 		Command:  "loadlab " + strings.Join(args, " "),
 	}
-
+	// Each scenario replays against every target in turn, through the same
+	// code: the detect replay under the target's fault campaign, one summary
+	// line and its row, then, for a scenario in -monitor, a monitor replay
+	// outside the campaign and its row. A chaos variant replays against the
+	// single node only: its injector state is consumed by that replay.
 	for _, d := range defs {
 		s := d.Generate(cfg)
-		displayName := d.Name
-		scfg := rcfg
-		var inj *faults.Injector
+		name, paired := d.Name, targets
 		if chaosSet[d.Name] {
-			displayName = scenario.ChaosName(d.Name)
-			plan := scenario.ChaosPlan(s, *speed, *seed)
-			inj = faults.New(plan)
-			scfg.FaultWindow = plan.Window
-			gate.set(inj)
-		}
-		if *retries || remote {
-			// A fresh client per scenario keeps the retry counters per-row.
-			// Remote replays always ride the resilience client: a WAN hop has
-			// transient failures a lab loopback doesn't, and the budget keeps
-			// a sick server from being hammered by its own benchmark.
-			scfg.Retry = retryClient(*seed)
+			name, paired = scenario.ChaosName(d.Name), targets[:1]
 		}
 		fmt.Fprintf(stderr, "replaying %s: %d events over %s (speed %gx)\n",
-			displayName, len(s.Events), s.Duration().Round(time.Millisecond), *speed)
-
-		if inj != nil {
-			inj.Arm()
-		}
-		res, err := scenario.Replay(ctx, s, scfg)
-		if inj != nil {
-			gate.set(nil)
-		}
-		if err != nil {
-			return fmt.Errorf("replay %s: %w", displayName, err)
-		}
-		if res.Errors == res.Requests {
-			return fmt.Errorf("replay %s: all %d requests to %s failed", displayName, res.Requests, baseURL)
-		}
-		if res.Errors > 0 {
-			fmt.Fprintf(stderr, "  %d/%d requests failed (timeout %d, shed %d, server %d, transport %d)\n",
-				res.Errors, res.Requests, res.Failures.Timeout, res.Failures.Shed, res.Failures.Server, res.Failures.Transport)
-		}
-		if res.DegradedReqs > 0 || res.Server.Shed+res.Server.Expired > 0 {
-			fmt.Fprintf(stderr, "  overload: server shed %d, expired %d, degraded %d lines (%d degraded responses)\n",
-				res.Server.Shed, res.Server.Expired, res.Server.Degraded, res.DegradedReqs)
-		}
-		if inj != nil {
-			fmt.Fprintf(stderr, "  faults injected: %d %v\n", inj.Total(), inj.Counts())
-			if res.Phases != nil {
+			name, len(s.Events), s.Duration().Round(time.Millisecond), *speed)
+		var single *scenario.Result
+		for _, tg := range paired {
+			rowLabel := label + tg.suffix
+			if tg.cascade != nil {
+				if err := tg.reg.SetCascade(core.DefaultModel, tg.cascade); err != nil {
+					return err
+				}
+			}
+			rcfg := scenario.ReplayConfig{BaseURL: tg.url, Speed: *speed}
+			if *retries || remote {
+				// A fresh client per replay keeps the retry counters per row:
+				// a deterministic backoff schedule plus a Finagle-style retry
+				// budget, so a struggling server is never hammered by its own
+				// benchmark. Remote replays always ride it: a WAN hop has
+				// transient failures a lab loopback doesn't.
+				rcfg.Retry = &resilience.Client{
+					Policy: resilience.DefaultPolicy(*seed),
+					Budget: resilience.NewBudget(32, 0.1),
+				}
+			}
+			var inj *faults.Injector
+			if tg.campaign != nil {
+				if plan, ok := tg.campaign(s); ok {
+					inj = faults.New(plan)
+					rcfg.FaultWindow = plan.Window
+					tg.gate.set(inj)
+					inj.Arm()
+				}
+			}
+			res, err := scenario.Replay(ctx, s, rcfg)
+			if inj != nil {
+				tg.gate.set(nil)
+			}
+			if err != nil {
+				return fmt.Errorf("replay %s%s: %w", name, tg.suffix, err)
+			}
+			if res.Errors == res.Requests {
+				return fmt.Errorf("replay %s%s: all %d requests to %s failed", name, tg.suffix, res.Requests, tg.url)
+			}
+			if single == nil {
+				single = res
+			}
+			if res.Errors > 0 {
+				fmt.Fprintf(stderr, "  %d/%d requests failed (timeout %d, shed %d, server %d, transport %d)\n",
+					res.Errors, res.Requests, res.Failures.Timeout, res.Failures.Shed, res.Failures.Server, res.Failures.Transport)
+			}
+			if res.DegradedReqs > 0 || res.Server.Shed+res.Server.Expired > 0 {
+				fmt.Fprintf(stderr, "  overload: server shed %d, expired %d, degraded %d lines (%d degraded responses)\n",
+					res.Server.Shed, res.Server.Expired, res.Server.Degraded, res.DegradedReqs)
+			}
+			entry := res.Entry(rowLabel)
+			if chaosSet[d.Name] {
+				entry.Name = fmt.Sprintf("LoadLabChaos/%s/%s", d.Name, rowLabel)
+			}
+			if inj != nil {
+				entry.Extra["faults_injected"] = float64(inj.Total())
+				fmt.Fprintf(stderr, "  faults injected: %d %v\n", inj.Total(), inj.Counts())
 				recov := fmt.Sprintf("%.0fms", res.Phases.RecoveryMs)
 				if res.Phases.RecoveryMs < 0 {
 					recov = "not observed"
@@ -344,146 +369,40 @@ func run(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stderr, "  p99 pre %.1fms / during %.1fms / post %.1fms, drain recovery %s\n",
 					res.Phases.PreP99Ms, res.Phases.DuringP99Ms, res.Phases.PostP99Ms, recov)
 			}
-		}
-		fmt.Fprintf(stderr, "  %s: %.0f lines/s, client p99 %.1fms, queue p99 %.1fms, AUC %.3f, trace F1 %.3f\n",
-			label, res.LinesPerSec, res.ClientP99Ms, res.Server.QueueWaitP99Ms, res.Quality.AUC, res.Quality.TraceF1)
-		entry := res.Entry(label)
-		if inj != nil {
-			entry.Name = fmt.Sprintf("LoadLabChaos/%s/%s", d.Name, label)
-			entry.Extra["faults_injected"] = float64(inj.Total())
-		}
-		report.Entries = append(report.Entries, entry)
-
-		var monBase *scenario.MonitorResult
-		if monitorSet[d.Name] {
-			if monReset != nil {
-				if err := monReset(); err != nil {
-					return err
+			line := fmt.Sprintf("  %s: %.0f lines/s, client p99 %.1fms, queue p99 %.1fms, AUC %.3f, trace F1 %.3f",
+				rowLabel, res.LinesPerSec, res.ClientP99Ms, res.Server.QueueWaitP99Ms, res.Quality.AUC, res.Quality.TraceF1)
+			if tg.columns != nil {
+				cols := tg.columns(s, single, res)
+				for _, k := range slices.Sorted(maps.Keys(cols)) {
+					line += fmt.Sprintf(", %s %.4g", k, cols[k])
+					entry.Extra[k] = cols[k]
 				}
 			}
-			mres, err := scenario.ReplayMonitor(ctx, s, rcfg)
-			if err != nil {
-				return fmt.Errorf("monitor replay %s: %w", d.Name, err)
-			}
-			monBase = mres
-			fmt.Fprintf(stderr, "  monitor: %.0f lines/s, %d alerts, %d flagged traces\n",
-				mres.LinesPerSec, mres.Report.Alerts, mres.Report.FlaggedTraces)
-			report.Entries = append(report.Entries, mres.Entry(label))
-		}
+			fmt.Fprintln(stderr, line)
+			report.Entries = append(report.Entries, entry)
 
-		// Paired cascade replay: the same stream again with the stage-1 gate
-		// armed, so report rows diff off vs on directly. Chaos variants stay
-		// unpaired — their injector state is consumed by the first replay.
-		if cascadeArm != nil && inj == nil {
-			if err := cascadeArm(true); err != nil {
-				return err
-			}
-			ccfg := rcfg
-			if *retries {
-				ccfg.Retry = retryClient(*seed)
-			}
-			cres, err := scenario.Replay(ctx, s, ccfg)
-			if err != nil {
-				return fmt.Errorf("cascade replay %s: %w", d.Name, err)
-			}
-			agree, flagsEqual := cascadeAgreement(s, res, cres)
-			speedup := 0.0
-			if cres.LinesPerSec > 0 && res.LinesPerSec > 0 {
-				speedup = cres.LinesPerSec / res.LinesPerSec
-			}
-			fmt.Fprintf(stderr, "  %s+cascade: %.0f lines/s (%.2fx), agreement %.4f, trace flags equal %v, pass fraction %.2f\n",
-				label, cres.LinesPerSec, speedup, agree, flagsEqual, cres.Server.CascadePassFraction)
-			centry := cres.Entry(label + "+cascade")
-			centry.Extra["verdict_agreement"] = agree
-			centry.Extra["trace_flags_equal"] = 0
-			if flagsEqual {
-				centry.Extra["trace_flags_equal"] = 1
-			}
-			report.Entries = append(report.Entries, centry)
-			if monBase != nil {
-				if monReset != nil {
-					if err := monReset(); err != nil {
+			if monitorSet[d.Name] {
+				if tg.reg != nil {
+					if err := tg.reg.ResetMonitor(core.DefaultModel); err != nil {
 						return err
 					}
 				}
-				mcres, err := scenario.ReplayMonitor(ctx, s, rcfg)
+				mres, err := scenario.ReplayMonitor(ctx, s, rcfg)
 				if err != nil {
-					return fmt.Errorf("cascade monitor replay %s: %w", d.Name, err)
+					return fmt.Errorf("monitor replay %s%s: %w", d.Name, tg.suffix, err)
 				}
-				mspeed := 0.0
-				if monBase.LinesPerSec > 0 {
-					mspeed = mcres.LinesPerSec / monBase.LinesPerSec
-				}
-				fmt.Fprintf(stderr, "  monitor+cascade: %.0f lines/s (%.2fx), %d alerts, %d flagged traces\n",
-					mcres.LinesPerSec, mspeed, mcres.Report.Alerts, mcres.Report.FlaggedTraces)
-				report.Entries = append(report.Entries, mcres.Entry(label+"+cascade"))
+				fmt.Fprintf(stderr, "  monitor%s: %.0f lines/s, %d alerts, %d flagged traces\n",
+					tg.suffix, mres.LinesPerSec, mres.Report.Alerts, mres.Report.FlaggedTraces)
+				report.Entries = append(report.Entries, mres.Entry(rowLabel))
 			}
-			if err := cascadeArm(false); err != nil {
-				return err
-			}
-		}
-
-		// Paired gateway replay: the same stream against the replicated fleet,
-		// so report rows diff single-node vs gateway directly (throughput and
-		// tail latency at the same error budget). Chaos variants stay
-		// unpaired — their injector state is consumed by the first replay.
-		if gwURL != "" && inj == nil {
-			gcfg := rcfg
-			gcfg.BaseURL = gwURL
-			if *retries {
-				gcfg.Retry = retryClient(*seed)
-			}
-			var killed func()
-			if gwKiller != nil {
-				killed = gwKiller.schedule(time.Duration(float64(s.Duration()) / *speed))
-			}
-			gres, err := scenario.Replay(ctx, s, gcfg)
-			if killed != nil {
-				killed() // cancel timers, revive the victim for the next row
-			}
-			if err != nil {
-				return fmt.Errorf("gateway replay %s: %w", displayName, err)
-			}
-			if gres.Errors > 0 {
-				fmt.Fprintf(stderr, "  %d/%d gateway requests failed (timeout %d, shed %d, server %d, transport %d)\n",
-					gres.Errors, gres.Requests, gres.Failures.Timeout, gres.Failures.Shed, gres.Failures.Server, gres.Failures.Transport)
-			}
-			gspeed := 0.0
-			if res.LinesPerSec > 0 {
-				gspeed = gres.LinesPerSec / res.LinesPerSec
-			}
-			errRate := 0.0
-			if gres.Requests > 0 {
-				errRate = float64(gres.Errors) / float64(gres.Requests)
-			}
-			fmt.Fprintf(stderr, "  %s+gw: %.0f lines/s (%.2fx), client p99 %.1fms, errors %.2f%% (%d replicas)\n",
-				label, gres.LinesPerSec, gspeed, gres.ClientP99Ms, 100*errRate, *gatewayN)
-			gentry := gres.Entry(label + "+gw")
-			gentry.Extra["replicas"] = float64(*gatewayN)
-			gentry.Extra["error_rate"] = errRate
-			if gwKiller != nil {
-				gentry.Extra["replica_killed"] = 1
-			}
-			report.Entries = append(report.Entries, gentry)
-
-			if monitorSet[d.Name] {
-				if err := gwReset(); err != nil {
+			if tg.cascade != nil {
+				if err := tg.reg.SetCascade(core.DefaultModel, nil); err != nil {
 					return err
 				}
-				mcfg := rcfg
-				mcfg.BaseURL = gwURL
-				gmres, err := scenario.ReplayMonitor(ctx, s, mcfg)
-				if err != nil {
-					return fmt.Errorf("gateway monitor replay %s: %w", d.Name, err)
-				}
-				fmt.Fprintf(stderr, "  monitor+gw: %.0f lines/s, %d alerts, %d flagged traces\n",
-					gmres.LinesPerSec, gmres.Report.Alerts, gmres.Report.FlaggedTraces)
-				report.Entries = append(report.Entries, gmres.Entry(label+"+gw"))
 			}
 		}
-
-		for _, f := range fits {
-			report.Entries = append(report.Entries, baselineEntry(s, f.scorer, f.cutoff))
+		for _, fit := range fits {
+			report.Entries = append(report.Entries, fit(s))
 		}
 	}
 
@@ -505,112 +424,93 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// retryClient builds one replay's resilience client: deterministic backoff
-// schedule plus a Finagle-style retry budget, so a struggling server is never
-// hammered by its own benchmark.
-func retryClient(seed uint64) *resilience.Client {
-	return &resilience.Client{
-		Policy: resilience.DefaultPolicy(seed),
-		Budget: resilience.NewBudget(32, 0.1),
-	}
+// target is one server every scenario replays against, held as data so that
+// run drives each the same way: the single node, the single node with its
+// cascade gate armed (-cascade), or the gateway fleet (-gateway).
+type target struct {
+	suffix string // appended to the detector label in row names
+	url    string
+	// reg is the registry the target serves from, nil against a remote
+	// server. Its trace tracker is reset before each monitor replay, so
+	// repeated ingests of one stream (the paired rows, or the same scenario
+	// across runs) report comparable flagged-trace counts instead of
+	// latch-suppressed zeros.
+	reg *core.Registry
+	// cascade is armed in reg for the target's replays of each stream and
+	// disarmed after them; nil leaves reg's gate as it is.
+	cascade *cascade.Gate
+	// campaign is the fault campaign for one stream's detect replay, set
+	// in gate for that replay only; nil, or a false ok, replays clean.
+	campaign func(s *scenario.Stream) (plan faults.Config, ok bool)
+	gate     *faultGate
+	// columns are the target's own report columns, given the single
+	// node's result for the same stream.
+	columns func(s *scenario.Stream, single, res *scenario.Result) map[string]float64
 }
 
-// bootGatewayFleet builds the -gateway drill: n in-process replicas (each
-// its own registry and HTTP server, all serving the shared detector — batch
-// scoring is read-only) behind a gateway front. reset clears the front's
-// trace tracker, the fleet's only one. With kill armed, the last replica sits
-// behind a killGate blackhole.
-func bootGatewayFleet(det core.Detector, bcfg core.BatchConfig, n int, kill bool) (gwURL string, reset func() error, killer *killGate, cleanup func(), err error) {
-	var cleanups []func()
-	cleanup = func() {
-		for i := len(cleanups) - 1; i >= 0; i-- {
-			cleanups[i]()
-		}
+// serve starts h on a loopback port, appends its shutdown to stops, and
+// returns its base URL.
+func serve(h http.Handler, stops *[]func()) (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
 	}
-	fail := func(e error) (string, func() error, *killGate, func(), error) {
-		cleanup()
-		return "", nil, nil, nil, e
+	hsrv := &http.Server{Handler: h}
+	go hsrv.Serve(ln)
+	*stops = append(*stops, func() { hsrv.Close() })
+	return "http://" + ln.Addr().String(), nil
+}
+
+// bootNode serves det from a registry of its own, behind a faultGate, on a
+// loopback port, appending each shutdown to stops. The single node and each
+// fleet replica boot here.
+func bootNode(det core.Detector, bcfg core.BatchConfig, instance string, stops *[]func()) (*core.Registry, *faultGate, string, error) {
+	reg := core.NewRegistry()
+	if err := reg.Add(core.DefaultModel, det, bcfg); err != nil {
+		return nil, nil, "", err
 	}
+	srv := core.NewServerRegistry(reg)
+	srv.SetInstance(instance)
+	*stops = append(*stops, srv.Close)
+	gate := &faultGate{next: srv}
+	url, err := serve(gate, stops)
+	return reg, gate, url, err
+}
+
+// bootFleet boots the -gateway drill: n in-process replicas (all serving the
+// shared detector — batch scoring is read-only) behind a gateway front,
+// appending each shutdown to stops. reg is the front's registry, whose trace
+// tracker is the fleet's only one. victim is the first replica's gate, where
+// -gateway-kill's campaign goes: the front routes to the replica with the
+// least outstanding work and breaks ties in configuration order, so the
+// first replica is the one work meets.
+func bootFleet(det core.Detector, bcfg core.BatchConfig, n int, stops *[]func()) (url string, reg *core.Registry, victim *faultGate, err error) {
 	var urls []string
 	for i := 0; i < n; i++ {
-		reg := core.NewRegistry()
-		if err := reg.Add(core.DefaultModel, det, bcfg); err != nil {
-			return fail(err)
-		}
-		srv := core.NewServerRegistry(reg)
-		srv.SetInstance(fmt.Sprintf("r%d", i))
-		var h http.Handler = srv
-		if kill && i == n-1 {
-			killer = &killGate{next: srv}
-			h = killer
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		_, gate, u, err := bootNode(det, bcfg, fmt.Sprintf("r%d", i), stops)
 		if err != nil {
-			srv.Close()
-			return fail(err)
+			return "", nil, nil, err
 		}
-		hsrv := &http.Server{Handler: h}
-		go hsrv.Serve(ln)
-		urls = append(urls, "http://"+ln.Addr().String())
-		cleanups = append(cleanups, func() {
-			hsrv.Close()
-			srv.Close()
-		})
+		if i == 0 {
+			victim = gate
+		}
+		urls = append(urls, u)
 	}
 	gw, err := gateway.New(context.Background(), gateway.Config{Replicas: urls})
 	if err != nil {
-		return fail(err)
+		return "", nil, nil, err
 	}
-	cleanups = append(cleanups, gw.Close)
-	gln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
+	*stops = append(*stops, gw.Close)
+	if url, err = serve(gw, stops); err != nil {
+		return "", nil, nil, err
 	}
-	ghsrv := &http.Server{Handler: gw}
-	go ghsrv.Serve(gln)
-	cleanups = append(cleanups, func() { ghsrv.Close() })
-	reset = func() error { return gw.Registry().ResetMonitor(core.DefaultModel) }
-	return "http://" + gln.Addr().String(), reset, killer, cleanup, nil
+	return url, gw.Registry(), victim, nil
 }
 
-// killGate is the -gateway-kill blackhole: while dead, every connection is
-// hijacked and slammed shut (the gateway sees transport errors, exactly like
-// a crashed replica), falling back to 503 where hijacking is unavailable.
-type killGate struct {
-	next http.Handler
-	dead atomic.Bool
-}
-
-func (k *killGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if k.dead.Load() {
-		if hj, ok := w.(http.Hijacker); ok {
-			if conn, _, err := hj.Hijack(); err == nil {
-				conn.Close()
-				return
-			}
-		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-		return
-	}
-	k.next.ServeHTTP(w, r)
-}
-
-// schedule arms one replay's kill window — dead from 1/3 to 2/3 of the
-// compressed wall duration — and returns a func that cancels the timers and
-// revives the victim (idempotent; call it when the replay ends).
-func (k *killGate) schedule(wall time.Duration) func() {
-	killT := time.AfterFunc(wall/3, func() { k.dead.Store(true) })
-	reviveT := time.AfterFunc(2*wall/3, func() { k.dead.Store(false) })
-	return func() {
-		killT.Stop()
-		reviveT.Stop()
-		k.dead.Store(false)
-	}
-}
-
-// faultGate is the swap-in point for chaos campaigns: an atomically
-// replaceable fault injector in front of the in-process server, so each
-// scenario can arm its own deterministic campaign and clean replays pass
+// faultGate is the swap-in point for fault campaigns: an atomically
+// replaceable fault injector in front of an in-process server (the single
+// node for chaos replays, the first replica for -gateway-kill), so each
+// replay can arm its own deterministic campaign and clean replays pass
 // through untouched.
 type faultGate struct {
 	next http.Handler
@@ -718,8 +618,9 @@ func buildDetector(stderr io.Writer, load string, quantize bool, opts core.Optio
 // cascadeAgreement compares the paired replays of one stream: per-event
 // verdict agreement over events both runs answered, and whether the trace
 // policy flags exactly the same traces under either run's verdicts — the
-// parity contract the cascade is calibrated to hold.
-func cascadeAgreement(s *scenario.Stream, base, casc *scenario.Result) (float64, bool) {
+// parity contract the cascade is calibrated to hold. They are the cascade
+// row's verdict_agreement and trace_flags_equal (1 or 0) columns.
+func cascadeAgreement(s *scenario.Stream, base, casc *scenario.Result) map[string]float64 {
 	policy := core.DefaultTracePolicy()
 	both, same := 0, 0
 	jobs := map[int]int{}
@@ -742,10 +643,10 @@ func cascadeAgreement(s *scenario.Stream, base, casc *scenario.Result) (float64,
 			cascAnom[id]++
 		}
 	}
-	equal := true
+	equal := 1.0
 	for id, n := range jobs {
 		if policy.Flagged(n, baseAnom[id]) != policy.Flagged(n, cascAnom[id]) {
-			equal = false
+			equal = 0
 			break
 		}
 	}
@@ -753,7 +654,7 @@ func cascadeAgreement(s *scenario.Stream, base, casc *scenario.Result) (float64,
 	if both > 0 {
 		agree = float64(same) / float64(both)
 	}
-	return agree, equal
+	return map[string]float64{"verdict_agreement": agree, "trace_flags_equal": equal}
 }
 
 // baselineEntry scores one stream with a fitted seed baseline and packages

@@ -52,18 +52,19 @@ var servedTiming = []string{
 }
 
 // TestRunSmoke is the serving stack's smoke gate: one small detector, trained
-// once, replayed through the four loadlab configurations (plain, cascade
-// pairs, chaos, gateway fleet) at seconds scale, every deterministic report
-// column pinned. The detector is the cascade drill's recipe (1000-genome,
-// seed 9 — also internal/core's cached fixture) because it raises alerts: on
-// the earlier predict-future-sales recipe the monitor rows read 0 alerts and
-// 0 flagged traces, so fleet-vs-single-node parity compared nothing. The
+// once, replayed through the five loadlab configurations (plain, cascade
+// pairs, chaos, gateway fleet, gateway fleet with a replica killed) at
+// seconds scale, every deterministic report column pinned. The detector is
+// the cascade drill's recipe (1000-genome, seed 9 — also internal/core's
+// cached fixture) because it raises alerts: on the earlier
+// predict-future-sales recipe the monitor rows read 0 alerts and 0 flagged
+// traces, so fleet-vs-single-node parity compared nothing. The
 // pinned values are the cascade config's 2026-08-08 baseline
 // (`git show c02e048:cascade-smoke-baseline.json`), which the plain and
 // gateway rows reproduce column for column.
 func TestRunSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains a detector and replays four configurations")
+		t.Skip("trains a detector and replays five configurations")
 	}
 	det, _, err := core.Train(core.Options{
 		Approach: core.SFT, Workflow: flowbench.Genome, Model: "distilbert-base-uncased",
@@ -119,6 +120,16 @@ func TestRunSmoke(t *testing.T) {
 	fleetSpeed := "2"
 	if raceEnabled {
 		fleetSpeed = "0.25"
+	}
+	// The fleet-merged monitor verdicts must be the single node's, and must
+	// be verdicts: 0 == 0 compares nothing.
+	fleetMonitorParity := func(t *testing.T, got map[string]map[string]float64) {
+		single, gw := got["LoadLabMonitor/steady/sft"], got["LoadLabMonitor/steady/sft+gw"]
+		for _, key := range []string{"alerts", "flagged_traces"} {
+			if gw[key] != single[key] || gw[key] <= 0 {
+				t.Errorf("monitor %s: %v through the gateway, %v single-node; want equal and > 0", key, gw[key], single[key])
+			}
+		}
 	}
 
 	for _, row := range []struct {
@@ -204,15 +215,35 @@ func TestRunSmoke(t *testing.T) {
 				"LoadLab/near-dup/sft":         nearDup,
 				"LoadLab/near-dup/sft+gw":      fleet(nearDup),
 			},
+			check: fleetMonitorParity,
+		},
+		{
+			// Every forward to the first replica, the one the front feeds
+			// first, is reset for the middle third of the fleet replay. The
+			// front re-sends each reset batch to a survivor, so no request
+			// fails (error_rate 0 in 10 plain and 3 race runs). The monitor
+			// replay runs after the kill window.
+			name: "gateway-kill",
+			args: []string{"-speed", fleetSpeed, "-scenarios", "steady", "-gateway", "3", "-gateway-kill", "-baselines", "none"},
+			want: map[string]pins{
+				"LoadLab/steady/sft":           steady,
+				"LoadLabMonitor/steady/sft":    monitor,
+				"LoadLab/steady/sft+gw":        {"events": 200, "requests": 200, "replicas": 3, "replica_killed": 1, "error_rate": 0},
+				"LoadLabMonitor/steady/sft+gw": monitor,
+			},
 			check: func(t *testing.T, got map[string]map[string]float64) {
-				// The fleet-merged monitor verdicts must be the single node's,
-				// and must be verdicts: 0 == 0 compares nothing.
-				single, gw := got["LoadLabMonitor/steady/sft"], got["LoadLabMonitor/steady/sft+gw"]
-				for _, key := range []string{"alerts", "flagged_traces"} {
-					if gw[key] != single[key] || gw[key] <= 0 {
-						t.Errorf("monitor %s: %v through the gateway, %v single-node; want equal and > 0", key, gw[key], single[key])
-					}
+				row := got["LoadLab/steady/sft+gw"]
+				t.Logf("kill drill: %v faults injected, error rate %v", row["faults_injected"], row["error_rate"])
+				// Five failed forwards in a row open a replica's breaker
+				// (gateway.Config's default BreakerThreshold), so fewer resets
+				// mean the breaker never opened: the kill missed the work.
+				if row["faults_injected"] < 5 {
+					t.Errorf("%v forwards reached the killed replica, want at least 5 to open its breaker", row["faults_injected"])
 				}
+				if row["error_rate"] > 0.25 {
+					t.Errorf("error rate %.2f exceeds 0.25 with one of three replicas killed", row["error_rate"])
+				}
+				fleetMonitorParity(t, got)
 			},
 		},
 	} {
@@ -294,6 +325,14 @@ func retireGate(t *testing.T, path string) {
 	binary.LittleEndian.PutUint32(art[len(art)-4:], crc32.ChecksumIEEE(art[:len(art)-4]))
 	if err := os.WriteFile(path, art, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRunGatewayKillNeedsGateway(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-gateway-kill"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "-gateway-kill needs -gateway") {
+		t.Fatalf("err = %v, want a refusal naming -gateway-kill", err)
 	}
 }
 

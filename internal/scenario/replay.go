@@ -203,24 +203,12 @@ func Replay(ctx context.Context, s *Stream, cfg ReplayConfig) (*Result, error) {
 	reqDegraded := make([]bool, len(reqs))
 
 	var wg sync.WaitGroup
-	//lint:ignore determinism open-loop replay paces arrivals on the wall clock by design; generation stays seeded
-	start := time.Now()
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	if !timer.Stop() {
-		<-timer.C
-	}
+	p := newPacer(cfg.Speed)
+	defer p.stop()
 	for ri, rq := range reqs {
-		due := start.Add(time.Duration(float64(rq.at) / cfg.Speed))
-		//lint:ignore determinism open-loop replay paces arrivals on the wall clock by design; generation stays seeded
-		if wait := time.Until(due); wait > 0 {
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				wg.Wait()
-				return nil, ctx.Err()
-			}
+		if err := p.wait(ctx, rq.at); err != nil {
+			wg.Wait()
+			return nil, err
 		}
 		wg.Add(1)
 		go func(ri int, rq request) {
@@ -229,11 +217,9 @@ func Replay(ctx context.Context, s *Stream, cfg ReplayConfig) (*Result, error) {
 			for k := 0; k < rq.n; k++ {
 				sentences[k] = logparse.Sentence(s.Events[rq.first+k].Job)
 			}
-			//lint:ignore determinism wall-clock latency measurement of the replayed request; a measurement, not scenario bytes
-			t0 := time.Now()
+			t0 := p.elapsed()
 			br, err := postBatch(ctx, cfg, sentences)
-			//lint:ignore determinism wall-clock latency measurement of the replayed request; a measurement, not scenario bytes
-			latencies[ri] = float64(time.Since(t0)) / float64(time.Millisecond)
+			latencies[ri] = float64(p.elapsed()-t0) / float64(time.Millisecond)
 			if err != nil || len(br.Results) != rq.n {
 				reqFail[ri] = classifyFailure(err)
 				return
@@ -248,8 +234,7 @@ func Replay(ctx context.Context, s *Stream, cfg ReplayConfig) (*Result, error) {
 		}(ri, rq)
 	}
 	wg.Wait()
-	//lint:ignore determinism wall-clock latency measurement of the replayed request; a measurement, not scenario bytes
-	wall := time.Since(start)
+	wall := p.elapsed()
 
 	res := &Result{
 		Scenario:    s.Name,
@@ -293,7 +278,7 @@ func Replay(ctx context.Context, s *Stream, cfg ReplayConfig) (*Result, error) {
 		var pre, during, post []float64
 		offsets := make([]float64, len(reqs))
 		for ri, rq := range reqs {
-			sched := time.Duration(float64(rq.at) / cfg.Speed)
+			sched := p.offset(rq.at)
 			offsets[ri] = float64(sched) / float64(time.Millisecond)
 			switch {
 			case sched < w.Start:
@@ -318,6 +303,53 @@ func Replay(ctx context.Context, s *Stream, cfg ReplayConfig) (*Result, error) {
 	}
 	return res, nil
 }
+
+// pacer is the open-loop clock Replay and ReplayMonitor share: it releases
+// each arrival at its scheduled offset from the pacer's start, compressed by
+// speed, whether or not earlier arrivals have been answered, and measures
+// the wall time the replay and each request take.
+type pacer struct {
+	start time.Time
+	speed float64
+	timer *time.Timer
+}
+
+func newPacer(speed float64) *pacer {
+	//lint:ignore determinism open-loop replay paces arrivals on the wall clock by design; generation stays seeded
+	p := &pacer{start: time.Now(), speed: speed, timer: time.NewTimer(0)}
+	if !p.timer.Stop() {
+		<-p.timer.C
+	}
+	return p
+}
+
+// offset is when the arrival scheduled at at is due, in compressed
+// (wall-clock) time since the pacer started.
+func (p *pacer) offset(at time.Duration) time.Duration {
+	return time.Duration(float64(at) / p.speed)
+}
+
+// wait blocks until the arrival scheduled at at is due, or ctx ends. Only
+// one goroutine may wait on a pacer.
+func (p *pacer) wait(ctx context.Context, at time.Duration) error {
+	if d := p.offset(at) - p.elapsed(); d > 0 {
+		p.timer.Reset(d)
+		select {
+		case <-p.timer.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// elapsed is the wall time since the pacer started. Safe for concurrent use.
+func (p *pacer) elapsed() time.Duration {
+	//lint:ignore determinism wall-clock measurement of the replay and its requests; a measurement, not scenario bytes
+	return time.Since(p.start)
+}
+
+func (p *pacer) stop() { p.timer.Stop() }
 
 // drainRecovery computes PhaseLatencies.RecoveryMs from per-request
 // scheduled offsets and latencies (both in milliseconds). A request
@@ -369,25 +401,13 @@ func ReplayMonitor(ctx context.Context, s *Stream, cfg ReplayConfig) (*MonitorRe
 		return nil, fmt.Errorf("scenario: replaying empty stream %q", s.Name)
 	}
 	pr, pw := io.Pipe()
-	//lint:ignore determinism open-loop replay paces arrivals on the wall clock by design; generation stays seeded
-	start := time.Now()
+	p := newPacer(cfg.Speed)
 	go func() {
-		timer := time.NewTimer(0)
-		defer timer.Stop()
-		if !timer.Stop() {
-			<-timer.C
-		}
+		defer p.stop()
 		for _, ev := range s.Events {
-			due := start.Add(time.Duration(float64(ev.At) / cfg.Speed))
-			//lint:ignore determinism open-loop replay paces arrivals on the wall clock by design; generation stays seeded
-			if wait := time.Until(due); wait > 0 {
-				timer.Reset(wait)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					pw.CloseWithError(ctx.Err())
-					return
-				}
+			if err := p.wait(ctx, ev.At); err != nil {
+				pw.CloseWithError(err)
+				return
 			}
 			if _, err := io.WriteString(pw, ev.Line+"\n"); err != nil {
 				return // server went away; the POST below reports it
@@ -414,8 +434,7 @@ func ReplayMonitor(ctx context.Context, s *Stream, cfg ReplayConfig) (*MonitorRe
 	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		return nil, err
 	}
-	//lint:ignore determinism wall-clock latency measurement of the replayed request; a measurement, not scenario bytes
-	wall := time.Since(start)
+	wall := p.elapsed()
 	out := &MonitorResult{
 		Scenario:    s.Name,
 		Events:      len(s.Events),
