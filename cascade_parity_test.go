@@ -109,21 +109,27 @@ func TestCascadeParityEndToEnd(t *testing.T) {
 			lines.WriteString(ev.Line)
 			lines.WriteByte('\n')
 		}
-		monFlags := func(g *cascade.Gate) (map[int]bool, core.MonitorReport) {
+		monFlags := func(g *cascade.Gate) (map[int]bool, core.EngineStats) {
 			flagged := make(map[int]bool)
-			report, err := core.MonitorWith(ctx, det, strings.NewReader(lines.String()), core.MonitorConfig{
-				ChunkSize: 64,
-				Gate:      g,
-				Sinks:     []core.AlertSink{core.SinkFuncs{OnTrace: func(v core.TraceVerdict) { flagged[v.TraceID] = true }}},
-			})
+			mon := core.NewServerWith(det, core.BatchConfig{MaxBatch: 64})
+			defer mon.Close()
+			if err := mon.Registry().SetCascade("", g); err != nil {
+				t.Fatal(err)
+			}
+			_, err := mon.MonitorIngest(ctx, strings.NewReader(lines.String()), false,
+				core.SinkFuncs{OnTrace: func(v core.TraceVerdict) { flagged[v.TraceID] = true }})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return flagged, report
+			st, err := mon.Registry().Stats("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return flagged, st
 		}
 		mBase, _ := monFlags(nil)
-		mCasc, mReport := monFlags(gate)
-		if mReport.CascadeEvaluated == 0 {
+		mCasc, mStats := monFlags(gate)
+		if mStats.CascadeEvaluated == 0 {
 			t.Errorf("%s: monitor gate never evaluated", d.Name)
 		}
 		if len(mBase) != len(mCasc) {

@@ -32,7 +32,9 @@ func main() {
 	fmt.Printf("detector trained: %d params, held-out %s\n\n", report.Params, report.Test)
 
 	// 2. Serve it over HTTP and query like a monitoring agent would.
-	srv := httptest.NewServer(core.NewServer(det))
+	svc := core.NewServer(det)
+	defer svc.Close()
+	srv := httptest.NewServer(svc)
 	defer srv.Close()
 	ds := flowbench.Generate(flowbench.Genome, 7).Subsample(10, 10, 40, 8)
 
@@ -49,18 +51,17 @@ func main() {
 	fmt.Printf("POST /v1/detect -> %s (score %.3f; true %s)\n\n",
 		out.Category, out.Score, logparse.LabelWord(ds.Test[0].Label))
 
-	// 3. Stream a log through the monitor and alert on anomalies.
+	// 3. Stream a log through the same server's monitor (what POST
+	// /v1/monitor runs) and alert on anomalies.
 	var logBuf bytes.Buffer
 	for _, j := range ds.Test {
 		logBuf.WriteString(logparse.LogLine(j))
 		logBuf.WriteByte('\n')
 	}
-	fmt.Println("streaming the execution log through core.MonitorWith:")
-	mrep, err := core.MonitorWith(context.Background(), det, &logBuf, core.MonitorConfig{
-		Sinks: []core.AlertSink{core.SinkFuncs{OnAlert: func(a core.Alert) {
-			fmt.Printf("  ALERT %s: %s\n", a.Result, truncate(logparse.Sentence(a.Job), 60))
-		}}},
-	})
+	fmt.Println("streaming the execution log through the server's MonitorIngest:")
+	mrep, err := svc.MonitorIngest(context.Background(), &logBuf, false, core.SinkFuncs{OnAlert: func(a core.Alert) {
+		fmt.Printf("  ALERT %s: %s\n", a.Result, truncate(logparse.Sentence(a.Job), 60))
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,10 +42,8 @@ import (
 	"path/filepath"
 
 	"repro/internal/cascade"
-	"repro/internal/icl"
 	"repro/internal/nn"
 	"repro/internal/prompt"
-	"repro/internal/sft"
 	"repro/internal/tensor"
 	"repro/internal/tokenizer"
 	"repro/internal/transformer"
@@ -80,14 +78,15 @@ type iclMeta struct {
 
 // loraShape inspects a model for LoRA-wrapped attention projections (the
 // Wq/Wv target set ApplyLoRA installs) and returns the adapter shape needed
-// to reconstruct an identical parameter layout at load time.
-func loraShape(m *transformer.Model) (rank int, scale float32, applied bool) {
+// to reconstruct an identical parameter layout at load time: rank 0 when the
+// model has none.
+func loraShape(m *transformer.Model) (rank int, scale float32) {
 	for _, b := range m.Blocks {
 		if l, ok := b.Attn.Wq.(*nn.LoRALinear); ok {
-			return l.Rank, l.Scale, true
+			return l.Rank, l.Scale
 		}
 	}
-	return 0, 0, false
+	return 0, 0
 }
 
 // applyLoRAShape re-installs rank-r adapters on a freshly built model so its
@@ -113,26 +112,16 @@ func applyLoRAShape(m *transformer.Model, rank int, scale float32) {
 // produced by this package (Train, NewSFTDetector, NewICLDetector,
 // loadDetector) can be saved; foreign Detector implementations are rejected.
 func saveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
-	var (
-		approach Approach
-		model    *transformer.Model
-		tok      *tokenizer.Tokenizer
-		meta     interface{}
-	)
-	switch d := det.(type) {
-	case *sftDetector:
-		approach, model, tok = SFT, d.clf.Model, d.clf.Tok
-		meta = struct{}{}
-	case *iclDetector:
-		approach, model, tok = ICL, d.det.Model, d.det.Tok
-		rank, scale, applied := loraShape(model)
-		im := iclMeta{Examples: d.examples}
-		if applied {
-			im.LoRARank, im.LoRAScale = rank, scale
-		}
-		meta = im
-	default:
+	d, ok := det.(*localDetector)
+	if !ok {
 		return fmt.Errorf("core: cannot save detector of type %T (not produced by core.Train or core.LoadDetectorFile)", det)
+	}
+	approach, model, tok := d.approach, d.model, d.tok
+	var meta any = struct{}{}
+	if approach == ICL {
+		im := iclMeta{Examples: d.examples}
+		im.LoRARank, im.LoRAScale = loraShape(model)
+		meta = im
 	}
 
 	precision := PrecisionFP32
@@ -313,18 +302,7 @@ func loadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 
 	// Seed is irrelevant: every parameter is overwritten by Load below.
 	model := transformer.New(cfg, tensor.NewRNG(1))
-	// loadWeights restores the model's parameters for either precision. For
-	// int8 artifacts the quantized projections install first, so the fp32
-	// stream's parameter walk matches the residue the artifact carries.
-	loadWeights := func() error {
-		if precision == PrecisionInt8 {
-			if err := model.LoadQuantized(bytes.NewReader(quantized)); err != nil {
-				return err
-			}
-		}
-		return model.Load(bytes.NewReader(weights))
-	}
-	var det Detector
+	var meta iclMeta
 	switch approach {
 	case SFT:
 		// The SFT detector serves normal/abnormal; a wider head (the
@@ -332,12 +310,7 @@ func loadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 		if k := model.Config.NumClasses; k != 2 {
 			return nil, nil, fmt.Errorf("core: SFT artifact has a %d-class head, want 2", k)
 		}
-		if err := loadWeights(); err != nil {
-			return nil, nil, err
-		}
-		det = NewSFTDetector(sft.NewClassifier(model, tok))
 	default: // ICL, validated above
-		var meta iclMeta
 		if err := json.Unmarshal(metaJSON, &meta); err != nil {
 			return nil, nil, fmt.Errorf("core: decoding ICL metadata: %w", err)
 		}
@@ -346,12 +319,18 @@ func loadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 		if meta.LoRARank > 0 && precision == PrecisionFP32 {
 			applyLoRAShape(model, meta.LoRARank, meta.LoRAScale)
 		}
-		if err := loadWeights(); err != nil {
+	}
+	// For int8 artifacts the quantized projections install first, so the fp32
+	// stream's parameter walk matches the residue the artifact carries.
+	if precision == PrecisionInt8 {
+		if err := model.LoadQuantized(bytes.NewReader(quantized)); err != nil {
 			return nil, nil, err
 		}
-		det = NewICLDetector(icl.NewDetector(model, tok), meta.Examples)
 	}
-	return det, gate, gateErr
+	if err := model.Load(bytes.NewReader(weights)); err != nil {
+		return nil, nil, err
+	}
+	return newLocalDetector(approach, model, tok, meta.Examples), gate, gateErr
 }
 
 // decodeGate rebuilds the stage-1 gate from a cascade section's JSON.

@@ -214,37 +214,38 @@ func TestCascadeCountersReset(t *testing.T) {
 
 // TestCascadeMonitorParity: the monitor chunk path with a gate produces the
 // same alerts and flagged traces as without one (the gate passes everything
-// it was calibrated to protect), while the report shows stage 1 absorbing
-// part of the stream.
+// it was calibrated to protect), while the model's stats show stage 1
+// absorbing part of the stream.
 func TestCascadeMonitorParity(t *testing.T) {
 	jobs, verdicts := cascadeTestJobs(128, 8)
 	g := testCascadeGate(t, jobs, verdicts)
 
-	run := func(gate *cascade.Gate) (MonitorReport, []string, []int) {
+	run := func(gate *cascade.Gate) (MonitorReport, EngineStats, []string, []int) {
 		var alerts []string
 		var flagged []int
-		report, err := MonitorWith(context.Background(), markDetector{}, strings.NewReader(logOf(jobs)), MonitorConfig{
-			ChunkSize: 16,
-			Gate:      gate,
-			Sinks: []AlertSink{SinkFuncs{
-				OnAlert: func(a Alert) { alerts = append(alerts, a.Line) },
-				OnTrace: func(v TraceVerdict) { flagged = append(flagged, v.TraceID) },
-			}},
+		s := servedModel(t, markDetector{}, BatchConfig{MaxBatch: 16}, gate)
+		report, err := s.MonitorIngest(context.Background(), strings.NewReader(logOf(jobs)), false, SinkFuncs{
+			OnAlert: func(a Alert) { alerts = append(alerts, a.Line) },
+			OnTrace: func(v TraceVerdict) { flagged = append(flagged, v.TraceID) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return report, alerts, flagged
+		st, err := s.Registry().Stats("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report, st, alerts, flagged
 	}
 
-	base, baseAlerts, baseFlagged := run(nil)
-	casc, cascAlerts, cascFlagged := run(g)
+	base, baseSt, baseAlerts, baseFlagged := run(nil)
+	casc, cascSt, cascAlerts, cascFlagged := run(g)
 
-	if base.CascadeEvaluated != 0 || base.CascadeShort != 0 {
-		t.Fatalf("gate-free monitor reported cascade counters: %+v", base)
+	if baseSt.CascadeEvaluated != 0 || baseSt.CascadeShort != 0 {
+		t.Fatalf("gate-free monitor counted cascade traffic: %+v", baseSt)
 	}
-	if casc.CascadeEvaluated == 0 || casc.CascadeShort == 0 {
-		t.Fatalf("gated monitor never short-circuited: %+v", casc)
+	if cascSt.CascadeEvaluated == 0 || cascSt.CascadeShort == 0 {
+		t.Fatalf("gated monitor never short-circuited: %+v", cascSt)
 	}
 	if casc.Processed != base.Processed || casc.Malformed != base.Malformed {
 		t.Fatalf("gated monitor processed %d/%d, base %d/%d",

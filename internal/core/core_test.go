@@ -176,9 +176,8 @@ func TestMonitorStream(t *testing.T) {
 	}
 	buf.WriteString("\n") // blank lines are skipped
 	var alerts []Alert
-	report, err := MonitorWith(context.Background(), det, &buf, MonitorConfig{
-		Sinks: []AlertSink{SinkFuncs{OnAlert: func(a Alert) { alerts = append(alerts, a) }}},
-	})
+	report, _, err := monitorServed(t, context.Background(), det, BatchConfig{}, &buf, false,
+		SinkFuncs{OnAlert: func(a Alert) { alerts = append(alerts, a) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestMonitorStream(t *testing.T) {
 func TestMonitorParseError(t *testing.T) {
 	det, _ := detector(t)
 	r := strings.NewReader("not_a_log_line\n")
-	_, err := MonitorWith(context.Background(), det, r, MonitorConfig{Strict: true})
+	_, _, err := monitorServed(t, context.Background(), det, BatchConfig{}, r, true)
 	if err == nil || !strings.Contains(err.Error(), "line 1") {
 		t.Fatalf("err = %v", err)
 	}

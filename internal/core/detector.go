@@ -23,6 +23,8 @@ import (
 	"repro/internal/prompt"
 	"repro/internal/sft"
 	"repro/internal/tensor"
+	"repro/internal/tokenizer"
+	"repro/internal/transformer"
 )
 
 // Approach selects the detection method.
@@ -92,76 +94,74 @@ type Detector interface {
 	DetectSentence(sentence string) Result
 }
 
-// sftDetector adapts an sft.Classifier.
-type sftDetector struct {
-	clf *sft.Classifier
+// localDetector is the in-process Detector of either approach: the model and
+// tokenizer it serves, the few-shot examples an ICL detector prompts with
+// (nil for SFT), and classify, the approach's batched call, bound at
+// construction. Its verdict for a sentence is a function of
+// tokenizer.Tokenize(sentence) alone — SFT encodes exactly those tokens, and
+// the ICL prompt appends the query after a space, so its tokens continue the
+// prefix's — which is why an engine memoizes it (memo.go).
+type localDetector struct {
+	approach Approach
+	model    *transformer.Model
+	tok      *tokenizer.Tokenizer
+	examples []prompt.Example
+	classify func(sentences []string, ws *tensor.Workspace) ([]int, [][2]float32)
+}
+
+// newLocalDetector binds the approach's batched call over model and tok. An
+// ICL detector builds its few-shot context's KV cache on first use and
+// shares it with every later, possibly concurrent, call.
+func newLocalDetector(approach Approach, model *transformer.Model, tok *tokenizer.Tokenizer, examples []prompt.Example) *localDetector {
+	d := &localDetector{approach: approach, model: model, tok: tok, examples: examples}
+	if approach == SFT {
+		d.classify = sft.NewClassifier(model, tok).PredictBatchWS
+		return d
+	}
+	det := icl.NewDetector(model, tok)
+	cache := sync.OnceValue(func() *icl.PromptCache { return det.NewPromptCache(examples) })
+	d.classify = func(sentences []string, ws *tensor.Workspace) ([]int, [][2]float32) {
+		return det.ClassifyBatchCachedWS(cache(), sentences, ws)
+	}
+	return d
 }
 
 // NewSFTDetector wraps a fine-tuned classifier as a Detector.
-func NewSFTDetector(clf *sft.Classifier) Detector { return &sftDetector{clf: clf} }
-
-func (d *sftDetector) Detect(sentences []string, ws *tensor.Workspace) ([]Result, error) {
-	if ws == nil {
-		ws = tensor.GetWorkspace()
-		defer tensor.PutWorkspace(ws)
-	}
-	labels, probs := d.clf.PredictBatchWS(sentences, ws)
-	return toResults(labels, probs), nil
-}
-
-func (d *sftDetector) DetectBatch(sentences []string) []Result {
-	res, _ := d.Detect(sentences, nil) // an in-process model never fails
-	return res
-}
-
-func (d *sftDetector) DetectSentence(sentence string) Result {
-	return d.DetectBatch([]string{sentence})[0]
-}
-
-func (d *sftDetector) Approach() Approach { return SFT }
-
-func (d *sftDetector) Precision() Precision {
-	if d.clf.Model.IsQuantized() {
-		return PrecisionInt8
-	}
-	return PrecisionFP32
-}
-
-// iclDetector adapts an icl.Detector with a fixed few-shot context. The
-// context's KV cache is built lazily on first use and shared by all
-// subsequent (possibly concurrent) Detect calls.
-type iclDetector struct {
-	det      *icl.Detector
-	examples []prompt.Example
-
-	cacheOnce sync.Once
-	cache     *icl.PromptCache
+func NewSFTDetector(clf *sft.Classifier) Detector {
+	return newLocalDetector(SFT, clf.Model, clf.Tok, nil)
 }
 
 // NewICLDetector wraps a prompted decoder as a Detector with the given
 // in-context examples.
 func NewICLDetector(det *icl.Detector, examples []prompt.Example) Detector {
-	return &iclDetector{det: det, examples: examples}
+	return newLocalDetector(ICL, det.Model, det.Tok, examples)
 }
 
-func (d *iclDetector) Detect(sentences []string, ws *tensor.Workspace) ([]Result, error) {
+func (d *localDetector) Detect(sentences []string, ws *tensor.Workspace) ([]Result, error) {
 	if ws == nil {
 		ws = tensor.GetWorkspace()
 		defer tensor.PutWorkspace(ws)
 	}
-	//lint:ignore hotalloc the closure escapes only on the first-call init; Once.Do's fast path keeps it on the stack
-	d.cacheOnce.Do(func() { d.cache = d.det.NewPromptCache(d.examples) })
-	labels, probs := d.det.ClassifyBatchCachedWS(d.cache, sentences, ws)
+	labels, probs := d.classify(sentences, ws)
 	return toResults(labels, probs), nil
 }
 
-func (d *iclDetector) DetectBatch(sentences []string) []Result {
+func (d *localDetector) DetectBatch(sentences []string) []Result {
 	res, _ := d.Detect(sentences, nil) // an in-process model never fails
 	return res
 }
 
-func (d *iclDetector) DetectSentence(sentence string) Result {
+func (d *localDetector) DetectSentence(sentence string) Result {
 	return d.DetectBatch([]string{sentence})[0]
+}
+
+func (d *localDetector) Approach() Approach { return d.approach }
+
+func (d *localDetector) Precision() Precision {
+	if d.model.IsQuantized() {
+		return PrecisionInt8
+	}
+	return PrecisionFP32
 }
 
 // toResults pairs predicted labels with their abnormal-class probabilities.
@@ -171,15 +171,6 @@ func toResults(labels []int, probs [][2]float32) []Result {
 		out[i] = Result{Label: labels[i], Score: float64(probs[i][1])}
 	}
 	return out
-}
-
-func (d *iclDetector) Approach() Approach { return ICL }
-
-func (d *iclDetector) Precision() Precision {
-	if d.det.Model.IsQuantized() {
-		return PrecisionInt8
-	}
-	return PrecisionFP32
 }
 
 // QuantizeDetector converts a trained (or loaded) detector to int8 serving
@@ -193,16 +184,12 @@ func QuantizeDetector(det Detector) (Detector, error) {
 	if det.Precision() == PrecisionInt8 {
 		return nil, fmt.Errorf("core: detector is already int8-quantized")
 	}
-	switch d := det.(type) {
-	case *sftDetector:
-		d.clf.Model.QuantizeInt8(0)
-		return NewSFTDetector(d.clf), nil
-	case *iclDetector:
-		d.det.Model.QuantizeInt8(0)
-		return NewICLDetector(d.det, d.examples), nil
-	default:
+	d, ok := det.(*localDetector)
+	if !ok {
 		return nil, fmt.Errorf("core: cannot quantize detector of type %T (not produced by core.Train or core.LoadDetectorFile)", det)
 	}
+	d.model.QuantizeInt8(0)
+	return newLocalDetector(d.approach, d.model, d.tok, d.examples), nil
 }
 
 // Options configures the end-to-end Train pipeline.

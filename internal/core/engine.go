@@ -118,8 +118,8 @@ func (j *detectJob) wait() (results []Result, degraded bool, err error) {
 // engine is one served model: a job queue and a pool of workers that form
 // their own batches from it and own tensor workspaces, plus the serving state
 // of the model — its name, trace tracker, stats, cascade gate (also its
-// brownout tier) and brownout state. A Registry slot is its engine;
-// MonitorWith runs an unnamed one for the length of a run.
+// brownout tier) and brownout state. A Registry slot is its engine, and
+// Registry.Add is the only place one starts.
 //
 // Lifecycle: newEngine starts the goroutines; Close drains queued jobs, waits
 // for in-flight batches to finish, and releases the workers. After Close,
@@ -128,10 +128,10 @@ type engine struct {
 	name    string
 	model   Model
 	cfg     BatchConfig
-	tracker *TraceTracker // the model's online trace windows, across monitor ingests
+	tracker *traceTracker // the model's online trace windows, across monitor ingests
 	stats   statsRecorder
 	gate    atomic.Pointer[cascade.Gate] // nil: cascade off, no brownout tier
-	memo    *verdictMemo                 // nil: model is not tokenKeyed
+	memo    *verdictMemo                 // nil: model is not a localDetector
 	brown   brownout
 	jobs    chan *detectJob // the whole backlog: nothing waits anywhere else
 
@@ -147,7 +147,7 @@ func newEngine(name string, m Model, cfg BatchConfig) *engine {
 		name:    name,
 		model:   m,
 		cfg:     cfg,
-		tracker: NewTraceTracker(DefaultTracePolicy(), 0),
+		tracker: newTraceTracker(DefaultTracePolicy(), 0),
 		brown: brownout{
 			high: cfg.BrownoutDepth,
 			low:  cfg.BrownoutDepth / 2,
@@ -155,7 +155,7 @@ func newEngine(name string, m Model, cfg BatchConfig) *engine {
 		},
 		jobs: make(chan *detectJob, cfg.QueueDepth),
 	}
-	if _, ok := m.(tokenKeyed); ok {
+	if _, ok := m.(*localDetector); ok {
 		e.memo = newVerdictMemo()
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -339,7 +339,7 @@ type batchWorker struct {
 //     identical workers);
 //  2. the cascade gate, when armed, short-circuits each distinct string in
 //     its confident band to the gate's verdict;
-//  3. the token memo, when the detector is tokenKeyed: of the strings the
+//  3. the token memo, when the model is in-process: of the strings the
 //     gate passed, those that tokenize alike are answered once, and a token
 //     sequence an earlier batch answered is answered from the memo;
 //  4. the model call, in MaxBatch chunks, for what is left; the memo keeps

@@ -13,31 +13,19 @@ import (
 //
 // The tokenizer buckets every numeral into a quarter-decade magnitude token,
 // so log lines whose strings differ often read the same to the model
-// (docs/PERFORMANCE.md measures how often). A detector whose verdict is a
-// function of its input's tokens declares it (tokenKeyed), and its engine
-// keeps a bounded memo from a line's token sequence to the model's Result,
-// in front of the model call and behind the cascade gate. It is Clipper's
-// prediction cache (Crankshaw et al., NSDI 2017), keyed by what the model
-// reads rather than by the raw bytes.
+// (docs/PERFORMANCE.md measures how often). The engine of an in-process
+// detector, whose verdict is a function of its input's tokens
+// (localDetector), keeps a bounded memo from a line's token sequence to the
+// model's Result, in front of the model call and behind the cascade gate. It
+// is Clipper's prediction cache (Crankshaw et al., NSDI 2017), keyed by what
+// the model reads rather than by the raw bytes. A fleet front's model gets
+// none: its answers carry its replicas' gate verdicts.
 //
 // It sits behind the gate because the gate is not a function of the key:
 // logparse.ScanSentence is case-sensitive and rejects a value like "6.0,",
 // where Tokenize lowercases and splits the comma off, so two lines with one
 // key can take different gate routes. The memo holds model verdicts only,
 // and a line the gate answers never reaches it.
-
-// tokenKeyed is implemented by detectors whose verdict for a sentence is a
-// function of tokenizer.Tokenize(sentence) alone: the built-in SFT and ICL
-// detectors, which encode exactly those tokens (the ICL prompt appends the
-// query after a space, so its tokens continue the prefix's). An engine
-// memoizes only these. A fleet front's model is not one of them: its
-// answers carry its replicas' gate verdicts.
-type tokenKeyed interface {
-	tokenKeyed()
-}
-
-func (*sftDetector) tokenKeyed() {}
-func (*iclDetector) tokenKeyed() {}
 
 // A memo key is a sentence's tokenizer.Tokenize tokens, each coded as one
 // byte when memoDict holds it (the magnitude buckets, the feature names, "is":

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cascade"
 	"repro/internal/flowbench"
+	"repro/internal/icl"
 	"repro/internal/logparse"
 )
 
@@ -166,8 +167,10 @@ func referenceAnswers(art []byte, chunks [][]string) map[string]Result {
 		panic(err)
 	}
 	alone := func(s string) Result { return ref.DetectBatch([]string{s})[0] }
-	if d, ok := ref.(*iclDetector); ok {
-		alone = func(s string) Result { return NewICLDetector(d.det, d.examples).DetectBatch([]string{s})[0] }
+	if d := ref.(*localDetector); d.approach == ICL {
+		alone = func(s string) Result {
+			return NewICLDetector(icl.NewDetector(d.model, d.tok), d.examples).DetectBatch([]string{s})[0]
+		}
 	}
 	want := map[string]Result{}
 	for _, c := range chunks {

@@ -31,11 +31,11 @@ func servedConfusion(det Detector, jobs []flowbench.Job) metrics.Confusion {
 // verdicts the service would return for the same jobs.
 func TestSFTEvaluateMatchesServedVerdicts(t *testing.T) {
 	det, ds := detector(t)
-	sd, ok := det.(*sftDetector)
-	if !ok {
+	d, ok := det.(*localDetector)
+	if !ok || d.approach != SFT {
 		t.Fatalf("test detector is %T", det)
 	}
-	if got, want := sft.Evaluate(sd.clf, ds.Test), servedConfusion(det, ds.Test); got != want {
+	if got, want := sft.Evaluate(sft.NewClassifier(d.model, d.tok), ds.Test), servedConfusion(det, ds.Test); got != want {
 		t.Fatalf("sft.Evaluate %+v != served %+v", got, want)
 	}
 }
@@ -44,12 +44,12 @@ func TestSFTEvaluateMatchesServedVerdicts(t *testing.T) {
 // (icl.Evaluate, behind Tables III–IV and Figures 12 and 14).
 func TestICLEvaluateMatchesServedVerdicts(t *testing.T) {
 	det := iclDetectorForTest(t)
-	id, ok := det.(*iclDetector)
-	if !ok {
+	d, ok := det.(*localDetector)
+	if !ok || d.approach != ICL {
 		t.Fatalf("test detector is %T", det)
 	}
 	jobs := flowbench.Generate(flowbench.Genome, 9).Subsample(10, 10, 40, 10).Test
-	if got, want := icl.Evaluate(id.det, jobs, id.examples), servedConfusion(det, jobs); got != want {
+	if got, want := icl.Evaluate(icl.NewDetector(d.model, d.tok), jobs, d.examples), servedConfusion(det, jobs); got != want {
 		t.Fatalf("icl.Evaluate %+v != served %+v", got, want)
 	}
 }

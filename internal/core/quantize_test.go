@@ -154,11 +154,11 @@ func TestQuantizeDetectorRejects(t *testing.T) {
 // byte: no precision section, no quantized-weights section.
 func writeV1Artifact(t *testing.T, det Detector) []byte {
 	t.Helper()
-	d, ok := det.(*sftDetector)
-	if !ok {
+	d, ok := det.(*localDetector)
+	if !ok || d.approach != SFT {
 		t.Fatalf("v1 writer test helper supports SFT detectors, got %T", det)
 	}
-	model, tok := d.clf.Model, d.clf.Tok
+	model, tok := d.model, d.tok
 	var out bytes.Buffer
 	h := crc32.NewIEEE()
 	mw := io.MultiWriter(&out, h)

@@ -150,7 +150,7 @@ func (r *Registry) Info() []ModelInfo {
 			MaxBatch:       e.cfg.MaxBatch,
 			Workers:        e.cfg.Workers,
 			MaxRequest:     e.cfg.MaxRequest,
-			ActiveTraces:   e.tracker.Len(),
+			ActiveTraces:   e.tracker.size(),
 			QueueDepth:     e.cfg.QueueDepth,
 			ShedQueueDepth: e.cfg.ShedQueueDepth,
 			HasCascade:     e.gate.Load() != nil,
@@ -241,7 +241,7 @@ func (r *Registry) ResetMonitor(name string) error {
 	if err != nil {
 		return err
 	}
-	e.tracker.Reset()
+	e.tracker.reset()
 	return nil
 }
 

@@ -62,29 +62,33 @@ func (s *Server) MonitorIngest(ctx context.Context, r io.Reader, strict bool, ex
 	return s.MonitorIngestModel(ctx, "", r, strict, extra...)
 }
 
-// MonitorIngestModel streams raw log lines from r through the named model's
-// micro-batching monitor ("" routes to the default), folding trace state into
-// that model's persistent tracker and publishing alert and trace-flagged
-// events to /v1/alerts subscribers (plus any extra sinks). It backs POST
+// MonitorIngestModel reads raw key=value log lines (logparse.LogLine format)
+// from r and streams them through the named model's micro-batching monitor
+// ("" routes to the default). This is the paper's real-time detection loop
+// (Section IV-C): the workflow management system appends to a log, and the
+// monitor tails it, folding trace state into the model's persistent tracker
+// and publishing every line detected as abnormal and every newly flagged
+// trace to /v1/alerts subscribers, plus any extra sinks. It backs POST
 // /v1/monitor and anomalyd's -tail mode.
 //
 // Inference goes through the same per-model coalescing queue as /v1/detect:
-// each chunk is submitted as one job, so concurrent ingests share the worker
-// pool's backpressure and admission control — /v1/monitor cannot starve detect
+// each chunk of MaxBatch lines is submitted as one job, at most Workers at a
+// time, so repeated lines in a chunk reach the model once, the model's
+// cascade gate applies, and concurrent ingests share the worker pool's
+// backpressure and admission control — /v1/monitor cannot starve detect
 // traffic of workers, and a shed chunk ends the ingest with its
 // *OverloadedError. The model name is resolved once at the start, so a ""
 // stream stays on the model that was the default when it began; a chunk
 // submitted after the registry closed fails with errServerClosed.
+//
+// ctx cancellation stops the run between lines; the partial report and
+// ctx.Err() are returned. In strict mode the first malformed line aborts
+// with an error naming its line number; otherwise malformed lines are
+// skipped and counted.
 func (s *Server) MonitorIngestModel(ctx context.Context, model string, r io.Reader, strict bool, extra ...AlertSink) (MonitorReport, error) {
 	e, err := s.reg.lookup(model)
 	if err != nil {
 		return MonitorReport{}, err
 	}
-	return monitor(ctx, e.submit, r, MonitorConfig{
-		ChunkSize: e.cfg.MaxBatch,
-		Workers:   e.cfg.Workers,
-		Strict:    strict,
-		Tracker:   e.tracker,
-		Sinks:     append([]AlertSink{busSink{bus: s.bus, model: e.name}}, extra...),
-	})
+	return monitor(ctx, e, r, strict, append([]AlertSink{busSink{bus: s.bus, model: e.name}}, extra...))
 }

@@ -6,12 +6,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 	"repro/internal/tensor"
@@ -131,15 +129,15 @@ func (s SinkFuncs) TraceFlagged(v TraceVerdict) {
 	}
 }
 
-// TraceTracker maintains online per-trace verdicts over a stream of job
+// traceTracker maintains online per-trace verdicts over a stream of job
 // observations. State is bounded: at most maxTraces traces are tracked, with
 // least-recently-observed traces evicted first, so memory stays O(active
 // traces) on unbounded streams.
 //
-// Each Observe updates the trace's counts and re-applies the policy, so at
+// Each observe updates the trace's counts and re-applies the policy, so at
 // any instant the tracked verdicts equal what DetectTraces would compute over
 // the jobs observed so far (given identical per-job results). The flag *event*
-// (Observe's second return) latches: it fires once per tracked trace, the
+// (observe's second return) latches: it fires once per tracked trace, the
 // moment the policy first trips, even if later normal jobs dilute the
 // fraction back under threshold. The latch lives with the trace's window
 // state: a flagged trace that goes quiet long enough to be evicted and then
@@ -148,7 +146,7 @@ func (s SinkFuncs) TraceFlagged(v TraceVerdict) {
 // wants for a trace that resumed misbehaving).
 //
 // All methods are safe for concurrent use.
-type TraceTracker struct {
+type traceTracker struct {
 	mu      sync.Mutex
 	policy  TracePolicy
 	max     int
@@ -162,17 +160,13 @@ type traceState struct {
 	alerted bool
 }
 
-// NewTraceTracker returns a tracker applying policy over a window of at most
-// maxTraces active traces. A zero policy means DefaultTracePolicy; maxTraces
-// <= 0 means 4096.
-func NewTraceTracker(policy TracePolicy, maxTraces int) *TraceTracker {
-	if policy == (TracePolicy{}) {
-		policy = DefaultTracePolicy()
-	}
+// newTraceTracker returns a tracker applying policy over a window of at most
+// maxTraces active traces; maxTraces <= 0 means 4096.
+func newTraceTracker(policy TracePolicy, maxTraces int) *traceTracker {
 	if maxTraces <= 0 {
 		maxTraces = 4096
 	}
-	return &TraceTracker{
+	return &traceTracker{
 		policy: policy,
 		max:    maxTraces,
 		order:  list.New(),
@@ -180,9 +174,9 @@ func NewTraceTracker(policy TracePolicy, maxTraces int) *TraceTracker {
 	}
 }
 
-// Observe folds one job result into the trace's verdict and returns the
+// observe folds one job result into the trace's verdict and returns the
 // updated verdict, plus true when this observation newly flagged the trace.
-func (t *TraceTracker) Observe(traceID int, abnormal bool) (TraceVerdict, bool) {
+func (t *traceTracker) observe(traceID int, abnormal bool) (TraceVerdict, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	el, ok := t.states[traceID]
@@ -211,8 +205,8 @@ func (t *TraceTracker) Observe(traceID int, abnormal bool) (TraceVerdict, bool) 
 	return st.v, newly
 }
 
-// Verdict returns the current verdict for one trace, if still tracked.
-func (t *TraceTracker) Verdict(traceID int) (TraceVerdict, bool) {
+// verdict returns the current verdict for one trace, if still tracked.
+func (t *traceTracker) verdict(traceID int) (TraceVerdict, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	el, ok := t.states[traceID]
@@ -222,26 +216,26 @@ func (t *TraceTracker) Verdict(traceID int) (TraceVerdict, bool) {
 	return el.Value.(*traceState).v, true
 }
 
-// Len returns the number of actively tracked traces.
-func (t *TraceTracker) Len() int {
+// size returns the number of actively tracked traces.
+func (t *traceTracker) size() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.states)
 }
 
-// Evicted returns the cumulative number of traces dropped from the window.
-func (t *TraceTracker) Evicted() int {
+// evictions returns the cumulative number of traces dropped from the window.
+func (t *traceTracker) evictions() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.evicted
 }
 
-// Reset drops all tracked traces and their alert latches, returning the
+// reset drops all tracked traces and their alert latches, returning the
 // tracker to its freshly-constructed state (policy and window size are kept).
-// After a Reset every trace starts a new window and may flag again — the hook
+// After a reset every trace starts a new window and may flag again — the hook
 // replay harnesses use to make repeated ingests of the same stream report
 // comparable flag counts instead of latch-suppressed zeros.
-func (t *TraceTracker) Reset() {
+func (t *traceTracker) reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.order.Init()
@@ -264,52 +258,12 @@ type MonitorReport struct {
 	ActiveTraces int `json:"active_traces"`
 	// EvictedTraces counts traces dropped from the window during the run.
 	EvictedTraces int `json:"evicted_traces"`
-	// CascadeEvaluated/CascadeShort count lines scored by the stage-1 gate
-	// and the subset it short-circuited without the transformer (zero when
-	// the run had no gate).
-	CascadeEvaluated int `json:"cascade_evaluated,omitempty"`
-	CascadeShort     int `json:"cascade_short_circuited,omitempty"`
-}
-
-// MonitorConfig tunes the streaming monitor.
-type MonitorConfig struct {
-	// ChunkSize is the micro-batch size: lines per model invocation
-	// (default 32).
-	ChunkSize int
-	// Workers is the number of concurrent chunk classifiers (default
-	// GOMAXPROCS). Chunks are classified in parallel but alerts and trace
-	// updates are applied in input order.
-	Workers int
-	// Strict aborts on the first malformed line; the default skips and
-	// counts it.
-	Strict bool
-	// Tracker, when non-nil, carries trace state across monitor runs (the
-	// server shares one tracker across /v1/monitor requests). When nil the
-	// run starts a fresh DefaultTracePolicy tracker of 4096 traces.
-	Tracker *TraceTracker
-	// Sinks receive alert and trace-flagged events in input order.
-	Sinks []AlertSink
-	// Gate, when non-nil, is the calibrated stage-1 cascade
-	// (internal/cascade) the run's engine applies to each chunk's unique
-	// sentences, as serving does: the confident band short-circuits to a
-	// verdict, so only the uncertain band pays encoder cost. The server's
-	// ingest ignores it: its chunks meet the gate of the model's own slot.
-	Gate *cascade.Gate
-}
-
-func (c *MonitorConfig) fill() {
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 32
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 }
 
 // monitorFlushDelay bounds how long a partial chunk waits for more lines
 // before being classified anyway. Without it a trickling source — a tailed
-// log growing a few lines at a time — would hold alerts hostage until
-// ChunkSize lines accumulate.
+// log growing a few lines at a time — would hold alerts hostage until a
+// chunk's MaxBatch lines accumulate.
 const monitorFlushDelay = 100 * time.Millisecond
 
 // maxLineBytes bounds a single monitor log line; longer lines are treated
@@ -361,55 +315,18 @@ type monitorChunk struct {
 	job       *detectJob
 }
 
-// MonitorWith reads raw key=value log lines (logparse.LogLine format) from r,
-// classifies them in micro-batches, and hands every line detected as abnormal
-// and every newly flagged trace to cfg.Sinks. This is the paper's real-time
-// detection loop (Section IV-C) in library form: the workflow management
-// system appends to a log, MonitorWith tails it.
-//
-// The loop runs over a serving engine of its own (Workers workers,
-// ChunkSize-sentence batches of m) that lives for the run. Inference is
-// therefore the serving path's, not a copy of it: repeated lines in a chunk
-// reach the model once, cfg.Gate gates as a served model's cascade does, and
-// the report's cascade counters are that engine's, counting unique lines as
-// /v1/models does.
-//
-// ctx cancellation stops the run between lines; the partial report and
-// ctx.Err() are returned. In strict mode the first malformed line aborts
-// with an error naming its line number; otherwise malformed lines are
-// skipped and counted.
-func MonitorWith(ctx context.Context, m Model, r io.Reader, cfg MonitorConfig) (MonitorReport, error) {
-	if err := ctx.Err(); err != nil {
-		return MonitorReport{}, err
-	}
-	cfg.fill()
-	// QueueDepth Workers: with the loop's own in-flight bound that is one
-	// chunk running and one waiting per worker, and the reader blocks beyond.
-	eng := newEngine("", m, BatchConfig{MaxBatch: cfg.ChunkSize, Workers: cfg.Workers, QueueDepth: cfg.Workers})
-	defer eng.Close()
-	eng.gate.Store(cfg.Gate)
-	if cfg.Tracker == nil {
-		cfg.Tracker = eng.tracker
-	}
-	report, err := monitor(ctx, eng.submit, r, cfg)
-	st := eng.snapshot()
-	report.CascadeEvaluated, report.CascadeShort = int(st.CascadeEvaluated), int(st.CascadeShort)
-	return report, err
-}
-
-// monitor is the one monitor loop, under MonitorWith and the server's ingest
-// alike: lines are read, parsed and grouped into cfg.ChunkSize micro-batches;
-// each chunk goes to submit — an engine's front door — as one job; and the
-// collector waits on the jobs in submission order, so alerts, tracker updates
-// and trace-flagged events happen in input order however the engine's workers
-// were scheduled. cfg must already be filled and hold a Tracker.
+// monitor is the monitor loop behind MonitorIngestModel: lines are read,
+// parsed and grouped into micro-batches of e's MaxBatch lines; each chunk goes
+// to e.submit as one job; and the collector waits on the jobs in submission
+// order, so alerts, updates of e's tracker and trace-flagged events happen in
+// input order however the engine's workers were scheduled.
 //
 // A chunk the engine refuses or fails (shed, closed, deadline) ends the run
 // with that error; its lines and those of every later chunk are not counted
 // as Processed — never as that many confident "normal" classifications.
-func monitor(ctx context.Context, submit func(context.Context, []string) (*detectJob, error), r io.Reader, cfg MonitorConfig) (MonitorReport, error) {
-	tracker := cfg.Tracker
-	evictedBefore := tracker.Evicted()
+func monitor(ctx context.Context, e *engine, r io.Reader, strict bool, sinks []AlertSink) (MonitorReport, error) {
+	chunkSize, tracker := e.cfg.MaxBatch, e.tracker
+	evictedBefore := tracker.evictions()
 	// Chunks still queued when the run fails are skipped by the engine rather
 	// than computed: cancelling ctx is how the collector tells it.
 	ctx, cancel := context.WithCancel(ctx)
@@ -420,7 +337,7 @@ func monitor(ctx context.Context, submit func(context.Context, []string) (*detec
 	// engine while the one ahead of them is folded, and no more.
 	var report MonitorReport
 	var chunkErr error
-	inflight := make(chan *monitorChunk, cfg.Workers)
+	inflight := make(chan *monitorChunk, e.cfg.Workers)
 	collectorDone := make(chan struct{})
 	go func() {
 		defer close(collectorDone)
@@ -445,14 +362,14 @@ func monitor(ctx context.Context, submit func(context.Context, []string) (*detec
 				if res.abnormal() {
 					report.Alerts++
 					a := Alert{Line: c.lines[i], Job: job, Result: res}
-					for _, s := range cfg.Sinks {
+					for _, s := range sinks {
 						s.Alert(a)
 					}
 				}
-				v, newly := tracker.Observe(job.TraceID, res.abnormal())
+				v, newly := tracker.observe(job.TraceID, res.abnormal())
 				if newly {
 					report.FlaggedTraces++
-					for _, s := range cfg.Sinks {
+					for _, s := range sinks {
 						s.TraceFlagged(v)
 					}
 				}
@@ -462,7 +379,7 @@ func monitor(ctx context.Context, submit func(context.Context, []string) (*detec
 
 	// The line reader runs in its own goroutine so the chunker below can
 	// flush a partial chunk on a timer while the underlying Read blocks —
-	// a tailed log trickling in below ChunkSize lines still alerts within
+	// a tailed log trickling in below a chunk's lines still alerts within
 	// monitorFlushDelay. The reader leaves its terminal IO error in ioErr
 	// before it closes lines, and gives up on readerQuit.
 	type lineEvent struct {
@@ -470,7 +387,7 @@ func monitor(ctx context.Context, submit func(context.Context, []string) (*detec
 		no      int
 		tooLong bool
 	}
-	lines := make(chan lineEvent, cfg.ChunkSize)
+	lines := make(chan lineEvent, chunkSize)
 	var ioErr error
 	readerQuit := make(chan struct{})
 	go func() {
@@ -512,7 +429,7 @@ func monitor(ctx context.Context, submit func(context.Context, []string) (*detec
 		c := cur
 		cur = &monitorChunk{}
 		var err error
-		if c.job, err = submit(ctx, c.sentences); err == nil {
+		if c.job, err = e.submit(ctx, c.sentences); err == nil {
 			inflight <- c
 		}
 		return err
@@ -543,7 +460,7 @@ loop:
 				// Unlike a Scanner (which aborts the whole stream on an
 				// over-long line), the reader skips it so one garbage
 				// blob can't kill a lenient tail.
-				if cfg.Strict {
+				if strict {
 					readErr = inputError{fmt.Errorf("core: line %d: line exceeds %d bytes", ev.no, maxLineBytes)}
 					break loop
 				}
@@ -552,7 +469,7 @@ loop:
 			}
 			job, perr := logparse.ParseLogLine(ev.text)
 			if perr != nil {
-				if cfg.Strict {
+				if strict {
 					readErr = inputError{fmt.Errorf("core: line %d: %w", ev.no, perr)}
 					break loop
 				}
@@ -562,7 +479,7 @@ loop:
 			cur.lines = append(cur.lines, ev.text)
 			cur.jobs = append(cur.jobs, job)
 			cur.sentences = append(cur.sentences, logparse.Sentence(job))
-			if len(cur.jobs) == cfg.ChunkSize {
+			if len(cur.jobs) == chunkSize {
 				if readErr = flush(); readErr != nil {
 					break loop
 				}
@@ -588,7 +505,7 @@ loop:
 	}
 
 	report.Malformed = malformed
-	report.ActiveTraces = tracker.Len()
-	report.EvictedTraces = tracker.Evicted() - evictedBefore
+	report.ActiveTraces = tracker.size()
+	report.EvictedTraces = tracker.evictions() - evictedBefore
 	return report, readErr
 }

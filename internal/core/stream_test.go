@@ -11,14 +11,40 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cascade"
 	"repro/internal/flowbench"
 	"repro/internal/logparse"
 	"repro/internal/tensor"
 )
 
+// servedModel starts a server over m under cfg, its cascade gate installed
+// (nil: none) as anomalyd installs it. It closes when the test ends.
+func servedModel(t *testing.T, m Model, cfg BatchConfig, gate *cascade.Gate) *Server {
+	t.Helper()
+	s := NewServerWith(m, cfg)
+	t.Cleanup(s.Close)
+	if err := s.Registry().SetCascade("", gate); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// monitorServed streams r through MonitorIngest of servedModel(m, cfg, nil)
+// and returns the run's report and error with the model's trace tracker.
+func monitorServed(t *testing.T, ctx context.Context, m Model, cfg BatchConfig, r io.Reader, strict bool, sinks ...AlertSink) (MonitorReport, *traceTracker, error) {
+	t.Helper()
+	s := servedModel(t, m, cfg, nil)
+	report, err := s.MonitorIngest(ctx, r, strict, sinks...)
+	e, lerr := s.reg.lookup("")
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	return report, e.tracker, err
+}
+
 // trackedVerdicts returns the verdicts of all traces t still tracks, ordered
 // by trace id: the online counterpart of DetectTraces' return.
-func trackedVerdicts(t *TraceTracker) []TraceVerdict {
+func trackedVerdicts(t *traceTracker) []TraceVerdict {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]TraceVerdict, 0, len(t.states))
@@ -113,10 +139,8 @@ func TestMonitorSkipsMalformed(t *testing.T) {
 	buf.WriteString(logparse.LogLine(jobs[2]) + "\n")
 
 	var alerts []Alert
-	report, err := MonitorWith(context.Background(), markDetector{}, &buf, MonitorConfig{
-		ChunkSize: 2,
-		Sinks:     []AlertSink{SinkFuncs{OnAlert: func(a Alert) { alerts = append(alerts, a) }}},
-	})
+	report, _, err := monitorServed(t, context.Background(), markDetector{}, BatchConfig{MaxBatch: 2}, &buf, false,
+		SinkFuncs{OnAlert: func(a Alert) { alerts = append(alerts, a) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +162,7 @@ func TestMonitorStrictAbortsWithLineNumber(t *testing.T) {
 	buf.WriteString(logparse.LogLine(streamJob(1, 0, false)) + "\n")
 	buf.WriteString("garbage\n")
 	buf.WriteString(logparse.LogLine(streamJob(1, 1, false)) + "\n")
-	report, err := MonitorWith(context.Background(), markDetector{}, &buf, MonitorConfig{Strict: true})
+	report, _, err := monitorServed(t, context.Background(), markDetector{}, BatchConfig{}, &buf, true)
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line 2", err)
 	}
@@ -161,7 +185,7 @@ func TestMonitorSkipsOversizedLine(t *testing.T) {
 	buf.WriteString(huge + "\n")
 	buf.WriteString(logparse.LogLine(streamJob(1, 1, true)) + "\n")
 
-	report, err := MonitorWith(context.Background(), markDetector{}, bytes.NewReader(buf.Bytes()), MonitorConfig{})
+	report, _, err := monitorServed(t, context.Background(), markDetector{}, BatchConfig{}, bytes.NewReader(buf.Bytes()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +193,7 @@ func TestMonitorSkipsOversizedLine(t *testing.T) {
 		t.Fatalf("report = %+v, want 2 processed / 1 malformed / 1 alert", report)
 	}
 
-	_, err = MonitorWith(context.Background(), markDetector{}, bytes.NewReader(buf.Bytes()), MonitorConfig{Strict: true})
+	_, _, err = monitorServed(t, context.Background(), markDetector{}, BatchConfig{}, bytes.NewReader(buf.Bytes()), true)
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("strict err = %v, want line 2", err)
 	}
@@ -184,29 +208,27 @@ func TestMonitorOnlineTraceEquivalence(t *testing.T) {
 	jobs := ds.Test
 	want := DetectTraces(hashDetector{}, jobs, DefaultTracePolicy())
 
-	for _, cfg := range []MonitorConfig{
-		{ChunkSize: 1, Workers: 1},
-		{ChunkSize: 7, Workers: 1},
-		{ChunkSize: 7, Workers: 4},
-		{ChunkSize: 64, Workers: 2},
+	for _, cfg := range []BatchConfig{
+		{MaxBatch: 1, Workers: 1},
+		{MaxBatch: 7, Workers: 1},
+		{MaxBatch: 7, Workers: 4},
+		{MaxBatch: 64, Workers: 2},
 	} {
-		tracker := NewTraceTracker(DefaultTracePolicy(), 1<<20)
-		cfg.Tracker = tracker
-		report, err := MonitorWith(context.Background(), hashDetector{}, strings.NewReader(logOf(jobs)), cfg)
+		report, tracker, err := monitorServed(t, context.Background(), hashDetector{}, cfg, strings.NewReader(logOf(jobs)), false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if report.Processed != len(jobs) {
-			t.Fatalf("chunk=%d workers=%d: processed %d, want %d", cfg.ChunkSize, cfg.Workers, report.Processed, len(jobs))
+			t.Fatalf("chunk=%d workers=%d: processed %d, want %d", cfg.MaxBatch, cfg.Workers, report.Processed, len(jobs))
 		}
 		got := trackedVerdicts(tracker)
 		if len(got) != len(want) {
-			t.Fatalf("chunk=%d workers=%d: %d verdicts, want %d", cfg.ChunkSize, cfg.Workers, len(got), len(want))
+			t.Fatalf("chunk=%d workers=%d: %d verdicts, want %d", cfg.MaxBatch, cfg.Workers, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("chunk=%d workers=%d: verdict %d = %+v, want %+v",
-					cfg.ChunkSize, cfg.Workers, i, got[i], want[i])
+					cfg.MaxBatch, cfg.Workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -221,11 +243,8 @@ func TestMonitorOnlineTraceEquivalenceTrained(t *testing.T) {
 	jobs := ds.Test[:80]
 	want := DetectTraces(det, jobs, DefaultTracePolicy())
 
-	tracker := NewTraceTracker(DefaultTracePolicy(), 1<<20)
-	_, err := MonitorWith(context.Background(), det, strings.NewReader(logOf(jobs)), MonitorConfig{
-		ChunkSize: 13, // deliberately offset from trace boundaries
-		Tracker:   tracker,
-	})
+	// 13-line chunks: deliberately offset from trace boundaries.
+	_, tracker, err := monitorServed(t, context.Background(), det, BatchConfig{MaxBatch: 13}, strings.NewReader(logOf(jobs)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +267,10 @@ func TestMonitorAlertOrder(t *testing.T) {
 		jobs = append(jobs, streamJob(i/10, i%10, true)) // every line alerts
 	}
 	var got []int
-	_, err := MonitorWith(context.Background(), markDetector{}, strings.NewReader(logOf(jobs)), MonitorConfig{
-		ChunkSize: 3, Workers: 8,
-		Sinks: []AlertSink{SinkFuncs{OnAlert: func(a Alert) {
+	_, _, err := monitorServed(t, context.Background(), markDetector{}, BatchConfig{MaxBatch: 3, Workers: 8}, strings.NewReader(logOf(jobs)), false,
+		SinkFuncs{OnAlert: func(a Alert) {
 			got = append(got, a.Job.TraceID*10+a.Job.NodeIndex)
-		}}},
-	})
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,31 +287,31 @@ func TestMonitorAlertOrder(t *testing.T) {
 // TestTraceTrackerEviction bounds the window: with maxTraces 4 and 10
 // distinct traces, only 4 states survive and the rest are counted evicted.
 func TestTraceTrackerEviction(t *testing.T) {
-	tr := NewTraceTracker(DefaultTracePolicy(), 4)
+	tr := newTraceTracker(DefaultTracePolicy(), 4)
 	for trace := 0; trace < 10; trace++ {
 		for n := 0; n < 3; n++ {
-			tr.Observe(trace, false)
+			tr.observe(trace, false)
 		}
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("window holds %d traces, want 4", tr.Len())
+	if tr.size() != 4 {
+		t.Fatalf("window holds %d traces, want 4", tr.size())
 	}
-	if tr.Evicted() != 6 {
-		t.Fatalf("evicted = %d, want 6", tr.Evicted())
+	if tr.evictions() != 6 {
+		t.Fatalf("evicted = %d, want 6", tr.evictions())
 	}
 	// The survivors are the most recently observed traces 6..9.
 	for trace := 6; trace < 10; trace++ {
-		if _, ok := tr.Verdict(trace); !ok {
+		if _, ok := tr.verdict(trace); !ok {
 			t.Fatalf("trace %d missing from window", trace)
 		}
 	}
 	// Re-observing keeps a trace alive: touch 6, add a new trace, 7 dies first.
-	tr.Observe(6, false)
-	tr.Observe(100, false)
-	if _, ok := tr.Verdict(6); !ok {
+	tr.observe(6, false)
+	tr.observe(100, false)
+	if _, ok := tr.verdict(6); !ok {
 		t.Fatal("recently touched trace 6 was evicted")
 	}
-	if _, ok := tr.Verdict(7); ok {
+	if _, ok := tr.verdict(7); ok {
 		t.Fatal("LRU trace 7 survived past the window")
 	}
 }
@@ -302,10 +319,10 @@ func TestTraceTrackerEviction(t *testing.T) {
 // TestTraceTrackerFlagOnce checks the flag event fires exactly once, the
 // moment the policy trips, while the verdict keeps tracking current counts.
 func TestTraceTrackerFlagOnce(t *testing.T) {
-	tr := NewTraceTracker(TracePolicy{MinAnomalous: 2, MinFraction: 1.5}, 16)
+	tr := newTraceTracker(TracePolicy{MinAnomalous: 2, MinFraction: 1.5}, 16)
 	events := 0
 	observe := func(abnormal bool) TraceVerdict {
-		v, newly := tr.Observe(7, abnormal)
+		v, newly := tr.observe(7, abnormal)
 		if newly {
 			events++
 		}
@@ -328,26 +345,154 @@ func TestTraceTrackerFlagOnce(t *testing.T) {
 	}
 }
 
-// TestTraceTrackerReset checks Reset drops windows, latches, and the eviction
+// TestTraceTrackerReset checks reset drops windows, latches, and the eviction
 // count, so a replayed stream flags again — what the load lab's paired
 // cascade replays rely on for comparable flagged-trace counts.
 func TestTraceTrackerReset(t *testing.T) {
-	tr := NewTraceTracker(TracePolicy{MinAnomalous: 1, MinFraction: 1.5}, 2)
-	tr.Observe(1, true)
-	tr.Observe(2, false)
-	tr.Observe(3, false) // evicts trace 1
-	if tr.Evicted() != 1 {
-		t.Fatalf("evicted = %d, want 1", tr.Evicted())
+	tr := newTraceTracker(TracePolicy{MinAnomalous: 1, MinFraction: 1.5}, 2)
+	tr.observe(1, true)
+	tr.observe(2, false)
+	tr.observe(3, false) // evicts trace 1
+	if tr.evictions() != 1 {
+		t.Fatalf("evicted = %d, want 1", tr.evictions())
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Evicted() != 0 {
-		t.Fatalf("after Reset: len %d, evicted %d, want 0/0", tr.Len(), tr.Evicted())
+	tr.reset()
+	if tr.size() != 0 || tr.evictions() != 0 {
+		t.Fatalf("after Reset: len %d, evicted %d, want 0/0", tr.size(), tr.evictions())
 	}
-	if _, ok := tr.Verdict(2); ok {
+	if _, ok := tr.verdict(2); ok {
 		t.Fatal("trace survived Reset")
 	}
-	if _, newly := tr.Observe(1, true); !newly {
+	if _, newly := tr.observe(1, true); !newly {
 		t.Fatal("latch survived Reset: replayed trace did not re-flag")
+	}
+}
+
+// interleavedJobs returns the first n lines of a log that slots concurrent
+// Flow-Bench executions write: each line comes from a seeded-random live
+// execution, and a finished one is replaced by the next of the dataset's
+// executions in a seeded order.
+func interleavedJobs(n, slots int) []flowbench.Job {
+	byTrace := flowbench.TraceJobs(flowbench.Generate(flowbench.Sales, 6).Jobs())
+	ids := make([]int, 0, len(byTrace))
+	for id := range byTrace {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	rng := tensor.NewRNG(6)
+	order := rng.Perm(len(ids))
+	live := make([][]flowbench.Job, slots)
+	out := make([]flowbench.Job, 0, n)
+	for next := 0; len(out) < n; {
+		i := rng.Intn(slots)
+		if len(live[i]) == 0 {
+			live[i] = byTrace[ids[order[next]]]
+			next++
+		}
+		out = append(out, live[i][0])
+		live[i] = live[i][1:]
+	}
+	return out
+}
+
+// TestTrackerFlagLatchUnderBursty replays the ground truth of interleaved
+// executions through a tracker and checks the flag event latches: each
+// flagged trace fires exactly once, however its jobs are interleaved, and
+// the final flagged set matches the traces' truth under the same policy.
+func TestTrackerFlagLatchUnderBursty(t *testing.T) {
+	jobs := interleavedJobs(400, 8)
+	policy := DefaultTracePolicy()
+	tr := newTraceTracker(policy, 0)
+
+	fired := map[int]int{}
+	count, anomalous := map[int]int{}, map[int]int{}
+	for _, j := range jobs {
+		if _, newly := tr.observe(j.TraceID, j.Label == 1); newly {
+			fired[j.TraceID]++
+		}
+		count[j.TraceID]++
+		anomalous[j.TraceID] += j.Label
+	}
+	for id, n := range fired {
+		if n != 1 {
+			t.Errorf("trace %d flag fired %d times, want latch-once", id, n)
+		}
+	}
+	for id, n := range count {
+		if flagged := policy.Flagged(n, anomalous[id]); flagged != (fired[id] == 1) {
+			t.Errorf("trace %d: tracker flagged=%v, truth=%v", id, fired[id] == 1, flagged)
+		}
+	}
+	if tr.evictions() != 0 {
+		t.Errorf("default-capacity tracker evicted %d traces", tr.evictions())
+	}
+}
+
+// TestTrackerStateSurvivesRetriedDelivery models a client's retries: a shed
+// batch is re-sent, so the monitor path may see some jobs again. The latch
+// must not re-fire for a still-tracked trace, and verdict counts stay
+// monotone.
+func TestTrackerStateSurvivesRetriedDelivery(t *testing.T) {
+	tr := newTraceTracker(TracePolicy{MinAnomalous: 3, MinFraction: 1}, 0)
+	fires := 0
+	observe := func(times int) {
+		for k := 0; k < times; k++ {
+			if _, newly := tr.observe(7, true); newly {
+				fires++
+			}
+		}
+	}
+	observe(3) // first delivery trips the policy
+	if fires != 1 {
+		t.Fatalf("flag fired %d times on first delivery, want 1", fires)
+	}
+	observe(3) // retried delivery of the same jobs
+	if fires != 1 {
+		t.Fatalf("retried delivery re-fired the flag (%d fires)", fires)
+	}
+	v, ok := tr.verdict(7)
+	if !ok || v.Jobs != 6 || v.Anomalous != 6 || !v.Flagged {
+		t.Fatalf("verdict after retry = %+v", v)
+	}
+}
+
+// TestTrackerEvictionUnderTraceChurn caps the window well below the
+// interleaved log's trace count: evictions must occur, the window must stay
+// at capacity, and a flagged trace that is evicted and returns may
+// legitimately re-fire (bounded memory trades for re-alerts).
+func TestTrackerEvictionUnderTraceChurn(t *testing.T) {
+	jobs := interleavedJobs(400, 8)
+	traces := map[int]bool{}
+	for _, j := range jobs {
+		traces[j.TraceID] = true
+	}
+	if len(traces) < 8 {
+		t.Skipf("interleaved log has only %d traces", len(traces))
+	}
+	cap := 4
+	tr := newTraceTracker(DefaultTracePolicy(), cap)
+	for _, j := range jobs {
+		tr.observe(j.TraceID, j.Label == 1)
+	}
+	if tr.evictions() == 0 {
+		t.Errorf("window of %d over %d traces evicted nothing", cap, len(traces))
+	}
+	if got := tr.size(); got != cap {
+		t.Errorf("window size = %d, want pinned at %d", got, cap)
+	}
+
+	// Eviction resets the latch: a returning trace starts fresh and re-fires
+	// once it trips the policy again.
+	small := newTraceTracker(TracePolicy{MinAnomalous: 1, MinFraction: 1}, 1)
+	if _, newly := small.observe(1, true); !newly {
+		t.Fatal("first trip did not fire")
+	}
+	small.observe(2, false) // evicts trace 1
+	if small.evictions() != 1 {
+		t.Fatalf("evicted = %d, want 1", small.evictions())
+	}
+	if _, newly := small.observe(1, true); !newly {
+		t.Error("returning evicted trace should re-fire its flag")
 	}
 }
 
@@ -363,10 +508,8 @@ func TestMonitorContextCancel(t *testing.T) {
 	defer cancel()
 	// The first alert (delivered from the collector while the reader is
 	// still feeding) cancels the run mid-stream.
-	report, err := MonitorWith(ctx, markDetector{}, strings.NewReader(logOf(jobs)), MonitorConfig{
-		ChunkSize: 4, Workers: 2,
-		Sinks: []AlertSink{SinkFuncs{OnAlert: func(Alert) { cancel() }}},
-	})
+	report, _, err := monitorServed(t, ctx, markDetector{}, BatchConfig{MaxBatch: 4, Workers: 2}, strings.NewReader(logOf(jobs)), false,
+		SinkFuncs{OnAlert: func(Alert) { cancel() }})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -375,7 +518,7 @@ func TestMonitorContextCancel(t *testing.T) {
 	}
 
 	// Cancelled before the first line: nothing is processed.
-	report, err = MonitorWith(ctx, markDetector{}, strings.NewReader(logOf(jobs)), MonitorConfig{ChunkSize: 4})
+	report, _, err = monitorServed(t, ctx, markDetector{}, BatchConfig{MaxBatch: 4}, strings.NewReader(logOf(jobs)), false)
 	if err != context.Canceled {
 		t.Fatalf("pre-cancelled err = %v, want context.Canceled", err)
 	}
@@ -395,15 +538,13 @@ func TestMonitorFlushDelayPartialChunk(t *testing.T) {
 		err    error
 	}
 	done := make(chan result, 1)
+	s := servedModel(t, markDetector{}, BatchConfig{MaxBatch: 32}, nil)
 	go func() {
-		report, err := MonitorWith(context.Background(), markDetector{}, pr, MonitorConfig{
-			ChunkSize: 32,
-			Sinks:     []AlertSink{SinkFuncs{OnAlert: func(a Alert) { alerts <- a }}},
-		})
+		report, err := s.MonitorIngest(context.Background(), pr, false, SinkFuncs{OnAlert: func(a Alert) { alerts <- a }})
 		done <- result{report, err}
 	}()
 
-	// Two lines — far below ChunkSize — with the pipe held open.
+	// Two lines — far below the 32-line chunk — with the pipe held open.
 	if _, err := io.WriteString(pw, logOf([]flowbench.Job{
 		streamJob(1, 0, true), streamJob(1, 1, false),
 	})); err != nil {
@@ -443,12 +584,9 @@ func TestMonitorDedupsRepeats(t *testing.T) {
 		}
 	}
 	det := &dedupDetector{}
-	tracker := NewTraceTracker(DefaultTracePolicy(), 16)
 	alerts := 0
-	report, err := MonitorWith(context.Background(), det, strings.NewReader(logOf(jobs)), MonitorConfig{
-		ChunkSize: len(jobs), Workers: 1, Tracker: tracker,
-		Sinks: []AlertSink{SinkFuncs{OnAlert: func(Alert) { alerts++ }}},
-	})
+	report, tracker, err := monitorServed(t, context.Background(), det, BatchConfig{MaxBatch: len(jobs), Workers: 1}, strings.NewReader(logOf(jobs)), false,
+		SinkFuncs{OnAlert: func(Alert) { alerts++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +596,7 @@ func TestMonitorDedupsRepeats(t *testing.T) {
 	if report.Processed != len(jobs) || report.Alerts != wantAlerts || alerts != wantAlerts {
 		t.Fatalf("report = %+v with %d alerts delivered, want %d processed / %d alerts", report, alerts, len(jobs), wantAlerts)
 	}
-	if v, _ := tracker.Verdict(1); v.Jobs != 8 {
+	if v, _ := tracker.verdict(1); v.Jobs != 8 {
 		t.Fatalf("tracker counted %d jobs of trace 1, want 8 of the 12 lines", v.Jobs)
 	}
 }

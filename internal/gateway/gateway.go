@@ -1,7 +1,7 @@
 // Package gateway is the replicated-serving tier over N anomalyd replicas
 // (ROADMAP item 9): a front core.Server whose every model the replicas
 // compute. The front runs the single-node serving code once — dedup,
-// admission, deadlines, the monitor loop and its TraceTracker, SSE,
+// admission, deadlines, the monitor loop and its trace tracker, SSE,
 // /v1/models and /metrics — and the replicas are stateless batch compute
 // behind /v1/detect/batch. Every line of a trace meets one tracker, the
 // front's, so fleet verdicts equal a single node's by construction. This is

@@ -52,7 +52,7 @@ import (
 // surface, lower it in the same diff; when a change must add surface, raise
 // it there too, so the addition is a reviewed act (docs/STATIC_ANALYSIS.md).
 func TestExportedSurface(t *testing.T) {
-	const pinned = 600
+	const pinned = 591
 	s := scanSurface(t, filepath.Join("..", ".."))
 	for _, f := range s.findings {
 		t.Error(f)

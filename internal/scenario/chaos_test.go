@@ -103,7 +103,10 @@ func TestReplayFailureTaxonomy(t *testing.T) {
 	defer hs.Close()
 
 	cfg := replayCfg(hs.URL)
-	cfg.Timeout = 300 * time.Millisecond // the scripted stall overshoots this
+	// Speed 1000 compresses the 400-event schedule to well under a millisecond,
+	// so every request is in flight at once: the timeout leaves them room and
+	// still falls well short of the scripted stall.
+	cfg.Timeout = 2 * time.Second
 	cfg.FaultWindow = faults.Window{Start: time.Millisecond, End: 2 * time.Millisecond}
 	res, err := Replay(context.Background(), s, cfg)
 	if err != nil {

@@ -91,7 +91,7 @@ func (m *MonitorResult) Entry(detector string) BenchEntry {
 	if m.Events > 0 {
 		nsPerLine = m.WallSeconds * 1e9 / float64(m.Events)
 	}
-	e := BenchEntry{
+	return BenchEntry{
 		Name:    fmt.Sprintf("LoadLabMonitor/%s/%s", m.Scenario, detector),
 		NsPerOp: nsPerLine,
 		Extra: map[string]float64{
@@ -102,9 +102,4 @@ func (m *MonitorResult) Entry(detector string) BenchEntry {
 			"malformed":      float64(m.Report.Malformed),
 		},
 	}
-	if m.Report.CascadeEvaluated > 0 {
-		e.Extra["cascade_evaluated"] = float64(m.Report.CascadeEvaluated)
-		e.Extra["cascade_short_circuited"] = float64(m.Report.CascadeShort)
-	}
-	return e
 }
