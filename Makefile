@@ -63,7 +63,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/tokenizer -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/logparse -run '^$$' -fuzz '^FuzzParseSentence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/logparse -run '^$$' -fuzz '^FuzzScanSentence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logparse -run '^$$' -fuzz '^FuzzParseLogLine$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/logparse -run '^$$' -fuzz '^FuzzParseCSVRow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadDetector$$' -fuzztime $(FUZZTIME)

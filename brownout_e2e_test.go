@@ -56,7 +56,7 @@ func TestBrownoutGateBeatsPCA(t *testing.T) {
 			for i, line := range s.Sentences() {
 				// Generated sentences always parse; a line that did not would
 				// be answered {0, 0} by the tier and score as a zero job here.
-				jobs[i], _ = logparse.ParseSentence(line)
+				logparse.ScanSentence(line, &jobs[i].Features)
 				gateScores[i], _ = gate.ScoreSentence(line)
 			}
 			pcaScores := pca.Score(jobs)

@@ -1,14 +1,15 @@
 // Command anomalyd serves anomaly detectors over HTTP — the production
 // deployment of the paper's real-time detection scenario.
 //
-// Train once, serve many:
+// It runs in one of two modes. -train-out trains a detector, saves it as an
+// artifact and exits; -load serves artifacts and never trains:
 //
 //	anomalyd -approach sft -train-out genome-sft.artifact     # train + save + exit
 //	anomalyd -train-out genome-int8.artifact -quantize        # train + quantize + save
+//	anomalyd -train-out genome-gated.artifact -cascade        # train + fit the cascade gate + save
 //	anomalyd -load genome-sft.artifact                        # serve in milliseconds
 //	anomalyd -load genome=g.artifact,montage=m.artifact       # two models, one process
 //	anomalyd -load fp32=g.artifact,int8=g-int8.artifact       # both precisions, one process
-//	anomalyd -approach icl -model mistral                     # legacy: train at boot, then serve
 //
 // -quantize switches serving to the int8 integer-compute path: artifacts
 // saved with it are ~4× smaller and serve faster at ≥99% verdict agreement
@@ -35,25 +36,20 @@
 // fault-injection campaign (see internal/faults) for chaos drills; see
 // docs/RELIABILITY.md.
 //
-// -cascade arms two-stage inference: a calibrated cheap scorer (ngram, a
-// supervised count table over the tokenizer's magnitude buckets)
-// short-circuits confident lines in front of the transformer, always on.
-// -cascade-recall sets the calibration target (default 0.995); per-model
-// gating counters appear under "stats" in GET /v1/models. Gates fitted at
-// training time travel inside the artifact (-train-out -cascade) and re-arm
-// automatically on -load; -load with -cascade refits them. The gate is also
-// the brownout tier, so -brownout fits one, as -cascade does, for every model
-// that has none — which turns the cascade on for normal traffic too (it is
-// calibrated to keep ≥99% of verdicts in agreement with transformer-only
-// serving). See docs/PERFORMANCE.md.
+// Two-stage inference: -train-out -cascade fits a calibrated cheap scorer
+// (ngram, a supervised count table over the tokenizer's magnitude buckets)
+// against the trained detector's own verdicts, -cascade-recall setting its
+// calibration target (default 0.995), and saves it inside the artifact. -load
+// arms the gate each artifact carries, so confident lines short-circuit in
+// front of the transformer; per-model gating counters appear under "stats" in
+// GET /v1/models. The gate is also the brownout tier, so -brownout refuses an
+// artifact that carries none. See docs/PERFORMANCE.md.
 //
-// With -load the daemon performs zero training steps at boot: each artifact
-// (written by -train-out) is loaded into the model registry under its name
-// (`name=path`, or the file's base name) and the first is the default route.
-// Concurrent requests are micro-batched through a per-model coalescing worker
-// pool; -max-batch and -workers tune it (see docs/API.md). With -tail the
-// daemon also follows a growing log file (the paper's Section IV-C loop)
-// through the default model.
+// Each -load artifact is registered under its name (`name=path`, or the
+// file's base name) and the first is the default route. Concurrent requests
+// are micro-batched through a per-model coalescing worker pool; -max-batch and
+// -workers tune it (see docs/API.md). With -tail the daemon also follows a
+// growing log file (the paper's Section IV-C loop) through the default model.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener stops, open SSE
 // streams and the tail loop end, in-flight requests finish, and only then
@@ -64,7 +60,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -84,17 +79,17 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		approach     = flag.String("approach", "sft", "sft or icl (training modes)")
-		model        = flag.String("model", "", "model name (defaults per approach)")
-		workflow     = flag.String("workflow", "1000-genome", "training workflow")
+		approach     = flag.String("approach", "sft", "sft or icl (-train-out)")
+		model        = flag.String("model", "", "model name (defaults per approach; -train-out)")
+		workflow     = flag.String("workflow", "1000-genome", "training workflow (-train-out)")
 		trainN       = flag.Int("train", 1000, "training subsample size")
 		epochs       = flag.Int("epochs", 3, "SFT epochs")
 		preSteps     = flag.Int("pretrain", 400, "pre-training steps")
 		debias       = flag.Bool("debias", true, "apply the empty-sentence debiasing augmentation")
 		seed         = flag.Uint64("seed", 42, "seed")
 		trainOut     = flag.String("train-out", "", "train, write the detector artifact to this path, and exit (no serving)")
-		load         = flag.String("load", "", "comma-separated detector artifacts to serve ([name=]path, first is default); skips training entirely")
-		quantize     = flag.Bool("quantize", false, "serve/save int8-quantized weights: with -load, quantize fp32 artifacts at load; with -train-out (or train-and-serve), quantize the trained detector")
+		load         = flag.String("load", "", "comma-separated detector artifacts to serve ([name=]path, first is default), each with the cascade gate it carries")
+		quantize     = flag.Bool("quantize", false, "serve/save int8-quantized weights: with -load, quantize fp32 artifacts at load; with -train-out, quantize the trained detector")
 		maxBatch     = flag.Int("max-batch", 32, "max sentences per batched model invocation")
 		workers      = flag.Int("workers", 0, "inference workers per model (0 = GOMAXPROCS)")
 		maxReq       = flag.Int("max-request", 0, "per-request sentence cap on /v1/detect/batch (0 = default 2048)")
@@ -104,10 +99,10 @@ func main() {
 		shedDepth    = flag.Int("shed-depth", 0, "admission-control queue depth: enqueues beyond it are shed with 429 + Retry-After (0 = off)")
 		maxQueueWait = flag.Duration("max-queue-wait", 0, "shed queued requests older than this at dequeue (0 = off)")
 		deadline     = flag.Duration("deadline", 0, "default per-request deadline, overridable per request via ?deadline_ms (0 = none)")
-		brownout     = flag.Int("brownout", 0, "queue depth that engages brownout: detection answers degraded from the model's cascade gate until load recedes; arms a gate (as -cascade) on every model without one (0 = off)")
+		brownout     = flag.Int("brownout", 0, "queue depth that engages brownout: detection answers degraded from the model's cascade gate until load recedes; every -load artifact must carry a gate (-train-out -cascade) (0 = off)")
 		brownHold    = flag.Duration("brownout-hold", 0, "how long the queue must stay saturated before brownout engages (0 = default 250ms)")
 		faultsSpec   = flag.String("faults", "", `fault-injection campaign armed at listen, e.g. "seed=7,every=5,kinds=latency+error,window=10s:30s,path=/v1/" — chaos drills only`)
-		cascOn       = flag.Bool("cascade", false, "two-stage inference: a calibrated ngram stage-1 scorer short-circuits confident lines before the transformer")
+		cascOn       = flag.Bool("cascade", false, "with -train-out: fit a calibrated ngram stage-1 gate that short-circuits confident lines before the transformer, and save it in the artifact")
 		cascRecall   = flag.Float64("cascade-recall", cascade.DefaultTargetRecall, "cascade calibration target: fraction of flagged calibration lines that must still reach the transformer")
 		instance     = flag.String("instance", "", "replica name stamped on responses (X-Replica) and /metrics (repro_instance_info) when serving behind anomalygw")
 	)
@@ -115,48 +110,14 @@ func main() {
 	if flag.NArg() > 0 {
 		log.Fatalf("anomalyd: unexpected arguments %q: flags take no positional words (-cascade is a bool flag)", flag.Args())
 	}
-	if *trainOut != "" && *load != "" {
-		log.Fatal("anomalyd: -train-out and -load are mutually exclusive")
+	if (*trainOut == "") == (*load == "") {
+		log.Fatal("anomalyd: give exactly one mode: -train-out <path> trains and saves an artifact, -load <artifact> serves one")
+	}
+	if *load != "" && *cascOn {
+		log.Fatal("anomalyd: -cascade fits the gate at training time; write it with -train-out <path> -cascade, and -load arms the gate the artifact carries")
 	}
 
-	cfg := core.BatchConfig{
-		MaxBatch: *maxBatch, Workers: *workers, MaxRequest: *maxReq,
-		ShedQueueDepth: *shedDepth, MaxQueueWait: *maxQueueWait,
-		DefaultDeadline: *deadline, BrownoutDepth: *brownout, BrownoutHold: *brownHold,
-	}
-	reg := core.NewRegistry()
-	// dets remembers each served detector for post-registration cascade
-	// calibration; gates carries gates recovered from v3 artifacts.
-	dets := make(map[string]core.Detector)
-	gates := make(map[string]*cascade.Gate)
-
-	switch {
-	case *load != "":
-		// Serving mode: load pre-trained artifacts, zero training at boot.
-		for _, spec := range strings.Split(*load, ",") {
-			name, path := splitModelSpec(spec)
-			start := time.Now()
-			det, gate, err := loadArtifact(path, *cascOn)
-			if err != nil {
-				log.Fatal("anomalyd: ", err)
-			}
-			// int8 artifacts come back quantized already; -quantize converts
-			// fp32 artifacts at load so mixed fleets can be forced to int8.
-			if *quantize && det.Precision() != core.PrecisionInt8 {
-				if det, err = core.QuantizeDetector(det); err != nil {
-					log.Fatal("anomalyd: ", err)
-				}
-			}
-			if err := reg.Add(name, det, cfg); err != nil {
-				log.Fatal("anomalyd: ", err)
-			}
-			dets[name], gates[name] = det, gate
-			log.Printf("loaded %s (%s, %s) from %s in %s",
-				name, det.Approach(), det.Precision(), path, time.Since(start).Round(time.Millisecond))
-		}
-	default:
-		// Training modes: -train-out saves and exits; otherwise the trained
-		// detector is served as the default model (the pre-artifact behavior).
+	if *trainOut != "" {
 		log.Printf("training %s detector on %s (%d jobs)...", *approach, *workflow, *trainN)
 		det, report, err := core.Train(core.Options{
 			Approach:      core.Approach(*approach),
@@ -177,72 +138,76 @@ func main() {
 				log.Fatal("anomalyd: ", err)
 			}
 			// The held-out metrics above were measured on the fp32 weights
-			// inside Train; what saves/serves from here on is int8. For
-			// metrics measured on the quantized detector itself, run
-			// loadlab -load <artifact> -quantize: it prints AUC and trace F1
-			// for the int8 detector.
+			// inside Train; what saves from here on is int8. For metrics
+			// measured on the quantized detector itself, run loadlab -load
+			// <artifact>: it prints AUC and trace F1 for the int8 detector.
 			log.Print("detector quantized to int8 (integer inference path; held-out metrics above are the fp32 model's)")
 		}
-		if *trainOut != "" {
-			// A gate fitted here ships inside the artifact, so -load re-arms
-			// the cascade without refitting (thresholds are calibrated against
-			// this exact detector's verdicts).
-			var gate *cascade.Gate
-			if *cascOn {
-				ds := flowbench.Generate(flowbench.Workflow(*workflow), *seed)
-				gate, err = core.FitCascade(det, cascade.Config{TargetRecall: *cascRecall}, ds.Train)
-				if err != nil {
-					log.Fatal("anomalyd: ", err)
-				}
-				log.Printf("cascade calibrated: ngram gate, target recall %.3f (%d calibration positives)",
-					gate.TargetRecall(), gate.Positives())
-			}
-			if err := core.SaveDetectorFile(*trainOut, det, gate); err != nil {
+		// A gate fitted here ships inside the artifact, so -load arms the
+		// cascade without refitting (thresholds are calibrated against this
+		// exact detector's verdicts).
+		var gate *cascade.Gate
+		if *cascOn {
+			ds := flowbench.Generate(flowbench.Workflow(*workflow), *seed)
+			gate, err = core.FitCascade(det, cascade.Config{TargetRecall: *cascRecall}, ds.Train)
+			if err != nil {
 				log.Fatal("anomalyd: ", err)
 			}
-			log.Printf("artifact written to %s; serve it with: anomalyd -load %s", *trainOut, *trainOut)
-			return
+			log.Printf("cascade calibrated: ngram gate, target recall %.3f (%d calibration positives)",
+				gate.TargetRecall(), gate.Positives())
 		}
-		if err := reg.Add(core.DefaultModel, det, cfg); err != nil {
+		if err := core.SaveDetectorFile(*trainOut, det, gate); err != nil {
 			log.Fatal("anomalyd: ", err)
 		}
-		dets[core.DefaultModel] = det
+		log.Printf("artifact written to %s; serve it with: anomalyd -load %s", *trainOut, *trainOut)
+		return
 	}
 
-	// Cascade arming: an explicit -cascade fits fresh gates against each
-	// served detector's own verdicts on the training split; otherwise any
-	// gate that traveled inside a v3 artifact re-arms as saved. The gate is
-	// also the model's brownout tier, so -brownout fits one, as -cascade
-	// would, for every model that would otherwise have none.
-	var ds *flowbench.Dataset
-	for _, name := range reg.Names() {
-		g, from := gates[name], "artifact"
-		if *cascOn || (g == nil && *brownout > 0) {
-			if ds == nil {
-				ds = flowbench.Generate(flowbench.Workflow(*workflow), *seed)
-			}
-			var err error
-			if g, err = core.FitCascade(dets[name], cascade.Config{TargetRecall: *cascRecall}, ds.Train); err != nil {
-				log.Fatal("anomalyd: ", err)
-			}
-			from = fmt.Sprintf("fit, %d calibration positives", g.Positives())
-		}
-		if g == nil {
-			continue
-		}
-		if err := reg.SetCascade(name, g); err != nil {
+	cfg := core.BatchConfig{
+		MaxBatch: *maxBatch, Workers: *workers, MaxRequest: *maxReq,
+		ShedQueueDepth: *shedDepth, MaxQueueWait: *maxQueueWait,
+		DefaultDeadline: *deadline, BrownoutDepth: *brownout, BrownoutHold: *brownHold,
+	}
+	reg := core.NewRegistry()
+	for _, spec := range strings.Split(*load, ",") {
+		name, path := splitModelSpec(spec)
+		start := time.Now()
+		det, gate, err := core.LoadDetectorFile(path)
+		if err != nil {
 			log.Fatal("anomalyd: ", err)
 		}
-		log.Printf("cascade armed on %s: ngram gate, target recall %.3f (%s)", name, g.TargetRecall(), from)
+		// The gate is the brownout tier: without one a saturated model
+		// would have nothing to degrade to.
+		if *brownout > 0 && gate == nil {
+			log.Fatalf("anomalyd: -brownout answers from the cascade gate, but %s carries none; write a gated artifact with anomalyd -train-out <path> -cascade", path)
+		}
+		// int8 artifacts come back quantized already; -quantize converts
+		// fp32 artifacts at load so mixed fleets can be forced to int8.
+		if *quantize && det.Precision() != core.PrecisionInt8 {
+			if det, err = core.QuantizeDetector(det); err != nil {
+				log.Fatal("anomalyd: ", err)
+			}
+		}
+		if err := reg.Add(name, det, cfg); err != nil {
+			log.Fatal("anomalyd: ", err)
+		}
+		log.Printf("loaded %s (%s, %s) from %s in %s",
+			name, det.Approach(), det.Precision(), path, time.Since(start).Round(time.Millisecond))
+		if gate == nil {
+			continue
+		}
+		if err := reg.SetCascade(name, gate); err != nil {
+			log.Fatal("anomalyd: ", err)
+		}
+		log.Printf("cascade armed on %s: ngram gate, target recall %.3f (%d calibration positives)",
+			name, gate.TargetRecall(), gate.Positives())
 	}
 	if *brownout > 0 {
 		log.Printf("brownout armed: degrade to the cascade gate at queue depth %d", *brownout)
 	}
 
-	// Signals are only captured once there is something to wind down.
-	// Installing the handler before a minutes-long training phase would
-	// swallow Ctrl-C and make the process unkillable until training ends.
-	// On the signal, restore its default (a second one kills the process).
+	// Signals are only captured once there is something to wind down. On
+	// the signal, restore its default (a second one kills the process).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	signalled := make(chan struct{})
 	context.AfterFunc(ctx, func() { stop(); log.Print("shutting down..."); close(signalled) })
@@ -277,20 +242,6 @@ func main() {
 	<-tailDone
 	<-signalled
 	log.Print("bye")
-}
-
-// loadArtifact loads one detector artifact. With refit set (-cascade, which
-// fits a fresh gate for every served model) a saved gate this build cannot
-// rebuild — one an older build fitted with the retired pca or iforest
-// scorers — is dropped with a log line instead of failing the load: the
-// detector sections are intact and the saved gate would be replaced anyway.
-func loadArtifact(path string, refit bool) (core.Detector, *cascade.Gate, error) {
-	det, gate, err := core.LoadDetectorFile(path)
-	if err != nil && refit && det != nil {
-		log.Printf("anomalyd: dropping the saved gate, -cascade fits a fresh one: %v", err)
-		return det, nil, nil
-	}
-	return det, gate, err
 }
 
 // splitModelSpec parses one -load entry: "name=path" serves path under name;

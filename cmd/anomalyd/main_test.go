@@ -1,19 +1,25 @@
 package main
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/crc32"
-	"os"
+	"context"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/cascade"
 	"repro/internal/core"
-	"repro/internal/flowbench"
 )
+
+// buildAnomalyd builds the command into dir and returns the binary's path.
+func buildAnomalyd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "anomalyd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building anomalyd: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestTrainOutArtifacts: -train-out, the command that writes detector
 // artifacts, saves the approach and precision each run asks for, and nothing
@@ -23,10 +29,7 @@ func TestTrainOutArtifacts(t *testing.T) {
 		t.Skip("trains four detectors")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "anomalyd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building anomalyd: %v\n%s", err, out)
-	}
+	bin := buildAnomalyd(t, dir)
 	// The smallest model of each kind keeps the four runs to seconds.
 	for _, c := range []struct {
 		approach core.Approach
@@ -66,63 +69,52 @@ func TestTrainOutArtifacts(t *testing.T) {
 	}
 }
 
-// TestLoadArtifactRetiredGate: an artifact whose gate names a stage-1 scorer
-// this build lacks fails a plain -load with an error naming the scorer, and
-// loads under -cascade, which fits a fresh gate — the refit that error names.
-func TestLoadArtifactRetiredGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a detector")
+// TestServeRefusals: anomalyd trains only under -train-out and serves only
+// -load artifacts, arming the gate each carries and fitting none. Every
+// invocation that would train or fit at boot must exit non-zero before it
+// listens, with a message naming the fix. The deadline turns a daemon that
+// trains or serves instead into a failure, not a hang.
+func TestServeRefusals(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildAnomalyd(t, dir)
+	cases := []struct {
+		name    string
+		args    []string
+		want    string
+		trained bool // needs a gate-less artifact at plain.artifact
+	}{
+		{"no mode", nil, "give exactly one mode", false},
+		{"both modes", []string{"-train-out", filepath.Join(dir, "new.artifact"), "-load", filepath.Join(dir, "plain.artifact")}, "give exactly one mode", false},
+		{"load with cascade", []string{"-load", filepath.Join(dir, "plain.artifact"), "-cascade"}, "write it with -train-out <path> -cascade", false},
+		{"brownout without gate", []string{"-load", filepath.Join(dir, "plain.artifact"), "-brownout", "8"}, filepath.Join(dir, "plain.artifact") + " carries none; write a gated artifact with anomalyd -train-out <path> -cascade", true},
 	}
-	det, _, err := core.Train(core.Options{
-		Approach: core.SFT, Workflow: flowbench.Genome, Model: "distilbert-base-uncased",
-		TrainSize: 50, PretrainSteps: 10, Epochs: 1, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := flowbench.Generate(flowbench.Genome, 9)
-	labels := make([]int, len(ds.Train))
-	for i, j := range ds.Train {
-		labels[i] = j.Label
-	}
-	gate, err := cascade.Fit(cascade.Config{}, ds.Train, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "old.artifact")
-	if err := core.SaveDetectorFile(path, det, gate); err != nil {
-		t.Fatal(err)
-	}
-	retireGate(t, path)
-
-	if _, _, err := loadArtifact(path, false); err == nil || !strings.Contains(err.Error(), `scorer "pca"`) {
-		t.Fatalf("plain -load of a pca gate: err %v, want one naming the scorer", err)
-	}
-	got, g, err := loadArtifact(path, true)
-	if err != nil || got == nil || g != nil {
-		t.Fatalf("-load with -cascade: detector %v, gate %v, err %v; want the detector, no gate, no error", got, g, err)
-	}
-	if _, err := core.FitCascade(got, cascade.Config{}, ds.Train); err != nil {
-		t.Fatalf("refitting the loaded detector's gate: %v", err)
-	}
-}
-
-// retireGate rewrites the artifact at path as an older build that still had
-// the pca stage-1 scorer would have saved it: the gate names pca, padded so
-// the section keeps its length, and the checksum trailer is recomputed.
-func retireGate(t *testing.T, path string) {
-	t.Helper()
-	art, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, to := []byte(`"scorer":"ngram"`), []byte(`"scorer":  "pca"`)
-	if bytes.Count(art, from) != 1 {
-		t.Fatalf("artifact holds %d ngram gates, want 1", bytes.Count(art, from))
-	}
-	art = bytes.Replace(art, from, to, 1)
-	binary.LittleEndian.PutUint32(art[len(art)-4:], crc32.ChecksumIEEE(art[:len(art)-4]))
-	if err := os.WriteFile(path, art, 0o644); err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.trained {
+				if testing.Short() {
+					t.Skip("trains a detector")
+				}
+				args := []string{"-model", "distilbert-base-uncased", "-train", "50", "-pretrain", "10", "-epochs", "1", "-train-out", filepath.Join(dir, "plain.artifact")}
+				if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+					t.Fatalf("anomalyd %s: %v\n%s", strings.Join(args, " "), err, out)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			args := append([]string{"-addr", "127.0.0.1:0"}, c.args...)
+			out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+			if ctx.Err() != nil {
+				t.Fatalf("anomalyd %s still running after 30s, want a refusal:\n%s", strings.Join(args, " "), out)
+			}
+			if err == nil {
+				t.Errorf("anomalyd %s exited 0, want a refusal", strings.Join(args, " "))
+			}
+			if strings.Contains(string(out), "listening on") {
+				t.Errorf("anomalyd %s listened before refusing:\n%s", strings.Join(args, " "), out)
+			}
+			if !strings.Contains(string(out), c.want) {
+				t.Errorf("anomalyd %s said\n%s\nwant a message containing %q", strings.Join(args, " "), out, c.want)
+			}
+		})
 	}
 }

@@ -2,15 +2,18 @@
 // serving anomalyd and reports throughput, stage latency, queue saturation,
 // and detection quality per scenario.
 //
-//	loadlab -list                             # show the scenario taxonomy
-//	loadlab                                   # train a small detector, replay all scenarios
-//	loadlab -load genome.artifact             # serve a saved artifact in-process
-//	loadlab -addr http://10.0.0.5:8080        # drive a remote anomalyd
-//	loadlab -scenarios bursty,near-dup -out - # subset, report to stdout
-//	loadlab -scenarios chaos-bursty -retries  # fault-injected replay, client retries
-//	loadlab -chaos -shed-depth 64 -brownout 48 -deadline-ms 250  # full overload drill
-//	loadlab -cascade                          # paired rows per scenario: cascade off, then on
-//	loadlab -speed 2 -gateway 3 -gateway-kill # single node vs a fleet that loses a replica mid-replay
+// It serves a detector artifact in-process (-load, written by anomalyd
+// -train-out) or drives a running anomalyd (-addr); one of the two is
+// required:
+//
+//	loadlab -list                                  # show the scenario taxonomy
+//	loadlab -load sft.artifact                     # serve an artifact in-process, replay all scenarios
+//	loadlab -addr http://10.0.0.5:8080             # drive a remote anomalyd
+//	loadlab -load sft.artifact -scenarios bursty,near-dup -out -  # subset, report to stdout
+//	loadlab -load sft.artifact -scenarios chaos-bursty -retries   # fault-injected replay, client retries
+//	loadlab -load gated.artifact -chaos -shed-depth 64 -brownout 48 -deadline-ms 250  # full overload drill
+//	loadlab -load gated.artifact -cascade          # paired rows per scenario: cascade off, then on
+//	loadlab -load sft.artifact -speed 2 -gateway 3 -gateway-kill  # single node vs a fleet that loses a replica mid-replay
 //
 // Each scenario (see docs/SCENARIOS.md) is generated from a name + seed and
 // is byte-identical across runs, so reports diff meaningfully across commits
@@ -19,10 +22,14 @@
 // at their scheduled instants whether or not the server keeps up, so
 // queueing appears in the measurements instead of being absorbed by client
 // backpressure. The dark baselines (PCA, isolation forest, MLP autoencoder)
-// score the same event streams in-process as cheap comparison rows, and
-// -cascade replays each scenario a second time with the calibrated stage-1
-// gate armed so cascade off/on land as paired rows. The gate is also the
-// brownout tier, so -brownout fits it and keeps it armed for every replay.
+// score the same event streams in-process as cheap comparison rows. Row
+// names carry the artifact's base name, or "remote" under -addr.
+//
+// The artifact's cascade gate (anomalyd -train-out -cascade) stays disarmed
+// unless asked for: -cascade replays each scenario a second time with it
+// armed, so cascade off/on land as paired rows, and -brownout, whose tier the
+// gate is, keeps it armed for every replay. Both refuse an artifact without a
+// gate.
 package main
 
 import (
@@ -70,28 +77,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rate      = fs.Float64("rate", 400, "nominal arrival rate (lines/sec at speed 1)")
 		workflow  = fs.String("workflow", "1000-genome", "Flow-Bench workflow traffic is drawn from")
 		speed     = fs.Float64("speed", 10, "schedule compression factor (10 = replay a 10s schedule in 1s)")
-		addr      = fs.String("addr", "", "remote anomalyd base URL (empty = boot one in-process)")
-		load      = fs.String("load", "", "detector artifact to serve in-process (skips training)")
-		trainN    = fs.Int("train", 400, "training subsample size (in-process training)")
-		preSteps  = fs.Int("pretrain", 120, "pre-training steps")
-		epochs    = fs.Int("epochs", 2, "SFT epochs")
-		model     = fs.String("model", "distilbert-base-uncased", "model registry name for in-process training")
-		trainSeed = fs.Uint64("train-seed", 9, "training seed")
+		addr      = fs.String("addr", "", "remote anomalyd base URL to drive (instead of -load)")
+		load      = fs.String("load", "", "detector artifact to serve in-process (instead of -addr; anomalyd -train-out writes one)")
 		quantize  = fs.Bool("quantize", false, "serve int8-quantized weights")
 		baseNames = fs.String("baselines", "pca,iforest,mlpae", `comma-separated dark baselines scored on the same streams ("none" to skip)`)
 		monitors  = fs.String("monitor", "steady", `scenarios to additionally replay through /v1/monitor ("all", "none", or a comma list)`)
 		out       = fs.String("out", "-", "report path (- = stdout)")
-		detName   = fs.String("detector", "", "detector label in report rows (default: sft, int8, or the artifact name)")
 		maxBatch  = fs.Int("max-batch", 64, "max sentences per batched model invocation (in-process)")
 		workers   = fs.Int("workers", 0, "inference workers (0 = GOMAXPROCS, in-process)")
 		chaos     = fs.Bool("chaos", false, "replay every scenario as its chaos variant: deterministic faults during the middle third of the schedule (in-process only)")
 		shedDepth = fs.Int("shed-depth", 0, "admission-control queue depth; enqueues beyond it are shed with 429 (0 = off, in-process)")
 		deadline  = fs.Int("deadline-ms", 0, "server-side default request deadline in milliseconds (0 = none, in-process)")
-		brownout  = fs.Int("brownout", 0, "queue depth that engages brownout: detection answers degraded from a cascade gate fitted and armed for every replay (0 = off, in-process; not with -cascade or -gateway)")
+		brownout  = fs.Int("brownout", 0, "queue depth that engages brownout: detection answers degraded from the artifact's cascade gate, armed for every replay (0 = off, in-process; not with -cascade or -gateway)")
 		brownHold = fs.Duration("brownout-hold", 0, "how long the queue must stay saturated before brownout engages (0 = server default 250ms; compressed replays need a hold matched to their timescale)")
 		retries   = fs.Bool("retries", false, "send replay requests through the resilience retry client (backoff, budget, Retry-After)")
-		cascOn    = fs.Bool("cascade", false, "two-stage inference drill: replay each non-chaos scenario twice, ngram stage-1 gate off then on, as paired report rows (in-process only)")
-		cascRec   = fs.Float64("cascade-recall", cascade.DefaultTargetRecall, "cascade calibration target recall")
+		cascOn    = fs.Bool("cascade", false, "two-stage inference drill: replay each non-chaos scenario twice, the artifact's stage-1 gate off then on, as paired report rows (in-process only)")
 		gatewayN  = fs.Int("gateway", 0, "replicated-serving drill: boot N in-process replicas behind an anomalygw gateway and replay each non-chaos scenario against it too, as paired single-node vs fleet rows (in-process only, N >= 2)")
 		gwKill    = fs.Bool("gateway-kill", false, "with -gateway: reset every forward to the first replica for the middle third of each fleet replay, exercising its breaker opening and its half-open re-admission")
 	)
@@ -144,14 +144,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Rate:     *rate,
 	}
 
-	// Resolve the server under test: a remote daemon, a loaded artifact, or
-	// a detector trained right here. targets are what each scenario replays
-	// against, the single node first.
+	// Resolve the server under test: a remote daemon or a loaded artifact.
+	// targets are what each scenario replays against, the single node first.
+	if (*load == "") == (*addr == "") {
+		return fmt.Errorf("give exactly one of -load <artifact> (served in-process; anomalyd -train-out writes one) and -addr <url> (a running anomalyd)")
+	}
 	baseURL := *addr
 	if baseURL != "" && !strings.Contains(baseURL, "://") {
 		baseURL = "http://" + baseURL
 	}
-	label := *detName
+	label := "remote"
 	remote := baseURL != ""
 	var targets []target
 	// stops shuts down what the in-process boot started, in reverse order.
@@ -166,31 +168,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("chaos replays need the in-process server (faults are injected into its handler); drop -addr or use anomalyd -faults")
 		}
 		if *cascOn {
-			return fmt.Errorf("-cascade pairs off/on replays by toggling the in-process model's gate; drop -addr (a remote anomalyd arms its own cascade with -cascade)")
+			return fmt.Errorf("-cascade pairs off/on replays by toggling the in-process model's gate; drop -addr (a remote anomalyd arms the gate its -load artifact carries)")
 		}
 		if *gatewayN > 0 {
 			return fmt.Errorf("-gateway boots its fleet in-process; drop -addr (a remote fleet is driven by pointing -addr at anomalygw)")
 		}
-		if label == "" {
-			label = "remote"
-		}
 		targets = []target{{url: baseURL}}
 	} else {
-		det, defLabel, err := buildDetector(stderr, *load, *quantize, core.Options{
-			Approach:      core.SFT,
-			Workflow:      cfg.Workflow,
-			Model:         *model,
-			TrainSize:     *trainN,
-			PretrainSteps: *preSteps,
-			Epochs:        *epochs,
-			Seed:          *trainSeed,
-		})
+		det, cascadeGate, err := core.LoadDetectorFile(*load)
 		if err != nil {
 			return err
 		}
-		if label == "" {
-			label = defLabel
+		if cascadeGate == nil && (*cascOn || *brownout > 0) {
+			return fmt.Errorf("-cascade and -brownout arm the artifact's cascade gate, but %s carries none; write a gated artifact with anomalyd -train-out <path> -cascade", *load)
 		}
+		if *quantize && det.Precision() != core.PrecisionInt8 {
+			if det, err = core.QuantizeDetector(det); err != nil {
+				return err
+			}
+		}
+		label = strings.TrimSuffix(filepath.Base(*load), filepath.Ext(*load))
 		bcfg := core.BatchConfig{
 			MaxBatch: *maxBatch, Workers: *workers,
 			ShedQueueDepth:  *shedDepth,
@@ -203,22 +200,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stderr, "serving %s in-process at %s\n", label, url)
-		var cascadeGate *cascade.Gate
-		if *cascOn || *brownout > 0 {
-			ds := flowbench.Generate(cfg.Workflow, cfg.Seed)
-			cascadeGate, err = core.FitCascade(det, cascade.Config{TargetRecall: *cascRec}, ds.Train)
-			if err != nil {
+		if *brownout > 0 {
+			// The gate is the brownout tier: armed for every replay.
+			if err := reg.SetCascade(core.DefaultModel, cascadeGate); err != nil {
 				return err
 			}
-			fmt.Fprintf(stderr, "cascade calibrated: ngram gate, target recall %.3f (%d calibration positives)\n",
-				cascadeGate.TargetRecall(), cascadeGate.Positives())
-			if *brownout > 0 {
-				// The gate is the brownout tier: armed for every replay.
-				if err := reg.SetCascade(core.DefaultModel, cascadeGate); err != nil {
-					return err
-				}
-				fmt.Fprintf(stderr, "brownout armed: degrade to the cascade gate at queue depth %d\n", *brownout)
-			}
+			fmt.Fprintf(stderr, "brownout armed: degrade to the cascade gate at queue depth %d\n", *brownout)
 		}
 		targets = append(targets, target{
 			url: url, reg: reg, gate: gate,
@@ -570,49 +557,6 @@ func pickMonitorSet(spec string, defs []scenario.Def) (map[string]bool, error) {
 		set[strings.TrimSpace(name)] = true
 	}
 	return set, nil
-}
-
-// buildDetector resolves the in-process detector: a loaded artifact or a
-// fresh small training run.
-func buildDetector(stderr io.Writer, load string, quantize bool, opts core.Options) (core.Detector, string, error) {
-	if load != "" {
-		// loadlab never arms an artifact's gate (-cascade fits its own), so a
-		// saved gate this build cannot rebuild does not block the detector.
-		det, _, err := core.LoadDetectorFile(load)
-		if det == nil {
-			return nil, "", err
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "ignoring the artifact's cascade gate: %v\n", err)
-		}
-		if quantize && det.Precision() != core.PrecisionInt8 {
-			if det, err = core.QuantizeDetector(det); err != nil {
-				return nil, "", err
-			}
-		}
-		label := filepath.Base(load)
-		if ext := filepath.Ext(label); ext != "" {
-			label = strings.TrimSuffix(label, ext)
-		}
-		return det, label, nil
-	}
-	fmt.Fprintf(stderr, "training %s (%d jobs, %d pretrain steps, %d epochs)...\n",
-		opts.Model, opts.TrainSize, opts.PretrainSteps, opts.Epochs)
-	start := time.Now()
-	det, rep, err := core.Train(opts)
-	if err != nil {
-		return nil, "", err
-	}
-	fmt.Fprintf(stderr, "detector ready in %s: %d params, held-out %s\n",
-		time.Since(start).Round(time.Millisecond), rep.Params, rep.Test)
-	label := "sft"
-	if quantize {
-		if det, err = core.QuantizeDetector(det); err != nil {
-			return nil, "", err
-		}
-		label = "int8"
-	}
-	return det, label, nil
 }
 
 // cascadeAgreement compares the paired replays of one stream: per-event

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"maps"
 	"math"
 	"os"
@@ -73,23 +71,29 @@ func TestRunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The artifact carries a gate an older build fitted with the retired pca
-	// scorer. loadlab never arms an artifact's gate, so every row serves the
-	// detector all the same, and the cascade row fits its own.
-	ds := flowbench.Generate(flowbench.Genome, 9)
-	labels := make([]int, len(ds.Train))
-	for i, j := range ds.Train {
-		labels[i] = j.Label
+	// Both artifacts are named sft.artifact, so every row is labelled sft.
+	// Rows that arm no gate serve a copy without one; the cascade and chaos
+	// rows arm the gate, which is fitted once, on first use, as anomalyd
+	// -train-out -cascade fits it: the scoring it costs stays out of the
+	// rows that never read it.
+	dir := t.TempDir()
+	plain := filepath.Join(dir, "plain", "sft.artifact")
+	saveArtifact(t, plain, det, nil)
+	var gated string
+	artifact := func(t *testing.T, gate bool) string {
+		if !gate {
+			return plain
+		}
+		if gated == "" {
+			g, err := core.FitCascade(det, cascade.Config{}, flowbench.Generate(flowbench.Genome, 9).Train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gated = filepath.Join(dir, "gated", "sft.artifact")
+			saveArtifact(t, gated, det, g)
+		}
+		return gated
 	}
-	oldGate, err := cascade.Fit(cascade.Config{}, ds.Train, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	artifact := filepath.Join(t.TempDir(), "smoke.artifact")
-	if err := core.SaveDetectorFile(artifact, det, oldGate); err != nil {
-		t.Fatal(err)
-	}
-	retireGate(t, artifact)
 
 	steady := pins{
 		"events": 200, "requests": 200, "errors": 0, "dedup_saved": 0,
@@ -135,6 +139,7 @@ func TestRunSmoke(t *testing.T) {
 	for _, row := range []struct {
 		name  string
 		args  []string
+		gate  bool // serve the artifact that carries the cascade gate
 		want  map[string]pins
 		check func(t *testing.T, got map[string]map[string]float64)
 	}{
@@ -156,6 +161,7 @@ func TestRunSmoke(t *testing.T) {
 		{
 			name: "cascade",
 			args: []string{"-speed", "200", "-scenarios", "steady,near-dup", "-cascade", "-baselines", "none"},
+			gate: true,
 			want: map[string]pins{
 				"LoadLab/steady/sft":        steady,
 				"LoadLabMonitor/steady/sft": monitor,
@@ -186,6 +192,7 @@ func TestRunSmoke(t *testing.T) {
 				"-speed", "1", "-scenarios", "chaos-steady", "-monitor", "none", "-baselines", "none",
 				"-shed-depth", "64", "-brownout", "48", "-deadline-ms", "500", "-retries",
 			},
+			gate: true,
 			want: map[string]pins{"LoadLabChaos/steady/sft": {"events": 200, "requests": 200}},
 			check: func(t *testing.T, got map[string]map[string]float64) {
 				row := got["LoadLabChaos/steady/sft"]
@@ -253,15 +260,12 @@ func TestRunSmoke(t *testing.T) {
 			}
 			out := filepath.Join(t.TempDir(), "report.json")
 			args := append([]string{
-				"-load", artifact, "-detector", "sft", "-events", "200",
+				"-load", artifact(t, row.gate), "-events", "200",
 				"-workflow", "1000-genome", "-seed", "9", "-out", out,
 			}, row.args...)
 			var stdout, stderr bytes.Buffer
 			if err := run(args, &stdout, &stderr); err != nil {
 				t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
-			}
-			if !strings.Contains(stderr.String(), `ignoring the artifact's cascade gate`) {
-				t.Errorf("stderr does not note the dropped pca gate: %s", stderr.String())
 			}
 			data, err := os.ReadFile(out)
 			if err != nil {
@@ -308,22 +312,13 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// retireGate rewrites the artifact at path as an older build that still had
-// the pca stage-1 scorer would have saved it: the gate names pca, padded so
-// the section keeps its length, and the checksum trailer is recomputed.
-func retireGate(t *testing.T, path string) {
+// saveArtifact writes det and gate to path, creating its directory.
+func saveArtifact(t *testing.T, path string, det core.Detector, gate *cascade.Gate) {
 	t.Helper()
-	art, err := os.ReadFile(path)
-	if err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	from, to := []byte(`"scorer":"ngram"`), []byte(`"scorer":  "pca"`)
-	if bytes.Count(art, from) != 1 {
-		t.Fatalf("artifact holds %d ngram gates, want 1", bytes.Count(art, from))
-	}
-	art = bytes.Replace(art, from, to, 1)
-	binary.LittleEndian.PutUint32(art[len(art)-4:], crc32.ChecksumIEEE(art[:len(art)-4]))
-	if err := os.WriteFile(path, art, 0o644); err != nil {
+	if err := core.SaveDetectorFile(path, det, gate); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -358,7 +353,7 @@ func TestRunRejectsUnknownScenario(t *testing.T) {
 // before it became a bool flag — would silently drop every flag after it.
 func TestRunRejectsStrayArguments(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-cascade", "ngram", "-cascade-recall", "0.9999", "-out", "lab.json"}, &stdout, &stderr)
+	err := run([]string{"-cascade", "ngram", "-speed", "50", "-out", "lab.json"}, &stdout, &stderr)
 	if err == nil {
 		t.Fatal("stray positional arguments should fail")
 	}
@@ -372,7 +367,7 @@ func TestRunRejectsStrayArguments(t *testing.T) {
 // TestRunRejectsBrownoutWithPairedRows: -brownout arms the gate its tier
 // answers from on the base replay, while -cascade and -gateway each pair
 // rows against a base replay without one, so both pairs fail before any
-// training.
+// artifact loads.
 func TestRunRejectsBrownoutWithPairedRows(t *testing.T) {
 	for _, args := range [][]string{
 		{"-brownout", "48", "-cascade"},
@@ -382,6 +377,43 @@ func TestRunRejectsBrownoutWithPairedRows(t *testing.T) {
 		err := run(args, &stdout, &stderr)
 		if err == nil || !strings.Contains(err.Error(), "-brownout") {
 			t.Errorf("%q: err = %v, want a refusal naming -brownout", args, err)
+		}
+	}
+}
+
+// TestRunNeedsAServer: loadlab serves an artifact (-load) or drives a running
+// anomalyd (-addr). With neither it refuses rather than train a detector of
+// its own.
+func TestRunNeedsAServer(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-scenarios", "steady", "-events", "50", "-baselines", "none", "-monitor", "none"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "-load <artifact>") || !strings.Contains(err.Error(), "-addr <url>") {
+		t.Fatalf("err = %v, want a refusal naming -load and -addr", err)
+	}
+}
+
+// TestRunRefusesGatelessArtifact: -cascade and -brownout arm the gate the
+// artifact carries, so over an artifact without one they refuse, naming the
+// command that writes a gated one, instead of fitting a gate at boot.
+func TestRunRefusesGatelessArtifact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a detector")
+	}
+	det, _, err := core.Train(core.Options{
+		Approach: core.SFT, Workflow: flowbench.Genome, Model: "distilbert-base-uncased",
+		TrainSize: 50, PretrainSteps: 10, Epochs: 1, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "plain.artifact")
+	saveArtifact(t, path, det, nil)
+	for _, drill := range [][]string{{"-cascade"}, {"-brownout", "48"}} {
+		args := append([]string{"-load", path, "-scenarios", "steady", "-events", "50", "-baselines", "none", "-monitor", "none"}, drill...)
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), path+" carries none") || !strings.Contains(err.Error(), "anomalyd -train-out <path> -cascade") {
+			t.Errorf("%q: err = %v, want a refusal naming the artifact and anomalyd -train-out <path> -cascade", drill, err)
 		}
 	}
 }

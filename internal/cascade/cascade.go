@@ -272,7 +272,7 @@ func (g *Gate) Params() Params {
 // (artifacts are untrusted input).
 func FromParams(p Params) (*Gate, error) {
 	if p.Scorer != scorerName {
-		return nil, fmt.Errorf("cascade: gate names stage-1 scorer %q, but this build has only %q; refit the gate with anomalyd -load <artifact> -cascade", p.Scorer, scorerName)
+		return nil, fmt.Errorf("cascade: gate names stage-1 scorer %q, but this build has only %q; write a new artifact with anomalyd -train-out <path> -cascade", p.Scorer, scorerName)
 	}
 	for _, v := range [...]float64{p.Low, p.High, p.Scale, p.TargetRecall} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

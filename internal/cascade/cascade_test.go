@@ -289,7 +289,7 @@ func TestFromParamsRejectsInvalid(t *testing.T) {
 	// A gate saved with a scorer this build lacks names it and the remedy.
 	_, err := FromParams(mutate(func(p *Params) { p.Scorer = "pca" }))
 	if msg := fmt.Sprint(err); !strings.Contains(msg, `"pca"`) || !strings.Contains(msg, "-cascade") {
-		t.Errorf("pca gate error %q names neither the scorer nor the refit", msg)
+		t.Errorf("pca gate error %q names neither the scorer nor -cascade", msg)
 	}
 }
 

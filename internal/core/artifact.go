@@ -201,11 +201,7 @@ func saveDetector(w io.Writer, det Detector, gate *cascade.Gate) error {
 // The second result is the calibrated stage-1 gate the artifact carries:
 // nil for v1/v2 artifacts and v3 artifacts saved without one. A
 // present-but-invalid gate section — corrupt, or naming a stage-1 scorer this
-// build does not have — is an error, but the detector sections are intact:
-// loadDetector then returns the detector with a nil gate alongside the
-// error. A caller that refits the gate (anomalyd -load … -cascade) or never
-// arms it (loadlab) may serve that detector; every other caller must fail
-// the load rather than serve without the gate the artifact carries.
+// build does not have — fails the whole load.
 func loadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 	h := crc32.NewIEEE()
 	tr := io.TeeReader(r, h)
@@ -295,9 +291,10 @@ func loadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 		return nil, nil, fmt.Errorf("core: artifact checksum mismatch (stored %#x, computed %#x): file corrupted?", stored, sum)
 	}
 	var gate *cascade.Gate
-	var gateErr error
 	if len(gateJSON) > 0 {
-		gate, gateErr = decodeGate(gateJSON)
+		if gate, err = decodeGate(gateJSON); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Seed is irrelevant: every parameter is overwritten by Load below.
@@ -330,7 +327,7 @@ func loadDetector(r io.Reader) (Detector, *cascade.Gate, error) {
 	if err := model.Load(bytes.NewReader(weights)); err != nil {
 		return nil, nil, err
 	}
-	return newLocalDetector(approach, model, tok, meta.Examples), gate, gateErr
+	return newLocalDetector(approach, model, tok, meta.Examples), gate, nil
 }
 
 // decodeGate rebuilds the stage-1 gate from a cascade section's JSON.
@@ -418,8 +415,7 @@ func SaveDetectorFile(path string, det Detector, gate *cascade.Gate) error {
 }
 
 // LoadDetectorFile reads a detector artifact from path along with the
-// calibrated stage-1 gate it carries (see loadDetector, whose detector it
-// likewise returns alongside an error from the gate section alone).
+// calibrated stage-1 gate it carries (see loadDetector).
 func LoadDetectorFile(path string) (Detector, *cascade.Gate, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -76,41 +76,6 @@ func Prefix(j flowbench.Job, k int) string {
 	return sb.String()
 }
 
-// ParseSentence parses a feature sentence (the Sentence/Prefix format,
-// `<FEAT_1> is <VAL_1> <FEAT_2> is <VAL_2> ...`) back into a Job carrying
-// only the feature vector — the inverse of Sentence up to FormatValue's
-// rendering precision. Metadata (workflow, trace identity, label) does not
-// appear in sentences and stays zero. Features absent from the sentence (a
-// Prefix over k < NumFeatures) are zero; unknown feature names or malformed
-// triples are errors. The brownout tier uses this to score detect-endpoint
-// traffic with the numeric seed baselines.
-func ParseSentence(s string) (flowbench.Job, error) {
-	var j flowbench.Job
-	fields := strings.Fields(s)
-	if len(fields)%3 != 0 {
-		return j, fmt.Errorf("logparse: sentence is not `<feature> is <value>` triples: %q", s)
-	}
-	featIdx := make(map[string]int, flowbench.NumFeatures)
-	for i, n := range flowbench.FeatureNames {
-		featIdx[n] = i
-	}
-	for i := 0; i < len(fields); i += 3 {
-		idx, ok := featIdx[fields[i]]
-		if !ok {
-			return j, fmt.Errorf("logparse: unknown feature %q", fields[i])
-		}
-		if fields[i+1] != "is" {
-			return j, fmt.Errorf("logparse: expected %q after %q, got %q", "is", fields[i], fields[i+1])
-		}
-		v, err := strconv.ParseFloat(fields[i+2], 64)
-		if err != nil {
-			return j, fmt.Errorf("logparse: bad value for %s: %q", fields[i], fields[i+2])
-		}
-		j.Features[idx] = v
-	}
-	return j, nil
-}
-
 // featIdx maps feature names to their index and anomalyByName class names
 // to their class. Both are built once and only read after, so the parsers
 // look names up without per-call map builds.
@@ -131,17 +96,20 @@ var (
 	}()
 )
 
-// isSentenceSpace matches the whitespace Sentence/Prefix emit (and the
-// strings.Fields superset ParseSentence accepts for ASCII input).
+// isSentenceSpace matches the separators ScanSentence accepts: the spaces
+// Sentence/Prefix emit, plus tab, newline and carriage return.
 func isSentenceSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
-// ScanSentence is ParseSentence's zero-allocation twin: it parses a feature
-// sentence into feats (resetting it first) and reports whether the sentence
-// was well formed. The cascade's stage-1 scoring path calls this per log
-// line, so it must not allocate; unparseable lines return false and are
-// passed through to the transformer rather than gated.
+// ScanSentence parses a feature sentence (the Sentence/Prefix format,
+// `<FEAT_1> is <VAL_1> <FEAT_2> is <VAL_2> ...`) into feats (resetting it
+// first) and reports whether the sentence was well formed: the inverse of
+// Sentence up to FormatValue's rendering precision. Features absent from the
+// sentence (a Prefix over k < NumFeatures) are zero; unknown feature names
+// or malformed triples are rejected. The cascade's stage-1 scoring path
+// calls this per log line, so it must not allocate; unparseable lines
+// return false and are passed through to the transformer rather than gated.
 //
 //repro:hotpath
 func ScanSentence(s string, feats *[flowbench.NumFeatures]float64) bool {
